@@ -31,7 +31,6 @@ const FORWARD_FNS: &[&str] = &[
     "run_layers",
     "run_layers_nominal",
     "serve",
-    "serve_degraded",
     "run_base",
     "run_latency_aware",
     "run_latency_aware_queued",

@@ -78,7 +78,7 @@ fn shard_drain_loops_are_declared_worker_loops() {
         .iter()
         .map(|(_, q)| q.as_str())
         .collect();
-    for expected in ["static_shard_loop", "elastic_shard_loop", "sampler_loop"] {
+    for expected in ["shard_loop", "sampler_loop"] {
         assert!(
             loops.contains(&expected),
             "{expected} lost its worker-loop annotation (have: {loops:?})"

@@ -104,9 +104,7 @@ fn bench(c: &mut Criterion) {
         task_switch_s: 0.0,
         queue_aware_slack: false,
         pressure_stretch: false,
-        overload: Default::default(),
         telemetry: None,
-        energy: None,
     };
     let accel_out = drain_load(&accel, &load, cfg);
     let gpu_out = drain_load(&gpu, &load, cfg);

@@ -25,7 +25,7 @@ use edgebert::pipeline::{Scale, TaskArtifacts};
 use edgebert::server::{PreemptionPolicy, ServerConfig};
 use edgebert::serving::{MultiTaskRuntime, TaskRuntime};
 use edgebert_bench::load::{
-    class_reports, drain_load_wall_clock_stats, render_comparison_labeled, render_preemption_stats,
+    class_reports, drain_load_wall_clock_stats, render_comparison_labeled, render_server_stats,
     LoadRequest, TrafficClass,
 };
 use edgebert_tasks::{Task, TaskGenerator};
@@ -128,11 +128,8 @@ fn bench(c: &mut Criterion) {
         "{}",
         render_comparison_labeled("off", &off_rows, "preempt", &on_rows)
     );
-    println!(
-        "non-preemptive lanes:\n{}",
-        render_preemption_stats(&off_stats)
-    );
-    println!("preemptive lanes:\n{}", render_preemption_stats(&on_stats));
+    println!("non-preemptive lanes:\n{}", render_server_stats(&off_stats));
+    println!("preemptive lanes:\n{}", render_server_stats(&on_stats));
 
     // Acceptance: preemption strictly improves the tight class at
     // equal offered load, and the counters prove sessions really

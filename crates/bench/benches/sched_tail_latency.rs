@@ -61,9 +61,7 @@ fn bench(c: &mut Criterion) {
         task_switch_s: 0.0,
         queue_aware_slack: false,
         pressure_stretch: false,
-        overload: Default::default(),
         telemetry: None,
-        energy: None,
     };
     let fifo = drain_load(&runtime, &load, cfg(SchedulePolicy::Fifo));
     let edf = drain_load(&runtime, &load, cfg(SchedulePolicy::EarliestDeadline));

@@ -119,9 +119,7 @@ fn bench(c: &mut Criterion) {
                 task_switch_s: 0.0,
                 queue_aware_slack,
                 pressure_stretch: false,
-                overload: Default::default(),
                 telemetry: None,
-                energy: None,
             },
         );
         class_reports(&load, &responses, &classes)

@@ -539,7 +539,7 @@ pub fn drain_load(
 /// [`ServerConfig::emulate_service_time`] on so shards hold their lanes
 /// for the modeled compute latency and utilization is physically
 /// meaningful. The lane capacity must cover the spec's backlog — a
-/// rejected submission is a panic here, not silent load shedding.
+/// refused submission is a panic here, not silent load shedding.
 pub fn drain_load_wall_clock(
     runtime: &MultiTaskRuntime,
     load: &[LoadRequest],
@@ -556,25 +556,14 @@ pub fn drain_load_wall_clock_stats(
     load: &[LoadRequest],
     cfg: ServerConfig,
 ) -> (Vec<ServerResponse>, ServerStats) {
-    let server = Server::start(runtime, cfg);
-    let epoch = Instant::now();
-    let mut handles = Vec::with_capacity(load.len());
-    for r in load {
-        let due = epoch + Duration::from_secs_f64(r.arrival_s);
-        if let Some(gap) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(gap);
-        }
-        handles.push(
-            server
-                .submit(r.task, r.request.clone())
-                .expect("lane capacity must cover the generated load"),
-        );
-    }
-    let responses = handles
+    let (outcomes, stats) = drain_load_wall_clock_outcomes(runtime, load, cfg);
+    let responses = outcomes
         .into_iter()
-        .map(|h| h.wait().expect("shard workers outlive the drain"))
+        .map(|outcome| match outcome {
+            LoadOutcome::Served(response) => response,
+            LoadOutcome::Shed { .. } => panic!("this drain does not tolerate load shedding"),
+        })
         .collect();
-    let stats = server.shutdown();
     (responses, stats)
 }
 
@@ -603,12 +592,13 @@ impl LoadOutcome {
     }
 }
 
-/// [`drain_load_wall_clock_stats`] for overload runs: a
-/// [`SubmitError::Shed`] refusal is recorded as a
-/// [`LoadOutcome::Shed`] instead of panicking — shedding is the
-/// behavior under test, not a misconfigured bench. Any *other* submit
-/// error (full queue, unserved task) still panics: the ladder is the
-/// only sanctioned loss mechanism here.
+/// The one submit-and-await loop behind every wall-clock drain (see
+/// [`drain_load_wall_clock`] for the replay contract). A
+/// [`SubmitError::Shed`] refusal is recorded as a [`LoadOutcome::Shed`]
+/// instead of panicking — on overload runs shedding is the behavior
+/// under test, not a misconfigured bench. Any *other* submit error
+/// (full queue, unserved task) panics: the ladder is the only
+/// sanctioned loss mechanism here.
 pub fn drain_load_wall_clock_outcomes(
     runtime: &MultiTaskRuntime,
     load: &[LoadRequest],
@@ -728,10 +718,7 @@ pub fn render_server_stats(stats: &ServerStats) -> String {
         ));
     }
     // Telemetry-on snapshots carry full distributions; render their
-    // quantiles below the counter table. (The old
-    // `queue_delay_mean_s`/`queue_delay_max_s` scalar pair is
-    // deprecated in favor of these — a mean and a max say nothing
-    // about p95/p99 — and is intentionally not rendered here.)
+    // quantiles below the counter table.
     if stats.lanes.iter().any(|l| l.histograms.is_some()) {
         out.push_str(&format!(
             "\n{:<8} {:<12} {:>7} {:>10} {:>10} {:>10} {:>10}\n",
@@ -760,14 +747,6 @@ pub fn render_server_stats(stats: &ServerStats) -> String {
         }
     }
     out
-}
-
-/// Renders the preemption-related lane counters of a stats snapshot —
-/// kept for callers written against the PR 5 API; now an alias of the
-/// general [`render_server_stats`] renderer (the overload columns read
-/// zero for ladder-off runs).
-pub fn render_preemption_stats(stats: &ServerStats) -> String {
-    render_server_stats(stats)
 }
 
 /// Offered per-lane utilization of a load spec against a floor service
@@ -903,13 +882,6 @@ impl TailReport {
     pub fn with_shed(mut self, shed: usize) -> Self {
         self.shed = shed;
         self
-    }
-
-    /// Folds scheduled responses into the report (alias of
-    /// [`from_samples`](Self::from_samples), kept for callers written
-    /// against the PR 2 API).
-    pub fn from_scheduled<'a>(responses: impl IntoIterator<Item = &'a ScheduledResponse>) -> Self {
-        Self::from_samples(responses)
     }
 }
 

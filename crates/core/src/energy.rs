@@ -25,9 +25,10 @@
 //!   elapsed interval, get back per-lane [`LaneAllocation`]s (envelope
 //!   watts to enforce, measured watts to report).
 //!
-//! The coordinator itself is timer-free: the server drives it from a
-//! wall-clock thread, and the deterministic scheduler's parity mode
-//! calls [`allocate`] directly on the virtual timeline. How an envelope
+//! The coordinator itself is timer-free — the server drives it from a
+//! wall-clock thread — so the same tick can be driven from a virtual
+//! clock once the server's lanes run on one (ROADMAP item 4; the
+//! virtual-timeline scheduler carries no copy of it). How an envelope
 //! *binds* lives elsewhere: the session clamps its operating point via
 //! [`InferenceBackend::decide_capped`](crate::backend::InferenceBackend::decide_capped)
 //! (feasibility judged honestly — an envelope that forbids the
@@ -42,17 +43,14 @@ use edgebert_tasks::Task;
 use serde::{Deserialize, Serialize};
 
 /// Fleet energy budgeting knobs. Disabled unless installed in
-/// [`ServerConfig::energy`](crate::server::ServerConfig) (wall-clock
-/// coordinator) or
-/// [`SchedulerConfig::energy`](crate::scheduler::SchedulerConfig)
-/// (deterministic parity on the virtual timeline).
+/// [`ServerConfig::energy`](crate::server::ServerConfig).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnergyConfig {
     /// Total sustained compute power the fleet may draw, watts. Lane
     /// envelopes always sum to at most this.
     pub fleet_cap_w: f64,
     /// Guaranteed per-lane envelope, watts — no lane starves below it
-    /// regardless of where the pressure is. The serving layers assert
+    /// regardless of where the pressure is. The server asserts
     /// `floor_w · lanes ≤ fleet_cap_w` at construction.
     pub floor_w: f64,
     /// Time constant of the measured-power EWMA, seconds.

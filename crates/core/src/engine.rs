@@ -278,6 +278,37 @@ impl InferenceRequest {
         self
     }
 
+    /// The one dispatch-time stamping rule, shared by the wall-clock
+    /// lanes and the virtual-timeline drain (paper §5.2 / Alg. 2: V/F
+    /// is decided once per sentence, at dispatch, against
+    /// `T − T_elapsed`).
+    ///
+    /// `charged_wait_s` is the wait the front-end charges to the DVFS
+    /// budget on top of the submitter's pre-stamp — zero when it is
+    /// slack-blind or declared the wait measurement noise. The stamp
+    /// is rewritten only if it grew, so an uncharged request is served
+    /// exactly as submitted. `successor_gap_s` is how long the
+    /// tightest work waiting behind this request can still wait and
+    /// run at nominal inside its own deadline (`None` → nothing
+    /// waits, or the front-end does not cap); a finite gap caps the
+    /// stretch window at `max(0, gap)`. Returns the stamped request
+    /// and the elapsed queue time its budget is charged with.
+    pub(crate) fn stamped_at_dispatch(
+        mut self,
+        charged_wait_s: f64,
+        successor_gap_s: Option<f64>,
+    ) -> (Self, f64) {
+        let pre_stamp_s = self.effective_elapsed_queue_s();
+        let budgeted_s = pre_stamp_s + charged_wait_s;
+        if budgeted_s > pre_stamp_s {
+            self = self.with_elapsed_queue_s(budgeted_s);
+        }
+        if let Some(gap_s) = successor_gap_s.filter(|gap_s| gap_s.is_finite()) {
+            self = self.with_stretch_cap_s(gap_s.max(0.0));
+        }
+        (self, budgeted_s)
+    }
+
     /// Allows the overload ladder to degrade this request by up to
     /// `notches` accuracy tiers under pressure (see
     /// [`max_degradation`](Self::max_degradation)). The default of zero
@@ -713,18 +744,6 @@ impl EdgeBertEngine {
     /// path.
     pub fn serve(&self, request: &InferenceRequest) -> InferenceResponse {
         self.begin(request).finish()
-    }
-
-    /// [`serve`](Self::serve) with an overload-ladder degradation
-    /// applied: the session runs at the degraded tier and scaled
-    /// entropy-exit threshold. [`Degradation::NONE`] is bit-identical
-    /// to [`serve`](Self::serve).
-    pub fn serve_degraded(
-        &self,
-        request: &InferenceRequest,
-        degradation: Degradation,
-    ) -> InferenceResponse {
-        self.begin_degraded(request, degradation).finish()
     }
 
     /// Opens a resumable, layer-granular session over one request (see

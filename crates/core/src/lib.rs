@@ -52,7 +52,8 @@
 //!   autoscaler declines attaches the envelope cannot power and the
 //!   overload shed rung prices the envelope's slowdown into its
 //!   feasibility estimate, so a lane cannot win its deadline race by
-//!   exceeding the fleet cap;
+//!   exceeding the fleet cap (wall-clock server lanes only — the
+//!   virtual-timeline scheduler has no envelope mode);
 //! * [`overload`] — the overload control plane: a per-lane hysteresis
 //!   admission ladder ([`OverloadController`]) that trades calibrated
 //!   accuracy for survival under flash crowds. Under pressure (queued
@@ -63,7 +64,9 @@
 //!   floor (default: none) — and when that can't restore feasibility,
 //!   infeasible arrivals are *shed* at admission with a typed retry
 //!   hint ([`SubmitError::Shed`](server::SubmitError::Shed)).
-//!   Disabled by default; every default path stays bit-identical;
+//!   Disabled by default; every default path stays bit-identical.
+//!   Like energy envelopes, the ladder lives on the server's lanes
+//!   only;
 //! * [`serving`] — [`TaskRuntime`] (one task's owned serving stack) and
 //!   [`MultiTaskRuntime`] (request routing across the four GLUE tasks,
 //!   the paper's multi-task deployment);
@@ -76,7 +79,9 @@
 //!   the crate go through one rule, [`engine::deadline_met`]
 //!   (`latency ≤ target · (1 + 1e-4)`, absorbing V/F-grid rounding);
 //!   with [`SchedulerConfig::queue_aware_slack`] the virtual drain also
-//!   deducts each sentence's queueing delay from its DVFS budget;
+//!   deducts each sentence's queueing delay from its DVFS budget —
+//!   through the one dispatch-time stamping rule the server's lanes
+//!   use, so the two timelines cannot drift;
 //! * [`server`] — [`Server`]: the channel-based async front-end over
 //!   real worker threads. Clients `submit()` from any thread and get
 //!   [`ResponseHandle`]s (typed [`WorkerLost`] errors, never panics);
@@ -93,7 +98,9 @@
 //!   **elastic** when opted in ([`server::ElasticConfig`]): idle
 //!   shards steal the EDF-tightest parked session from foreign lanes
 //!   and autoscale onto pressured lanes as extra shards, with
-//!   stolen/migrated/pool-resize counters in [`ServerStats`];
+//!   stolen/migrated/pool-resize counters in [`ServerStats`]. One
+//!   worker loop serves both modes: the roaming step is simply not
+//!   taken with elasticity off;
 //! * [`telemetry`] — observability for the serving stack, default-off
 //!   and bit-identity-neutral: per-request trace spans
 //!   ([`TraceEvent`] chains Admitted→Popped→…→Completed into a

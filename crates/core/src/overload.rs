@@ -43,8 +43,8 @@
 //!
 //! # Hysteresis invariants
 //!
-//! [`OverloadConfig::validate`] enforces (and the serving layers assert
-//! at construction):
+//! [`OverloadConfig::validate`] enforces (and the server asserts at
+//! construction):
 //!
 //! * `degrade_exit ≤ degrade_enter` and `shed_exit ≤ shed_enter` —
 //!   each rung's *exit* threshold sits at or below its *enter*
@@ -63,6 +63,11 @@
 //! with one upward and one downward transition per band crossed, which
 //! is what makes [`OverloadController::step_changes`] a meaningful
 //! stability metric.
+//!
+//! The ladder runs on the wall-clock [`Server`](crate::server::Server)
+//! lanes only. The virtual-timeline scheduler carries no copy of it;
+//! what-if sweeps over these thresholds arrive with ROADMAP item 4,
+//! which replays the server's own lane code on a virtual clock.
 
 use crate::engine::DropTarget;
 use serde::{Deserialize, Serialize};
@@ -102,8 +107,8 @@ impl LadderStep {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OverloadConfig {
     /// Master switch. Off (the default), the controller never leaves
-    /// [`LadderStep::Nominal`] and the serving layers take no overload
-    /// action at all.
+    /// [`LadderStep::Nominal`] and the server takes no overload action
+    /// at all.
     pub enabled: bool,
     /// Pressure at or above which the ladder steps up to
     /// [`LadderStep::Degrade`].

@@ -37,14 +37,19 @@
 //! and a deadline verdict judged on the *sojourn* (wait + compute)
 //! against the request's target with the one
 //! [`deadline_met`](crate::engine::deadline_met) rule.
+//!
+//! [`SchedulerConfig::queue_aware_slack`] and
+//! [`SchedulerConfig::pressure_stretch`] stamp requests through the
+//! same `InferenceRequest::stamped_at_dispatch` rule the wall-clock
+//! [`Server`](crate::server::Server) lanes use at pop time. The
+//! overload ladder and fleet energy envelopes are *not* re-implemented
+//! here: they reach the virtual timeline when the server's own lanes
+//! run on a virtual clock (ROADMAP item 4), not as a second copy.
 
-use crate::energy::{allocate, EnergyConfig, LaneDemand};
 use crate::engine::{deadline_met, EdgeBertEngine, InferenceRequest, InferenceResponse};
-use crate::overload::{pressure, Degradation, OverloadConfig, OverloadController};
 use crate::serving::MultiTaskRuntime;
 use crate::telemetry::{
-    LaneTelemetry, LaneTelemetrySnapshot, Telemetry, TelemetryConfig, TelemetrySnapshot,
-    TraceEventKind,
+    LaneTelemetry, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
 };
 use edgebert_tasks::Task;
 use serde::{Deserialize, Serialize};
@@ -101,52 +106,18 @@ pub struct SchedulerConfig {
     /// successor typically dispatches concurrently on another one, so
     /// capping would spend energy without a tail win. Off by default.
     pub pressure_stretch: bool,
-    /// Virtual-timeline parity mode for the overload ladder (see
-    /// [`crate::overload`] and [`ServerConfig::overload`](crate::server::ServerConfig::overload)):
-    /// one controller per task engine observes the arrived,
-    /// undispatched backlog at each dispatch point and degrades
-    /// dispatched sentences exactly as the wall-clock server's lanes
-    /// would — tier notch and scaled entropy-exit threshold, bounded by
-    /// each request's `max_degradation` floor. Like the other
-    /// dispatch-time knobs this makes compute depend on the timeline,
-    /// so the drain computes sentences at their dispatch points.
-    ///
-    /// Admission *shedding* is deliberately not modeled here: a drain
-    /// serves every submission handed to it — shedding is a wall-clock
-    /// admission decision the [`Server`](crate::server::Server) front
-    /// end makes before work ever reaches a queue, and a virtual replay
-    /// that silently dropped submissions would break the drain's
-    /// one-response-per-submission contract. Off by default.
-    pub overload: OverloadConfig,
     /// Telemetry parity with the wall-clock server (see
     /// [`crate::telemetry`] and
     /// [`ServerConfig::telemetry`](crate::server::ServerConfig::telemetry)):
     /// when set, each drain emits per-request trace spans with
     /// **virtual** timestamps (`Admitted` at arrival, `Popped` at
-    /// dispatch, `Degraded` when the overload parity mode notches a
-    /// sentence, `Completed` at completion) and folds queue-delay /
+    /// dispatch, `Completed` at completion) and folds queue-delay /
     /// sojourn / energy distributions into per-engine histograms —
     /// fully deterministic, so two identically-built schedulers fed
     /// the same submissions produce identical traces. Observation
     /// only: responses are unchanged. `None` (default) records
     /// nothing.
     pub telemetry: Option<TelemetryConfig>,
-    /// Virtual-timeline parity mode for fleet energy budgeting (see
-    /// [`crate::energy`] and
-    /// [`ServerConfig::energy`](crate::server::ServerConfig::energy)):
-    /// at each dispatch point the fleet cap is re-allocated across the
-    /// task engines from their arrived, undispatched backlog pressure
-    /// (the same waterfilling as the wall-clock coordinator, minus its
-    /// EWMA power feedback — a virtual timeline has no wall-clock
-    /// power measurement to difference), and the dispatched sentence's
-    /// DVFS is clamped under its engine's per-worker share via
-    /// [`InferenceRequest::with_envelope_w`]. Deadline verdicts keep
-    /// judging the real target. Like the other dispatch-time knobs
-    /// this makes compute depend on the timeline, so the drain
-    /// computes sentences at their dispatch points (sequential,
-    /// deterministic). `None` (the default) stamps nothing — the PR 2
-    /// bit-identity contract holds.
-    pub energy: Option<EnergyConfig>,
 }
 
 impl Default for SchedulerConfig {
@@ -161,9 +132,7 @@ impl Default for SchedulerConfig {
             task_switch_s: 0.0,
             queue_aware_slack: false,
             pressure_stretch: false,
-            overload: OverloadConfig::default(),
             telemetry: None,
-            energy: None,
         }
     }
 }
@@ -195,9 +164,6 @@ pub struct ScheduledResponse {
     /// sentence that computed on time but queued too long is a
     /// violation here and only here.
     pub deadline_met: bool,
-    /// Accuracy-tier notches the overload parity mode degraded this
-    /// sentence by at dispatch (0 on every default path).
-    pub degraded_notches: u8,
 }
 
 #[derive(Debug, Clone)]
@@ -244,12 +210,6 @@ impl DeadlineScheduler {
     /// on the shared weights, and the guarantee that scheduled results
     /// cannot diverge from the runtime's own `serve`.
     pub fn new(runtime: &MultiTaskRuntime, cfg: SchedulerConfig) -> Self {
-        if cfg.overload.enabled {
-            cfg.overload.validate();
-        }
-        if let Some(ecfg) = &cfg.energy {
-            ecfg.validate();
-        }
         let engines: Vec<(Task, EdgeBertEngine)> = runtime
             .tasks()
             .into_iter()
@@ -346,10 +306,7 @@ impl DeadlineScheduler {
         // request copies). Skipped under queue-aware slack or pressure
         // stretch, where compute depends on dispatch time and happens
         // in the replay.
-        let compute_at_dispatch = self.cfg.queue_aware_slack
-            || self.cfg.pressure_stretch
-            || self.cfg.overload.enabled
-            || self.cfg.energy.is_some();
+        let compute_at_dispatch = self.cfg.queue_aware_slack || self.cfg.pressure_stretch;
         let mut responses: Vec<Option<InferenceResponse>> = vec![None; pending.len()];
         if !compute_at_dispatch {
             for (task, engine) in &self.engines {
@@ -406,15 +363,6 @@ impl DeadlineScheduler {
         let mut resident: Vec<Option<Task>> = vec![None; workers];
         let mut dispatched = vec![false; pending.len()];
         let mut timeline: Vec<Option<(usize, f64, f64)>> = vec![None; pending.len()];
-        // Overload parity: one ladder per task engine (mirroring the
-        // wall-clock server's one-controller-per-lane), fed that
-        // engine's arrived, undispatched backlog at each dispatch.
-        let mut controllers: Vec<OverloadController> = self
-            .engines
-            .iter()
-            .map(|_| OverloadController::new(self.cfg.overload))
-            .collect();
-        let mut notches: Vec<u8> = vec![0; pending.len()];
         // Trace ids for this drain: `trace_id_base + submission index`,
         // unique across the scheduler's lifetime.
         let trace_id_base = self.next_trace_id;
@@ -470,22 +418,20 @@ impl DeadlineScheduler {
                     // Compute-at-dispatch: queue-aware mode deducts the
                     // virtual wait (on top of any stamp the submitter
                     // carried in) from the DVFS budget; pressure
-                    // stretch caps the stretch window by the tightest
-                    // arrived successor's deadline gap.
+                    // stretch caps the stretch window so the tightest
+                    // served, undispatched submission already arrived
+                    // by `start` — the head-of-queue successor a greedy
+                    // sentence would be stealing slack from — still
+                    // fits a nominal-speed sentence inside its deadline.
                     None => {
                         let sub = &pending[i];
-                        let mut request = sub.request.clone();
-                        if self.cfg.queue_aware_slack {
-                            let waited =
-                                sub.request.effective_elapsed_queue_s() + (start - sub.arrival_s);
-                            request = request.with_elapsed_queue_s(waited);
-                        }
-                        if self.cfg.pressure_stretch && workers == 1 {
-                            // The tightest served, undispatched
-                            // submission already arrived by `start` —
-                            // the head-of-queue successor a greedy
-                            // sentence would be stealing slack from.
-                            let successor = served
+                        let charged_wait_s = if self.cfg.queue_aware_slack {
+                            start - sub.arrival_s
+                        } else {
+                            0.0
+                        };
+                        let successor = if self.cfg.pressure_stretch && workers == 1 {
+                            served
                                 .iter()
                                 .filter(|s| {
                                     s.index != i && !dispatched[s.index] && s.arrival_s <= start
@@ -494,90 +440,23 @@ impl DeadlineScheduler {
                                     deadline_abs[a.index]
                                         .total_cmp(&deadline_abs[b.index])
                                         .then(a.index.cmp(&b.index))
-                                });
-                            if let Some(next) = successor {
-                                let next_engine =
-                                    &self.engines[engine_of[next.index].expect("served")].1;
-                                let cap_s = deadline_abs[next.index]
-                                    - start
-                                    - next_engine.nominal_service_estimate_s();
-                                if cap_s.is_finite() {
-                                    request = request.with_stretch_cap_s(cap_s.max(0.0));
-                                }
-                            }
-                        }
-                        let engine_idx = engine_of[i].expect("served member");
-                        let engine = &self.engines[engine_idx].1;
-                        let mut degradation = Degradation::NONE;
-                        if self.cfg.overload.enabled {
-                            // The same pressure signal the server's
-                            // lanes observe: this engine's arrived,
-                            // undispatched backlog drained by `workers`
-                            // lanes against its deadline horizon.
-                            let backlog = served
-                                .iter()
-                                .filter(|s| {
-                                    s.index != i
-                                        && !dispatched[s.index]
-                                        && s.arrival_s <= start
-                                        && engine_of[s.index] == Some(engine_idx)
                                 })
-                                .count();
-                            let p = pressure(
-                                backlog,
-                                workers,
-                                engine.nominal_service_estimate_s(),
-                                engine.default_latency_target_s(),
-                            );
-                            let step = controllers[engine_idx].observe(p);
-                            degradation = self
-                                .cfg
-                                .overload
-                                .degradation_for(step, sub.request.max_degradation);
-                            notches[i] = degradation.tier_notches;
-                        }
-                        if let Some(ecfg) = &self.cfg.energy {
-                            // Energy parity: waterfill the fleet cap
-                            // across engines from their arrived,
-                            // undispatched backlog pressure at this
-                            // dispatch point (the wall-clock
-                            // coordinator's allocation, minus its EWMA
-                            // feedback — a virtual timeline measures no
-                            // wall-clock power), then clamp this
-                            // sentence under its engine's per-worker
-                            // share.
-                            let demands: Vec<LaneDemand> = self
-                                .engines
-                                .iter()
-                                .enumerate()
-                                .map(|(e, (task, eng))| {
-                                    let backlog = served
-                                        .iter()
-                                        .filter(|s| {
-                                            s.index != i
-                                                && !dispatched[s.index]
-                                                && s.arrival_s <= start
-                                                && engine_of[s.index] == Some(e)
-                                        })
-                                        .count();
-                                    LaneDemand {
-                                        task: *task,
-                                        pressure: pressure(
-                                            backlog,
-                                            workers,
-                                            eng.nominal_service_estimate_s(),
-                                            eng.default_latency_target_s(),
-                                        ),
-                                    }
-                                })
-                                .collect();
-                            let envelopes = allocate(ecfg.fleet_cap_w, ecfg.floor_w, &demands);
-                            let mine = self.engines[engine_idx].0;
-                            if let Some(share) = envelopes.iter().find(|e| e.task == mine) {
-                                request = request.with_envelope_w(share.watts / workers as f64);
-                            }
-                        }
-                        let response = engine.serve_degraded(&request, degradation);
+                        } else {
+                            None
+                        };
+                        let successor_gap_s = successor.map(|next| {
+                            let next_engine =
+                                &self.engines[engine_of[next.index].expect("served")].1;
+                            deadline_abs[next.index]
+                                - start
+                                - next_engine.nominal_service_estimate_s()
+                        });
+                        let (request, _) = sub
+                            .request
+                            .clone()
+                            .stamped_at_dispatch(charged_wait_s, successor_gap_s);
+                        let engine = &self.engines[engine_of[i].expect("served member")].1;
+                        let response = engine.serve(&request);
                         let latency_s = response.result.latency_s;
                         responses[i] = Some(response);
                         latency_s
@@ -601,16 +480,6 @@ impl DeadlineScheduler {
                         id,
                         TraceEventKind::Popped { queue_delay_s },
                     );
-                    if notches[i] > 0 {
-                        hub.record_at(
-                            start,
-                            sub.task,
-                            id,
-                            TraceEventKind::Degraded {
-                                notches: notches[i],
-                            },
-                        );
-                    }
                     let engine_idx = engine_of[i].expect("served member");
                     self.lane_telemetry[engine_idx].observe_queue_delay(queue_delay_s);
                 }
@@ -659,7 +528,6 @@ impl DeadlineScheduler {
                     queue_delay_s: start_s - s.arrival_s,
                     sojourn_s,
                     deadline_met: met,
-                    degraded_notches: notches[s.index],
                 })
             })
             .collect()
@@ -673,24 +541,8 @@ impl DeadlineScheduler {
     /// [`SchedulerConfig::telemetry`] is unset.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         let hub = self.telemetry.as_ref()?;
-        let (events, dropped_events) = hub.trace_snapshot();
-        let (samples, dropped_samples) = hub.series_snapshot();
-        let lanes = self
-            .engines
-            .iter()
-            .zip(&self.lane_telemetry)
-            .map(|((task, _), lt)| LaneTelemetrySnapshot {
-                task: *task,
-                histograms: lt.snapshot(),
-            })
-            .collect();
-        Some(TelemetrySnapshot {
-            events,
-            dropped_events,
-            lanes,
-            samples,
-            dropped_samples,
-        })
+        let lanes = self.engines.iter().zip(&self.lane_telemetry);
+        Some(hub.snapshot(lanes.map(|((task, _), lt)| (*task, &**lt))))
     }
 }
 

@@ -167,10 +167,6 @@ pub(super) struct ServedTally {
     pub preempted: u64,
     /// Times a parked session was resumed.
     pub resumed: u64,
-    /// Sum of measured queueing delays, seconds.
-    pub queue_delay_total_s: f64,
-    /// Largest measured queueing delay, seconds.
-    pub queue_delay_max_s: f64,
     /// Sum of the slack actually deducted from DVFS budgets, seconds.
     pub slack_deducted_total_s: f64,
     /// Requests served with an overload-ladder degradation applied
@@ -328,17 +324,13 @@ impl Lane {
 
     /// Wraps freshly popped work with the pop-time queue signals (the
     /// tightest surviving deadline and the ladder rung). Must run under
-    /// the same lock that popped the work.
+    /// the same lock that popped the work — the home shard's, or a
+    /// foreign shard's that has just attached.
     // analyzer: hot-path
-    fn finish_pop(&self, queue: &mut LaneQueue, work: Work) -> Popped {
-        let successor_deadline_s = queue
-            .jobs
-            .iter()
-            .map(|j| j.deadline_s)
-            .chain(queue.parked.iter().map(|p| p.ctx.deadline_s))
-            .fold(None, |acc: Option<f64>, d| {
-                Some(acc.map_or(d, |a: f64| a.min(d)))
-            });
+    pub(super) fn finish_pop(&self, queue: &mut LaneQueue, work: Work) -> Popped {
+        let queued = queue.jobs.iter().map(|j| j.deadline_s);
+        let parked = queue.parked.iter().map(|p| p.ctx.deadline_s);
+        let successor_deadline_s = queued.chain(parked).reduce(f64::min);
         let ladder_step = self.observe(queue);
         // The lane-total envelope splits evenly across the effective
         // pool: every concurrently-running shard gets an equal share,
@@ -381,20 +373,6 @@ impl Lane {
         Some(self.finish_pop(&mut queue, work))
     }
 
-    /// Pops this lane's next unit of work *for a foreign shard* that
-    /// has just attached (elastic grow): policy-ordered like
-    /// [`next_work`](Self::next_work), under the caller's lock.
-    pub(super) fn take_work(&self, queue: &mut LaneQueue) -> Option<Work> {
-        Self::pop_work(queue, self.policy)
-    }
-
-    /// Finalizes a foreign pop: wraps `work` with the pop-time queue
-    /// signals, under the caller's lock (see
-    /// [`finish_pop`](Self::finish_pop)).
-    pub(super) fn finish_foreign_pop(&self, queue: &mut LaneQueue, work: Work) -> Popped {
-        self.finish_pop(queue, work)
-    }
-
     /// Marks one foreign shard attached to this lane's pool (elastic
     /// grow): the pressure signal and the admission drain estimates
     /// count it until [`detach`](Self::detach). Under the caller's
@@ -420,13 +398,7 @@ impl Lane {
     /// atomically in [`preempt_exchange`](Self::preempt_exchange).
     pub fn tightest_queued_deadline(&self) -> Option<f64> {
         let queue = self.queue.lock().expect("lane mutex");
-        queue
-            .jobs
-            .iter()
-            .map(|j| j.deadline_s)
-            .fold(None, |acc: Option<f64>, d| {
-                Some(acc.map_or(d, |a: f64| a.min(d)))
-            })
+        queue.jobs.iter().map(|j| j.deadline_s).reduce(f64::min)
     }
 
     /// Atomically trades the running session for the tightest queued
@@ -482,7 +454,7 @@ impl Lane {
     /// a fresh job compare under the same key, so resumes are
     /// EDF-ordered relative to everything waiting on the lane.
     // analyzer: hot-path
-    fn pop_work(queue: &mut LaneQueue, policy: SchedulePolicy) -> Option<Work> {
+    pub(super) fn pop_work(queue: &mut LaneQueue, policy: SchedulePolicy) -> Option<Work> {
         let job_key = Self::best(queue.jobs.iter().map(|j| (j.deadline_s, j.seq)), policy);
         let parked_key = Self::best(
             queue.parked.iter().map(|p| (p.ctx.deadline_s, p.ctx.seq)),
@@ -536,9 +508,47 @@ impl Lane {
     }
 }
 
+/// Counts one parked session crossing lanes: migrated on its origin
+/// lane, stolen on the thief's home lane, each given as `(lane index,
+/// lane)`. Both tallies are locked together, lower index first (tally
+/// mutexes are leaf locks, so index order cannot deadlock), which
+/// makes the pair of increments atomic against [`tally_cut`]: every
+/// snapshot sees `stolen == migrated` server-wide, and
+/// `ServerStats::from_lanes` asserts it.
+pub(super) fn record_steal(origin: (usize, &Lane), thief: (usize, &Lane)) {
+    let origin_first = origin.0 < thief.0;
+    let (first, second) = if origin_first {
+        (origin.1, thief.1)
+    } else {
+        (thief.1, origin.1)
+    };
+    // analyzer: allow(nested-lock) reason="ordered leaf-lock pair: tally mutexes are taken in global lane-index order and never held across any other lock"
+    let mut first_tally = first.tally_lock();
+    // analyzer: allow(nested-lock) reason="second half of the ordered leaf-lock pair above; lane-index order makes the pair deadlock-free"
+    let mut second_tally = second.tally_lock();
+    let (origin_tally, thief_tally) = if origin_first {
+        (&mut *first_tally, &mut *second_tally)
+    } else {
+        (&mut *second_tally, &mut *first_tally)
+    };
+    origin_tally.migrated += 1;
+    thief_tally.stolen += 1;
+}
+
+/// Copies every lane's tally as one consistent cut: all tally locks are
+/// taken in lane-index order (the order `lanes` must yield them in, and
+/// the order [`record_steal`] takes its pair in) and held together for
+/// the copy, so a steal lands wholly before or wholly after the cut.
+pub(super) fn tally_cut<'a>(lanes: impl Iterator<Item = &'a Lane>) -> Vec<ServedTally> {
+    // analyzer: allow(nested-lock) reason="ordered leaf-lock set: tally mutexes are taken in global lane-index order, held for one copy each, and never held across any other lock"
+    let guards: Vec<_> = lanes.map(Lane::tally_lock).collect();
+    guards.iter().map(|tally| **tally).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc::sync_channel;
 
     fn lane_with(
@@ -644,5 +654,45 @@ mod tests {
         // seq 2 at 0.3.
         assert_eq!(popped.successor_deadline_s, Some(0.3));
         assert_eq!(lane.tightest_queued_deadline(), Some(0.3));
+    }
+
+    #[test]
+    fn tally_cuts_never_observe_half_a_steal() {
+        // Regression: `Server::stats()` copied lane tallies one lock at
+        // a time, so a steal landing between two copies made
+        // `ServerStats::from_lanes` panic on `stolen != migrated`.
+        const LANES: usize = 8;
+        let lanes: Vec<Lane> = (0..LANES)
+            .map(|_| lane_with(SchedulePolicy::EarliestDeadline, &[]).0)
+            .collect();
+        let done = AtomicBool::new(false);
+        let balanced = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut i = 0;
+                while !done.load(Ordering::Relaxed) {
+                    // Every ordered pair of distinct lanes in turn.
+                    let (origin, hop) = (i % LANES, 1 + i / LANES % (LANES - 1));
+                    let thief = (origin + hop) % LANES;
+                    record_steal((origin, &lanes[origin]), (thief, &lanes[thief]));
+                    i += 1;
+                }
+            });
+            // Keep cutting until the stealer has visibly run between
+            // cuts a thousand times over, so the two threads really
+            // interleaved however the host schedules them.
+            let (mut cuts, mut advances, mut last) = (0, 0, 0);
+            let mut balanced = true;
+            while balanced && (cuts < 10_000 || advances < 1_000) {
+                let cut = tally_cut(lanes.iter());
+                let stolen: u64 = cut.iter().map(|t| t.stolen).sum();
+                balanced = stolen == cut.iter().map(|t| t.migrated).sum();
+                advances += usize::from(stolen != last);
+                last = stolen;
+                cuts += 1;
+            }
+            done.store(true, Ordering::Relaxed);
+            balanced
+        });
+        assert!(balanced, "a tally cut saw stolen != migrated");
     }
 }

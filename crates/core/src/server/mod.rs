@@ -115,11 +115,10 @@ use crate::scheduler::SchedulePolicy;
 use crate::serving::MultiTaskRuntime;
 use crate::session::InferenceSession;
 use crate::telemetry::{
-    LaneSample, LaneTelemetry, LaneTelemetrySnapshot, Telemetry, TelemetryConfig,
-    TelemetrySnapshot, TraceEventKind,
+    LaneSample, LaneTelemetry, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
 };
 use edgebert_tasks::Task;
-use lane::{Job, JobContext, Lane, Popped, Work};
+use lane::{record_steal, tally_cut, Job, JobContext, Lane, Popped, Work};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
@@ -521,21 +520,12 @@ impl ResponseHandle {
     }
 }
 
-struct LaneEntry {
-    lane: Arc<Lane>,
-    /// The lane engine's default latency target, for EDF deadlines of
-    /// requests that carry none.
-    default_target_s: f64,
-    /// The lane's engine (an `Arc` clone on the shared weights), for
-    /// admission-time envelope pricing: the backend knows how much an
-    /// energy envelope slows its fastest allowed operating point.
-    engine: EdgeBertEngine,
-}
-
-/// One lane plus the engine that serves it — the unit an elastic shard
-/// roams over. The registry (one entry per served task, shared by every
-/// worker) is what lets a shard materialize *any* lane's work, not just
-/// its home task's.
+/// One lane plus the engine that serves it (an `Arc` clone on the
+/// shared weights) — the unit an elastic shard roams over. The registry
+/// (one entry per served task, shared by every worker) is what lets a
+/// shard materialize *any* lane's work, not just its home task's; the
+/// front end reads the same entries for admission-time envelope pricing.
+#[derive(Clone)]
 struct PoolEntry {
     lane: Arc<Lane>,
     engine: EdgeBertEngine,
@@ -545,16 +535,14 @@ struct PoolEntry {
 pub struct Server {
     cfg: ServerConfig,
     epoch: Instant,
-    lanes: Vec<LaneEntry>,
+    lanes: Vec<PoolEntry>,
     workers: Vec<JoinHandle<()>>,
     /// Telemetry hub, present iff [`ServerConfig::telemetry`] is set.
     telemetry: Option<Arc<Telemetry>>,
-    /// The lane time-series sampler thread (telemetry only).
-    sampler: Option<JoinHandle<()>>,
-    sampler_stop: Arc<AtomicBool>,
-    /// The fleet energy coordinator thread (energy budgeting only).
-    coordinator: Option<JoinHandle<()>>,
-    coordinator_stop: Arc<AtomicBool>,
+    /// The lane time-series sampler (telemetry only) and the fleet
+    /// energy coordinator (energy budgeting only), and their stop flag.
+    observers: Vec<JoinHandle<()>>,
+    observers_stop: Arc<AtomicBool>,
 }
 
 impl Server {
@@ -608,7 +596,6 @@ impl Server {
             .telemetry
             .map(|tcfg| Arc::new(Telemetry::new(tcfg, epoch)));
         let mut lanes = Vec::new();
-        let mut pool = Vec::new();
         for task in runtime.tasks() {
             let rt = runtime.runtime(task).expect("task listed as served");
             let engine = rt.engine().clone();
@@ -622,14 +609,9 @@ impl Server {
                 engine.default_latency_target_s(),
                 telemetry.as_ref().map(|_| Arc::new(LaneTelemetry::new())),
             ));
-            lanes.push(LaneEntry {
-                default_target_s: engine.default_latency_target_s(),
-                lane: Arc::clone(&lane),
-                engine: engine.clone(),
-            });
-            pool.push(PoolEntry { lane, engine });
+            lanes.push(PoolEntry { lane, engine });
         }
-        let registry = Arc::new(pool);
+        let registry = Arc::new(lanes.clone());
         let mut workers = Vec::new();
         for (home, entry) in registry.iter().enumerate() {
             let task = entry.lane.task;
@@ -638,41 +620,43 @@ impl Server {
                 let hub = telemetry.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("edgebert-{task}-{shard}"))
-                    .spawn(move || shard_loop(registry, home, shard, cfg, epoch, hub))
+                    .spawn(move || shard_loop(&registry, home, shard, cfg, epoch, hub.as_ref()))
                     .expect("spawn shard worker");
                 workers.push(handle);
             }
         }
-        let sampler_stop = Arc::new(AtomicBool::new(false));
-        let sampler = telemetry.as_ref().map(|hub| {
-            let hub = Arc::clone(hub);
-            let stop = Arc::clone(&sampler_stop);
-            let lanes: Vec<Arc<Lane>> = registry.iter().map(|e| Arc::clone(&e.lane)).collect();
-            let period = Duration::from_secs_f64(hub.config().sample_period_s);
-            std::thread::Builder::new()
-                .name("edgebert-telemetry-sampler".into())
-                .spawn(move || sampler_loop(&lanes, &hub, &stop, period))
-                .expect("spawn telemetry sampler")
-        });
-        let coordinator_stop = Arc::new(AtomicBool::new(false));
-        let coordinator = cfg.energy.map(|ecfg| {
-            let stop = Arc::clone(&coordinator_stop);
-            let lanes: Vec<Arc<Lane>> = registry.iter().map(|e| Arc::clone(&e.lane)).collect();
-            std::thread::Builder::new()
-                .name("edgebert-energy-coordinator".into())
-                .spawn(move || coordinator_loop(&lanes, ecfg, &stop))
-                .expect("spawn energy coordinator")
-        });
+        let observers_stop = Arc::new(AtomicBool::new(false));
+        let mut observers = Vec::new();
+        if let Some(hub) = &telemetry {
+            let (hub, stop, registry) = (
+                Arc::clone(hub),
+                Arc::clone(&observers_stop),
+                Arc::clone(&registry),
+            );
+            observers.push(
+                std::thread::Builder::new()
+                    .name("edgebert-telemetry-sampler".into())
+                    .spawn(move || sampler_loop(&registry, &hub, &stop))
+                    .expect("spawn telemetry sampler"),
+            );
+        }
+        if let Some(ecfg) = cfg.energy {
+            let (stop, registry) = (Arc::clone(&observers_stop), Arc::clone(&registry));
+            observers.push(
+                std::thread::Builder::new()
+                    .name("edgebert-energy-coordinator".into())
+                    .spawn(move || coordinator_loop(&registry, ecfg, &stop))
+                    .expect("spawn energy coordinator"),
+            );
+        }
         Self {
             cfg,
             epoch,
             lanes,
             workers,
             telemetry,
-            sampler,
-            sampler_stop,
-            coordinator,
-            coordinator_stop,
+            observers,
+            observers_stop,
         }
     }
 
@@ -710,7 +694,7 @@ impl Server {
             .iter()
             .find(|entry| entry.lane.task == task)
             .ok_or(SubmitError::TaskNotServed(task))?;
-        let target_s = request.latency_target_s.unwrap_or(entry.default_target_s);
+        let target_s = request.latency_target_s.unwrap_or(entry.lane.horizon_s);
         // The EDF key is the *remaining* budget: a request pre-stamped
         // with upstream queueing is closer to its deadline than a
         // fresh one with the same target. Requests come off the wire,
@@ -859,17 +843,15 @@ impl Server {
 
     /// A snapshot of the per-lane counters.
     pub fn stats(&self) -> ServerStats {
+        // Tallies first, as one consistent cut, then each lane's queue:
+        // tally mutexes stay leaf locks, never held with a queue guard.
+        let tallies = tally_cut(self.lanes.iter().map(|entry| &*entry.lane));
         let lanes = self
             .lanes
             .iter()
-            .map(|entry| {
-                // Leaf locks first: the histogram snapshot and the tally
-                // copy each take (and release) their own lock before the
-                // queue guard is acquired, so the snapshot path never
-                // holds two lane locks at once.
+            .zip(tallies)
+            .map(|(entry, tally)| {
                 let histograms = entry.lane.telemetry.as_ref().map(|lt| lt.snapshot());
-                let tally = *entry.lane.tally_lock();
-                let served = tally.served.max(1) as f64;
                 let queue = entry.lane.queue.lock().expect("lane mutex");
                 LaneStats {
                     task: entry.lane.task,
@@ -892,9 +874,8 @@ impl Server {
                     parked: queue.parked.len(),
                     queue_high_water: queue.high_water,
                     max_parked_depth: queue.parked_high_water,
-                    queue_delay_mean_s: tally.queue_delay_total_s / served,
-                    queue_delay_max_s: tally.queue_delay_max_s,
-                    slack_deducted_mean_s: tally.slack_deducted_total_s / served,
+                    slack_deducted_mean_s: tally.slack_deducted_total_s
+                        / tally.served.max(1) as f64,
                     histograms,
                 }
             })
@@ -909,29 +890,8 @@ impl Server {
     /// [`shutdown_with_telemetry`](Self::shutdown_with_telemetry).
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         let hub = self.telemetry.as_ref()?;
-        let (events, dropped_events) = hub.trace_snapshot();
-        let (samples, dropped_samples) = hub.series_snapshot();
-        let lanes = self
-            .lanes
-            .iter()
-            .filter_map(|entry| {
-                entry
-                    .lane
-                    .telemetry
-                    .as_ref()
-                    .map(|lt| LaneTelemetrySnapshot {
-                        task: entry.lane.task,
-                        histograms: lt.snapshot(),
-                    })
-            })
-            .collect();
-        Some(TelemetrySnapshot {
-            events,
-            dropped_events,
-            lanes,
-            samples,
-            dropped_samples,
-        })
+        let lanes = self.lanes.iter().map(|entry| &entry.lane);
+        Some(hub.snapshot(lanes.filter_map(|lane| Some((lane.task, lane.telemetry.as_deref()?)))))
     }
 
     /// Gracefully shuts down: admission closes, every already-admitted
@@ -960,34 +920,44 @@ impl Server {
         for worker in self.workers.drain(..) {
             worker.join().expect("shard worker exits cleanly");
         }
-        self.sampler_stop.store(true, Ordering::Relaxed);
-        if let Some(sampler) = self.sampler.take() {
-            sampler.join().expect("telemetry sampler exits cleanly");
-        }
-        self.coordinator_stop.store(true, Ordering::Relaxed);
-        if let Some(coordinator) = self.coordinator.take() {
-            coordinator
+        self.observers_stop.store(true, Ordering::Relaxed);
+        for observer in self.observers.drain(..) {
+            observer
                 .join()
-                .expect("energy coordinator exits cleanly");
+                .expect("sampler and coordinator exit cleanly");
         }
     }
 }
 
-/// The lane time-series sampler: every `period`, snapshot each lane's
-/// control state `(pressure, rung, queued, parked, extra_shards)` —
-/// plus its energy envelope and measured power draw when the fleet
-/// coordinator is running — into the hub's series ring. One short queue-lock hold per lane per tick;
-/// shutdown latency is bounded by sleeping in small slices.
+/// Runs `tick` immediately and then once per `period` until `stop` is
+/// set. Shutdown latency is bounded by sleeping in small slices.
 // analyzer: worker-loop
-fn sampler_loop(
-    lanes: &[Arc<Lane>],
-    hub: &Arc<Telemetry>,
-    stop: &Arc<AtomicBool>,
-    period: Duration,
-) {
+fn run_periodic(stop: &AtomicBool, period: Duration, mut tick: impl FnMut()) {
     let slice = period.min(Duration::from_millis(20));
-    while !stop.load(Ordering::Relaxed) {
-        for lane in lanes {
+    loop {
+        tick();
+        let mut slept = Duration::ZERO;
+        while slept < period && !stop.load(Ordering::Relaxed) {
+            let nap = slice.min(period - slept);
+            std::thread::sleep(nap);
+            slept += nap;
+        }
+        if stop.load(Ordering::Relaxed) {
+            return;
+        }
+    }
+}
+
+/// The lane time-series sampler: every sample period, snapshot each
+/// lane's control state `(pressure, rung, queued, parked,
+/// extra_shards)` — plus its energy envelope and measured power draw
+/// when the fleet coordinator is running — into the hub's series ring.
+/// One short queue-lock hold per lane per tick.
+// analyzer: worker-loop
+fn sampler_loop(registry: &[PoolEntry], hub: &Telemetry, stop: &AtomicBool) {
+    let period = Duration::from_secs_f64(hub.config().sample_period_s);
+    run_periodic(stop, period, || {
+        for PoolEntry { lane, .. } in registry {
             // analyzer: allow(lock-unwrap-in-loop) reason="queue mutex keeps panic-on-poison by policy: a torn LaneQueue can break one-response-per-submission, so crashing the observer beats sampling garbage"
             let queue = lane.queue.lock().expect("lane mutex");
             let sample = LaneSample {
@@ -1004,13 +974,7 @@ fn sampler_loop(
             drop(queue);
             hub.sample(sample);
         }
-        let mut slept = Duration::ZERO;
-        while slept < period && !stop.load(Ordering::Relaxed) {
-            let nap = slice.min(period - slept);
-            std::thread::sleep(nap);
-            slept += nap;
-        }
-    }
+    });
 }
 
 /// The fleet energy coordinator: allocate envelopes immediately at
@@ -1019,16 +983,14 @@ fn sampler_loop(
 /// without an envelope), then every update period difference each
 /// lane's cumulative served energy into its measured-power EWMA and
 /// re-waterfill the cap toward queue pressure. Each tick holds one
-/// short tally copy and one short queue-lock write per lane; shutdown
-/// latency is bounded by sleeping in small slices.
+/// short tally copy and one short queue-lock write per lane.
 // analyzer: worker-loop
-fn coordinator_loop(lanes: &[Arc<Lane>], ecfg: EnergyConfig, stop: &Arc<AtomicBool>) {
-    let period = Duration::from_secs_f64(ecfg.update_period_s);
-    let slice = period.min(Duration::from_millis(20));
+fn coordinator_loop(registry: &[PoolEntry], ecfg: EnergyConfig, stop: &AtomicBool) {
+    let lanes: Vec<&Lane> = registry.iter().map(|e| &*e.lane).collect();
     let tasks: Vec<Task> = lanes.iter().map(|lane| lane.task).collect();
     let mut coordinator = FleetCoordinator::new(ecfg, &tasks);
     let mut last_tick = Instant::now();
-    loop {
+    run_periodic(stop, Duration::from_secs_f64(ecfg.update_period_s), || {
         let dt_s = last_tick.elapsed().as_secs_f64();
         last_tick = Instant::now();
         let observed: Vec<LaneObservation> = lanes
@@ -1056,16 +1018,7 @@ fn coordinator_loop(lanes: &[Arc<Lane>], ecfg: EnergyConfig, stop: &Arc<AtomicBo
             queue.envelope_w = Some(alloc.envelope_w);
             queue.measured_power_w = Some(alloc.measured_w);
         }
-        let mut slept = Duration::ZERO;
-        while slept < period && !stop.load(Ordering::Relaxed) {
-            let nap = slice.min(period - slept);
-            std::thread::sleep(nap);
-            slept += nap;
-        }
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-    }
+    });
 }
 
 impl Drop for Server {
@@ -1076,76 +1029,18 @@ impl Drop for Server {
     }
 }
 
-/// One shard worker's entry point: the static loop with elasticity
-/// disabled (the default — the shard drains only its home lane,
-/// bit-identical to the pre-elastic server), the roaming elastic loop
-/// otherwise.
+/// One shard worker: pick the next unit of work (fresh admission or
+/// parked session) in policy order, materialize it into a running
+/// session, and drive it until it completes or yields the lane.
+///
+/// With elasticity disabled (the default) the shard blocks on its home
+/// lane and nothing else. Enabled, an idle home lane sends it roaming
+/// (see [`next_elastic_work`]); foreign work is served through the
+/// foreign lane's own engine and accounted on the foreign lane's
+/// tallies (plus the stolen/migrated counters), and the shard detaches
+/// once the foreign work is done.
+// analyzer: worker-loop
 fn shard_loop(
-    registry: Arc<Vec<PoolEntry>>,
-    home: usize,
-    shard: usize,
-    cfg: ServerConfig,
-    epoch: Instant,
-    telemetry: Option<Arc<Telemetry>>,
-) {
-    if cfg.elastic.enabled {
-        elastic_shard_loop(&registry, home, shard, cfg, epoch, telemetry.as_ref());
-    } else {
-        static_shard_loop(&registry[home], shard, cfg, epoch, telemetry.as_ref());
-    }
-}
-
-/// The pinned worker loop: pick the home lane's next unit of work
-/// (fresh admission or parked session) in policy order, materialize it
-/// into a running session, and drive it until it completes or yields
-/// the lane.
-// analyzer: worker-loop
-fn static_shard_loop(
-    entry: &PoolEntry,
-    shard: usize,
-    cfg: ServerConfig,
-    epoch: Instant,
-    telemetry: Option<&Arc<Telemetry>>,
-) {
-    // The cap a popped job's stretch window is clamped under when
-    // tighter work waits behind it: the successor must still fit a
-    // nominal-speed sentence inside its own deadline. Pop-time capping
-    // only makes sense when this worker *is* the lane — with several
-    // shards the queued successor typically dispatches concurrently on
-    // another one, and capping would spend energy with no tail win.
-    let pressure_stretch = cfg.pressure_stretch && cfg.shards_per_task == 1;
-    // A preemption exchange hands this shard the claimed tight job
-    // directly, bypassing the queue.
-    let mut claimed: Option<Popped> = None;
-    loop {
-        let popped = match claimed.take() {
-            Some(popped) => popped,
-            None => match entry.lane.next_work() {
-                Some(popped) => popped,
-                None => return,
-            },
-        };
-        let (session, ctx) = materialize(
-            entry,
-            popped,
-            &cfg,
-            epoch,
-            pressure_stretch,
-            telemetry,
-            None,
-        );
-        claimed = drive(&entry.lane, session, ctx, shard, cfg);
-    }
-}
-
-/// The roaming worker loop: drain the home lane first, then steal the
-/// EDF-tightest parked session from any foreign lane, then attach to
-/// the most pressured foreign lane as an extra shard. Foreign work is
-/// served through the foreign lane's own engine and accounted on the
-/// foreign lane's tallies (plus the stolen/migrated counters); the
-/// shard detaches once the foreign work is done.
-// analyzer: worker-loop
-fn elastic_shard_loop(
     registry: &[PoolEntry],
     home: usize,
     shard: usize,
@@ -1153,58 +1048,29 @@ fn elastic_shard_loop(
     epoch: Instant,
     telemetry: Option<&Arc<Telemetry>>,
 ) {
-    let idle_poll = Duration::from_secs_f64(cfg.elastic.idle_poll_s);
     // A preemption exchange hands this shard the claimed tight job of
     // the lane it is currently serving, bypassing that lane's queue.
     let mut claimed: Option<(usize, Popped)> = None;
     loop {
-        let (idx, popped) = match claimed.take() {
-            Some(next) => next,
-            None => match next_elastic_work(registry, home, &cfg.elastic, idle_poll) {
-                Some(next) => next,
-                None => return,
-            },
-        };
-        let entry = &registry[idx];
-        let stolen = idx != home && matches!(popped.work, Work::Resume(_));
-        if stolen {
-            // A parked session crossing lanes: migrated on its origin
-            // lane, stolen on the thief's home lane. Both tallies are
-            // locked together, in global lane-index order (tally
-            // mutexes are leaf locks — never held while taking any
-            // other lock — so the ordered pair cannot deadlock), which
-            // makes the pair of increments atomic: `stolen ==
-            // migrated` server-wide holds at every instant, and
-            // `ServerStats::from_lanes` asserts it on every snapshot.
-            let (lo, hi) = (idx.min(home), idx.max(home));
-            // analyzer: allow(nested-lock) reason="ordered leaf-lock pair: tally mutexes are taken in global lane-index order and never held across any other lock"
-            let lo_tally = registry[lo].lane.tally_lock();
-            // analyzer: allow(nested-lock) reason="second half of the ordered leaf-lock pair above; lane-index order makes the pair deadlock-free"
-            let hi_tally = registry[hi].lane.tally_lock();
-            let (mut origin, mut thief) = if idx < home {
-                (lo_tally, hi_tally)
+        let next = claimed.take().or_else(|| {
+            if cfg.elastic.enabled {
+                next_elastic_work(registry, home, &cfg.elastic)
             } else {
-                (hi_tally, lo_tally)
-            };
-            origin.migrated += 1;
-            thief.stolen += 1;
-        }
-        let thief_lane = if stolen {
-            Some(registry[home].lane.task)
-        } else {
-            None
-        };
-        // Pressure stretch is forced off under elasticity: pop-time
-        // capping assumes the popping worker is the lane's only drain,
-        // and a pool that grows and steals breaks that premise.
-        let (session, ctx) = materialize(entry, popped, &cfg, epoch, false, telemetry, thief_lane);
-        match drive(&entry.lane, session, ctx, shard, cfg) {
-            Some(next) => claimed = Some((idx, next)),
-            None => {
-                if idx != home {
-                    entry.lane.detach();
-                }
+                registry[home].lane.next_work().map(|popped| (home, popped))
             }
+        });
+        let Some((idx, popped)) = next else { return };
+        let entry = &registry[idx];
+        // A parked session resumed off its own lane is a steal.
+        let thief_lane = (idx != home && matches!(popped.work, Work::Resume(_))).then(|| {
+            let thief = &registry[home].lane;
+            record_steal((idx, &entry.lane), (home, thief));
+            thief.task
+        });
+        let (session, ctx) = materialize(entry, popped, &cfg, epoch, telemetry, thief_lane);
+        claimed = drive(&entry.lane, session, ctx, shard, cfg).map(|next| (idx, next));
+        if claimed.is_none() && idx != home {
+            entry.lane.detach();
         }
     }
 }
@@ -1220,8 +1086,8 @@ fn next_elastic_work(
     registry: &[PoolEntry],
     home: usize,
     el: &ElasticConfig,
-    idle_poll: Duration,
 ) -> Option<(usize, Popped)> {
+    let idle_poll = Duration::from_secs_f64(el.idle_poll_s);
     loop {
         if let Some(popped) = registry[home].lane.try_next_work() {
             return Some((home, popped));
@@ -1286,7 +1152,7 @@ fn steal_tightest_parked(registry: &[PoolEntry], home: usize) -> Option<(usize, 
     entry.lane.attach(&mut queue);
     let popped = entry
         .lane
-        .finish_foreign_pop(&mut queue, Work::Resume(Box::new(parked)));
+        .finish_pop(&mut queue, Work::Resume(Box::new(parked)));
     Some((idx, popped))
 }
 
@@ -1349,10 +1215,9 @@ fn attach_to_pressured_lane(
         queue.attach_declined += 1;
         return None;
     }
-    let work = entry.lane.take_work(&mut queue)?;
+    let work = Lane::pop_work(&mut queue, entry.lane.policy)?;
     entry.lane.attach(&mut queue);
-    let popped = entry.lane.finish_foreign_pop(&mut queue, work);
-    Some((idx, popped))
+    Some((idx, entry.lane.finish_pop(&mut queue, work)))
 }
 
 /// Turns a popped unit of work into a running session plus its serving
@@ -1364,13 +1229,11 @@ fn attach_to_pressured_lane(
 /// request's span recorder to the session; a resume emits `Resumed`,
 /// attributing the thief's home lane when the session crossed lanes.
 // analyzer: worker-loop
-#[allow(clippy::too_many_arguments)]
 fn materialize(
     entry: &PoolEntry,
     popped: Popped,
     cfg: &ServerConfig,
     epoch: Instant,
-    pressure_stretch: bool,
     telemetry: Option<&Arc<Telemetry>>,
     thief_lane: Option<Task>,
 ) -> (InferenceSession, JobContext) {
@@ -1382,35 +1245,32 @@ fn materialize(
             // time.
             let pre_stamp_s = job.request.effective_elapsed_queue_s();
             let elapsed_s = pre_stamp_s + queue_delay_s;
-            // Elapsed queue time the engine's DVFS budget is
-            // charged with. The engine always honors the stamp a
-            // request carries — "slack-blind" means the *server*
-            // adds none of its own measured wait on top, not that
-            // a submitter's stamp is erased. The noise floor gates
-            // the *measured* wait alone: a request pre-stamped
-            // above the floor must not have sub-floor wake-up
-            // jitter folded into its budget either.
-            let budgeted_s = if cfg.queue_aware_slack && queue_delay_s >= cfg.slack_floor_s {
-                elapsed_s
+            // The wait this server charges to the engine's DVFS budget
+            // on top of that pre-stamp. The engine always honors the
+            // stamp a request carries — "slack-blind" means the
+            // *server* adds none of its own measured wait on top, not
+            // that a submitter's stamp is erased. The noise floor
+            // gates the *measured* wait alone: a request pre-stamped
+            // above the floor must not have sub-floor wake-up jitter
+            // folded into its budget either.
+            let charged_wait_s = if cfg.queue_aware_slack && queue_delay_s >= cfg.slack_floor_s {
+                queue_delay_s
             } else {
-                pre_stamp_s
+                0.0
             };
-            let mut request = job.request;
-            if budgeted_s > pre_stamp_s {
-                // Server-side deduction; otherwise the request is
-                // served exactly as submitted, bit-identical to
-                // `TaskRuntime::serve`.
-                request = request.with_elapsed_queue_s(budgeted_s);
-            }
-            if pressure_stretch {
-                if let Some(successor_deadline_s) = popped.successor_deadline_s {
-                    let now_s = epoch.elapsed().as_secs_f64();
-                    let cap_s = successor_deadline_s - now_s - entry.lane.nominal_service_s;
-                    if cap_s.is_finite() {
-                        request = request.with_stretch_cap_s(cap_s.max(0.0));
-                    }
-                }
-            }
+            // The successor must still fit a nominal-speed sentence
+            // inside its own deadline. Capped only when this worker
+            // *is* the lane (see `ServerConfig::pressure_stretch` and
+            // `ElasticConfig::enabled` for why).
+            let pressure_stretch =
+                cfg.pressure_stretch && cfg.shards_per_task == 1 && !cfg.elastic.enabled;
+            let successor_gap_s = popped
+                .successor_deadline_s
+                .filter(|_| pressure_stretch)
+                .map(|d| d - epoch.elapsed().as_secs_f64() - entry.lane.nominal_service_s);
+            let (mut request, budgeted_s) = job
+                .request
+                .stamped_at_dispatch(charged_wait_s, successor_gap_s);
             // The lane's per-shard energy allowance at pop time rides
             // the request into the engine: every DVFS decision this
             // sentence makes is clamped under it, while the deadline
@@ -1591,8 +1451,6 @@ fn drive(
         // The cumulative energy ledger the fleet coordinator
         // differences into this lane's measured power draw.
         tally.energy_j_total += energy_j;
-        tally.queue_delay_total_s += ctx.queue_delay_s;
-        tally.queue_delay_max_s = tally.queue_delay_max_s.max(ctx.queue_delay_s);
         tally.slack_deducted_total_s += ctx.slack_deducted_s;
         if degraded_notches > 0 {
             tally.degraded += 1;

@@ -68,20 +68,6 @@ pub struct LaneStats {
     pub queue_high_water: usize,
     /// Deepest the parked-session pool has been since start.
     pub max_parked_depth: usize,
-    /// Mean measured queueing delay over served requests, seconds.
-    ///
-    /// *Deprecated in favor of [`histograms`](Self::histograms)*: the
-    /// mean hides the tail entirely — prefer
-    /// `histograms.queue_delay_s` quantiles when telemetry is on.
-    /// Kept (not `#[deprecated]`) so stats snapshots stay usable with
-    /// telemetry off.
-    pub queue_delay_mean_s: f64,
-    /// Largest measured queueing delay, seconds.
-    ///
-    /// *Deprecated in favor of [`histograms`](Self::histograms)*: a
-    /// single max says nothing about p95/p99 — prefer
-    /// `histograms.queue_delay_s` quantiles when telemetry is on.
-    pub queue_delay_max_s: f64,
     /// Mean elapsed queue time charged to served requests' DVFS
     /// budgets, seconds (just the submitter pre-stamps — usually zero
     /// — when queue-aware slack is off or waits stayed under the
@@ -89,8 +75,7 @@ pub struct LaneStats {
     pub slack_deducted_mean_s: f64,
     /// Full queue-delay / sojourn / step-time / energy distributions,
     /// recorded when [`ServerConfig::telemetry`](super::ServerConfig)
-    /// is enabled (`None` otherwise). Exact log-bucketed quantiles —
-    /// the lossless replacement for the mean/max pair above.
+    /// is enabled (`None` otherwise). Exact log-bucketed quantiles.
     pub histograms: Option<LaneHistograms>,
 }
 
@@ -105,9 +90,10 @@ impl ServerStats {
     /// Builds a snapshot from per-lane stats, asserting the server's
     /// cross-lane invariant: every stolen parked session was migrated
     /// from exactly one origin lane, so server-wide `stolen ==
-    /// migrated`. The elastic loop increments both counters under a
-    /// single ordered double-lock precisely so this holds at *every*
-    /// instant a snapshot can observe.
+    /// migrated`. A steal increments both counters under a single
+    /// ordered double-lock and [`Server::stats`](super::Server::stats)
+    /// copies every lane's tally as one cut under the same lock order,
+    /// precisely so this holds in *every* snapshot.
     ///
     /// # Panics
     ///
@@ -250,8 +236,6 @@ mod tests {
             parked: 0,
             queue_high_water: 0,
             max_parked_depth: 0,
-            queue_delay_mean_s: 0.0,
-            queue_delay_max_s: 0.0,
             slack_deducted_mean_s: 0.0,
             histograms: None,
         }

@@ -160,6 +160,29 @@ impl Telemetry {
     pub fn series_snapshot(&self) -> (Vec<LaneSample>, u64) {
         self.series.snapshot()
     }
+
+    /// Copies out both rings plus the given lanes' histograms — the
+    /// one [`TelemetrySnapshot`] builder behind the server's and the
+    /// scheduler's `telemetry_snapshot`.
+    pub(crate) fn snapshot<'a>(
+        &self,
+        lanes: impl Iterator<Item = (Task, &'a LaneTelemetry)>,
+    ) -> TelemetrySnapshot {
+        let (events, dropped_events) = self.trace_snapshot();
+        let (samples, dropped_samples) = self.series_snapshot();
+        TelemetrySnapshot {
+            events,
+            dropped_events,
+            lanes: lanes
+                .map(|(task, lt)| LaneTelemetrySnapshot {
+                    task,
+                    histograms: lt.snapshot(),
+                })
+                .collect(),
+            samples,
+            dropped_samples,
+        }
+    }
 }
 
 impl TraceSink for Telemetry {

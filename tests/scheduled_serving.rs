@@ -41,9 +41,7 @@ fn cfg(policy: SchedulePolicy) -> SchedulerConfig {
         task_switch_s: 0.0,
         queue_aware_slack: false,
         pressure_stretch: false,
-        overload: Default::default(),
         telemetry: None,
-        energy: None,
     }
 }
 
@@ -235,7 +233,7 @@ fn tail_report_percentiles_are_ordered_and_edf_protects_tight_traffic() {
     assert!(tight_edf.violation_rate <= tight_fifo.violation_rate);
 
     // Empty report edge.
-    let empty = TailReport::from_scheduled(&fifo[0..0]);
+    let empty = TailReport::from_samples(&fifo[0..0]);
     assert_eq!(empty.count, 0);
     assert_eq!(empty.violation_rate, 0.0);
 }
