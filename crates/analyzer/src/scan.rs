@@ -31,10 +31,7 @@ const FORWARD_FNS: &[&str] = &[
     "run_layers",
     "run_layers_nominal",
     "serve",
-    "run_base",
-    "run_latency_aware",
     "run_latency_aware_queued",
-    "run_conventional_ee",
 ];
 
 /// Allocating macros (hot-path only).

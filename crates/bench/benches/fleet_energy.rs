@@ -175,7 +175,6 @@ fn bench(c: &mut Criterion) {
         // Guarantee each lane a quarter of an even split, so idle
         // lanes stay serviceable while the waterfill chases pressure.
         floor_w: cap_w / (3.0 * 4.0),
-        ..EnergyConfig::default()
     };
     let mut capped_rows_70 = None;
     let mut epr_70 = f64::NAN;
@@ -260,7 +259,6 @@ fn bench(c: &mut Criterion) {
     let tight_cap = EnergyConfig {
         fleet_cap_w: 3.2 * hot_floor_w,
         floor_w: hot_floor_w,
-        ..EnergyConfig::default()
     };
     let elastic_cfg = ServerConfig {
         elastic: ElasticConfig {

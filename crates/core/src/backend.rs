@@ -10,7 +10,9 @@
 //! workload costing, segment execution at an operating point, the
 //! nominal/floor operating points, the DVFS decision, and every
 //! fixed per-sentence cost (wake transition, embedding read, launch
-//! overhead).
+//! overhead). There is one decider, [`InferenceBackend::decide`]: the
+//! power envelope rides in as a plain `cap_w`, and an infinite cap is
+//! the uncapped decision bit for bit.
 //!
 //! Two implementations ship:
 //!
@@ -128,33 +130,22 @@ pub trait InferenceBackend: std::fmt::Debug + Send + Sync {
     /// The operating point for `remaining_cycles` of work within
     /// `remaining_seconds` of budget, of which `elapsed_queue_s` was
     /// already burned queueing (paper §5.2:
-    /// `Freq_opt = N_cycles / (T − T_elapsed)`).
+    /// `Freq_opt = N_cycles / (T − T_elapsed)`), drawing no more than
+    /// `cap_w` watts of sustained compute power (`f64::INFINITY` =
+    /// unconstrained). Feasibility is judged *honestly* against the
+    /// capped point — an envelope that forbids the deadline-meeting
+    /// point yields an infeasible decision rather than a silently
+    /// re-priced one (mirroring how `stretch_cap_s` bounds only the
+    /// compute window). A backend that cannot scale V/F (or does not
+    /// model power) has no point below its fixed draw to clamp to and
+    /// ignores the cap.
     fn decide(
         &self,
         remaining_cycles: u64,
         remaining_seconds: f64,
         elapsed_queue_s: f64,
+        cap_w: f64,
     ) -> OperatingPoint;
-
-    /// [`decide`](Self::decide) under a per-lane power envelope: the
-    /// chosen operating point may not draw more than `cap_w` watts of
-    /// sustained compute power. Feasibility is judged *honestly*
-    /// against the capped point — an envelope that forbids the
-    /// deadline-meeting point yields an infeasible decision rather
-    /// than a silently re-priced one (mirroring how `stretch_cap_s`
-    /// bounds only the compute window). The default delegates to
-    /// [`decide`](Self::decide): a backend that cannot scale V/F (or
-    /// does not model power) has no point below its fixed draw to
-    /// clamp to, so the envelope cannot constrain it.
-    fn decide_capped(
-        &self,
-        remaining_cycles: u64,
-        remaining_seconds: f64,
-        elapsed_queue_s: f64,
-        _cap_w: f64,
-    ) -> OperatingPoint {
-        self.decide(remaining_cycles, remaining_seconds, elapsed_queue_s)
-    }
 
     /// Sustained compute power drawn at the nominal operating point,
     /// watts — the anchor a fleet energy budget divides per-lane
@@ -339,22 +330,6 @@ impl InferenceBackend for AcceleratorBackend {
     }
 
     fn decide(
-        &self,
-        remaining_cycles: u64,
-        remaining_seconds: f64,
-        elapsed_queue_s: f64,
-    ) -> OperatingPoint {
-        let d = self
-            .dvfs
-            .decide_with_elapsed(remaining_cycles, remaining_seconds, elapsed_queue_s);
-        OperatingPoint {
-            voltage: d.voltage,
-            freq_hz: d.freq_hz,
-            feasible: d.feasible,
-        }
-    }
-
-    fn decide_capped(
         &self,
         remaining_cycles: u64,
         remaining_seconds: f64,
@@ -565,6 +540,7 @@ impl InferenceBackend for MobileGpuBackend {
         remaining_cycles: u64,
         remaining_seconds: f64,
         elapsed_queue_s: f64,
+        _cap_w: f64,
     ) -> OperatingPoint {
         // No DVFS capability: hold the fixed point and report whether
         // the remaining work fits the remaining budget at it. A NaN
@@ -641,7 +617,7 @@ mod tests {
         }
         // Decisions delegate to the DVFS controller verbatim.
         let d = b.dvfs().decide(40_000_000, 50e-3);
-        let p = b.decide(40_000_000, 50e-3, 0.0);
+        let p = b.decide(40_000_000, 50e-3, 0.0, f64::INFINITY);
         assert_eq!(
             (p.voltage, p.freq_hz, p.feasible),
             (d.voltage, d.freq_hz, d.feasible)
@@ -697,24 +673,24 @@ mod tests {
     fn mgpu_decide_degrades_to_nominal_only() {
         let b = MobileGpuBackend::with_flop_scale(MobileGpu::default(), 1.0);
         // Plenty of budget: feasible, still at the fixed point.
-        let loose = b.decide(b.layer_cycles() * 2, 1.0, 0.0);
+        let loose = b.decide(b.layer_cycles() * 2, 1.0, 0.0, f64::INFINITY);
         assert!(loose.feasible);
         assert_eq!(
             (loose.voltage, loose.freq_hz),
             (MGPU_RAIL_V, MGPU_VIRTUAL_HZ)
         );
         // Impossible budget: same point, flagged infeasible.
-        let tight = b.decide(b.layer_cycles() * 11, 1e-4, 0.0);
+        let tight = b.decide(b.layer_cycles() * 11, 1e-4, 0.0, f64::INFINITY);
         assert!(!tight.feasible);
         assert_eq!(
             (tight.voltage, tight.freq_hz),
             (MGPU_RAIL_V, MGPU_VIRTUAL_HZ)
         );
         // Queueing burns the budget.
-        let queued = b.decide(b.layer_cycles(), 20e-3, 19e-3);
+        let queued = b.decide(b.layer_cycles(), 20e-3, 19e-3, f64::INFINITY);
         assert!(!queued.feasible);
         // NaN budgets are infeasible, never propagated.
-        let nan = b.decide(b.layer_cycles(), f64::NAN, 0.0);
+        let nan = b.decide(b.layer_cycles(), f64::NAN, 0.0, f64::INFINITY);
         assert!(!nan.feasible);
     }
 
@@ -769,16 +745,16 @@ mod tests {
     }
 
     #[test]
-    fn accelerator_decide_capped_clamps_and_judges_honestly() {
+    fn accelerator_decide_clamps_under_an_envelope_and_judges_honestly() {
         let b = accel();
         // Near-deadline demand that wants nominal: a 50% envelope must
         // clamp the point below nominal and judge feasibility at the
         // clamped clock, not silently pass the uncapped verdict.
         let cycles = 900_000_000u64;
-        let uncapped = b.decide(cycles, 1.0, 0.0);
+        let uncapped = b.decide(cycles, 1.0, 0.0, f64::INFINITY);
         assert!(uncapped.feasible);
         let cap_w = 0.5 * b.nominal_power_w();
-        let capped = b.decide_capped(cycles, 1.0, 0.0, cap_w);
+        let capped = b.decide(cycles, 1.0, 0.0, cap_w);
         assert!(capped.freq_hz < uncapped.freq_hz);
         assert!(
             b.dvfs().relative_power(capped.voltage, capped.freq_hz) <= 0.5 + 1e-12,
@@ -794,12 +770,16 @@ mod tests {
             10.0 * b.nominal_power_w(),
             f64::INFINITY,
         ] {
-            let c = b.decide_capped(cycles, 1.0, 12e-3, cap);
-            assert_eq!(c, b.decide(cycles, 1.0, 12e-3));
+            let c = b.decide(cycles, 1.0, 12e-3, cap);
+            let d = b.dvfs().decide_with_elapsed(cycles, 1.0, 12e-3);
+            assert_eq!(
+                (c.voltage, c.freq_hz, c.feasible),
+                (d.voltage, d.freq_hz, d.feasible)
+            );
         }
         // Queueing delay burns the window before the cap applies, same
         // as the uncapped elapsed-aware path.
-        let queued = b.decide_capped(cycles, 1.0, 0.4, cap_w);
+        let queued = b.decide(cycles, 1.0, 0.4, cap_w);
         let direct = b
             .dvfs()
             .decide_power_capped(cycles, 1.0 - 0.4, cap_w / b.nominal_power_w());
@@ -833,11 +813,14 @@ mod tests {
         // Fixed rail: floor draw equals nominal draw (trait default).
         assert_eq!(b.floor_power_w(), b.nominal_power_w());
         assert_eq!(b.envelope_service_scale(0.1), 1.0);
-        // No point below the fixed draw exists: decide_capped delegates
-        // to decide bit-for-bit, even under a starving cap.
+        // No point below the fixed draw exists: the decision ignores the
+        // cap bit-for-bit, even a starving one.
         for cap in [0.0, 0.5 * b.nominal_power_w(), f64::INFINITY] {
-            let c = b.decide_capped(b.layer_cycles() * 4, 30e-3, 1e-3, cap);
-            assert_eq!(c, b.decide(b.layer_cycles() * 4, 30e-3, 1e-3));
+            let c = b.decide(b.layer_cycles() * 4, 30e-3, 1e-3, cap);
+            assert_eq!(
+                c,
+                b.decide(b.layer_cycles() * 4, 30e-3, 1e-3, f64::INFINITY)
+            );
         }
     }
 

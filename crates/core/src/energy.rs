@@ -30,7 +30,7 @@
 //! clock once the server's lanes run on one (ROADMAP item 4; the
 //! virtual-timeline scheduler carries no copy of it). How an envelope
 //! *binds* lives elsewhere: the session clamps its operating point via
-//! [`InferenceBackend::decide_capped`](crate::backend::InferenceBackend::decide_capped)
+//! the `cap_w` of [`InferenceBackend::decide`](crate::backend::InferenceBackend::decide)
 //! (feasibility judged honestly — an envelope that forbids the
 //! deadline-meeting point surfaces as deadline risk, never a silent
 //! re-price), the autoscaler declines attaches the envelope cannot
@@ -53,24 +53,22 @@ pub struct EnergyConfig {
     /// regardless of where the pressure is. The server asserts
     /// `floor_w · lanes ≤ fleet_cap_w` at construction.
     pub floor_w: f64,
-    /// Time constant of the measured-power EWMA, seconds.
-    pub ewma_tau_s: f64,
-    /// How often the wall-clock coordinator re-allocates envelopes,
-    /// seconds.
-    pub update_period_s: f64,
 }
+
+/// Time constant of the measured-power EWMA, seconds.
+const EWMA_TAU_S: f64 = 0.25;
+
+/// How often the wall-clock coordinator re-allocates envelopes.
+pub(crate) const UPDATE_PERIOD: std::time::Duration = std::time::Duration::from_millis(25);
 
 impl Default for EnergyConfig {
     /// A cap around twice one accelerator shard's nominal draw with a
-    /// floor near its DVFS floor draw, re-planned every 25 ms against a
-    /// 250 ms power average — a starting point for the four-lane GLUE
-    /// deployment, not a tuned budget.
+    /// floor near its DVFS floor draw — a starting point for the
+    /// four-lane GLUE deployment, not a tuned budget.
     fn default() -> Self {
         Self {
             fleet_cap_w: 0.2,
             floor_w: 0.01,
-            ewma_tau_s: 0.25,
-            update_period_s: 25e-3,
         }
     }
 }
@@ -81,9 +79,8 @@ impl EnergyConfig {
     ///
     /// # Panics
     ///
-    /// Panics when the cap or cadence knobs are non-finite or
-    /// non-positive, the floor is negative or non-finite, or the floor
-    /// alone exceeds the cap.
+    /// Panics when the cap is non-finite or non-positive, the floor is
+    /// negative or non-finite, or the floor alone exceeds the cap.
     pub fn validate(&self) {
         assert!(
             self.fleet_cap_w.is_finite() && self.fleet_cap_w > 0.0,
@@ -100,16 +97,6 @@ impl EnergyConfig {
             "floor_w ({}) must not exceed fleet_cap_w ({})",
             self.floor_w,
             self.fleet_cap_w
-        );
-        assert!(
-            self.ewma_tau_s.is_finite() && self.ewma_tau_s > 0.0,
-            "ewma_tau_s must be finite and positive, got {}",
-            self.ewma_tau_s
-        );
-        assert!(
-            self.update_period_s.is_finite() && self.update_period_s > 0.0,
-            "update_period_s must be finite and positive, got {}",
-            self.update_period_s
         );
     }
 }
@@ -298,7 +285,7 @@ impl FleetCoordinator {
             .map(|&task| LaneTrack {
                 task,
                 last_energy_j: 0.0,
-                ewma: PowerEwma::new(cfg.ewma_tau_s),
+                ewma: PowerEwma::new(EWMA_TAU_S),
             })
             .collect();
         lanes.sort_by_key(|l| l.task.name());
@@ -375,7 +362,6 @@ mod tests {
         EnergyConfig {
             fleet_cap_w: 0.1,
             floor_w: 0.2,
-            ..EnergyConfig::default()
         }
         .validate();
     }
@@ -469,8 +455,6 @@ mod tests {
         let cfg = EnergyConfig {
             fleet_cap_w: 0.2,
             floor_w: 0.02,
-            ewma_tau_s: 0.05,
-            update_period_s: 0.05,
         };
         let mut c = FleetCoordinator::new(cfg, &[Task::Sst2, Task::Mnli]);
         let obs = |e_sst: f64, p_sst: f64| {

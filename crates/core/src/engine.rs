@@ -22,6 +22,10 @@
 //! for requests that leave them unset. Engines own their model and LUT
 //! through [`Arc`]s, so they are `Send + 'static` and can be moved into
 //! worker threads or pooled; construction goes through [`EngineBuilder`].
+//! Every way in (`serve`, `begin`, the `run*` runners, the server
+//! lanes) opens its session through one sanitizing opener,
+//! [`EdgeBertEngine::begin_degraded`]; the per-layer loop lives in
+//! [`crate::session`].
 
 use crate::backend::{
     AcceleratorBackend, BackendSpec, InferenceBackend, MobileGpuBackend, SegmentCost,
@@ -189,7 +193,7 @@ pub struct InferenceRequest {
     /// default). A serving front-end running fleet energy budgeting
     /// ([`crate::energy`]) stamps the lane's per-shard allowance here
     /// at pop time. The envelope bounds only the *operating point*
-    /// (via [`InferenceBackend::decide_capped`](crate::backend::InferenceBackend::decide_capped));
+    /// (the `cap_w` of [`InferenceBackend::decide`]);
     /// the deadline verdict still judges the request's own target, so
     /// an envelope that forbids the deadline-meeting point surfaces as
     /// deadline risk rather than a silently re-priced budget.
@@ -389,7 +393,7 @@ pub struct SentenceResult {
 /// The outcome of serving one [`InferenceRequest`], echoing the service
 /// levels that were actually applied after default resolution.
 ///
-/// Unlike the bare `run_*` engine methods — where Base/EE are the
+/// Unlike the bare `run`/`run_at` engine methods — where Base/EE are the
 /// paper's unbounded baselines and always report `deadline_met = true`
 /// — a response's `result.deadline_met` is judged against
 /// `latency_target_s` for every mode.
@@ -758,13 +762,13 @@ impl EdgeBertEngine {
         self.begin_degraded(request, Degradation::NONE)
     }
 
-    /// [`begin`](Self::begin) with an overload-ladder degradation: the
-    /// resolved tier drops by `degradation.tier_notches` (saturating)
-    /// and the entropy-exit threshold scales by
-    /// `degradation.entropy_scale` before the session opens.
-    /// [`Degradation::NONE`] takes the exact [`begin`](Self::begin)
-    /// path. The caller (the serving layer) is responsible for bounding
-    /// the degradation by the request's
+    /// The one session opener: [`begin`](Self::begin) with an
+    /// overload-ladder degradation — the resolved tier drops by
+    /// `degradation.tier_notches` (saturating) and the entropy-exit
+    /// threshold scales by `degradation.entropy_scale` before the
+    /// session opens ([`Degradation::NONE`] is the identity on both,
+    /// bit for bit). The caller (the serving layer) is responsible for
+    /// bounding the degradation by the request's
     /// [`max_degradation`](InferenceRequest::max_degradation) via
     /// [`OverloadConfig::degradation_for`](crate::overload::OverloadConfig::degradation_for).
     pub fn begin_degraded(
@@ -772,12 +776,6 @@ impl EdgeBertEngine {
         request: &InferenceRequest,
         degradation: Degradation,
     ) -> InferenceSession {
-        let target_s = request
-            .latency_target_s
-            .unwrap_or(self.default_latency_target_s);
-        let drop = request.drop_target.unwrap_or(self.default_drop);
-        let elapsed_s = request.effective_elapsed_queue_s();
-        let cap_s = request.effective_stretch_cap_s();
         let pad = [edgebert_tasks::vocab::PAD];
         let tokens: &[u32] = if request.tokens.is_empty() {
             &pad
@@ -803,17 +801,7 @@ impl EdgeBertEngine {
         } else {
             tokens
         };
-        InferenceSession::new(
-            self.clone(),
-            tokens,
-            request.mode,
-            target_s,
-            drop,
-            elapsed_s,
-            cap_s,
-            request.effective_envelope_w(),
-            degradation,
-        )
+        InferenceSession::new(self.clone(), request, tokens, degradation)
     }
 
     /// Rebinds a serialized [`SessionCheckpoint`] to this engine and
@@ -846,7 +834,11 @@ impl EdgeBertEngine {
         )
     }
 
-    /// Runs a sentence with explicit service levels.
+    /// Runs a sentence with explicit service levels: a session opened
+    /// by [`begin`](Self::begin) and driven to completion. Base and
+    /// conventional EE stay the paper's unbounded baselines
+    /// (`deadline_met` is always `true`); only latency-aware
+    /// inference is judged against `latency_target_s`.
     pub fn run_at(
         &self,
         tokens: &[u32],
@@ -854,60 +846,11 @@ impl EdgeBertEngine {
         latency_target_s: f64,
         drop: DropTarget,
     ) -> SentenceResult {
-        match mode {
-            InferenceMode::Base => self.run_base(tokens),
-            InferenceMode::ConventionalEe => self.run_conventional_ee_at(tokens, drop),
-            InferenceMode::LatencyAware => {
-                self.run_latency_aware_at(tokens, latency_target_s, drop)
-            }
-        }
-    }
-
-    /// Conventional full-depth inference at nominal V/F: a session
-    /// driven to completion.
-    pub fn run_base(&self, tokens: &[u32]) -> SentenceResult {
-        self.begin_raw(
-            tokens,
-            InferenceMode::Base,
-            self.default_latency_target_s,
-            self.default_drop,
-            0.0,
-        )
-        .run_to_completion()
-    }
-
-    /// Algorithm 1 at the engine's default drop tier.
-    pub fn run_conventional_ee(&self, tokens: &[u32]) -> SentenceResult {
-        self.run_conventional_ee_at(tokens, self.default_drop)
-    }
-
-    /// Algorithm 1: conventional early exit at nominal V/F, using the
-    /// tier's calibrated threshold — a session driven to completion.
-    pub fn run_conventional_ee_at(&self, tokens: &[u32], drop: DropTarget) -> SentenceResult {
-        self.begin_raw(
-            tokens,
-            InferenceMode::ConventionalEe,
-            self.default_latency_target_s,
-            drop,
-            0.0,
-        )
-        .run_to_completion()
-    }
-
-    /// Algorithm 2 at the engine's default deadline and drop tier.
-    pub fn run_latency_aware(&self, tokens: &[u32]) -> SentenceResult {
-        self.run_latency_aware_at(tokens, self.default_latency_target_s, self.default_drop)
-    }
-
-    /// Algorithm 2: EdgeBERT latency-aware inference against an explicit
-    /// per-request deadline and drop tier.
-    pub fn run_latency_aware_at(
-        &self,
-        tokens: &[u32],
-        latency_target_s: f64,
-        drop: DropTarget,
-    ) -> SentenceResult {
-        self.run_latency_aware_queued(tokens, latency_target_s, drop, 0.0)
+        let request = InferenceRequest::new(tokens.to_vec())
+            .with_mode(mode)
+            .with_latency_target(latency_target_s)
+            .with_drop_target(drop);
+        self.begin(&request).run_to_completion()
     }
 
     /// Algorithm 2 for a sentence that already burned `elapsed_queue_s`
@@ -916,8 +859,7 @@ impl EdgeBertEngine {
     /// queueing delay folded into `T_elapsed`), and the deadline verdict
     /// judges `elapsed + compute` against the full target. With
     /// `elapsed_queue_s = 0.0` every arithmetic step is identical to
-    /// [`run_latency_aware_at`](Self::run_latency_aware_at), bit for
-    /// bit.
+    /// [`run_at`](Self::run_at) in latency-aware mode, bit for bit.
     pub fn run_latency_aware_queued(
         &self,
         tokens: &[u32],
@@ -925,43 +867,11 @@ impl EdgeBertEngine {
         drop: DropTarget,
         elapsed_queue_s: f64,
     ) -> SentenceResult {
-        self.begin_raw(
-            tokens,
-            InferenceMode::LatencyAware,
-            latency_target_s,
-            drop,
-            elapsed_queue_s,
-        )
-        .run_to_completion()
-    }
-
-    /// Opens a session over raw tokens with explicit service levels —
-    /// the un-sanitized path behind the `run_*` wrappers (request-
-    /// scoped entry points go through [`begin`](Self::begin), which
-    /// sanitizes wire input first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elapsed_queue_s` is negative or non-finite.
-    fn begin_raw(
-        &self,
-        tokens: &[u32],
-        mode: InferenceMode,
-        latency_target_s: f64,
-        drop: DropTarget,
-        elapsed_queue_s: f64,
-    ) -> InferenceSession {
-        InferenceSession::new(
-            self.clone(),
-            tokens,
-            mode,
-            latency_target_s,
-            drop,
-            elapsed_queue_s,
-            None,
-            None,
-            Degradation::NONE,
-        )
+        let request = InferenceRequest::new(tokens.to_vec())
+            .with_latency_target(latency_target_s)
+            .with_drop_target(drop)
+            .with_elapsed_queue_s(elapsed_queue_s);
+        self.begin(&request).run_to_completion()
     }
 
     /// Serves a batch of requests across worker threads
@@ -983,19 +893,15 @@ impl EdgeBertEngine {
     }
 
     /// Runs a whole dataset and aggregates, fanning the sentences out
-    /// across worker threads. The aggregate is bit-identical to
-    /// [`evaluate_seq`](Self::evaluate_seq): per-sentence results land
-    /// in their dataset slots and are reduced in index order.
+    /// across worker threads. The aggregate is bit-identical to a
+    /// sequential run: per-sentence results land in their dataset
+    /// slots and are reduced in index order.
     pub fn evaluate(&self, data: &Dataset, mode: InferenceMode) -> AggregateResult {
         self.evaluate_with_threads(data, mode, default_threads(data.len()))
     }
 
-    /// Runs a whole dataset sequentially on the calling thread.
-    pub fn evaluate_seq(&self, data: &Dataset, mode: InferenceMode) -> AggregateResult {
-        self.evaluate_with_threads(data, mode, 1)
-    }
-
-    /// [`evaluate`](Self::evaluate) with an explicit thread count.
+    /// [`evaluate`](Self::evaluate) with an explicit thread count
+    /// (1 → fully sequential, on the calling thread).
     pub fn evaluate_with_threads(
         &self,
         data: &Dataset,
@@ -1166,25 +1072,35 @@ mod tests {
 
         // Layer-1 exit path (huge threshold exits immediately).
         let eng = engine(&f, 50e-3, 100.0);
-        let r = eng.run_latency_aware(&tokens);
+        let r = eng.run(&tokens, InferenceMode::LatencyAware);
         assert_eq!(r.exit_layer, 1);
-        let on_time = eng.run_latency_aware_at(&tokens, r.latency_s, DropTarget::OnePercent);
+        let on_time = eng.run_at(
+            &tokens,
+            InferenceMode::LatencyAware,
+            r.latency_s,
+            DropTarget::OnePercent,
+        );
         assert!(on_time.deadline_met, "exactly-on-time layer-1 exit is met");
         let edge = r.latency_s / (1.0 + 0.5e-4);
         assert_eq!(
-            eng.run_latency_aware_at(&tokens, edge, DropTarget::OnePercent)
-                .deadline_met,
+            eng.run_at(
+                &tokens,
+                InferenceMode::LatencyAware,
+                edge,
+                DropTarget::OnePercent
+            )
+            .deadline_met,
             deadline_met(r.latency_s, edge),
         );
 
         // DVFS path (et = 0 never exits early).
         let eng = engine(&f, 50e-3, 0.0);
-        let r = eng.run_latency_aware(&tokens);
+        let r = eng.run(&tokens, InferenceMode::LatencyAware);
         assert!(r.exit_layer > 1);
         assert_eq!(r.deadline_met, deadline_met(r.latency_s, 50e-3));
 
         // serve() re-judging the unbounded Base baseline.
-        let base = eng.run_base(&tokens);
+        let base = eng.run(&tokens, InferenceMode::Base);
         for target in [base.latency_s, base.latency_s / (1.0 + 2.0e-4)] {
             let resp = eng.serve(
                 &InferenceRequest::new(tokens.clone())
@@ -1213,7 +1129,7 @@ mod tests {
     fn base_runs_all_layers_at_nominal() {
         let f = fixture();
         let eng = engine(&f, 50e-3, 0.2);
-        let r = eng.run_base(&f.data.examples()[0].tokens);
+        let r = eng.run(&f.data.examples()[0].tokens, InferenceMode::Base);
         assert_eq!(r.exit_layer, 4);
         assert_eq!(r.voltage, 0.8);
         assert!(r.deadline_met);
@@ -1225,9 +1141,9 @@ mod tests {
         let f = fixture();
         let eng = engine(&f, 50e-3, 10.0); // huge threshold: exit at 1
         for ex in f.data.iter().take(5) {
-            let r = eng.run_conventional_ee(&ex.tokens);
+            let r = eng.run(&ex.tokens, InferenceMode::ConventionalEe);
             assert_eq!(r.exit_layer, 1);
-            let b = eng.run_base(&ex.tokens);
+            let b = eng.run(&ex.tokens, InferenceMode::Base);
             assert!(r.energy_j < b.energy_j);
             assert!(r.latency_s < b.latency_s);
         }
@@ -1238,7 +1154,7 @@ mod tests {
         let f = fixture();
         // Loose 200 ms target: remaining layers can run slow.
         let eng = engine(&f, 200e-3, 0.0); // et=0: never exits early
-        let r = eng.run_latency_aware(&f.data.examples()[0].tokens);
+        let r = eng.run(&f.data.examples()[0].tokens, InferenceMode::LatencyAware);
         assert!(r.voltage < 0.8, "voltage {}", r.voltage);
         assert!(r.deadline_met);
         assert!(r.latency_s <= 200e-3 * 1.001);
@@ -1249,8 +1165,8 @@ mod tests {
         let f = fixture();
         let eng = engine(&f, 100e-3, 0.0);
         for ex in f.data.iter().take(6) {
-            let lai = eng.run_latency_aware(&ex.tokens);
-            let ee = eng.run_conventional_ee(&ex.tokens);
+            let lai = eng.run(&ex.tokens, InferenceMode::LatencyAware);
+            let ee = eng.run(&ex.tokens, InferenceMode::ConventionalEe);
             if lai.exit_layer == ee.exit_layer && lai.voltage < 0.8 {
                 assert!(
                     lai.energy_j < ee.energy_j,
@@ -1267,7 +1183,7 @@ mod tests {
         let f = fixture();
         // 1 µs target: infeasible even at nominal.
         let eng = engine(&f, 1e-6, 0.0);
-        let r = eng.run_latency_aware(&f.data.examples()[0].tokens);
+        let r = eng.run(&f.data.examples()[0].tokens, InferenceMode::LatencyAware);
         assert!(!r.deadline_met);
         assert_eq!(r.voltage, 0.8); // falls back to max performance
     }
@@ -1276,9 +1192,32 @@ mod tests {
     fn immediate_exit_at_layer_one() {
         let f = fixture();
         let eng = engine(&f, 50e-3, 100.0);
-        let r = eng.run_latency_aware(&f.data.examples()[0].tokens);
+        let r = eng.run(&f.data.examples()[0].tokens, InferenceMode::LatencyAware);
         assert_eq!(r.exit_layer, 1);
         assert_eq!(r.predicted_layer, Some(1));
+    }
+
+    #[test]
+    fn one_layer_model_completes_at_layer_one_in_every_mode() {
+        // Regression: with layer 1 also the last layer, a latency-aware
+        // sentence that did not exit clamped its forecast into [2, 1]
+        // and panicked — on a shard thread, a dead lane.
+        let f = fixture();
+        let mut cfg = f.model.config;
+        cfg.num_layers = 1;
+        let model = AlbertModel::new(cfg, &mut Rng::seed_from(11));
+        let eng = EngineBuilder::new(Arc::new(model), Arc::clone(&f.lut))
+            .uniform_thresholds(EntropyThresholds::uniform(0.0)) // never exits
+            .build();
+        let tokens = &f.data.examples()[0].tokens;
+        let [base, ee, lai] = InferenceMode::all().map(|mode| eng.run(tokens, mode));
+        for r in [&base, &ee, &lai] {
+            assert_eq!(r.exit_layer, 1, "mode {:?}", r.mode);
+            assert_eq!(r.prediction, base.prediction, "mode {:?}", r.mode);
+        }
+        assert_eq!(lai.predicted_layer, Some(1));
+        let mut session = eng.begin(&InferenceRequest::new(tokens.clone()));
+        assert_eq!(session.step(), crate::session::StepOutcome::Done);
     }
 
     #[test]
@@ -1365,8 +1304,18 @@ mod tests {
             .latency_target(100e-3)
             .build();
         let tokens = &f.data.examples()[0].tokens;
-        let strict = eng.run_latency_aware_at(tokens, 100e-3, DropTarget::OnePercent);
-        let loose = eng.run_latency_aware_at(tokens, 100e-3, DropTarget::FivePercent);
+        let strict = eng.run_at(
+            tokens,
+            InferenceMode::LatencyAware,
+            100e-3,
+            DropTarget::OnePercent,
+        );
+        let loose = eng.run_at(
+            tokens,
+            InferenceMode::LatencyAware,
+            100e-3,
+            DropTarget::FivePercent,
+        );
         // The loose tier's huge threshold exits at layer 1; the strict
         // tier's zero threshold runs to the forecast depth.
         assert_eq!(loose.exit_layer, 1);
@@ -1378,7 +1327,7 @@ mod tests {
         let f = fixture();
         let eng = engine(&f, 100e-3, 0.3);
         for mode in InferenceMode::all() {
-            let seq = eng.evaluate_seq(&f.data, mode);
+            let seq = eng.evaluate_with_threads(&f.data, mode, 1);
             for threads in [2, 3, 7, 64] {
                 let par = eng.evaluate_with_threads(&f.data, mode, threads);
                 assert_eq!(seq, par, "mode {mode:?} threads {threads}");
@@ -1407,7 +1356,12 @@ mod tests {
         for ex in f.data.iter().take(6) {
             assert_eq!(
                 eng.run_latency_aware_queued(&ex.tokens, 60e-3, DropTarget::OnePercent, 0.0),
-                eng.run_latency_aware_at(&ex.tokens, 60e-3, DropTarget::OnePercent),
+                eng.run_at(
+                    &ex.tokens,
+                    InferenceMode::LatencyAware,
+                    60e-3,
+                    DropTarget::OnePercent
+                ),
             );
             for mode in InferenceMode::all() {
                 let req = InferenceRequest::new(ex.tokens.clone()).with_mode(mode);

@@ -7,7 +7,7 @@
 //! rail returns to nominal, and during idle the system rests at the
 //! 0.5 V standby level.
 
-use crate::engine::EdgeBertEngine;
+use crate::engine::{EdgeBertEngine, InferenceMode};
 use crate::pipeline::TaskArtifacts;
 use edgebert_hw::Ldo;
 use serde::{Deserialize, Serialize};
@@ -71,7 +71,7 @@ pub fn run(art: &TaskArtifacts, engine: &EdgeBertEngine, n_sentences: usize) -> 
     for (i, ex) in art.dev.iter().take(n_sentences).enumerate() {
         // Wake to nominal for layer 1.
         push_transition(&mut ldo, &mut t_ms, cfg.vdd_nominal, &mut waveform);
-        let r = engine.run_latency_aware(&ex.tokens);
+        let r = engine.run(&ex.tokens, InferenceMode::LatencyAware);
         // Layer 1 runs at nominal.
         let layer1_ms = engine.layer_cycles() as f64 / cfg.freq_max_hz * 1e3;
         t_ms += layer1_ms;

@@ -28,15 +28,21 @@
 //!   [`SessionCheckpoint`] envelope that crosses process boundaries
 //!   and restores onto any engine of the same depth
 //!   ([`EdgeBertEngine::restore_session`](engine::EdgeBertEngine::restore_session)).
-//!   `serve`/`run_*` are thin drive-to-completion
-//!   wrappers, bit-identical to the pre-session monolithic paths;
+//!   There is one way to run a layer: every path (`serve`, the
+//!   `run`/`run_at`/`run_latency_aware_queued` runners, the server
+//!   lanes) opens its session through the one sanitizing opener, runs
+//!   the model's one per-layer body, and steps through the
+//!   latency-aware or the nominal-V/F stepper — thin
+//!   drive-to-completion wrappers, bit-identical to the pre-session
+//!   monolithic paths;
 //! * [`backend`] — the hardware abstraction under the engine:
 //!   [`backend::InferenceBackend`] covers per-layer workload costing,
-//!   segment execution at an operating point, DVFS decisions, and fixed
-//!   per-sentence costs. [`backend::AcceleratorBackend`] (the paper's
-//!   accelerator, the default) and [`backend::MobileGpuBackend`] (the
-//!   fixed-V/F TX2 comparison baseline, priced on the *same* wired
-//!   workload) ship; a cycle-accurate sim or real hardware slots in via
+//!   segment execution at an operating point, the one DVFS decision
+//!   (power envelope as a plain cap, infinite when unconstrained), and
+//!   fixed per-sentence costs. [`backend::AcceleratorBackend`] (the
+//!   paper's accelerator, the default) and
+//!   [`backend::MobileGpuBackend`] (the fixed-V/F TX2 comparison
+//!   baseline, priced on the *same* wired workload) ship; a cycle-accurate sim or real hardware slots in via
 //!   [`EngineBuilder::backend`] without touching the serving layers;
 //! * [`energy`] — fleet-level energy budgeting, default-off: a
 //!   [`FleetCoordinator`] tracks per-lane measured power (EWMA of the
@@ -44,8 +50,8 @@
 //!   and periodically waterfills the configured fleet cap
 //!   ([`EnergyConfig`]) into per-lane power envelopes — floors
 //!   guaranteed, headroom following queue pressure. Envelopes bind at
-//!   the DVFS seam
-//!   ([`InferenceBackend::decide_capped`](backend::InferenceBackend::decide_capped)):
+//!   the DVFS seam (the `cap_w` of
+//!   [`InferenceBackend::decide`](backend::InferenceBackend::decide)):
 //!   a segment's operating point may not outdraw its lane's envelope,
 //!   with feasibility judged honestly at the clamped clock — deadline
 //!   risk surfaces in stats, never a silent re-price. The elastic
@@ -92,10 +98,12 @@
 //!   stretching compute into budget that queueing already burned.
 //!   Lanes are **preemptive** ([`server::PreemptionPolicy`]): workers
 //!   step sessions layer by layer and park the running one for a
-//!   strictly tighter queued arrival, resuming EDF-ordered; pop-time
-//!   queue pressure can also cap a greedy sentence's DVFS stretch
-//!   window ([`ServerConfig::pressure_stretch`]). Serving is
-//!   **elastic** when opted in ([`server::ElasticConfig`]): idle
+//!   strictly tighter queued arrival, resuming EDF-ordered. (Stretch
+//!   capping — bounding a greedy sentence's DVFS window by the work
+//!   queued behind it — lives on the virtual timeline,
+//!   [`SchedulerConfig::pressure_stretch`], and on the wire,
+//!   `InferenceRequest::stretch_cap_s`; the lanes stamp none.) Serving
+//!   is **elastic** when opted in ([`server::ElasticConfig`]): idle
 //!   shards steal the EDF-tightest parked session from foreign lanes
 //!   and autoscale onto pressured lanes as extra shards, with
 //!   stolen/migrated/pool-resize counters in [`ServerStats`]. One

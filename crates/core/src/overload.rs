@@ -26,8 +26,9 @@
 //! * **[`LadderStep::Degrade`]** — requests popped for service are
 //!   degraded by one notch: the accuracy tier drops one step
 //!   ([`DropTarget::degraded`](crate::engine::DropTarget::degraded))
-//!   and the entropy-exit threshold is scaled up by
-//!   [`OverloadConfig::entropy_scale_per_notch`], bounded by the
+//!   and the entropy-exit threshold doubles (a fixed factor per
+//!   notch, so degradation can only *raise* the exit threshold —
+//!   earlier exits — never lower it), bounded by the
 //!   request's own [`max_degradation`](crate::engine::InferenceRequest::max_degradation)
 //!   floor (default 0: no degradation, ever — existing behavior is
 //!   bit-identical).
@@ -54,9 +55,7 @@
 //!   ladder is monotone: shedding never engages at a pressure where
 //!   degradation would not, and recovery passes back through the
 //!   degrade rung before reaching nominal;
-//! * all thresholds are finite and non-negative, and
-//!   `entropy_scale_per_notch ≥ 1` — degradation can only *raise* the
-//!   exit threshold (earlier exits), never lower it.
+//! * all thresholds are finite and non-negative.
 //!
 //! Together these guarantee the step sequence of a pressure excursion
 //! is a clean pulse — `Nominal → Degrade → Shed → Degrade → Nominal` —
@@ -97,6 +96,10 @@ impl LadderStep {
     }
 }
 
+/// Factor the entropy-exit threshold is multiplied by per degradation
+/// notch (≥ 1: degradation only makes exits easier).
+const ENTROPY_SCALE_PER_NOTCH: f32 = 2.0;
+
 /// Configuration of the overload ladder. Disabled by default: every
 /// serving path is bit-identical to the pre-overload behavior until
 /// `enabled` is set.
@@ -124,9 +127,6 @@ pub struct OverloadConfig {
     /// [`LadderStep::Shed`] to [`LadderStep::Degrade`]. Must not
     /// exceed `shed_enter` (hysteresis).
     pub shed_exit: f64,
-    /// Factor the entropy-exit threshold is multiplied by per
-    /// degradation notch (≥ 1: degradation only makes exits easier).
-    pub entropy_scale_per_notch: f32,
     /// Per-class shed preference on the [`LadderStep::Shed`] rung:
     /// arrivals whose remaining deadline budget is at least this many
     /// lane horizons are shed *first* — before the feasibility test —
@@ -144,8 +144,8 @@ pub struct OverloadConfig {
 impl Default for OverloadConfig {
     /// Disabled; degrade at pressure 0.5 (backlog worth half the
     /// deadline horizon), recover below 0.25; shed at 1.0 (backlog
-    /// alone fills the horizon), step down below 0.5; double the
-    /// entropy threshold per notch; no loose-class shed preference.
+    /// alone fills the horizon), step down below 0.5; no loose-class
+    /// shed preference.
     fn default() -> Self {
         Self {
             enabled: false,
@@ -153,7 +153,6 @@ impl Default for OverloadConfig {
             degrade_exit: 0.25,
             shed_enter: 1.0,
             shed_exit: 0.5,
-            entropy_scale_per_notch: 2.0,
             shed_loose_budget_ratio: f64::INFINITY,
         }
     }
@@ -166,8 +165,8 @@ impl OverloadConfig {
     /// # Panics
     ///
     /// Panics when a threshold is non-finite or negative, an exit
-    /// threshold exceeds its enter threshold, the ladder is not
-    /// monotone, or `entropy_scale_per_notch < 1`.
+    /// threshold exceeds its enter threshold, or the ladder is not
+    /// monotone.
     pub fn validate(&self) {
         for (name, v) in [
             ("degrade_enter", self.degrade_enter),
@@ -205,11 +204,6 @@ impl OverloadConfig {
             self.shed_exit
         );
         assert!(
-            self.entropy_scale_per_notch.is_finite() && self.entropy_scale_per_notch >= 1.0,
-            "entropy_scale_per_notch must be ≥ 1 (degradation only raises the threshold), got {}",
-            self.entropy_scale_per_notch
-        );
-        assert!(
             self.shed_loose_budget_ratio > 0.0,
             "shed_loose_budget_ratio must be positive (INFINITY disables the preference), got {}",
             self.shed_loose_budget_ratio
@@ -231,7 +225,7 @@ impl OverloadConfig {
         }
         Degradation {
             tier_notches: notches,
-            entropy_scale: self.entropy_scale_per_notch.powi(notches as i32),
+            entropy_scale: ENTROPY_SCALE_PER_NOTCH.powi(notches as i32),
         }
     }
 }
@@ -355,12 +349,6 @@ impl Degradation {
         entropy_scale: 1.0,
     };
 
-    /// Whether this is the identity (no tier drop, no threshold scale).
-    pub fn is_none(&self) -> bool {
-        // analyzer: allow(float-eq) reason="1.0 is an exact sentinel: NONE is constructed with the literal and scale factors are never computed, so the identity compares bit-exactly"
-        self.tier_notches == 0 && self.entropy_scale == 1.0
-    }
-
     /// The tier actually served when degrading `requested`.
     pub fn applied_to(&self, requested: DropTarget) -> DropTarget {
         requested.degraded(self.tier_notches)
@@ -442,8 +430,6 @@ mod tests {
         assert_eq!(two.entropy_scale, 4.0);
         // The rung, not the floor, caps severity from above.
         assert_eq!(cfg.degradation_for(LadderStep::Degrade, 2).tier_notches, 1);
-        assert!(Degradation::NONE.is_none());
-        assert!(!two.is_none());
         assert_eq!(
             two.applied_to(DropTarget::OnePercent),
             DropTarget::FivePercent
@@ -482,17 +468,6 @@ mod tests {
             degrade_enter: 1.5,
             degrade_exit: 0.2,
             shed_enter: 1.0,
-            ..OverloadConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "entropy_scale_per_notch")]
-    fn validate_rejects_threshold_lowering_scale() {
-        OverloadConfig {
-            enabled: true,
-            entropy_scale_per_notch: 0.5,
             ..OverloadConfig::default()
         }
         .validate();

@@ -92,13 +92,9 @@ pub(super) enum Work {
     Resume(Box<ParkedJob>),
 }
 
-/// A popped unit of work plus the queue pressure visible at pop time.
+/// A popped unit of work plus the lane signals visible at pop time.
 pub(super) struct Popped {
     pub work: Work,
-    /// The tightest absolute deadline still waiting on the lane
-    /// (queued or parked) the moment this work was popped — the
-    /// successor the queue-pressure stretch cap is sized against.
-    pub successor_deadline_s: Option<f64>,
     /// The overload ladder's rung at pop time (always
     /// [`LadderStep::Nominal`] with the ladder disabled). The shard
     /// sizes this work's degradation from it.
@@ -322,15 +318,12 @@ impl Lane {
         }
     }
 
-    /// Wraps freshly popped work with the pop-time queue signals (the
-    /// tightest surviving deadline and the ladder rung). Must run under
+    /// Wraps freshly popped work with the pop-time lane signals (the
+    /// ladder rung and the per-shard energy envelope). Must run under
     /// the same lock that popped the work — the home shard's, or a
     /// foreign shard's that has just attached.
     // analyzer: hot-path
     pub(super) fn finish_pop(&self, queue: &mut LaneQueue, work: Work) -> Popped {
-        let queued = queue.jobs.iter().map(|j| j.deadline_s);
-        let parked = queue.parked.iter().map(|p| p.ctx.deadline_s);
-        let successor_deadline_s = queued.chain(parked).reduce(f64::min);
         let ladder_step = self.observe(queue);
         // The lane-total envelope splits evenly across the effective
         // pool: every concurrently-running shard gets an equal share,
@@ -340,7 +333,6 @@ impl Lane {
             .map(|w| w / (self.shards + queue.extra_shards).max(1) as f64);
         Popped {
             work,
-            successor_deadline_s,
             ladder_step,
             envelope_w,
         }
@@ -640,20 +632,6 @@ mod tests {
         let queue = lane.queue.lock().expect("lane mutex");
         assert_eq!(queue.extra_shards, 0);
         assert_eq!(queue.pool_resizes, 2);
-    }
-
-    #[test]
-    fn pop_reports_the_tightest_successor() {
-        let (lane, _rx) = lane_with(SchedulePolicy::EarliestDeadline, &[0.5, 0.1, 0.3]);
-        let popped = lane.next_work().expect("work queued");
-        match &popped.work {
-            Work::Fresh(job) => assert_eq!(job.seq, 1),
-            Work::Resume(_) => panic!("no parked sessions here"),
-        }
-        // After popping seq 1 (deadline 0.1), the tightest survivor is
-        // seq 2 at 0.3.
-        assert_eq!(popped.successor_deadline_s, Some(0.3));
-        assert_eq!(lane.tightest_queued_deadline(), Some(0.3));
     }
 
     #[test]

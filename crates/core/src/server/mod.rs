@@ -56,14 +56,15 @@
 //! slack. A long stretched sentence can no longer hold its lane
 //! hostage for a tight arrival's whole budget.
 //!
-//! **Queue-pressure-aware stretch** ([`ServerConfig::pressure_stretch`])
-//! attacks the same failure from the admission side: at pop time the
-//! worker looks at the tightest deadline still waiting behind the
-//! popped job and caps its DVFS stretch window so the successor can
-//! still run at nominal inside its own deadline
-//! ([`InferenceRequest::with_stretch_cap_s`]) — a greedy sentence
-//! stops stealing slack from queued tighter work before it even
-//! starts.
+//! **Stretch capping** — bounding a greedy sentence's DVFS stretch
+//! window so tighter work queued behind it can still run at nominal —
+//! is not a server policy: the wall-clock lanes answer that failure
+//! with preemption, and stamp no cap of their own. It lives on the
+//! virtual timeline
+//! ([`SchedulerConfig::pressure_stretch`](crate::scheduler::SchedulerConfig::pressure_stretch))
+//! and on the wire: a cap the submitter stamps
+//! ([`InferenceRequest::with_stretch_cap_s`]) is honored by every
+//! session the lanes open and survives park/steal/checkpoint.
 //!
 //! **Overload control** ([`ServerConfig::overload`]) is the survival
 //! layer above both: a per-lane hysteresis ladder
@@ -108,7 +109,7 @@ mod stats;
 
 pub use stats::{LaneStats, ServerStats};
 
-use crate::energy::{EnergyConfig, FleetCoordinator, LaneObservation};
+use crate::energy::{EnergyConfig, FleetCoordinator, LaneObservation, UPDATE_PERIOD};
 use crate::engine::{deadline_met, EdgeBertEngine, InferenceRequest, InferenceResponse};
 use crate::overload::{LadderStep, OverloadConfig};
 use crate::scheduler::SchedulePolicy;
@@ -160,9 +161,6 @@ pub struct ElasticConfig {
     /// Master switch. Off (the default), every shard drains only its
     /// home lane and the server is bit-identical to a static pool —
     /// zero stolen/migrated/resize counters, byte-identical responses.
-    /// On, [`ServerConfig::pressure_stretch`] is forced off: pop-time
-    /// stretch capping assumes the popping worker *is* the lane, and a
-    /// pool that grows and steals breaks that premise.
     pub enabled: bool,
     /// An idle shard resumes the EDF-tightest parked session from any
     /// foreign lane (work stealing). The resume charges parked wall
@@ -178,24 +176,23 @@ pub struct ElasticConfig {
     /// attaches. Below it, a lane is considered healthy enough to
     /// drain itself. Must be finite and non-negative.
     pub grow_pressure: f64,
-    /// How long an idle elastic shard sleeps between cross-pool scans,
-    /// seconds. The home lane's condvar still wakes it immediately for
-    /// home work; the poll bounds how stale its view of *foreign*
-    /// lanes can get. Must be finite and positive.
-    pub idle_poll_s: f64,
 }
 
+/// How long an idle elastic shard sleeps between cross-pool scans. The
+/// home lane's condvar still wakes it immediately for home work; the
+/// poll bounds how stale its view of *foreign* lanes can get.
+const ELASTIC_IDLE_POLL: Duration = Duration::from_micros(500);
+
 impl Default for ElasticConfig {
-    /// Disabled; when enabled, stealing and autoscaling both on, a 0.5
-    /// grow-pressure threshold (half the lane's deadline horizon
-    /// committed), and a 500 µs idle poll.
+    /// Disabled; when enabled, stealing and autoscaling both on and a
+    /// 0.5 grow-pressure threshold (half the lane's deadline horizon
+    /// committed).
     fn default() -> Self {
         Self {
             enabled: false,
             work_stealing: true,
             autoscale: true,
             grow_pressure: 0.5,
-            idle_poll_s: 500e-6,
         }
     }
 }
@@ -238,16 +235,6 @@ pub struct ServerConfig {
     /// a queued arrival parks the running session at a layer boundary.
     /// Off by default.
     pub preemption: PreemptionPolicy,
-    /// Queue-pressure-aware stretch: at pop time, cap the popped job's
-    /// DVFS stretch window by the tightest successor deadline still
-    /// waiting on the lane (minus the lane's nominal service
-    /// estimate), so a greedy sentence stops stealing slack from
-    /// queued tighter work. Applied only on single-shard lanes — with
-    /// several shards the queued successor typically dispatches
-    /// concurrently on another one, so capping would spend energy
-    /// without a tail win. Off by default — the cap trades a little
-    /// of the greedy sentence's energy for cross-class tail latency.
-    pub pressure_stretch: bool,
     /// The overload control ladder (see [`crate::overload`] and the
     /// module docs): pressure-driven degradation of admitted work and
     /// admission shedding of infeasible arrivals, with hysteresis.
@@ -283,8 +270,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     /// One shard per task, 1024-deep lanes, EDF, queue-aware slack on
     /// with a 1 ms noise floor, no service-time emulation, no
-    /// preemption, no pressure stretch, no elasticity, no energy
-    /// budgeting.
+    /// preemption, no elasticity, no energy budgeting.
     fn default() -> Self {
         Self {
             shards_per_task: 1,
@@ -294,7 +280,6 @@ impl Default for ServerConfig {
             slack_floor_s: 1e-3,
             emulate_service_time: false,
             preemption: PreemptionPolicy::Off,
-            pressure_stretch: false,
             overload: OverloadConfig::default(),
             elastic: ElasticConfig::default(),
             telemetry: None,
@@ -574,10 +559,6 @@ impl Server {
                 cfg.elastic.grow_pressure.is_finite() && cfg.elastic.grow_pressure >= 0.0,
                 "elastic grow pressure must be finite and non-negative"
             );
-            assert!(
-                cfg.elastic.idle_poll_s.is_finite() && cfg.elastic.idle_poll_s > 0.0,
-                "elastic idle poll must be finite and positive"
-            );
         }
         if let Some(ecfg) = &cfg.energy {
             ecfg.validate();
@@ -620,7 +601,7 @@ impl Server {
                 let hub = telemetry.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("edgebert-{task}-{shard}"))
-                    .spawn(move || shard_loop(&registry, home, shard, cfg, epoch, hub.as_ref()))
+                    .spawn(move || shard_loop(&registry, home, shard, cfg, hub.as_ref()))
                     .expect("spawn shard worker");
                 workers.push(handle);
             }
@@ -990,7 +971,7 @@ fn coordinator_loop(registry: &[PoolEntry], ecfg: EnergyConfig, stop: &AtomicBoo
     let tasks: Vec<Task> = lanes.iter().map(|lane| lane.task).collect();
     let mut coordinator = FleetCoordinator::new(ecfg, &tasks);
     let mut last_tick = Instant::now();
-    run_periodic(stop, Duration::from_secs_f64(ecfg.update_period_s), || {
+    run_periodic(stop, UPDATE_PERIOD, || {
         let dt_s = last_tick.elapsed().as_secs_f64();
         last_tick = Instant::now();
         let observed: Vec<LaneObservation> = lanes
@@ -1045,7 +1026,6 @@ fn shard_loop(
     home: usize,
     shard: usize,
     cfg: ServerConfig,
-    epoch: Instant,
     telemetry: Option<&Arc<Telemetry>>,
 ) {
     // A preemption exchange hands this shard the claimed tight job of
@@ -1067,7 +1047,7 @@ fn shard_loop(
             record_steal((idx, &entry.lane), (home, thief));
             thief.task
         });
-        let (session, ctx) = materialize(entry, popped, &cfg, epoch, telemetry, thief_lane);
+        let (session, ctx) = materialize(entry, popped, &cfg, telemetry, thief_lane);
         claimed = drive(&entry.lane, session, ctx, shard, cfg).map(|next| (idx, next));
         if claimed.is_none() && idx != home {
             entry.lane.detach();
@@ -1087,7 +1067,6 @@ fn next_elastic_work(
     home: usize,
     el: &ElasticConfig,
 ) -> Option<(usize, Popped)> {
-    let idle_poll = Duration::from_secs_f64(el.idle_poll_s);
     loop {
         if let Some(popped) = registry[home].lane.try_next_work() {
             return Some((home, popped));
@@ -1117,7 +1096,7 @@ fn next_elastic_work(
         let _ = registry[home]
             .lane
             .available
-            .wait_timeout(queue, idle_poll)
+            .wait_timeout(queue, ELASTIC_IDLE_POLL)
             .expect("lane mutex");
     }
 }
@@ -1221,9 +1200,9 @@ fn attach_to_pressured_lane(
 }
 
 /// Turns a popped unit of work into a running session plus its serving
-/// context: a fresh admission measures its wait and stamps slack (and
-/// any queue-pressure stretch cap) before the engine opens the
-/// session; a parked session resumes, charging its parked wall time.
+/// context: a fresh admission measures its wait and stamps slack
+/// before the engine opens the session; a parked session resumes,
+/// charging its parked wall time.
 /// `telemetry`/`thief_lane` are observation-only: a fresh pop emits
 /// `Popped` (and `Degraded` when the ladder bit) and attaches the
 /// request's span recorder to the session; a resume emits `Resumed`,
@@ -1233,7 +1212,6 @@ fn materialize(
     entry: &PoolEntry,
     popped: Popped,
     cfg: &ServerConfig,
-    epoch: Instant,
     telemetry: Option<&Arc<Telemetry>>,
     thief_lane: Option<Task>,
 ) -> (InferenceSession, JobContext) {
@@ -1258,19 +1236,9 @@ fn materialize(
             } else {
                 0.0
             };
-            // The successor must still fit a nominal-speed sentence
-            // inside its own deadline. Capped only when this worker
-            // *is* the lane (see `ServerConfig::pressure_stretch` and
-            // `ElasticConfig::enabled` for why).
-            let pressure_stretch =
-                cfg.pressure_stretch && cfg.shards_per_task == 1 && !cfg.elastic.enabled;
-            let successor_gap_s = popped
-                .successor_deadline_s
-                .filter(|_| pressure_stretch)
-                .map(|d| d - epoch.elapsed().as_secs_f64() - entry.lane.nominal_service_s);
-            let (mut request, budgeted_s) = job
-                .request
-                .stamped_at_dispatch(charged_wait_s, successor_gap_s);
+            // The wall-clock lanes stamp no stretch cap of their own
+            // (a cap the submitter put on the request still applies).
+            let (mut request, budgeted_s) = job.request.stamped_at_dispatch(charged_wait_s, None);
             // The lane's per-shard energy allowance at pop time rides
             // the request into the engine: every DVFS decision this
             // sentence makes is clamped under it, while the deadline

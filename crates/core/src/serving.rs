@@ -344,8 +344,8 @@ mod tests {
         let strict = rt.builder().latency_target(5e-3).build();
         let relaxed = rt.builder().latency_target(500e-3).build();
         let tokens = &art.dev.examples()[0].tokens;
-        let s = strict.run_latency_aware(tokens);
-        let r = relaxed.run_latency_aware(tokens);
+        let s = strict.run(tokens, InferenceMode::LatencyAware);
+        let r = relaxed.run(tokens, InferenceMode::LatencyAware);
         // Same calibrations, different deadlines: the relaxed engine
         // never needs a higher voltage.
         assert!(r.voltage <= s.voltage + 1e-6);

@@ -27,25 +27,32 @@
 //! arrival, and resume the parked session with a freshly tightened
 //! operating point.
 //!
+//! **One way to run a layer.** Every path (`serve`, the engine's
+//! `run*` runners, the server lanes) opens its session through one
+//! sanitizing opener, runs each layer through the model's one layer
+//! body ([`forward_next_layer`](edgebert_model::AlbertModel::forward_next_layer)),
+//! and steps through one of two steppers: latency-aware (Algorithm 2)
+//! or nominal V/F (Algorithm 1; Base is the case whose exit test is
+//! never taken). Every DVFS decision is the backend's single
+//! [`decide`](crate::backend::InferenceBackend::decide), the power
+//! envelope a plain cap (infinite when there is none).
+//!
 //! **Bit-identity contract.** A session driven to completion without
-//! ever parking reproduces the monolithic paths
-//! ([`run_base`](crate::engine::EdgeBertEngine::run_base),
-//! [`run_conventional_ee_at`](crate::engine::EdgeBertEngine::run_conventional_ee_at),
-//! [`run_latency_aware_queued`](crate::engine::EdgeBertEngine::run_latency_aware_queued))
-//! bit for bit — those methods are now thin drive-to-completion
-//! wrappers over a session, and `tests/backend_equivalence.rs` pins
-//! them against a direct-hardware oracle reproducing the pre-redesign
-//! arithmetic. Within one uninterrupted segment the accounting
-//! recomputes the segment cost from its start layer at every step
+//! ever parking reproduces the pre-session monolithic arithmetic bit
+//! for bit — the engine's runners are thin drive-to-completion
+//! wrappers, and `tests/backend_equivalence.rs` pins them against a
+//! direct-hardware oracle. Within one uninterrupted segment the
+//! accounting recomputes the segment cost from its start layer at every step
 //! (rather than summing per-layer deltas), so the final numbers are
 //! exactly the monolithic single-`run_layers` expressions. Parking is
 //! *not* free: closing a segment commits its cost, and the resume
 //! segment charges a fresh nominal→decision transition — the modeled
 //! hardware really does return toward nominal while preempted.
 
-use crate::backend::OperatingPoint;
+use crate::backend::{OperatingPoint, SegmentCost};
 use crate::engine::{
-    deadline_met, DropTarget, EdgeBertEngine, InferenceMode, InferenceResponse, SentenceResult,
+    deadline_met, DropTarget, EdgeBertEngine, InferenceMode, InferenceRequest, InferenceResponse,
+    SentenceResult,
 };
 use crate::overload::Degradation;
 use crate::telemetry::{SpanRecorder, TraceEventKind};
@@ -104,54 +111,22 @@ struct SegmentRun {
 /// per-layer hardware accounting, and the request's service levels.
 ///
 /// Created by [`EdgeBertEngine::begin`](crate::engine::EdgeBertEngine::begin)
-/// (request-scoped, sanitized) or the engine's `run_*` wrappers
-/// (raw-token paths). Sessions own an engine clone (`Arc` bumps on the
+/// (request-scoped, sanitized; the engine's `run*` runners go through
+/// it too). Sessions own an engine clone (`Arc` bumps on the
 /// shared weights and backend), so they are `Send + 'static` — they can
 /// be parked in a shared lane and resumed by a different worker thread.
 #[derive(Debug, Clone)]
 pub struct InferenceSession {
     engine: EdgeBertEngine,
-    mode: InferenceMode,
-    latency_target_s: f64,
-    drop: DropTarget,
-    /// Queueing delay stamped at begin (already sanitized), seconds.
-    elapsed_queue_s: f64,
-    /// Queue-pressure cap on the DVFS stretch window (seconds from
-    /// dispatch), `None` when uncapped. See
-    /// [`InferenceRequest::with_stretch_cap_s`](crate::engine::InferenceRequest::with_stretch_cap_s).
-    stretch_cap_s: Option<f64>,
-    /// Power envelope on every DVFS decision (watts of sustained
-    /// draw), `None` when unconstrained. See
-    /// [`InferenceRequest::with_envelope_w`](crate::engine::InferenceRequest::with_envelope_w).
-    envelope_w: Option<f64>,
-    /// Software forward state (the hidden-state checkpoint).
-    fwd: ForwardSession,
-    num_layers: usize,
-    /// Entropy threshold of this mode/tier (unused by Base).
-    et: f32,
+    /// Everything that survives a checkpoint: service levels, the
+    /// hidden state, the exit bookkeeping and the slack accounting.
+    /// [`checkpoint`](Self::checkpoint) hands out a copy and
+    /// [`restore`](Self::restore) takes one back, so there is no
+    /// second field list to keep in step.
+    ck: SessionCheckpoint,
     state: SessionState,
-    /// Layers completed (1-based count).
-    layers_done: usize,
-    /// LAI forecast exit layer, set after layer 1.
-    predicted: Option<usize>,
-    /// Accounting already committed (fixed costs + closed segments).
-    committed_latency_s: f64,
-    committed_energy_j: f64,
     /// The open segment, if a DVFS decision is active.
     segment: Option<SegmentRun>,
-    /// Operating point reported in the result (last decision, or
-    /// nominal before any).
-    point: OperatingPoint,
-    /// Feasibility of the last DVFS decision *against the real target*
-    /// (a stretch cap never flips a met deadline to missed).
-    feasible: bool,
-    /// Wall time spent parked, charged against the slack, seconds.
-    parked_s: f64,
-    /// Times this session was parked.
-    preemptions: u32,
-    /// Accuracy-tier notches the overload ladder degraded this session
-    /// by (0 on every default path).
-    degraded_notches: u8,
     result: Option<SentenceResult>,
     terminal: StepOutcome,
     /// Attached trace recorder (serving layers attach one when
@@ -162,74 +137,60 @@ pub struct InferenceSession {
 }
 
 impl InferenceSession {
-    /// Opens a session. `tokens` are used as given (the engine's
-    /// [`serve`](crate::engine::EdgeBertEngine::serve)/[`begin`](crate::engine::EdgeBertEngine::begin)
-    /// sanitize wire requests before reaching here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elapsed_queue_s` is negative or non-finite (the
-    /// request-scoped entry points sanitize stamps first).
-    #[allow(clippy::too_many_arguments)]
+    /// Opens a session over `request`, resolving unset service levels
+    /// against the engine defaults and sanitizing its queue stamp,
+    /// stretch cap and envelope; `tokens` are the request's, already
+    /// sanitized by the engine's opener (the only caller).
     pub(crate) fn new(
         engine: EdgeBertEngine,
+        request: &InferenceRequest,
         tokens: &[u32],
-        mode: InferenceMode,
-        latency_target_s: f64,
-        drop: DropTarget,
-        elapsed_queue_s: f64,
-        stretch_cap_s: Option<f64>,
-        envelope_w: Option<f64>,
         degradation: Degradation,
     ) -> Self {
-        assert!(
-            elapsed_queue_s.is_finite() && elapsed_queue_s >= 0.0,
-            "queueing delay must be finite and non-negative, got {elapsed_queue_s}"
-        );
+        let mode = request.mode;
         // Overload degradation: drop the tier (saturating) and scale
         // the exit threshold up, so sentences exit earlier and the lane
-        // drains. The NONE path below is byte-for-byte the pre-overload
-        // computation — no multiply, no tier change — preserving the
-        // bit-identity contract for every default caller.
-        let drop = if degradation.is_none() {
-            drop
-        } else {
-            degradation.applied_to(drop)
-        };
+        // drains. `Degradation::NONE` is the identity on both — zero
+        // notches keep the tier and `x * 1.0` is exact in IEEE-754 —
+        // so every default caller keeps its bit-identity contract.
+        let requested = request.drop_target;
+        let drop = degradation.applied_to(requested.unwrap_or(engine.default_drop_target()));
         let base_et = match mode {
             InferenceMode::ConventionalEe => engine.thresholds(drop).conventional,
             _ => engine.thresholds(drop).latency_aware,
         };
-        let et = if degradation.is_none() {
-            base_et
-        } else {
-            base_et * degradation.entropy_scale
-        };
+        let et = base_et * degradation.entropy_scale;
         let fwd = engine.model().begin_forward(tokens);
         let num_layers = engine.model().num_layers();
         let point = engine.backend().nominal();
-        Self {
-            engine,
+        let ck = SessionCheckpoint {
+            version: SESSION_CHECKPOINT_VERSION,
             mode,
-            latency_target_s,
+            latency_target_s: request
+                .latency_target_s
+                .unwrap_or(engine.default_latency_target_s()),
             drop,
-            elapsed_queue_s,
-            stretch_cap_s,
-            envelope_w,
+            elapsed_queue_s: request.effective_elapsed_queue_s(),
+            stretch_cap_s: request.effective_stretch_cap_s(),
+            envelope_w: request.effective_envelope_w(),
             fwd,
             num_layers,
             et,
-            state: SessionState::Running,
             layers_done: 0,
             predicted: None,
             committed_latency_s: 0.0,
             committed_energy_j: 0.0,
-            segment: None,
             point,
             feasible: true,
             parked_s: 0.0,
             preemptions: 0,
             degraded_notches: degradation.tier_notches,
+        };
+        Self {
+            engine,
+            ck,
+            state: SessionState::Running,
+            segment: None,
             result: None,
             terminal: StepOutcome::Done,
             trace: None,
@@ -267,33 +228,33 @@ impl InferenceSession {
 
     /// Layers executed so far.
     pub fn layers_done(&self) -> usize {
-        self.layers_done
+        self.ck.layers_done
     }
 
     /// The LAI forecast exit layer (None before layer 1, and for
     /// Base/EE sessions).
     pub fn predicted_layer(&self) -> Option<usize> {
-        self.predicted
+        self.ck.predicted
     }
 
     /// The inference scheme this session runs.
     pub fn mode(&self) -> InferenceMode {
-        self.mode
+        self.ck.mode
     }
 
     /// The latency target the session is served under, seconds.
     pub fn latency_target_s(&self) -> f64 {
-        self.latency_target_s
+        self.ck.latency_target_s
     }
 
     /// The accuracy-drop tier the session is served under.
     pub fn drop_target(&self) -> DropTarget {
-        self.drop
+        self.ck.drop
     }
 
     /// Times this session was parked.
     pub fn preemptions(&self) -> u32 {
-        self.preemptions
+        self.ck.preemptions
     }
 
     /// Accuracy-tier notches the overload ladder degraded this session
@@ -302,7 +263,7 @@ impl InferenceSession {
     /// applies even when the tier itself saturates at the loosest
     /// calibration.
     pub fn degraded_notches(&self) -> u8 {
-        self.degraded_notches
+        self.ck.degraded_notches
     }
 
     /// The power envelope this session's DVFS decisions are clamped
@@ -311,18 +272,18 @@ impl InferenceSession {
     /// carried through park/steal/checkpoint — a migrated session keeps
     /// the allowance of the lane that admitted it.
     pub fn envelope_w(&self) -> Option<f64> {
-        self.envelope_w
+        self.ck.envelope_w
     }
 
     /// Total wall time charged as parked, seconds.
     pub fn parked_s(&self) -> f64 {
-        self.parked_s
+        self.ck.parked_s
     }
 
     /// Total elapsed non-compute time charged against the deadline:
     /// the queueing stamp plus parked time, seconds.
     pub fn elapsed_charged_s(&self) -> f64 {
-        self.elapsed_queue_s + self.parked_s
+        self.ck.elapsed_queue_s + self.ck.parked_s
     }
 
     /// The modeled hardware latency accounted so far (committed costs
@@ -333,24 +294,13 @@ impl InferenceSession {
         if let Some(r) = &self.result {
             return r.latency_s;
         }
-        match self.mode {
+        match self.ck.mode {
             InferenceMode::LatencyAware => {
-                self.committed_latency_s
-                    + self.segment.as_ref().map_or(0.0, |seg| {
-                        let layers = self.layers_done + 1 - seg.start_layer;
-                        seg.transition_s
-                            + self.engine.backend().run_layers(layers, &seg.point).seconds
-                    })
+                let open = self.segment.as_ref();
+                self.ck.committed_latency_s + open.map_or(0.0, |seg| self.segment_cost(seg).seconds)
             }
-            _ => {
-                if self.layers_done == 0 {
-                    return 0.0;
-                }
-                let b = self.engine.backend();
-                b.sentence_overhead().seconds
-                    + b.run_layers_nominal(self.layers_done).seconds
-                    + b.embedding_read_cost().seconds
-            }
+            _ if self.ck.layers_done == 0 => 0.0,
+            _ => self.nominal_cost(self.ck.layers_done).seconds,
         }
     }
 
@@ -373,10 +323,9 @@ impl InferenceSession {
         if self.state == SessionState::Complete {
             return self.terminal;
         }
-        match self.mode {
+        match self.ck.mode {
             InferenceMode::LatencyAware => self.step_latency_aware(),
-            InferenceMode::ConventionalEe => self.step_conventional_ee(),
-            InferenceMode::Base => self.step_base(),
+            InferenceMode::ConventionalEe | InferenceMode::Base => self.step_nominal(),
         }
     }
 
@@ -388,14 +337,9 @@ impl InferenceSession {
         if self.state != SessionState::Running {
             return false;
         }
-        if let Some(seg) = self.segment.take() {
-            let layers = self.layers_done + 1 - seg.start_layer;
-            let cost = self.engine.backend().run_layers(layers, &seg.point);
-            self.committed_latency_s += seg.transition_s + cost.seconds;
-            self.committed_energy_j += cost.energy_j;
-        }
+        self.close_segment();
         self.state = SessionState::Parked;
-        self.preemptions += 1;
+        self.ck.preemptions += 1;
         self.emit(TraceEventKind::Parked);
         true
     }
@@ -414,7 +358,7 @@ impl InferenceSession {
             "only a parked session can be resumed"
         );
         if parked_wall_s.is_finite() && parked_wall_s > 0.0 {
-            self.parked_s += parked_wall_s;
+            self.ck.parked_s += parked_wall_s;
         }
         self.state = SessionState::Running;
     }
@@ -431,27 +375,7 @@ impl InferenceSession {
             return None;
         }
         debug_assert!(self.segment.is_none(), "park committed the open segment");
-        Some(SessionCheckpoint {
-            version: SESSION_CHECKPOINT_VERSION,
-            mode: self.mode,
-            latency_target_s: self.latency_target_s,
-            drop: self.drop,
-            elapsed_queue_s: self.elapsed_queue_s,
-            stretch_cap_s: self.stretch_cap_s,
-            envelope_w: self.envelope_w,
-            fwd: self.fwd.clone(),
-            num_layers: self.num_layers,
-            et: self.et,
-            layers_done: self.layers_done,
-            predicted: self.predicted,
-            committed_latency_s: self.committed_latency_s,
-            committed_energy_j: self.committed_energy_j,
-            point: self.point,
-            feasible: self.feasible,
-            parked_s: self.parked_s,
-            preemptions: self.preemptions,
-            degraded_notches: self.degraded_notches,
-        })
+        Some(self.ck.clone())
     }
 
     /// Rebinds a checkpoint to `engine`, reconstructing the parked
@@ -477,26 +401,9 @@ impl InferenceSession {
         );
         Self {
             engine,
-            mode: checkpoint.mode,
-            latency_target_s: checkpoint.latency_target_s,
-            drop: checkpoint.drop,
-            elapsed_queue_s: checkpoint.elapsed_queue_s,
-            stretch_cap_s: checkpoint.stretch_cap_s,
-            envelope_w: checkpoint.envelope_w,
-            fwd: checkpoint.fwd,
-            num_layers: checkpoint.num_layers,
-            et: checkpoint.et,
+            ck: checkpoint,
             state: SessionState::Parked,
-            layers_done: checkpoint.layers_done,
-            predicted: checkpoint.predicted,
-            committed_latency_s: checkpoint.committed_latency_s,
-            committed_energy_j: checkpoint.committed_energy_j,
             segment: None,
-            point: checkpoint.point,
-            feasible: checkpoint.feasible,
-            parked_s: checkpoint.parked_s,
-            preemptions: checkpoint.preemptions,
-            degraded_notches: checkpoint.degraded_notches,
             result: None,
             terminal: StepOutcome::Done,
             trace: None,
@@ -509,12 +416,16 @@ impl InferenceSession {
     }
 
     /// Drives the session to completion (without ever parking) and
-    /// returns the sentence result — the monolithic `run_*` semantics.
+    /// returns the bare sentence result (the engine's `run*` runners).
     pub fn run_to_completion(mut self) -> SentenceResult {
+        self.drive();
+        self.result.expect("complete session carries its result")
+    }
+
+    fn drive(&mut self) {
         while !self.is_complete() {
             self.step();
         }
-        self.result.expect("complete session carries its result")
     }
 
     /// The serving-layer response, once complete: the result wrapped
@@ -525,29 +436,37 @@ impl InferenceSession {
     /// charge the queueing stamp *and* any parked time.
     pub fn response(&self) -> Option<InferenceResponse> {
         let mut result = self.result.clone()?;
-        if self.mode != InferenceMode::LatencyAware {
+        if self.ck.mode != InferenceMode::LatencyAware {
             result.deadline_met = deadline_met(
                 self.elapsed_charged_s() + result.latency_s,
-                self.latency_target_s,
+                self.ck.latency_target_s,
             );
         }
         Some(InferenceResponse {
             result,
-            latency_target_s: self.latency_target_s,
-            drop_target: self.drop,
+            latency_target_s: self.ck.latency_target_s,
+            drop_target: self.ck.drop,
         })
     }
 
     /// Drives the session to completion and returns the response.
     pub fn finish(mut self) -> InferenceResponse {
-        while !self.is_complete() {
-            self.step();
-        }
+        self.drive();
         self.response()
             .expect("complete session carries its result")
     }
 
-    fn complete(&mut self, result: SentenceResult, outcome: StepOutcome) -> StepOutcome {
+    /// Records the finished sentence: an entropy exit (traced as
+    /// `EntropyExit`) or the forced stop at the last scheduled layer.
+    fn complete(&mut self, result: SentenceResult, exited: bool) -> StepOutcome {
+        let outcome = if exited {
+            self.emit(TraceEventKind::EntropyExit {
+                layer: result.exit_layer as u32,
+            });
+            StepOutcome::Exited
+        } else {
+            StepOutcome::Done
+        };
         self.result = Some(result);
         self.terminal = outcome;
         self.state = SessionState::Complete;
@@ -561,8 +480,8 @@ impl InferenceSession {
     /// arithmetic is exactly the monolithic
     /// `run_latency_aware_queued` path, bit for bit.
     fn step_latency_aware(&mut self) -> StepOutcome {
-        let backend = self.engine.backend();
-        if self.layers_done == 0 {
+        if self.ck.layers_done == 0 {
+            let backend = self.engine.backend();
             let nominal = backend.nominal();
             self.emit(TraceEventKind::SegmentStart {
                 layer: 1,
@@ -573,80 +492,74 @@ impl InferenceSession {
             let wake_s = backend.wake_transition_s();
             let embed = backend.embedding_read_cost();
             let layer1 = backend.run_layers(1, &nominal);
-            let (_, h1) = self.engine.model().forward_next_layer(&mut self.fwd);
-            self.layers_done = 1;
-            self.committed_latency_s = overhead.seconds + wake_s + embed.seconds + layer1.seconds;
-            self.committed_energy_j = overhead.energy_j + embed.energy_j + layer1.energy_j;
-            self.point = nominal;
-            if h1 < self.et {
-                let latency_s = self.committed_latency_s;
-                let result = SentenceResult {
-                    mode: InferenceMode::LatencyAware,
-                    exit_layer: 1,
-                    predicted_layer: Some(1),
-                    prediction: argmax(self.fwd.logits_at(1)),
-                    latency_s,
-                    energy_j: self.committed_energy_j,
-                    voltage: nominal.voltage,
-                    freq_hz: nominal.freq_hz,
-                    deadline_met: deadline_met(
-                        self.elapsed_charged_s() + latency_s,
-                        self.latency_target_s,
-                    ),
-                };
-                self.predicted = Some(1);
-                self.emit(TraceEventKind::EntropyExit { layer: 1 });
-                return self.complete(result, StepOutcome::Exited);
-            }
-            self.predicted = Some(
-                self.engine
-                    .lut()
-                    .predict_exit_layer(h1, self.et)
-                    .clamp(2, self.num_layers),
-            );
-            return StepOutcome::Continue;
+            self.ck.committed_latency_s =
+                overhead.seconds + wake_s + embed.seconds + layer1.seconds;
+            self.ck.committed_energy_j = overhead.energy_j + embed.energy_j + layer1.energy_j;
+            self.ck.point = nominal;
+        } else if self.segment.is_none() {
+            self.open_segment();
         }
-
-        let predicted = self.predicted.expect("forecast set after layer 1");
-        if self.segment.is_none() {
-            self.open_segment(predicted);
-        }
-        let (layer, h) = self.engine.model().forward_next_layer(&mut self.fwd);
-        self.layers_done = layer;
-        let exited = h < self.et;
-        if exited || layer == predicted {
-            let seg = self.segment.take().expect("segment opened above");
-            let layers = layer + 1 - seg.start_layer;
-            let cost = self.engine.backend().run_layers(layers, &seg.point);
-            // Mirrors the monolithic `latency += transition_s +
-            // segment.seconds` (one addition of the summed pair).
-            let latency_s = self.committed_latency_s + (seg.transition_s + cost.seconds);
-            let energy_j = self.committed_energy_j + cost.energy_j;
-            self.committed_latency_s = latency_s;
-            self.committed_energy_j = energy_j;
-            let result = SentenceResult {
-                mode: InferenceMode::LatencyAware,
-                exit_layer: layer,
-                predicted_layer: Some(predicted),
-                prediction: argmax(self.fwd.logits_at(layer)),
-                latency_s,
-                energy_j,
-                voltage: seg.point.voltage,
-                freq_hz: seg.point.freq_hz,
-                deadline_met: self.feasible
-                    && deadline_met(self.elapsed_charged_s() + latency_s, self.latency_target_s),
-            };
-            let outcome = if exited {
-                self.emit(TraceEventKind::EntropyExit {
-                    layer: layer as u32,
-                });
-                StepOutcome::Exited
+        let (layer, h) = self.engine.model().forward_next_layer(&mut self.ck.fwd);
+        self.ck.layers_done = layer;
+        let exited = h < self.ck.et;
+        if layer == 1 {
+            // An unexited sentence is forecast at least one more layer
+            // — when the model has one: a 1-layer model stops here.
+            self.ck.predicted = Some(if exited {
+                1
             } else {
-                StepOutcome::Done
-            };
-            return self.complete(result, outcome);
+                let forecast = self.engine.lut().predict_exit_layer(h, self.ck.et);
+                forecast.clamp(self.ck.num_layers.min(2), self.ck.num_layers)
+            });
+        }
+        if exited || Some(layer) == self.ck.predicted {
+            self.close_segment();
+            return self.complete_latency_aware(exited);
         }
         StepOutcome::Continue
+    }
+
+    /// Completes a latency-aware sentence at the layer just run, with
+    /// everything committed: the result reports the last decided
+    /// operating point (nominal when layer 1 was the only layer) and a
+    /// verdict that charges queueing and parked time.
+    fn complete_latency_aware(&mut self, exited: bool) -> StepOutcome {
+        let latency_s = self.ck.committed_latency_s;
+        let sojourn_s = self.elapsed_charged_s() + latency_s;
+        let result = SentenceResult {
+            mode: InferenceMode::LatencyAware,
+            exit_layer: self.ck.layers_done,
+            predicted_layer: self.ck.predicted,
+            prediction: argmax(self.ck.fwd.logits_at(self.ck.layers_done)),
+            latency_s,
+            energy_j: self.ck.committed_energy_j,
+            voltage: self.ck.point.voltage,
+            freq_hz: self.ck.point.freq_hz,
+            deadline_met: self.ck.feasible && deadline_met(sojourn_s, self.ck.latency_target_s),
+        };
+        self.complete(result, exited)
+    }
+
+    /// What the open segment costs through the layers done so far: its
+    /// transition plus one `run_layers` from its start layer.
+    fn segment_cost(&self, seg: &SegmentRun) -> SegmentCost {
+        let layers = self.ck.layers_done + 1 - seg.start_layer;
+        let cost = self.engine.backend().run_layers(layers, &seg.point);
+        SegmentCost {
+            seconds: seg.transition_s + cost.seconds,
+            energy_j: cost.energy_j,
+        }
+    }
+
+    /// Commits the open segment, if any. Mirrors the monolithic
+    /// `latency += transition_s + segment.seconds` (one addition of
+    /// the summed pair).
+    fn close_segment(&mut self) {
+        if let Some(seg) = self.segment.take() {
+            let cost = self.segment_cost(&seg);
+            self.ck.committed_latency_s += cost.seconds;
+            self.ck.committed_energy_j += cost.energy_j;
+        }
     }
 
     /// Opens a stretched segment: a fresh DVFS decision against the
@@ -657,30 +570,25 @@ impl InferenceSession {
     /// clamped to the cap, while feasibility for the deadline verdict
     /// is still judged against the request's own budget. With a power
     /// envelope, every decision additionally clamps its operating
-    /// point under the lane's allowance
-    /// ([`InferenceBackend::decide_capped`](crate::backend::InferenceBackend::decide_capped)),
-    /// and feasibility is judged *honestly at the clamped clock* — an
-    /// envelope that forbids the deadline-meeting point marks the
-    /// decision infeasible instead of silently re-pricing the budget.
-    fn open_segment(&mut self, predicted: usize) {
+    /// point under the lane's allowance (the `cap_w` of
+    /// [`InferenceBackend::decide`](crate::backend::InferenceBackend::decide);
+    /// no envelope is an infinite cap, which the backend returns
+    /// unclamped), and feasibility is judged *honestly at the clamped
+    /// clock* — an envelope that forbids the deadline-meeting point marks
+    /// the decision infeasible instead of silently re-pricing the budget.
+    fn open_segment(&mut self) {
         let backend = self.engine.backend();
+        let predicted = self.ck.predicted.expect("forecast set after layer 1");
         let remaining_cycles =
-            self.engine.layer_cycles() * (predicted as u64 - self.layers_done as u64);
+            self.engine.layer_cycles() * (predicted as u64 - self.ck.layers_done as u64);
         let elapsed = self.elapsed_charged_s();
         let remaining_budget =
-            self.latency_target_s - self.committed_latency_s - backend.floor_transition_s();
-        // The envelope applies to every decision below identically; the
-        // `None` path makes exactly the pre-energy calls, bit for bit.
-        let envelope = self.envelope_w;
-        let decide = |cycles: u64, window: f64, burned: f64| match envelope {
-            None => backend.decide(cycles, window, burned),
-            Some(w) => backend.decide_capped(cycles, window, burned, w),
-        };
-        let (decision, feasible) = match self.stretch_cap_s {
+            self.ck.latency_target_s - self.ck.committed_latency_s - backend.floor_transition_s();
+        let cap_w = self.ck.envelope_w.unwrap_or(f64::INFINITY);
+        let (decision, feasible) = match self.ck.stretch_cap_s {
             None => {
-                let d = decide(remaining_cycles, remaining_budget, elapsed);
-                let feasible = d.feasible;
-                (d, feasible)
+                let d = backend.decide(remaining_cycles, remaining_budget, elapsed, cap_w);
+                (d, d.feasible)
             }
             Some(cap) => {
                 // The capped window from dispatch: the sentence may not
@@ -690,74 +598,44 @@ impl InferenceSession {
                 // window too — a preempted-then-resumed sentence must
                 // not stretch into the slack the cap reserved for its
                 // successor.
-                let window = (self.latency_target_s - elapsed).min(cap - self.parked_s)
-                    - self.committed_latency_s
+                let window = (self.ck.latency_target_s - elapsed).min(cap - self.ck.parked_s)
+                    - self.ck.committed_latency_s
                     - backend.floor_transition_s();
-                let d = decide(remaining_cycles, window, 0.0);
+                let d = backend.decide(remaining_cycles, window, 0.0, cap_w);
                 // Feasibility (and thus the deadline verdict) is the
                 // request's own: a cap that forces nominal must not
                 // mark an otherwise-met deadline as missed. (Under an
                 // envelope the judgment stays at the *clamped* clock
                 // against that same real budget.)
-                let feasible = decide(remaining_cycles, remaining_budget, elapsed).feasible;
+                let feasible = backend
+                    .decide(remaining_cycles, remaining_budget, elapsed, cap_w)
+                    .feasible;
                 (d, feasible)
             }
         };
         let transition_s = backend.transition_s(&decision);
         self.emit(TraceEventKind::SegmentStart {
-            layer: (self.layers_done + 1) as u32,
+            layer: (self.ck.layers_done + 1) as u32,
             voltage: decision.voltage as f64,
             freq_hz: decision.freq_hz,
         });
-        self.point = decision;
-        self.feasible = feasible;
+        self.ck.point = decision;
+        self.ck.feasible = feasible;
         self.segment = Some(SegmentRun {
             point: decision,
             transition_s,
-            start_layer: self.layers_done + 1,
+            start_layer: self.ck.layers_done + 1,
         });
     }
 
-    /// Algorithm 1, one layer at a time, always at nominal V/F. The
-    /// completed result is the monolithic `run_conventional_ee_at`
-    /// expression (`overhead + run_layers(exit) + embed`), bit for bit.
-    fn step_conventional_ee(&mut self) -> StepOutcome {
-        self.emit_nominal_segment_start();
-        let (layer, h) = self.engine.model().forward_next_layer(&mut self.fwd);
-        self.layers_done = layer;
-        let exited = h < self.et;
-        if exited || layer == self.num_layers {
-            let result = self.nominal_result(InferenceMode::ConventionalEe, layer);
-            let outcome = if exited {
-                self.emit(TraceEventKind::EntropyExit {
-                    layer: layer as u32,
-                });
-                StepOutcome::Exited
-            } else {
-                StepOutcome::Done
-            };
-            return self.complete(result, outcome);
-        }
-        StepOutcome::Continue
-    }
-
-    /// Full-depth inference at nominal V/F, one layer at a time.
-    fn step_base(&mut self) -> StepOutcome {
-        self.emit_nominal_segment_start();
-        let (layer, _) = self.engine.model().forward_next_layer(&mut self.fwd);
-        self.layers_done = layer;
-        if layer == self.num_layers {
-            let result = self.nominal_result(InferenceMode::Base, layer);
-            return self.complete(result, StepOutcome::Done);
-        }
-        StepOutcome::Continue
-    }
-
-    /// Base/EE sessions run one nominal-V/F segment end to end: emit
-    /// its `SegmentStart` before the first layer (traced sessions
-    /// only; the nominal lookup is skipped entirely otherwise).
-    fn emit_nominal_segment_start(&self) {
-        if self.trace.is_some() && self.layers_done == 0 {
+    /// Algorithm 1, one layer at a time, always at nominal V/F — and
+    /// Base, which is Algorithm 1 whose exit test is never taken. The
+    /// completed result is the monolithic `overhead + run_layers(exit)
+    /// + embed` expression, bit for bit.
+    fn step_nominal(&mut self) -> StepOutcome {
+        // One nominal-V/F segment end to end (the nominal lookup is
+        // skipped entirely on untraced sessions).
+        if self.trace.is_some() && self.ck.layers_done == 0 {
             let nominal = self.engine.backend().nominal();
             self.emit(TraceEventKind::SegmentStart {
                 layer: 1,
@@ -765,25 +643,43 @@ impl InferenceSession {
                 freq_hz: nominal.freq_hz,
             });
         }
+        let (layer, h) = self.engine.model().forward_next_layer(&mut self.ck.fwd);
+        self.ck.layers_done = layer;
+        let exited = self.ck.mode == InferenceMode::ConventionalEe && h < self.ck.et;
+        if exited || layer == self.ck.num_layers {
+            let result = self.nominal_result(layer);
+            return self.complete(result, exited);
+        }
+        StepOutcome::Continue
+    }
+
+    /// What a Base/EE sentence costs through `layers` layers: the fixed
+    /// per-sentence costs plus one nominal-V/F run.
+    fn nominal_cost(&self, layers: usize) -> SegmentCost {
+        let backend = self.engine.backend();
+        let overhead = backend.sentence_overhead();
+        let cost = backend.run_layers_nominal(layers);
+        let embed = backend.embedding_read_cost();
+        SegmentCost {
+            seconds: overhead.seconds + cost.seconds + embed.seconds,
+            energy_j: overhead.energy_j + cost.energy_j + embed.energy_j,
+        }
     }
 
     /// The nominal-V/F result shared by Base and conventional EE:
     /// `deadline_met` is `true` because these are the paper's
     /// *unbounded* baselines ([`response`](Self::response) re-judges
     /// against the target, exactly like `serve`).
-    fn nominal_result(&self, mode: InferenceMode, exit: usize) -> SentenceResult {
-        let backend = self.engine.backend();
-        let nominal = backend.nominal();
-        let overhead = backend.sentence_overhead();
-        let cost = backend.run_layers(exit, &nominal);
-        let embed = backend.embedding_read_cost();
+    fn nominal_result(&self, exit: usize) -> SentenceResult {
+        let nominal = self.engine.backend().nominal();
+        let cost = self.nominal_cost(exit);
         SentenceResult {
-            mode,
+            mode: self.ck.mode,
             exit_layer: exit,
             predicted_layer: None,
-            prediction: argmax(self.fwd.logits_at(exit)),
-            latency_s: overhead.seconds + cost.seconds + embed.seconds,
-            energy_j: overhead.energy_j + cost.energy_j + embed.energy_j,
+            prediction: argmax(self.ck.fwd.logits_at(exit)),
+            latency_s: cost.seconds,
+            energy_j: cost.energy_j,
             voltage: nominal.voltage,
             freq_hz: nominal.freq_hz,
             deadline_met: true,
@@ -819,20 +715,40 @@ pub struct SessionCheckpoint {
     mode: InferenceMode,
     latency_target_s: f64,
     drop: DropTarget,
+    /// Queueing delay stamped at begin (already sanitized), seconds.
     elapsed_queue_s: f64,
+    /// Queue-pressure cap on the DVFS stretch window (seconds from
+    /// dispatch), `None` when uncapped. See
+    /// [`InferenceRequest::with_stretch_cap_s`](crate::engine::InferenceRequest::with_stretch_cap_s).
     stretch_cap_s: Option<f64>,
+    /// Power envelope on every DVFS decision (watts of sustained
+    /// draw), `None` when unconstrained. See
+    /// [`InferenceRequest::with_envelope_w`](crate::engine::InferenceRequest::with_envelope_w).
     envelope_w: Option<f64>,
+    /// Software forward state (the hidden-state checkpoint).
     fwd: ForwardSession,
     num_layers: usize,
+    /// Entropy threshold of this mode/tier (unused by Base).
     et: f32,
+    /// Layers completed (1-based count).
     layers_done: usize,
+    /// LAI forecast exit layer, set after layer 1.
     predicted: Option<usize>,
+    /// Accounting already committed (fixed costs + closed segments).
     committed_latency_s: f64,
     committed_energy_j: f64,
+    /// Operating point reported in the result (last decision, or
+    /// nominal before any).
     point: OperatingPoint,
+    /// Feasibility of the last DVFS decision *against the real target*
+    /// (a stretch cap never flips a met deadline to missed).
     feasible: bool,
+    /// Wall time spent parked, charged against the slack, seconds.
     parked_s: f64,
+    /// Times this session was parked.
     preemptions: u32,
+    /// Accuracy-tier notches the overload ladder degraded this session
+    /// by (0 on every default path).
     degraded_notches: u8,
 }
 

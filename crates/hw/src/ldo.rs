@@ -73,14 +73,6 @@ impl Ldo {
         }
     }
 
-    /// Creates an LDO with a custom spec.
-    pub fn with_spec(spec: LdoSpec, initial_v: f32) -> Self {
-        Self {
-            spec,
-            voltage: initial_v,
-        }
-    }
-
     /// The spec in use.
     pub fn spec(&self) -> &LdoSpec {
         &self.spec

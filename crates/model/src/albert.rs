@@ -55,11 +55,12 @@ impl LayerwiseOutput {
 /// applications, so execution can stop at any layer boundary, be
 /// checkpointed (the struct *is* the checkpoint: hidden state plus the
 /// off-ramp outputs seen so far), and resume later — on the same thread
-/// or another. Each [`AlbertModel::forward_next_layer`] call performs
-/// exactly the per-layer operation sequence of `forward_layers`, so the
-/// logits and entropies observed after layer *k* are bit-identical to
-/// `forward_layers`'s entries for that layer, no matter where the
-/// session was parked in between.
+/// or another. The model has one per-layer body and every inference
+/// path runs it on a `ForwardSession` (`forward_layers` and
+/// `infer_early_exit` are folds over
+/// [`AlbertModel::forward_next_layer`]), so the logits and entropies
+/// observed after layer *k* are bit-identical on every path, no matter
+/// where the session was parked in between.
 ///
 /// Sessions serialize (serde): the hidden state and off-ramp outputs
 /// round-trip exactly (f32 values pass through f64 losslessly), so a
@@ -182,24 +183,34 @@ impl AlbertModel {
         }
     }
 
+    /// The one per-layer body every inference path runs: encoder layer,
+    /// activation quantization, output norm, and the off-ramp's logits
+    /// and entropy pushed onto `session`. Returns the normed state.
+    fn run_layer(&self, session: &mut ForwardSession) -> Matrix {
+        let l = session.logits.len();
+        assert!(
+            l < self.num_layers(),
+            "forward session already ran all {} layers",
+            self.num_layers()
+        );
+        session.hidden = self.maybe_quantize(self.encoder.infer(&session.hidden));
+        let normed = self.final_norm.infer(&session.hidden);
+        let (lg, h) = self.off_ramps[l].classify_with_entropy(&normed);
+        session.logits.push(lg);
+        session.entropies.push(h);
+        normed
+    }
+
     /// Full forward pass computing every layer and every off-ramp.
     pub fn forward_layers(&self, tokens: &[u32]) -> LayerwiseOutput {
-        let mut hidden = self.maybe_quantize(self.embedding.embed(tokens));
-        let mut hidden_states = Vec::with_capacity(self.num_layers());
-        let mut logits = Vec::with_capacity(self.num_layers());
-        let mut entropies = Vec::with_capacity(self.num_layers());
-        for l in 0..self.num_layers() {
-            hidden = self.maybe_quantize(self.encoder.infer(&hidden));
-            let normed = self.final_norm.infer(&hidden);
-            let (lg, h) = self.off_ramps[l].classify_with_entropy(&normed);
-            hidden_states.push(normed);
-            logits.push(lg);
-            entropies.push(h);
-        }
+        let mut session = self.begin_forward(tokens);
+        let hidden_states = (0..self.num_layers())
+            .map(|_| self.run_layer(&mut session))
+            .collect();
         LayerwiseOutput {
             hidden_states,
-            logits,
-            entropies,
+            logits: session.logits,
+            entropies: session.entropies,
         }
     }
 
@@ -215,27 +226,17 @@ impl AlbertModel {
         }
     }
 
-    /// Runs the next encoder layer of `session` (the same operation
-    /// sequence as one iteration of [`forward_layers`](Self::forward_layers))
-    /// and returns the 1-based layer just completed with its off-ramp
-    /// entropy.
+    /// Runs the next encoder layer of `session` (the per-layer body
+    /// [`forward_layers`](Self::forward_layers) folds over) and returns
+    /// the 1-based layer just completed with its off-ramp entropy.
     ///
     /// # Panics
     ///
     /// Panics if every layer has already been computed.
     pub fn forward_next_layer(&self, session: &mut ForwardSession) -> (usize, f32) {
-        let l = session.logits.len();
-        assert!(
-            l < self.num_layers(),
-            "forward session already ran all {} layers",
-            self.num_layers()
-        );
-        session.hidden = self.maybe_quantize(self.encoder.infer(&session.hidden));
-        let normed = self.final_norm.infer(&session.hidden);
-        let (lg, h) = self.off_ramps[l].classify_with_entropy(&normed);
-        session.logits.push(lg);
-        session.entropies.push(h);
-        (l + 1, h)
+        self.run_layer(session);
+        let l = session.layers_done();
+        (l, session.entropy_at(l))
     }
 
     /// Conventional early-exit inference (paper Algorithm 1): stop at the
@@ -246,18 +247,14 @@ impl AlbertModel {
         tokens: &[u32],
         entropy_threshold: f32,
     ) -> (usize, Vec<f32>, Vec<f32>) {
-        let mut hidden = self.maybe_quantize(self.embedding.embed(tokens));
-        let mut entropies = Vec::new();
-        for l in 0..self.num_layers() {
-            hidden = self.maybe_quantize(self.encoder.infer(&hidden));
-            let normed = self.final_norm.infer(&hidden);
-            let (lg, h) = self.off_ramps[l].classify_with_entropy(&normed);
-            entropies.push(h);
-            if h < entropy_threshold || l + 1 == self.num_layers() {
-                return (l + 1, lg, entropies);
+        let mut session = self.begin_forward(tokens);
+        loop {
+            let (l, h) = self.forward_next_layer(&mut session);
+            if h < entropy_threshold || l == self.num_layers() {
+                let logits = session.logits.pop().expect("a layer just ran");
+                return (l, logits, session.entropies);
             }
         }
-        unreachable!("loop always returns at the final layer");
     }
 
     /// Training forward pass (keeps every cache for the backward pass).
@@ -350,27 +347,6 @@ impl AlbertModel {
             }
         }
         correct as f32 / data.len() as f32
-    }
-
-    /// Accuracy and mean exit layer under conventional early exit at
-    /// threshold `et`.
-    pub fn evaluate_early_exit(&self, data: &Dataset, et: f32) -> (f32, f32) {
-        if data.is_empty() {
-            return (0.0, 0.0);
-        }
-        let mut correct = 0usize;
-        let mut exit_sum = 0usize;
-        for ex in data {
-            let (layer, logits, _) = self.infer_early_exit(&ex.tokens, et);
-            exit_sum += layer;
-            if edgebert_tensor::stats::argmax(&logits) == ex.label {
-                correct += 1;
-            }
-        }
-        (
-            correct as f32 / data.len() as f32,
-            exit_sum as f32 / data.len() as f32,
-        )
     }
 
     /// Per-head effective attention spans (paper Table 1 quantities).
@@ -485,6 +461,26 @@ mod tests {
                     "seed {seed} layer {l}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn training_forward_matches_inference_bitwise_without_quantization() {
+        // An oracle for the one inference layer body that is not itself:
+        // the training pass runs the caching `forward` kernels, yet must
+        // land on the same final hidden state and logits bit for bit.
+        for seed in [0u64, 3, 9] {
+            let model = tiny_model(seed);
+            let tokens = [CLS, 9, 10, 11, 12, 13];
+            let eager = model.forward_layers(&tokens);
+            let (_, cache) = model.forward_train(&tokens);
+            let last = model.num_layers() - 1;
+            assert_eq!(cache.final_normed, eager.hidden_states[last], "seed {seed}");
+            assert_eq!(
+                model.final_logits(&cache),
+                eager.logits[last],
+                "seed {seed}"
+            );
         }
     }
 

@@ -107,11 +107,6 @@ impl Linear {
     pub fn params_mut(&mut self) -> Vec<&mut Parameter> {
         vec![&mut self.weight, &mut self.bias]
     }
-
-    /// Number of scalar weights (excluding bias).
-    pub fn weight_count(&self) -> usize {
-        self.weight.len()
-    }
 }
 
 #[cfg(test)]

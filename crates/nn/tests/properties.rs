@@ -2,7 +2,7 @@
 
 use edgebert_nn::losses::{accuracy, cross_entropy, distillation};
 use edgebert_nn::prune::{magnitude_mask, sparsity_schedule, topk_mask};
-use edgebert_nn::AdaptiveSpan;
+use edgebert_nn::{AdaptiveSpan, LayerNorm, Linear, MultiHeadAttention};
 use edgebert_tensor::{Matrix, Rng};
 use proptest::prelude::*;
 
@@ -83,6 +83,22 @@ proptest! {
         let (lo, hi) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
         prop_assert!(span.mask_at(lo) + 1e-6 >= span.mask_at(hi));
         prop_assert!((0.0..=1.0).contains(&span.mask_at(d1)));
+    }
+
+    #[test]
+    fn inference_kernels_match_training_forward_bitwise(seed in 0u64..500, rows in 1usize..12) {
+        // The caching `forward` is the oracle an allocation-free or
+        // re-laid-out `infer` must keep matching bit for bit.
+        let mut rng = Rng::seed_from(seed);
+        let x = rng.gaussian_matrix(rows, 16, 1.0);
+        let linear = Linear::new(16, 24, &mut rng);
+        prop_assert_eq!(linear.infer(&x), linear.forward(&x).0);
+        let mut norm = LayerNorm::new(16);
+        norm.gamma.value = rng.gaussian_matrix(1, 16, 1.0);
+        norm.beta.value = rng.gaussian_matrix(1, 16, 1.0);
+        prop_assert_eq!(norm.infer(&x), norm.forward(&x).0);
+        let attention = MultiHeadAttention::new(16, 4, 12, &mut rng);
+        prop_assert_eq!(attention.infer(&x), attention.forward(&x).0);
     }
 
     #[test]

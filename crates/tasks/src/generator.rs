@@ -76,11 +76,6 @@ impl DifficultyProfile {
         self.easy
     }
 
-    /// Fraction of hard sentences.
-    pub fn hard_frac(&self) -> f32 {
-        self.hard
-    }
-
     /// Samples a difficulty value from the mixture.
     pub fn sample(&self, rng: &mut Rng) -> f32 {
         let u = rng.uniform();
@@ -132,12 +127,6 @@ impl TaskGenerator {
             distractor_rate: 0.12,
             ambiguous_rate: 0.30,
         }
-    }
-
-    /// Overrides the difficulty profile (used by calibration sweeps).
-    pub fn with_profile(mut self, profile: DifficultyProfile) -> Self {
-        self.profile = profile;
-        self
     }
 
     /// The task this generator produces data for.

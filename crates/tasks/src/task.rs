@@ -50,17 +50,6 @@ impl Task {
         }
     }
 
-    /// Baseline ALBERT accuracy reported in the paper (Table 1 caption):
-    /// MNLI 85.16, QQP 90.76, SST-2 92.20, QNLI 89.48.
-    pub fn paper_baseline_accuracy(self) -> f32 {
-        match self {
-            Task::Mnli => 85.16,
-            Task::Qqp => 90.76,
-            Task::Sst2 => 92.20,
-            Task::Qnli => 89.48,
-        }
-    }
-
     /// Encoder sparsity achieved per task in the paper's Table 3.
     pub fn paper_encoder_sparsity(self) -> f32 {
         match self {

@@ -79,11 +79,6 @@ impl Rng {
         r * theta.cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    pub fn gaussian_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.gaussian()
-    }
-
     /// Matrix with i.i.d. `N(0, std^2)` entries.
     pub fn gaussian_matrix(&mut self, rows: usize, cols: usize, std: f32) -> Matrix {
         let mut m = Matrix::zeros(rows, cols);

@@ -12,7 +12,7 @@
 //! cargo run --release --example latency_aware_assistant
 //! ```
 
-use edgebert::engine::{DropTarget, InferenceRequest};
+use edgebert::engine::{DropTarget, InferenceMode, InferenceRequest};
 use edgebert::pipeline::{Scale, TaskArtifacts};
 use edgebert_tasks::Task;
 
@@ -52,8 +52,10 @@ fn main() {
     for (i, (req, resp)) in requests.iter().zip(&responses).enumerate() {
         let r = &resp.result;
         lai_total += r.energy_j;
-        ee_total += engine.run_conventional_ee(&req.tokens).energy_j;
-        base_total += engine.run_base(&req.tokens).energy_j;
+        ee_total += engine
+            .run(&req.tokens, InferenceMode::ConventionalEe)
+            .energy_j;
+        base_total += engine.run(&req.tokens, InferenceMode::Base).energy_j;
         println!(
             "{:<4} {:>5.0} ms {:>5} {:>5} {:>7.3}V {:>9.0} {:>9.1}µJ  {}",
             i + 1,

@@ -232,12 +232,12 @@ fn accelerator_backend_is_bit_identical_across_all_glue_tasks() {
                 let eng = engine(&f, target_s, et);
                 for ex in f.data.iter().take(4) {
                     assert_eq!(
-                        eng.run_base(&ex.tokens),
+                        eng.run(&ex.tokens, InferenceMode::Base),
                         reference.base(&f.model, &ex.tokens),
                         "{task} base"
                     );
                     assert_eq!(
-                        eng.run_conventional_ee(&ex.tokens),
+                        eng.run(&ex.tokens, InferenceMode::ConventionalEe),
                         reference.conventional_ee(&f.model, &ex.tokens, et),
                         "{task} ee et={et}"
                     );
@@ -324,9 +324,9 @@ proptest! {
             eng.run_latency_aware_queued(tokens, target_s, DropTarget::OnePercent, elapsed),
             reference.latency_aware(&f.model, &f.lut, tokens, et, target_s, elapsed)
         );
-        prop_assert_eq!(eng.run_base(tokens), reference.base(&f.model, tokens));
+        prop_assert_eq!(eng.run(tokens, InferenceMode::Base), reference.base(&f.model, tokens));
         prop_assert_eq!(
-            eng.run_conventional_ee(tokens),
+            eng.run(tokens, InferenceMode::ConventionalEe),
             reference.conventional_ee(&f.model, tokens, et)
         );
     }
@@ -434,13 +434,23 @@ fn mgpu_backend_degrades_to_nominal_only_scheduling() {
     let tokens = &f.data.examples()[0].tokens;
     // A fixed-V/F backend cannot stretch into a loose deadline: the
     // operating point stays nominal and remains feasible.
-    let loose = gpu.run_latency_aware_at(tokens, 10.0, DropTarget::OnePercent);
+    let loose = gpu.run_at(
+        tokens,
+        InferenceMode::LatencyAware,
+        10.0,
+        DropTarget::OnePercent,
+    );
     let nominal = gpu.backend().nominal();
     assert_eq!(loose.voltage, nominal.voltage);
     assert_eq!(loose.freq_hz, nominal.freq_hz);
     assert!(loose.deadline_met);
     // An impossible deadline is flagged, still at the fixed point.
-    let hopeless = gpu.run_latency_aware_at(tokens, 1e-6, DropTarget::OnePercent);
+    let hopeless = gpu.run_at(
+        tokens,
+        InferenceMode::LatencyAware,
+        1e-6,
+        DropTarget::OnePercent,
+    );
     assert_eq!(hopeless.voltage, nominal.voltage);
     assert!(!hopeless.deadline_met);
     // Queueing delay burns the budget on the fixed clock too.

@@ -141,7 +141,6 @@ fn idle_shards_autoscale_onto_pressured_lanes() {
                 work_stealing: false,
                 autoscale: true,
                 grow_pressure: 0.2,
-                ..ElasticConfig::default()
             },
             ..ServerConfig::default()
         },

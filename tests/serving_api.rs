@@ -207,7 +207,7 @@ fn parallel_evaluate_equals_sequential() {
     let art = artifacts();
     let engine = art.engine_at(100e-3, DropTarget::OnePercent, true);
     for mode in InferenceMode::all() {
-        let seq = engine.evaluate_seq(&art.dev, mode);
+        let seq = engine.evaluate_with_threads(&art.dev, mode, 1);
         let par = engine.evaluate(&art.dev, mode);
         assert_eq!(seq, par, "mode {mode:?}");
         for threads in [2, 5, 16] {
