@@ -103,7 +103,6 @@ fn bench(c: &mut Criterion) {
         policy: SchedulePolicy::EarliestDeadline,
         task_switch_s: 0.0,
         queue_aware_slack: false,
-        pressure_stretch: false,
         telemetry: None,
     };
     let accel_out = drain_load(&accel, &load, cfg);

@@ -105,19 +105,15 @@ fn bench(c: &mut Criterion) {
     );
 
     // Identical preemptive lanes; elasticity is the only difference.
-    let cfg = |elastic: ElasticConfig| ServerConfig {
+    let cfg = |elastic: Option<ElasticConfig>| ServerConfig {
         queue_capacity: load.len(),
         emulate_service_time: true,
         preemption: PreemptionPolicy::DeadlineGap(0.0),
         elastic,
         ..ServerConfig::default()
     };
-    let elastic = ElasticConfig {
-        enabled: true,
-        ..ElasticConfig::default()
-    };
-    let (static_out, static_stats) =
-        drain_load_wall_clock_outcomes(&runtime, &load, cfg(ElasticConfig::default()));
+    let elastic = Some(ElasticConfig::default());
+    let (static_out, static_stats) = drain_load_wall_clock_outcomes(&runtime, &load, cfg(None));
     let (elastic_out, elastic_stats) =
         drain_load_wall_clock_outcomes(&runtime, &load, cfg(elastic));
     let static_rows = class_reports_outcomes(&load, &static_out, &classes);
@@ -185,10 +181,7 @@ fn bench(c: &mut Criterion) {
             black_box(drain_load_wall_clock_outcomes(
                 &runtime,
                 &short,
-                cfg(ElasticConfig {
-                    enabled: true,
-                    ..ElasticConfig::default()
-                }),
+                cfg(elastic),
             ))
         })
     });

@@ -261,11 +261,10 @@ fn bench(c: &mut Criterion) {
         floor_w: hot_floor_w,
     };
     let elastic_cfg = ServerConfig {
-        elastic: ElasticConfig {
-            enabled: true,
+        elastic: Some(ElasticConfig {
             work_stealing: false, // isolate autoscaling
             ..ElasticConfig::default()
-        },
+        }),
         ..cfg(Some(tight_cap))
     };
     let short = flash_crowd(&runtime, &classes, floor_s, 10.0, 0x0E2C);

@@ -102,18 +102,14 @@ fn bench(c: &mut Criterion) {
         load.len(),
     );
 
-    let cfg = |overload: OverloadConfig| ServerConfig {
+    let cfg = |overload: Option<OverloadConfig>| ServerConfig {
         queue_capacity: load.len(),
         emulate_service_time: true,
         overload,
         ..ServerConfig::default()
     };
-    let ladder = OverloadConfig {
-        enabled: true,
-        ..OverloadConfig::default()
-    };
-    let (base_out, base_stats) =
-        drain_load_wall_clock_outcomes(&runtime, &load, cfg(OverloadConfig::default()));
+    let ladder = Some(OverloadConfig::default());
+    let (base_out, base_stats) = drain_load_wall_clock_outcomes(&runtime, &load, cfg(None));
     let (ladder_out, ladder_stats) = drain_load_wall_clock_outcomes(&runtime, &load, cfg(ladder));
     let base_rows = class_reports_outcomes(&load, &base_out, &classes);
     let ladder_rows = class_reports_outcomes(&load, &ladder_out, &classes);
@@ -187,10 +183,7 @@ fn bench(c: &mut Criterion) {
             black_box(drain_load_wall_clock_outcomes(
                 &runtime,
                 &short,
-                cfg(OverloadConfig {
-                    enabled: true,
-                    ..OverloadConfig::default()
-                }),
+                cfg(ladder),
             ))
         })
     });

@@ -60,7 +60,6 @@ fn bench(c: &mut Criterion) {
         policy,
         task_switch_s: 0.0,
         queue_aware_slack: false,
-        pressure_stretch: false,
         telemetry: None,
     };
     let fifo = drain_load(&runtime, &load, cfg(SchedulePolicy::Fifo));

@@ -70,7 +70,6 @@ fn bench(c: &mut Criterion) {
     let cfg = |queue_aware_slack| ServerConfig {
         shards_per_task: 1,
         queue_capacity: load.len(),
-        policy: SchedulePolicy::EarliestDeadline,
         queue_aware_slack,
         slack_floor_s: 1e-3,
         emulate_service_time: true,
@@ -118,7 +117,6 @@ fn bench(c: &mut Criterion) {
                 policy: SchedulePolicy::EarliestDeadline,
                 task_switch_s: 0.0,
                 queue_aware_slack,
-                pressure_stretch: false,
                 telemetry: None,
             },
         );

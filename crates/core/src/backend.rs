@@ -135,8 +135,7 @@ pub trait InferenceBackend: std::fmt::Debug + Send + Sync {
     /// unconstrained). Feasibility is judged *honestly* against the
     /// capped point — an envelope that forbids the deadline-meeting
     /// point yields an infeasible decision rather than a silently
-    /// re-priced one (mirroring how `stretch_cap_s` bounds only the
-    /// compute window). A backend that cannot scale V/F (or does not
+    /// re-priced one. A backend that cannot scale V/F (or does not
     /// model power) has no point below its fixed draw to clamp to and
     /// ignores the cap.
     fn decide(

@@ -334,12 +334,6 @@ impl FleetCoordinator {
             })
             .collect()
     }
-
-    /// The fleet's total measured power, watts: the sum of the lane
-    /// EWMAs.
-    pub fn fleet_measured_w(&self) -> f64 {
-        self.lanes.iter().map(|l| l.ewma.watts()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -489,11 +483,10 @@ mod tests {
         // All the headroom flows to the one pressured lane.
         assert!((sst.envelope_w - 0.18).abs() < 1e-12);
         assert!((mnli.envelope_w - 0.02).abs() < 1e-12);
-        assert!((c.fleet_measured_w() - sst.measured_w).abs() < 1e-12);
         // An energy regression (restarted lane) clamps to zero delta.
-        let before = c.fleet_measured_w();
-        c.tick(0.05, &obs(0.0, 0.0));
-        assert!(c.fleet_measured_w() <= before);
+        let fleet_w = |allocs: &[LaneAllocation]| allocs.iter().map(|a| a.measured_w).sum::<f64>();
+        let before = fleet_w(&last);
+        assert!(fleet_w(&c.tick(0.05, &obs(0.0, 0.0))) <= before);
     }
 
     proptest! {

@@ -172,15 +172,6 @@ pub struct InferenceRequest {
     /// target, and judges the deadline on `elapsed + compute`. Zero
     /// (the default) reproduces unqueued serving bit for bit.
     pub elapsed_queue_s: f64,
-    /// Queue-pressure cap on the DVFS stretch window, seconds from
-    /// dispatch (`None` → uncapped, the default). A serving front-end
-    /// that pops this request while tighter-deadline work is queued
-    /// behind it stamps the successor's deadline gap here, so a greedy
-    /// sentence stops stretching compute into slack the queued work
-    /// needs. The cap only bounds the *compute window* handed to DVFS;
-    /// the deadline verdict still judges the request's own target, and
-    /// a cap can never flip an otherwise-met deadline to missed.
-    pub stretch_cap_s: Option<f64>,
     /// How many accuracy-tier notches the overload ladder may degrade
     /// this request by when its lane is under pressure (see
     /// [`crate::overload`]). Zero — the default — means *never*: the
@@ -200,11 +191,11 @@ pub struct InferenceRequest {
     pub envelope_w: Option<f64>,
 }
 
-// Hand-written (not derived) so the queue stamp and stretch cap stay
-// optional on the wire: requests serialized before `elapsed_queue_s` or
-// `stretch_cap_s` existed — or sent by clients that have no business
-// knowing about queues — parse with a zero stamp and no cap instead of
-// failing on the missing fields.
+// Hand-written (not derived) so the serving-layer stamps stay optional
+// on the wire: requests serialized before `elapsed_queue_s` existed —
+// or sent by clients that have no business knowing about queues —
+// parse with a zero stamp instead of failing on the missing field, and
+// keys this build does not know are ignored.
 impl serde::Deserialize for InferenceRequest {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         Ok(Self {
@@ -215,10 +206,6 @@ impl serde::Deserialize for InferenceRequest {
             elapsed_queue_s: match value.field("elapsed_queue_s") {
                 Ok(stamp) => serde::Deserialize::from_value(stamp)?,
                 Err(_) => 0.0,
-            },
-            stretch_cap_s: match value.field("stretch_cap_s") {
-                Ok(cap) => serde::Deserialize::from_value(cap)?,
-                Err(_) => None,
             },
             max_degradation: match value.field("max_degradation") {
                 Ok(floor) => serde::Deserialize::from_value(floor)?,
@@ -241,7 +228,6 @@ impl InferenceRequest {
             latency_target_s: None,
             drop_target: None,
             elapsed_queue_s: 0.0,
-            stretch_cap_s: None,
             max_degradation: 0,
             envelope_w: None,
         }
@@ -273,15 +259,6 @@ impl InferenceRequest {
         self
     }
 
-    /// Caps the DVFS stretch window at `seconds` from dispatch (see
-    /// [`stretch_cap_s`](Self::stretch_cap_s)). Serving front-ends
-    /// stamp the successor head-of-queue deadline gap here at pop time
-    /// when queue-pressure-aware stretch is enabled.
-    pub fn with_stretch_cap_s(mut self, seconds: f64) -> Self {
-        self.stretch_cap_s = Some(seconds);
-        self
-    }
-
     /// The one dispatch-time stamping rule, shared by the wall-clock
     /// lanes and the virtual-timeline drain (paper §5.2 / Alg. 2: V/F
     /// is decided once per sentence, at dispatch, against
@@ -291,24 +268,13 @@ impl InferenceRequest {
     /// budget on top of the submitter's pre-stamp — zero when it is
     /// slack-blind or declared the wait measurement noise. The stamp
     /// is rewritten only if it grew, so an uncharged request is served
-    /// exactly as submitted. `successor_gap_s` is how long the
-    /// tightest work waiting behind this request can still wait and
-    /// run at nominal inside its own deadline (`None` → nothing
-    /// waits, or the front-end does not cap); a finite gap caps the
-    /// stretch window at `max(0, gap)`. Returns the stamped request
-    /// and the elapsed queue time its budget is charged with.
-    pub(crate) fn stamped_at_dispatch(
-        mut self,
-        charged_wait_s: f64,
-        successor_gap_s: Option<f64>,
-    ) -> (Self, f64) {
+    /// exactly as submitted. Returns the stamped request and the
+    /// elapsed queue time its budget is charged with.
+    pub(crate) fn stamped_at_dispatch(mut self, charged_wait_s: f64) -> (Self, f64) {
         let pre_stamp_s = self.effective_elapsed_queue_s();
         let budgeted_s = pre_stamp_s + charged_wait_s;
         if budgeted_s > pre_stamp_s {
             self = self.with_elapsed_queue_s(budgeted_s);
-        }
-        if let Some(gap_s) = successor_gap_s.filter(|gap_s| gap_s.is_finite()) {
-            self = self.with_stretch_cap_s(gap_s.max(0.0));
         }
         (self, budgeted_s)
     }
@@ -339,17 +305,6 @@ impl InferenceRequest {
             self.elapsed_queue_s
         } else {
             0.0
-        }
-    }
-
-    /// The stretch cap as the engine will apply it: non-finite caps
-    /// sanitize to `None` (uncapped); a non-positive cap clamps to zero
-    /// (the sentence gets no stretch budget at all and runs at
-    /// nominal). Requests arrive from the wire.
-    pub fn effective_stretch_cap_s(&self) -> Option<f64> {
-        match self.stretch_cap_s {
-            Some(cap) if cap.is_finite() => Some(cap.max(0.0)),
-            _ => None,
         }
     }
 
@@ -680,9 +635,8 @@ impl EdgeBertEngine {
     /// A pessimistic estimate of one sentence's nominal-V/F service
     /// time on this engine, seconds: the fixed per-sentence costs plus
     /// a full-depth pass at the nominal point, plus the worst-case
-    /// transition reserve. Queue-pressure-aware serving uses it to
-    /// size the stretch cap so the successor can still run at nominal
-    /// inside its own deadline.
+    /// transition reserve. The overload ladder's feasibility test
+    /// sizes its service slots with it.
     pub fn nominal_service_estimate_s(&self) -> f64 {
         let b = self.backend.as_ref();
         b.sentence_overhead().seconds
@@ -741,11 +695,7 @@ impl EdgeBertEngine {
     /// is served against its *remaining* slack: the DVFS budget shrinks
     /// by the queueing delay and the deadline verdict judges
     /// `elapsed + compute` against the target. A zero stamp (the
-    /// default) is bit-identical to unqueued serving. A request capped
-    /// with [`InferenceRequest::with_stretch_cap_s`] additionally has
-    /// its DVFS stretch window clamped to the cap (the verdict still
-    /// judges its own target); no cap is bit-identical to the uncapped
-    /// path.
+    /// default) is bit-identical to unqueued serving.
     pub fn serve(&self, request: &InferenceRequest) -> InferenceResponse {
         self.begin(request).finish()
     }
@@ -753,8 +703,8 @@ impl EdgeBertEngine {
     /// Opens a resumable, layer-granular session over one request (see
     /// [`InferenceSession`]): service levels resolve against the engine
     /// defaults, wire tokens sanitize exactly as in
-    /// [`serve`](Self::serve), and garbage queue stamps / stretch caps
-    /// sanitize to zero / uncapped. Each
+    /// [`serve`](Self::serve), and garbage queue stamps sanitize to
+    /// zero. Each
     /// [`step`](InferenceSession::step) executes one encoder layer;
     /// the session can be parked at any layer boundary and resumed
     /// later — with a fresh DVFS decision against the remaining slack.
@@ -804,8 +754,9 @@ impl EdgeBertEngine {
         InferenceSession::new(self.clone(), request, tokens, degradation)
     }
 
-    /// Rebinds a serialized [`SessionCheckpoint`] to this engine and
-    /// returns the parked session, ready to
+    /// Rebinds a serialized
+    /// [`SessionCheckpoint`](crate::session::SessionCheckpoint) to this
+    /// engine and returns the parked session, ready to
     /// [`resume`](InferenceSession::resume) — charging the wall time
     /// the envelope spent in transit against the sentence's slack,
     /// exactly as an in-process park would. With an engine built from

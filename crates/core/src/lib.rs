@@ -70,7 +70,8 @@
 //!   floor (default: none) — and when that can't restore feasibility,
 //!   infeasible arrivals are *shed* at admission with a typed retry
 //!   hint ([`SubmitError::Shed`](server::SubmitError::Shed)).
-//!   Disabled by default; every default path stays bit-identical.
+//!   Off by default ([`ServerConfig::overload`](server::ServerConfig::overload)
+//!   is `None`); every default path stays bit-identical.
 //!   Like energy envelopes, the ladder lives on the server's lanes
 //!   only;
 //! * [`serving`] — [`TaskRuntime`] (one task's owned serving stack) and
@@ -78,10 +79,11 @@
 //!   the paper's multi-task deployment);
 //! * [`scheduler`] — [`DeadlineScheduler`]: an earliest-deadline-first
 //!   (EDF) batch scheduler over the multi-task runtime. Submissions
-//!   carry arrival timestamps; the queue drains least-slack-first,
-//!   packing same-task sentences into batched engine passes across a
-//!   pool of `Send` engines, and every response reports queueing delay
-//!   and a sojourn-time deadline verdict. All deadline judgments across
+//!   carry arrival timestamps; the queue drains least-slack-first on
+//!   a deterministic virtual timeline, packing same-task sentences
+//!   into back-to-back runs under one task-switch charge, and every
+//!   response reports queueing delay and a sojourn-time deadline
+//!   verdict. All deadline judgments across
 //!   the crate go through one rule, [`engine::deadline_met`]
 //!   (`latency ≤ target · (1 + 1e-4)`, absorbing V/F-grid rounding);
 //!   with [`SchedulerConfig::queue_aware_slack`] the virtual drain also
@@ -98,11 +100,7 @@
 //!   stretching compute into budget that queueing already burned.
 //!   Lanes are **preemptive** ([`server::PreemptionPolicy`]): workers
 //!   step sessions layer by layer and park the running one for a
-//!   strictly tighter queued arrival, resuming EDF-ordered. (Stretch
-//!   capping — bounding a greedy sentence's DVFS window by the work
-//!   queued behind it — lives on the virtual timeline,
-//!   [`SchedulerConfig::pressure_stretch`], and on the wire,
-//!   `InferenceRequest::stretch_cap_s`; the lanes stamp none.) Serving
+//!   strictly tighter queued arrival, resuming EDF-ordered. Serving
 //!   is **elastic** when opted in ([`server::ElasticConfig`]): idle
 //!   shards steal the EDF-tightest parked session from foreign lanes
 //!   and autoscale onto pressured lanes as extra shards, with

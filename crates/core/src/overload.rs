@@ -100,19 +100,16 @@ impl LadderStep {
 /// notch (≥ 1: degradation only makes exits easier).
 const ENTROPY_SCALE_PER_NOTCH: f32 = 2.0;
 
-/// Configuration of the overload ladder. Disabled by default: every
-/// serving path is bit-identical to the pre-overload behavior until
-/// `enabled` is set.
+/// Configuration of the overload ladder. A server runs one only when
+/// [`ServerConfig::overload`](crate::server::ServerConfig::overload)
+/// is `Some`; without it every serving path is bit-identical to the
+/// pre-overload behavior.
 ///
 /// Thresholds are in units of [`pressure`]: estimated backlog drain
 /// time relative to the lane's deadline horizon. `1.0` means the
 /// backlog alone takes one full default latency target to drain.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OverloadConfig {
-    /// Master switch. Off (the default), the controller never leaves
-    /// [`LadderStep::Nominal`] and the server takes no overload action
-    /// at all.
-    pub enabled: bool,
     /// Pressure at or above which the ladder steps up to
     /// [`LadderStep::Degrade`].
     pub degrade_enter: f64,
@@ -127,40 +124,25 @@ pub struct OverloadConfig {
     /// [`LadderStep::Shed`] to [`LadderStep::Degrade`]. Must not
     /// exceed `shed_enter` (hysteresis).
     pub shed_exit: f64,
-    /// Per-class shed preference on the [`LadderStep::Shed`] rung:
-    /// arrivals whose remaining deadline budget is at least this many
-    /// lane horizons are shed *first* — before the feasibility test —
-    /// so loose-deadline classes absorb the loss and tight-deadline
-    /// work keeps being admitted. The rationale is the retry
-    /// asymmetry: a loose-budget client can afford the typed
-    /// retry-after backoff; a tight one cannot. `f64::INFINITY` (the
-    /// default) disables the preference — no finite budget triggers
-    /// it, and only the feasibility test sheds, exactly the PR 6
-    /// class-agnostic behavior. Must be positive (NaN and
-    /// non-positive values are rejected by [`validate`](Self::validate)).
-    pub shed_loose_budget_ratio: f64,
 }
 
 impl Default for OverloadConfig {
-    /// Disabled; degrade at pressure 0.5 (backlog worth half the
-    /// deadline horizon), recover below 0.25; shed at 1.0 (backlog
-    /// alone fills the horizon), step down below 0.5; no loose-class
-    /// shed preference.
+    /// Degrade at pressure 0.5 (backlog worth half the deadline
+    /// horizon), recover below 0.25; shed at 1.0 (backlog alone fills
+    /// the horizon), step down below 0.5.
     fn default() -> Self {
         Self {
-            enabled: false,
             degrade_enter: 0.5,
             degrade_exit: 0.25,
             shed_enter: 1.0,
             shed_exit: 0.5,
-            shed_loose_budget_ratio: f64::INFINITY,
         }
     }
 }
 
 impl OverloadConfig {
-    /// Checks the hysteresis invariants (module docs). The serving
-    /// layers call this at construction when the ladder is enabled.
+    /// Checks the hysteresis invariants (module docs). The server
+    /// calls this at construction when it runs a ladder.
     ///
     /// # Panics
     ///
@@ -203,22 +185,13 @@ impl OverloadConfig {
             self.degrade_exit,
             self.shed_exit
         );
-        assert!(
-            self.shed_loose_budget_ratio > 0.0,
-            "shed_loose_budget_ratio must be positive (INFINITY disables the preference), got {}",
-            self.shed_loose_budget_ratio
-        );
     }
 
     /// The degradation a rung applies to one request: the rung's
     /// severity clamped to the request's `max_degradation` floor.
     /// Returns [`Degradation::NONE`] (and the serving path stays
-    /// bit-identical) when either side is zero or the ladder is
-    /// disabled.
+    /// bit-identical) when either side is zero.
     pub fn degradation_for(&self, step: LadderStep, max_degradation: u8) -> Degradation {
-        if !self.enabled {
-            return Degradation::NONE;
-        }
         let notches = step.severity().min(max_degradation);
         if notches == 0 {
             return Degradation::NONE;
@@ -285,13 +258,9 @@ impl OverloadController {
     }
 
     /// Feeds one pressure observation through the state machine and
-    /// returns the (possibly new) rung. Disabled controllers stay at
-    /// [`LadderStep::Nominal`]; a NaN observation keeps the current
-    /// rung (every comparison is false).
+    /// returns the (possibly new) rung. A NaN observation keeps the
+    /// current rung (every comparison is false).
     pub fn observe(&mut self, pressure: f64) -> LadderStep {
-        if !self.cfg.enabled {
-            return LadderStep::Nominal;
-        }
         let next = match self.step {
             LadderStep::Nominal => {
                 if pressure >= self.cfg.shed_enter {
@@ -359,33 +328,17 @@ impl Degradation {
 mod tests {
     use super::*;
 
-    fn enabled() -> OverloadConfig {
-        OverloadConfig {
-            enabled: true,
-            ..OverloadConfig::default()
-        }
-    }
-
     #[test]
     fn default_config_is_disabled_and_valid() {
-        let cfg = OverloadConfig::default();
-        assert!(!cfg.enabled);
-        cfg.validate();
-        // A disabled controller never moves, whatever it observes.
-        let mut ctl = OverloadController::new(cfg);
-        for p in [0.0, 10.0, f64::INFINITY] {
-            assert_eq!(ctl.observe(p), LadderStep::Nominal);
-        }
-        assert_eq!(ctl.step_changes(), 0);
-        assert_eq!(
-            cfg.degradation_for(LadderStep::Shed, u8::MAX),
-            Degradation::NONE
-        );
+        // The default thresholds satisfy the hysteresis invariants, and
+        // a default server runs no ladder at all.
+        OverloadConfig::default().validate();
+        assert_eq!(crate::server::ServerConfig::default().overload, None);
     }
 
     #[test]
     fn ladder_walks_a_clean_pulse_with_hysteresis() {
-        let mut ctl = OverloadController::new(enabled());
+        let mut ctl = OverloadController::new(OverloadConfig::default());
         // Rising pressure: Nominal → Degrade → Shed.
         assert_eq!(ctl.observe(0.4), LadderStep::Nominal);
         assert_eq!(ctl.observe(0.5), LadderStep::Degrade);
@@ -405,7 +358,7 @@ mod tests {
 
     #[test]
     fn pressure_collapse_steps_straight_down_and_spikes_straight_up() {
-        let mut ctl = OverloadController::new(enabled());
+        let mut ctl = OverloadController::new(OverloadConfig::default());
         assert_eq!(ctl.observe(5.0), LadderStep::Shed);
         assert_eq!(ctl.observe(0.0), LadderStep::Nominal);
         assert_eq!(ctl.step_changes(), 2);
@@ -416,7 +369,7 @@ mod tests {
 
     #[test]
     fn degradation_is_bounded_by_the_request_floor() {
-        let cfg = enabled();
+        let cfg = OverloadConfig::default();
         assert_eq!(
             cfg.degradation_for(LadderStep::Nominal, 2),
             Degradation::NONE
@@ -453,7 +406,6 @@ mod tests {
     #[should_panic(expected = "hysteresis")]
     fn validate_rejects_exit_above_enter() {
         OverloadConfig {
-            enabled: true,
             degrade_exit: 0.6,
             ..OverloadConfig::default()
         }
@@ -464,48 +416,9 @@ mod tests {
     #[should_panic(expected = "monotone ladder")]
     fn validate_rejects_shed_below_degrade() {
         OverloadConfig {
-            enabled: true,
             degrade_enter: 1.5,
             degrade_exit: 0.2,
             shed_enter: 1.0,
-            ..OverloadConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    fn loose_shed_preference_defaults_off_and_validates_when_finite() {
-        // The default (INFINITY) disables the preference and passes
-        // validation; any positive finite ratio is accepted.
-        assert_eq!(
-            OverloadConfig::default().shed_loose_budget_ratio,
-            f64::INFINITY
-        );
-        OverloadConfig {
-            enabled: true,
-            shed_loose_budget_ratio: 4.0,
-            ..OverloadConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "shed_loose_budget_ratio")]
-    fn validate_rejects_non_positive_loose_ratio() {
-        OverloadConfig {
-            enabled: true,
-            shed_loose_budget_ratio: 0.0,
-            ..OverloadConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "shed_loose_budget_ratio")]
-    fn validate_rejects_nan_loose_ratio() {
-        OverloadConfig {
-            enabled: true,
-            shed_loose_budget_ratio: f64::NAN,
             ..OverloadConfig::default()
         }
         .validate();

@@ -1,6 +1,6 @@
 //! Slack-aware batch scheduling over the multi-task runtime.
 //!
-//! `serve_batch` fans requests out in arrival order, which lets a
+//! FIFO dispatch serves requests in arrival order, which lets a
 //! tight-deadline sentence (a 20 ms voice-assistant query) queue behind
 //! a run of relaxed ones (200 ms translation traffic) — classic
 //! head-of-line blocking. [`DeadlineScheduler`] fixes that with the two
@@ -14,33 +14,36 @@
 //!   queue drains least-slack-first, so tight traffic overtakes relaxed
 //!   traffic instead of waiting behind it.
 //! * **Same-task batch packing** — the maximal same-task run at the
-//!   head of the policy-ordered queue is packed into one batched engine
-//!   pass of up to [`SchedulerConfig::max_batch`] sentences, so
-//!   batching amortizes task switches without ever reordering across
-//!   deadlines. Switching a worker to another task can be charged
+//!   head of the policy-ordered queue is packed into one back-to-back
+//!   run of up to [`SchedulerConfig::max_batch`] sentences on one
+//!   lane, so batching amortizes task switches without ever reordering
+//!   across deadlines. Switching a worker to another task can be charged
 //!   [`SchedulerConfig::task_switch_s`] (the paper's §4 deployment
 //!   keeps per-task encoder weights that must be re-fetched; embeddings
 //!   are shared in eNVM), which EDF naturally amortizes: same-class
 //!   traffic tends to share both task and deadline tier, so it forms
 //!   long runs.
 //!
-//! The engines themselves are `Send + 'static` — one per served task,
-//! each the engine its [`TaskRuntime`](crate::serving::TaskRuntime)
-//! minted from its builder — and the model/hardware computation of a
-//! drain fans out across worker threads. Per-request *results* are bit-identical to an unscheduled
-//! [`serve`](crate::serving::MultiTaskRuntime::serve) call: scheduling
-//! changes *when* a sentence runs, never *what* it computes. On top of
-//! the engine's modeled compute latency the scheduler keeps a
-//! deterministic virtual timeline — [`SchedulerConfig::workers`]
+//! The scheduler holds one owned engine per served task — a clone of
+//! the engine its [`TaskRuntime`](crate::serving::TaskRuntime) minted
+//! from its builder — and a drain is one sequential replay: each
+//! sentence is computed on the calling thread at its dispatch point on
+//! a deterministic virtual timeline of [`SchedulerConfig::workers`]
 //! accelerator lanes, each advancing by the modeled per-sentence
-//! latencies — so every response reports queueing delay, sojourn time,
-//! and a deadline verdict judged on the *sojourn* (wait + compute)
-//! against the request's target with the one
+//! latencies. (The thread fan-out for slack-blind batches is
+//! [`MultiTaskRuntime::try_serve_batch`].) A pack shares one
+//! task-switch charge, and the next dispatch round re-picks the
+//! earliest-free lane. Every response reports queueing delay, sojourn
+//! time, and a deadline verdict judged on the *sojourn* (wait +
+//! compute) against the request's target with the one
 //! [`deadline_met`](crate::engine::deadline_met) rule.
 //!
-//! [`SchedulerConfig::queue_aware_slack`] and
-//! [`SchedulerConfig::pressure_stretch`] stamp requests through the
-//! same `InferenceRequest::stamped_at_dispatch` rule the wall-clock
+//! Slack-blind (the default), per-request *results* are bit-identical
+//! to an unscheduled [`serve`](crate::serving::TaskRuntime::serve)
+//! call: scheduling changes *when* a sentence runs, never *what* it
+//! computes. [`SchedulerConfig::queue_aware_slack`] stamps each
+//! sentence's virtual wait through the same
+//! `InferenceRequest::stamped_at_dispatch` rule the wall-clock
 //! [`Server`](crate::server::Server) lanes use at pop time. The
 //! overload ladder and fleet energy envelopes are *not* re-implemented
 //! here: they reach the virtual timeline when the server's own lanes
@@ -85,27 +88,13 @@ pub struct SchedulerConfig {
     /// [`InferenceRequest::with_elapsed_queue_s`]), so DVFS scales
     /// against the *remaining* slack instead of the full target.
     ///
-    /// Off (the default), compute is independent of the timeline and a
-    /// drain's per-request responses are bit-identical to unscheduled
-    /// `serve` calls — the PR 2 contract. On, a sentence's compute
-    /// depends on when it was dispatched, so the drain computes each
-    /// sentence *at* its dispatch point on the virtual timeline
-    /// (sequentially — the timeline itself is the data dependency) and
-    /// stays fully deterministic.
+    /// Off (the default), the stamp is a no-op, compute is independent
+    /// of the timeline and a drain's per-request responses are
+    /// bit-identical to unscheduled `serve` calls — the PR 2 contract.
+    /// On, a sentence's compute depends on when it was dispatched.
+    /// Either way the drain computes each sentence *at* its dispatch
+    /// point on the virtual timeline and stays fully deterministic.
     pub queue_aware_slack: bool,
-    /// Queue-pressure-aware stretch: cap each dispatched sentence's
-    /// DVFS stretch window by the tightest deadline among the arrived,
-    /// undispatched submissions waiting behind it (minus the task
-    /// engine's nominal service estimate), stamped through
-    /// [`InferenceRequest::with_stretch_cap_s`]. A greedy sentence
-    /// stops stretching into slack that queued tighter work needs.
-    /// Like `queue_aware_slack`, this makes compute depend on dispatch
-    /// time, so the drain computes sentences at their dispatch points
-    /// (sequential, deterministic). The cap is applied only on
-    /// single-worker drains — with several virtual lanes an arrived
-    /// successor typically dispatches concurrently on another one, so
-    /// capping would spend energy without a tail win. Off by default.
-    pub pressure_stretch: bool,
     /// Telemetry parity with the wall-clock server (see
     /// [`crate::telemetry`] and
     /// [`ServerConfig::telemetry`](crate::server::ServerConfig::telemetry)):
@@ -122,8 +111,7 @@ pub struct SchedulerConfig {
 
 impl Default for SchedulerConfig {
     /// One accelerator lane, EDF ordering, packs of up to 8, free task
-    /// switches, slack-blind compute (the PR 2 bit-identity contract),
-    /// no pressure stretch.
+    /// switches, slack-blind compute (the PR 2 bit-identity contract).
     fn default() -> Self {
         Self {
             workers: 1,
@@ -131,7 +119,6 @@ impl Default for SchedulerConfig {
             policy: SchedulePolicy::EarliestDeadline,
             task_switch_s: 0.0,
             queue_aware_slack: false,
-            pressure_stretch: false,
             telemetry: None,
         }
     }
@@ -177,9 +164,9 @@ struct Submission {
 /// An EDF slack-aware batch scheduler over a set of per-task engines.
 ///
 /// Submissions accumulate via [`submit`](Self::submit); a
-/// [`drain`](Self::drain) computes every served request through batched
-/// engine passes and replays the queue on a deterministic virtual
-/// timeline. Output order always matches submission order.
+/// [`drain`](Self::drain) replays the queue on a deterministic virtual
+/// timeline, computing every served request at its dispatch point.
+/// Output order always matches submission order.
 #[derive(Debug, Clone)]
 pub struct DeadlineScheduler {
     engines: Vec<(Task, EdgeBertEngine)>,
@@ -279,16 +266,16 @@ impl DeadlineScheduler {
     /// The returned vector is in submission order; an entry is `None`
     /// when its task is not served by this scheduler.
     ///
-    /// With [`SchedulerConfig::queue_aware_slack`] off, engine results
-    /// are computed first (one batched pass per task, fanned across
-    /// worker threads), then the queue is replayed on the virtual
-    /// timeline under the configured policy — so per-request responses
-    /// are bit-identical to unscheduled `serve` calls no matter the
-    /// policy, worker count, or packing. With it on, each sentence is
-    /// computed *at* its dispatch point with its virtual queueing delay
-    /// stamped into the request, so DVFS budgets against the remaining
-    /// slack; the replay is then sequential (the timeline is the data
-    /// dependency) but still deterministic.
+    /// The queue is replayed on the virtual timeline under the
+    /// configured policy and each sentence is computed *at* its
+    /// dispatch point (sequentially — the timeline is the data
+    /// dependency), so a drain is fully deterministic. With
+    /// [`SchedulerConfig::queue_aware_slack`] off the request is served
+    /// exactly as submitted, so per-request responses are bit-identical
+    /// to unscheduled `serve` calls no matter the policy, worker count,
+    /// or packing. With it on, the virtual queueing delay is stamped
+    /// into the request first, so DVFS budgets against the remaining
+    /// slack.
     pub fn drain(&mut self) -> Vec<Option<ScheduledResponse>> {
         let pending = std::mem::take(&mut self.pending);
         if pending.is_empty() {
@@ -301,30 +288,9 @@ impl DeadlineScheduler {
             .map(|s| self.engines.iter().position(|(t, _)| *t == s.task))
             .collect();
 
-        // Phase 1 — slack-blind compute: one batched engine pass per
-        // task, fanned across worker threads, serving by reference (no
-        // request copies). Skipped under queue-aware slack or pressure
-        // stretch, where compute depends on dispatch time and happens
-        // in the replay.
-        let compute_at_dispatch = self.cfg.queue_aware_slack || self.cfg.pressure_stretch;
         let mut responses: Vec<Option<InferenceResponse>> = vec![None; pending.len()];
-        if !compute_at_dispatch {
-            for (task, engine) in &self.engines {
-                let members: Vec<&Submission> =
-                    pending.iter().filter(|s| s.task == *task).collect();
-                if members.is_empty() {
-                    continue;
-                }
-                let threads = crate::engine::default_threads(members.len());
-                let batch =
-                    crate::engine::run_chunked(&members, threads, |s| engine.serve(&s.request));
-                for (member, response) in members.iter().zip(batch) {
-                    responses[member.index] = Some(response);
-                }
-            }
-        }
 
-        // Phase 2 — replay the queue on the virtual timeline. Served
+        // Replay the queue on the virtual timeline. Served
         // submissions are sorted by the policy key once; each dispatch
         // round scans that order for the first arrived sentence. The
         // absolute deadline is `arrival + target` after default
@@ -412,56 +378,28 @@ impl DeadlineScheduler {
                 };
             for &i in &pack {
                 let start = cursor;
-                let latency_s = match &responses[i] {
-                    // Slack-blind: the precomputed response's latency.
-                    Some(r) => r.result.latency_s,
-                    // Compute-at-dispatch: queue-aware mode deducts the
-                    // virtual wait (on top of any stamp the submitter
-                    // carried in) from the DVFS budget; pressure
-                    // stretch caps the stretch window so the tightest
-                    // served, undispatched submission already arrived
-                    // by `start` — the head-of-queue successor a greedy
-                    // sentence would be stealing slack from — still
-                    // fits a nominal-speed sentence inside its deadline.
-                    None => {
-                        let sub = &pending[i];
-                        let charged_wait_s = if self.cfg.queue_aware_slack {
-                            start - sub.arrival_s
-                        } else {
-                            0.0
-                        };
-                        let successor = if self.cfg.pressure_stretch && workers == 1 {
-                            served
-                                .iter()
-                                .filter(|s| {
-                                    s.index != i && !dispatched[s.index] && s.arrival_s <= start
-                                })
-                                .min_by(|a, b| {
-                                    deadline_abs[a.index]
-                                        .total_cmp(&deadline_abs[b.index])
-                                        .then(a.index.cmp(&b.index))
-                                })
-                        } else {
-                            None
-                        };
-                        let successor_gap_s = successor.map(|next| {
-                            let next_engine =
-                                &self.engines[engine_of[next.index].expect("served")].1;
-                            deadline_abs[next.index]
-                                - start
-                                - next_engine.nominal_service_estimate_s()
-                        });
-                        let (request, _) = sub
-                            .request
-                            .clone()
-                            .stamped_at_dispatch(charged_wait_s, successor_gap_s);
-                        let engine = &self.engines[engine_of[i].expect("served member")].1;
-                        let response = engine.serve(&request);
-                        let latency_s = response.result.latency_s;
-                        responses[i] = Some(response);
-                        latency_s
-                    }
+                // Queue-aware mode deducts the virtual wait (on top of
+                // any stamp the submitter carried in) from the DVFS
+                // budget; a zero charge leaves the stamp as submitted,
+                // so the request is served by reference.
+                let sub = &pending[i];
+                let charged_wait_s = if self.cfg.queue_aware_slack {
+                    start - sub.arrival_s
+                } else {
+                    0.0
                 };
+                let stamped: InferenceRequest;
+                let request = if charged_wait_s > 0.0 {
+                    (stamped, _) = sub.request.clone().stamped_at_dispatch(charged_wait_s);
+                    &stamped
+                } else {
+                    &sub.request
+                };
+                let engine_idx = engine_of[i].expect("served member");
+                let engine = &self.engines[engine_idx].1;
+                let response = engine.serve(request);
+                let latency_s = response.result.latency_s;
+                responses[i] = Some(response);
                 cursor += latency_s;
                 timeline[i] = Some((w, start, cursor));
                 if let Some(hub) = &self.telemetry {
@@ -470,7 +408,6 @@ impl DeadlineScheduler {
                     // (at dispatch) still yields a well-formed chain —
                     // the ring orders events per request, and arrival ≤
                     // start keeps timestamps monotone.
-                    let sub = &pending[i];
                     let id = trace_id_base + i as u64;
                     let queue_delay_s = start - sub.arrival_s;
                     hub.record_at(sub.arrival_s, sub.task, id, TraceEventKind::Admitted);
@@ -480,7 +417,6 @@ impl DeadlineScheduler {
                         id,
                         TraceEventKind::Popped { queue_delay_s },
                     );
-                    let engine_idx = engine_of[i].expect("served member");
                     self.lane_telemetry[engine_idx].observe_queue_delay(queue_delay_s);
                 }
                 dispatched[i] = true;
@@ -860,100 +796,6 @@ mod tests {
         for (a, b) in aware.iter().zip(&blind) {
             assert!(a.response.result.voltage >= b.response.result.voltage - 1e-6);
         }
-    }
-
-    #[test]
-    fn pressure_stretch_stops_greedy_sentences_stealing_successor_slack() {
-        // Two sentences arrive together on one lane: A's deadline is
-        // earlier (EDF dispatches it first) and B's is only slightly
-        // later. Queue-aware alone, A greedily stretches compute to
-        // its own deadline, leaving B less than one nominal service
-        // time — B misses by construction. With pressure stretch, A's
-        // DVFS window is capped at `B's deadline − nominal service
-        // estimate` at dispatch, so B inherits exactly a full nominal
-        // service window and lands inside its deadline. A's own
-        // verdict never degrades: the cap compresses its compute well
-        // inside its target.
-        let art = TaskArtifacts::build(Task::Sst2, Scale::Test, 0x5C45);
-        let rt = MultiTaskRuntime::from_runtimes([TaskRuntime::from_builder(
-            Task::Sst2,
-            art.engine_builder()
-                .uniform_thresholds(crate::engine::EntropyThresholds::uniform(0.0))
-                .workload(art.hardware_workload(true)),
-        )]);
-        let estimate_s = rt
-            .runtime(Task::Sst2)
-            .expect("served")
-            .engine()
-            .nominal_service_estimate_s();
-        let toks = tokens_for(&rt, Task::Sst2, 2, 18);
-        let target_a = 6.0 * estimate_s;
-        let target_b = 6.4 * estimate_s; // 0.4 estimates behind A's
-        let drain = |pressure_stretch: bool| {
-            let mut sched = DeadlineScheduler::new(
-                &rt,
-                SchedulerConfig {
-                    queue_aware_slack: true,
-                    pressure_stretch,
-                    max_batch: 1,
-                    ..SchedulerConfig::default()
-                },
-            );
-            sched.submit(
-                Task::Sst2,
-                InferenceRequest::new(toks[0].clone()).with_latency_target(target_a),
-                0.0,
-            );
-            sched.submit(
-                Task::Sst2,
-                InferenceRequest::new(toks[1].clone()).with_latency_target(target_b),
-                0.0,
-            );
-            sched
-                .drain()
-                .into_iter()
-                .map(|r| r.expect("served"))
-                .collect::<Vec<_>>()
-        };
-        let greedy = drain(false);
-        assert!(greedy[0].deadline_met, "A stretches onto its own target");
-        assert!(
-            !greedy[1].deadline_met,
-            "A's stretch must leave B under one service time: B start {} s of {} s target",
-            greedy[1].start_s, target_b
-        );
-        let capped = drain(true);
-        assert!(capped[0].deadline_met, "the cap never hurts A's verdict");
-        assert!(
-            capped[1].deadline_met,
-            "the cap leaves B a full nominal window: B start {} s of {} s target",
-            capped[1].start_s, target_b
-        );
-        // A really was compressed, not reordered.
-        assert!(capped[0].completion_s < greedy[0].completion_s);
-        assert!(
-            capped[0].response.result.freq_hz > greedy[0].response.result.freq_hz,
-            "the cap raises A's operating point"
-        );
-        // With nothing queued behind it, pressure stretch is inert:
-        // a lone submission drains bit-identically either way.
-        let lone = |pressure_stretch: bool| {
-            let mut sched = DeadlineScheduler::new(
-                &rt,
-                SchedulerConfig {
-                    queue_aware_slack: true,
-                    pressure_stretch,
-                    ..SchedulerConfig::default()
-                },
-            );
-            sched.submit(
-                Task::Sst2,
-                InferenceRequest::new(toks[0].clone()).with_latency_target(target_a),
-                0.0,
-            );
-            sched.drain()
-        };
-        assert_eq!(lone(false), lone(true));
     }
 
     #[test]

@@ -1,27 +1,26 @@
-//! One task's admission lane: a bounded, policy-ordered queue drained
+//! One task's admission lane: a bounded, deadline-ordered queue drained
 //! by that task's engine shards, plus the parked-session pool that
 //! makes the lane preemptive.
 //!
 //! A lane is the synchronization point between client threads calling
 //! [`Server::submit`](super::Server::submit) and the worker threads
 //! owning the task's engine clones: a `Mutex`-guarded job list with a
-//! `Condvar` for wakeups. Jobs are *popped* in policy order (EDF pops
-//! the earliest absolute deadline, FIFO the earliest admission), so the
-//! queue itself stays in admission order and backpressure is a plain
-//! length check against the configured capacity.
+//! `Condvar` for wakeups. Jobs are *popped* earliest absolute deadline
+//! first (ties to the earlier admission), so the queue itself stays in
+//! admission order and backpressure is a plain length check against
+//! the configured capacity.
 //!
 //! With preemption enabled, a shard that parks its running
 //! [`InferenceSession`](crate::session::InferenceSession) at a layer
 //! boundary pushes it here as a [`ParkedJob`]; idle shards then pick
 //! the next unit of work across *both* pools — fresh admissions and
-//! parked sessions — in policy order, so parked sessions resume
+//! parked sessions — in deadline order, so parked sessions resume
 //! EDF-ordered relative to everything else waiting on the lane.
 
 // analyzer: wall-clock-module reason="lane timestamps (enqueued_at, parked_at) measure real queueing and parked wall time on the wall-clock serving path"
 
 use crate::engine::InferenceRequest;
 use crate::overload::{pressure, LadderStep, OverloadConfig, OverloadController};
-use crate::scheduler::SchedulePolicy;
 use crate::session::InferenceSession;
 use crate::telemetry::LaneTelemetry;
 use edgebert_tasks::Task;
@@ -33,7 +32,7 @@ use super::ServerResponse;
 
 /// One admitted request waiting for a shard.
 pub(super) struct Job {
-    /// Admission order within the lane (FIFO key and EDF tie-break).
+    /// Admission order within the lane (the EDF tie-break).
     pub seq: u64,
     /// Absolute deadline on the server clock, seconds since the server
     /// epoch: admission time + resolved latency target (the EDF key).
@@ -96,7 +95,7 @@ pub(super) enum Work {
 pub(super) struct Popped {
     pub work: Work,
     /// The overload ladder's rung at pop time (always
-    /// [`LadderStep::Nominal`] with the ladder disabled). The shard
+    /// [`LadderStep::Nominal`] on a lane without a ladder). The shard
     /// sizes this work's degradation from it.
     pub ladder_step: LadderStep,
     /// This work's per-shard power allowance at pop time: the lane's
@@ -109,9 +108,9 @@ pub(super) struct Popped {
 
 /// Queue state behind the lane mutex.
 pub(super) struct LaneQueue {
-    /// Admitted jobs in admission order; popped in policy order.
+    /// Admitted jobs in admission order; popped in deadline order.
     pub jobs: Vec<Job>,
-    /// Sessions parked at a layer boundary, resumed in policy order.
+    /// Sessions parked at a layer boundary, resumed in deadline order.
     pub parked: Vec<ParkedJob>,
     /// Set once by shutdown: admission closes, workers drain what is
     /// left and exit.
@@ -147,9 +146,9 @@ pub(super) struct LaneQueue {
     /// The lane's EWMA measured power as of the coordinator's last
     /// tick, watts. `None` with energy budgeting off.
     pub measured_power_w: Option<f64>,
-    /// The lane's overload ladder (inert when disabled), advanced under
-    /// this lock at admission and pop time.
-    pub controller: OverloadController,
+    /// The lane's overload ladder (`None` when the server runs without
+    /// one), advanced under this lock at admission and pop time.
+    pub controller: Option<OverloadController>,
 }
 
 /// Worker-side tallies, folded into [`LaneStats`](super::LaneStats).
@@ -163,8 +162,6 @@ pub(super) struct ServedTally {
     pub preempted: u64,
     /// Times a parked session was resumed.
     pub resumed: u64,
-    /// Sum of the slack actually deducted from DVFS budgets, seconds.
-    pub slack_deducted_total_s: f64,
     /// Requests served with an overload-ladder degradation applied
     /// (tier drop and/or scaled exit threshold).
     pub degraded: u64,
@@ -194,8 +191,6 @@ pub(super) struct Lane {
     /// Admission bound: `jobs.len()` never exceeds it (parked sessions
     /// are already-admitted work and do not count against it).
     pub capacity: usize,
-    /// Pop-order policy.
-    pub policy: SchedulePolicy,
     /// Engine shards draining the lane (the pressure signal's drain
     /// parallelism).
     pub shards: usize,
@@ -220,12 +215,10 @@ pub(super) struct Lane {
 }
 
 impl Lane {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         task: Task,
         capacity: usize,
-        policy: SchedulePolicy,
-        overload: OverloadConfig,
+        overload: Option<OverloadConfig>,
         shards: usize,
         nominal_service_s: f64,
         horizon_s: f64,
@@ -234,7 +227,6 @@ impl Lane {
         Self {
             task,
             capacity,
-            policy,
             shards,
             nominal_service_s,
             horizon_s,
@@ -254,7 +246,7 @@ impl Lane {
                 attach_declined: 0,
                 envelope_w: None,
                 measured_power_w: None,
-                controller: OverloadController::new(overload),
+                controller: overload.map(OverloadController::new),
             }),
             available: Condvar::new(),
             tally: Mutex::new(ServedTally::default()),
@@ -290,11 +282,14 @@ impl Lane {
 
     /// Feeds the lane's current backlog (queued + parked work) through
     /// the overload controller and returns the resulting ladder rung.
-    /// Called under the queue lock at admission and pop time; a no-op
-    /// returning [`LadderStep::Nominal`] when the ladder is disabled.
+    /// Called under the queue lock at admission and pop time; a lane
+    /// without a ladder stays at [`LadderStep::Nominal`].
     pub(super) fn observe(&self, queue: &mut LaneQueue) -> LadderStep {
         let p = self.pressure_of(queue);
-        queue.controller.observe(p)
+        queue
+            .controller
+            .as_mut()
+            .map_or(LadderStep::Nominal, |ladder| ladder.observe(p))
     }
 
     /// The per-job service estimate the shed feasibility test divides
@@ -339,13 +334,13 @@ impl Lane {
     }
 
     /// Blocks until a unit of work is available — a fresh job or a
-    /// parked session, whichever comes first in policy order — or the
+    /// parked session, whichever comes first in deadline order — or the
     /// lane is shutting down with nothing left to drain (`None`). The
     /// worker-thread entry point.
     pub fn next_work(&self) -> Option<Popped> {
         let mut queue = self.queue.lock().expect("lane mutex");
         loop {
-            if let Some(work) = Self::pop_work(&mut queue, self.policy) {
+            if let Some(work) = Self::pop_work(&mut queue) {
                 return Some(self.finish_pop(&mut queue, work));
             }
             if queue.shutting_down {
@@ -361,7 +356,7 @@ impl Lane {
     /// looking across the pool.
     pub(super) fn try_next_work(&self) -> Option<Popped> {
         let mut queue = self.queue.lock().expect("lane mutex");
-        let work = Self::pop_work(&mut queue, self.policy)?;
+        let work = Self::pop_work(&mut queue)?;
         Some(self.finish_pop(&mut queue, work))
     }
 
@@ -416,12 +411,7 @@ impl Lane {
         policy: super::PreemptionPolicy,
     ) -> Result<Popped, Box<(InferenceSession, JobContext)>> {
         let mut queue = self.queue.lock().expect("lane mutex");
-        // Preemption claims by deadline regardless of the lane's pop
-        // policy: the gap rule is deadline-driven.
-        let best = Self::best(
-            queue.jobs.iter().map(|j| (j.deadline_s, j.seq)),
-            SchedulePolicy::EarliestDeadline,
-        );
+        let best = Self::best(queue.jobs.iter().map(|j| (j.deadline_s, j.seq)));
         let Some((at, (deadline_s, _))) = best else {
             return Err(Box::new((session, ctx)));
         };
@@ -440,18 +430,14 @@ impl Lane {
         Ok(self.finish_pop(&mut queue, Work::Fresh(job)))
     }
 
-    /// Picks the next unit of work across jobs and parked sessions in
-    /// policy order: FIFO by admission sequence, EDF by absolute
-    /// deadline (ties to the earlier admission). A parked session and
-    /// a fresh job compare under the same key, so resumes are
-    /// EDF-ordered relative to everything waiting on the lane.
+    /// Picks the next unit of work across jobs and parked sessions by
+    /// absolute deadline (ties to the earlier admission). A parked
+    /// session and a fresh job compare under the same key, so resumes
+    /// are EDF-ordered relative to everything waiting on the lane.
     // analyzer: hot-path
-    pub(super) fn pop_work(queue: &mut LaneQueue, policy: SchedulePolicy) -> Option<Work> {
-        let job_key = Self::best(queue.jobs.iter().map(|j| (j.deadline_s, j.seq)), policy);
-        let parked_key = Self::best(
-            queue.parked.iter().map(|p| (p.ctx.deadline_s, p.ctx.seq)),
-            policy,
-        );
+    pub(super) fn pop_work(queue: &mut LaneQueue) -> Option<Work> {
+        let job_key = Self::best(queue.jobs.iter().map(|j| (j.deadline_s, j.seq)));
+        let parked_key = Self::best(queue.parked.iter().map(|p| (p.ctx.deadline_s, p.ctx.seq)));
         match (job_key, parked_key) {
             (None, None) => None,
             (Some((at, _)), None) => Some(Work::Fresh(queue.jobs.remove(at))),
@@ -468,31 +454,21 @@ impl Lane {
         }
     }
 
-    /// The index and policy key of the best entry: FIFO by sequence,
-    /// EDF by `(deadline, seq)`. Non-finite deadlines sort last (wire
-    /// garbage must not poison the comparator).
+    /// The index and `(deadline, seq)` key of the earliest-deadline
+    /// entry. Non-finite deadlines sort last (wire garbage must not
+    /// poison the comparator).
     // analyzer: hot-path
     #[allow(clippy::type_complexity)]
-    fn best(
-        keys: impl Iterator<Item = (f64, u64)>,
-        policy: SchedulePolicy,
-    ) -> Option<(usize, (f64, u64))> {
+    fn best(keys: impl Iterator<Item = (f64, u64)>) -> Option<(usize, (f64, u64))> {
         keys.enumerate()
-            .map(|(i, (deadline_s, seq))| {
-                let key = match policy {
-                    SchedulePolicy::Fifo => (0.0, seq),
-                    SchedulePolicy::EarliestDeadline => (deadline_s, seq),
-                };
-                (i, key)
-            })
             .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
     }
 
-    /// Pops the next *fresh* job under `policy` (unit-test seam; the
-    /// worker path goes through [`next_work`](Self::next_work)).
+    /// Pops the next *fresh* job (unit-test seam; the worker path goes
+    /// through [`next_work`](Self::next_work)).
     #[cfg(test)]
-    fn pop(queue: &mut LaneQueue, policy: SchedulePolicy) -> Option<Job> {
-        match Self::pop_work(queue, policy) {
+    fn pop(queue: &mut LaneQueue) -> Option<Job> {
+        match Self::pop_work(queue) {
             Some(Work::Fresh(job)) => Some(job),
             Some(Work::Resume(_)) => unreachable!("no parked sessions in this test"),
             None => None,
@@ -543,20 +519,8 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc::sync_channel;
 
-    fn lane_with(
-        policy: SchedulePolicy,
-        deadlines: &[f64],
-    ) -> (Lane, Vec<std::sync::mpsc::Receiver<ServerResponse>>) {
-        let lane = Lane::new(
-            Task::Sst2,
-            deadlines.len(),
-            policy,
-            OverloadConfig::default(),
-            1,
-            10e-3,
-            50e-3,
-            None,
-        );
+    fn lane_with(deadlines: &[f64]) -> (Lane, Vec<std::sync::mpsc::Receiver<ServerResponse>>) {
+        let lane = Lane::new(Task::Sst2, deadlines.len(), None, 1, 10e-3, 50e-3, None);
         let mut receivers = Vec::new();
         {
             let mut queue = lane.queue.lock().expect("lane mutex");
@@ -578,7 +542,7 @@ mod tests {
     fn pop_order(lane: &Lane) -> Vec<u64> {
         let mut queue = lane.queue.lock().expect("lane mutex");
         let mut order = Vec::new();
-        while let Some(job) = Lane::pop(&mut queue, lane.policy) {
+        while let Some(job) = Lane::pop(&mut queue) {
             order.push(job.seq);
         }
         order
@@ -586,22 +550,13 @@ mod tests {
 
     #[test]
     fn edf_pops_earliest_deadline_ties_to_admission_order() {
-        let (lane, _rx) = lane_with(
-            SchedulePolicy::EarliestDeadline,
-            &[0.5, 0.1, 0.3, 0.1, 0.05],
-        );
+        let (lane, _rx) = lane_with(&[0.5, 0.1, 0.3, 0.1, 0.05]);
         assert_eq!(pop_order(&lane), vec![4, 1, 3, 2, 0]);
     }
 
     #[test]
-    fn fifo_pops_admission_order_regardless_of_deadlines() {
-        let (lane, _rx) = lane_with(SchedulePolicy::Fifo, &[0.5, 0.1, 0.3, 0.1, 0.05]);
-        assert_eq!(pop_order(&lane), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn shed_estimate_uses_observed_degraded_mean_clamped_to_nominal() {
-        let (lane, _rx) = lane_with(SchedulePolicy::EarliestDeadline, &[]);
+        let (lane, _rx) = lane_with(&[]);
         // No degraded serves yet: the pessimistic nominal estimate.
         assert_eq!(lane.shed_service_estimate_s(), 10e-3);
         {
@@ -621,7 +576,7 @@ mod tests {
 
     #[test]
     fn attach_detach_track_extra_shards_and_resizes() {
-        let (lane, _rx) = lane_with(SchedulePolicy::EarliestDeadline, &[]);
+        let (lane, _rx) = lane_with(&[]);
         {
             let mut queue = lane.queue.lock().expect("lane mutex");
             lane.attach(&mut queue);
@@ -640,9 +595,7 @@ mod tests {
         // a time, so a steal landing between two copies made
         // `ServerStats::from_lanes` panic on `stolen != migrated`.
         const LANES: usize = 8;
-        let lanes: Vec<Lane> = (0..LANES)
-            .map(|_| lane_with(SchedulePolicy::EarliestDeadline, &[]).0)
-            .collect();
+        let lanes: Vec<Lane> = (0..LANES).map(|_| lane_with(&[]).0).collect();
         let done = AtomicBool::new(false);
         let balanced = std::thread::scope(|scope| {
             scope.spawn(|| {

@@ -56,16 +56,6 @@
 //! slack. A long stretched sentence can no longer hold its lane
 //! hostage for a tight arrival's whole budget.
 //!
-//! **Stretch capping** — bounding a greedy sentence's DVFS stretch
-//! window so tighter work queued behind it can still run at nominal —
-//! is not a server policy: the wall-clock lanes answer that failure
-//! with preemption, and stamp no cap of their own. It lives on the
-//! virtual timeline
-//! ([`SchedulerConfig::pressure_stretch`](crate::scheduler::SchedulerConfig::pressure_stretch))
-//! and on the wire: a cap the submitter stamps
-//! ([`InferenceRequest::with_stretch_cap_s`]) is honored by every
-//! session the lanes open and survives park/steal/checkpoint.
-//!
 //! **Overload control** ([`ServerConfig::overload`]) is the survival
 //! layer above both: a per-lane hysteresis ladder
 //! ([`crate::overload`]) watches the backlog's estimated drain time
@@ -76,8 +66,8 @@
 //! sentences exit earlier and the lane drains; when degradation cannot
 //! restore feasibility, it *sheds* infeasible arrivals at admission
 //! with a typed [`SubmitError::Shed`] carrying a retry hint, instead
-//! of letting them queue and die. Disabled by default, and inert for
-//! requests that never opt into degradation.
+//! of letting them queue and die. Off (`None`) by default, and inert
+//! for requests that never opt into degradation.
 //!
 //! **Elastic serving** ([`ServerConfig::elastic`]) dissolves the
 //! static lane↔shard binding when load is skewed: every worker keeps a
@@ -90,9 +80,9 @@
 //! pressure signal and the admission drain estimates, so the overload
 //! ladder sees the grown pool and sheds less. Under a flash crowd on
 //! one task, the idle tasks' shards absorb the spike instead of
-//! spinning idle next to a melting lane. Off by default — a disabled
-//! elastic config keeps every shard pinned to its home lane and the
-//! server bit-identical to a static pool.
+//! spinning idle next to a melting lane. Off (`None`) by default —
+//! every shard then stays pinned to its home lane and the server is
+//! bit-identical to a static pool.
 //!
 //! Everything else is the operational contract a front-end owes its
 //! callers: bounded lanes with typed backpressure
@@ -111,8 +101,7 @@ pub use stats::{LaneStats, ServerStats};
 
 use crate::energy::{EnergyConfig, FleetCoordinator, LaneObservation, UPDATE_PERIOD};
 use crate::engine::{deadline_met, EdgeBertEngine, InferenceRequest, InferenceResponse};
-use crate::overload::{LadderStep, OverloadConfig};
-use crate::scheduler::SchedulePolicy;
+use crate::overload::{Degradation, LadderStep, OverloadConfig};
 use crate::serving::MultiTaskRuntime;
 use crate::session::InferenceSession;
 use crate::telemetry::{
@@ -154,14 +143,10 @@ impl PreemptionPolicy {
     }
 }
 
-/// Elastic pool behavior ([`ServerConfig::elastic`]): whether and how
-/// idle shards roam across lanes (see the module docs).
+/// Elastic pool behavior ([`ServerConfig::elastic`]): how idle shards
+/// roam across lanes (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElasticConfig {
-    /// Master switch. Off (the default), every shard drains only its
-    /// home lane and the server is bit-identical to a static pool —
-    /// zero stolen/migrated/resize counters, byte-identical responses.
-    pub enabled: bool,
     /// An idle shard resumes the EDF-tightest parked session from any
     /// foreign lane (work stealing). The resume charges parked wall
     /// time against the sentence's slack exactly as a home resume
@@ -184,12 +169,10 @@ pub struct ElasticConfig {
 const ELASTIC_IDLE_POLL: Duration = Duration::from_micros(500);
 
 impl Default for ElasticConfig {
-    /// Disabled; when enabled, stealing and autoscaling both on and a
-    /// 0.5 grow-pressure threshold (half the lane's deadline horizon
-    /// committed).
+    /// Stealing and autoscaling both on and a 0.5 grow-pressure
+    /// threshold (half the lane's deadline horizon committed).
     fn default() -> Self {
         Self {
-            enabled: false,
             work_stealing: true,
             autoscale: true,
             grow_pressure: 0.5,
@@ -198,6 +181,13 @@ impl Default for ElasticConfig {
 }
 
 /// Configuration of a [`Server`].
+///
+/// Every optional subsystem (`overload`, `elastic`, `telemetry`,
+/// `energy`) is an `Option` of its own config: `None` — the default for
+/// all four — means the subsystem does not exist on this server (no
+/// thread, no stamp, no counter moves; responses are bit-identical to a
+/// server built before it), and `Some(cfg)` means it runs with `cfg`.
+/// There is no second "enabled" switch inside the configs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
     /// Engine shards (worker threads, each owning one engine clone) per
@@ -208,9 +198,6 @@ pub struct ServerConfig {
     /// [`SubmitError::QueueFull`]. `0` refuses everything — useful to
     /// test caller-side backpressure handling.
     pub queue_capacity: usize,
-    /// Pop-order policy for every lane (EDF by default, FIFO as the
-    /// baseline).
-    pub policy: SchedulePolicy,
     /// Deduct each job's measured queueing delay from the DVFS compute
     /// budget (see the module docs). Off, the server is "slack-blind":
     /// it adds none of its own measured wait, like PR 2's scheduler.
@@ -238,14 +225,15 @@ pub struct ServerConfig {
     /// The overload control ladder (see [`crate::overload`] and the
     /// module docs): pressure-driven degradation of admitted work and
     /// admission shedding of infeasible arrivals, with hysteresis.
-    /// Disabled by default — every lane then behaves bit-identically
-    /// to a pre-overload server.
-    pub overload: OverloadConfig,
+    /// `None` (the default): every lane behaves bit-identically to a
+    /// pre-overload server.
+    pub overload: Option<OverloadConfig>,
     /// Elastic pool behavior: work stealing of parked sessions across
     /// lanes and pressure-driven autoscaling of per-task shard pools.
-    /// Disabled by default — shards then stay pinned to their home
-    /// lane and the server is bit-identical to a static pool.
-    pub elastic: ElasticConfig,
+    /// `None` (the default): shards stay pinned to their home lane and
+    /// the server is bit-identical to a static pool — zero
+    /// stolen/migrated/resize counters, byte-identical responses.
+    pub elastic: Option<ElasticConfig>,
     /// Telemetry: per-request trace spans, per-lane latency/energy
     /// histograms, and periodic lane time-series sampling (see
     /// [`crate::telemetry`]). `None` (the default) records nothing and
@@ -268,20 +256,19 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// One shard per task, 1024-deep lanes, EDF, queue-aware slack on
-    /// with a 1 ms noise floor, no service-time emulation, no
-    /// preemption, no elasticity, no energy budgeting.
+    /// One shard per task, 1024-deep lanes, queue-aware slack on with
+    /// a 1 ms noise floor, no service-time emulation, no preemption,
+    /// and none of the optional subsystems.
     fn default() -> Self {
         Self {
             shards_per_task: 1,
             queue_capacity: 1024,
-            policy: SchedulePolicy::EarliestDeadline,
             queue_aware_slack: true,
             slack_floor_s: 1e-3,
             emulate_service_time: false,
             preemption: PreemptionPolicy::Off,
-            overload: OverloadConfig::default(),
-            elastic: ElasticConfig::default(),
+            overload: None,
+            elastic: None,
             telemetry: None,
             energy: None,
         }
@@ -312,7 +299,7 @@ pub enum SubmitError {
     /// with a looser target / a nonzero
     /// [`max_degradation`](crate::engine::InferenceRequest::max_degradation)
     /// — may be admitted. Only returned when
-    /// [`ServerConfig::overload`] is enabled.
+    /// [`ServerConfig::overload`] is set.
     Shed {
         /// The shedding lane's task.
         task: Task,
@@ -551,12 +538,12 @@ impl Server {
                 "preemption deadline gap must be finite and non-negative"
             );
         }
-        if cfg.overload.enabled {
-            cfg.overload.validate();
+        if let Some(ladder) = &cfg.overload {
+            ladder.validate();
         }
-        if cfg.elastic.enabled {
+        if let Some(el) = &cfg.elastic {
             assert!(
-                cfg.elastic.grow_pressure.is_finite() && cfg.elastic.grow_pressure >= 0.0,
+                el.grow_pressure.is_finite() && el.grow_pressure >= 0.0,
                 "elastic grow pressure must be finite and non-negative"
             );
         }
@@ -583,7 +570,6 @@ impl Server {
             let lane = Arc::new(Lane::new(
                 task,
                 cfg.queue_capacity,
-                cfg.policy,
                 cfg.overload,
                 cfg.shards_per_task,
                 engine.nominal_service_estimate_s(),
@@ -709,87 +695,63 @@ impl Server {
         }
         let now = Instant::now();
         let deadline_s = (now - self.epoch).as_secs_f64() + key_s;
-        if self.cfg.overload.enabled {
-            // Advance the ladder on the pre-admission backlog; on the
-            // shed rung, refuse work whose remaining budget the
-            // backlog ahead of it would already consume — it would
-            // queue and die, and its queueing would push feasible work
-            // past its own deadline too.
-            let step = lane.observe(&mut queue);
-            if step == LadderStep::Shed {
-                let ahead = match self.cfg.policy {
-                    // EDF: only work with an equal-or-tighter deadline
-                    // runs before this request.
-                    SchedulePolicy::EarliestDeadline => queue
-                        .jobs
-                        .iter()
-                        .map(|j| j.deadline_s)
-                        .chain(queue.parked.iter().map(|p| p.ctx.deadline_s))
-                        .filter(|&d| d <= deadline_s)
-                        .count(),
-                    // FIFO: everything already queued runs first.
-                    SchedulePolicy::Fifo => queue.jobs.len() + queue.parked.len(),
-                };
-                // The feasibility test divides the backlog over the
-                // *observed* degraded service time once the ladder's
-                // Degrade rung has bought real throughput (clamped by
-                // the nominal estimate, so it only ever sheds less).
-                // analyzer: allow(nested-lock) reason="queue -> tally is the one sanctioned lock order: the tally mutex is a leaf lock held for a few loads inside shed_service_estimate_s and never taken around any other lock"
-                let mut shed_slot_s = lane.shed_service_estimate_s() / effective_shards;
-                // An energy envelope slows every slot: the feasibility
-                // test must price the lane's *allowed* speed, not the
-                // nominal one, or the shed rung under-sheds and queued
-                // work dies at the capped clock. A no-op (scale 1.0)
-                // when the envelope admits the nominal point or the
-                // backend doesn't model power.
-                if let Some(w) = queue.envelope_w {
-                    let per_shard_w = w / effective_shards;
-                    shed_slot_s *= entry.engine.backend().envelope_service_scale(per_shard_w);
-                }
-                let backlog_s = (ahead + 1) as f64 * shed_slot_s;
-                // Per-class preference: on the shed rung, arrivals
-                // with a loose remaining budget (≥ ratio × the lane's
-                // deadline horizon) are shed first, regardless of
-                // feasibility — they tolerate a retry far better than
-                // tight-class work tolerates the queueing they cause.
-                // INFINITY (the default) disables the preference; the
-                // finite guard keeps infinite-budget requests from
-                // matching an infinite cut.
-                let loose_cut_s = self.cfg.overload.shed_loose_budget_ratio * lane.horizon_s;
-                let loose = loose_cut_s.is_finite() && key_s >= loose_cut_s;
-                // Negated so an infinite budget always admits and a
-                // NaN budget (sanitized upstream, but cheap to be
-                // safe) sheds rather than queues-and-dies.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                let infeasible = !(key_s >= backlog_s);
-                if loose || infeasible {
-                    queue.shed += 1;
-                    let p = lane.pressure_of(&queue);
-                    if let Some(hub) = &self.telemetry {
-                        // Shed requests never consume a submission
-                        // sequence number (numbering stays identical
-                        // with telemetry off), so their trace ids
-                        // count down from the top instead.
-                        hub.record_at(
-                            (now - self.epoch).as_secs_f64(),
-                            task,
-                            u64::MAX - (queue.shed - 1),
-                            TraceEventKind::Shed { pressure: p },
-                        );
-                    }
-                    let retry_after_hint_s = if infeasible {
-                        (backlog_s - key_s).max(shed_slot_s)
-                    } else {
-                        // Feasible but loose: a slot should free once
-                        // the backlog ahead drains.
-                        backlog_s.max(shed_slot_s)
-                    };
-                    return Err(SubmitError::Shed {
+        // Advance the ladder (a lane without one stays Nominal) on the
+        // pre-admission backlog; on the shed rung, refuse work whose
+        // remaining budget the backlog ahead of it would already
+        // consume — it would queue and die, and its queueing would
+        // push feasible work past its own deadline too.
+        if lane.observe(&mut queue) == LadderStep::Shed {
+            // Only work with an equal-or-tighter deadline runs before
+            // this request.
+            let ahead = queue
+                .jobs
+                .iter()
+                .map(|j| j.deadline_s)
+                .chain(queue.parked.iter().map(|p| p.ctx.deadline_s))
+                .filter(|&d| d <= deadline_s)
+                .count();
+            // The feasibility test divides the backlog over the
+            // *observed* degraded service time once the ladder's
+            // Degrade rung has bought real throughput (clamped by
+            // the nominal estimate, so it only ever sheds less).
+            // analyzer: allow(nested-lock) reason="queue -> tally is the one sanctioned lock order: the tally mutex is a leaf lock held for a few loads inside shed_service_estimate_s and never taken around any other lock"
+            let mut shed_slot_s = lane.shed_service_estimate_s() / effective_shards;
+            // An energy envelope slows every slot: the feasibility
+            // test must price the lane's *allowed* speed, not the
+            // nominal one, or the shed rung under-sheds and queued
+            // work dies at the capped clock. A no-op (scale 1.0)
+            // when the envelope admits the nominal point or the
+            // backend doesn't model power.
+            if let Some(w) = queue.envelope_w {
+                let per_shard_w = w / effective_shards;
+                shed_slot_s *= entry.engine.backend().envelope_service_scale(per_shard_w);
+            }
+            let backlog_s = (ahead + 1) as f64 * shed_slot_s;
+            // Negated so an infinite budget always admits and a NaN
+            // budget (sanitized upstream, but cheap to be safe) sheds
+            // rather than queues-and-dies.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let infeasible = !(key_s >= backlog_s);
+            if infeasible {
+                queue.shed += 1;
+                let p = lane.pressure_of(&queue);
+                if let Some(hub) = &self.telemetry {
+                    // Shed requests never consume a submission
+                    // sequence number (numbering stays identical
+                    // with telemetry off), so their trace ids
+                    // count down from the top instead.
+                    hub.record_at(
+                        (now - self.epoch).as_secs_f64(),
                         task,
-                        pressure: p,
-                        retry_after_hint_s,
-                    });
+                        u64::MAX - (queue.shed - 1),
+                        TraceEventKind::Shed { pressure: p },
+                    );
                 }
+                return Err(SubmitError::Shed {
+                    task,
+                    pressure: p,
+                    retry_after_hint_s: (backlog_s - key_s).max(shed_slot_s),
+                });
             }
         }
         let submission = queue.next_seq;
@@ -841,7 +803,10 @@ impl Server {
                     rejected: queue.rejected,
                     shed: queue.shed,
                     degraded: tally.degraded,
-                    ladder_step_changes: queue.controller.step_changes(),
+                    ladder_step_changes: queue
+                        .controller
+                        .as_ref()
+                        .map_or(0, |ladder| ladder.step_changes()),
                     served: tally.served,
                     violations: tally.violations,
                     preempted: tally.preempted,
@@ -855,8 +820,6 @@ impl Server {
                     parked: queue.parked.len(),
                     queue_high_water: queue.high_water,
                     max_parked_depth: queue.parked_high_water,
-                    slack_deducted_mean_s: tally.slack_deducted_total_s
-                        / tally.served.max(1) as f64,
                     histograms,
                 }
             })
@@ -945,7 +908,10 @@ fn sampler_loop(registry: &[PoolEntry], hub: &Telemetry, stop: &AtomicBool) {
                 t_s: hub.now_s(),
                 task: lane.task,
                 pressure: lane.pressure_of(&queue),
-                rung: queue.controller.step(),
+                rung: queue
+                    .controller
+                    .as_ref()
+                    .map_or(LadderStep::Nominal, |ladder| ladder.step()),
                 queued: queue.jobs.len(),
                 parked: queue.parked.len(),
                 extra_shards: queue.extra_shards,
@@ -1011,7 +977,7 @@ impl Drop for Server {
 }
 
 /// One shard worker: pick the next unit of work (fresh admission or
-/// parked session) in policy order, materialize it into a running
+/// parked session) in deadline order, materialize it into a running
 /// session, and drive it until it completes or yields the lane.
 ///
 /// With elasticity disabled (the default) the shard blocks on its home
@@ -1032,12 +998,9 @@ fn shard_loop(
     // the lane it is currently serving, bypassing that lane's queue.
     let mut claimed: Option<(usize, Popped)> = None;
     loop {
-        let next = claimed.take().or_else(|| {
-            if cfg.elastic.enabled {
-                next_elastic_work(registry, home, &cfg.elastic)
-            } else {
-                registry[home].lane.next_work().map(|popped| (home, popped))
-            }
+        let next = claimed.take().or_else(|| match &cfg.elastic {
+            Some(el) => next_elastic_work(registry, home, el),
+            None => registry[home].lane.next_work().map(|popped| (home, popped)),
         });
         let Some((idx, popped)) = next else { return };
         let entry = &registry[idx];
@@ -1137,7 +1100,7 @@ fn steal_tightest_parked(registry: &[PoolEntry], home: usize) -> Option<(usize, 
 
 /// Finds the most pressured foreign lane with work waiting whose
 /// pressure clears the grow threshold, attaches to it, and pops its
-/// next unit of work (fresh or parked, in the lane's own policy
+/// next unit of work (fresh or parked, in the lane's deadline
 /// order). Same two-pass, one-lock-at-a-time discipline as stealing.
 ///
 /// Energy envelopes gate the growth: an extra shard is one more
@@ -1194,7 +1157,7 @@ fn attach_to_pressured_lane(
         queue.attach_declined += 1;
         return None;
     }
-    let work = Lane::pop_work(&mut queue, entry.lane.policy)?;
+    let work = Lane::pop_work(&mut queue)?;
     entry.lane.attach(&mut queue);
     Some((idx, entry.lane.finish_pop(&mut queue, work)))
 }
@@ -1236,9 +1199,7 @@ fn materialize(
             } else {
                 0.0
             };
-            // The wall-clock lanes stamp no stretch cap of their own
-            // (a cap the submitter put on the request still applies).
-            let (mut request, budgeted_s) = job.request.stamped_at_dispatch(charged_wait_s, None);
+            let (mut request, budgeted_s) = job.request.stamped_at_dispatch(charged_wait_s);
             // The lane's per-shard energy allowance at pop time rides
             // the request into the engine: every DVFS decision this
             // sentence makes is clamped under it, while the deadline
@@ -1264,11 +1225,11 @@ fn materialize(
             };
             // The overload ladder's rung at pop time sizes this
             // sentence's degradation, clamped to the request's own
-            // floor. NONE (disabled ladder, nominal rung, or a
-            // zero floor) takes the exact `begin` path.
-            let degradation = cfg
-                .overload
-                .degradation_for(popped.ladder_step, request.max_degradation);
+            // floor. NONE (no ladder, nominal rung, or a zero floor)
+            // takes the exact `begin` path.
+            let degradation = cfg.overload.map_or(Degradation::NONE, |ladder| {
+                ladder.degradation_for(popped.ladder_step, request.max_degradation)
+            });
             let mut session = entry.engine.begin_degraded(&request, degradation);
             if let Some(hub) = telemetry {
                 let recorder = hub.recorder(entry.lane.task, job.seq);
@@ -1419,7 +1380,6 @@ fn drive(
         // The cumulative energy ledger the fleet coordinator
         // differences into this lane's measured power draw.
         tally.energy_j_total += energy_j;
-        tally.slack_deducted_total_s += ctx.slack_deducted_s;
         if degraded_notches > 0 {
             tally.degraded += 1;
             // Feeds the lane's observed degraded service estimate,

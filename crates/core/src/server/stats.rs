@@ -68,11 +68,6 @@ pub struct LaneStats {
     pub queue_high_water: usize,
     /// Deepest the parked-session pool has been since start.
     pub max_parked_depth: usize,
-    /// Mean elapsed queue time charged to served requests' DVFS
-    /// budgets, seconds (just the submitter pre-stamps — usually zero
-    /// — when queue-aware slack is off or waits stayed under the
-    /// noise floor).
-    pub slack_deducted_mean_s: f64,
     /// Full queue-delay / sojourn / step-time / energy distributions,
     /// recorded when [`ServerConfig::telemetry`](super::ServerConfig)
     /// is enabled (`None` otherwise). Exact log-bucketed quantiles.
@@ -236,7 +231,6 @@ mod tests {
             parked: 0,
             queue_high_water: 0,
             max_parked_depth: 0,
-            slack_deducted_mean_s: 0.0,
             histograms: None,
         }
     }

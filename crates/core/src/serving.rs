@@ -2,8 +2,9 @@
 //! deployment behind a request/response interface.
 //!
 //! [`TaskRuntime`] packages what serving one GLUE task needs — the
-//! optimized student model and predictor LUT behind [`Arc`]s, plus the
-//! per-tier threshold calibrations — decoupled from the training-side
+//! optimized student model and predictor LUT behind
+//! [`Arc`](std::sync::Arc)s, plus the per-tier threshold
+//! calibrations — decoupled from the training-side
 //! [`TaskArtifacts`](crate::pipeline::TaskArtifacts) (datasets, sweep
 //! caches, training summaries) that produced them. Engines minted from a
 //! runtime are `Send + 'static`: build once, move into worker threads,
@@ -213,35 +214,33 @@ impl MultiTaskRuntime {
     /// Serves a mixed-task batch, preserving order. Entries whose task
     /// is not served come back as `Err(ServeError::TaskNotServed)`.
     ///
-    /// This is a thin wrapper over
-    /// [`DeadlineScheduler`](crate::scheduler::DeadlineScheduler): all
-    /// requests arrive at once (time 0) and drain through one batched
-    /// engine pass per task, fanned across worker threads. Per-request
-    /// responses are bit-identical to [`try_serve`](Self::try_serve);
-    /// for staggered arrivals, queueing-delay accounting, and
-    /// EDF-vs-FIFO policy control, drive the scheduler directly — and
+    /// Each served task's requests go through its runtime's parallel
+    /// [`serve_batch`](TaskRuntime::serve_batch) and land back in their
+    /// submission slots. Per-request responses are bit-identical to
+    /// [`try_serve`](Self::try_serve); for arrival times, queueing-delay
+    /// accounting, and EDF-vs-FIFO policy control, drive a
+    /// [`DeadlineScheduler`](crate::scheduler::DeadlineScheduler) — and
     /// for wall-clock concurrent serving, [`Server`](crate::server::Server).
     pub fn try_serve_batch(
         &self,
         requests: &[(Task, InferenceRequest)],
     ) -> Vec<Result<InferenceResponse, ServeError>> {
-        let mut scheduler = crate::scheduler::DeadlineScheduler::new(
-            self,
-            crate::scheduler::SchedulerConfig::default(),
-        );
-        for (task, request) in requests {
-            scheduler.submit(*task, request.clone(), 0.0);
+        let mut out: Vec<Result<InferenceResponse, ServeError>> = requests
+            .iter()
+            .map(|(task, _)| Err(ServeError::TaskNotServed(*task)))
+            .collect();
+        for rt in &self.runtimes {
+            let (slots, batch): (Vec<usize>, Vec<InferenceRequest>) = requests
+                .iter()
+                .enumerate()
+                .filter(|(_, (task, _))| *task == rt.task())
+                .map(|(slot, (_, request))| (slot, request.clone()))
+                .unzip();
+            for (slot, response) in slots.into_iter().zip(rt.serve_batch(&batch)) {
+                out[slot] = Ok(response);
+            }
         }
-        scheduler
-            .drain()
-            .into_iter()
-            .zip(requests)
-            .map(|(scheduled, (task, _))| {
-                scheduled
-                    .map(|s| s.response)
-                    .ok_or(ServeError::TaskNotServed(*task))
-            })
-            .collect()
+        out
     }
 }
 

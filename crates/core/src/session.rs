@@ -64,7 +64,7 @@ use serde::Serialize;
 /// Bumped when the envelope's field set or semantics change; a reader
 /// rejects versions it does not understand instead of resuming a
 /// session it would mis-account.
-pub const SESSION_CHECKPOINT_VERSION: u32 = 2;
+pub const SESSION_CHECKPOINT_VERSION: u32 = 3;
 
 /// What one [`InferenceSession::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,9 +138,9 @@ pub struct InferenceSession {
 
 impl InferenceSession {
     /// Opens a session over `request`, resolving unset service levels
-    /// against the engine defaults and sanitizing its queue stamp,
-    /// stretch cap and envelope; `tokens` are the request's, already
-    /// sanitized by the engine's opener (the only caller).
+    /// against the engine defaults and sanitizing its queue stamp and
+    /// envelope; `tokens` are the request's, already sanitized by the
+    /// engine's opener (the only caller).
     pub(crate) fn new(
         engine: EdgeBertEngine,
         request: &InferenceRequest,
@@ -171,7 +171,6 @@ impl InferenceSession {
                 .unwrap_or(engine.default_latency_target_s()),
             drop,
             elapsed_queue_s: request.effective_elapsed_queue_s(),
-            stretch_cap_s: request.effective_stretch_cap_s(),
             envelope_w: request.effective_envelope_w(),
             fwd,
             num_layers,
@@ -566,10 +565,7 @@ impl InferenceSession {
     /// *remaining* cycles and *remaining* budget — everything already
     /// burned (queueing stamp, parked time, completed layers, and the
     /// worst-case nominal→floor transition reserve) deducted. With a
-    /// queue-pressure stretch cap, the compute window is additionally
-    /// clamped to the cap, while feasibility for the deadline verdict
-    /// is still judged against the request's own budget. With a power
-    /// envelope, every decision additionally clamps its operating
+    /// power envelope, the decision additionally clamps its operating
     /// point under the lane's allowance (the `cap_w` of
     /// [`InferenceBackend::decide`](crate::backend::InferenceBackend::decide);
     /// no envelope is an infinite cap, which the backend returns
@@ -585,34 +581,7 @@ impl InferenceSession {
         let remaining_budget =
             self.ck.latency_target_s - self.ck.committed_latency_s - backend.floor_transition_s();
         let cap_w = self.ck.envelope_w.unwrap_or(f64::INFINITY);
-        let (decision, feasible) = match self.ck.stretch_cap_s {
-            None => {
-                let d = backend.decide(remaining_cycles, remaining_budget, elapsed, cap_w);
-                (d, d.feasible)
-            }
-            Some(cap) => {
-                // The capped window from dispatch: the sentence may not
-                // stretch past the queue-pressure cap even when its own
-                // deadline would allow it. Parked time advanced the
-                // wall clock past dispatch, so it shrinks the capped
-                // window too — a preempted-then-resumed sentence must
-                // not stretch into the slack the cap reserved for its
-                // successor.
-                let window = (self.ck.latency_target_s - elapsed).min(cap - self.ck.parked_s)
-                    - self.ck.committed_latency_s
-                    - backend.floor_transition_s();
-                let d = backend.decide(remaining_cycles, window, 0.0, cap_w);
-                // Feasibility (and thus the deadline verdict) is the
-                // request's own: a cap that forces nominal must not
-                // mark an otherwise-met deadline as missed. (Under an
-                // envelope the judgment stays at the *clamped* clock
-                // against that same real budget.)
-                let feasible = backend
-                    .decide(remaining_cycles, remaining_budget, elapsed, cap_w)
-                    .feasible;
-                (d, feasible)
-            }
-        };
+        let decision = backend.decide(remaining_cycles, remaining_budget, elapsed, cap_w);
         let transition_s = backend.transition_s(&decision);
         self.emit(TraceEventKind::SegmentStart {
             layer: (self.ck.layers_done + 1) as u32,
@@ -620,7 +589,7 @@ impl InferenceSession {
             freq_hz: decision.freq_hz,
         });
         self.ck.point = decision;
-        self.ck.feasible = feasible;
+        self.ck.feasible = decision.feasible;
         self.segment = Some(SegmentRun {
             point: decision,
             transition_s,
@@ -696,8 +665,8 @@ impl InferenceSession {
 /// [`EdgeBertEngine::restore_session`]. The payload is the hidden-state
 /// checkpoint ([`ForwardSession`]), the entropy/exit bookkeeping
 /// (threshold, forecast layer, layers done), and the DVFS slack
-/// accounting (queueing stamp, stretch cap, committed latency/energy,
-/// operating point, parked time) — enough that
+/// accounting (queueing stamp, committed latency/energy, operating
+/// point, parked time) — enough that
 /// `park → serialize → restore → resume` is bit-identical to
 /// `park → resume` on the same engine configuration: the serde tree
 /// round-trips every float exactly (f64 via exact formatting, f32
@@ -706,7 +675,9 @@ impl InferenceSession {
 /// Deserialization is strict about the version — an envelope written by
 /// an incompatible build is rejected with a typed error rather than
 /// resumed with mis-accounted slack — and validates the layer
-/// bookkeeping against the embedded hidden state.
+/// bookkeeping against the embedded hidden state, the forecast against
+/// the layer bookkeeping, and the slack accounting for finiteness (so a
+/// session served under a non-finite target does not cross the wire).
 #[derive(Debug, Clone, Serialize)]
 pub struct SessionCheckpoint {
     /// Envelope version ([`SESSION_CHECKPOINT_VERSION`] when produced
@@ -717,10 +688,6 @@ pub struct SessionCheckpoint {
     drop: DropTarget,
     /// Queueing delay stamped at begin (already sanitized), seconds.
     elapsed_queue_s: f64,
-    /// Queue-pressure cap on the DVFS stretch window (seconds from
-    /// dispatch), `None` when uncapped. See
-    /// [`InferenceRequest::with_stretch_cap_s`](crate::engine::InferenceRequest::with_stretch_cap_s).
-    stretch_cap_s: Option<f64>,
     /// Power envelope on every DVFS decision (watts of sustained
     /// draw), `None` when unconstrained. See
     /// [`InferenceRequest::with_envelope_w`](crate::engine::InferenceRequest::with_envelope_w).
@@ -740,8 +707,7 @@ pub struct SessionCheckpoint {
     /// Operating point reported in the result (last decision, or
     /// nominal before any).
     point: OperatingPoint,
-    /// Feasibility of the last DVFS decision *against the real target*
-    /// (a stretch cap never flips a met deadline to missed).
+    /// Feasibility of the last DVFS decision (`true` before any).
     feasible: bool,
     /// Wall time spent parked, charged against the slack, seconds.
     parked_s: f64,
@@ -777,9 +743,10 @@ impl SessionCheckpoint {
 }
 
 // Hand-written (not derived): the version gate must run before any
-// field is interpreted, and the layer bookkeeping is validated against
-// the embedded hidden state so a tampered or truncated envelope fails
-// here, with a typed error, instead of panicking inside a worker.
+// field is interpreted, and the layer bookkeeping and forecast are
+// validated against the embedded hidden state so a tampered or
+// truncated envelope fails here, with a typed error, instead of
+// panicking inside a worker.
 impl serde::Deserialize for SessionCheckpoint {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let version: u32 = serde::Deserialize::from_value(value.field("version")?)?;
@@ -795,7 +762,6 @@ impl serde::Deserialize for SessionCheckpoint {
             latency_target_s: serde::Deserialize::from_value(value.field("latency_target_s")?)?,
             drop: serde::Deserialize::from_value(value.field("drop")?)?,
             elapsed_queue_s: serde::Deserialize::from_value(value.field("elapsed_queue_s")?)?,
-            stretch_cap_s: serde::Deserialize::from_value(value.field("stretch_cap_s")?)?,
             envelope_w: serde::Deserialize::from_value(value.field("envelope_w")?)?,
             fwd: serde::Deserialize::from_value(value.field("fwd")?)?,
             num_layers: serde::Deserialize::from_value(value.field("num_layers")?)?,
@@ -819,11 +785,43 @@ impl serde::Deserialize for SessionCheckpoint {
                 checkpoint.fwd.layers_done()
             )));
         }
-        if checkpoint.layers_done > checkpoint.num_layers {
+        if checkpoint.layers_done >= checkpoint.num_layers {
             return Err(serde::Error::new(format!(
-                "checkpoint claims {} of {} layers done",
+                "checkpoint claims {} of {} layers done, but only an unfinished session parks",
                 checkpoint.layers_done, checkpoint.num_layers
             )));
+        }
+        // The forecast drives the resume segment's cycle count and the
+        // forced stop: an unfinished latency-aware session past layer 1
+        // has `layers_done < predicted <= num_layers`; before layer 1,
+        // and on Base/EE, there is none.
+        let forecast_ok = match (checkpoint.mode, checkpoint.predicted) {
+            (InferenceMode::LatencyAware, Some(predicted)) => {
+                (1..predicted).contains(&checkpoint.layers_done)
+                    && predicted <= checkpoint.num_layers
+            }
+            (InferenceMode::LatencyAware, None) => checkpoint.layers_done == 0,
+            (_, predicted) => predicted.is_none(),
+        };
+        if !forecast_ok {
+            return Err(serde::Error::new(format!(
+                "checkpoint forecast {:?} is inconsistent with {:?} at {} of {} layers done",
+                checkpoint.predicted,
+                checkpoint.mode,
+                checkpoint.layers_done,
+                checkpoint.num_layers
+            )));
+        }
+        for (name, value) in [
+            ("latency target", checkpoint.latency_target_s),
+            ("committed latency", checkpoint.committed_latency_s),
+            ("committed energy", checkpoint.committed_energy_j),
+        ] {
+            if !value.is_finite() {
+                return Err(serde::Error::new(format!(
+                    "checkpoint {name} must be finite, got {value}"
+                )));
+            }
         }
         if !(checkpoint.elapsed_queue_s.is_finite() && checkpoint.elapsed_queue_s >= 0.0) {
             return Err(serde::Error::new(

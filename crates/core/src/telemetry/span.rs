@@ -20,7 +20,7 @@ use serde::{Serialize, Value};
 /// One step in a request's span chain.
 ///
 /// `SegmentStart` carries the chosen operating point as plain
-/// voltage/frequency fields (not [`crate::engine::OperatingPoint`]) so
+/// voltage/frequency fields (not [`crate::backend::OperatingPoint`]) so
 /// the event stays `Copy` and serializes flat.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEventKind {

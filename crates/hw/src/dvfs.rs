@@ -63,8 +63,9 @@ impl DvfsController {
     /// Time to move the rail and clock from nominal V/F to the floor
     /// (`vdd_min`): LDO slew plus ADPLL relock, in seconds. This is the
     /// worst-case transition an engine must reserve out of its budget
-    /// before asking for a decision, and the window [`decide`]
-    /// (Self::decide) holds nominal inside when no work remains.
+    /// before asking for a decision, and the window
+    /// [`decide`](Self::decide) holds nominal inside when no work
+    /// remains.
     pub fn floor_transition_s(&self) -> f64 {
         let ldo = Ldo::new(self.cfg.vdd_nominal);
         let pll = Adpll::new(self.cfg.freq_max_hz);

@@ -80,17 +80,16 @@ fn main() {
     // The same four lanes, served elastically: a skewed burst lands
     // entirely on SST-2 while the other three shards idle, and the
     // pressure signal lets the idle shards attach to the hot lane as
-    // extra drains (ServerConfig::elastic; disabled by default).
+    // extra drains (ServerConfig::elastic; `None` by default).
     println!("\nskewed burst on the SST-2 lane, elastic shard pools on...");
     let server = Server::start(
         &runtime,
         ServerConfig {
             emulate_service_time: true,
-            elastic: ElasticConfig {
-                enabled: true,
+            elastic: Some(ElasticConfig {
                 grow_pressure: 0.05,
                 ..ElasticConfig::default()
-            },
+            }),
             ..ServerConfig::default()
         },
     );

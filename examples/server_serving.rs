@@ -33,7 +33,6 @@
 
 use edgebert::engine::EntropyThresholds;
 use edgebert::pipeline::{Scale, TaskArtifacts};
-use edgebert::scheduler::SchedulePolicy;
 use edgebert::server::ServerConfig;
 use edgebert::serving::{MultiTaskRuntime, TaskRuntime};
 use edgebert_bench::load::{
@@ -116,7 +115,6 @@ fn main() {
     let cfg = |queue_aware_slack| ServerConfig {
         shards_per_task: 1,
         queue_capacity: load.len(),
-        policy: SchedulePolicy::EarliestDeadline,
         queue_aware_slack,
         slack_floor_s: 1e-3,
         emulate_service_time: true,

@@ -21,7 +21,6 @@
 
 use edgebert::engine::EntropyThresholds;
 use edgebert::pipeline::{Scale, TaskArtifacts};
-use edgebert::scheduler::SchedulePolicy;
 use edgebert::server::{Server, ServerConfig};
 use edgebert::serving::{MultiTaskRuntime, TaskRuntime};
 use edgebert::telemetry::{
@@ -88,7 +87,6 @@ fn main() {
     let cfg = ServerConfig {
         shards_per_task: 1,
         queue_capacity: load.len(),
-        policy: SchedulePolicy::EarliestDeadline,
         queue_aware_slack: true,
         slack_floor_s: 1e-3,
         emulate_service_time: true,

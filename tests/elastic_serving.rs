@@ -55,7 +55,7 @@ fn fixture() -> &'static Fixture {
 /// A preemptive, service-time-emulating config: shards are genuinely
 /// busy for the modeled latency, so parked sessions sit on the lane
 /// long enough for an idle foreign shard to take them.
-fn preemptive_config(elastic: ElasticConfig) -> ServerConfig {
+fn preemptive_config(elastic: Option<ElasticConfig>) -> ServerConfig {
     ServerConfig {
         emulate_service_time: true,
         preemption: PreemptionPolicy::DeadlineGap(0.0),
@@ -69,14 +69,13 @@ fn idle_foreign_shards_steal_parked_sessions() {
     let f = fixture();
     let server = Server::start(
         &f.runtime,
-        preemptive_config(ElasticConfig {
-            enabled: true,
+        preemptive_config(Some(ElasticConfig {
             work_stealing: true,
             // Stealing only: the idle shard must not grab the tight
             // *fresh* job, just the parked session.
             autoscale: false,
             ..ElasticConfig::default()
-        }),
+        })),
     );
     // A loose sentence stretches its compute across a 400 ms budget;
     // once it is mid-flight, a tight arrival preempts it at a layer
@@ -136,12 +135,11 @@ fn idle_shards_autoscale_onto_pressured_lanes() {
         &f.runtime,
         ServerConfig {
             emulate_service_time: true,
-            elastic: ElasticConfig {
-                enabled: true,
+            elastic: Some(ElasticConfig {
                 work_stealing: false,
                 autoscale: true,
                 grow_pressure: 0.2,
-            },
+            }),
             ..ServerConfig::default()
         },
     );
@@ -179,7 +177,7 @@ fn disabled_elasticity_keeps_every_counter_at_zero() {
     let f = fixture();
     // The exact stealing scenario, elasticity off: the parked session
     // must be resumed by its home shard and no elastic counter moves.
-    let server = Server::start(&f.runtime, preemptive_config(ElasticConfig::default()));
+    let server = Server::start(&f.runtime, preemptive_config(None));
     let loose = server
         .submit(
             Task::Sst2,

@@ -37,12 +37,10 @@ fn tokens_for(n: usize, seed: u64) -> Vec<Vec<u32>> {
 /// default pressure bands so a few queued sentences are enough.
 fn twitchy() -> OverloadConfig {
     OverloadConfig {
-        enabled: true,
         degrade_enter: 0.2,
         degrade_exit: 0.1,
         shed_enter: 0.5,
         shed_exit: 0.25,
-        ..OverloadConfig::default()
     }
 }
 
@@ -76,7 +74,7 @@ fn burst(
     (responses, sheds, server.shutdown())
 }
 
-fn burst_cfg(overload: OverloadConfig, n: usize) -> ServerConfig {
+fn burst_cfg(overload: Option<OverloadConfig>, n: usize) -> ServerConfig {
     ServerConfig {
         queue_capacity: n,
         emulate_service_time: true,
@@ -96,7 +94,7 @@ fn a_burst_walks_the_ladder_and_recovers() {
         .expect("served")
         .engine()
         .nominal_service_estimate_s();
-    let (responses, sheds, stats) = burst(burst_cfg(twitchy(), n), n, 2.0 * floor_s, 2);
+    let (responses, sheds, stats) = burst(burst_cfg(Some(twitchy()), n), n, 2.0 * floor_s, 2);
 
     assert_eq!(responses.len() + sheds.len(), n);
     assert!(stats.shed() >= 1, "the burst must trip the shed rung");
@@ -142,7 +140,7 @@ fn zero_max_degradation_is_never_degraded() {
         .expect("served")
         .engine()
         .nominal_service_estimate_s();
-    let (responses, _sheds, stats) = burst(burst_cfg(twitchy(), n), n, 2.0 * floor_s, 0);
+    let (responses, _sheds, stats) = burst(burst_cfg(Some(twitchy()), n), n, 2.0 * floor_s, 0);
     assert_eq!(stats.degraded(), 0);
     assert!(responses.iter().all(|r| r.degraded_notches == 0));
 }
@@ -153,74 +151,20 @@ fn zero_max_degradation_is_never_degraded() {
 /// `server_serving.rs` pin the bits; this pins the counters).
 #[test]
 fn default_config_keeps_the_ladder_off() {
-    assert!(!OverloadConfig::default().enabled);
+    assert_eq!(ServerConfig::default().overload, None);
     let n = 12;
     let floor_s = runtime()
         .runtime(Task::Sst2)
         .expect("served")
         .engine()
         .nominal_service_estimate_s();
-    let (responses, sheds, stats) =
-        burst(burst_cfg(OverloadConfig::default(), n), n, 2.0 * floor_s, 2);
+    let (responses, sheds, stats) = burst(burst_cfg(None, n), n, 2.0 * floor_s, 2);
     assert!(sheds.is_empty());
     assert_eq!(responses.len(), n);
     assert_eq!(stats.shed(), 0);
     assert_eq!(stats.degraded(), 0);
     assert_eq!(stats.ladder_step_changes(), 0);
     assert!(responses.iter().all(|r| r.degraded_notches == 0));
-}
-
-/// The per-class shed preference: on the shed rung, arrivals whose
-/// remaining budget clears `shed_loose_budget_ratio × horizon` are
-/// shed first — even though their loose budget would pass the
-/// feasibility test and be admitted under the class-agnostic rule.
-#[test]
-fn loose_budget_classes_shed_first_on_the_shed_rung() {
-    let n = 24;
-    let rt = runtime().runtime(Task::Sst2).expect("served");
-    let floor_s = rt.engine().nominal_service_estimate_s();
-    let horizon_s = rt.engine().default_latency_target_s();
-    let overload = OverloadConfig {
-        shed_loose_budget_ratio: 2.0,
-        ..twitchy()
-    };
-    let server = Server::start(runtime(), burst_cfg(overload, n + 4));
-    // Drive the lane onto the shed rung with tight traffic, then probe
-    // with a loose-class request the moment shedding starts.
-    let mut tight_sheds = 0u64;
-    let mut loose_outcomes = Vec::new();
-    for tokens in tokens_for(n, 0x0B58) {
-        let req = InferenceRequest::new(tokens.clone())
-            .with_latency_target(2.0 * floor_s)
-            .with_max_degradation(2);
-        match server.submit(Task::Sst2, req) {
-            Ok(h) => drop(h),
-            Err(SubmitError::Shed { .. }) => {
-                tight_sheds += 1;
-                // The lane is on the shed rung right now: a request
-                // with a budget at 3× the horizon is trivially
-                // feasible (it outlasts the whole backlog) but loose —
-                // the preference must shed it anyway.
-                let loose = InferenceRequest::new(tokens).with_latency_target(3.0 * horizon_s);
-                loose_outcomes.push(server.submit(Task::Sst2, loose).map(|_| ()));
-            }
-            Err(other) => panic!("burst admission failed: {other}"),
-        }
-    }
-    let stats = server.shutdown();
-    assert!(tight_sheds >= 1, "the burst must trip the shed rung");
-    assert!(!loose_outcomes.is_empty());
-    assert!(
-        loose_outcomes
-            .iter()
-            .all(|o| matches!(o, Err(SubmitError::Shed { .. }))),
-        "every loose-class probe on the shed rung must be shed first: {loose_outcomes:?}"
-    );
-    assert_eq!(
-        stats.shed(),
-        tight_sheds + loose_outcomes.len() as u64,
-        "both classes' sheds land on the lane counter"
-    );
 }
 
 /// The controller's hysteresis from the outside: holding pressure in

@@ -40,7 +40,6 @@ fn cfg(policy: SchedulePolicy) -> SchedulerConfig {
         policy,
         task_switch_s: 0.0,
         queue_aware_slack: false,
-        pressure_stretch: false,
         telemetry: None,
     }
 }

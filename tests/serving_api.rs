@@ -56,16 +56,20 @@ fn pre_queue_slack_request_json_still_parses() {
     let back: InferenceRequest =
         serde::json::from_str(&serde::json::to_string(&stamped)).expect("stamped parses");
     assert_eq!(back, stamped);
+}
 
-    // Same tolerance for the queue-pressure stretch cap: wire shapes
-    // predating `stretch_cap_s` parse uncapped, and a capped request
-    // round-trips the cap.
-    assert_eq!(stamped.stretch_cap_s, None);
-    let capped = stamped.with_stretch_cap_s(30e-3);
-    let back: InferenceRequest =
-        serde::json::from_str(&serde::json::to_string(&capped)).expect("capped parses");
-    assert_eq!(back, capped);
-    assert_eq!(back.effective_stretch_cap_s(), Some(30e-3));
+#[test]
+fn retired_wire_keys_are_ignored_not_refused() {
+    // Wire compatibility in the other direction: a client that still
+    // sends a key this build retired (the queue-pressure cap) parses,
+    // and serves bit-identically to the same request without the key.
+    let plain = r#"{"tokens":[3,1,4],"mode":"LatencyAware","latency_target_s":0.05,"drop_target":"TwoPercent","elapsed_queue_s":0.004}"#;
+    let legacy = plain.replacen('}', r#","stretch_cap_s":0.01}"#, 1);
+    let want: InferenceRequest = serde::json::from_str(plain).expect("plain parses");
+    let got: InferenceRequest = serde::json::from_str(&legacy).expect("legacy key parses");
+    assert_eq!(got, want);
+    let engine = artifacts().engine(50e-3);
+    assert_eq!(engine.serve(&got), engine.serve(&want));
 }
 
 #[test]

@@ -146,17 +146,22 @@ fn unsupported_versions_are_refused_not_misread() {
     let request = InferenceRequest::new(f.tokens.clone());
     let session = parked_session(&f.engine, &request, 1);
     let wire = serde::json::to_string(&session.checkpoint().expect("parked"));
+    let current = format!("\"version\":{SESSION_CHECKPOINT_VERSION}");
     assert!(
-        wire.contains("\"version\":2"),
+        wire.contains(&current),
         "version leads the envelope: {wire}"
     );
-    let tampered = wire.replacen("\"version\":2", "\"version\":99", 1);
-    let err = serde::json::from_str::<edgebert::SessionCheckpoint>(&tampered)
-        .expect_err("a future version must not be silently misread");
-    assert!(
-        err.to_string().contains("version"),
-        "the error names the version mismatch: {err}"
-    );
+    // A future version, and the previous one (v2 envelopes carried a
+    // field this build retired).
+    for other in [99, 2] {
+        let tampered = wire.replacen(&current, &format!("\"version\":{other}"), 1);
+        let err = serde::json::from_str::<edgebert::SessionCheckpoint>(&tampered)
+            .expect_err("another version must not be silently misread");
+        assert!(
+            err.to_string().contains("version"),
+            "the error names the version mismatch: {err}"
+        );
+    }
 }
 
 #[test]
@@ -171,6 +176,52 @@ fn corrupted_layer_bookkeeping_is_refused() {
         serde::json::from_str::<edgebert::SessionCheckpoint>(&tampered).is_err(),
         "layer bookkeeping must agree with the hidden state"
     );
+}
+
+#[test]
+fn corrupted_forecast_is_refused() {
+    // The forecast sizes the resume segment's cycle count and is the
+    // session's forced stop, so an envelope whose forecast disagrees
+    // with its layer bookkeeping must fail at the wire — restoring it
+    // would panic a worker at the next step.
+    let f = fixture();
+    let request = InferenceRequest::new(f.tokens.clone());
+    let session = parked_session(&f.engine, &request, 2);
+    let forecast = session
+        .predicted_layer()
+        .expect("forecast set after layer 1");
+    let wire = serde::json::to_string(&session.checkpoint().expect("parked"));
+    let honest = format!("\"predicted\":{forecast}");
+    assert!(wire.contains(&honest), "{wire}");
+    for (forged, why) in [
+        (
+            "null",
+            "a latency-aware session past layer 1 has a forecast",
+        ),
+        ("1", "a forecast behind the layers already done"),
+        ("99", "a forecast past the model's depth"),
+    ] {
+        let tampered = wire.replacen(&honest, &format!("\"predicted\":{forged}"), 1);
+        assert!(
+            serde::json::from_str::<edgebert::SessionCheckpoint>(&tampered).is_err(),
+            "{why} must be refused"
+        );
+    }
+}
+
+#[test]
+fn non_finite_accounting_is_refused() {
+    let f = fixture();
+    let request = InferenceRequest::new(f.tokens.clone()).with_latency_target(200e-3);
+    let session = parked_session(&f.engine, &request, 1);
+    let wire = serde::json::to_string(&session.checkpoint().expect("parked"));
+    assert!(wire.contains("\"latency_target_s\":0.2"), "{wire}");
+    let tampered = wire.replacen(
+        "\"latency_target_s\":0.2",
+        "\"latency_target_s\":{\"$f64\":\"NaN\"}",
+        1,
+    );
+    assert!(serde::json::from_str::<edgebert::SessionCheckpoint>(&tampered).is_err());
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Integration tests for the resumable-session execution API and the
 //! preemptive server lanes built on it: park/resume accounting, the
-//! fresh DVFS re-decision against remaining slack, queue-pressure
-//! stretch caps, and the end-to-end contract that a tight arrival
-//! preempts a stretched long job with both deadlines judged correctly.
+//! fresh DVFS re-decision against remaining slack, and the end-to-end
+//! contract that a tight arrival preempts a stretched long job with
+//! both deadlines judged correctly.
 //!
 //! (The bit-identity of *uninterrupted* sessions against the
 //! pre-redesign monolithic paths is pinned by
@@ -209,55 +209,6 @@ fn modeled_latency_is_monotone_and_lands_on_the_result() {
     }
     assert_eq!(last, session.result().expect("complete").latency_s);
     assert!(!session.park(), "a complete session cannot be parked");
-}
-
-#[test]
-fn stretch_caps_bound_the_dvfs_window_without_touching_the_verdict() {
-    let f = fixture();
-    let base = InferenceRequest::new(f.tokens.clone()).with_latency_target(200e-3);
-    let uncapped = f.engine.serve(&base);
-    assert!(uncapped.result.voltage < 0.8);
-
-    // A cap below the sentence's own target compresses compute: higher
-    // operating point, shorter latency, more energy — but the deadline
-    // verdict is still the request's own (met). The cap is sized off
-    // the nominal service estimate so the window genuinely pinches.
-    let floor_s = f.engine.nominal_service_estimate_s();
-    assert!(floor_s * 3.0 < 200e-3, "fixture target must dwarf service");
-    let capped = f
-        .engine
-        .serve(&base.clone().with_stretch_cap_s(1.5 * floor_s));
-    assert!(
-        capped.result.voltage > uncapped.result.voltage,
-        "capped {} V vs uncapped {} V",
-        capped.result.voltage,
-        uncapped.result.voltage
-    );
-    assert!(capped.result.latency_s < uncapped.result.latency_s);
-    assert!(capped.result.energy_j > uncapped.result.energy_j);
-    assert!(capped.result.deadline_met);
-    assert_eq!(capped.result.exit_layer, uncapped.result.exit_layer);
-
-    // A zero (or negative) cap leaves no stretch budget at all: the
-    // sentence runs at nominal, and the verdict still judges its own
-    // target — an infeasible *cap* must not report a missed deadline.
-    let floored = f.engine.serve(&base.clone().with_stretch_cap_s(0.0));
-    assert_eq!(floored.result.voltage, 0.8);
-    assert!(floored.result.deadline_met);
-    let negative = f.engine.serve(&base.clone().with_stretch_cap_s(-1.0));
-    assert_eq!(negative, floored);
-
-    // A cap looser than the target is inert (same grid point), and a
-    // non-finite cap sanitizes to uncapped, bit for bit.
-    let loose = f.engine.serve(&base.clone().with_stretch_cap_s(10.0));
-    assert_eq!(loose.result.voltage, uncapped.result.voltage);
-    assert_eq!(loose.result.exit_layer, uncapped.result.exit_layer);
-    assert!((loose.result.latency_s - uncapped.result.latency_s).abs() < 1e-9);
-    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-        let req = base.clone().with_stretch_cap_s(bad);
-        assert_eq!(req.effective_stretch_cap_s(), None);
-        assert_eq!(f.engine.serve(&req), uncapped, "cap {bad}");
-    }
 }
 
 /// The tentpole's serving contract, end to end through real worker
