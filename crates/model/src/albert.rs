@@ -4,12 +4,12 @@
 use crate::config::AlbertConfig;
 use crate::embedding::FactorizedEmbedding;
 use crate::offramp::OffRamp;
-use edgebert_nn::encoder::EncoderCache;
+use edgebert_nn::encoder::LayerScratch;
 use edgebert_nn::norm::LayerNormCache;
 use edgebert_nn::{EncoderLayer, LayerNorm, Parameter};
-use edgebert_quant::tensor::fake_quantize;
+use edgebert_quant::tensor::{fake_quantize, fake_quantize_in_place};
 use edgebert_tasks::{Dataset, VocabLayout};
-use edgebert_tensor::{Matrix, Rng};
+use edgebert_tensor::{entropy, Matrix, Rng};
 use serde::{Deserialize, Serialize};
 
 /// Output of a full (no-early-exit) forward pass.
@@ -65,8 +65,21 @@ impl LayerwiseOutput {
 /// Sessions serialize (serde): the hidden state and off-ramp outputs
 /// round-trip exactly (f32 values pass through f64 losslessly), so a
 /// checkpoint can cross a process boundary and resume bit-identically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// A session also owns the working buffers its layers run in, sized by
+/// [`AlbertModel::begin_forward`] so that a layer step allocates nothing
+/// but the logits it records. They hold no state between steps and are
+/// not part of the checkpoint: a clone or a deserialized session starts
+/// with empty buffers, which its next layer step sizes again.
+#[derive(Debug)]
 pub struct ForwardSession {
+    state: ForwardState,
+    scratch: SessionScratch,
+}
+
+/// What a [`ForwardSession`] is on the wire and across a clone.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct ForwardState {
     /// The live (unnormalized) hidden state entering the next layer.
     hidden: Matrix,
     /// Off-ramp logits after each completed layer.
@@ -75,10 +88,49 @@ pub struct ForwardSession {
     entropies: Vec<f32>,
 }
 
+/// The per-sentence working buffers of [`AlbertModel::run_layer`].
+#[derive(Debug, Default)]
+struct SessionScratch {
+    layer: LayerScratch,
+    /// The output-normed hidden state the off-ramp reads.
+    normed: Matrix,
+    /// The `[CLS]` row of `normed`.
+    cls: Matrix,
+    /// The off-ramp's logits (`1 x classes`).
+    logits: Matrix,
+}
+
+impl From<ForwardState> for ForwardSession {
+    fn from(state: ForwardState) -> Self {
+        Self {
+            state,
+            scratch: SessionScratch::default(),
+        }
+    }
+}
+
+impl Clone for ForwardSession {
+    fn clone(&self) -> Self {
+        self.state.clone().into()
+    }
+}
+
+impl Serialize for ForwardSession {
+    fn to_value(&self) -> serde::Value {
+        self.state.to_value()
+    }
+}
+
+impl Deserialize for ForwardSession {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        ForwardState::from_value(value).map(Self::from)
+    }
+}
+
 impl ForwardSession {
     /// Layers completed so far.
     pub fn layers_done(&self) -> usize {
-        self.logits.len()
+        self.state.logits.len()
     }
 
     /// Off-ramp logits after `layer` (1-based).
@@ -87,7 +139,7 @@ impl ForwardSession {
     ///
     /// Panics if `layer` has not been computed yet.
     pub fn logits_at(&self, layer: usize) -> &[f32] {
-        &self.logits[layer - 1]
+        &self.state.logits[layer - 1]
     }
 
     /// Off-ramp entropy after `layer` (1-based).
@@ -96,7 +148,7 @@ impl ForwardSession {
     ///
     /// Panics if `layer` has not been computed yet.
     pub fn entropy_at(&self, layer: usize) -> f32 {
-        self.entropies[layer - 1]
+        self.state.entropies[layer - 1]
     }
 }
 
@@ -105,10 +157,10 @@ impl ForwardSession {
 pub struct TrainCache {
     /// Low-dimensional embedding sum (input to the projection).
     pub low: Matrix,
-    /// Input hidden state of each layer application.
+    /// Input hidden state of each layer application. The layer is shared,
+    /// so this is all [`AlbertModel::backward_from_final`] needs to rebuild
+    /// a layer application's activations when it differentiates it.
     pub layer_inputs: Vec<Matrix>,
-    /// Encoder caches, one per layer application.
-    pub encoder_caches: Vec<EncoderCache>,
     /// Final hidden state (pre final-norm).
     pub final_hidden: Matrix,
     /// Normalized final hidden state (what the classifier reads).
@@ -176,41 +228,40 @@ impl AlbertModel {
         self.config.num_layers
     }
 
-    fn maybe_quantize(&self, m: Matrix) -> Matrix {
-        match self.activation_fp8 {
-            Some(bits) => fake_quantize(&m, bits),
-            None => m,
+    // analyzer: hot-path
+    fn maybe_quantize(&self, m: &mut Matrix) {
+        if let Some(bits) = self.activation_fp8 {
+            fake_quantize_in_place(m, bits);
         }
     }
 
     /// The one per-layer body every inference path runs: encoder layer,
-    /// activation quantization, output norm, and the off-ramp's logits
-    /// and entropy pushed onto `session`. Returns the normed state.
-    fn run_layer(&self, session: &mut ForwardSession) -> Matrix {
-        let l = session.logits.len();
-        assert!(
-            l < self.num_layers(),
-            "forward session already ran all {} layers",
-            self.num_layers()
-        );
-        session.hidden = self.maybe_quantize(self.encoder.infer(&session.hidden));
-        let normed = self.final_norm.infer(&session.hidden);
-        let (lg, h) = self.off_ramps[l].classify_with_entropy(&normed);
-        session.logits.push(lg);
-        session.entropies.push(h);
-        normed
+    /// activation quantization, output norm and off-ramp, all in the
+    /// session's own buffers. Leaves the normed state and the logits of
+    /// ramp `l` in `session.scratch` and returns the logits' entropy.
+    // analyzer: hot-path
+    fn run_layer(&self, session: &mut ForwardSession, l: usize) -> f32 {
+        let (hidden, s) = (&mut session.state.hidden, &mut session.scratch);
+        self.encoder.infer_in_place(hidden, &mut s.layer);
+        self.maybe_quantize(hidden);
+        self.final_norm.infer_into(hidden, &mut s.normed);
+        self.off_ramps[l].classify_into(&s.normed, &mut s.cls, &mut s.logits);
+        entropy(s.logits.as_slice())
     }
 
     /// Full forward pass computing every layer and every off-ramp.
     pub fn forward_layers(&self, tokens: &[u32]) -> LayerwiseOutput {
         let mut session = self.begin_forward(tokens);
         let hidden_states = (0..self.num_layers())
-            .map(|_| self.run_layer(&mut session))
+            .map(|_| {
+                self.forward_next_layer(&mut session);
+                session.scratch.normed.clone()
+            })
             .collect();
         LayerwiseOutput {
             hidden_states,
-            logits: session.logits,
-            entropies: session.entropies,
+            logits: session.state.logits,
+            entropies: session.state.entropies,
         }
     }
 
@@ -219,10 +270,21 @@ impl AlbertModel {
     /// subsequent [`forward_next_layer`](Self::forward_next_layer) call
     /// advances one encoder layer. See [`ForwardSession`].
     pub fn begin_forward(&self, tokens: &[u32]) -> ForwardSession {
+        let mut hidden = self.embedding.embed(tokens);
+        self.maybe_quantize(&mut hidden);
+        let (seq_len, width) = hidden.shape();
         ForwardSession {
-            hidden: self.maybe_quantize(self.embedding.embed(tokens)),
-            logits: Vec::new(),
-            entropies: Vec::new(),
+            state: ForwardState {
+                hidden,
+                logits: Vec::with_capacity(self.num_layers()),
+                entropies: Vec::with_capacity(self.num_layers()),
+            },
+            scratch: SessionScratch {
+                layer: self.encoder.scratch(seq_len),
+                normed: Matrix::zeros(seq_len, width),
+                cls: Matrix::zeros(1, width),
+                logits: Matrix::zeros(1, self.config.num_classes),
+            },
         }
     }
 
@@ -234,9 +296,17 @@ impl AlbertModel {
     ///
     /// Panics if every layer has already been computed.
     pub fn forward_next_layer(&self, session: &mut ForwardSession) -> (usize, f32) {
-        self.run_layer(session);
         let l = session.layers_done();
-        (l, session.entropy_at(l))
+        assert!(
+            l < self.num_layers(),
+            "forward session already ran all {} layers",
+            self.num_layers()
+        );
+        let h = self.run_layer(session, l);
+        let logits = session.scratch.logits.row(0).to_vec();
+        session.state.logits.push(logits);
+        session.state.entropies.push(h);
+        (l + 1, h)
     }
 
     /// Conventional early-exit inference (paper Algorithm 1): stop at the
@@ -251,25 +321,24 @@ impl AlbertModel {
         loop {
             let (l, h) = self.forward_next_layer(&mut session);
             if h < entropy_threshold || l == self.num_layers() {
-                let logits = session.logits.pop().expect("a layer just ran");
-                return (l, logits, session.entropies);
+                let logits = session.state.logits.pop().expect("a layer just ran");
+                return (l, logits, session.state.entropies);
             }
         }
     }
 
-    /// Training forward pass (keeps every cache for the backward pass).
+    /// Training forward pass: runs the inference layer body (no
+    /// activation quantization) and keeps each layer application's input
+    /// for the backward pass.
     pub fn forward_train(&self, tokens: &[u32]) -> (Vec<Matrix>, TrainCache) {
-        let (hidden0, low) = self.embedding.embed_with_cache(tokens);
+        let (mut hidden, low) = self.embedding.embed_with_cache(tokens);
+        let mut scratch = self.encoder.scratch(hidden.rows());
         let mut layer_inputs = Vec::with_capacity(self.num_layers());
-        let mut encoder_caches = Vec::with_capacity(self.num_layers());
         let mut hidden_states = Vec::with_capacity(self.num_layers());
-        let mut hidden = hidden0;
         for _ in 0..self.num_layers() {
             layer_inputs.push(hidden.clone());
-            let (next, cache) = self.encoder.forward(&hidden);
-            encoder_caches.push(cache);
-            hidden_states.push(next.clone());
-            hidden = next;
+            self.encoder.infer_in_place(&mut hidden, &mut scratch);
+            hidden_states.push(hidden.clone());
         }
         let final_hidden = hidden;
         let (final_normed, final_norm_cache) = self.final_norm.forward(&final_hidden);
@@ -278,7 +347,6 @@ impl AlbertModel {
             TrainCache {
                 low,
                 layer_inputs,
-                encoder_caches,
                 final_hidden,
                 final_normed,
                 final_norm_cache,
@@ -288,11 +356,15 @@ impl AlbertModel {
 
     /// Backward pass from a gradient on the final layer's hidden state;
     /// accumulates gradients into the shared encoder (once per layer
-    /// application) and the embedding projection.
+    /// application) and the embedding projection. Each application's
+    /// activations are recomputed from its cached input just before it
+    /// is differentiated and dropped right after, so one
+    /// `EncoderCache` is alive at a time instead of `num_layers`.
     pub fn backward_from_final(&mut self, cache: &TrainCache, grad_final_hidden: &Matrix) {
         let mut g = grad_final_hidden.clone();
-        for l in (0..self.num_layers()).rev() {
-            g = self.encoder.backward(&cache.encoder_caches[l], &g);
+        for input in cache.layer_inputs.iter().rev() {
+            let (_, activations) = self.encoder.forward(input);
+            g = self.encoder.backward(&activations, &g);
         }
         self.embedding.backward_projection(&cache.low, &g);
     }

@@ -122,6 +122,17 @@ impl FactorizedEmbedding {
     /// Panics if any token id is out of range or the sequence exceeds the
     /// position table.
     pub fn embed(&self, tokens: &[u32]) -> Matrix {
+        self.embed_with_cache(tokens).0
+    }
+
+    /// Embeds and returns the low-dimensional sum too (needed by the
+    /// projection's backward pass).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any token id is out of range or the sequence exceeds the
+    /// position table.
+    pub fn embed_with_cache(&self, tokens: &[u32]) -> (Matrix, Matrix) {
         assert!(
             tokens.len() <= self.positions.value.rows(),
             "sequence longer than position table"
@@ -140,23 +151,7 @@ impl FactorizedEmbedding {
                 low.set(i, c, row[c] + pos[c]);
             }
         }
-        self.projection.infer(&low)
-    }
-
-    /// Embeds and returns the low-dimensional sum too (needed by the
-    /// projection's backward pass).
-    pub fn embed_with_cache(&self, tokens: &[u32]) -> (Matrix, Matrix) {
-        let e = self.table.value.cols();
-        let mut low = Matrix::zeros(tokens.len(), e);
-        for (i, &tok) in tokens.iter().enumerate() {
-            let row = self.table.value.row(tok as usize);
-            let pos = self.positions.value.row(i);
-            for c in 0..e {
-                low.set(i, c, row[c] + pos[c]);
-            }
-        }
-        let (hidden, _) = self.projection.forward(&low);
-        (hidden, low)
+        (self.projection.infer(&low), low)
     }
 
     /// Backward through the projection only (the tables are frozen).

@@ -32,8 +32,19 @@ impl OffRamp {
     /// Classifies the `[CLS]` hidden vector (row 0 of the layer output),
     /// returning the logits.
     pub fn classify(&self, layer_output: &Matrix) -> Vec<f32> {
-        let cls = Matrix::from_vec(1, layer_output.cols(), layer_output.row(0).to_vec());
-        self.head.infer(&cls).row(0).to_vec()
+        let mut logits = Matrix::default();
+        self.classify_into(layer_output, &mut Matrix::default(), &mut logits);
+        logits.row(0).to_vec()
+    }
+
+    /// [`OffRamp::classify`] with the `[CLS]` row copied into `cls` and
+    /// the logits written into `logits` (`1 x classes`); both are
+    /// reshaped and overwritten.
+    // analyzer: hot-path
+    pub fn classify_into(&self, layer_output: &Matrix, cls: &mut Matrix, logits: &mut Matrix) {
+        cls.resize_to(1, layer_output.cols());
+        cls.as_mut_slice().copy_from_slice(layer_output.row(0));
+        self.head.infer_into(cls, logits);
     }
 
     /// Logits plus the entropy of their induced distribution — the

@@ -7,10 +7,10 @@
 //! identically zero produce a zero context vector — exactly the case the
 //! accelerator's SFU controller detects to skip the whole head.
 
-use crate::linear::{Linear, LinearCache};
+use crate::linear::Linear;
 use crate::param::Parameter;
 use crate::span::AdaptiveSpan;
-use edgebert_tensor::kernels::softmax_inplace;
+use edgebert_tensor::kernels::softmax_rows;
 use edgebert_tensor::{Matrix, Rng};
 use serde::{Deserialize, Serialize};
 
@@ -47,18 +47,37 @@ pub struct MultiHeadAttention {
 /// Cached activations for [`MultiHeadAttention::backward`].
 #[derive(Debug, Clone)]
 pub struct AttentionCache {
+    /// The input, read by all three of the q/k/v projections' backwards.
+    x: Matrix,
     q: Matrix,
     k: Matrix,
     v: Matrix,
-    /// Per-head post-softmax probabilities (before the span mask).
+    /// The heads' concatenated context (input of the output projection).
+    concat: Matrix,
+    /// Per-head post-softmax probabilities (before the span mask);
+    /// empty for a head that was off. The masks themselves are not kept:
+    /// `backward` rebuilds them from `spans`.
     probs: Vec<Matrix>,
-    /// Per-head span-mask matrices.
-    masks: Vec<Matrix>,
-    cq: LinearCache,
-    ck: LinearCache,
-    cv: LinearCache,
-    co: LinearCache,
-    seq_len: usize,
+}
+
+/// Working buffers of [`MultiHeadAttention::infer_into`]. Every buffer
+/// is reshaped and overwritten by the call that uses it, so a default
+/// (empty) value and one left over from another sentence both work; one
+/// that has seen the same sequence length before makes the call
+/// allocation-free.
+#[derive(Debug, Default)]
+pub struct AttentionScratch {
+    q: Matrix,
+    k: Matrix,
+    v: Matrix,
+    /// `k` transposed (`hidden x seq`): a head's keys as `head_dim`
+    /// contiguous rows, one per feature, each running over positions.
+    k_t: Matrix,
+    /// One head's `seq x seq` scores, then probabilities.
+    scores: Matrix,
+    /// One head's span mask over token distances `0..seq`.
+    profile: Vec<f32>,
+    concat: Matrix,
 }
 
 impl MultiHeadAttention {
@@ -116,68 +135,144 @@ impl MultiHeadAttention {
 
     /// Forward pass over a `seq_len x hidden` input.
     pub fn forward(&self, x: &Matrix) -> (Matrix, AttentionCache) {
-        let seq_len = x.rows();
-        let (q, cq) = self.wq.forward(x);
-        let (k, ck) = self.wk.forward(x);
-        let (v, cv) = self.wv.forward(x);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let mut s = AttentionScratch::default();
+        self.project_into(x, &mut s);
+        let probs = (0..self.num_heads)
+            .map(|h| {
+                if self.head_into(h, &mut s) {
+                    s.scores.clone()
+                } else {
+                    // Whole head skipped: zero context, nothing to keep.
+                    Matrix::default()
+                }
+            })
+            .collect();
+        let out = self.wo.infer(&s.concat);
+        let AttentionScratch {
+            q, k, v, concat, ..
+        } = s;
+        let cache = AttentionCache {
+            x: x.clone(),
+            q,
+            k,
+            v,
+            concat,
+            probs,
+        };
+        (out, cache)
+    }
 
-        let mut concat = Matrix::zeros(seq_len, self.hidden());
-        let mut probs = Vec::with_capacity(self.num_heads);
-        let mut masks = Vec::with_capacity(self.num_heads);
-        for h in 0..self.num_heads {
-            let off = h * self.head_dim;
-            let mask = self.spans[h].mask_matrix(seq_len);
-            if self.spans[h].is_off() {
-                // Whole head skipped: zero context (concat already zeroed).
-                probs.push(Matrix::zeros(seq_len, seq_len));
-                masks.push(mask);
-                continue;
-            }
-            let qh = q.slice_cols(off, self.head_dim);
-            let kh = k.slice_cols(off, self.head_dim);
-            let vh = v.slice_cols(off, self.head_dim);
-            let mut scores = qh.matmul_nt(&kh);
-            scores.scale_assign(scale);
-            for r in 0..seq_len {
-                softmax_inplace(scores.row_mut(r));
-            }
-            let masked = scores.hadamard(&mask);
-            let ctx = masked.matmul(&vh);
-            concat.set_cols(off, &ctx);
-            probs.push(scores);
-            masks.push(mask);
+    /// Working buffers already at the shapes a `seq_len`-row input needs.
+    pub fn scratch(&self, seq_len: usize) -> AttentionScratch {
+        let stream = || Matrix::zeros(seq_len, self.hidden());
+        AttentionScratch {
+            q: stream(),
+            k: stream(),
+            v: stream(),
+            k_t: Matrix::zeros(self.hidden(), seq_len),
+            scores: Matrix::zeros(seq_len, seq_len),
+            profile: vec![0.0; seq_len],
+            concat: stream(),
         }
-        let (out, co) = self.wo.forward(&concat);
-        (
-            out,
-            AttentionCache {
-                q,
-                k,
-                v,
-                probs,
-                masks,
-                cq,
-                ck,
-                cv,
-                co,
-                seq_len,
-            },
-        )
     }
 
     /// Inference-only forward (drops the cache).
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.forward(x).0
+        let mut out = Matrix::default();
+        self.infer_into(x, &mut out, &mut AttentionScratch::default());
+        out
+    }
+
+    /// [`MultiHeadAttention::infer`] written into `out` (reshaped and
+    /// overwritten) through the buffers of `scratch`.
+    // analyzer: hot-path
+    pub fn infer_into(&self, x: &Matrix, out: &mut Matrix, scratch: &mut AttentionScratch) {
+        self.project_into(x, scratch);
+        for h in 0..self.num_heads {
+            self.head_into(h, scratch);
+        }
+        self.wo.infer_into(&scratch.concat, out);
+    }
+
+    /// Fills `q`, `k` (and its transpose), `v` from `x` and clears
+    /// `concat` for the heads to accumulate into.
+    // analyzer: hot-path
+    fn project_into(&self, x: &Matrix, s: &mut AttentionScratch) {
+        self.wq.infer_into(x, &mut s.q);
+        self.wk.infer_into(x, &mut s.k);
+        self.wv.infer_into(x, &mut s.v);
+        s.k.transpose_into(&mut s.k_t);
+        s.concat.resize_to(x.rows(), self.hidden());
+        s.concat.as_mut_slice().fill(0.0);
+    }
+
+    /// One head: leaves its post-softmax probabilities in `s.scores` and
+    /// adds `(probs ⊙ mask) · V_h` into its columns of `s.concat`, reading
+    /// the head's q/v columns in place (`r * hidden + off + c`) and its
+    /// keys from the matching rows of `k_t`. Returns `false`, having done
+    /// nothing, for a head whose span is off.
+    ///
+    /// Every sum is the one `matmul_nt` / `hadamard` / `matmul` form on
+    /// sliced-out copies of the head: a score accumulates from zero over
+    /// the head's features in ascending order (here a whole row of scores
+    /// at a time, one feature after the other), and context accumulates
+    /// over key positions in ascending order, skipping exactly the masked
+    /// probabilities that equal zero.
+    // analyzer: hot-path
+    fn head_into(&self, h: usize, s: &mut AttentionScratch) -> bool {
+        let span = &self.spans[h];
+        if span.is_off() {
+            return false;
+        }
+        let (seq_len, hidden, dim) = (s.q.rows(), self.hidden(), self.head_dim);
+        let off = h * dim;
+        let scale = 1.0 / (dim as f32).sqrt();
+        let (q, v) = (s.q.as_slice(), s.v.as_slice());
+
+        s.scores.resize_to(seq_len, seq_len);
+        for i in 0..seq_len {
+            let scores = s.scores.row_mut(i);
+            scores.fill(0.0);
+            for (c, &a) in q[i * hidden + off..i * hidden + off + dim]
+                .iter()
+                .enumerate()
+            {
+                for (score, &b) in scores.iter_mut().zip(s.k_t.row(off + c)) {
+                    *score += a * b;
+                }
+            }
+            for score in scores.iter_mut() {
+                *score *= scale;
+            }
+        }
+        softmax_rows(&mut s.scores);
+
+        s.profile.resize(seq_len, 0.0);
+        span.mask_vector_into(&mut s.profile);
+        let concat = s.concat.as_mut_slice();
+        for i in 0..seq_len {
+            let ctx = &mut concat[i * hidden + off..i * hidden + off + dim];
+            for (j, &p) in s.scores.row(i).iter().enumerate() {
+                let a = p * s.profile[i.abs_diff(j)];
+                if a == 0.0 {
+                    continue;
+                }
+                let v_row = &v[j * hidden + off..j * hidden + off + dim];
+                for (o, &b) in ctx.iter_mut().zip(v_row) {
+                    *o += a * b;
+                }
+            }
+        }
+        true
     }
 
     /// Backward pass; accumulates all parameter gradients (including the
     /// per-head span parameters) and returns `dL/dx`.
     pub fn backward(&mut self, cache: &AttentionCache, grad_out: &Matrix) -> Matrix {
-        let seq_len = cache.seq_len;
+        let seq_len = cache.x.rows();
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         // Through the output projection.
-        let d_concat = self.wo.backward(&cache.co, grad_out);
+        let d_concat = self.wo.backward_input(&cache.concat, grad_out);
 
         let mut dq = Matrix::zeros(seq_len, self.hidden());
         let mut dk = Matrix::zeros(seq_len, self.hidden());
@@ -195,7 +290,7 @@ impl MultiHeadAttention {
             let qh = cache.q.slice_cols(off, self.head_dim);
             let vh = cache.v.slice_cols(off, self.head_dim);
             let probs = &cache.probs[h];
-            let mask = &cache.masks[h];
+            let mask = &self.spans[h].mask_matrix(seq_len);
 
             let masked = probs.hadamard(mask);
             // ctx = masked * V  =>  d_masked = d_ctx * V^T ; dV = masked^T * d_ctx
@@ -227,9 +322,9 @@ impl MultiHeadAttention {
             dk.set_cols(off, &dkh);
         }
 
-        let dxq = self.wq.backward(&cache.cq, &dq);
-        let dxk = self.wk.backward(&cache.ck, &dk);
-        let dxv = self.wv.backward(&cache.cv, &dv);
+        let dxq = self.wq.backward_input(&cache.x, &dq);
+        let dxk = self.wk.backward_input(&cache.x, &dk);
+        let dxv = self.wv.backward_input(&cache.x, &dv);
         let mut dx = dxq;
         dx.add_assign(&dxk);
         dx.add_assign(&dxv);

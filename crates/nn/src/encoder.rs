@@ -1,6 +1,6 @@
 //! A full transformer encoder layer (post-norm, as in BERT/ALBERT).
 
-use crate::attention::{AttentionCache, MultiHeadAttention};
+use crate::attention::{AttentionCache, AttentionScratch, MultiHeadAttention};
 use crate::ffn::{FeedForward, FeedForwardCache};
 use crate::norm::{LayerNorm, LayerNormCache};
 use crate::param::Parameter;
@@ -46,6 +46,19 @@ pub struct EncoderCache {
     n2: LayerNormCache,
 }
 
+/// Working buffers of [`EncoderLayer::infer_in_place`]: like
+/// [`AttentionScratch`], any value works and a reused one makes the call
+/// allocation-free.
+#[derive(Debug, Default)]
+pub struct LayerScratch {
+    /// Output of `norm1`, then of `norm2`.
+    normed: Matrix,
+    /// Output of the attention branch, then of the FFN branch.
+    branch: Matrix,
+    attention: AttentionScratch,
+    ffn_mid: Matrix,
+}
+
 impl EncoderLayer {
     /// Creates an encoder layer.
     pub fn new(
@@ -79,12 +92,35 @@ impl EncoderLayer {
         (y, EncoderCache { attn, n1, ffn, n2 })
     }
 
+    /// Working buffers already at the shapes a `seq_len`-row input needs.
+    pub fn scratch(&self, seq_len: usize) -> LayerScratch {
+        LayerScratch {
+            normed: Matrix::zeros(seq_len, self.hidden()),
+            branch: Matrix::zeros(seq_len, self.hidden()),
+            attention: self.attention.scratch(seq_len),
+            ffn_mid: Matrix::zeros(seq_len, self.ffn.fc1.out_features()),
+        }
+    }
+
     /// Inference-only forward.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let attn_out = self.attention.infer(&self.norm1.infer(x));
-        let a = x.add(&attn_out);
-        let ffn_out = self.ffn.infer(&self.norm2.infer(&a));
-        a.add(&ffn_out)
+        let mut y = x.clone();
+        self.infer_in_place(&mut y, &mut LayerScratch::default());
+        y
+    }
+
+    /// [`EncoderLayer::infer`] overwriting `x` with the layer's output,
+    /// through the buffers of `s`.
+    // analyzer: hot-path
+    pub fn infer_in_place(&self, x: &mut Matrix, s: &mut LayerScratch) {
+        self.norm1.infer_into(x, &mut s.normed);
+        self.attention
+            .infer_into(&s.normed, &mut s.branch, &mut s.attention);
+        x.add_assign(&s.branch);
+        self.norm2.infer_into(x, &mut s.normed);
+        self.ffn
+            .infer_into(&s.normed, &mut s.branch, &mut s.ffn_mid);
+        x.add_assign(&s.branch);
     }
 
     /// Backward pass; accumulates parameter grads and returns `dx`.

@@ -1,8 +1,9 @@
 //! Position-wise feed-forward network (Linear → GELU → Linear).
 
-use crate::activation::{gelu_backward, gelu_forward};
-use crate::linear::{Linear, LinearCache};
+use crate::activation::gelu_backward;
+use crate::linear::Linear;
 use crate::param::Parameter;
+use edgebert_tensor::kernels::gelu;
 use edgebert_tensor::{Matrix, Rng};
 use serde::{Deserialize, Serialize};
 
@@ -21,9 +22,9 @@ pub struct FeedForward {
 /// Saved activations for [`FeedForward::backward`].
 #[derive(Debug, Clone)]
 pub struct FeedForwardCache {
-    c1: LinearCache,
+    x: Matrix,
     gelu_in: Matrix,
-    c2: LinearCache,
+    gelu_out: Matrix,
 }
 
 impl FeedForward {
@@ -37,22 +38,38 @@ impl FeedForward {
 
     /// Forward pass over a `seq_len x hidden` input.
     pub fn forward(&self, x: &Matrix) -> (Matrix, FeedForwardCache) {
-        let (h, c1) = self.fc1.forward(x);
-        let (a, gelu_in) = gelu_forward(&h);
-        let (y, c2) = self.fc2.forward(&a);
-        (y, FeedForwardCache { c1, gelu_in, c2 })
+        let gelu_in = self.fc1.infer(x);
+        let gelu_out = gelu_in.map(gelu);
+        let y = self.fc2.infer(&gelu_out);
+        let cache = FeedForwardCache {
+            x: x.clone(),
+            gelu_in,
+            gelu_out,
+        };
+        (y, cache)
     }
 
     /// Inference-only forward.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.fc2.infer(&gelu_forward(&self.fc1.infer(x)).0)
+        let mut out = Matrix::default();
+        self.infer_into(x, &mut out, &mut Matrix::default());
+        out
+    }
+
+    /// [`FeedForward::infer`] written into `out`, with the intermediate
+    /// activation in `mid`; both are reshaped and overwritten.
+    // analyzer: hot-path
+    pub fn infer_into(&self, x: &Matrix, out: &mut Matrix, mid: &mut Matrix) {
+        self.fc1.infer_into(x, mid);
+        mid.map_inplace(gelu);
+        self.fc2.infer_into(mid, out);
     }
 
     /// Backward pass; accumulates parameter grads and returns `dx`.
     pub fn backward(&mut self, cache: &FeedForwardCache, grad_out: &Matrix) -> Matrix {
-        let da = self.fc2.backward(&cache.c2, grad_out);
+        let da = self.fc2.backward_input(&cache.gelu_out, grad_out);
         let dh = gelu_backward(&cache.gelu_in, &da);
-        self.fc1.backward(&cache.c1, &dh)
+        self.fc1.backward_input(&cache.x, &dh)
     }
 
     /// Clears gradients.

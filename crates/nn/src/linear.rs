@@ -75,22 +75,35 @@ impl Linear {
     ///
     /// Panics if `x.cols() != in_features`.
     pub fn forward(&self, x: &Matrix) -> (Matrix, LinearCache) {
-        let y = x
-            .matmul(&self.weight.value)
-            .add_row_broadcast(self.bias.value.row(0));
-        (y, LinearCache { input: x.clone() })
+        (self.infer(x), LinearCache { input: x.clone() })
     }
 
     /// Inference-only forward pass (no cache allocation).
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        x.matmul(&self.weight.value)
-            .add_row_broadcast(self.bias.value.row(0))
+        let mut y = Matrix::default();
+        self.infer_into(x, &mut y);
+        y
+    }
+
+    /// `y = x W + b` written into `out`, which is reshaped and
+    /// overwritten: with a buffer that has held this shape before, the
+    /// call does not allocate.
+    // analyzer: hot-path
+    pub fn infer_into(&self, x: &Matrix, out: &mut Matrix) {
+        x.matmul_into(&self.weight.value, out);
+        out.add_row_broadcast_assign(self.bias.value.row(0));
     }
 
     /// Backward pass. Accumulates parameter gradients and returns `dx`.
     pub fn backward(&mut self, cache: &LinearCache, grad_out: &Matrix) -> Matrix {
+        self.backward_input(&cache.input, grad_out)
+    }
+
+    /// [`Linear::backward`] given the forward input itself, for callers
+    /// that keep one copy of an input several layers read.
+    pub fn backward_input(&mut self, input: &Matrix, grad_out: &Matrix) -> Matrix {
         // dW = x^T * dy ; db = sum_rows(dy) ; dx = dy * W^T
-        let dw = cache.input.matmul_tn(grad_out);
+        let dw = input.matmul_tn(grad_out);
         self.weight.accumulate_grad(&dw);
         let db = Matrix::from_vec(1, grad_out.cols(), grad_out.sum_rows());
         self.bias.accumulate_grad(&db);

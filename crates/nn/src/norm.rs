@@ -63,11 +63,38 @@ impl LayerNorm {
     ///
     /// Panics if `x.cols() != features`.
     pub fn forward(&self, x: &Matrix) -> (Matrix, LayerNormCache) {
+        let mut out = Matrix::default();
+        let mut x_hat = Vec::with_capacity(x.len());
+        let mut inv_std = Vec::with_capacity(x.rows());
+        self.normalize(x, &mut out, |is, xh| {
+            inv_std.push(is);
+            x_hat.extend_from_slice(xh);
+        });
+        let x_hat = Matrix::from_vec(x.rows(), x.cols(), x_hat);
+        (out, LayerNormCache { x_hat, inv_std })
+    }
+
+    /// Inference-only forward (no cache).
+    pub fn infer(&self, x: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.infer_into(x, &mut out);
+        out
+    }
+
+    /// [`LayerNorm::infer`] written into `out`, which is reshaped and
+    /// overwritten.
+    // analyzer: hot-path
+    pub fn infer_into(&self, x: &Matrix, out: &mut Matrix) {
+        self.normalize(x, out, |_, _| {});
+    }
+
+    /// The one normalization loop. Each row of `out` first holds
+    /// `x_hat = (x - mu) / sigma`, which `keep` sees together with the
+    /// row's `1 / sigma`, and is then scaled and shifted in place.
+    fn normalize(&self, x: &Matrix, out: &mut Matrix, mut keep: impl FnMut(f32, &[f32])) {
         assert_eq!(x.cols(), self.features(), "layernorm width mismatch");
         let n = x.cols() as f32;
-        let mut x_hat = Matrix::zeros(x.rows(), x.cols());
-        let mut out = Matrix::zeros(x.rows(), x.cols());
-        let mut inv_std = Vec::with_capacity(x.rows());
+        out.resize_to(x.rows(), x.cols());
         let gamma = self.gamma.value.row(0);
         let beta = self.beta.value.row(0);
         for r in 0..x.rows() {
@@ -75,19 +102,15 @@ impl LayerNorm {
             let mu: f32 = row.iter().sum::<f32>() / n;
             let var: f32 = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / n;
             let is = 1.0 / (var + self.eps).sqrt();
-            inv_std.push(is);
-            for c in 0..x.cols() {
-                let xh = (row[c] - mu) * is;
-                x_hat.set(r, c, xh);
-                out.set(r, c, gamma[c] * xh + beta[c]);
+            let out_row = out.row_mut(r);
+            for (o, &v) in out_row.iter_mut().zip(row) {
+                *o = (v - mu) * is;
+            }
+            keep(is, out_row);
+            for ((o, &g), &b) in out_row.iter_mut().zip(gamma).zip(beta) {
+                *o = g * *o + b;
             }
         }
-        (out, LayerNormCache { x_hat, inv_std })
-    }
-
-    /// Inference-only forward (no cache).
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.forward(x).0
     }
 
     /// Backward pass; accumulates `dgamma`/`dbeta` and returns `dx`.

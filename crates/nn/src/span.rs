@@ -98,7 +98,18 @@ impl AdaptiveSpan {
     /// The 1-D mask profile over distances `0..seq_len` — the "128-wide
     /// vector" the accelerator stores per head in its auxiliary buffer.
     pub fn mask_vector(&self, seq_len: usize) -> Vec<f32> {
-        (0..seq_len).map(|d| self.mask_at(d)).collect()
+        let mut profile = vec![0.0; seq_len];
+        self.mask_vector_into(&mut profile);
+        profile
+    }
+
+    /// [`AdaptiveSpan::mask_vector`] over distances `0..profile.len()`,
+    /// written into a caller-owned buffer.
+    // analyzer: hot-path
+    pub fn mask_vector_into(&self, profile: &mut [f32]) {
+        for (d, m) in profile.iter_mut().enumerate() {
+            *m = self.mask_at(d);
+        }
     }
 
     /// The full 2-D mask over query/key positions, `m[i][j] = m_z(|i-j|)`.

@@ -102,7 +102,89 @@ impl QuantizedTensor {
 /// Quantize-dequantizes a matrix in one step (the evaluation-time
 /// transform applied to all weights and activations in Fig. 4).
 pub fn fake_quantize(m: &Matrix, exp_bits: u8) -> Matrix {
-    QuantizedTensor::quantize(m, exp_bits).dequantize()
+    let mut out = m.clone();
+    fake_quantize_in_place(&mut out, exp_bits);
+    out
+}
+
+/// [`fake_quantize`] overwriting `m`: every element becomes
+/// `format.decode(format.encode(x))` under the tensor's
+/// [`QuantizedTensor::optimal_bias`], bit for bit, without going through
+/// the byte form.
+// analyzer: hot-path
+pub fn fake_quantize_in_place(m: &mut Matrix, exp_bits: u8) {
+    let format = Fp8Format::new(exp_bits, QuantizedTensor::optimal_bias(m, exp_bits));
+    match Rounder::of(format) {
+        Some(rounder) => m.map_inplace(|x| rounder.round(x)),
+        None => m.map_inplace(|x| format.quantize(x)),
+    }
+}
+
+/// Rounds an `f32` onto an [`Fp8Format`]'s value grid from the float's
+/// own exponent and mantissa bits.
+///
+/// Exists only for formats whose every scale — the subnormal step, its
+/// reciprocal, the largest value — is a normal `f32`: there each step of
+/// `encode` and `decode` is exact, so rounding the bits directly gives
+/// the same result. Formats with a bias so extreme that they reach into
+/// `f32`'s own subnormals or overflow keep the encode/decode path.
+struct Rounder {
+    /// `23 - mantissa_bits`: the `f32` mantissa bits rounded away.
+    drop_bits: u32,
+    min_normal: f32,
+    /// The subnormal step `2^(1 - bias - mantissa_bits)` and its inverse.
+    step: f32,
+    inv_step: f32,
+    max_value: f32,
+}
+
+impl Rounder {
+    fn of(format: Fp8Format) -> Option<Self> {
+        let m_bits = format.mantissa_bits() as i32;
+        let step_exp = 1 - format.bias() - m_bits;
+        let top_exp = (1 << format.exp_bits()) - 1 - format.bias();
+        if step_exp < -126 || top_exp > 127 {
+            return None;
+        }
+        let pow2 = |e: i32| f32::from_bits(((e + 127) as u32) << 23);
+        Some(Self {
+            drop_bits: (23 - m_bits) as u32,
+            min_normal: pow2(1 - format.bias()),
+            step: pow2(step_exp),
+            inv_step: pow2(-step_exp),
+            max_value: format.max_value(),
+        })
+    }
+
+    /// `format.decode(format.encode(x))`.
+    #[inline]
+    fn round(&self, x: f32) -> f32 {
+        // Zero of either sign and NaN encode as byte 0: positive zero.
+        if x == 0.0 || x.is_nan() {
+            return 0.0;
+        }
+        let sign = x.to_bits() & 0x8000_0000;
+        let a = x.abs();
+        let magnitude = if a >= self.max_value {
+            self.max_value
+        } else if a < self.min_normal {
+            // Subnormal grid: the nearest multiple of `step`, ties away
+            // from zero, `floor(t + 1/2)` taken as `(floor(2t) + 1) / 2`
+            // in integers so the half cannot be lost to float rounding.
+            // A value that flushes to zero keeps its sign.
+            let t = a * self.inv_step;
+            let m = ((t * 2.0) as u32 + 1) >> 1;
+            m as f32 * self.step
+        } else {
+            // Normal grid: add half of the last kept mantissa bit and
+            // truncate; a carry out of the mantissa lands in the exponent
+            // field, and one past the top exponent saturates.
+            let half = 1u32 << (self.drop_bits - 1);
+            let rounded = (a.to_bits() + half) & !((1u32 << self.drop_bits) - 1);
+            f32::from_bits(rounded).min(self.max_value)
+        };
+        f32::from_bits(sign | magnitude.to_bits())
+    }
 }
 
 #[cfg(test)]
@@ -194,6 +276,133 @@ mod tests {
         let after = q.dequantize();
         assert_eq!(after.get(0, 0), -before.get(0, 0));
         assert_eq!(after.get(0, 1), before.get(0, 1));
+    }
+
+    /// Every `f32` with `exponent` whose mantissa field is one of 2^10
+    /// evenly spaced values (which include every round-half point of up
+    /// to ten kept bits, and the power of two itself) or one ulp either
+    /// side of one.
+    fn mantissa_sweep(exponent: i32) -> impl Iterator<Item = f32> {
+        let base = ((exponent + 127) as u32) << 23;
+        (0..1u32 << 10).flat_map(move |i| {
+            [-1i32, 0, 1]
+                .into_iter()
+                .map(move |ulp| f32::from_bits((base | (i << 13)).wrapping_add_signed(ulp)))
+        })
+    }
+
+    #[test]
+    fn rounder_equals_encode_decode_bit_for_bit() {
+        let mut checked = 0u64;
+        for exp_bits in 1..=6u8 {
+            let e_top = (1i32 << exp_bits) - 1;
+            for bias in [-9, 0, 7, e_top, e_top + 20] {
+                let format = Fp8Format::new(exp_bits, bias);
+                let rounder = Rounder::of(format).expect("every scale of this format is normal");
+                let same = |x: f32| {
+                    let (fast, slow) = (rounder.round(x), format.decode(format.encode(x)));
+                    assert_eq!(
+                        fast.to_bits(),
+                        slow.to_bits(),
+                        "1-{exp_bits}-{} bias {bias}: {x:e} ({:#010x}) -> {fast:e}, encode/decode {slow:e}",
+                        format.mantissa_bits(),
+                        x.to_bits()
+                    );
+                };
+                let lowest = 1 - bias - format.mantissa_bits() as i32 - 3;
+                let highest = e_top - bias + 3;
+                for exponent in lowest.max(-126)..=highest.min(127) {
+                    for x in mantissa_sweep(exponent) {
+                        same(x);
+                        same(-x);
+                        checked += 2;
+                    }
+                }
+                let subnormals = [1u32, 2, 0x0040_0000, 0x007f_ffff].map(f32::from_bits);
+                let specials = [0.0, f32::INFINITY, f32::NAN, f32::MIN_POSITIVE, f32::MAX];
+                for x in subnormals.into_iter().chain(specials) {
+                    same(x);
+                    same(-x);
+                }
+            }
+        }
+        assert!(checked > 5_000_000, "the sweep shrank to {checked} values");
+    }
+
+    #[test]
+    fn rounder_keeps_what_encode_decode_does_at_the_edges() {
+        // Pinned, not endorsed: NaN and a zero of either sign become
+        // +0.0, but a negative value that flushes keeps its sign.
+        let format = Fp8Format::edgebert(7);
+        let rounder = Rounder::of(format).unwrap();
+        let max = format.max_value();
+        for (x, expect) in [
+            (f32::NAN, 0.0f32),
+            (-f32::NAN, 0.0),
+            (0.0, 0.0),
+            (-0.0, 0.0),
+            (-format.min_subnormal() * 0.49, -0.0),
+            (format.min_subnormal() * 0.5, format.min_subnormal()),
+            (f32::from_bits(1), 0.0),
+            (-f32::from_bits(1), -0.0),
+            (f32::INFINITY, max),
+            (f32::NEG_INFINITY, -max),
+            (f32::MAX, max),
+        ] {
+            assert_eq!(rounder.round(x).to_bits(), expect.to_bits(), "{x:e}");
+            assert_eq!(format.quantize(x).to_bits(), expect.to_bits(), "{x:e}");
+        }
+    }
+
+    #[test]
+    fn formats_reaching_past_f32_normals_keep_the_encode_decode_path() {
+        // 1-4-3: the subnormal step is 2^(1 - bias - 3), the top 2^(15 - bias).
+        assert!(Rounder::of(Fp8Format::new(4, 124)).is_some());
+        assert!(Rounder::of(Fp8Format::new(4, 125)).is_none());
+        assert!(Rounder::of(Fp8Format::new(4, -112)).is_some());
+        assert!(Rounder::of(Fp8Format::new(4, -113)).is_none());
+        // Tensors whose optimal bias lands on either side of those limits.
+        for scale in [1.0e-38f32, 3.0e-36, 1.0, 1.0e33, 3.0e38] {
+            let mut rng = Rng::seed_from(6);
+            let mut m = rng.gaussian_matrix(6, 6, 1.0);
+            m.scale_assign(scale / 4.0);
+            m.set(0, 0, scale);
+            m.set(1, 1, -0.0);
+            for exp_bits in 1..=6 {
+                let reference = QuantizedTensor::quantize(&m, exp_bits).dequantize();
+                let mut in_place = m.clone();
+                fake_quantize_in_place(&mut in_place, exp_bits);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&in_place),
+                    bits(&reference),
+                    "scale {scale:e} bits {exp_bits}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn optimal_bias_just_below_a_power_of_two_is_pinned() {
+        // `log2` of the largest f32 below 2^k rounds to `k` itself once
+        // `k` is large enough that `k - 1e-7` is not representable, so
+        // the bias comes out one lower than the true exponent would give.
+        // The rounder depends on reproducing the bias, not on which.
+        let below = |k: i32| f32::from_bits(2.0f32.powi(k).to_bits() - 1);
+        let bias = |max_abs: f32| {
+            QuantizedTensor::optimal_bias(&Matrix::from_rows(&[&[0.0, -max_abs]]), 4)
+        };
+        assert_eq!(bias(below(0)), 15 - -1);
+        assert_eq!(bias(1.0), 15);
+        assert_eq!(bias(below(5)), 15 - 5);
+        assert_eq!(bias(32.0), 15 - 5);
+        assert_eq!(bias(below(-6)), 15 - -6);
+        let m = Matrix::from_rows(&[&[below(5), 1.0, -0.3, 0.01]]);
+        let mut in_place = m.clone();
+        fake_quantize_in_place(&mut in_place, 4);
+        assert_eq!(in_place, QuantizedTensor::quantize(&m, 4).dequantize());
+        assert_eq!(in_place.get(0, 0), 32.0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl std::error::Error for ShapeError {}
 /// let c = a.matmul(&b);
 /// assert_eq!(c, a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -119,6 +119,16 @@ impl Matrix {
             cols,
             data,
         }
+    }
+
+    /// Reshapes to `rows x cols`, keeping the buffer: a scratch matrix
+    /// that already held this many elements is reshaped without touching
+    /// the allocator. Element values are unspecified afterwards (old
+    /// contents, zeros where the buffer grew).
+    pub fn resize_to(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Number of rows.
@@ -229,23 +239,46 @@ impl Matrix {
                 self.rows, self.cols, rhs.rows, rhs.cols
             )));
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order keeps the inner loop streaming over contiguous
-        // rows of both `rhs` and `out`.
+        let mut out = Matrix::default();
+        self.matmul_into(rhs, &mut out);
+        Ok(out)
+    }
+
+    /// Matrix product `self * rhs` written into `out`, which is reshaped
+    /// to `(m, n)` and overwritten (it may hold anything on entry).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the inner dimensions disagree.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            self.cols, rhs.rows,
+            "matmul inner dims {}x{} * {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        out.resize_to(self.rows, rhs.cols);
+        let n = rhs.cols;
         for i in 0..self.rows {
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row.iter()) {
-                    *o += a * b;
-                }
+            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            let mut j = 0;
+            while j + 48 <= n {
+                row_block::<48>(a_row, &rhs.data, n, j, out_row);
+                j += 48;
+            }
+            while j + 16 <= n {
+                row_block::<16>(a_row, &rhs.data, n, j, out_row);
+                j += 16;
+            }
+            while j + 4 <= n {
+                row_block::<4>(a_row, &rhs.data, n, j, out_row);
+                j += 4;
+            }
+            while j < n {
+                row_block::<1>(a_row, &rhs.data, n, j, out_row);
+                j += 1;
             }
         }
-        Ok(out)
     }
 
     /// Matrix product with the transpose of `rhs`: `self * rhs^T`.
@@ -309,13 +342,20 @@ impl Matrix {
 
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// The transpose written into `out`, which is reshaped and
+    /// overwritten.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.resize_to(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.set(c, r, self.get(r, c));
             }
         }
-        out
     }
 
     /// Element-wise sum `self + rhs`.
@@ -393,14 +433,23 @@ impl Matrix {
     ///
     /// Panics if `bias.len() != cols`.
     pub fn add_row_broadcast(&self, bias: &[f32]) -> Matrix {
-        assert_eq!(bias.len(), self.cols, "bias length mismatch");
         let mut out = self.clone();
-        for r in 0..out.rows {
-            for (v, &b) in out.row_mut(r).iter_mut().zip(bias.iter()) {
+        out.add_row_broadcast_assign(bias);
+        out
+    }
+
+    /// In-place [`Matrix::add_row_broadcast`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias.len() != cols`.
+    pub fn add_row_broadcast_assign(&mut self, bias: &[f32]) {
+        assert_eq!(bias.len(), self.cols, "bias length mismatch");
+        for r in 0..self.rows {
+            for (v, &b) in self.row_mut(r).iter_mut().zip(bias.iter()) {
                 *v += b;
             }
         }
-        out
     }
 
     /// Sum over rows, producing a length-`cols` vector. Used by bias
@@ -492,6 +541,29 @@ impl Matrix {
     }
 }
 
+/// Columns `[j, j + W)` of one row of a matrix product: `a_row` against
+/// the `n`-wide row-major `rhs`, accumulated over `k` in ascending order
+/// and skipping zero entries of `a_row` — element for element the sums of
+/// an i-k-j loop that streams whole rows, but with the `W` running sums
+/// held in registers instead of re-read from `out_row` for every `k`.
+/// `matmul_into` asks for 48 columns at a time where it can: twelve
+/// 4-lane accumulators are what fits beside the broadcast `a` and the
+/// loaded operand in sixteen vector registers.
+#[inline(always)]
+fn row_block<const W: usize>(a_row: &[f32], rhs: &[f32], n: usize, j: usize, out_row: &mut [f32]) {
+    let mut acc = [0.0f32; W];
+    for (k, &a) in a_row.iter().enumerate() {
+        if a == 0.0 {
+            continue;
+        }
+        let rhs_block = &rhs[k * n + j..k * n + j + W];
+        for (o, &b) in acc.iter_mut().zip(rhs_block) {
+            *o += a * b;
+        }
+    }
+    out_row[j..j + W].copy_from_slice(&acc);
+}
+
 impl fmt::Display for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
@@ -538,6 +610,44 @@ mod tests {
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let c = a.matmul(&b);
         assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
+    }
+
+    #[test]
+    fn blocked_matmul_keeps_the_streaming_loops_sums_bitwise() {
+        // Widths on both sides of every block size, zeros (of both
+        // signs) in the left operand, and a NaN behind one of them.
+        let mut rng = crate::Rng::seed_from(48);
+        for n in (1..=70).chain([95, 96, 97, 192]) {
+            let (m, k) = (3, 1 + n % 7);
+            let mut a = rng.gaussian_matrix(m, k, 1.0);
+            let mut b = rng.gaussian_matrix(k, n, 1.0);
+            a.set(1, 0, 0.0);
+            a.set(2, k - 1, -0.0);
+            b.set(0, n / 2, f32::NAN);
+            let mut expect = vec![0.0f32; m * n];
+            for i in 0..m {
+                for kk in 0..k {
+                    let av = a.get(i, kk);
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for j in 0..n {
+                        expect[i * n + j] += av * b.get(kk, j);
+                    }
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a.matmul(&b).as_slice()), bits(&expect), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn matmul_into_overwrites_a_dirty_misshapen_buffer() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
+        let mut out = Matrix::filled(3, 5, f32::NAN);
+        a.matmul_into(&b, &mut out);
+        assert_eq!(out, a.matmul(&b));
     }
 
     #[test]
