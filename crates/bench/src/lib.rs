@@ -1,36 +1,10 @@
-//! Benchmark harness for the EdgeBERT reproduction.
+//! Scenario support for the EdgeBERT reproduction.
 //!
-//! One Criterion bench exists per table/figure of the paper's evaluation
-//! (see `benches/`), and the [`repro`](../src/bin/repro.rs) binary
-//! regenerates every table and figure as text.
-//!
-//! Benches share prebuilt [`TaskArtifacts`] through
-//! [`bench_artifacts`]/[`bench_artifact_suite`] so Criterion measures the
-//! experiment computation, not model training.
+//! [`load`] generates the mixed-deadline traffic the serving scenarios
+//! under `examples/` and `tests/` replay (through the virtual-timeline
+//! scheduler or the wall-clock server) and folds what comes back into
+//! per-class tail reports; the [`repro`](../src/bin/repro.rs) binary
+//! regenerates every table and figure of the paper's evaluation as
+//! text.
 
 pub mod load;
-
-use edgebert::pipeline::{Scale, TaskArtifacts};
-use edgebert_tasks::Task;
-use std::sync::OnceLock;
-
-/// Seed shared by all benchmark artifacts.
-pub const BENCH_SEED: u64 = 0xBE9C;
-
-/// Artifacts for one task at test scale, built once per process.
-pub fn bench_artifacts() -> &'static TaskArtifacts {
-    static CELL: OnceLock<TaskArtifacts> = OnceLock::new();
-    CELL.get_or_init(|| TaskArtifacts::build(Task::Sst2, Scale::Test, BENCH_SEED))
-}
-
-/// Artifacts for two tasks (one binary, one 3-way), built once per
-/// process. Used by the experiment drivers that iterate tasks.
-pub fn bench_artifact_suite() -> &'static [TaskArtifacts] {
-    static CELL: OnceLock<Vec<TaskArtifacts>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        vec![
-            TaskArtifacts::build(Task::Sst2, Scale::Test, BENCH_SEED),
-            TaskArtifacts::build(Task::Mnli, Scale::Test, BENCH_SEED + 1),
-        ]
-    })
-}

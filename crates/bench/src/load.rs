@@ -1,5 +1,5 @@
 //! Mixed-deadline load generation and tail-latency reporting for the
-//! scheduler benchmarks.
+//! serving scenarios under `examples/` and `tests/`.
 //!
 //! The generator produces the traffic shape the EDF scheduler exists
 //! for: requests across the served tasks arriving as a Poisson-like
@@ -27,7 +27,7 @@
 
 use edgebert::scheduler::{DeadlineScheduler, ScheduledResponse, SchedulerConfig};
 use edgebert::server::{Server, ServerConfig, ServerResponse, ServerStats, SubmitError};
-use edgebert::telemetry::LogHistogram;
+use edgebert::telemetry::{LogHistogram, TelemetrySnapshot};
 use edgebert::{InferenceRequest, MultiTaskRuntime};
 use edgebert_tasks::{Task, TaskGenerator};
 use edgebert_tensor::stats::percentile;
@@ -365,39 +365,6 @@ impl TraceSpec {
         }
     }
 
-    /// A diurnal load curve: `cycles` repetitions of a linear ramp from
-    /// `trough_rate_hz` up to `peak_rate_hz` and back down, each cycle
-    /// spanning `period_s` seconds.
-    pub fn diurnal(
-        classes: Vec<TrafficClass>,
-        seed: u64,
-        trough_rate_hz: f64,
-        peak_rate_hz: f64,
-        period_s: f64,
-        cycles: usize,
-    ) -> Self {
-        let mut segments = Vec::with_capacity(cycles * 2);
-        for _ in 0..cycles.max(1) {
-            segments.push(TraceSegment::ramp(
-                "rise",
-                period_s / 2.0,
-                trough_rate_hz,
-                peak_rate_hz,
-            ));
-            segments.push(TraceSegment::ramp(
-                "fall",
-                period_s / 2.0,
-                peak_rate_hz,
-                trough_rate_hz,
-            ));
-        }
-        Self {
-            classes,
-            segments,
-            seed,
-        }
-    }
-
     /// Expected arrivals over the whole trace.
     pub fn expected_requests(&self) -> f64 {
         self.segments.iter().map(|s| s.expected_requests()).sum()
@@ -528,47 +495,7 @@ pub fn drain_load(
         .collect()
 }
 
-/// Replays one generated load against a wall-clock [`Server`]:
-/// requests are submitted at their real arrival times (the calling
-/// thread sleeps out each inter-arrival gap), then every handle is
-/// awaited in submission order.
-///
-/// This is the serving counterpart of [`drain_load`]: the same traffic
-/// through real worker threads instead of the virtual timeline, with
-/// queueing delays *measured* rather than replayed. Run it with
-/// [`ServerConfig::emulate_service_time`] on so shards hold their lanes
-/// for the modeled compute latency and utilization is physically
-/// meaningful. The lane capacity must cover the spec's backlog — a
-/// refused submission is a panic here, not silent load shedding.
-pub fn drain_load_wall_clock(
-    runtime: &MultiTaskRuntime,
-    load: &[LoadRequest],
-    cfg: ServerConfig,
-) -> Vec<ServerResponse> {
-    drain_load_wall_clock_stats(runtime, load, cfg).0
-}
-
-/// [`drain_load_wall_clock`] returning the final per-lane
-/// [`ServerStats`] snapshot alongside the responses — the preemption
-/// benches report parked/preempted/resumed counters from it.
-pub fn drain_load_wall_clock_stats(
-    runtime: &MultiTaskRuntime,
-    load: &[LoadRequest],
-    cfg: ServerConfig,
-) -> (Vec<ServerResponse>, ServerStats) {
-    let (outcomes, stats) = drain_load_wall_clock_outcomes(runtime, load, cfg);
-    let responses = outcomes
-        .into_iter()
-        .map(|outcome| match outcome {
-            LoadOutcome::Served(response) => response,
-            LoadOutcome::Shed { .. } => panic!("this drain does not tolerate load shedding"),
-        })
-        .collect();
-    (responses, stats)
-}
-
-/// What became of one submitted request when the drain tolerates
-/// admission-time load shedding.
+/// What became of one submitted request on a wall-clock drain.
 #[derive(Debug, Clone)]
 pub enum LoadOutcome {
     /// The request was admitted and served.
@@ -592,56 +519,75 @@ impl LoadOutcome {
     }
 }
 
-/// The one submit-and-await loop behind every wall-clock drain (see
-/// [`drain_load_wall_clock`] for the replay contract). A
-/// [`SubmitError::Shed`] refusal is recorded as a [`LoadOutcome::Shed`]
-/// instead of panicking — on overload runs shedding is the behavior
-/// under test, not a misconfigured bench. Any *other* submit error
-/// (full queue, unserved task) panics: the ladder is the only
-/// sanctioned loss mechanism here.
-pub fn drain_load_wall_clock_outcomes(
+/// Replays one generated load against a wall-clock [`Server`]:
+/// requests are submitted at their real arrival times (the calling
+/// thread sleeps out each inter-arrival gap), then every handle is
+/// awaited in submission order. Returns one outcome per request, the
+/// final per-lane [`ServerStats`], and the final telemetry snapshot
+/// (`None` unless [`ServerConfig::telemetry`] is on), taken after the
+/// drain so every served request's span chain is complete.
+///
+/// This is the serving counterpart of [`drain_load`] and the one
+/// submit-and-await loop every wall-clock gate runs: the same traffic
+/// through real worker threads instead of the virtual timeline, with
+/// queueing delays *measured* rather than replayed. Run it with
+/// [`ServerConfig::emulate_service_time`] on so shards hold their lanes
+/// for the modeled compute latency and utilization is physically
+/// meaningful. A [`SubmitError::Shed`] refusal is recorded as a
+/// [`LoadOutcome::Shed`] — on overload runs shedding is the behavior
+/// under test. Any *other* submit error (full queue, unserved task)
+/// panics: the lane capacity must cover the spec's backlog, and the
+/// ladder is the only sanctioned loss mechanism here.
+pub fn drain_load_wall_clock(
     runtime: &MultiTaskRuntime,
     load: &[LoadRequest],
     cfg: ServerConfig,
-) -> (Vec<LoadOutcome>, ServerStats) {
+) -> (Vec<LoadOutcome>, ServerStats, Option<TelemetrySnapshot>) {
     let server = Server::start(runtime, cfg);
     let epoch = Instant::now();
-    let mut pending: Vec<Option<_>> = Vec::with_capacity(load.len());
-    let mut sheds: Vec<Option<(f64, f64)>> = vec![None; load.len()];
-    for (i, r) in load.iter().enumerate() {
+    let mut pending = Vec::with_capacity(load.len());
+    for r in load {
         let due = epoch + Duration::from_secs_f64(r.arrival_s);
         if let Some(gap) = due.checked_duration_since(Instant::now()) {
             std::thread::sleep(gap);
         }
-        match server.submit(r.task, r.request.clone()) {
-            Ok(handle) => pending.push(Some(handle)),
+        pending.push(match server.submit(r.task, r.request.clone()) {
+            Ok(handle) => Ok(handle),
             Err(SubmitError::Shed {
                 pressure,
                 retry_after_hint_s,
                 ..
-            }) => {
-                sheds[i] = Some((pressure, retry_after_hint_s));
-                pending.push(None);
-            }
+            }) => Err(LoadOutcome::Shed {
+                pressure,
+                retry_after_hint_s,
+            }),
             Err(other) => panic!("only the overload ladder may drop load here: {other}"),
-        }
+        });
     }
     let outcomes = pending
         .into_iter()
-        .zip(sheds)
-        .map(|(handle, shed)| match handle {
-            Some(h) => LoadOutcome::Served(h.wait().expect("shard workers outlive the drain")),
-            None => {
-                let (pressure, retry_after_hint_s) = shed.expect("shed slot recorded");
-                LoadOutcome::Shed {
-                    pressure,
-                    retry_after_hint_s,
-                }
+        .map(|submitted| match submitted {
+            Ok(handle) => {
+                LoadOutcome::Served(handle.wait().expect("shard workers outlive the drain"))
             }
+            Err(shed) => shed,
         })
         .collect();
-    let stats = server.shutdown();
-    (outcomes, stats)
+    let (stats, telemetry) = server.shutdown_with_telemetry();
+    (outcomes, stats, telemetry)
+}
+
+/// The responses of a drain that must not have lost anything, in
+/// submission order: a shed request is a panic here, not silent load
+/// shedding.
+pub fn all_served(outcomes: Vec<LoadOutcome>) -> Vec<ServerResponse> {
+    outcomes
+        .into_iter()
+        .map(|outcome| match outcome {
+            LoadOutcome::Served(response) => response,
+            LoadOutcome::Shed { .. } => panic!("this drain does not tolerate load shedding"),
+        })
+        .collect()
 }
 
 /// Per-class tail reports over shed-tolerant outcomes: served

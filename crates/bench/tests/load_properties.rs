@@ -231,3 +231,76 @@ proptest! {
         );
     }
 }
+
+/// FNV-1a over everything a gate's traffic consists of: task, tokens,
+/// arrival bits, latency-target bits and class index of every request,
+/// in stream order.
+fn stream_digest(load: &[LoadRequest]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for r in load {
+        eat(r.task as u64);
+        eat(r.request.tokens.len() as u64);
+        for &t in &r.request.tokens {
+            eat(t as u64);
+        }
+        eat(r.arrival_s.to_bits());
+        eat(r.request.latency_target_s.expect("class target").to_bits());
+        eat(r.class as u64);
+    }
+    h
+}
+
+/// The streams themselves, not just their reproducibility: one digest
+/// per generator at one fixed spec, recorded before PR 17 touched
+/// `load.rs`. A refactor of the generators that moves any of these
+/// changed the traffic every serving gate is judged on.
+#[test]
+fn generated_streams_are_pinned() {
+    let base = classes(1.0, 2.0, 1.5);
+    let poisson = generate(
+        runtime(),
+        &LoadSpec {
+            requests: 64,
+            mean_interarrival_s: 7e-3,
+            paced: false,
+            classes: base.clone(),
+            seed: 0xD16E,
+        },
+    );
+    assert_eq!(poisson.len(), 64);
+    assert_eq!(stream_digest(&poisson), 0x3b36_a3e8_3921_c7bd, "generate");
+
+    let mut bound = base.clone();
+    bound[2].task = Some(Task::Sst2);
+    let paced = generate_paced_streams(runtime(), &bound, 9e-3, 16, 0xD16E);
+    assert_eq!(paced.len(), 48);
+    assert_eq!(
+        stream_digest(&paced),
+        0xf280_085f_f63b_d429,
+        "generate_paced_streams"
+    );
+
+    let trace = generate_trace(
+        runtime(),
+        &TraceSpec {
+            classes: base,
+            segments: vec![
+                TraceSegment::steady("base", 0.2, 80.0),
+                TraceSegment::ramp("rise", 0.2, 80.0, 300.0)
+                    .with_class_weights(vec![3.0, 1.0, 0.5]),
+                TraceSegment::ramp("fall", 0.2, 300.0, 0.0),
+            ],
+            seed: 0xD16E,
+        },
+    );
+    assert_eq!(
+        stream_digest(&trace),
+        0xd875_6c08_7a81_ae2c,
+        "generate_trace"
+    );
+}

@@ -100,7 +100,9 @@ pub trait InferenceBackend: std::fmt::Debug + Send + Sync {
     /// [`decide`](Self::decide) holds the nominal point.
     fn can_scale(&self) -> bool;
 
-    /// The nominal (maximum-performance) operating point.
+    /// The nominal (maximum-performance) operating point. No budget
+    /// produced it, so it is `feasible`: a sentence that ends before
+    /// any DVFS decision is judged on its sojourn alone.
     fn nominal(&self) -> OperatingPoint;
 
     /// The floor (minimum-energy) operating point. Equals

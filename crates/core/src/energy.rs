@@ -27,8 +27,8 @@
 //!
 //! The coordinator itself is timer-free — the server drives it from a
 //! wall-clock thread — so the same tick can be driven from a virtual
-//! clock once the server's lanes run on one (ROADMAP item 4; the
-//! virtual-timeline scheduler carries no copy of it). How an envelope
+//! clock once the server's lanes run on one (the virtual-timeline
+//! scheduler carries no copy of it). How an envelope
 //! *binds* lives elsewhere: the session clamps its operating point via
 //! the `cap_w` of [`InferenceBackend::decide`](crate::backend::InferenceBackend::decide)
 //! (feasibility judged honestly — an envelope that forbids the

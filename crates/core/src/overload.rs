@@ -65,8 +65,8 @@
 //!
 //! The ladder runs on the wall-clock [`Server`](crate::server::Server)
 //! lanes only. The virtual-timeline scheduler carries no copy of it;
-//! what-if sweeps over these thresholds arrive with ROADMAP item 4,
-//! which replays the server's own lane code on a virtual clock.
+//! what-if sweeps over these thresholds arrive when the server's own
+//! lanes run on a virtual clock.
 
 use crate::engine::DropTarget;
 use serde::{Deserialize, Serialize};

@@ -47,7 +47,7 @@
 //! [`Server`](crate::server::Server) lanes use at pop time. The
 //! overload ladder and fleet energy envelopes are *not* re-implemented
 //! here: they reach the virtual timeline when the server's own lanes
-//! run on a virtual clock (ROADMAP item 4), not as a second copy.
+//! run on a virtual clock, not as a second copy.
 
 use crate::engine::{deadline_met, EdgeBertEngine, InferenceRequest, InferenceResponse};
 use crate::serving::MultiTaskRuntime;

@@ -64,7 +64,7 @@ use serde::Serialize;
 /// Bumped when the envelope's field set or semantics change; a reader
 /// rejects versions it does not understand instead of resuming a
 /// session it would mis-account.
-pub const SESSION_CHECKPOINT_VERSION: u32 = 3;
+pub const SESSION_CHECKPOINT_VERSION: u32 = 4;
 
 /// What one [`InferenceSession::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,7 +180,6 @@ impl InferenceSession {
             committed_latency_s: 0.0,
             committed_energy_j: 0.0,
             point,
-            feasible: true,
             parked_s: 0.0,
             preemptions: 0,
             degraded_notches: degradation.tier_notches,
@@ -534,7 +533,8 @@ impl InferenceSession {
             energy_j: self.ck.committed_energy_j,
             voltage: self.ck.point.voltage,
             freq_hz: self.ck.point.freq_hz,
-            deadline_met: self.ck.feasible && deadline_met(sojourn_s, self.ck.latency_target_s),
+            deadline_met: self.ck.point.feasible
+                && deadline_met(sojourn_s, self.ck.latency_target_s),
         };
         self.complete(result, exited)
     }
@@ -589,7 +589,6 @@ impl InferenceSession {
             freq_hz: decision.freq_hz,
         });
         self.ck.point = decision;
-        self.ck.feasible = decision.feasible;
         self.segment = Some(SegmentRun {
             point: decision,
             transition_s,
@@ -705,10 +704,8 @@ pub struct SessionCheckpoint {
     committed_latency_s: f64,
     committed_energy_j: f64,
     /// Operating point reported in the result (last decision, or
-    /// nominal before any).
+    /// nominal before any); its `feasible` flag gates the verdict.
     point: OperatingPoint,
-    /// Feasibility of the last DVFS decision (`true` before any).
-    feasible: bool,
     /// Wall time spent parked, charged against the slack, seconds.
     parked_s: f64,
     /// Times this session was parked.
@@ -773,7 +770,6 @@ impl serde::Deserialize for SessionCheckpoint {
             )?,
             committed_energy_j: serde::Deserialize::from_value(value.field("committed_energy_j")?)?,
             point: serde::Deserialize::from_value(value.field("point")?)?,
-            feasible: serde::Deserialize::from_value(value.field("feasible")?)?,
             parked_s: serde::Deserialize::from_value(value.field("parked_s")?)?,
             preemptions: serde::Deserialize::from_value(value.field("preemptions")?)?,
             degraded_notches: serde::Deserialize::from_value(value.field("degraded_notches")?)?,

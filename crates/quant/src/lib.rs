@@ -12,12 +12,8 @@
 //! * [`Fp8Format`] — parametric sign/exponent/mantissa split with encode
 //!   and decode (round-to-nearest, saturating, subnormal support);
 //! * [`QuantizedTensor`] — a matrix quantized with a per-tensor exponent
-//!   bias, exposing its raw bytes for eNVM storage and fault injection;
-//! * [`fixed`] — 16-bit fixed-point helpers modelling the SFU datapath
-//!   (paper §7.4: "All the computations in the SFU are in 16-bit
-//!   fixed-point format").
+//!   bias, exposing its raw bytes for eNVM storage and fault injection.
 
-pub mod fixed;
 pub mod format;
 pub mod tensor;
 

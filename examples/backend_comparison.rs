@@ -1,4 +1,4 @@
-//! Cross-backend comparison bench: the EdgeBERT accelerator vs. the
+//! Cross-backend comparison: the EdgeBERT accelerator vs. the
 //! TX2-class mobile-GPU baseline behind the same `InferenceBackend`
 //! seam, costing the *same* task-optimized workload.
 //!
@@ -10,20 +10,22 @@
 //! * **Tail under load** — the same mixed-deadline EDF drain on both
 //!   backends: the fixed-V/F GPU both burns more energy *and* blows
 //!   far more tight deadlines at a load the accelerator absorbs.
+//!
+//! ```text
+//! cargo run --release --example backend_comparison
+//! ```
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use edgebert::backend::BackendSpec;
 use edgebert::engine::InferenceMode;
-use edgebert::pipeline::TaskArtifacts;
+use edgebert::pipeline::{Scale, TaskArtifacts};
 use edgebert::scheduler::{SchedulePolicy, SchedulerConfig};
 use edgebert::serving::{MultiTaskRuntime, TaskRuntime};
-use edgebert_bench::bench_artifacts;
 use edgebert_bench::load::{
     class_reports, drain_load, estimate_service_s, generate, render_comparison_labeled, LoadSpec,
     TrafficClass,
 };
 use edgebert_hw::MobileGpu;
-use std::hint::black_box;
+use edgebert_tasks::Task;
 
 fn backend_runtime(art: &TaskArtifacts, spec: BackendSpec) -> MultiTaskRuntime {
     let builder = art
@@ -33,10 +35,10 @@ fn backend_runtime(art: &TaskArtifacts, spec: BackendSpec) -> MultiTaskRuntime {
     MultiTaskRuntime::from_runtimes([TaskRuntime::from_builder(art.task, builder)])
 }
 
-fn bench(c: &mut Criterion) {
-    let art = bench_artifacts();
-    let accel = backend_runtime(art, BackendSpec::Accelerator);
-    let gpu = backend_runtime(art, BackendSpec::MobileGpu(MobileGpu::default()));
+fn main() {
+    let art = TaskArtifacts::build(Task::Sst2, Scale::Test, 0xBE9C);
+    let accel = backend_runtime(&art, BackendSpec::Accelerator);
+    let gpu = backend_runtime(&art, BackendSpec::MobileGpu(MobileGpu::default()));
 
     // Per-sentence comparison, per mode.
     println!(
@@ -127,17 +129,4 @@ fn bench(c: &mut Criterion) {
         tight_accel.violation_rate * 100.0,
         tight_gpu.violation_rate * 100.0,
     );
-
-    let mut g = c.benchmark_group("backend_comparison");
-    g.sample_size(10);
-    g.bench_function("edf_drain_accel_80req", |b| {
-        b.iter(|| black_box(drain_load(&accel, &load, cfg)))
-    });
-    g.bench_function("edf_drain_mgpu_80req", |b| {
-        b.iter(|| black_box(drain_load(&gpu, &load, cfg)))
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Skewed flash-crowd elasticity bench: work-stealing session
+//! Skewed flash-crowd elasticity: work-stealing session
 //! migration and autoscaling shard pools against a static-pool
 //! baseline, at **equal total shards**.
 //!
@@ -15,24 +15,30 @@
 //! the only difference is [`ElasticConfig::enabled`]. The static
 //! baseline must report zero stolen/migrated/pool-resize counters —
 //! elasticity off is bit-identical to the pre-elastic server. The CI
-//! `elastic-smoke` job pins the elastic tight-class violation ceiling
-//! via `EDGEBERT_ELASTIC_MAX_TIGHT_VIOLATION_PCT`.
+//! `smoke` matrix runs this binary; the elastic tight-class violation
+//! ceiling is `MAX_TIGHT_VIOLATION_PCT` (60 %).
+//!
+//! ```text
+//! cargo run --release --example elastic_serving
+//! ```
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use edgebert::engine::{DropTarget, EntropyThresholds};
 use edgebert::pipeline::{Scale, TaskArtifacts};
 use edgebert::server::{ElasticConfig, PreemptionPolicy, ServerConfig};
 use edgebert::serving::{MultiTaskRuntime, TaskRuntime};
 use edgebert_bench::load::{
-    class_reports_outcomes, drain_load_wall_clock_outcomes, generate_trace,
-    render_comparison_labeled, render_server_stats, LoadRequest, TraceSpec, TrafficClass,
+    class_reports_outcomes, drain_load_wall_clock, generate_trace, render_comparison_labeled,
+    render_server_stats, LoadRequest, TraceSpec, TrafficClass,
 };
 use edgebert_tasks::Task;
-use std::hint::black_box;
+
+/// Ceiling on the elastic tight-class violation rate, percent; the win
+/// margin over the static baseline absorbs shared-runner sleep jitter.
+const MAX_TIGHT_VIOLATION_PCT: f64 = 60.0;
 
 /// Three lanes, one shard each: SST-2 takes the crowd, QNLI and MNLI
 /// idle next to it. The hot lane's default tier runs full depth on the
-/// true hardware workload (as in the overload bench), so its emulated
+/// true hardware workload (as in `overload_control`), so its emulated
 /// service time really is ~the nominal floor and a 3× spike genuinely
 /// melts one shard.
 fn runtime() -> MultiTaskRuntime {
@@ -59,22 +65,20 @@ fn skewed_flash_crowd(
     runtime: &MultiTaskRuntime,
     classes: &[TrafficClass],
     floor_s: f64,
-    spike_units: f64,
-    seed: u64,
 ) -> Vec<LoadRequest> {
     let spec = TraceSpec::flash_crowd(
         classes.to_vec(),
-        seed,
-        0.5 / floor_s,         // base: half the hot shard's capacity
-        3.0 / floor_s,         // spike: 3× the hot shard's capacity
-        24.0 * floor_s,        // calm head
-        spike_units * floor_s, // the crowd
-        40.0 * floor_s,        // recovery tail
+        0x0E1B,
+        0.5 / floor_s,  // base: half the hot shard's capacity
+        3.0 / floor_s,  // spike: 3× the hot shard's capacity
+        24.0 * floor_s, // calm head
+        40.0 * floor_s, // the crowd
+        40.0 * floor_s, // recovery tail
     );
     generate_trace(runtime, &spec)
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let runtime = runtime();
     let floor_s = runtime
         .runtime(Task::Sst2)
@@ -95,7 +99,7 @@ fn bench(c: &mut Criterion) {
             task: Some(Task::Sst2),
         },
     ];
-    let load = skewed_flash_crowd(&runtime, &classes, floor_s, 40.0, 0x0E1B);
+    let load = skewed_flash_crowd(&runtime, &classes, floor_s);
     println!(
         "nominal service estimate {:.2} ms; skewed flash crowd of {} requests, \
          all on SST-2 (spike offers 3x one shard's capacity); \
@@ -113,9 +117,8 @@ fn bench(c: &mut Criterion) {
         ..ServerConfig::default()
     };
     let elastic = Some(ElasticConfig::default());
-    let (static_out, static_stats) = drain_load_wall_clock_outcomes(&runtime, &load, cfg(None));
-    let (elastic_out, elastic_stats) =
-        drain_load_wall_clock_outcomes(&runtime, &load, cfg(elastic));
+    let (static_out, static_stats, _) = drain_load_wall_clock(&runtime, &load, cfg(None));
+    let (elastic_out, elastic_stats, _) = drain_load_wall_clock(&runtime, &load, cfg(elastic));
     let static_rows = class_reports_outcomes(&load, &static_out, &classes);
     let elastic_rows = class_reports_outcomes(&load, &elastic_out, &classes);
     println!(
@@ -161,32 +164,11 @@ fn bench(c: &mut Criterion) {
         "the hot lane must grow and shrink its effective pool"
     );
 
-    // CI-pinned ceiling on the elastic tight-class violation rate.
-    let max_tight_violation_pct: f64 = std::env::var("EDGEBERT_ELASTIC_MAX_TIGHT_VIOLATION_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60.0);
+    // Pinned ceiling on the elastic tight-class violation rate.
     assert!(
-        tight_elastic.violation_rate * 100.0 <= max_tight_violation_pct,
+        tight_elastic.violation_rate * 100.0 <= MAX_TIGHT_VIOLATION_PCT,
         "elastic tight-class violation rate {:.1}% exceeds the pinned threshold {:.1}%",
         tight_elastic.violation_rate * 100.0,
-        max_tight_violation_pct,
+        MAX_TIGHT_VIOLATION_PCT,
     );
-
-    let mut g = c.benchmark_group("elastic_serving");
-    g.sample_size(10);
-    let short = skewed_flash_crowd(&runtime, &classes, floor_s, 10.0, 0x0E1C);
-    g.bench_function("skewed_crowd_elastic_drain", |b| {
-        b.iter(|| {
-            black_box(drain_load_wall_clock_outcomes(
-                &runtime,
-                &short,
-                cfg(elastic),
-            ))
-        })
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Fleet energy budgeting bench: sweep the fleet power cap and trace
+//! Fleet energy budgeting: sweep the fleet power cap and trace
 //! the energy-per-request vs tail-latency trade-off curve, against an
 //! unbudgeted baseline on the same trace.
 //!
@@ -13,34 +13,38 @@
 //! surface honestly in the violation columns, never silently
 //! re-priced.
 //!
-//! Acceptance (CI `energy-smoke`): at a cap of 70% of the
-//! unconstrained draw, fleet energy per request must drop by at least
-//! `EDGEBERT_ENERGY_MIN_SAVINGS_PCT` (default 20%) while the tight
-//! class's violation rate stays under
-//! `EDGEBERT_ENERGY_MAX_TIGHT_VIOLATION_PCT`; and with elastic
-//! autoscaling on under a floor-tight cap, the hot lane must decline
-//! at least one attach its envelope cannot fund
+//! Acceptance (the CI `smoke` matrix runs this binary): at a cap of
+//! 70% of the unconstrained draw, fleet energy per request must drop
+//! by at least `MIN_SAVINGS_PCT` (20%) while the tight class's
+//! violation rate stays under `MAX_TIGHT_VIOLATION_PCT` (75%); and
+//! with elastic autoscaling on under a floor-tight cap, the hot lane
+//! must decline at least one attach its envelope cannot fund
 //! ([`LaneStats::attach_declined`]). Budgeting off must serve with
 //! zero attach declines and no envelopes — the pre-energy server.
 //!
+//! ```text
+//! cargo run --release --example fleet_energy
+//! ```
+//!
 //! [`LaneStats::attach_declined`]: edgebert::server::LaneStats
 
-// analyzer: wall-clock-module reason="bench harness: the unconstrained fleet draw is served energy over the measured drain wall time, which requires real clock reads around the drain"
-
-use criterion::{criterion_group, criterion_main, Criterion};
 use edgebert::energy::EnergyConfig;
 use edgebert::engine::{DropTarget, EntropyThresholds};
 use edgebert::pipeline::{Scale, TaskArtifacts};
 use edgebert::server::{ElasticConfig, ServerConfig, ServerStats};
 use edgebert::serving::{MultiTaskRuntime, TaskRuntime};
 use edgebert_bench::load::{
-    class_reports_outcomes, drain_load_wall_clock_outcomes, generate_trace,
-    render_comparison_labeled, render_server_stats, LoadOutcome, LoadRequest, TraceSpec,
-    TrafficClass,
+    class_reports_outcomes, drain_load_wall_clock, generate_trace, render_comparison_labeled,
+    render_server_stats, LoadOutcome, LoadRequest, TraceSpec, TrafficClass,
 };
 use edgebert_tasks::Task;
-use std::hint::black_box;
 use std::time::Instant;
+
+/// Floor on the energy-per-request saving a 70% cap must buy, percent.
+const MIN_SAVINGS_PCT: f64 = 20.0;
+/// Ceiling on the tight-class violation rate under the 70% cap,
+/// percent; the margin absorbs shared-runner sleep jitter.
+const MAX_TIGHT_VIOLATION_PCT: f64 = 75.0;
 
 /// Three lanes, one shard each: SST-2 takes the crowd (full depth on
 /// the true hardware workload, so its emulated service time is ~the
@@ -97,7 +101,7 @@ fn drain_timed(
     cfg: ServerConfig,
 ) -> (Vec<LoadOutcome>, ServerStats, f64) {
     let started = Instant::now();
-    let (outcomes, stats) = drain_load_wall_clock_outcomes(runtime, load, cfg);
+    let (outcomes, stats, _) = drain_load_wall_clock(runtime, load, cfg);
     let wall_s = started.elapsed().as_secs_f64();
     (outcomes, stats, wall_s)
 }
@@ -106,7 +110,7 @@ fn energy_per_request_j(stats: &ServerStats) -> f64 {
     stats.energy_j() / stats.served().max(1) as f64
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let runtime = runtime();
     let floor_s = runtime
         .runtime(Task::Sst2)
@@ -212,10 +216,6 @@ fn bench(c: &mut Criterion) {
     println!("70% cap lanes:\n{}", render_server_stats(&stats_70));
 
     // Acceptance: a 30% draw cut must buy real energy per request.
-    let min_savings_pct: f64 = std::env::var("EDGEBERT_ENERGY_MIN_SAVINGS_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
     let savings_pct = (1.0 - epr_70 / base_epr) * 100.0;
     println!(
         "energy per request: {:.2} -> {:.2} uJ ({:.1}% saved)\n",
@@ -224,22 +224,18 @@ fn bench(c: &mut Criterion) {
         savings_pct
     );
     assert!(
-        savings_pct >= min_savings_pct,
-        "a 70% cap must cut fleet energy per request by at least {min_savings_pct:.0}% \
+        savings_pct >= MIN_SAVINGS_PCT,
+        "a 70% cap must cut fleet energy per request by at least {MIN_SAVINGS_PCT:.0}% \
          (got {savings_pct:.1}%)"
     );
 
     // ... while the deadline damage stays bounded and honest.
-    let max_tight_violation_pct: f64 = std::env::var("EDGEBERT_ENERGY_MAX_TIGHT_VIOLATION_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(75.0);
     let tight_70 = &rows_70[0].1;
     assert!(
-        tight_70.violation_rate * 100.0 <= max_tight_violation_pct,
+        tight_70.violation_rate * 100.0 <= MAX_TIGHT_VIOLATION_PCT,
         "70%-cap tight-class violation rate {:.1}% exceeds the pinned threshold {:.1}%",
         tight_70.violation_rate * 100.0,
-        max_tight_violation_pct,
+        MAX_TIGHT_VIOLATION_PCT,
     );
 
     // Elastic integration: under a floor-tight cap the pressured hot
@@ -284,21 +280,4 @@ fn bench(c: &mut Criterion) {
         0,
         "no attach the envelope cannot fund may go through"
     );
-
-    let mut g = c.benchmark_group("fleet_energy");
-    g.sample_size(10);
-    let short = flash_crowd(&runtime, &classes, floor_s, 10.0, 0x0E2D);
-    g.bench_function("capped_crowd_drain", |b| {
-        b.iter(|| {
-            black_box(drain_load_wall_clock_outcomes(
-                &runtime,
-                &short,
-                cfg(Some(budget(0.7 * draw_w))),
-            ))
-        })
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

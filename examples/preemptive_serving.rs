@@ -1,4 +1,4 @@
-//! Wall-clock preemptive-serving bench: resumable sessions vs
+//! Wall-clock preemptive serving: resumable sessions vs
 //! run-to-completion lanes at equal offered load.
 //!
 //! One strict-threshold SST-2 lane (one shard, EDF, queue-aware slack,
@@ -15,21 +15,27 @@
 //! must strictly improve, and the preempted/resumed/parked-depth
 //! counters show the machinery working.
 //!
-//! The CI `preempt-smoke` job runs this bench and additionally pins the
+//! ```text
+//! cargo run --release --example preemptive_serving
+//! ```
+//!
+//! The CI `smoke` matrix runs this binary, which additionally pins the
 //! preemptive tight-class violation rate under
-//! `EDGEBERT_PREEMPT_MAX_TIGHT_VIOLATION_PCT` (default 20 %).
+//! `MAX_TIGHT_VIOLATION_PCT` (30 %).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use edgebert::engine::{EntropyThresholds, InferenceRequest};
 use edgebert::pipeline::{Scale, TaskArtifacts};
 use edgebert::server::{PreemptionPolicy, ServerConfig};
 use edgebert::serving::{MultiTaskRuntime, TaskRuntime};
 use edgebert_bench::load::{
-    class_reports, drain_load_wall_clock_stats, render_comparison_labeled, render_server_stats,
-    LoadRequest, TrafficClass,
+    all_served, class_reports, drain_load_wall_clock, render_comparison_labeled,
+    render_server_stats, LoadRequest, TrafficClass,
 };
 use edgebert_tasks::{Task, TaskGenerator};
-use std::hint::black_box;
+
+/// Ceiling on the preemptive tight-class violation rate, percent; the
+/// margin absorbs shared-runner sleep jitter.
+const MAX_TIGHT_VIOLATION_PCT: f64 = 30.0;
 
 /// Interleaved long/tight pairs on one lane: pair `k`'s long sentence
 /// arrives at `k·period`, its tight sentence `tight_offset_s` later —
@@ -66,7 +72,7 @@ fn paired_load(
     load
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     // Strict thresholds: no early exits, the forecast is always full
     // depth, so every long sentence has the maximum number of layer
     // boundaries (preemption points). Artifacts come from the disk
@@ -119,11 +125,11 @@ fn bench(c: &mut Criterion) {
         preemption,
         ..ServerConfig::default()
     };
-    let (off, off_stats) = drain_load_wall_clock_stats(&runtime, &load, cfg(PreemptionPolicy::Off));
-    let (on, on_stats) =
-        drain_load_wall_clock_stats(&runtime, &load, cfg(PreemptionPolicy::DeadlineGap(0.0)));
-    let off_rows = class_reports(&load, &off, &classes);
-    let on_rows = class_reports(&load, &on, &classes);
+    let (off, off_stats, _) = drain_load_wall_clock(&runtime, &load, cfg(PreemptionPolicy::Off));
+    let (on, on_stats, _) =
+        drain_load_wall_clock(&runtime, &load, cfg(PreemptionPolicy::DeadlineGap(0.0)));
+    let off_rows = class_reports(&load, &all_served(off), &classes);
+    let on_rows = class_reports(&load, &all_served(on), &classes);
     println!(
         "{}",
         render_comparison_labeled("off", &off_rows, "preempt", &on_rows)
@@ -151,31 +157,10 @@ fn bench(c: &mut Criterion) {
     assert!(on_stats.preempted() > 0, "sessions must actually park");
     assert_eq!(on_stats.resumed(), on_stats.preempted());
     assert!(on_stats.max_parked_depth() >= 1);
-    let max_tight_violation_pct: f64 = std::env::var("EDGEBERT_PREEMPT_MAX_TIGHT_VIOLATION_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
     assert!(
-        tight_on.violation_rate * 100.0 <= max_tight_violation_pct,
+        tight_on.violation_rate * 100.0 <= MAX_TIGHT_VIOLATION_PCT,
         "preemptive tight-class violation rate {:.1}% exceeds the pinned threshold {:.1}%",
         tight_on.violation_rate * 100.0,
-        max_tight_violation_pct,
+        MAX_TIGHT_VIOLATION_PCT,
     );
-
-    let mut g = c.benchmark_group("preemptive_serving");
-    g.sample_size(10);
-    let short = paired_load(&runtime, &classes, 4, period_s, 1.5 * floor_s, 0x9EE2);
-    g.bench_function("preemptive_drain_4pairs", |b| {
-        b.iter(|| {
-            black_box(drain_load_wall_clock_stats(
-                &runtime,
-                &short,
-                cfg(PreemptionPolicy::DeadlineGap(0.0)),
-            ))
-        })
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -151,9 +151,9 @@ fn unsupported_versions_are_refused_not_misread() {
         wire.contains(&current),
         "version leads the envelope: {wire}"
     );
-    // A future version, and the previous one (v2 envelopes carried a
-    // field this build retired).
-    for other in [99, 2] {
+    // A future version, and the previous two (v2 and v3 envelopes each
+    // carried a field this build retired).
+    for other in [99, 2, 3] {
         let tampered = wire.replacen(&current, &format!("\"version\":{other}"), 1);
         let err = serde::json::from_str::<edgebert::SessionCheckpoint>(&tampered)
             .expect_err("another version must not be silently misread");
