@@ -24,15 +24,16 @@
 //! worker threads or pooled; construction goes through [`EngineBuilder`].
 //! Every way in (`serve`, `begin`, the `run*` runners, the server
 //! lanes) opens its session through one sanitizing opener,
-//! [`EdgeBertEngine::begin_degraded`]; the per-layer loop lives in
-//! [`crate::session`].
+//! [`EdgeBertEngine::begin_degraded`] (a scheduler drain re-opens a
+//! sentence it already forwarded through the crate-private
+//! `begin_replay`); the per-layer loop lives in [`crate::session`].
 
 use crate::backend::{
     AcceleratorBackend, BackendSpec, InferenceBackend, MobileGpuBackend, SegmentCost,
 };
 use crate::overload::Degradation;
 use crate::predictor::PredictorLut;
-use crate::session::InferenceSession;
+use crate::session::{ForwardTrace, InferenceSession};
 use edgebert_envm::CellTech;
 use edgebert_hw::{AcceleratorConfig, AcceleratorSim, MobileGpu, WorkloadParams};
 use edgebert_model::AlbertModel;
@@ -268,15 +269,24 @@ impl InferenceRequest {
     /// budget on top of the submitter's pre-stamp — zero when it is
     /// slack-blind or declared the wait measurement noise. The stamp
     /// is rewritten only if it grew, so an uncharged request is served
-    /// exactly as submitted. Returns the stamped request and the
+    /// exactly as submitted. Returns the stamp to serve under and the
     /// elapsed queue time its budget is charged with.
-    pub(crate) fn stamped_at_dispatch(mut self, charged_wait_s: f64) -> (Self, f64) {
+    pub(crate) fn stamp_at_dispatch(&self, charged_wait_s: f64) -> (f64, f64) {
         let pre_stamp_s = self.effective_elapsed_queue_s();
         let budgeted_s = pre_stamp_s + charged_wait_s;
-        if budgeted_s > pre_stamp_s {
-            self = self.with_elapsed_queue_s(budgeted_s);
-        }
-        (self, budgeted_s)
+        let stamp_s = if budgeted_s > pre_stamp_s {
+            budgeted_s
+        } else {
+            self.elapsed_queue_s
+        };
+        (stamp_s, budgeted_s)
+    }
+
+    /// [`stamp_at_dispatch`](Self::stamp_at_dispatch) written into an
+    /// owned request (the wall-clock lanes' pop path).
+    pub(crate) fn stamped_at_dispatch(self, charged_wait_s: f64) -> (Self, f64) {
+        let (stamp_s, budgeted_s) = self.stamp_at_dispatch(charged_wait_s);
+        (self.with_elapsed_queue_s(stamp_s), budgeted_s)
     }
 
     /// Allows the overload ladder to degrade this request by up to
@@ -301,11 +311,7 @@ impl InferenceRequest {
     /// negative stamps sanitize to zero rather than poisoning the DVFS
     /// budget (requests arrive from the wire).
     pub fn effective_elapsed_queue_s(&self) -> f64 {
-        if self.elapsed_queue_s.is_finite() && self.elapsed_queue_s > 0.0 {
-            self.elapsed_queue_s
-        } else {
-            0.0
-        }
+        sanitized_queue_s(self.elapsed_queue_s)
     }
 
     /// The power envelope as the engine will apply it: non-finite
@@ -317,6 +323,16 @@ impl InferenceRequest {
             Some(w) if w.is_finite() => Some(w.max(0.0)),
             _ => None,
         }
+    }
+}
+
+/// A queueing stamp as the engine accounts it (see
+/// [`InferenceRequest::effective_elapsed_queue_s`]).
+pub(crate) fn sanitized_queue_s(stamp_s: f64) -> f64 {
+    if stamp_s.is_finite() && stamp_s > 0.0 {
+        stamp_s
+    } else {
+        0.0
     }
 }
 
@@ -579,7 +595,7 @@ impl EngineBuilder {
             lut: self.lut,
             backend,
             layer_cycles,
-            workload: self.workload,
+            workload: Arc::new(self.workload),
             thresholds: self.thresholds,
             default_latency_target_s: self.default_latency_target_s,
             default_drop: self.default_drop,
@@ -598,7 +614,9 @@ pub struct EdgeBertEngine {
     lut: Arc<PredictorLut>,
     backend: Arc<dyn InferenceBackend>,
     layer_cycles: u64,
-    workload: WorkloadParams,
+    /// Shared like the weights: every session clones its engine, and
+    /// the span table must not be copied per sentence.
+    workload: Arc<WorkloadParams>,
     thresholds: [EntropyThresholds; 3],
     default_latency_target_s: f64,
     default_drop: DropTarget,
@@ -751,7 +769,25 @@ impl EdgeBertEngine {
         } else {
             tokens
         };
-        InferenceSession::new(self.clone(), request, tokens, degradation)
+        let fwd = self.model.begin_forward(tokens);
+        InferenceSession::new(self.clone(), request, fwd, degradation)
+    }
+
+    /// The replay opener: a session over `request`'s service levels,
+    /// stamped with `charged_wait_s` by the one dispatch rule, that
+    /// reads its layers off `trace` (recorded from the same request by
+    /// [`InferenceSession::into_forward_trace`]) — no tokens are
+    /// touched, no forward pass begins, and the exit rule, the DVFS
+    /// decision and the pricing are the live session's own code.
+    pub(crate) fn begin_replay(
+        &self,
+        request: &InferenceRequest,
+        charged_wait_s: f64,
+        trace: ForwardTrace,
+    ) -> InferenceSession {
+        let (stamp_s, _) = request.stamp_at_dispatch(charged_wait_s);
+        InferenceSession::new(self.clone(), request, Default::default(), Degradation::NONE)
+            .replaying(trace, stamp_s)
     }
 
     /// Rebinds a serialized
@@ -1369,6 +1405,21 @@ mod tests {
         assert!(resp.result.deadline_met);
         assert!(!queued_resp.result.deadline_met);
         assert_eq!(queued_resp.result.latency_s, base_latency);
+    }
+
+    #[test]
+    #[should_panic(expected = "the exit rule is slack-independent")]
+    fn a_replay_never_computes_past_its_trace() {
+        // A trace is the entropies of the layers run and one class: no
+        // hidden state to step. Replayed under thresholds that would
+        // run deeper, it must fail loudly, not compute on nothing.
+        let f = fixture();
+        let req = InferenceRequest::new(f.data.examples()[0].tokens.clone());
+        let trace = engine(&f, 50e-3, 100.0).begin(&req).into_forward_trace();
+        assert!(std::mem::size_of::<ForwardTrace>() <= 32);
+        assert_eq!(trace.layers(), 1, "4 B of heap a layer: it exited at 1");
+        let strict = engine(&f, 50e-3, 0.0);
+        strict.begin_replay(&req, 0.0, trace).finish();
     }
 
     #[test]

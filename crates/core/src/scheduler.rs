@@ -26,12 +26,16 @@
 //!
 //! The scheduler holds one owned engine per served task — a clone of
 //! the engine its [`TaskRuntime`](crate::serving::TaskRuntime) minted
-//! from its builder — and a drain is one sequential replay: each
-//! sentence is computed on the calling thread at its dispatch point on
-//! a deterministic virtual timeline of [`SchedulerConfig::workers`]
-//! accelerator lanes, each advancing by the modeled per-sentence
-//! latencies. (The thread fan-out for slack-blind batches is
-//! [`MultiTaskRuntime::try_serve_batch`].) A pack shares one
+//! from its builder — and a drain has two phases. **Record:** every
+//! sentence is forwarded once up front, across worker threads (their
+//! count never reaches the output), keeping only its off-ramp
+//! entropies and prediction. **Replay:** the queue runs on a
+//! deterministic virtual timeline of [`SchedulerConfig::workers`]
+//! accelerator lanes, and each sentence is priced at its dispatch point
+//! by the session's own exit rule, DVFS decision and cost accounting
+//! reading that record. This is sound because the layer a sentence
+//! stops at is fixed by its entropies, `E_T` and the LUT forecast: the
+//! queueing stamp reaches only the DVFS decision. A pack shares one
 //! task-switch charge, and the next dispatch round re-picks the
 //! earliest-free lane. Every response reports queueing delay, sojourn
 //! time, and a deadline verdict judged on the *sojourn* (wait +
@@ -42,15 +46,17 @@
 //! to an unscheduled [`serve`](crate::serving::TaskRuntime::serve)
 //! call: scheduling changes *when* a sentence runs, never *what* it
 //! computes. [`SchedulerConfig::queue_aware_slack`] stamps each
-//! sentence's virtual wait through the same
-//! `InferenceRequest::stamped_at_dispatch` rule the wall-clock
-//! [`Server`](crate::server::Server) lanes use at pop time. The
-//! overload ladder and fleet energy envelopes are *not* re-implemented
-//! here: they reach the virtual timeline when the server's own lanes
-//! run on a virtual clock, not as a second copy.
+//! sentence's virtual wait by the same `stamp_at_dispatch` rule the
+//! wall-clock [`Server`](crate::server::Server) lanes use at pop time.
+//! The overload ladder and fleet energy envelopes are *not*
+//! re-implemented here: they reach the virtual timeline when the
+//! server's own lanes run on a virtual clock, not as a second copy.
 
-use crate::engine::{deadline_met, EdgeBertEngine, InferenceRequest, InferenceResponse};
+use crate::engine::{
+    deadline_met, default_threads, run_chunked, EdgeBertEngine, InferenceRequest, InferenceResponse,
+};
 use crate::serving::MultiTaskRuntime;
+use crate::session::ForwardTrace;
 use crate::telemetry::{
     LaneTelemetry, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
 };
@@ -88,12 +94,12 @@ pub struct SchedulerConfig {
     /// [`InferenceRequest::with_elapsed_queue_s`]), so DVFS scales
     /// against the *remaining* slack instead of the full target.
     ///
-    /// Off (the default), the stamp is a no-op, compute is independent
-    /// of the timeline and a drain's per-request responses are
-    /// bit-identical to unscheduled `serve` calls — the PR 2 contract.
-    /// On, a sentence's compute depends on when it was dispatched.
-    /// Either way the drain computes each sentence *at* its dispatch
-    /// point on the virtual timeline and stays fully deterministic.
+    /// Off (the default), the stamp is a no-op and a drain's
+    /// per-request responses are bit-identical to unscheduled `serve`
+    /// calls — the PR 2 contract. On, a sentence's operating point and
+    /// price depend on when it was dispatched. Either way each sentence
+    /// is forwarded once up front and priced at its dispatch point on
+    /// the virtual timeline, fully deterministically.
     pub queue_aware_slack: bool,
     /// Telemetry parity with the wall-clock server (see
     /// [`crate::telemetry`] and
@@ -164,9 +170,9 @@ struct Submission {
 /// An EDF slack-aware batch scheduler over a set of per-task engines.
 ///
 /// Submissions accumulate via [`submit`](Self::submit); a
-/// [`drain`](Self::drain) replays the queue on a deterministic virtual
-/// timeline, computing every served request at its dispatch point.
-/// Output order always matches submission order.
+/// [`drain`](Self::drain) forwards every served request once, then
+/// replays the queue on a deterministic virtual timeline, pricing each
+/// at its dispatch point. Output order always matches submission order.
 #[derive(Debug, Clone)]
 pub struct DeadlineScheduler {
     engines: Vec<(Task, EdgeBertEngine)>,
@@ -266,17 +272,23 @@ impl DeadlineScheduler {
     /// The returned vector is in submission order; an entry is `None`
     /// when its task is not served by this scheduler.
     ///
-    /// The queue is replayed on the virtual timeline under the
-    /// configured policy and each sentence is computed *at* its
+    /// Every sentence is forwarded once up front (see the module
+    /// docs), then the queue is replayed on the virtual timeline under
+    /// the configured policy and each sentence is priced at its
     /// dispatch point (sequentially — the timeline is the data
     /// dependency), so a drain is fully deterministic. With
-    /// [`SchedulerConfig::queue_aware_slack`] off the request is served
+    /// [`SchedulerConfig::queue_aware_slack`] off the request is priced
     /// exactly as submitted, so per-request responses are bit-identical
     /// to unscheduled `serve` calls no matter the policy, worker count,
     /// or packing. With it on, the virtual queueing delay is stamped
-    /// into the request first, so DVFS budgets against the remaining
-    /// slack.
+    /// first, so DVFS budgets against the remaining slack.
     pub fn drain(&mut self) -> Vec<Option<ScheduledResponse>> {
+        self.drain_with_threads(default_threads(self.pending.len()))
+    }
+
+    /// [`drain`](Self::drain) with an explicit record fan-out (1 → fully
+    /// sequential); the thread count never reaches the output.
+    pub(crate) fn drain_with_threads(&mut self, threads: usize) -> Vec<Option<ScheduledResponse>> {
         let pending = std::mem::take(&mut self.pending);
         if pending.is_empty() {
             return Vec::new();
@@ -287,6 +299,12 @@ impl DeadlineScheduler {
             .iter()
             .map(|s| self.engines.iter().position(|(t, _)| *t == s.task))
             .collect();
+
+        // Record: only the compact trace leaves the worker.
+        let mut traces: Vec<Option<ForwardTrace>> = run_chunked(&pending, threads, |s| {
+            let engine = &self.engines[engine_of[s.index]?].1;
+            Some(engine.begin(&s.request).into_forward_trace())
+        });
 
         let mut responses: Vec<Option<InferenceResponse>> = vec![None; pending.len()];
 
@@ -380,24 +398,19 @@ impl DeadlineScheduler {
                 let start = cursor;
                 // Queue-aware mode deducts the virtual wait (on top of
                 // any stamp the submitter carried in) from the DVFS
-                // budget; a zero charge leaves the stamp as submitted,
-                // so the request is served by reference.
+                // budget; a zero charge leaves the stamp as submitted.
                 let sub = &pending[i];
                 let charged_wait_s = if self.cfg.queue_aware_slack {
                     start - sub.arrival_s
                 } else {
                     0.0
                 };
-                let stamped: InferenceRequest;
-                let request = if charged_wait_s > 0.0 {
-                    (stamped, _) = sub.request.clone().stamped_at_dispatch(charged_wait_s);
-                    &stamped
-                } else {
-                    &sub.request
-                };
                 let engine_idx = engine_of[i].expect("served member");
                 let engine = &self.engines[engine_idx].1;
-                let response = engine.serve(request);
+                let trace = traces[i].take().expect("served member was recorded");
+                let response = engine
+                    .begin_replay(&sub.request, charged_wait_s, trace)
+                    .finish();
                 let latency_s = response.result.latency_s;
                 responses[i] = Some(response);
                 cursor += latency_s;
@@ -687,6 +700,47 @@ mod tests {
             match &reference {
                 None => reference = Some(responses),
                 Some(want) => assert_eq!(&responses, want, "config {cfg:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn record_fan_out_never_reaches_responses_or_telemetry() {
+        let rt = runtime();
+        let toks = [
+            tokens_for(&rt, Task::Sst2, 6, 18),
+            tokens_for(&rt, Task::Qnli, 5, 19),
+        ]
+        .concat();
+        for case in 0..16 {
+            let cfg = SchedulerConfig {
+                workers: 1 + case % 2,
+                max_batch: [1, 8][case / 2 % 2],
+                policy: [SchedulePolicy::Fifo, SchedulePolicy::EarliestDeadline][case / 4 % 2],
+                task_switch_s: 1e-3,
+                queue_aware_slack: case / 8 == 1,
+                telemetry: Some(TelemetryConfig::default()),
+            };
+            let drain = |threads: usize| {
+                let mut sched = DeadlineScheduler::new(&rt, cfg);
+                // A burst of both tasks (so sentences queue), one
+                // pre-stamped, and an unserved task.
+                for (i, tok) in toks.iter().enumerate() {
+                    let task = if i < 6 { Task::Sst2 } else { Task::Qnli };
+                    let req = InferenceRequest::new(tok.clone())
+                        .with_latency_target(25e-3 * (1 + i % 4) as f64)
+                        .with_elapsed_queue_s(if i == 3 { 10e-3 } else { 0.0 });
+                    sched.submit(task, req, 0.2e-3 * (i / 3) as f64);
+                }
+                sched.submit(Task::Mnli, InferenceRequest::new(vec![1, 2, 3]), 0.0);
+                let out = sched.drain_with_threads(threads);
+                let snapshot = sched.telemetry_snapshot().expect("telemetry on");
+                (out, serde::json::to_string(&snapshot))
+            };
+            let sequential = drain(1);
+            assert!(sequential.0[toks.len()].is_none(), "unserved task");
+            for threads in [2, 5] {
+                assert_eq!(drain(threads), sequential, "{cfg:?}, {threads} threads");
             }
         }
     }

@@ -35,7 +35,9 @@
 //! or nominal V/F (Algorithm 1; Base is the case whose exit test is
 //! never taken). Every DVFS decision is the backend's single
 //! [`decide`](crate::backend::InferenceBackend::decide), the power
-//! envelope a plain cap (infinite when there is none).
+//! envelope a plain cap (infinite when there is none). A scheduler
+//! drain's sessions step the same way over a recorded forward pass
+//! (`ForwardTrace`) instead of the model.
 //!
 //! **Bit-identity contract.** A session driven to completion without
 //! ever parking reproduces the pre-session monolithic arithmetic bit
@@ -51,8 +53,8 @@
 
 use crate::backend::{OperatingPoint, SegmentCost};
 use crate::engine::{
-    deadline_met, DropTarget, EdgeBertEngine, InferenceMode, InferenceRequest, InferenceResponse,
-    SentenceResult,
+    deadline_met, sanitized_queue_s, DropTarget, EdgeBertEngine, InferenceMode, InferenceRequest,
+    InferenceResponse, SentenceResult,
 };
 use crate::overload::Degradation;
 use crate::telemetry::{SpanRecorder, TraceEventKind};
@@ -107,6 +109,26 @@ struct SegmentRun {
     start_layer: usize,
 }
 
+/// One sentence's forward pass, recorded: all a stepper reads from the
+/// software model. Nothing in it depends on the queueing stamp, which
+/// reaches only `open_segment`'s DVFS decision, so a trace recorded
+/// from the request as submitted replays under any stamp (see
+/// [`crate::scheduler`]).
+#[derive(Debug, Clone)]
+pub(crate) struct ForwardTrace {
+    /// Off-ramp entropy of every layer run (index 0 is layer 1).
+    entropies: Box<[f32]>,
+    /// Predicted class at the last layer run.
+    prediction: usize,
+}
+
+impl ForwardTrace {
+    /// Layers the recorded sentence ran (4 B of heap each).
+    pub(crate) fn layers(&self) -> usize {
+        self.entropies.len()
+    }
+}
+
 /// One sentence's resumable execution state: hidden-state checkpoint,
 /// per-layer hardware accounting, and the request's service levels.
 ///
@@ -134,17 +156,20 @@ pub struct InferenceSession {
     /// Survives park/steal/resume in-process, but is *not*
     /// checkpointed: a restored session starts untraced.
     trace: Option<SpanRecorder>,
+    /// The recorded forward pass this session replays in place of
+    /// running the model (`None` on every live path).
+    replay: Option<ForwardTrace>,
 }
 
 impl InferenceSession {
     /// Opens a session over `request`, resolving unset service levels
     /// against the engine defaults and sanitizing its queue stamp and
-    /// envelope; `tokens` are the request's, already sanitized by the
-    /// engine's opener (the only caller).
+    /// envelope; `fwd` is the forward pass the engine's opener began
+    /// over the request's sanitized tokens.
     pub(crate) fn new(
         engine: EdgeBertEngine,
         request: &InferenceRequest,
-        tokens: &[u32],
+        fwd: ForwardSession,
         degradation: Degradation,
     ) -> Self {
         let mode = request.mode;
@@ -160,7 +185,6 @@ impl InferenceSession {
             _ => engine.thresholds(drop).latency_aware,
         };
         let et = base_et * degradation.entropy_scale;
-        let fwd = engine.model().begin_forward(tokens);
         let num_layers = engine.model().num_layers();
         let point = engine.backend().nominal();
         let ck = SessionCheckpoint {
@@ -192,6 +216,29 @@ impl InferenceSession {
             result: None,
             terminal: StepOutcome::Done,
             trace: None,
+            replay: None,
+        }
+    }
+
+    /// Makes a just-opened session replay `trace` under `stamp_s` of
+    /// queueing (see `EdgeBertEngine::begin_replay`, the only caller).
+    pub(crate) fn replaying(mut self, trace: ForwardTrace, stamp_s: f64) -> Self {
+        self.ck.elapsed_queue_s = sanitized_queue_s(stamp_s);
+        self.replay = Some(trace);
+        self
+    }
+
+    /// Drives the session to completion and keeps, of all it computed,
+    /// only what a replay reads; its price is discarded.
+    pub(crate) fn into_forward_trace(mut self) -> ForwardTrace {
+        self.drive();
+        let result = self.result.as_ref();
+        let fwd = &self.ck.fwd;
+        ForwardTrace {
+            entropies: (1..=fwd.layers_done()).map(|l| fwd.entropy_at(l)).collect(),
+            prediction: result
+                .expect("complete session carries its result")
+                .prediction,
         }
     }
 
@@ -405,6 +452,7 @@ impl InferenceSession {
             result: None,
             terminal: StepOutcome::Done,
             trace: None,
+            replay: None,
         }
     }
 
@@ -454,6 +502,34 @@ impl InferenceSession {
             .expect("complete session carries its result")
     }
 
+    /// The next layer (1-based) and its off-ramp entropy: run through the
+    /// model's one layer body or, replaying, read off the trace.
+    fn next_layer(&mut self) -> (usize, f32) {
+        let Some(trace) = &self.replay else {
+            return self.engine.model().forward_next_layer(&mut self.ck.fwd);
+        };
+        let layer = self.ck.layers_done + 1;
+        let Some(&h) = trace.entropies.get(layer - 1) else {
+            panic!(
+                "replay stepped to layer {layer} of a {}-layer trace: the exit rule is \
+                 slack-independent, so a stamp must never lengthen a sentence",
+                trace.layers()
+            )
+        };
+        (layer, h)
+    }
+
+    /// The class predicted at `layer`, the layer the sentence stopped at.
+    fn prediction_at(&self, layer: usize) -> usize {
+        match &self.replay {
+            Some(trace) => {
+                assert_eq!(layer, trace.layers(), "a replay stops where it recorded");
+                trace.prediction
+            }
+            None => argmax(self.ck.fwd.logits_at(layer)),
+        }
+    }
+
     /// Records the finished sentence: an entropy exit (traced as
     /// `EntropyExit`) or the forced stop at the last scheduled layer.
     fn complete(&mut self, result: SentenceResult, exited: bool) -> StepOutcome {
@@ -497,7 +573,7 @@ impl InferenceSession {
         } else if self.segment.is_none() {
             self.open_segment();
         }
-        let (layer, h) = self.engine.model().forward_next_layer(&mut self.ck.fwd);
+        let (layer, h) = self.next_layer();
         self.ck.layers_done = layer;
         let exited = h < self.ck.et;
         if layer == 1 {
@@ -528,7 +604,7 @@ impl InferenceSession {
             mode: InferenceMode::LatencyAware,
             exit_layer: self.ck.layers_done,
             predicted_layer: self.ck.predicted,
-            prediction: argmax(self.ck.fwd.logits_at(self.ck.layers_done)),
+            prediction: self.prediction_at(self.ck.layers_done),
             latency_s,
             energy_j: self.ck.committed_energy_j,
             voltage: self.ck.point.voltage,
@@ -611,7 +687,7 @@ impl InferenceSession {
                 freq_hz: nominal.freq_hz,
             });
         }
-        let (layer, h) = self.engine.model().forward_next_layer(&mut self.ck.fwd);
+        let (layer, h) = self.next_layer();
         self.ck.layers_done = layer;
         let exited = self.ck.mode == InferenceMode::ConventionalEe && h < self.ck.et;
         if exited || layer == self.ck.num_layers {
@@ -645,7 +721,7 @@ impl InferenceSession {
             mode: self.ck.mode,
             exit_layer: exit,
             predicted_layer: None,
-            prediction: argmax(self.ck.fwd.logits_at(exit)),
+            prediction: self.prediction_at(exit),
             latency_s: cost.seconds,
             energy_j: cost.energy_j,
             voltage: nominal.voltage,

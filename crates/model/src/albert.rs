@@ -70,15 +70,17 @@ impl LayerwiseOutput {
 /// [`AlbertModel::begin_forward`] so that a layer step allocates nothing
 /// but the logits it records. They hold no state between steps and are
 /// not part of the checkpoint: a clone or a deserialized session starts
-/// with empty buffers, which its next layer step sizes again.
-#[derive(Debug)]
+/// with empty buffers, which its next layer step sizes again. The
+/// default session is that shell alone (no sentence, no heap): what a
+/// holder that never steps it carries.
+#[derive(Debug, Default)]
 pub struct ForwardSession {
     state: ForwardState,
     scratch: SessionScratch,
 }
 
 /// What a [`ForwardSession`] is on the wire and across a clone.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct ForwardState {
     /// The live (unnormalized) hidden state entering the next layer.
     hidden: Matrix,
@@ -330,28 +332,23 @@ impl AlbertModel {
     /// Training forward pass: runs the inference layer body (no
     /// activation quantization) and keeps each layer application's input
     /// for the backward pass.
-    pub fn forward_train(&self, tokens: &[u32]) -> (Vec<Matrix>, TrainCache) {
+    pub fn forward_train(&self, tokens: &[u32]) -> TrainCache {
         let (mut hidden, low) = self.embedding.embed_with_cache(tokens);
         let mut scratch = self.encoder.scratch(hidden.rows());
         let mut layer_inputs = Vec::with_capacity(self.num_layers());
-        let mut hidden_states = Vec::with_capacity(self.num_layers());
         for _ in 0..self.num_layers() {
             layer_inputs.push(hidden.clone());
             self.encoder.infer_in_place(&mut hidden, &mut scratch);
-            hidden_states.push(hidden.clone());
         }
         let final_hidden = hidden;
         let (final_normed, final_norm_cache) = self.final_norm.forward(&final_hidden);
-        (
-            hidden_states,
-            TrainCache {
-                low,
-                layer_inputs,
-                final_hidden,
-                final_normed,
-                final_norm_cache,
-            },
-        )
+        TrainCache {
+            low,
+            layer_inputs,
+            final_hidden,
+            final_normed,
+            final_norm_cache,
+        }
     }
 
     /// Backward pass from a gradient on the final layer's hidden state;
@@ -545,7 +542,7 @@ mod tests {
             let model = tiny_model(seed);
             let tokens = [CLS, 9, 10, 11, 12, 13];
             let eager = model.forward_layers(&tokens);
-            let (_, cache) = model.forward_train(&tokens);
+            let cache = model.forward_train(&tokens);
             let last = model.num_layers() - 1;
             assert_eq!(cache.final_normed, eager.hidden_states[last], "seed {seed}");
             assert_eq!(
@@ -600,7 +597,7 @@ mod tests {
     #[test]
     fn backward_reaches_encoder_and_projection() {
         let mut model = tiny_model(4);
-        let (_, cache) = model.forward_train(&[CLS, 5, 6]);
+        let cache = model.forward_train(&[CLS, 5, 6]);
         let grad_logits = vec![0.5f32, -0.5];
         let grad_hidden = model.backward_final_classifier(&cache, &grad_logits);
         model.backward_from_final(&cache, &grad_hidden);

@@ -118,7 +118,7 @@ impl Trainer {
             for &i in &order {
                 let ex = &train.examples()[i];
                 model.zero_grad();
-                let (_, cache) = model.forward_train(&ex.tokens);
+                let cache = model.forward_train(&ex.tokens);
                 let logits = Matrix::from_vec(1, self.cfg.num_classes, model.final_logits(&cache));
                 let (_, grad) = cross_entropy(&logits, &[ex.label]);
                 let grad_hidden = model.backward_final_classifier(&cache, grad.row(0));
@@ -166,17 +166,14 @@ impl Trainer {
             for &i in &order {
                 let ex = &train.examples()[i];
                 model.zero_grad();
-                let (_, cache) = model.forward_train(&ex.tokens);
+                let cache = model.forward_train(&ex.tokens);
                 let logits = Matrix::from_vec(1, self.cfg.num_classes, model.final_logits(&cache));
                 // Task loss.
                 let (_, ce_grad) = cross_entropy(&logits, &[ex.label]);
                 // Distillation against the teacher's final logits.
-                let teacher_out = teacher.forward_layers(&ex.tokens);
-                let teacher_logits = Matrix::from_vec(
-                    1,
-                    self.cfg.num_classes,
-                    teacher_out.logits[self.cfg.num_layers - 1].clone(),
-                );
+                // No entropy is below -inf, so the exit is the last layer.
+                let (_, teacher_final, _) = teacher.infer_early_exit(&ex.tokens, f32::NEG_INFINITY);
+                let teacher_logits = Matrix::from_vec(1, self.cfg.num_classes, teacher_final);
                 let (_, kd_grad) =
                     distillation(&logits, &teacher_logits, self.opts.distill_temperature);
                 let mut grad = ce_grad;

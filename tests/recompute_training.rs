@@ -33,7 +33,7 @@ fn recomputed_backward_matches_a_keep_every_cache_reference_bitwise() {
         let grad_logits = [0.7f32, -0.7];
 
         model.zero_grad();
-        let (_, cache) = model.forward_train(&tokens);
+        let cache = model.forward_train(&tokens);
         let grad_hidden = model.backward_final_classifier(&cache, &grad_logits);
         model.backward_from_final(&cache, &grad_hidden);
         let recomputed = grad_bits(&mut model);

@@ -3,7 +3,9 @@
 //! serving, the `serve_batch` wrapper, the load generator, and the
 //! tail-latency report.
 
-use edgebert::engine::{deadline_met, InferenceRequest, InferenceResponse};
+use edgebert::engine::{
+    deadline_met, DropTarget, InferenceMode, InferenceRequest, InferenceResponse,
+};
 use edgebert::pipeline::{Scale, TaskArtifacts};
 use edgebert::scheduler::{DeadlineScheduler, SchedulePolicy, SchedulerConfig};
 use edgebert::serving::{MultiTaskRuntime, ServeError, TaskRuntime};
@@ -108,6 +110,77 @@ fn drain_preserves_submission_order_and_serve_bit_identity() {
             "sojourn verdict uses the unified deadline rule"
         );
     }
+}
+
+#[test]
+fn a_queue_aware_drain_prices_each_sentence_like_serving_it_stamped_with_its_wait() {
+    // A drain forwards every sentence once, from the request as
+    // submitted, then prices it at its dispatch point under the stamp.
+    // That must be, field for field and bit for bit, a live serve of
+    // the stamped request: every mode, tier and envelope, wire-garbage
+    // tokens, targets from infeasible to loose, waits of zero, under
+    // and over the target, and (a 1e6 s task switch) absurd.
+    let rt = runtime();
+    let engine = rt.runtime(Task::Sst2).expect("served").engine();
+    let cap_w = 0.5 * engine.backend().nominal_power_w();
+    let wire_garbage = [vec![], vec![u32::MAX; 3]];
+    let load: Vec<InferenceRequest> = tokens_for(Task::Sst2, 70, 26)
+        .into_iter()
+        .chain(wire_garbage)
+        .enumerate()
+        .map(|(i, tokens)| {
+            let mut req = InferenceRequest::new(tokens)
+                .with_mode(InferenceMode::all()[i % 3])
+                .with_drop_target(DropTarget::all()[i / 3 % 3])
+                .with_latency_target([1e-6, 3e-3, 50e-3, 10.0][i / 9 % 4])
+                .with_elapsed_queue_s(if i % 7 == 3 { 2e-3 } else { 0.0 });
+            req.envelope_w = (i % 2 == 1).then_some(cap_w);
+            req
+        })
+        .collect();
+    let bits = |r: &InferenceResponse| {
+        let s = &r.result;
+        let floats = [s.latency_s, s.energy_j, s.freq_hz, r.latency_target_s].map(f64::to_bits);
+        let exit = (s.mode, s.exit_layer, s.predicted_layer, s.prediction);
+        (
+            exit,
+            floats,
+            s.voltage.to_bits(),
+            s.deadline_met,
+            r.drop_target,
+        )
+    };
+    let mut stamp_moved_the_price = 0;
+    for task_switch_s in [0.0, 1e6] {
+        let mut sched = DeadlineScheduler::new(
+            rt,
+            SchedulerConfig {
+                max_batch: 3,
+                task_switch_s,
+                queue_aware_slack: true,
+                ..SchedulerConfig::default()
+            },
+        );
+        for (i, req) in load.iter().enumerate() {
+            sched.submit(Task::Sst2, req.clone(), 0.3e-3 * i as f64);
+        }
+        for (i, (req, got)) in load.iter().zip(sched.drain()).enumerate() {
+            let got = got.expect("served");
+            let stamp_s = req.effective_elapsed_queue_s() + got.queue_delay_s;
+            let live = engine.serve(&req.clone().with_elapsed_queue_s(stamp_s));
+            assert_eq!(
+                bits(&got.response),
+                bits(&live),
+                "slot {i}, waited {} s: {req:?}",
+                got.queue_delay_s
+            );
+            stamp_moved_the_price += usize::from(live != engine.serve(req));
+        }
+    }
+    assert!(
+        stamp_moved_the_price > load.len() / 2,
+        "the load must queue for the stamp to matter: {stamp_moved_the_price}"
+    );
 }
 
 #[test]
