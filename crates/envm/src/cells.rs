@@ -62,7 +62,7 @@ impl CellTech {
 
     /// Read energy per bit, picojoules. More levels need finer sensing;
     /// values are representative of dense 28 nm ReRAM arrays scaled to
-    /// 12 nm (see `DESIGN.md` §1 — not from Table 2, which omits energy).
+    /// 12 nm (not from the paper's Table 2, which omits energy).
     pub fn read_energy_pj_per_bit(self) -> f64 {
         match self {
             CellTech::Slc => 0.30,

@@ -19,7 +19,7 @@
 //!
 //! Cell characteristics (area density, read latency) follow the paper's
 //! Table 2; error rates are parametric with defaults chosen to land in the
-//! same qualitative regime (see `DESIGN.md` §1).
+//! qualitative regime of the two findings above.
 
 pub mod cells;
 pub mod cost;

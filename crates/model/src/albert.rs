@@ -4,7 +4,7 @@
 use crate::config::AlbertConfig;
 use crate::embedding::FactorizedEmbedding;
 use crate::offramp::OffRamp;
-use edgebert_nn::encoder::LayerScratch;
+use edgebert_nn::encoder::{EncoderCache, LayerGradScratch, LayerScratch};
 use edgebert_nn::norm::LayerNormCache;
 use edgebert_nn::{EncoderLayer, LayerNorm, Parameter};
 use edgebert_quant::tensor::{fake_quantize, fake_quantize_in_place};
@@ -355,13 +355,21 @@ impl AlbertModel {
     /// accumulates gradients into the shared encoder (once per layer
     /// application) and the embedding projection. Each application's
     /// activations are recomputed from its cached input just before it
-    /// is differentiated and dropped right after, so one
-    /// `EncoderCache` is alive at a time instead of `num_layers`.
+    /// is differentiated, into one `EncoderCache` that all of them refill
+    /// in turn, so one is alive at a time instead of `num_layers`; that
+    /// cache, the gradient handed from layer to layer and the backward's
+    /// buffers are sized by the first application and freed on return
+    /// (held across sentences they would sit beside each next forward
+    /// pass's buffers instead of in the memory those release).
     pub fn backward_from_final(&mut self, cache: &TrainCache, grad_final_hidden: &Matrix) {
         let mut g = grad_final_hidden.clone();
+        let (mut layer_out, mut activations) = (Matrix::default(), EncoderCache::default());
+        let mut scratch = LayerGradScratch::default();
         for input in cache.layer_inputs.iter().rev() {
-            let (_, activations) = self.encoder.forward(input);
-            g = self.encoder.backward(&activations, &g);
+            self.encoder
+                .forward_into(input, &mut layer_out, &mut activations);
+            self.encoder
+                .backward_in_place(&activations, &mut g, &mut scratch);
         }
         self.embedding.backward_projection(&cache.low, &g);
     }

@@ -158,6 +158,17 @@ impl Trainer {
             total_steps,
         );
 
+        // The teacher is frozen, so each example's distillation target is
+        // computed once, not once an epoch. No entropy is below -inf, so
+        // the exit is the last layer.
+        let teacher_logits: Vec<Matrix> = train
+            .iter()
+            .map(|ex| {
+                let (_, last, _) = teacher.infer_early_exit(&ex.tokens, f32::NEG_INFINITY);
+                Matrix::from_vec(1, self.cfg.num_classes, last)
+            })
+            .collect();
+
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut step = 0usize;
         let prune_every = (total_steps / 20).max(1);
@@ -171,11 +182,8 @@ impl Trainer {
                 // Task loss.
                 let (_, ce_grad) = cross_entropy(&logits, &[ex.label]);
                 // Distillation against the teacher's final logits.
-                // No entropy is below -inf, so the exit is the last layer.
-                let (_, teacher_final, _) = teacher.infer_early_exit(&ex.tokens, f32::NEG_INFINITY);
-                let teacher_logits = Matrix::from_vec(1, self.cfg.num_classes, teacher_final);
                 let (_, kd_grad) =
-                    distillation(&logits, &teacher_logits, self.opts.distill_temperature);
+                    distillation(&logits, &teacher_logits[i], self.opts.distill_temperature);
                 let mut grad = ce_grad;
                 grad.add_assign(&kd_grad.scale(self.opts.distill_weight));
 

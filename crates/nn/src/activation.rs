@@ -11,7 +11,19 @@ pub fn gelu_forward(x: &Matrix) -> (Matrix, Matrix) {
 
 /// Backward of [`gelu_forward`]: `dx = dy * gelu'(x)`.
 pub fn gelu_backward(cache: &Matrix, grad_out: &Matrix) -> Matrix {
-    grad_out.hadamard(&cache.map(gelu_grad))
+    assert_eq!(cache.shape(), grad_out.shape(), "gelu_backward shapes");
+    let mut dx = grad_out.clone();
+    gelu_backward_in_place(cache, &mut dx);
+    dx
+}
+
+/// [`gelu_backward`] in place: `grad` holds `dy` on entry and `dx` on
+/// return.
+// analyzer: hot-path
+pub fn gelu_backward_in_place(cache: &Matrix, grad: &mut Matrix) {
+    for (d, &x) in grad.as_mut_slice().iter_mut().zip(cache.as_slice()) {
+        *d *= gelu_grad(x);
+    }
 }
 
 /// ReLU applied element-wise; returns `(output, cache)`.

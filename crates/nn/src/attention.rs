@@ -7,6 +7,7 @@
 //! identically zero produce a zero context vector — exactly the case the
 //! accelerator's SFU controller detects to skip the whole head.
 
+use crate::encoder::BlockGradScratch;
 use crate::linear::Linear;
 use crate::param::Parameter;
 use crate::span::AdaptiveSpan;
@@ -44,16 +45,17 @@ pub struct MultiHeadAttention {
     head_dim: usize,
 }
 
-/// Cached activations for [`MultiHeadAttention::backward`].
-#[derive(Debug, Clone)]
+/// Cached activations for [`MultiHeadAttention::backward`]. A default
+/// value is empty; [`MultiHeadAttention::forward_into`] reshapes and
+/// overwrites every part, so one cache can be refilled application after
+/// application without touching the allocator.
+#[derive(Debug, Default)]
 pub struct AttentionCache {
     /// The input, read by all three of the q/k/v projections' backwards.
     x: Matrix,
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    /// The heads' concatenated context (input of the output projection).
-    concat: Matrix,
+    /// The forward's own buffers: `q`, `k`, `v` and the heads'
+    /// concatenated context (input of the output projection).
+    forward: AttentionScratch,
     /// Per-head post-softmax probabilities (before the span mask);
     /// empty for a head that was off. The masks themselves are not kept:
     /// `backward` rebuilds them from `spans`.
@@ -78,6 +80,46 @@ pub struct AttentionScratch {
     /// One head's span mask over token distances `0..seq`.
     profile: Vec<f32>,
     concat: Matrix,
+}
+
+/// The attention block's own working buffers inside a
+/// [`BlockGradScratch`]; each is reshaped and overwritten by the call
+/// that uses it.
+#[derive(Debug, Default)]
+pub struct AttentionGradScratch {
+    /// A `seq x hidden` gradient in row-major form: of the concatenated
+    /// context while the heads run, then of `q`, `k` and `v` in turn.
+    d_rows: Matrix,
+    /// `v` transposed (`hidden x seq`), as `k_t` is in the forward.
+    v_t: Matrix,
+    /// The gradients of `q`, `k` and `v`, transposed (`hidden x seq`): a
+    /// head accumulates into `head_dim` contiguous rows of each, a whole
+    /// row of positions at a time.
+    dq_t: Matrix,
+    dk_t: Matrix,
+    dv_t: Matrix,
+    /// One head's `seq x seq` gradient of the masked probabilities, then
+    /// of the probabilities, then the transposed gradient of the scores.
+    d_masked: Matrix,
+    /// One head's gradient of the span mask, then of the scores.
+    d_scores: Matrix,
+    /// One head's span mask over token distances `0..seq`.
+    profile: Vec<f32>,
+    /// The same mask over signed distances `-(seq - 1)..seq`, so that the
+    /// mask of query row `i` is the slice `band[seq - 1 - i..][..seq]`.
+    band: Vec<f32>,
+    /// One row of masked probabilities.
+    masked: Vec<f32>,
+    /// `dx` through the key, then the value projection.
+    dx_part: Matrix,
+}
+
+/// `out += a * x`, element by element.
+#[inline(always)]
+fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
+    for (o, &b) in out.iter_mut().zip(x) {
+        *o += a * b;
+    }
 }
 
 impl MultiHeadAttention {
@@ -135,31 +177,27 @@ impl MultiHeadAttention {
 
     /// Forward pass over a `seq_len x hidden` input.
     pub fn forward(&self, x: &Matrix) -> (Matrix, AttentionCache) {
-        let mut s = AttentionScratch::default();
-        self.project_into(x, &mut s);
-        let probs = (0..self.num_heads)
-            .map(|h| {
-                if self.head_into(h, &mut s) {
-                    s.scores.clone()
-                } else {
-                    // Whole head skipped: zero context, nothing to keep.
-                    Matrix::default()
-                }
-            })
-            .collect();
-        let out = self.wo.infer(&s.concat);
-        let AttentionScratch {
-            q, k, v, concat, ..
-        } = s;
-        let cache = AttentionCache {
-            x: x.clone(),
-            q,
-            k,
-            v,
-            concat,
-            probs,
-        };
+        let (mut out, mut cache) = (Matrix::default(), AttentionCache::default());
+        self.forward_into(x, &mut out, &mut cache);
         (out, cache)
+    }
+
+    /// [`MultiHeadAttention::forward`] written into `out` and `cache`,
+    /// both reshaped and overwritten. Runs the per-head kernel of
+    /// [`MultiHeadAttention::infer_into`] and keeps its probabilities.
+    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix, cache: &mut AttentionCache) {
+        cache.x.copy_from(x);
+        self.project_into(x, &mut cache.forward);
+        cache.probs.resize_with(self.num_heads, Matrix::default);
+        for (h, probs) in cache.probs.iter_mut().enumerate() {
+            if self.head_into(h, &mut cache.forward) {
+                probs.copy_from(&cache.forward.scores);
+            } else {
+                // Whole head skipped: zero context, nothing to keep.
+                probs.resize_to(0, 0);
+            }
+        }
+        self.wo.infer_into(&cache.forward.concat, out);
     }
 
     /// Working buffers already at the shapes a `seq_len`-row input needs.
@@ -269,66 +307,138 @@ impl MultiHeadAttention {
     /// Backward pass; accumulates all parameter gradients (including the
     /// per-head span parameters) and returns `dL/dx`.
     pub fn backward(&mut self, cache: &AttentionCache, grad_out: &Matrix) -> Matrix {
-        let seq_len = cache.x.rows();
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let mut dx = Matrix::default();
+        self.backward_into(cache, grad_out, &mut dx, &mut BlockGradScratch::default());
+        dx
+    }
+
+    /// [`MultiHeadAttention::backward`] with `dL/dx` written into `dx`
+    /// (reshaped and overwritten) through the buffers of `s`.
+    // analyzer: hot-path
+    pub fn backward_into(
+        &mut self,
+        cache: &AttentionCache,
+        grad_out: &Matrix,
+        dx: &mut Matrix,
+        s: &mut BlockGradScratch,
+    ) {
+        let (seq_len, hidden) = (cache.x.rows(), self.hidden());
+        let a = &mut s.attention;
         // Through the output projection.
-        let d_concat = self.wo.backward_input(&cache.concat, grad_out);
+        cache.forward.concat.transpose_strided_into(&mut s.input_t);
+        self.wo
+            .backward_input_into(&s.input_t, grad_out, &mut a.d_rows, &mut s.linear);
 
-        let mut dq = Matrix::zeros(seq_len, self.hidden());
-        let mut dk = Matrix::zeros(seq_len, self.hidden());
-        let mut dv = Matrix::zeros(seq_len, self.hidden());
-
+        // No gradient flows through a fully-off head (mask = 0 and
+        // dm/dz = 0 on the flat region): its rows stay zero.
+        for d in [&mut a.dq_t, &mut a.dk_t, &mut a.dv_t] {
+            d.resize_to(hidden, seq_len);
+            d.as_mut_slice().fill(0.0);
+        }
+        cache.forward.v.transpose_strided_into(&mut a.v_t);
         for h in 0..self.num_heads {
-            let off = h * self.head_dim;
-            if self.spans[h].is_off() {
-                // No gradient flows through a fully-off head (mask = 0 and
-                // dm/dz = 0 on the flat region).
-                continue;
-            }
-            let d_ctx = d_concat.slice_cols(off, self.head_dim);
-            let kh = cache.k.slice_cols(off, self.head_dim);
-            let qh = cache.q.slice_cols(off, self.head_dim);
-            let vh = cache.v.slice_cols(off, self.head_dim);
-            let probs = &cache.probs[h];
-            let mask = &self.spans[h].mask_matrix(seq_len);
-
-            let masked = probs.hadamard(mask);
-            // ctx = masked * V  =>  d_masked = d_ctx * V^T ; dV = masked^T * d_ctx
-            let d_masked = d_ctx.matmul_nt(&vh);
-            let dvh = masked.matmul_tn(&d_ctx);
-            dv.set_cols(off, &dvh);
-
-            // masked = probs ⊙ mask
-            let d_probs = d_masked.hadamard(mask);
-            let d_mask = d_masked.hadamard(probs);
-            self.spans[h].backward_mask(&d_mask, seq_len);
-
-            // Softmax backward per row: ds = p ⊙ (g - (g·p))
-            let mut d_scores = Matrix::zeros(seq_len, seq_len);
-            for r in 0..seq_len {
-                let p = probs.row(r);
-                let g = d_probs.row(r);
-                let dot: f32 = p.iter().zip(g.iter()).map(|(&a, &b)| a * b).sum();
-                for c in 0..seq_len {
-                    d_scores.set(r, c, p[c] * (g[c] - dot));
-                }
-            }
-            d_scores.scale_assign(scale);
-
-            // scores = Qh * Kh^T => dQh = d_scores * Kh ; dKh = d_scores^T * Qh
-            let dqh = d_scores.matmul(&kh);
-            let dkh = d_scores.matmul_tn(&qh);
-            dq.set_cols(off, &dqh);
-            dk.set_cols(off, &dkh);
+            self.head_backward(h, cache, a);
         }
 
-        let dxq = self.wq.backward_input(&cache.x, &dq);
-        let dxk = self.wk.backward_input(&cache.x, &dk);
-        let dxv = self.wv.backward_input(&cache.x, &dv);
-        let mut dx = dxq;
-        dx.add_assign(&dxk);
-        dx.add_assign(&dxv);
-        dx
+        cache.x.transpose_strided_into(&mut s.input_t);
+        a.dq_t.transpose_strided_into(&mut a.d_rows);
+        self.wq
+            .backward_input_into(&s.input_t, &a.d_rows, dx, &mut s.linear);
+        a.dk_t.transpose_strided_into(&mut a.d_rows);
+        self.wk
+            .backward_input_into(&s.input_t, &a.d_rows, &mut a.dx_part, &mut s.linear);
+        dx.add_assign(&a.dx_part);
+        a.dv_t.transpose_strided_into(&mut a.d_rows);
+        self.wv
+            .backward_input_into(&s.input_t, &a.d_rows, &mut a.dx_part, &mut s.linear);
+        dx.add_assign(&a.dx_part);
+    }
+
+    /// One head of the backward: reads the head's columns of the context
+    /// gradient and of the cached `q`/`k` in place (`r * hidden + off + c`,
+    /// as [`MultiHeadAttention::head_into`] does) and its values from the
+    /// matching rows of `v_t`, accumulates the span gradient, and adds
+    /// into the head's rows of `dq_t`/`dk_t`/`dv_t`. Does nothing for a
+    /// head whose span is off.
+    ///
+    /// Every element is the sum the `matmul_nt` / `matmul_tn` / `matmul`
+    /// form on copies of the head takes: it accumulates from zero over
+    /// the contracted index in ascending order. Those forms skip the
+    /// terms whose left-hand entry is zero; the four products here add
+    /// them, which on finite operands is the same bits (see
+    /// [`Matrix::matmul_nt_into`]), so that each step is one scalar
+    /// against a whole row of positions.
+    // analyzer: hot-path
+    fn head_backward(&mut self, h: usize, cache: &AttentionCache, s: &mut AttentionGradScratch) {
+        if self.spans[h].is_off() {
+            return;
+        }
+        let (seq_len, hidden, dim) = (cache.x.rows(), self.hidden(), self.head_dim);
+        let off = h * dim;
+        let scale = 1.0 / (dim as f32).sqrt();
+        let probs = &cache.probs[h];
+        let (q, k) = (cache.forward.q.as_slice(), cache.forward.k.as_slice());
+        let d_concat = s.d_rows.as_slice();
+        let head = |r: usize| r * hidden + off..r * hidden + off + dim;
+
+        s.profile.resize(seq_len, 0.0);
+        self.spans[h].mask_vector_into(&mut s.profile);
+        s.band.resize((2 * seq_len).saturating_sub(1), 0.0);
+        for (d, &m) in s.profile.iter().enumerate() {
+            s.band[seq_len - 1 - d] = m;
+            s.band[seq_len - 1 + d] = m;
+        }
+
+        // ctx = masked * V with masked = probs ⊙ mask, so
+        // d_masked = d_ctx * V^T, dV = masked^T * d_ctx and
+        // d_mask = d_masked ⊙ probs.
+        s.d_masked.resize_to(seq_len, seq_len);
+        s.d_scores.resize_to(seq_len, seq_len);
+        s.masked.resize(seq_len, 0.0);
+        for i in 0..seq_len {
+            let (p, mask) = (probs.row(i), &s.band[seq_len - 1 - i..][..seq_len]);
+            let d_ctx = &d_concat[head(i)];
+            let d_masked = s.d_masked.row_mut(i);
+            d_masked.fill(0.0);
+            for (c, &a) in d_ctx.iter().enumerate() {
+                axpy(d_masked, a, s.v_t.row(off + c));
+            }
+            for ((m, &p), &w) in s.masked.iter_mut().zip(p).zip(mask) {
+                *m = p * w;
+            }
+            for (c, &b) in d_ctx.iter().enumerate() {
+                axpy(s.dv_t.row_mut(off + c), b, &s.masked);
+            }
+            for ((o, &g), &p) in s.d_scores.row_mut(i).iter_mut().zip(&*d_masked).zip(p) {
+                *o = g * p;
+            }
+        }
+        self.spans[h].backward_mask(&s.d_scores, &s.profile);
+
+        // d_probs = d_masked ⊙ mask, then the softmax backward per row,
+        // ds = p ⊙ (g - (g·p)), and the score scale. scores = Q_h * K_h^T,
+        // so dK_h = d_scores^T * Q_h and dQ_h = d_scores * K_h.
+        for r in 0..seq_len {
+            let (p, mask) = (probs.row(r), &s.band[seq_len - 1 - r..][..seq_len]);
+            let g = s.d_masked.row_mut(r);
+            for (g, &w) in g.iter_mut().zip(mask) {
+                *g *= w;
+            }
+            let dot: f32 = p.iter().zip(g.iter()).map(|(&a, &b)| a * b).sum();
+            let ds = s.d_scores.row_mut(r);
+            for ((ds, &p), &g) in ds.iter_mut().zip(p).zip(&*g) {
+                *ds = p * (g - dot) * scale;
+            }
+            for (c, &b) in q[head(r)].iter().enumerate() {
+                axpy(s.dk_t.row_mut(off + c), b, ds);
+            }
+        }
+        s.d_scores.transpose_strided_into(&mut s.d_masked);
+        for j in 0..seq_len {
+            for (c, &b) in k[head(j)].iter().enumerate() {
+                axpy(s.dq_t.row_mut(off + c), b, s.d_masked.row(j));
+            }
+        }
     }
 
     /// Adds the span penalty to all heads; returns the total penalty value.

@@ -1,8 +1,12 @@
-//! A full transformer encoder layer (post-norm, as in BERT/ALBERT).
+//! A full transformer encoder layer (pre-norm; see [`EncoderLayer`] for why
+//! not BERT/ALBERT's post-norm).
 
-use crate::attention::{AttentionCache, AttentionScratch, MultiHeadAttention};
+use crate::attention::{
+    AttentionCache, AttentionGradScratch, AttentionScratch, MultiHeadAttention,
+};
 use crate::ffn::{FeedForward, FeedForwardCache};
-use crate::norm::{LayerNorm, LayerNormCache};
+use crate::linear::LinearGradScratch;
+use crate::norm::{LayerNorm, LayerNormCache, NormGradScratch};
 use crate::param::Parameter;
 use edgebert_tensor::{Matrix, Rng};
 use serde::{Deserialize, Serialize};
@@ -23,8 +27,7 @@ use serde::{Deserialize, Serialize};
 /// synthetic corpora is numerically unstable in post-norm form (the
 /// well-known warmup sensitivity), while every EdgeBERT mechanism —
 /// early exit, spans, pruning, quantization, and the per-layer op counts
-/// the hardware model charges — is identical between the two. See
-/// `DESIGN.md` §1.
+/// the hardware model charges — is identical between the two.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EncoderLayer {
     /// Multi-head self-attention with adaptive spans.
@@ -37,13 +40,44 @@ pub struct EncoderLayer {
     pub norm2: LayerNorm,
 }
 
-/// Saved activations for [`EncoderLayer::backward`].
-#[derive(Debug, Clone)]
+/// Saved activations for [`EncoderLayer::backward`]. A default value is
+/// empty; [`EncoderLayer::forward_into`] reshapes and overwrites every
+/// part, so a training loop that recomputes one layer application at a
+/// time refills a single cache.
+#[derive(Debug, Default)]
 pub struct EncoderCache {
     attn: AttentionCache,
     n1: LayerNormCache,
     ffn: FeedForwardCache,
     n2: LayerNormCache,
+    /// Forward working buffer: output of `norm1`, then of `norm2`.
+    normed: Matrix,
+    /// Forward working buffer: the attention branch, then the FFN branch.
+    branch: Matrix,
+}
+
+/// Working buffers of the attention and FFN blocks' `backward_into`,
+/// which take turns in the shared ones: like [`LayerScratch`], any value
+/// works and a reused one makes the call allocation-free.
+#[derive(Debug, Default)]
+pub struct BlockGradScratch {
+    /// The transposed input of the linear layer being differentiated.
+    pub(crate) input_t: Matrix,
+    pub(crate) linear: LinearGradScratch,
+    pub(crate) attention: AttentionGradScratch,
+    /// Gradient of the FFN activation's output, then of its input.
+    pub(crate) d_mid: Matrix,
+}
+
+/// Working buffers of [`EncoderLayer::backward_in_place`].
+#[derive(Debug, Default)]
+pub struct LayerGradScratch {
+    blocks: BlockGradScratch,
+    norm: NormGradScratch,
+    /// Gradient at the output of `norm2`, then of `norm1`.
+    d_normed: Matrix,
+    /// Gradient through the FFN branch, then the attention branch.
+    d_branch: Matrix,
 }
 
 /// Working buffers of [`EncoderLayer::infer_in_place`]: like
@@ -83,13 +117,23 @@ impl EncoderLayer {
 
     /// Forward pass over a `seq_len x hidden` input.
     pub fn forward(&self, x: &Matrix) -> (Matrix, EncoderCache) {
-        let (nx, n1) = self.norm1.forward(x);
-        let (attn_out, attn) = self.attention.forward(&nx);
-        let a = x.add(&attn_out);
-        let (na, n2) = self.norm2.forward(&a);
-        let (ffn_out, ffn) = self.ffn.forward(&na);
-        let y = a.add(&ffn_out);
-        (y, EncoderCache { attn, n1, ffn, n2 })
+        let (mut y, mut cache) = (Matrix::default(), EncoderCache::default());
+        self.forward_into(x, &mut y, &mut cache);
+        (y, cache)
+    }
+
+    /// [`EncoderLayer::forward`] written into `y` and `cache`, both
+    /// reshaped and overwritten.
+    pub fn forward_into(&self, x: &Matrix, y: &mut Matrix, cache: &mut EncoderCache) {
+        self.norm1.forward_into(x, &mut cache.normed, &mut cache.n1);
+        self.attention
+            .forward_into(&cache.normed, &mut cache.branch, &mut cache.attn);
+        y.copy_from(x);
+        y.add_assign(&cache.branch);
+        self.norm2.forward_into(y, &mut cache.normed, &mut cache.n2);
+        self.ffn
+            .forward_into(&cache.normed, &mut cache.branch, &mut cache.ffn);
+        y.add_assign(&cache.branch);
     }
 
     /// Working buffers already at the shapes a `seq_len`-row input needs.
@@ -125,18 +169,34 @@ impl EncoderLayer {
 
     /// Backward pass; accumulates parameter grads and returns `dx`.
     pub fn backward(&mut self, cache: &EncoderCache, grad_out: &Matrix) -> Matrix {
+        let mut g = grad_out.clone();
+        self.backward_in_place(cache, &mut g, &mut LayerGradScratch::default());
+        g
+    }
+
+    /// [`EncoderLayer::backward`] overwriting `g`, the gradient at the
+    /// layer's output, with the gradient at its input, through the
+    /// buffers of `s`.
+    // analyzer: hot-path
+    pub fn backward_in_place(
+        &mut self,
+        cache: &EncoderCache,
+        g: &mut Matrix,
+        s: &mut LayerGradScratch,
+    ) {
         // y = a + ffn(norm2(a)): gradient reaches `a` directly and
         // through the FFN branch.
-        let d_na = self.ffn.backward(&cache.ffn, grad_out);
-        let d_a_ffn_path = self.norm2.backward(&cache.n2, &d_na);
-        let mut da = grad_out.clone();
-        da.add_assign(&d_a_ffn_path);
+        self.ffn
+            .backward_into(&cache.ffn, g, &mut s.d_normed, &mut s.blocks);
+        self.norm2
+            .backward_into(&cache.n2, &s.d_normed, &mut s.d_branch, &mut s.norm);
+        g.add_assign(&s.d_branch);
         // a = x + attn(norm1(x)).
-        let d_nx = self.attention.backward(&cache.attn, &da);
-        let d_x_attn_path = self.norm1.backward(&cache.n1, &d_nx);
-        let mut dx = da;
-        dx.add_assign(&d_x_attn_path);
-        dx
+        self.attention
+            .backward_into(&cache.attn, g, &mut s.d_normed, &mut s.blocks);
+        self.norm1
+            .backward_into(&cache.n1, &s.d_normed, &mut s.d_branch, &mut s.norm);
+        g.add_assign(&s.d_branch);
     }
 
     /// Clears all gradients.

@@ -1,6 +1,7 @@
 //! Position-wise feed-forward network (Linear → GELU → Linear).
 
-use crate::activation::gelu_backward;
+use crate::activation::gelu_backward_in_place;
+use crate::encoder::BlockGradScratch;
 use crate::linear::Linear;
 use crate::param::Parameter;
 use edgebert_tensor::kernels::gelu;
@@ -19,8 +20,9 @@ pub struct FeedForward {
     pub fc2: Linear,
 }
 
-/// Saved activations for [`FeedForward::backward`].
-#[derive(Debug, Clone)]
+/// Saved activations for [`FeedForward::backward`]; a default value is
+/// empty and [`FeedForward::forward_into`] reshapes and overwrites it.
+#[derive(Debug, Default)]
 pub struct FeedForwardCache {
     x: Matrix,
     gelu_in: Matrix,
@@ -38,15 +40,19 @@ impl FeedForward {
 
     /// Forward pass over a `seq_len x hidden` input.
     pub fn forward(&self, x: &Matrix) -> (Matrix, FeedForwardCache) {
-        let gelu_in = self.fc1.infer(x);
-        let gelu_out = gelu_in.map(gelu);
-        let y = self.fc2.infer(&gelu_out);
-        let cache = FeedForwardCache {
-            x: x.clone(),
-            gelu_in,
-            gelu_out,
-        };
+        let (mut y, mut cache) = (Matrix::default(), FeedForwardCache::default());
+        self.forward_into(x, &mut y, &mut cache);
         (y, cache)
+    }
+
+    /// [`FeedForward::forward`] written into `out` and `cache`, both
+    /// reshaped and overwritten.
+    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix, cache: &mut FeedForwardCache) {
+        cache.x.copy_from(x);
+        self.fc1.infer_into(x, &mut cache.gelu_in);
+        cache.gelu_out.copy_from(&cache.gelu_in);
+        cache.gelu_out.map_inplace(gelu);
+        self.fc2.infer_into(&cache.gelu_out, out);
     }
 
     /// Inference-only forward.
@@ -67,9 +73,28 @@ impl FeedForward {
 
     /// Backward pass; accumulates parameter grads and returns `dx`.
     pub fn backward(&mut self, cache: &FeedForwardCache, grad_out: &Matrix) -> Matrix {
-        let da = self.fc2.backward_input(&cache.gelu_out, grad_out);
-        let dh = gelu_backward(&cache.gelu_in, &da);
-        self.fc1.backward_input(&cache.x, &dh)
+        let mut dx = Matrix::default();
+        self.backward_into(cache, grad_out, &mut dx, &mut BlockGradScratch::default());
+        dx
+    }
+
+    /// [`FeedForward::backward`] with `dx` written into a caller buffer
+    /// (reshaped and overwritten) through the buffers of `s`.
+    // analyzer: hot-path
+    pub fn backward_into(
+        &mut self,
+        cache: &FeedForwardCache,
+        grad_out: &Matrix,
+        dx: &mut Matrix,
+        s: &mut BlockGradScratch,
+    ) {
+        cache.gelu_out.transpose_strided_into(&mut s.input_t);
+        self.fc2
+            .backward_input_into(&s.input_t, grad_out, &mut s.d_mid, &mut s.linear);
+        gelu_backward_in_place(&cache.gelu_in, &mut s.d_mid);
+        cache.x.transpose_strided_into(&mut s.input_t);
+        self.fc1
+            .backward_input_into(&s.input_t, &s.d_mid, dx, &mut s.linear);
     }
 
     /// Clears gradients.

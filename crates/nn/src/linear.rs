@@ -36,6 +36,18 @@ pub struct LinearCache {
     input: Matrix,
 }
 
+/// Working buffers of [`Linear::backward_input_into`]: one call's `dW`
+/// and `db`, and the weight transposed. `dW` and `db` are formed from
+/// zero here and added to the parameter's gradient once; accumulating the
+/// products straight into a gradient that already holds earlier calls'
+/// sums would round differently.
+#[derive(Debug, Default)]
+pub struct LinearGradScratch {
+    dw: Matrix,
+    db: Matrix,
+    weight_t: Matrix,
+}
+
 impl Linear {
     /// Creates a layer with Xavier-initialised weights and zero bias.
     pub fn new(in_features: usize, out_features: usize, rng: &mut Rng) -> Self {
@@ -96,18 +108,34 @@ impl Linear {
 
     /// Backward pass. Accumulates parameter gradients and returns `dx`.
     pub fn backward(&mut self, cache: &LinearCache, grad_out: &Matrix) -> Matrix {
-        self.backward_input(&cache.input, grad_out)
+        let mut dx = Matrix::default();
+        self.backward_input_into(
+            &cache.input.transpose(),
+            grad_out,
+            &mut dx,
+            &mut LinearGradScratch::default(),
+        );
+        dx
     }
 
-    /// [`Linear::backward`] given the forward input itself, for callers
-    /// that keep one copy of an input several layers read.
-    pub fn backward_input(&mut self, input: &Matrix, grad_out: &Matrix) -> Matrix {
+    /// [`Linear::backward`] given the forward input already transposed
+    /// (`input_t`, `in x rows`: layers that read one input share one
+    /// transpose), with `dx` written into a caller buffer, reshaped and
+    /// overwritten.
+    // analyzer: hot-path
+    pub fn backward_input_into(
+        &mut self,
+        input_t: &Matrix,
+        grad_out: &Matrix,
+        dx: &mut Matrix,
+        s: &mut LinearGradScratch,
+    ) {
         // dW = x^T * dy ; db = sum_rows(dy) ; dx = dy * W^T
-        let dw = input.matmul_tn(grad_out);
-        self.weight.accumulate_grad(&dw);
-        let db = Matrix::from_vec(1, grad_out.cols(), grad_out.sum_rows());
-        self.bias.accumulate_grad(&db);
-        grad_out.matmul_nt(&self.weight.value)
+        input_t.matmul_into(grad_out, &mut s.dw);
+        self.weight.accumulate_grad(&s.dw);
+        grad_out.sum_rows_into(&mut s.db);
+        self.bias.accumulate_grad(&s.db);
+        grad_out.matmul_nt_into(&self.weight.value, dx, &mut s.weight_t);
     }
 
     /// Clears gradients on both parameters.

@@ -34,12 +34,22 @@ pub struct LayerNorm {
 }
 
 /// Saved statistics for [`LayerNorm::backward`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LayerNormCache {
     /// Normalized input `(x - mu) / sigma`.
     x_hat: Matrix,
     /// Per-row `1 / sigma`.
     inv_std: Vec<f32>,
+}
+
+/// Working buffers of [`LayerNorm::backward_into`]: one call's
+/// `dgamma`/`dbeta` (summed from zero, then added to the gradients once)
+/// and a row of `dxhat`.
+#[derive(Debug, Default)]
+pub struct NormGradScratch {
+    dgamma: Matrix,
+    dbeta: Matrix,
+    dxhat: Vec<f32>,
 }
 
 impl LayerNorm {
@@ -63,15 +73,21 @@ impl LayerNorm {
     ///
     /// Panics if `x.cols() != features`.
     pub fn forward(&self, x: &Matrix) -> (Matrix, LayerNormCache) {
-        let mut out = Matrix::default();
-        let mut x_hat = Vec::with_capacity(x.len());
-        let mut inv_std = Vec::with_capacity(x.rows());
-        self.normalize(x, &mut out, |is, xh| {
-            inv_std.push(is);
-            x_hat.extend_from_slice(xh);
+        let (mut out, mut cache) = (Matrix::default(), LayerNormCache::default());
+        self.forward_into(x, &mut out, &mut cache);
+        (out, cache)
+    }
+
+    /// [`LayerNorm::forward`] written into `out` and `cache`, both
+    /// reshaped and overwritten.
+    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix, cache: &mut LayerNormCache) {
+        cache.x_hat.resize_to(x.rows(), x.cols());
+        cache.inv_std.clear();
+        cache.inv_std.reserve(x.rows());
+        self.normalize(x, out, |is, xh| {
+            cache.x_hat.row_mut(cache.inv_std.len()).copy_from_slice(xh);
+            cache.inv_std.push(is);
         });
-        let x_hat = Matrix::from_vec(x.rows(), x.cols(), x_hat);
-        (out, LayerNormCache { x_hat, inv_std })
     }
 
     /// Inference-only forward (no cache).
@@ -115,39 +131,59 @@ impl LayerNorm {
 
     /// Backward pass; accumulates `dgamma`/`dbeta` and returns `dx`.
     pub fn backward(&mut self, cache: &LayerNormCache, grad_out: &Matrix) -> Matrix {
+        let mut dx = Matrix::default();
+        self.backward_into(cache, grad_out, &mut dx, &mut NormGradScratch::default());
+        dx
+    }
+
+    /// [`LayerNorm::backward`] with `dx` written into a caller buffer
+    /// (reshaped and overwritten).
+    // analyzer: hot-path
+    pub fn backward_into(
+        &mut self,
+        cache: &LayerNormCache,
+        grad_out: &Matrix,
+        dx: &mut Matrix,
+        s: &mut NormGradScratch,
+    ) {
         let (rows, cols) = grad_out.shape();
         let n = cols as f32;
-        let gamma = self.gamma.value.row(0).to_vec();
-        let mut dgamma = vec![0.0f32; cols];
-        let mut dbeta = vec![0.0f32; cols];
-        let mut dx = Matrix::zeros(rows, cols);
+        let gamma = self.gamma.value.row(0);
+        s.dgamma.resize_to(1, cols);
+        s.dgamma.as_mut_slice().fill(0.0);
+        s.dbeta.resize_to(1, cols);
+        s.dbeta.as_mut_slice().fill(0.0);
+        s.dxhat.resize(cols, 0.0);
+        dx.resize_to(rows, cols);
         for r in 0..rows {
             let go = grad_out.row(r);
             let xh = cache.x_hat.row(r);
             // Accumulate parameter grads.
-            for c in 0..cols {
-                dgamma[c] += go[c] * xh[c];
-                dbeta[c] += go[c];
+            let (dgamma, dbeta) = (s.dgamma.as_mut_slice(), s.dbeta.as_mut_slice());
+            for (((dg, db), &g), &x) in dgamma.iter_mut().zip(dbeta).zip(go).zip(xh) {
+                *dg += g * x;
+                *db += g;
             }
             // dx via the standard layernorm backward:
             // dx = (1/sigma) * (dxhat - mean(dxhat) - xhat * mean(dxhat*xhat))
-            let dxhat: Vec<f32> = (0..cols).map(|c| go[c] * gamma[c]).collect();
-            let mean_dxhat: f32 = dxhat.iter().sum::<f32>() / n;
-            let mean_dxhat_xhat: f32 = dxhat
+            for ((d, &g), &gm) in s.dxhat.iter_mut().zip(go).zip(gamma) {
+                *d = g * gm;
+            }
+            let mean_dxhat: f32 = s.dxhat.iter().sum::<f32>() / n;
+            let mean_dxhat_xhat: f32 = s
+                .dxhat
                 .iter()
                 .zip(xh.iter())
                 .map(|(&d, &x)| d * x)
                 .sum::<f32>()
                 / n;
             let is = cache.inv_std[r];
-            for c in 0..cols {
-                dx.set(r, c, is * (dxhat[c] - mean_dxhat - xh[c] * mean_dxhat_xhat));
+            for ((o, &d), &x) in dx.row_mut(r).iter_mut().zip(&s.dxhat).zip(xh) {
+                *o = is * (d - mean_dxhat - x * mean_dxhat_xhat);
             }
         }
-        self.gamma
-            .accumulate_grad(&Matrix::from_vec(1, cols, dgamma));
-        self.beta.accumulate_grad(&Matrix::from_vec(1, cols, dbeta));
-        dx
+        self.gamma.accumulate_grad(&s.dgamma);
+        self.beta.accumulate_grad(&s.dbeta);
     }
 
     /// Clears gradients.

@@ -78,15 +78,13 @@ impl AdamOptimizer {
             }
             let m = p.adam_m.as_mut().expect("just initialised");
             let v = p.adam_v.as_mut().expect("just initialised");
-            for i in 0..p.value.len() {
-                let g = p.grad.as_slice()[i];
-                let mi = self.beta1 * m.as_slice()[i] + (1.0 - self.beta1) * g;
-                let vi = self.beta2 * v.as_slice()[i] + (1.0 - self.beta2) * g * g;
-                m.as_mut_slice()[i] = mi;
-                v.as_mut_slice()[i] = vi;
-                let m_hat = mi / b1t;
-                let v_hat = vi / b2t;
-                let w = &mut p.value.as_mut_slice()[i];
+            let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+            let weights = p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice());
+            for ((w, &g), (m, v)) in weights.zip(moments) {
+                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+                let m_hat = *m / b1t;
+                let v_hat = *v / b2t;
                 *w -= self.lr * (m_hat / (v_hat.sqrt() + self.eps) + self.weight_decay * *w);
             }
             p.apply_mask();
@@ -114,8 +112,8 @@ impl SgdOptimizer {
             if p.frozen {
                 continue;
             }
-            for i in 0..p.value.len() {
-                p.value.as_mut_slice()[i] -= self.lr * p.grad.as_slice()[i];
+            for (w, &g) in p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice()) {
+                *w -= self.lr * g;
             }
             p.apply_mask();
         }
@@ -157,6 +155,55 @@ mod tests {
         }
         for &w in p.value.as_slice() {
             assert!((w - 3.0).abs() < 1e-3);
+        }
+    }
+
+    #[test]
+    fn zipped_steps_keep_the_indexed_loops_bits() {
+        // The per-element update as it was written with four indexed
+        // slices, kept here as the reference.
+        fn indexed_adam(opt: &AdamOptimizer, t: i32, p: &mut Parameter) {
+            let (b1t, b2t) = (1.0 - opt.beta1.powi(t), 1.0 - opt.beta2.powi(t));
+            let (m, v) = (p.adam_m.as_mut().unwrap(), p.adam_v.as_mut().unwrap());
+            for i in 0..p.value.len() {
+                let g = p.grad.as_slice()[i];
+                let mi = opt.beta1 * m.as_slice()[i] + (1.0 - opt.beta1) * g;
+                let vi = opt.beta2 * v.as_slice()[i] + (1.0 - opt.beta2) * g * g;
+                m.as_mut_slice()[i] = mi;
+                v.as_mut_slice()[i] = vi;
+                let (m_hat, v_hat) = (mi / b1t, vi / b2t);
+                let w = &mut p.value.as_mut_slice()[i];
+                *w -= opt.lr * (m_hat / (v_hat.sqrt() + opt.eps) + opt.weight_decay * *w);
+            }
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = edgebert_tensor::Rng::seed_from(19);
+        let mut adam = Parameter::new(rng.gaussian_matrix(48, 96, 0.5));
+        let mut adam_ref = adam.clone();
+        adam_ref.adam_m = Some(Matrix::zeros(48, 96));
+        adam_ref.adam_v = Some(Matrix::zeros(48, 96));
+        let mut sgd = adam.clone();
+        let mut sgd_ref = adam.clone();
+        let mut adam_opt = AdamOptimizer::new(1.5e-3).with_weight_decay(0.01);
+        let mut sgd_opt = SgdOptimizer::new(0.05);
+        for t in 1..=20 {
+            let mut grad = rng.gaussian_matrix(48, 96, 1.0);
+            grad.set(t, t, 0.0);
+            for p in [&mut adam, &mut adam_ref, &mut sgd, &mut sgd_ref] {
+                p.grad = grad.clone();
+            }
+            adam_opt.step(&mut [&mut adam]);
+            indexed_adam(&adam_opt, t as i32, &mut adam_ref);
+            sgd_opt.step(&mut [&mut sgd]);
+            for i in 0..sgd_ref.value.len() {
+                sgd_ref.value.as_mut_slice()[i] -= sgd_opt.lr * sgd_ref.grad.as_slice()[i];
+            }
+            assert_eq!(bits(&adam.value), bits(&adam_ref.value), "adam step {t}");
+            let moments = |p: &Parameter| [p.adam_m.clone().unwrap(), p.adam_v.clone().unwrap()];
+            for (got, want) in moments(&adam).iter().zip(&moments(&adam_ref)) {
+                assert_eq!(bits(got), bits(want), "adam moments, step {t}");
+            }
+            assert_eq!(bits(&sgd.value), bits(&sgd_ref.value), "sgd step {t}");
         }
     }
 

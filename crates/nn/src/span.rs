@@ -124,16 +124,21 @@ impl AdaptiveSpan {
         m
     }
 
-    /// Backward through the mask: given `dL/dmask[i][j]`, accumulates
-    /// `dL/dz`. The ramp is linear, so `dm/dz = 1/R` wherever the mask is
-    /// strictly between 0 and 1, else 0.
-    pub fn backward_mask(&mut self, grad_mask: &Matrix, seq_len: usize) {
+    /// Backward through the mask: given `dL/dmask[i][j]` and the mask's
+    /// own profile ([`AdaptiveSpan::mask_vector`] over the sequence
+    /// length), accumulates `dL/dz`. The ramp is linear, so `dm/dz = 1/R`
+    /// wherever the mask is strictly between 0 and 1, else 0.
+    // analyzer: hot-path
+    pub fn backward_mask(&mut self, grad_mask: &Matrix, profile: &[f32]) {
+        let on_ramp = |m: f32| m > 0.0 && m < 1.0;
         let mut gz = 0.0f32;
-        for i in 0..seq_len {
-            for j in 0..seq_len {
-                let m = self.mask_at(i.abs_diff(j));
-                if m > 0.0 && m < 1.0 {
-                    gz += grad_mask.get(i, j) / self.ramp;
+        // A fully open span has no distance on its ramp: nothing to sum.
+        if profile.iter().any(|&m| on_ramp(m)) {
+            for i in 0..profile.len() {
+                for (j, &g) in grad_mask.row(i).iter().enumerate() {
+                    if on_ramp(profile[i.abs_diff(j)]) {
+                        gz += g / self.ramp;
+                    }
                 }
             }
         }
@@ -224,7 +229,7 @@ mod tests {
                 g.set(i, j, ((i * 7 + j * 3) % 5) as f32 / 5.0 - 0.4);
             }
         }
-        span.backward_mask(&g, seq);
+        span.backward_mask(&g, &span.mask_vector(seq));
         let analytic = span.z.grad.get(0, 0);
         let eps = 1e-3f32;
         let loss = |z: f32| -> f32 {

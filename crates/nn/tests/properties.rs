@@ -1,10 +1,12 @@
 //! Property-based tests for the training substrate.
 
-use edgebert_nn::attention::AttentionScratch;
-use edgebert_nn::encoder::LayerScratch;
+use edgebert_nn::attention::{AttentionCache, AttentionScratch};
+use edgebert_nn::encoder::{BlockGradScratch, EncoderCache, LayerGradScratch, LayerScratch};
+use edgebert_nn::ffn::FeedForwardCache;
 use edgebert_nn::losses::{accuracy, cross_entropy, distillation};
 use edgebert_nn::prune::{magnitude_mask, sparsity_schedule, topk_mask};
 use edgebert_nn::{AdaptiveSpan, EncoderLayer, FeedForward, LayerNorm, Linear, MultiHeadAttention};
+use edgebert_tensor::kernels::{gelu, gelu_grad, softmax_rows};
 use edgebert_tensor::{Matrix, Rng};
 use proptest::prelude::*;
 
@@ -194,5 +196,260 @@ proptest! {
         let targets: Vec<usize> = (0..n).map(|i| i % 3).collect();
         let acc = accuracy(&logits, &targets);
         prop_assert!((0.0..=1.0).contains(&acc));
+    }
+}
+
+// The backward pass as it was written before the buffer forms: every
+// head's operands sliced out into copies, a full `seq x seq` mask matrix,
+// a fresh matrix for every intermediate. Kept here, on the public API
+// alone, as the oracle that is not the kernels themselves; each function
+// recomputes the forward activations it needs from the layer's input.
+
+fn reference_linear_backward(l: &mut Linear, input: &Matrix, grad_out: &Matrix) -> Matrix {
+    let dw = input.matmul_tn(grad_out);
+    l.weight.accumulate_grad(&dw);
+    let db = Matrix::from_vec(1, grad_out.cols(), grad_out.sum_rows());
+    l.bias.accumulate_grad(&db);
+    grad_out.matmul_nt(&l.weight.value)
+}
+
+fn reference_mask_backward(span: &mut AdaptiveSpan, grad_mask: &Matrix, seq_len: usize) {
+    let mut gz = 0.0f32;
+    for i in 0..seq_len {
+        for j in 0..seq_len {
+            let m = span.mask_at(i.abs_diff(j));
+            if m > 0.0 && m < 1.0 {
+                gz += grad_mask.get(i, j) / span.ramp();
+            }
+        }
+    }
+    let cur = span.z.grad.get(0, 0);
+    span.z.grad.set(0, 0, cur + gz);
+}
+
+fn reference_attention_backward(
+    mha: &mut MultiHeadAttention,
+    x: &Matrix,
+    grad_out: &Matrix,
+) -> Matrix {
+    let (seq_len, dim) = (x.rows(), mha.head_dim());
+    let scale = 1.0 / (dim as f32).sqrt();
+    let (q, k, v) = (mha.wq.infer(x), mha.wk.infer(x), mha.wv.infer(x));
+    let mut concat = Matrix::zeros(seq_len, mha.hidden());
+    let mut all_probs = Vec::new();
+    for (h, span) in mha.spans.iter().enumerate() {
+        let mut probs = q
+            .slice_cols(h * dim, dim)
+            .matmul_nt(&k.slice_cols(h * dim, dim));
+        probs.scale_assign(scale);
+        softmax_rows(&mut probs);
+        if !span.is_off() {
+            let masked = probs.hadamard(&span.mask_matrix(seq_len));
+            concat.set_cols(h * dim, &masked.matmul(&v.slice_cols(h * dim, dim)));
+        }
+        all_probs.push(probs);
+    }
+
+    let d_concat = reference_linear_backward(&mut mha.wo, &concat, grad_out);
+    let mut dq = Matrix::zeros(seq_len, mha.hidden());
+    let mut dk = Matrix::zeros(seq_len, mha.hidden());
+    let mut dv = Matrix::zeros(seq_len, mha.hidden());
+    for (h, probs) in all_probs.iter().enumerate() {
+        let off = h * dim;
+        if mha.spans[h].is_off() {
+            continue;
+        }
+        let d_ctx = d_concat.slice_cols(off, dim);
+        let kh = k.slice_cols(off, dim);
+        let qh = q.slice_cols(off, dim);
+        let vh = v.slice_cols(off, dim);
+        let mask = &mha.spans[h].mask_matrix(seq_len);
+
+        let masked = probs.hadamard(mask);
+        let d_masked = d_ctx.matmul_nt(&vh);
+        let dvh = masked.matmul_tn(&d_ctx);
+        dv.set_cols(off, &dvh);
+
+        let d_probs = d_masked.hadamard(mask);
+        let d_mask = d_masked.hadamard(probs);
+        reference_mask_backward(&mut mha.spans[h], &d_mask, seq_len);
+
+        let mut d_scores = Matrix::zeros(seq_len, seq_len);
+        for r in 0..seq_len {
+            let p = probs.row(r);
+            let g = d_probs.row(r);
+            let dot: f32 = p.iter().zip(g.iter()).map(|(&a, &b)| a * b).sum();
+            for c in 0..seq_len {
+                d_scores.set(r, c, p[c] * (g[c] - dot));
+            }
+        }
+        d_scores.scale_assign(scale);
+
+        let dqh = d_scores.matmul(&kh);
+        let dkh = d_scores.matmul_tn(&qh);
+        dq.set_cols(off, &dqh);
+        dk.set_cols(off, &dkh);
+    }
+
+    let dxq = reference_linear_backward(&mut mha.wq, x, &dq);
+    let dxk = reference_linear_backward(&mut mha.wk, x, &dk);
+    let dxv = reference_linear_backward(&mut mha.wv, x, &dv);
+    let mut dx = dxq;
+    dx.add_assign(&dxk);
+    dx.add_assign(&dxv);
+    dx
+}
+
+fn reference_ffn_backward(ffn: &mut FeedForward, x: &Matrix, grad_out: &Matrix) -> Matrix {
+    let gelu_in = ffn.fc1.infer(x);
+    let gelu_out = gelu_in.map(gelu);
+    let da = reference_linear_backward(&mut ffn.fc2, &gelu_out, grad_out);
+    let dh = da.hadamard(&gelu_in.map(gelu_grad));
+    reference_linear_backward(&mut ffn.fc1, x, &dh)
+}
+
+fn reference_norm_backward(ln: &mut LayerNorm, x: &Matrix, grad_out: &Matrix) -> Matrix {
+    let (rows, cols) = grad_out.shape();
+    let n = cols as f32;
+    let gamma = ln.gamma.value.row(0).to_vec();
+    let mut dgamma = vec![0.0f32; cols];
+    let mut dbeta = vec![0.0f32; cols];
+    let mut dx = Matrix::zeros(rows, cols);
+    for r in 0..rows {
+        let row = x.row(r);
+        let mu: f32 = row.iter().sum::<f32>() / n;
+        let var: f32 = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / n;
+        let is = 1.0 / (var + ln.eps).sqrt();
+        let xh: Vec<f32> = row.iter().map(|&v| (v - mu) * is).collect();
+        let go = grad_out.row(r);
+        for c in 0..cols {
+            dgamma[c] += go[c] * xh[c];
+            dbeta[c] += go[c];
+        }
+        let dxhat: Vec<f32> = (0..cols).map(|c| go[c] * gamma[c]).collect();
+        let mean_dxhat: f32 = dxhat.iter().sum::<f32>() / n;
+        let mean_dxhat_xhat: f32 = dxhat
+            .iter()
+            .zip(xh.iter())
+            .map(|(&d, &x)| d * x)
+            .sum::<f32>()
+            / n;
+        for c in 0..cols {
+            dx.set(r, c, is * (dxhat[c] - mean_dxhat - xh[c] * mean_dxhat_xhat));
+        }
+    }
+    ln.gamma.accumulate_grad(&Matrix::from_vec(1, cols, dgamma));
+    ln.beta.accumulate_grad(&Matrix::from_vec(1, cols, dbeta));
+    dx
+}
+
+fn reference_encoder_backward(layer: &mut EncoderLayer, x: &Matrix, grad_out: &Matrix) -> Matrix {
+    let nx = layer.norm1.infer(x);
+    let a = x.add(&layer.attention.infer(&nx));
+    let na = layer.norm2.infer(&a);
+    let d_na = reference_ffn_backward(&mut layer.ffn, &na, grad_out);
+    let d_a_ffn_path = reference_norm_backward(&mut layer.norm2, &a, &d_na);
+    let mut da = grad_out.clone();
+    da.add_assign(&d_a_ffn_path);
+    let d_nx = reference_attention_backward(&mut layer.attention, &nx, &da);
+    let d_x_attn_path = reference_norm_backward(&mut layer.norm1, x, &d_nx);
+    let mut dx = da;
+    dx.add_assign(&d_x_attn_path);
+    dx
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+fn grad_bits(layer: &mut EncoderLayer) -> Vec<Vec<u32>> {
+    layer.params_mut().iter().map(|p| bits(&p.grad)).collect()
+}
+
+#[test]
+fn buffer_backwards_keep_the_copy_based_backwards_bits() {
+    for heads in [2usize, 12] {
+        let (hidden, intermediate) = (4 * heads, 8 * heads);
+        let mut rng = Rng::seed_from(19 + heads as u64);
+        let mut layer = EncoderLayer::new(hidden, heads, intermediate, 32, &mut rng);
+        // Pruned weights; a partial ramp, an off head, and the rest open.
+        for p in layer.params_mut() {
+            for w in p.value.as_mut_slice().iter_mut().step_by(3) {
+                *w = 0.0;
+            }
+        }
+        layer.attention.spans[0].set_z(2.5);
+        layer.attention.spans[1].set_z(-1000.0);
+        for span in &mut layer.attention.spans[2..] {
+            span.set_z(32.0);
+        }
+        let mut reference = layer.clone();
+        let mut blocks = layer.clone();
+        let mut blocks_reference = layer.clone();
+
+        // One cache and one scratch across every length, longer and
+        // shorter than the one before; gradients accumulate throughout.
+        let (mut y, mut cache) = (Matrix::default(), EncoderCache::default());
+        let mut scratch = LayerGradScratch::default();
+        let (mut attn_cache, mut ffn_cache) =
+            (AttentionCache::default(), FeedForwardCache::default());
+        let (mut out, mut dx_block) = (Matrix::default(), Matrix::default());
+        let mut block_scratch = BlockGradScratch::default();
+        for seq_len in [7usize, 32, 1, 7] {
+            let x = rng.gaussian_matrix(seq_len, hidden, 1.0);
+            let grad_out = rng.gaussian_matrix(seq_len, hidden, 1.0);
+            let tag = format!("heads {heads}, seq {seq_len}");
+
+            layer.forward_into(&x, &mut y, &mut cache);
+            assert_eq!(bits(&y), bits(&layer.infer(&x)), "{tag}");
+            let mut g = grad_out.clone();
+            layer.backward_in_place(&cache, &mut g, &mut scratch);
+            let want = reference_encoder_backward(&mut reference, &x, &grad_out);
+            assert_eq!(bits(&g), bits(&want), "encoder dx, {tag}");
+            assert_eq!(grad_bits(&mut layer), grad_bits(&mut reference), "{tag}");
+
+            // The two blocks on their own, and the allocating wrappers.
+            blocks.attention.forward_into(&x, &mut out, &mut attn_cache);
+            blocks.attention.backward_into(
+                &attn_cache,
+                &grad_out,
+                &mut dx_block,
+                &mut block_scratch,
+            );
+            let want = reference_attention_backward(&mut blocks_reference.attention, &x, &grad_out);
+            assert_eq!(bits(&dx_block), bits(&want), "attention dx, {tag}");
+            blocks.ffn.forward_into(&x, &mut out, &mut ffn_cache);
+            blocks
+                .ffn
+                .backward_into(&ffn_cache, &grad_out, &mut dx_block, &mut block_scratch);
+            let want = reference_ffn_backward(&mut blocks_reference.ffn, &x, &grad_out);
+            assert_eq!(bits(&dx_block), bits(&want), "ffn dx, {tag}");
+            assert_eq!(
+                grad_bits(&mut blocks),
+                grad_bits(&mut blocks_reference),
+                "{tag}"
+            );
+
+            let mut wrapped = layer.clone();
+            wrapped.zero_grad();
+            let (_, fresh) = wrapped.forward(&x);
+            let mut direct = wrapped.clone();
+            assert_eq!(
+                bits(&wrapped.backward(&fresh, &grad_out)),
+                bits(&reference_encoder_backward(&mut direct, &x, &grad_out)),
+                "wrapper dx, {tag}"
+            );
+            assert_eq!(grad_bits(&mut wrapped), grad_bits(&mut direct), "{tag}");
+        }
+        let span_grads = |l: &EncoderLayer| -> Vec<f32> {
+            l.attention
+                .spans
+                .iter()
+                .map(|s| s.z.grad.get(0, 0))
+                .collect()
+        };
+        let z = span_grads(&layer);
+        assert!(z[0] != 0.0, "the ramp head's span gradient is exercised");
+        assert_eq!(z[1], 0.0, "no gradient reaches an off head's span");
     }
 }

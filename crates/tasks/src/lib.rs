@@ -12,7 +12,10 @@
 //! early-exit layers matches the paper's Table 3 (SST-2 and QQP exit
 //! early, MNLI and QNLI late) and MNLI is 3-way while the rest are binary.
 //!
-//! See `DESIGN.md` §1 for the substitution argument.
+//! The substitution is sound for this reproduction because everything
+//! downstream of the model (entropy thresholds, the exit predictor, DVFS)
+//! consumes only per-layer off-ramp entropies and exit layers, and the
+//! hardware model prices ALBERT-base shapes whatever the corpus is.
 
 pub mod dataset;
 pub mod generator;

@@ -283,31 +283,41 @@ impl Matrix {
 
     /// Matrix product with the transpose of `rhs`: `self * rhs^T`.
     ///
-    /// Shape `(m, k) x (n, k) -> (m, n)`. Avoids materialising the
-    /// transpose, which matters for attention score computation.
+    /// Shape `(m, k) x (n, k) -> (m, n)`. Used by backward passes; see
+    /// [`Matrix::matmul_nt_into`] for the sums it forms.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.cols()`.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
+        let (mut out, mut rhs_t) = (Matrix::default(), Matrix::default());
+        self.matmul_nt_into(rhs, &mut out, &mut rhs_t);
+        out
+    }
+
+    /// [`Matrix::matmul_nt`] written into `out` through `rhs_t`, which
+    /// receives the transpose of `rhs`; both are reshaped and overwritten.
+    ///
+    /// The product is [`Matrix::matmul_into`] on that transpose: each
+    /// element is summed over `k` ascending from `+0.0`, skipping the
+    /// terms whose `self` entry is zero. On finite operands that is bit
+    /// for bit the plain running dot product: a skipped term is `±0.0`,
+    /// and a running sum that starts at `+0.0` is never `-0.0` (`x + -x`
+    /// and `+0.0 + -0.0` both round to `+0.0`), so adding the term would
+    /// not have changed it. Only a non-finite `rhs` entry behind a zero
+    /// differs: its `0 * inf = NaN` is not formed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != rhs.cols()`.
+    pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix, rhs_t: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_nt inner dims {}x{} * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
-                }
-                out.set(i, j, acc);
-            }
-        }
-        out
+        rhs.transpose_strided_into(rhs_t);
+        self.matmul_into(rhs_t, out);
     }
 
     /// Matrix product with the transpose of `self`: `self^T * rhs`.
@@ -318,26 +328,28 @@ impl Matrix {
     ///
     /// Panics if `self.rows() != rhs.rows()`.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
+        let (mut out, mut self_t) = (Matrix::default(), Matrix::default());
+        self.matmul_tn_into(rhs, &mut out, &mut self_t);
+        out
+    }
+
+    /// [`Matrix::matmul_tn`] written into `out` through `self_t`, which
+    /// receives the transpose of `self`; both are reshaped and
+    /// overwritten. The product is [`Matrix::matmul_into`] on that
+    /// transpose: summed over `k` ascending from `+0.0`, skipping zero
+    /// entries of `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != rhs.rows()`.
+    pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix, self_t: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
             "matmul_tn inner dims ({}x{})^T * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for k in 0..self.rows {
-            let a_row = &self.data[k * self.cols..(k + 1) * self.cols];
-            let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        self.transpose_strided_into(self_t);
+        self_t.matmul_into(rhs, out);
     }
 
     /// Returns the transpose.
@@ -356,6 +368,43 @@ impl Matrix {
                 out.set(c, r, self.get(r, c));
             }
         }
+    }
+
+    /// [`Matrix::transpose_into`] through slices, four source rows at a
+    /// time, so that every visit to an output row writes four adjacent
+    /// values and no element pays index arithmetic or a bounds check
+    /// (2-3x the per-element `get`/`set` loop at the model's shapes).
+    /// What the backward's matrix products transpose their operands with.
+    pub fn transpose_strided_into(&self, out: &mut Matrix) {
+        let (rows, cols) = (self.rows, self.cols);
+        out.resize_to(cols, rows);
+        if self.data.is_empty() {
+            return;
+        }
+        let mut r = 0;
+        while r + 4 <= rows {
+            let (a, rest) = self.data[r * cols..(r + 4) * cols].split_at(cols);
+            let (b, rest) = rest.split_at(cols);
+            let (c, d) = rest.split_at(cols);
+            // Chunk `k` of `out` from offset `r` starts at `out[k][r]`.
+            let columns = out.data[r..].chunks_mut(rows);
+            for ((((o, &a), &b), &c), &d) in columns.zip(a).zip(b).zip(c).zip(d) {
+                o[..4].copy_from_slice(&[a, b, c, d]);
+            }
+            r += 4;
+        }
+        for r in r..rows {
+            let column = out.data[r..].iter_mut().step_by(rows);
+            for (o, &v) in column.zip(self.row(r)) {
+                *o = v;
+            }
+        }
+    }
+
+    /// Overwrites `self` with a copy of `src`, keeping the buffer.
+    pub fn copy_from(&mut self, src: &Matrix) {
+        self.resize_to(src.rows, src.cols);
+        self.data.copy_from_slice(&src.data);
     }
 
     /// Element-wise sum `self + rhs`.
@@ -455,13 +504,22 @@ impl Matrix {
     /// Sum over rows, producing a length-`cols` vector. Used by bias
     /// gradients.
     pub fn sum_rows(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
+        let mut out = Matrix::default();
+        self.sum_rows_into(&mut out);
+        out.data
+    }
+
+    /// [`Matrix::sum_rows`] written into `out`, which is reshaped to
+    /// `1 x cols` and overwritten: each column summed from zero over the
+    /// rows in ascending order.
+    pub fn sum_rows_into(&self, out: &mut Matrix) {
+        out.resize_to(1, self.cols);
+        out.data.fill(0.0);
         for r in 0..self.rows {
-            for (o, &v) in out.iter_mut().zip(self.row(r).iter()) {
+            for (o, &v) in out.data.iter_mut().zip(self.row(r).iter()) {
                 *o += v;
             }
         }
-        out
     }
 
     /// Extracts the sub-matrix of columns `[start, start + width)`.

@@ -94,3 +94,98 @@ proptest! {
         prop_assert_eq!(copy, m);
     }
 }
+
+/// An operand with the values training produces: gaussian entries, about
+/// a third pruned to zero, and a sprinkling of `-0.0` and subnormals.
+fn training_like(rng: &mut edgebert_tensor::Rng, rows: usize, cols: usize) -> Matrix {
+    let mut m = rng.gaussian_matrix(rows, cols, 1.0);
+    for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+        match (i * 7 + rows + cols) % 11 {
+            0..=2 => *v = 0.0,
+            3 => *v = -0.0,
+            4 => *v = f32::MIN_POSITIVE / 8.0 * (1.0 + i as f32),
+            5 => *v = -f32::MIN_POSITIVE / 3.0,
+            _ => {}
+        }
+    }
+    m
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// `matmul_nt` and `matmul_tn` run the blocked `matmul_into` on a
+/// transposed operand. The oracles are the loops they replaced: a plain
+/// running dot product for `nt` (no zero skipping: on finite operands the
+/// skipped terms cannot change a bit) and the streaming `k`-outer loop
+/// for `tn`.
+#[test]
+fn transposed_products_keep_the_naive_loops_bits() {
+    let mut rng = edgebert_tensor::Rng::seed_from(19);
+    const WIDTHS: [usize; 9] = [1, 3, 4, 5, 16, 17, 48, 50, 96];
+    // Reused across every shape, so each call sees a dirty buffer of the
+    // previous shape; the wrappers start from default ones.
+    let (mut out, mut scratch) = (Matrix::filled(2, 3, f32::NAN), Matrix::default());
+    for m in [1, 7, 32] {
+        for n in WIDTHS {
+            for k in WIDTHS {
+                // nt: (m, k) x (n, k)^T.
+                let (a, b) = (training_like(&mut rng, m, k), training_like(&mut rng, n, k));
+                let mut want = Matrix::zeros(m, n);
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = 0.0f32;
+                        for (&x, &y) in a.row(i).iter().zip(b.row(j)) {
+                            acc += x * y;
+                        }
+                        want.set(i, j, acc);
+                    }
+                }
+                a.matmul_nt_into(&b, &mut out, &mut scratch);
+                assert_eq!(out.shape(), (m, n));
+                assert_eq!(bits(&out), bits(&want), "nt {m}x{k} * ({n}x{k})^T");
+                assert_eq!(bits(&a.matmul_nt(&b)), bits(&want));
+
+                // tn: (k, m)^T x (k, n).
+                let (a, b) = (training_like(&mut rng, k, m), training_like(&mut rng, k, n));
+                let mut want = Matrix::zeros(m, n);
+                for kk in 0..k {
+                    for i in 0..m {
+                        let x = a.get(kk, i);
+                        if x == 0.0 {
+                            continue;
+                        }
+                        for j in 0..n {
+                            want.set(i, j, want.get(i, j) + x * b.get(kk, j));
+                        }
+                    }
+                }
+                a.matmul_tn_into(&b, &mut out, &mut scratch);
+                assert_eq!(out.shape(), (m, n));
+                assert_eq!(bits(&out), bits(&want), "tn ({k}x{m})^T * {k}x{n}");
+                assert_eq!(bits(&a.matmul_tn(&b)), bits(&want));
+            }
+        }
+    }
+}
+
+#[test]
+fn buffer_forms_overwrite_dirty_misshapen_buffers() {
+    let mut rng = edgebert_tensor::Rng::seed_from(3);
+    let mut out = Matrix::filled(5, 2, f32::NAN);
+    for (rows, cols) in [(1, 1), (3, 7), (4, 4), (9, 2), (32, 48), (6, 33), (0, 0)] {
+        let m = if rows == 0 {
+            Matrix::default()
+        } else {
+            rng.gaussian_matrix(rows, cols, 1.0)
+        };
+        m.transpose_strided_into(&mut out);
+        assert_eq!(out, m.transpose(), "{rows}x{cols}");
+        m.sum_rows_into(&mut out);
+        assert_eq!(out.shape(), (1, cols));
+        assert_eq!(out.as_slice(), &m.sum_rows()[..]);
+        out.copy_from(&m);
+        assert_eq!(out, m);
+    }
+}

@@ -2,10 +2,12 @@
 //!
 //! `AlbertModel::backward_from_final` re-runs the shared encoder layer's
 //! caching forward on each cached layer input instead of keeping one
-//! `EncoderCache` per layer application. Both tests compare against the
-//! keep-everything form: the first directly (a reference built here from
-//! the public layer calls), the second through the trained weights, whose
-//! hash was recorded on the commit that still kept all twelve caches.
+//! `EncoderCache` per layer application. The first two tests compare
+//! against the keep-everything form: the first directly (a reference built
+//! here from the public layer calls), the second through the trained
+//! weights, whose hash was recorded on the commit that still kept all
+//! twelve caches. The third pins the weights trained at the served shape
+//! to the copy-based backward kernels the buffer forms replaced.
 
 use edgebert_model::{AlbertConfig, AlbertModel, TrainOptions, Trainer};
 use edgebert_nn::prune::PruneMethod;
@@ -96,4 +98,26 @@ fn trainer_run_reproduces_the_weights_of_the_keep_every_cache_commit() {
     // Recorded at 0971c14, the last commit whose `TrainCache` held an
     // `EncoderCache` per layer application.
     assert_eq!(weight_hash(&mut student), 0xef5f_aaff_707e_7287);
+}
+
+#[test]
+fn trainer_run_reproduces_the_copy_based_backward_weights_at_served_shapes() {
+    // `AlbertConfig::tiny` never reaches the 48- and 16-wide column blocks
+    // of the matrix kernel; the served shape (H=48, FFN 96, head width 4,
+    // seq 32) does.
+    let layout = VocabLayout::standard();
+    let cfg = AlbertConfig::small(layout.vocab_size(), Task::Qnli.num_classes());
+    let data = TaskGenerator::standard(Task::Qnli, cfg.max_seq_len).generate(12, 7);
+    let (train, dev) = data.split(0.75);
+    let opts = TrainOptions {
+        epochs: 2,
+        offramp_steps: 10,
+        encoder_prune: Some((PruneMethod::Movement, 0.5)),
+        ..TrainOptions::default()
+    };
+    let (mut student, _) = Trainer::new(cfg, layout, opts).run(&train, &dev);
+    // Recorded at ad3c5cc, the last commit whose backward sliced each
+    // head out into copies and ran `matmul_nt`/`matmul_tn` as their own
+    // loops.
+    assert_eq!(weight_hash(&mut student), 0xa6b1_ab87_b548_6804);
 }
