@@ -107,7 +107,7 @@ struct CachedArtifacts {
 }
 
 /// Bump on any layout change to `TaskArtifacts` or its pointees.
-const ARTIFACT_CACHE_VERSION: u32 = 1;
+const ARTIFACT_CACHE_VERSION: u32 = 2;
 
 impl TaskArtifacts {
     /// Runs the full pipeline for a task.
@@ -366,6 +366,19 @@ mod tests {
             2,
             "second key gets its own file"
         );
+
+        // An envelope of the previous layout version (its parameters
+        // carried their training state) is rebuilt, not loaded, and the
+        // refreshed file is of this version again.
+        let current = format!("\"version\":{ARTIFACT_CACHE_VERSION}");
+        let text = std::fs::read_to_string(&entries[0]).expect("cache file");
+        assert_eq!(text.matches(&current).count(), 1, "one version field");
+        let stale = text.replace(&current, "\"version\":1");
+        std::fs::write(&entries[0], &stale).expect("write the stale envelope");
+        let from_stale = TaskArtifacts::cached_in(&dir, Task::Sst2, Scale::Test, 0xCAC8E);
+        assert_eq!(from_stale.summary, built.summary);
+        let refreshed = std::fs::read_to_string(&entries[0]).expect("cache file");
+        assert_eq!(refreshed, text, "rebuilt and rewritten at this version");
 
         // Corruption falls back to a rebuild and refreshes the file.
         std::fs::write(&entries[0], "{not json").expect("corrupt the cache");

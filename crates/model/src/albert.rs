@@ -7,7 +7,7 @@ use crate::offramp::OffRamp;
 use edgebert_nn::encoder::{EncoderCache, LayerGradScratch, LayerScratch};
 use edgebert_nn::norm::LayerNormCache;
 use edgebert_nn::{EncoderLayer, LayerNorm, Parameter};
-use edgebert_quant::tensor::{fake_quantize, fake_quantize_in_place};
+use edgebert_quant::tensor::fake_quantize_in_place;
 use edgebert_tasks::{Dataset, VocabLayout};
 use edgebert_tensor::{entropy, Matrix, Rng};
 use serde::{Deserialize, Serialize};
@@ -397,11 +397,14 @@ impl AlbertModel {
         self.off_ramps[self.off_ramps.len() - 1].classify(&cache.final_normed)
     }
 
-    /// Fake-quantizes every weight tensor in place (evaluation-time FP8).
+    /// Fake-quantizes every trainable parameter in place, each tensor
+    /// with its own exponent bias (evaluation-time FP8). The frozen token
+    /// and position tables are not rounded here: the token table is the
+    /// shared eNVM image and takes its FP8 form where that image is
+    /// encoded (`edgebert_envm::StoredEmbedding`).
     pub fn quantize_weights(&mut self, exp_bits: u8) {
-        let params = self.params_mut();
-        for p in params {
-            p.value = fake_quantize(&p.value, exp_bits);
+        for p in self.params_mut() {
+            fake_quantize_in_place(&mut p.value, exp_bits);
         }
     }
 
@@ -454,6 +457,17 @@ impl AlbertModel {
         self.final_norm.zero_grad();
         for r in &mut self.off_ramps {
             r.zero_grad();
+        }
+    }
+
+    /// Frees every parameter's training state (gradients, Adam moments,
+    /// movement scores), leaving weights and pruning masks: the model as
+    /// it is served. It trains again from zeroed buffers.
+    pub fn release_training_state(&mut self) {
+        self.embedding.table.release_training_state();
+        self.embedding.positions.release_training_state();
+        for p in self.params_mut() {
+            p.release_training_state();
         }
     }
 

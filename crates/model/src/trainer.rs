@@ -129,10 +129,31 @@ impl Trainer {
         model
     }
 
+    /// The teacher's final-layer logits on every training example: all
+    /// of the teacher that phase 1 reads. The teacher is frozen, so each
+    /// example's distillation target is computed once, not once an epoch.
+    fn distillation_targets(&self, teacher: &AlbertModel, train: &Dataset) -> Vec<Matrix> {
+        train
+            .iter()
+            .map(|ex| {
+                // No entropy is below -inf, so the exit is the last layer.
+                let (_, last, _) = teacher.infer_early_exit(&ex.tokens, f32::NEG_INFINITY);
+                Matrix::from_vec(1, self.cfg.num_classes, last)
+            })
+            .collect()
+    }
+
     /// Phase 1: student fine-tuning with KD + pruning + adaptive spans.
     /// Returns the optimized student (off-ramps still untrained except the
     /// final classifier).
     pub fn train_student_phase1(&self, teacher: &AlbertModel, train: &Dataset) -> AlbertModel {
+        self.train_student_on_targets(&self.distillation_targets(teacher, train), train)
+    }
+
+    /// The body of phase 1, against distillation targets taken earlier
+    /// (one per training example, in order), so the teacher need not
+    /// outlive them.
+    fn train_student_on_targets(&self, teacher_logits: &[Matrix], train: &Dataset) -> AlbertModel {
         let mut rng = Rng::seed_from(self.opts.seed ^ 0x5EED);
         let mut model = AlbertModel::pretrained(self.cfg, &self.layout, &mut rng);
         // Spans train via their dedicated SGD rate below, not via Adam.
@@ -157,17 +178,6 @@ impl Trainer {
             self.opts.embedding_sparsity,
             total_steps,
         );
-
-        // The teacher is frozen, so each example's distillation target is
-        // computed once, not once an epoch. No entropy is below -inf, so
-        // the exit is the last layer.
-        let teacher_logits: Vec<Matrix> = train
-            .iter()
-            .map(|ex| {
-                let (_, last, _) = teacher.infer_early_exit(&ex.tokens, f32::NEG_INFINITY);
-                Matrix::from_vec(1, self.cfg.num_classes, last)
-            })
-            .collect();
 
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut step = 0usize;
@@ -268,11 +278,24 @@ impl Trainer {
 
     /// Runs the complete procedure: teacher → phase 1 → phase 2. Returns
     /// the student and a summary evaluated on `dev`.
+    ///
+    /// Set-up's memory high-water is one model in training, not two: the
+    /// teacher is dropped once its dev accuracy and distillation targets
+    /// are taken, before the student exists. The student comes back as it
+    /// is served, weights and pruning masks, its training state released
+    /// ([`AlbertModel::release_training_state`]); it can be trained
+    /// further all the same.
     pub fn run(&self, train: &Dataset, dev: &Dataset) -> (AlbertModel, TrainingSummary) {
-        let teacher = self.train_teacher(train);
-        let teacher_accuracy = teacher.evaluate_accuracy(dev);
-        let mut student = self.train_student_phase1(&teacher, train);
+        let (teacher_accuracy, targets) = {
+            let teacher = self.train_teacher(train);
+            (
+                teacher.evaluate_accuracy(dev),
+                self.distillation_targets(&teacher, train),
+            )
+        };
+        let mut student = self.train_student_on_targets(&targets, train);
         self.train_offramps_phase2(&mut student, train);
+        student.release_training_state();
         let student_accuracy = student.evaluate_accuracy(dev);
         let head_spans = student.head_spans();
         let avg_span = head_spans.iter().sum::<f32>() / head_spans.len().max(1) as f32;
@@ -357,8 +380,60 @@ mod tests {
             summary.student_accuracy
         );
         // Off-ramps produce finite entropies at every layer.
-        let out = student.forward_layers(&train.examples()[0].tokens);
+        let tokens = &train.examples()[0].tokens;
+        let out = student.forward_layers(tokens);
         assert!(out.entropies.iter().all(|h| h.is_finite()));
+
+        // What `run` returns is the served model: masks, no training state.
+        fn released(p: &edgebert_nn::Parameter) -> bool {
+            p.grad.is_empty()
+                && p.movement_scores.is_none()
+                && p.adam_m.is_none()
+                && p.adam_v.is_none()
+        }
+        let no_training_state = |m: &mut AlbertModel| {
+            released(&m.embedding.table)
+                && released(&m.embedding.positions)
+                && m.params_mut().iter().all(|p| released(p))
+        };
+        let mut student = student;
+        assert!(no_training_state(&mut student));
+        assert!(student.embedding.table.mask.is_some());
+        assert!(student.encoder.ffn.fc1.weight.mask.is_some());
+        // A clone copies none, and a serde round trip serves the same bits.
+        assert!(no_training_state(&mut student.clone()));
+        let logit_bits = |m: &AlbertModel| -> Vec<u32> {
+            let logits = m.forward_layers(tokens).logits;
+            logits.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        let wire = serde::json::to_string(&student);
+        let mut back: AlbertModel = serde::json::from_str(&wire).expect("model round trip");
+        assert_eq!(logit_bits(&back), logit_bits(&student));
+        assert!(no_training_state(&mut back));
+        assert_eq!(back.encoder_sparsity(), student.encoder_sparsity());
+
+        // Released, it trains again: phase 2 moves the off-ramps, a
+        // teacher-style step moves the backbone, and pruned weights stay
+        // pruned.
+        let ramp_before = student.off_ramps[0].head.weight.value.clone();
+        trainer.train_offramps_phase2(&mut student, &train);
+        assert_ne!(student.off_ramps[0].head.weight.value, ramp_before);
+        let wq_before = student.encoder.attention.wq.weight.value.clone();
+        let ex = &train.examples()[0];
+        student.zero_grad();
+        let cache = student.forward_train(&ex.tokens);
+        let logits = Matrix::from_vec(1, cfg.num_classes, student.final_logits(&cache));
+        let (_, grad) = cross_entropy(&logits, &[ex.label]);
+        let grad_hidden = student.backward_final_classifier(&cache, grad.row(0));
+        student.backward_from_final(&cache, &grad_hidden);
+        AdamOptimizer::new(1e-3).step(&mut student.params_mut());
+        assert_ne!(student.encoder.attention.wq.weight.value, wq_before);
+        let wq = &student.encoder.attention.wq.weight;
+        let mask = wq.mask.as_ref().expect("masks survive the release");
+        let pruned = mask.as_slice().iter().zip(wq.value.as_slice());
+        assert!(pruned.clone().any(|(&m, _)| m == 0.0));
+        assert!(pruned.filter(|(&m, _)| m == 0.0).all(|(_, &w)| w == 0.0));
+        assert!(student.embedding.table.grad.is_empty(), "frozen table");
     }
 
     #[test]

@@ -1,15 +1,10 @@
 //! Element-wise activations with cached backward passes.
 
-use edgebert_tensor::kernels::{gelu, gelu_grad, relu};
+use edgebert_tensor::kernels::{gelu_grad, relu};
 use edgebert_tensor::Matrix;
 
-/// GELU applied element-wise; returns `(output, cache)` where the cache is
-/// the pre-activation input.
-pub fn gelu_forward(x: &Matrix) -> (Matrix, Matrix) {
-    (x.map(gelu), x.clone())
-}
-
-/// Backward of [`gelu_forward`]: `dx = dy * gelu'(x)`.
+/// Backward of an element-wise GELU: `dx = dy * gelu'(x)`, where `cache`
+/// is the pre-activation input `x`.
 pub fn gelu_backward(cache: &Matrix, grad_out: &Matrix) -> Matrix {
     assert_eq!(cache.shape(), grad_out.shape(), "gelu_backward shapes");
     let mut dx = grad_out.clone();
@@ -45,6 +40,7 @@ pub fn relu_backward(cache: &Matrix, grad_out: &Matrix) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgebert_tensor::kernels::gelu;
     use edgebert_tensor::Rng;
 
     #[test]
@@ -62,8 +58,7 @@ mod tests {
         let mut rng = Rng::seed_from(3);
         let x = rng.gaussian_matrix(2, 4, 1.0);
         let g = rng.gaussian_matrix(2, 4, 1.0);
-        let (_, cache) = gelu_forward(&x);
-        let dx = gelu_backward(&cache, &g);
+        let dx = gelu_backward(&x, &g);
         let eps = 1e-3f32;
         for r in 0..2 {
             for c in 0..4 {
@@ -71,8 +66,8 @@ mod tests {
                 xp.set(r, c, x.get(r, c) + eps);
                 let mut xm = x.clone();
                 xm.set(r, c, x.get(r, c) - eps);
-                let lp: f32 = gelu_forward(&xp).0.hadamard(&g).as_slice().iter().sum();
-                let lm: f32 = gelu_forward(&xm).0.hadamard(&g).as_slice().iter().sum();
+                let lp: f32 = xp.map(gelu).hadamard(&g).as_slice().iter().sum();
+                let lm: f32 = xm.map(gelu).hadamard(&g).as_slice().iter().sum();
                 let fd = (lp - lm) / (2.0 * eps);
                 assert!((fd - dx.get(r, c)).abs() < 2e-2 * (1.0 + fd.abs()));
             }

@@ -72,6 +72,9 @@ impl AdamOptimizer {
                 continue;
             }
             let (rows, cols) = p.shape();
+            // Stepped before any backward, the gradient is zeros (weight
+            // decay still acts).
+            p.grad_mut();
             if p.adam_m.is_none() {
                 p.adam_m = Some(Matrix::zeros(rows, cols));
                 p.adam_v = Some(Matrix::zeros(rows, cols));
@@ -112,6 +115,7 @@ impl SgdOptimizer {
             if p.frozen {
                 continue;
             }
+            p.grad_mut(); // zeros if nothing was accumulated yet
             for (w, &g) in p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice()) {
                 *w -= self.lr * g;
             }

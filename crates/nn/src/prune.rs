@@ -41,14 +41,17 @@ pub fn sparsity_schedule(step: usize, total_steps: usize, final_sparsity: f32) -
     final_sparsity * (1.0 - (1.0 - t).powi(3))
 }
 
-/// Builds a keep-mask that retains the `1 - sparsity` fraction of entries
-/// with the highest `score`, breaking ties arbitrarily but
-/// deterministically.
+/// Writes into `mask` (reshaped to `scores`' shape, its buffer reused)
+/// the keep-mask that retains the `1 - sparsity` fraction of entries
+/// with the highest `key(score)`; ties go to the lower index. The only
+/// allocation is the `u32` index that is sorted: no copy of the keys,
+/// no second mask beside the one being replaced.
 ///
 /// # Panics
 ///
-/// Panics if `sparsity` is outside `[0, 1]`.
-pub fn topk_mask(scores: &Matrix, sparsity: f32) -> Matrix {
+/// Panics if `sparsity` is outside `[0, 1]` or `scores` has more than
+/// `u32::MAX` entries.
+fn fill_topk_mask(mask: &mut Matrix, scores: &Matrix, key: impl Fn(f32) -> f32, sparsity: f32) {
     assert!(
         (0.0..=1.0).contains(&sparsity),
         "sparsity {sparsity} out of range"
@@ -56,22 +59,37 @@ pub fn topk_mask(scores: &Matrix, sparsity: f32) -> Matrix {
     let n = scores.len();
     let prune_count = ((n as f32) * sparsity).round() as usize;
     let keep_count = n - prune_count;
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| {
-        scores.as_slice()[b]
-            .total_cmp(&scores.as_slice()[a])
-            .then(a.cmp(&b))
-    });
-    let mut mask = Matrix::zeros(scores.rows(), scores.cols());
-    for &i in idx.iter().take(keep_count) {
-        mask.as_mut_slice()[i] = 1.0;
+    let (rows, cols) = scores.shape();
+    let scores = scores.as_slice();
+    let key_at = |i: u32| key(scores[i as usize]);
+    let mut idx: Vec<u32> = (0..u32::try_from(n).expect("tensor indexable by u32")).collect();
+    // A strict total order (the index breaks every tie), so the unstable
+    // sort has one possible result and needs no merge buffer.
+    idx.sort_unstable_by(|&a, &b| key_at(b).total_cmp(&key_at(a)).then(a.cmp(&b)));
+    mask.resize_to(rows, cols);
+    mask.as_mut_slice().fill(0.0);
+    for &i in &idx[..keep_count] {
+        mask.as_mut_slice()[i as usize] = 1.0;
     }
+}
+
+/// Builds a keep-mask that retains the `1 - sparsity` fraction of entries
+/// with the highest `score`, ties going to the lower index.
+///
+/// # Panics
+///
+/// Panics if `sparsity` is outside `[0, 1]`.
+pub fn topk_mask(scores: &Matrix, sparsity: f32) -> Matrix {
+    let mut mask = Matrix::default();
+    fill_topk_mask(&mut mask, scores, |s| s, sparsity);
     mask
 }
 
 /// Builds a magnitude-pruning mask for a weight tensor.
 pub fn magnitude_mask(weights: &Matrix, sparsity: f32) -> Matrix {
-    topk_mask(&weights.map(f32::abs), sparsity)
+    let mut mask = Matrix::default();
+    fill_topk_mask(&mut mask, weights, f32::abs, sparsity);
+    mask
 }
 
 /// A pruner that ramps a parameter to a target sparsity over the course of
@@ -130,7 +148,8 @@ impl Pruner {
         sparsity_schedule(step, self.total_steps, self.final_sparsity)
     }
 
-    /// Recomputes and installs the pruning mask for the current step.
+    /// Recomputes and installs the pruning mask for the current step,
+    /// in the buffer of the mask it replaces.
     ///
     /// For [`PruneMethod::Movement`], the parameter must have movement
     /// tracking enabled ([`Parameter::enable_movement_tracking`]); the
@@ -143,16 +162,17 @@ impl Pruner {
     /// movement scores.
     pub fn apply(&self, param: &mut Parameter, step: usize) {
         let s = self.sparsity_at(step);
-        let mask = match self.method {
-            PruneMethod::Magnitude => magnitude_mask(&param.value, s),
+        let mut mask = param.mask.take().unwrap_or_default();
+        match self.method {
+            PruneMethod::Magnitude => fill_topk_mask(&mut mask, &param.value, f32::abs, s),
             PruneMethod::Movement => {
                 let scores = param
                     .movement_scores
                     .as_ref()
                     .expect("movement pruning requires movement tracking");
-                topk_mask(scores, s)
+                fill_topk_mask(&mut mask, scores, |s| s, s);
             }
-        };
+        }
         param.set_mask(mask);
     }
 }
@@ -182,6 +202,70 @@ mod tests {
         let w = Matrix::from_rows(&[&[0.1, -5.0, 0.01, 2.0]]);
         let mask = magnitude_mask(&w, 0.5);
         assert_eq!(mask, Matrix::from_rows(&[&[0.0, 1.0, 0.0, 1.0]]));
+    }
+
+    #[test]
+    fn masks_equal_the_sort_everything_reference_bitwise() {
+        // The builder as it was written (an `abs` copy for magnitudes, a
+        // `usize` index, a stable sort, a fresh mask), kept here as the
+        // reference.
+        fn reference(scores: &Matrix, sparsity: f32) -> Matrix {
+            let n = scores.len();
+            let keep_count = n - ((n as f32) * sparsity).round() as usize;
+            let mut idx: Vec<usize> = (0..n).collect();
+            idx.sort_by(|&a, &b| {
+                scores.as_slice()[b]
+                    .total_cmp(&scores.as_slice()[a])
+                    .then(a.cmp(&b))
+            });
+            let mut mask = Matrix::zeros(scores.rows(), scores.cols());
+            for &i in idx.iter().take(keep_count) {
+                mask.as_mut_slice()[i] = 1.0;
+            }
+            mask
+        }
+        let mut rng = Rng::seed_from(21);
+        let mut random = rng.gaussian_matrix(37, 29, 1.0);
+        // Repeated values, signed zeros and a NaN among the random ones.
+        for (i, v) in random.as_mut_slice().iter_mut().enumerate() {
+            match i % 11 {
+                0 => *v = 0.5,
+                1 => *v = -0.5,
+                2 => *v = 0.0,
+                3 => *v = -0.0,
+                _ => {}
+            }
+        }
+        random.set(5, 5, f32::NAN);
+        let all_equal = Matrix::filled(8, 8, 0.25);
+        for scores in [&random, &all_equal] {
+            for sparsity in [0.0f32, 0.013, 0.25, 0.5, 0.6, 0.97, 1.0] {
+                let (top, mag) = (
+                    topk_mask(scores, sparsity),
+                    magnitude_mask(scores, sparsity),
+                );
+                assert_eq!(top, reference(scores, sparsity), "top-k at {sparsity}");
+                assert_eq!(
+                    mag,
+                    reference(&scores.map(f32::abs), sparsity),
+                    "|w| at {sparsity}"
+                );
+                // Refilled over a stale mask, of this shape or another.
+                for mut stale in [
+                    Matrix::filled(scores.rows(), scores.cols(), 1.0),
+                    all_equal.clone(),
+                ] {
+                    fill_topk_mask(&mut stale, scores, |s| s, sparsity);
+                    assert_eq!(stale, top, "refilled at {sparsity}");
+                }
+            }
+        }
+        // Ties break toward the lower index: the first half survives.
+        let half = topk_mask(&all_equal, 0.5);
+        assert!(half.as_slice()[..32].iter().all(|&m| m == 1.0));
+        assert!(half.as_slice()[32..].iter().all(|&m| m == 0.0));
+        assert_eq!(topk_mask(&all_equal, 0.0), Matrix::filled(8, 8, 1.0));
+        assert_eq!(topk_mask(&all_equal, 1.0), Matrix::zeros(8, 8));
     }
 
     #[test]

@@ -142,8 +142,8 @@ impl AdaptiveSpan {
                 }
             }
         }
-        let cur = self.z.grad.get(0, 0);
-        self.z.grad.set(0, 0, cur + gz);
+        let grad = self.z.grad_mut();
+        grad.set(0, 0, grad.get(0, 0) + gz);
     }
 
     /// Adds the span-penalty gradient `lambda` (per unit of effective
@@ -152,8 +152,8 @@ impl AdaptiveSpan {
     /// the cross-entropy loss during fine-tuning (paper §3.2).
     pub fn apply_span_penalty(&mut self, lambda: f32) -> f32 {
         if self.effective_span() > 0.0 {
-            let cur = self.z.grad.get(0, 0);
-            self.z.grad.set(0, 0, cur + lambda);
+            let grad = self.z.grad_mut();
+            grad.set(0, 0, grad.get(0, 0) + lambda);
         }
         lambda * self.effective_span()
     }
@@ -255,6 +255,6 @@ mod tests {
         off.set_z(-4.0);
         let p = off.apply_span_penalty(0.1);
         assert_eq!(p, 0.0);
-        assert_eq!(off.z.grad.get(0, 0), 0.0);
+        assert_eq!(off.z.grad_mut().get(0, 0), 0.0);
     }
 }

@@ -383,6 +383,8 @@ fn buffer_backwards_keep_the_copy_based_backwards_bits() {
         for span in &mut layer.attention.spans[2..] {
             span.set_z(32.0);
         }
+        // Gradients exist from the first `zero_grad`, as in training.
+        layer.zero_grad();
         let mut reference = layer.clone();
         let mut blocks = layer.clone();
         let mut blocks_reference = layer.clone();

@@ -64,6 +64,8 @@ fn the_backward_allocates_per_sentence_not_per_layer_or_head() {
         let mut model = AlbertModel::new(AlbertConfig { num_layers, ..cfg }, &mut rng);
         model.encoder.attention.spans[0].set_z(3.5);
         model.encoder.attention.spans[1].set_z(-1000.0);
+        // As a training step starts: gradients exist from here on.
+        model.zero_grad();
         let cache = model.forward_train(&tokens);
         let grad = model.backward_final_classifier(&cache, &[0.5, -0.5]);
         for _sentence in 0..2 {
