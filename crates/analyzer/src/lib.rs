@@ -15,11 +15,10 @@
 //! one level deep:
 //!
 //! - `nested-lock` — a blocking `lock()` (or a call to a function
-//!   that acquires one, including guard-returning helpers like
-//!   `Lane::tally_lock`) while another guard is live. Lanes promise
-//!   "one lock at a time" during work-stealing; the only sanctioned
-//!   order is queue → tally (leaf), and each such site carries an
-//!   `allow` spelling that out.
+//!   that acquires one, including guard-returning helpers) while
+//!   another guard is live. A lane has one lock and two lane locks
+//!   are never held together, so `crates/core` carries no `allow` for
+//!   this lint (`tests/workspace.rs` pins that).
 //! - `lock-across-step` — a guard held across a call into
 //!   `InferenceSession::step` or the engine forward paths (`begin`,
 //!   `run_layers`, `serve`, ...). Forward work under a lane lock
@@ -27,8 +26,9 @@
 //! - `lock-unwrap-in-loop` — `lock().unwrap()/expect()` inside a
 //!   function annotated `// analyzer: worker-loop`. A panicking
 //!   worker poisons the mutex and the unwrap cascades the panic
-//!   across every sibling shard; repairable state (tallies, stats)
-//!   should recover via `PoisonError::into_inner`.
+//!   across every sibling shard; a site that wants exactly that (the
+//!   lane lock: a torn queue must not be drained) says so in an
+//!   `allow`.
 //!
 //! **Hot-path discipline** — functions annotated
 //! `// analyzer: hot-path` may not:

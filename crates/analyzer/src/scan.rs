@@ -31,7 +31,6 @@ const FORWARD_FNS: &[&str] = &[
     "run_layers",
     "run_layers_nominal",
     "serve",
-    "run_latency_aware_queued",
 ];
 
 /// Allocating macros (hot-path only).

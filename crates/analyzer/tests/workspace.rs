@@ -55,7 +55,6 @@ fn telemetry_push_and_lane_pop_paths_are_declared_hot() {
         "TraceRing::record",
         "SeriesRing::record",
         "SpanRecorder::emit",
-        "SpanRecorder::emit_at",
         "Telemetry::record_at",
         "Telemetry::sample",
         // Lane pop path.
@@ -84,4 +83,23 @@ fn shard_drain_loops_are_declared_worker_loops() {
             "{expected} lost its worker-loop annotation (have: {loops:?})"
         );
     }
+}
+
+/// A lane has one lock, so nothing in `crates/core` may hold two: a
+/// second lane lock must not come back blessed by a comment.
+#[test]
+fn core_carries_no_nested_lock_suppression() {
+    let root = workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
+    let files = collect_workspace_files(&root).expect("walk workspace sources");
+    let offenders: Vec<&str> = files
+        .iter()
+        .filter(|(path, source)| {
+            path.starts_with("crates/core/") && source.contains("allow(nested-lock)")
+        })
+        .map(|(path, _)| path.as_str())
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "allow(nested-lock) directives in crates/core: {offenders:?}"
+    );
 }

@@ -315,12 +315,6 @@ impl TraceSegment {
         }
     }
 
-    /// Overrides the class mix for this segment's draws.
-    pub fn with_class_weights(mut self, weights: Vec<f32>) -> Self {
-        self.class_weights = Some(weights);
-        self
-    }
-
     /// Expected arrivals over the segment: the integral of the linear
     /// rate, `duration · (start + end) / 2`.
     pub fn expected_requests(&self) -> f64 {

@@ -203,8 +203,10 @@ proptest! {
             segments: vec![
                 TraceSegment::steady("mixed", 0.25, rate_hz),
                 // The crowd: all weight on the tight class.
-                TraceSegment::steady("crowd", 0.25, rate_hz)
-                    .with_class_weights(vec![1.0, 0.0, 0.0]),
+                TraceSegment {
+                    class_weights: Some(vec![1.0, 0.0, 0.0]),
+                    ..TraceSegment::steady("crowd", 0.25, rate_hz)
+                },
             ],
             seed,
         };
@@ -291,8 +293,10 @@ fn generated_streams_are_pinned() {
             classes: base,
             segments: vec![
                 TraceSegment::steady("base", 0.2, 80.0),
-                TraceSegment::ramp("rise", 0.2, 80.0, 300.0)
-                    .with_class_weights(vec![3.0, 1.0, 0.5]),
+                TraceSegment {
+                    class_weights: Some(vec![3.0, 1.0, 0.5]),
+                    ..TraceSegment::ramp("rise", 0.2, 80.0, 300.0)
+                },
                 TraceSegment::ramp("fall", 0.2, 300.0, 0.0),
             ],
             seed: 0xD16E,

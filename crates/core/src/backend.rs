@@ -266,11 +266,6 @@ impl AcceleratorBackend {
         }
     }
 
-    /// The underlying op-level simulator.
-    pub fn simulator(&self) -> &AcceleratorSim {
-        &self.sim
-    }
-
     /// The DVFS controller.
     pub fn dvfs(&self) -> &DvfsController {
         &self.dvfs

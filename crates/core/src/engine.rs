@@ -28,9 +28,7 @@
 //! sentence it already forwarded through the crate-private
 //! `begin_replay`); the per-layer loop lives in [`crate::session`].
 
-use crate::backend::{
-    AcceleratorBackend, BackendSpec, InferenceBackend, MobileGpuBackend, SegmentCost,
-};
+use crate::backend::{AcceleratorBackend, BackendSpec, InferenceBackend, MobileGpuBackend};
 use crate::overload::Degradation;
 use crate::predictor::PredictorLut;
 use crate::session::{ForwardTrace, InferenceSession};
@@ -364,7 +362,7 @@ pub struct SentenceResult {
 /// The outcome of serving one [`InferenceRequest`], echoing the service
 /// levels that were actually applied after default resolution.
 ///
-/// Unlike the bare `run`/`run_at` engine methods — where Base/EE are the
+/// Unlike the bare `run` engine method — where Base/EE are the
 /// paper's unbounded baselines and always report `deadline_met = true`
 /// — a response's `result.deadline_met` is judged against
 /// `latency_target_s` for every mode.
@@ -811,53 +809,13 @@ impl EdgeBertEngine {
         InferenceSession::restore(self.clone(), checkpoint)
     }
 
-    /// Runs a sentence in the requested mode at the engine defaults.
+    /// Runs a sentence in the requested mode at the engine defaults: a
+    /// session opened by [`begin`](Self::begin) and driven to
+    /// completion. Base and conventional EE stay the paper's unbounded
+    /// baselines (`deadline_met` is always `true`); only latency-aware
+    /// inference is judged against the latency target.
     pub fn run(&self, tokens: &[u32], mode: InferenceMode) -> SentenceResult {
-        self.run_at(
-            tokens,
-            mode,
-            self.default_latency_target_s,
-            self.default_drop,
-        )
-    }
-
-    /// Runs a sentence with explicit service levels: a session opened
-    /// by [`begin`](Self::begin) and driven to completion. Base and
-    /// conventional EE stay the paper's unbounded baselines
-    /// (`deadline_met` is always `true`); only latency-aware
-    /// inference is judged against `latency_target_s`.
-    pub fn run_at(
-        &self,
-        tokens: &[u32],
-        mode: InferenceMode,
-        latency_target_s: f64,
-        drop: DropTarget,
-    ) -> SentenceResult {
-        let request = InferenceRequest::new(tokens.to_vec())
-            .with_mode(mode)
-            .with_latency_target(latency_target_s)
-            .with_drop_target(drop);
-        self.begin(&request).run_to_completion()
-    }
-
-    /// Algorithm 2 for a sentence that already burned `elapsed_queue_s`
-    /// of its target waiting in a queue: the DVFS compute budget is the
-    /// target minus the wait (paper §5.2's `T − T_elapsed` with the
-    /// queueing delay folded into `T_elapsed`), and the deadline verdict
-    /// judges `elapsed + compute` against the full target. With
-    /// `elapsed_queue_s = 0.0` every arithmetic step is identical to
-    /// [`run_at`](Self::run_at) in latency-aware mode, bit for bit.
-    pub fn run_latency_aware_queued(
-        &self,
-        tokens: &[u32],
-        latency_target_s: f64,
-        drop: DropTarget,
-        elapsed_queue_s: f64,
-    ) -> SentenceResult {
-        let request = InferenceRequest::new(tokens.to_vec())
-            .with_latency_target(latency_target_s)
-            .with_drop_target(drop)
-            .with_elapsed_queue_s(elapsed_queue_s);
+        let request = InferenceRequest::new(tokens.to_vec()).with_mode(mode);
         self.begin(&request).run_to_completion()
     }
 
@@ -865,18 +823,9 @@ impl EdgeBertEngine {
     /// (`std::thread::scope`), preserving request order in the returned
     /// responses.
     pub fn serve_batch(&self, requests: &[InferenceRequest]) -> Vec<InferenceResponse> {
-        let threads = default_threads(requests.len());
-        self.serve_batch_with_threads(requests, threads)
-    }
-
-    /// [`serve_batch`](Self::serve_batch) with an explicit thread count
-    /// (1 → fully sequential).
-    pub fn serve_batch_with_threads(
-        &self,
-        requests: &[InferenceRequest],
-        threads: usize,
-    ) -> Vec<InferenceResponse> {
-        run_chunked(requests, threads, |req| self.serve(req))
+        run_chunked(requests, default_threads(requests.len()), |req| {
+            self.serve(req)
+        })
     }
 
     /// Runs a whole dataset and aggregates, fanning the sentences out
@@ -903,15 +852,6 @@ impl EdgeBertEngine {
     /// breakdown the paper's comparison bars are built from.
     pub fn evaluate_modes(&self, data: &Dataset) -> [(InferenceMode, AggregateResult); 3] {
         InferenceMode::all().map(|mode| (mode, self.evaluate(data, mode)))
-    }
-
-    /// The mGPU baseline cost for comparison rows, costed on the
-    /// engine's wired workload: the AAS FLOP scale is derived from the
-    /// same [`WorkloadParams`] this engine's backend was built on, so
-    /// the baseline and the accelerator price the same shapes.
-    pub fn mgpu_cost(&self, layers: usize) -> (f64, f64) {
-        let SegmentCost { seconds, energy_j } = self.mgpu_baseline().full_inference(layers);
-        (seconds, energy_j)
     }
 
     /// The mGPU baseline backend for this engine's wired workload. An
@@ -1025,6 +965,17 @@ mod tests {
         }
     }
 
+    /// A latency-aware request with explicit service levels.
+    fn lai_request(tokens: &[u32], target_s: f64, drop: DropTarget) -> InferenceRequest {
+        InferenceRequest::new(tokens.to_vec())
+            .with_latency_target(target_s)
+            .with_drop_target(drop)
+    }
+
+    fn run(eng: &EdgeBertEngine, request: InferenceRequest) -> SentenceResult {
+        eng.begin(&request).run_to_completion()
+    }
+
     fn engine(f: &Fixture, target_s: f64, et: f32) -> EdgeBertEngine {
         EngineBuilder::new(Arc::clone(&f.model), Arc::clone(&f.lut))
             .accelerator(AcceleratorConfig::energy_optimal())
@@ -1061,22 +1012,14 @@ mod tests {
         let eng = engine(&f, 50e-3, 100.0);
         let r = eng.run(&tokens, InferenceMode::LatencyAware);
         assert_eq!(r.exit_layer, 1);
-        let on_time = eng.run_at(
-            &tokens,
-            InferenceMode::LatencyAware,
-            r.latency_s,
-            DropTarget::OnePercent,
+        let on_time = run(
+            &eng,
+            lai_request(&tokens, r.latency_s, DropTarget::OnePercent),
         );
         assert!(on_time.deadline_met, "exactly-on-time layer-1 exit is met");
         let edge = r.latency_s / (1.0 + 0.5e-4);
         assert_eq!(
-            eng.run_at(
-                &tokens,
-                InferenceMode::LatencyAware,
-                edge,
-                DropTarget::OnePercent
-            )
-            .deadline_met,
+            run(&eng, lai_request(&tokens, edge, DropTarget::OnePercent)).deadline_met,
             deadline_met(r.latency_s, edge),
         );
 
@@ -1237,7 +1180,7 @@ mod tests {
         let f = fixture();
         let eng = engine(&f, 50e-3, 0.3);
         let base = eng.evaluate(&f.data, InferenceMode::Base);
-        let (_, gpu_energy) = eng.mgpu_cost(12);
+        let gpu_energy = eng.mgpu_baseline().full_inference(12).energy_j;
         assert!(gpu_energy / base.avg_energy_j > 10.0);
         // The baseline prices the engine's wired workload: the
         // unoptimized fixture workload has no AAS benefit to transfer.
@@ -1291,18 +1234,8 @@ mod tests {
             .latency_target(100e-3)
             .build();
         let tokens = &f.data.examples()[0].tokens;
-        let strict = eng.run_at(
-            tokens,
-            InferenceMode::LatencyAware,
-            100e-3,
-            DropTarget::OnePercent,
-        );
-        let loose = eng.run_at(
-            tokens,
-            InferenceMode::LatencyAware,
-            100e-3,
-            DropTarget::FivePercent,
-        );
+        let strict = run(&eng, lai_request(tokens, 100e-3, DropTarget::OnePercent));
+        let loose = run(&eng, lai_request(tokens, 100e-3, DropTarget::FivePercent));
         // The loose tier's huge threshold exits at layer 1; the strict
         // tier's zero threshold runs to the forecast depth.
         assert_eq!(loose.exit_layer, 1);
@@ -1341,14 +1274,10 @@ mod tests {
         let f = fixture();
         let eng = engine(&f, 60e-3, 0.0); // et=0: the DVFS path always engages
         for ex in f.data.iter().take(6) {
+            let req = lai_request(&ex.tokens, 60e-3, DropTarget::OnePercent);
             assert_eq!(
-                eng.run_latency_aware_queued(&ex.tokens, 60e-3, DropTarget::OnePercent, 0.0),
-                eng.run_at(
-                    &ex.tokens,
-                    InferenceMode::LatencyAware,
-                    60e-3,
-                    DropTarget::OnePercent
-                ),
+                run(&eng, req.clone().with_elapsed_queue_s(0.0)),
+                run(&eng, req)
             );
             for mode in InferenceMode::all() {
                 let req = InferenceRequest::new(ex.tokens.clone()).with_mode(mode);
@@ -1366,11 +1295,15 @@ mod tests {
         let f = fixture();
         let eng = engine(&f, 200e-3, 0.0); // et=0: never exits early
         let tokens = f.data.examples()[0].tokens.clone();
-        let fresh = eng.run_latency_aware_queued(&tokens, 200e-3, DropTarget::OnePercent, 0.0);
+        let queued_for = |elapsed_s: f64| {
+            let req = lai_request(&tokens, 200e-3, DropTarget::OnePercent);
+            run(&eng, req.with_elapsed_queue_s(elapsed_s))
+        };
+        let fresh = queued_for(0.0);
         assert!(fresh.voltage < 0.8, "loose target scales down");
         // Burn most of the budget in queue: the engine must speed up
         // rather than keep stretching compute into the full target.
-        let queued = eng.run_latency_aware_queued(&tokens, 200e-3, DropTarget::OnePercent, 185e-3);
+        let queued = queued_for(185e-3);
         assert!(
             queued.voltage > fresh.voltage,
             "queued {} V vs fresh {} V",
@@ -1385,7 +1318,7 @@ mod tests {
         );
         // Queueing past the whole target: compute still runs (at
         // nominal), but the verdict is a violation.
-        let hopeless = eng.run_latency_aware_queued(&tokens, 200e-3, DropTarget::OnePercent, 0.3);
+        let hopeless = queued_for(0.3);
         assert!(!hopeless.deadline_met);
         assert_eq!(hopeless.voltage, 0.8);
 

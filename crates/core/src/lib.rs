@@ -28,9 +28,8 @@
 //!   [`SessionCheckpoint`] envelope that crosses process boundaries
 //!   and restores onto any engine of the same depth
 //!   ([`EdgeBertEngine::restore_session`](engine::EdgeBertEngine::restore_session)).
-//!   There is one way to run a layer: every path (`serve`, the
-//!   `run`/`run_at`/`run_latency_aware_queued` runners, the server
-//!   lanes) opens its session through the one sanitizing opener, runs
+//!   There is one way to run a layer: every path (`serve`, `run`, the
+//!   server lanes) opens its session through the one sanitizing opener, runs
 //!   the model's one per-layer body, and steps through the
 //!   latency-aware or the nominal-V/F stepper — thin
 //!   drive-to-completion wrappers, bit-identical to the pre-session

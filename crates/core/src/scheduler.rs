@@ -58,7 +58,7 @@ use crate::engine::{
 use crate::serving::MultiTaskRuntime;
 use crate::session::ForwardTrace;
 use crate::telemetry::{
-    LaneTelemetry, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
+    LaneHistograms, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
 };
 use edgebert_tasks::Task;
 use serde::{Deserialize, Serialize};
@@ -181,9 +181,9 @@ pub struct DeadlineScheduler {
     /// Telemetry hub (virtual timestamps only — the wall-clock epoch
     /// is never consulted) plus one histogram set per engine, both
     /// `None`/empty with telemetry off. A `clone()`d scheduler shares
-    /// the same hub and histograms via the `Arc`s.
+    /// the hub and starts from a copy of the histograms.
     telemetry: Option<Arc<Telemetry>>,
-    lane_telemetry: Vec<Arc<LaneTelemetry>>,
+    lane_histograms: Vec<LaneHistograms>,
     /// Trace ids are globally unique across drains of one scheduler
     /// (submission indices restart at 0 every drain; reusing them
     /// would merge two requests' spans into one malformed chain).
@@ -215,20 +215,16 @@ impl DeadlineScheduler {
             .telemetry
             // analyzer: allow(wall-clock) reason="the telemetry hub epoch is the one wall-clock read the virtual-timeline scheduler makes; trace timestamps are virtual and never consult it again"
             .map(|tcfg| Arc::new(Telemetry::new(tcfg, Instant::now())));
-        let lane_telemetry: Vec<Arc<LaneTelemetry>> = if telemetry.is_some() {
-            engines
-                .iter()
-                .map(|_| Arc::new(LaneTelemetry::new()))
-                .collect()
-        } else {
-            Vec::new()
+        let lane_histograms = match telemetry {
+            Some(_) => vec![LaneHistograms::default(); engines.len()],
+            None => Vec::new(),
         };
         Self {
             engines,
             cfg,
             pending: Vec::new(),
             telemetry,
-            lane_telemetry,
+            lane_histograms,
             next_trace_id: 0,
         }
     }
@@ -430,7 +426,9 @@ impl DeadlineScheduler {
                         id,
                         TraceEventKind::Popped { queue_delay_s },
                     );
-                    self.lane_telemetry[engine_idx].observe_queue_delay(queue_delay_s);
+                    self.lane_histograms[engine_idx]
+                        .queue_delay_s
+                        .record(queue_delay_s);
                 }
                 dispatched[i] = true;
                 remaining -= 1;
@@ -464,9 +462,9 @@ impl DeadlineScheduler {
                             energy_j: response.result.energy_j,
                         },
                     );
-                    let engine_idx = engine_of[s.index].expect("served member");
-                    self.lane_telemetry[engine_idx]
-                        .observe_completion(sojourn_s, response.result.energy_j);
+                    let h = &mut self.lane_histograms[engine_of[s.index].expect("served member")];
+                    h.sojourn_s.record(sojourn_s);
+                    h.energy_per_request_j.record(response.result.energy_j);
                 }
                 Some(ScheduledResponse {
                     response,
@@ -490,8 +488,8 @@ impl DeadlineScheduler {
     /// [`SchedulerConfig::telemetry`] is unset.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         let hub = self.telemetry.as_ref()?;
-        let lanes = self.engines.iter().zip(&self.lane_telemetry);
-        Some(hub.snapshot(lanes.map(|((task, _), lt)| (*task, &**lt))))
+        let lanes = self.engines.iter().zip(&self.lane_histograms);
+        Some(hub.snapshot(lanes.map(|((task, _), h)| (*task, *h))))
     }
 }
 

@@ -14,8 +14,12 @@
 //! [`EdgeBertEngine`](crate::engine::EdgeBertEngine) clones per served
 //! task, each pinned to its own worker thread with task affinity —
 //! drain bounded admission lanes in EDF order. No external runtime:
-//! the whole subsystem is `std` threads, mutex-guarded queues, and
-//! rendezvous channels.
+//! the whole subsystem is `std` threads, one mutex per lane, and
+//! rendezvous channels. The locking rule is one sentence: a shard takes
+//! its lane's lock to pop and to yield (park or completion), and two
+//! lane locks are never held together — queue, counters and histograms
+//! all sit behind that lock, so [`Server::stats`] reads each lane in
+//! one hold.
 //!
 //! ```text
 //!  client threads          per-task lanes             shard pools
@@ -105,10 +109,10 @@ use crate::overload::{Degradation, LadderStep, OverloadConfig};
 use crate::serving::MultiTaskRuntime;
 use crate::session::InferenceSession;
 use crate::telemetry::{
-    LaneSample, LaneTelemetry, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
+    LaneSample, LogHistogram, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
 };
 use edgebert_tasks::Task;
-use lane::{record_steal, tally_cut, Job, JobContext, Lane, Popped, Work};
+use lane::{Job, JobContext, Lane, Popped, Work};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
@@ -563,18 +567,17 @@ impl Server {
         let telemetry = cfg
             .telemetry
             .map(|tcfg| Arc::new(Telemetry::new(tcfg, epoch)));
+        let tasks = runtime.tasks();
         let mut lanes = Vec::new();
-        for task in runtime.tasks() {
+        for &task in &tasks {
             let rt = runtime.runtime(task).expect("task listed as served");
             let engine = rt.engine().clone();
             let lane = Arc::new(Lane::new(
                 task,
-                cfg.queue_capacity,
-                cfg.overload,
-                cfg.shards_per_task,
+                &cfg,
                 engine.nominal_service_estimate_s(),
                 engine.default_latency_target_s(),
-                telemetry.as_ref().map(|_| Arc::new(LaneTelemetry::new())),
+                tasks.len(),
             ));
             lanes.push(PoolEntry { lane, engine });
         }
@@ -714,8 +717,7 @@ impl Server {
             // *observed* degraded service time once the ladder's
             // Degrade rung has bought real throughput (clamped by
             // the nominal estimate, so it only ever sheds less).
-            // analyzer: allow(nested-lock) reason="queue -> tally is the one sanctioned lock order: the tally mutex is a leaf lock held for a few loads inside shed_service_estimate_s and never taken around any other lock"
-            let mut shed_slot_s = lane.shed_service_estimate_s() / effective_shards;
+            let mut shed_slot_s = lane.shed_service_estimate_s(&queue) / effective_shards;
             // An energy envelope slows every slot: the feasibility
             // test must price the lane's *allowed* speed, not the
             // nominal one, or the shed rung under-sheds and queued
@@ -784,18 +786,21 @@ impl Server {
         })
     }
 
-    /// A snapshot of the per-lane counters.
+    /// A snapshot of the per-lane counters, taken one lane lock at a
+    /// time. A steal is one record on its origin lane (a count per
+    /// thief lane): `migrated` is that record's row sum and `stolen`
+    /// its column sum, so the two balance in every snapshot.
     pub fn stats(&self) -> ServerStats {
-        // Tallies first, as one consistent cut, then each lane's queue:
-        // tally mutexes stay leaf locks, never held with a queue guard.
-        let tallies = tally_cut(self.lanes.iter().map(|entry| &*entry.lane));
-        let lanes = self
+        let mut stolen = vec![0u64; self.lanes.len()];
+        let mut lanes: Vec<LaneStats> = self
             .lanes
             .iter()
-            .zip(tallies)
-            .map(|(entry, tally)| {
-                let histograms = entry.lane.telemetry.as_ref().map(|lt| lt.snapshot());
+            .map(|entry| {
                 let queue = entry.lane.queue.lock().expect("lane mutex");
+                let tally = queue.tally;
+                for (thief, n) in queue.stolen_by.iter().enumerate() {
+                    stolen[thief] += n;
+                }
                 LaneStats {
                     task: entry.lane.task,
                     shards: self.cfg.shards_per_task,
@@ -811,8 +816,8 @@ impl Server {
                     violations: tally.violations,
                     preempted: tally.preempted,
                     resumed: tally.resumed,
-                    stolen: tally.stolen,
-                    migrated: tally.migrated,
+                    stolen: 0,
+                    migrated: queue.stolen_by.iter().sum(),
                     pool_resizes: queue.pool_resizes,
                     attach_declined: queue.attach_declined,
                     energy_j: tally.energy_j_total,
@@ -820,10 +825,13 @@ impl Server {
                     parked: queue.parked.len(),
                     queue_high_water: queue.high_water,
                     max_parked_depth: queue.parked_high_water,
-                    histograms,
+                    histograms: queue.histograms,
                 }
             })
             .collect();
+        for (lane, stolen) in lanes.iter_mut().zip(stolen) {
+            lane.stolen = stolen;
+        }
         ServerStats::from_lanes(lanes)
     }
 
@@ -835,7 +843,10 @@ impl Server {
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         let hub = self.telemetry.as_ref()?;
         let lanes = self.lanes.iter().map(|entry| &entry.lane);
-        Some(hub.snapshot(lanes.filter_map(|lane| Some((lane.task, lane.telemetry.as_deref()?)))))
+        Some(hub.snapshot(lanes.filter_map(|lane| {
+            let histograms = lane.queue.lock().expect("lane mutex").histograms?;
+            Some((lane.task, histograms))
+        })))
     }
 
     /// Gracefully shuts down: admission closes, every already-admitted
@@ -930,7 +941,7 @@ fn sampler_loop(registry: &[PoolEntry], hub: &Telemetry, stop: &AtomicBool) {
 /// without an envelope), then every update period difference each
 /// lane's cumulative served energy into its measured-power EWMA and
 /// re-waterfill the cap toward queue pressure. Each tick holds one
-/// short tally copy and one short queue-lock write per lane.
+/// short lane-lock read and one short lane-lock write per lane.
 // analyzer: worker-loop
 fn coordinator_loop(registry: &[PoolEntry], ecfg: EnergyConfig, stop: &AtomicBool) {
     let lanes: Vec<&Lane> = registry.iter().map(|e| &*e.lane).collect();
@@ -943,14 +954,11 @@ fn coordinator_loop(registry: &[PoolEntry], ecfg: EnergyConfig, stop: &AtomicBoo
         let observed: Vec<LaneObservation> = lanes
             .iter()
             .map(|lane| {
-                // The tally mutex is a leaf lock: copy the cumulative
-                // energy and release before touching the queue lock.
-                let energy_j_total = lane.tally_lock().energy_j_total;
                 // analyzer: allow(lock-unwrap-in-loop) reason="queue mutex keeps panic-on-poison by policy: a torn LaneQueue can break one-response-per-submission, so the coordinator must not publish envelopes derived from it"
                 let queue = lane.queue.lock().expect("lane mutex");
                 LaneObservation {
                     task: lane.task,
-                    energy_j_total,
+                    energy_j_total: queue.tally.energy_j_total,
                     pressure: lane.pressure_of(&queue),
                 }
             })
@@ -984,8 +992,8 @@ impl Drop for Server {
 /// lane and nothing else. Enabled, an idle home lane sends it roaming
 /// (see [`next_elastic_work`]); foreign work is served through the
 /// foreign lane's own engine and accounted on the foreign lane's
-/// tallies (plus the stolen/migrated counters), and the shard detaches
-/// once the foreign work is done.
+/// counters (a stolen session in its steal record too), and the shard
+/// detaches once the foreign work is done.
 // analyzer: worker-loop
 fn shard_loop(
     registry: &[PoolEntry],
@@ -1004,12 +1012,10 @@ fn shard_loop(
         });
         let Some((idx, popped)) = next else { return };
         let entry = &registry[idx];
-        // A parked session resumed off its own lane is a steal.
-        let thief_lane = (idx != home && matches!(popped.work, Work::Resume(_))).then(|| {
-            let thief = &registry[home].lane;
-            record_steal((idx, &entry.lane), (home, thief));
-            thief.task
-        });
+        // A parked session resumed off its own lane is a steal (counted
+        // where it was claimed, see `Lane::hand_to_foreign`).
+        let thief_lane = (idx != home && matches!(popped.work, Work::Resume(_)))
+            .then(|| registry[home].lane.task);
         let (session, ctx) = materialize(entry, popped, &cfg, telemetry, thief_lane);
         claimed = drive(&entry.lane, session, ctx, shard, cfg).map(|next| (idx, next));
         if claimed.is_none() && idx != home {
@@ -1065,7 +1071,7 @@ fn next_elastic_work(
 }
 
 /// Finds and claims the EDF-tightest parked session across all foreign
-/// lanes. Scans one queue lock at a time (two lane locks are never
+/// lanes. Scans one lane lock at a time (two lane locks are never
 /// held together), then re-locks the winner to steal — tolerating the
 /// race where another shard got there first (`None`; the caller's loop
 /// rescans).
@@ -1076,25 +1082,14 @@ fn steal_tightest_parked(registry: &[PoolEntry], home: usize) -> Option<(usize, 
         if idx == home {
             continue;
         }
-        // analyzer: allow(lock-unwrap-in-loop) reason="queue mutex keeps panic-on-poison by policy: a torn LaneQueue can break one-response-per-submission, so the worker must not drain past it"
-        let queue = entry.lane.queue.lock().expect("lane mutex");
-        for parked in &queue.parked {
-            let key = (parked.ctx.deadline_s, parked.ctx.seq);
+        if let Some(key) = entry.lane.tightest_parked() {
             if best.is_none_or(|(_, bk)| key < bk) {
                 best = Some((idx, key));
             }
         }
     }
     let (idx, (_, seq)) = best?;
-    let entry = &registry[idx];
-    // analyzer: allow(lock-unwrap-in-loop) reason="queue mutex keeps panic-on-poison by policy: a torn LaneQueue can break one-response-per-submission, so the worker must not drain past it"
-    let mut queue = entry.lane.queue.lock().expect("lane mutex");
-    let at = queue.parked.iter().position(|p| p.ctx.seq == seq)?;
-    let parked = queue.parked.remove(at);
-    entry.lane.attach(&mut queue);
-    let popped = entry
-        .lane
-        .finish_pop(&mut queue, Work::Resume(Box::new(parked)));
+    let popped = registry[idx].lane.steal_parked(seq, home)?;
     Some((idx, popped))
 }
 
@@ -1158,8 +1153,7 @@ fn attach_to_pressured_lane(
         return None;
     }
     let work = Lane::pop_work(&mut queue)?;
-    entry.lane.attach(&mut queue);
-    Some((idx, entry.lane.finish_pop(&mut queue, work)))
+    Some((idx, entry.lane.hand_to_foreign(&mut queue, work, home)))
 }
 
 /// Turns a popped unit of work into a running session plus its serving
@@ -1241,9 +1235,6 @@ fn materialize(
                 }
                 session.attach_trace(recorder);
             }
-            if let Some(lt) = &entry.lane.telemetry {
-                lt.observe_queue_delay(queue_delay_s);
-            }
             (
                 session,
                 JobContext {
@@ -1266,17 +1257,17 @@ fn materialize(
             if let Some(recorder) = session.trace() {
                 recorder.emit(TraceEventKind::Resumed { thief_lane });
             }
-            entry.lane.tally_lock().resumed += 1;
             (session, parked.ctx)
         }
     }
 }
 
 /// Steps one session until it completes or yields the lane. Completion
-/// delivers the response and folds the tallies, returning `None`; a
-/// preemption exchange parks the session (with its serving context)
-/// onto the lane and returns the claimed tight job for the shard to
-/// serve next.
+/// folds the sentence into the lane's counters and then delivers the
+/// response, returning `None`; a preemption exchange parks the session
+/// (with its serving context) onto the lane and returns the claimed
+/// tight job for the shard to serve next. Either yield takes the lane
+/// lock once, and carries this dispatch's step times with it.
 // analyzer: worker-loop
 fn drive(
     lane: &Arc<Lane>,
@@ -1294,6 +1285,9 @@ fn drive(
     // scheduler-quantum overshoot per layer onto sentences that land
     // exactly on their deadlines by design.
     let per_step_emulation = cfg.preemption != PreemptionPolicy::Off;
+    // Wall-clock step times of this dispatch (telemetry only), folded
+    // into the lane at the yield instead of one lock per layer.
+    let mut step_times = cfg.telemetry.map(|_| LogHistogram::new());
     let emulate_to_accrued = |session: &InferenceSession| {
         // Hold the lane for the modeled hardware latency accrued so
         // far in this dispatch. The software forward pass already
@@ -1304,10 +1298,10 @@ fn drive(
         std::thread::sleep(Duration::from_secs_f64((due_s - spent_s).clamp(0.0, 10.0)));
     };
     loop {
-        if let Some(lt) = &lane.telemetry {
+        if let Some(step_times) = &mut step_times {
             let step_started = Instant::now();
             session.step();
-            lt.observe_step(step_started.elapsed().as_secs_f64());
+            step_times.record(step_started.elapsed().as_secs_f64());
         } else {
             session.step();
         }
@@ -1332,11 +1326,8 @@ fn drive(
                 .tightest_queued_deadline()
                 .is_some_and(|queued| cfg.preemption.should_preempt(ctx.deadline_s, queued));
             if pressured {
-                match lane.preempt_exchange(session, ctx, cfg.preemption) {
-                    Ok(claimed) => {
-                        lane.tally_lock().preempted += 1;
-                        return Some(claimed);
-                    }
+                match lane.preempt_exchange(session, ctx, cfg.preemption, step_times.as_ref()) {
+                    Ok(claimed) => return Some(claimed),
                     // Pressure vanished between the poll and the lock
                     // (another shard claimed the arrival): nothing was
                     // parked or charged — keep stepping.
@@ -1368,29 +1359,7 @@ fn drive(
             energy_j,
         });
     }
-    if let Some(lt) = &lane.telemetry {
-        lt.observe_completion(sojourn_s, response.result.energy_j);
-    }
-    {
-        let mut tally = lane.tally_lock();
-        tally.served += 1;
-        if !met {
-            tally.violations += 1;
-        }
-        // The cumulative energy ledger the fleet coordinator
-        // differences into this lane's measured power draw.
-        tally.energy_j_total += energy_j;
-        if degraded_notches > 0 {
-            tally.degraded += 1;
-            // Feeds the lane's observed degraded service estimate,
-            // which the shed feasibility test prefers over the
-            // pessimistic nominal one.
-            tally.degraded_modeled_total_s += response.result.latency_s;
-        }
-    }
-    // The client may have stopped waiting; a dead handle is not a
-    // server error.
-    let _ = ctx.reply.send(ServerResponse {
+    let served = ServerResponse {
         task: lane.task,
         shard,
         submission: ctx.seq,
@@ -1403,7 +1372,11 @@ fn drive(
         sojourn_s,
         deadline_met: met,
         energy_j,
-    });
+    };
+    lane.complete(&served, step_times.as_ref());
+    // The client may have stopped waiting; a dead handle is not a
+    // server error.
+    let _ = ctx.reply.send(served);
     None
 }
 

@@ -85,10 +85,9 @@ impl ServerStats {
     /// Builds a snapshot from per-lane stats, asserting the server's
     /// cross-lane invariant: every stolen parked session was migrated
     /// from exactly one origin lane, so server-wide `stolen ==
-    /// migrated`. A steal increments both counters under a single
-    /// ordered double-lock and [`Server::stats`](super::Server::stats)
-    /// copies every lane's tally as one cut under the same lock order,
-    /// precisely so this holds in *every* snapshot.
+    /// migrated`. A steal is recorded once, on its origin lane, and
+    /// [`Server::stats`](super::Server::stats) derives both counters
+    /// from that one record, so this holds in *every* snapshot.
     ///
     /// # Panics
     ///

@@ -551,8 +551,8 @@ impl InferenceSession {
     /// charges the fixed costs (wake, embedding read, overhead); each
     /// later layer runs inside a stretched segment whose operating
     /// point was decided at the segment start. Uninterrupted, the
-    /// arithmetic is exactly the monolithic
-    /// `run_latency_aware_queued` path, bit for bit.
+    /// arithmetic is exactly the paper's monolithic Algorithm 2 (the
+    /// reference in `tests/backend_equivalence.rs`), bit for bit.
     fn step_latency_aware(&mut self) -> StepOutcome {
         if self.ck.layers_done == 0 {
             let backend = self.engine.backend();

@@ -79,11 +79,6 @@ impl LogHistogram {
         HIST_LOWEST * 10f64.powf((i as f64 + 1.0) / HIST_BUCKETS_PER_DECADE)
     }
 
-    /// Inclusive lower edge of bucket `i` on the fixed grid.
-    pub fn lower_edge(i: usize) -> f64 {
-        HIST_LOWEST * 10f64.powf(i as f64 / HIST_BUCKETS_PER_DECADE)
-    }
-
     /// Record one sample. Never allocates.
     pub fn record(&mut self, v: f64) {
         match Self::index_of(v) {
@@ -230,7 +225,7 @@ mod tests {
     fn bucket_width_is_tight() {
         // 16 buckets/decade → upper/lower ratio 10^(1/16) ≈ 1.155: the
         // quantile over-reports by at most ~15.5%.
-        let ratio = LogHistogram::upper_edge(0) / LogHistogram::lower_edge(0);
+        let ratio = LogHistogram::upper_edge(0) / HIST_LOWEST;
         assert!((ratio - 10f64.powf(1.0 / 16.0)).abs() < 1e-12);
     }
 

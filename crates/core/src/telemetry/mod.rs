@@ -31,7 +31,7 @@ pub mod hist;
 pub mod series;
 pub mod span;
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use edgebert_tasks::Task;
@@ -156,28 +156,20 @@ impl Telemetry {
         self.trace.snapshot()
     }
 
-    /// Retained lane samples oldest→newest plus the drop counter.
-    pub fn series_snapshot(&self) -> (Vec<LaneSample>, u64) {
-        self.series.snapshot()
-    }
-
     /// Copies out both rings plus the given lanes' histograms — the
     /// one [`TelemetrySnapshot`] builder behind the server's and the
     /// scheduler's `telemetry_snapshot`.
-    pub(crate) fn snapshot<'a>(
+    pub(crate) fn snapshot(
         &self,
-        lanes: impl Iterator<Item = (Task, &'a LaneTelemetry)>,
+        lanes: impl Iterator<Item = (Task, LaneHistograms)>,
     ) -> TelemetrySnapshot {
         let (events, dropped_events) = self.trace_snapshot();
-        let (samples, dropped_samples) = self.series_snapshot();
+        let (samples, dropped_samples) = self.series.snapshot();
         TelemetrySnapshot {
             events,
             dropped_events,
             lanes: lanes
-                .map(|(task, lt)| LaneTelemetrySnapshot {
-                    task,
-                    histograms: lt.snapshot(),
-                })
+                .map(|(task, histograms)| LaneTelemetrySnapshot { task, histograms })
                 .collect(),
             samples,
             dropped_samples,
@@ -189,53 +181,6 @@ impl TraceSink for Telemetry {
     // analyzer: hot-path
     fn record(&self, event: TraceEvent) {
         self.trace.record(event);
-    }
-}
-
-/// Per-lane distribution recorder. Lives on the lane behind an `Arc`
-/// so every shard driving that lane folds into the same histograms.
-/// The mutex is leaf-level and uncontended in practice (one short
-/// lock per observation); unlike the rings it uses a blocking lock —
-/// a dropped histogram sample would silently bias quantiles.
-#[derive(Debug, Default)]
-pub struct LaneTelemetry {
-    hist: Mutex<LaneHistograms>,
-}
-
-impl LaneTelemetry {
-    /// Empty distributions.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record an admission-to-pop queue delay, seconds.
-    pub fn observe_queue_delay(&self, delay_s: f64) {
-        self.hist
-            .lock()
-            .expect("lane telemetry poisoned")
-            .queue_delay_s
-            .record(delay_s);
-    }
-
-    /// Record one completed request's sojourn and modeled energy.
-    pub fn observe_completion(&self, sojourn_s: f64, energy_j: f64) {
-        let mut h = self.hist.lock().expect("lane telemetry poisoned");
-        h.sojourn_s.record(sojourn_s);
-        h.energy_per_request_j.record(energy_j);
-    }
-
-    /// Record the wall-clock compute time of one session step.
-    pub fn observe_step(&self, step_s: f64) {
-        self.hist
-            .lock()
-            .expect("lane telemetry poisoned")
-            .step_time_s
-            .record(step_s);
-    }
-
-    /// Copy out the current distributions.
-    pub fn snapshot(&self) -> LaneHistograms {
-        *self.hist.lock().expect("lane telemetry poisoned")
     }
 }
 
@@ -311,19 +256,5 @@ mod tests {
         assert_eq!(dropped, 0);
         assert_eq!(events[1].t_s, 2.0);
         assert_eq!(events[1].request, 12);
-    }
-
-    #[test]
-    fn lane_telemetry_folds_observations() {
-        let lt = LaneTelemetry::new();
-        lt.observe_queue_delay(0.010);
-        lt.observe_completion(0.100, 25e-6);
-        lt.observe_step(0.002);
-        let h = lt.snapshot();
-        assert_eq!(h.queue_delay_s.count(), 1);
-        assert_eq!(h.sojourn_s.count(), 1);
-        assert_eq!(h.energy_per_request_j.count(), 1);
-        assert_eq!(h.step_time_s.count(), 1);
-        assert!(h.energy_per_request_j.p50() >= 25e-6);
     }
 }

@@ -326,17 +326,6 @@ impl SpanRecorder {
             kind,
         });
     }
-
-    /// Emit `kind` at an explicit timestamp (virtual timelines).
-    // analyzer: hot-path
-    pub fn emit_at(&self, t_s: f64, kind: TraceEventKind) {
-        self.sink.record(TraceEvent {
-            t_s,
-            task: self.task,
-            request: self.request,
-            kind,
-        });
-    }
 }
 
 #[cfg(test)]

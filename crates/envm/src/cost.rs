@@ -71,18 +71,6 @@ impl ReramArray {
     pub fn read_energy_pj(&self, bits: usize) -> f64 {
         bits as f64 * self.tech.read_energy_pj_per_bit()
     }
-
-    /// Leakage power. ReRAM is non-volatile: zero standby leakage, the
-    /// property EdgeBERT exploits for intermittent operation.
-    pub fn standby_leakage_mw(&self) -> f64 {
-        0.0
-    }
-}
-
-/// The paper's ReRAM buffer configuration: 2 MB, MLC2 payload cells
-/// (Fig. 6 / §7.2).
-pub fn edgebert_rram_buffer() -> ReramArray {
-    ReramArray::new(CellTech::Mlc2, 2.0)
 }
 
 #[cfg(test)]
@@ -100,7 +88,7 @@ mod tests {
     fn paper_buffer_close_to_reported_area() {
         // Fig. 10 reports 0.15 mm² for the ReRAM buffers; 2MB of MLC2 at
         // Table 2 density is 0.16 mm² — same design point.
-        let arr = edgebert_rram_buffer();
+        let arr = ReramArray::new(CellTech::Mlc2, 2.0);
         assert!((arr.area_mm2() - 0.15).abs() < 0.02);
     }
 
@@ -119,13 +107,6 @@ mod tests {
     fn energy_scales_linearly() {
         let arr = ReramArray::new(CellTech::Mlc2, 2.0);
         assert!((arr.read_energy_pj(1000) - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn nonvolatile_means_zero_standby() {
-        for tech in CellTech::all() {
-            assert_eq!(ReramArray::new(tech, 1.0).standby_leakage_mw(), 0.0);
-        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! (bitmask bits are highly fault-sensitive: one flipped mask bit shifts
 //! the payload alignment for the rest of the row).
 
-use crate::cells::CellTech;
 use edgebert_quant::Fp8Format;
 use edgebert_tensor::{BitmaskMatrix, Matrix};
 use serde::{Deserialize, Serialize};
@@ -130,12 +129,6 @@ impl StoredEmbedding {
     pub fn footprint_mb(&self) -> f64 {
         (self.mask_bits() + self.payload_bits()) as f64 / 8.0 / 1024.0 / 1024.0
     }
-
-    /// Number of ReRAM cells used when payloads are stored in `tech`
-    /// (mask always in SLC).
-    pub fn cell_count(&self, tech: CellTech) -> usize {
-        CellTech::Slc.cells_for_bits(self.mask_bits()) + tech.cells_for_bits(self.payload_bits())
-    }
 }
 
 #[cfg(test)]
@@ -196,21 +189,6 @@ mod tests {
         let payload_mb = 0.4 * (rows * cols) as f64 / 1024.0 / 1024.0;
         let total = mask_mb + payload_mb;
         assert!((1.4..2.2).contains(&total), "footprint {total}");
-    }
-
-    #[test]
-    fn cell_counts_by_tech() {
-        let mut rng = Rng::seed_from(4);
-        let table = pruned_table(&mut rng, 16, 16, 0.5);
-        let stored = StoredEmbedding::encode(&table, 4);
-        let slc = stored.cell_count(CellTech::Slc);
-        let mlc2 = stored.cell_count(CellTech::Mlc2);
-        let mlc3 = stored.cell_count(CellTech::Mlc3);
-        assert!(mlc2 < slc);
-        assert!(mlc3 < mlc2);
-        // Mask cells are common to all three.
-        let mask_cells = CellTech::Slc.cells_for_bits(stored.mask_bits());
-        assert_eq!(slc - mask_cells, stored.payload_bits());
     }
 
     #[test]

@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 ///
 /// let cfg = AcceleratorConfig::energy_optimal();
 /// assert_eq!(cfg.mac_vector_size, 16);
-/// assert_eq!(cfg.mac_count(), 256);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AcceleratorConfig {
@@ -75,11 +74,6 @@ impl AcceleratorConfig {
         }
     }
 
-    /// Total MAC units (`n²`).
-    pub fn mac_count(&self) -> usize {
-        self.mac_vector_size * self.mac_vector_size
-    }
-
     /// Number of DVFS voltage steps between `vdd_min` and `vdd_nominal`.
     pub fn voltage_levels(&self) -> usize {
         (((self.vdd_nominal - self.vdd_min) / self.vdd_step).round() as usize) + 1
@@ -106,7 +100,7 @@ mod tests {
     #[test]
     fn energy_optimal_matches_paper() {
         let cfg = AcceleratorConfig::energy_optimal();
-        assert_eq!(cfg.mac_count(), 256);
+        assert_eq!(cfg.mac_vector_size, 16); // 256 MACs
         assert_eq!(cfg.freq_max_hz, 1.0e9);
         assert_eq!(cfg.vdd_nominal, 0.80);
         assert_eq!(cfg.vdd_min, 0.50);
@@ -128,7 +122,7 @@ mod tests {
     fn sweep_sizes_construct() {
         for n in [2usize, 4, 8, 16, 32] {
             let cfg = AcceleratorConfig::with_mac_vector_size(n);
-            assert_eq!(cfg.mac_count(), n * n);
+            assert_eq!(cfg.mac_vector_size, n);
         }
     }
 

@@ -151,15 +151,6 @@ impl AcceleratorSim {
     pub fn run_layers_nominal(&self, workload: &EncoderWorkload, layers: usize) -> InferenceCost {
         self.run_layers(workload, layers, self.cfg.vdd_nominal, self.cfg.freq_max_hz)
     }
-
-    /// Average power over an inference, watts.
-    pub fn average_power_w(&self, cost: &InferenceCost) -> f64 {
-        if cost.seconds == 0.0 {
-            0.0
-        } else {
-            cost.energy_j / cost.seconds
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +173,7 @@ mod tests {
             "latency {}",
             cost.seconds
         );
-        let p = sim.average_power_w(&cost);
+        let p = cost.energy_j / cost.seconds;
         assert!((0.060..0.110).contains(&p), "power {p}");
     }
 

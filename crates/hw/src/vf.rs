@@ -70,11 +70,6 @@ impl VfTable {
         &self.points
     }
 
-    /// Maximum frequency at the highest grid voltage.
-    pub fn peak_freq_hz(&self) -> f64 {
-        self.points.last().map_or(0.0, |p| p.freq_max_hz)
-    }
-
     /// Maximum frequency available at grid voltage `v` (the nearest grid
     /// point at or below `v`).
     pub fn freq_at_voltage(&self, v: f32) -> f64 {
@@ -109,7 +104,8 @@ mod tests {
     #[test]
     fn anchored_at_nominal() {
         let vf = table();
-        assert!((vf.peak_freq_hz() - 1.0e9).abs() < 1.0);
+        let peak = vf.points().last().expect("a grid").freq_max_hz;
+        assert!((peak - 1.0e9).abs() < 1.0);
         // 0.5 V → (0.5-0.3)/(0.8-0.3) = 0.4 GHz.
         assert!((vf.freq_at_voltage(0.5) - 0.4e9).abs() < 1e6);
     }

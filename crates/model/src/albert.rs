@@ -24,19 +24,6 @@ pub struct LayerwiseOutput {
 }
 
 impl LayerwiseOutput {
-    /// The layer (1-based) at which a conventional early-exit inference
-    /// with threshold `et` would stop, and the logits it would emit.
-    /// Runs to the final layer if no entropy falls below the threshold.
-    pub fn exit_at_threshold(&self, et: f32) -> (usize, &[f32]) {
-        for (i, &h) in self.entropies.iter().enumerate() {
-            if h < et {
-                return (i + 1, &self.logits[i]);
-            }
-        }
-        let last = self.entropies.len() - 1;
-        (last + 1, &self.logits[last])
-    }
-
     /// Predicted class if exiting at `layer` (1-based).
     ///
     /// # Panics
@@ -592,7 +579,11 @@ mod tests {
         let out = model.forward_layers(&tokens);
         for &et in &[0.05f32, 0.3, 0.69, 10.0] {
             let (layer, logits, _) = model.infer_early_exit(&tokens, et);
-            let (expect_layer, expect_logits) = out.exit_at_threshold(et);
+            // The first layer whose entropy falls below the threshold,
+            // else the last.
+            let below = out.entropies.iter().position(|&h| h < et);
+            let expect_layer = below.map_or(out.entropies.len(), |i| i + 1);
+            let expect_logits = &out.logits[expect_layer - 1];
             assert_eq!(layer, expect_layer, "threshold {et}");
             for (a, b) in logits.iter().zip(expect_logits.iter()) {
                 assert!((a - b).abs() < 1e-5);

@@ -117,19 +117,6 @@ impl AlbertConfig {
         }
         Ok(())
     }
-
-    /// FLOPs of one full encoder-stack forward pass at this configuration
-    /// (multiply-accumulate counted as 2 FLOPs), following the paper's
-    /// Fig. 5 shape accounting.
-    pub fn encoder_flops(&self) -> u64 {
-        let s = self.max_seq_len as u64;
-        let h = self.hidden_size as u64;
-        let i = self.intermediate_size as u64;
-        // Per layer: QKV projections (3·s·h·h), scores (s·s·h), context
-        // (s·s·h), output projection (s·h·h), FFN (2·s·h·i).
-        let per_layer = 2 * (3 * s * h * h + 2 * s * s * h + s * h * h + 2 * s * h * i);
-        per_layer * self.num_layers as u64
-    }
 }
 
 #[cfg(test)]
@@ -141,17 +128,6 @@ mod tests {
         assert!(AlbertConfig::base(30_000, 3).validate().is_ok());
         assert!(AlbertConfig::small(1000, 2).validate().is_ok());
         assert!(AlbertConfig::tiny(100, 2).validate().is_ok());
-    }
-
-    #[test]
-    fn base_matches_paper_flops() {
-        // Paper §7.1: "the transformer encoder requires 1.9 GFLOPs" for a
-        // 128-token sentence — that figure is for ONE encoder layer
-        // (12 layers ≈ 22.8 GFLOPs total for full inference).
-        let cfg = AlbertConfig::base(30_000, 2);
-        let per_layer = cfg.encoder_flops() / cfg.num_layers as u64;
-        let gflops = per_layer as f64 / 1e9;
-        assert!((1.5..2.3).contains(&gflops), "per-layer GFLOPs {gflops}");
     }
 
     #[test]

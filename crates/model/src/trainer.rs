@@ -98,11 +98,6 @@ impl Trainer {
         Self { cfg, layout, opts }
     }
 
-    /// The options in use.
-    pub fn options(&self) -> &TrainOptions {
-        &self.opts
-    }
-
     /// Trains the dense teacher: plain cross-entropy fine-tuning, no
     /// pruning, no span penalty, spans pinned fully open.
     pub fn train_teacher(&self, train: &Dataset) -> AlbertModel {
@@ -143,16 +138,11 @@ impl Trainer {
             .collect()
     }
 
-    /// Phase 1: student fine-tuning with KD + pruning + adaptive spans.
-    /// Returns the optimized student (off-ramps still untrained except the
-    /// final classifier).
-    pub fn train_student_phase1(&self, teacher: &AlbertModel, train: &Dataset) -> AlbertModel {
-        self.train_student_on_targets(&self.distillation_targets(teacher, train), train)
-    }
-
-    /// The body of phase 1, against distillation targets taken earlier
-    /// (one per training example, in order), so the teacher need not
-    /// outlive them.
+    /// Phase 1: student fine-tuning with KD + pruning + adaptive spans,
+    /// against distillation targets taken earlier (one per training
+    /// example, in order), so the teacher need not outlive them. Returns
+    /// the optimized student (off-ramps still untrained except the final
+    /// classifier).
     fn train_student_on_targets(&self, teacher_logits: &[Matrix], train: &Dataset) -> AlbertModel {
         let mut rng = Rng::seed_from(self.opts.seed ^ 0x5EED);
         let mut model = AlbertModel::pretrained(self.cfg, &self.layout, &mut rng);
@@ -446,7 +436,8 @@ mod tests {
         };
         let trainer = Trainer::new(cfg, layout, opts.clone());
         let teacher = trainer.train_teacher(&train);
-        let mut student = trainer.train_student_phase1(&teacher, &train);
+        let targets = trainer.distillation_targets(&teacher, &train);
+        let mut student = trainer.train_student_on_targets(&targets, &train);
 
         // Off-ramp quality measured where phase 2 optimizes it: the
         // training set's per-layer CLS features.

@@ -3,17 +3,9 @@
 use edgebert_tensor::kernels::{gelu_grad, relu};
 use edgebert_tensor::Matrix;
 
-/// Backward of an element-wise GELU: `dx = dy * gelu'(x)`, where `cache`
-/// is the pre-activation input `x`.
-pub fn gelu_backward(cache: &Matrix, grad_out: &Matrix) -> Matrix {
-    assert_eq!(cache.shape(), grad_out.shape(), "gelu_backward shapes");
-    let mut dx = grad_out.clone();
-    gelu_backward_in_place(cache, &mut dx);
-    dx
-}
-
-/// [`gelu_backward`] in place: `grad` holds `dy` on entry and `dx` on
-/// return.
+/// Backward of an element-wise GELU in place: `dx = dy * gelu'(x)`,
+/// where `cache` is the pre-activation input `x` and `grad` holds `dy`
+/// on entry and `dx` on return.
 // analyzer: hot-path
 pub fn gelu_backward_in_place(cache: &Matrix, grad: &mut Matrix) {
     for (d, &x) in grad.as_mut_slice().iter_mut().zip(cache.as_slice()) {
@@ -58,7 +50,8 @@ mod tests {
         let mut rng = Rng::seed_from(3);
         let x = rng.gaussian_matrix(2, 4, 1.0);
         let g = rng.gaussian_matrix(2, 4, 1.0);
-        let dx = gelu_backward(&x, &g);
+        let mut dx = g.clone();
+        gelu_backward_in_place(&x, &mut dx);
         let eps = 1e-3f32;
         for r in 0..2 {
             for c in 0..4 {

@@ -325,7 +325,7 @@ impl MultiHeadAttention {
         let (seq_len, hidden) = (cache.x.rows(), self.hidden());
         let a = &mut s.attention;
         // Through the output projection.
-        cache.forward.concat.transpose_strided_into(&mut s.input_t);
+        cache.forward.concat.transpose_into(&mut s.input_t);
         self.wo
             .backward_input_into(&s.input_t, grad_out, &mut a.d_rows, &mut s.linear);
 
@@ -335,20 +335,20 @@ impl MultiHeadAttention {
             d.resize_to(hidden, seq_len);
             d.as_mut_slice().fill(0.0);
         }
-        cache.forward.v.transpose_strided_into(&mut a.v_t);
+        cache.forward.v.transpose_into(&mut a.v_t);
         for h in 0..self.num_heads {
             self.head_backward(h, cache, a);
         }
 
-        cache.x.transpose_strided_into(&mut s.input_t);
-        a.dq_t.transpose_strided_into(&mut a.d_rows);
+        cache.x.transpose_into(&mut s.input_t);
+        a.dq_t.transpose_into(&mut a.d_rows);
         self.wq
             .backward_input_into(&s.input_t, &a.d_rows, dx, &mut s.linear);
-        a.dk_t.transpose_strided_into(&mut a.d_rows);
+        a.dk_t.transpose_into(&mut a.d_rows);
         self.wk
             .backward_input_into(&s.input_t, &a.d_rows, &mut a.dx_part, &mut s.linear);
         dx.add_assign(&a.dx_part);
-        a.dv_t.transpose_strided_into(&mut a.d_rows);
+        a.dv_t.transpose_into(&mut a.d_rows);
         self.wv
             .backward_input_into(&s.input_t, &a.d_rows, &mut a.dx_part, &mut s.linear);
         dx.add_assign(&a.dx_part);
@@ -433,7 +433,7 @@ impl MultiHeadAttention {
                 axpy(s.dk_t.row_mut(off + c), b, ds);
             }
         }
-        s.d_scores.transpose_strided_into(&mut s.d_masked);
+        s.d_scores.transpose_into(&mut s.d_masked);
         for j in 0..seq_len {
             for (c, &b) in k[head(j)].iter().enumerate() {
                 axpy(s.dq_t.row_mut(off + c), b, s.d_masked.row(j));

@@ -88,11 +88,11 @@ impl FeedForward {
         dx: &mut Matrix,
         s: &mut BlockGradScratch,
     ) {
-        cache.gelu_out.transpose_strided_into(&mut s.input_t);
+        cache.gelu_out.transpose_into(&mut s.input_t);
         self.fc2
             .backward_input_into(&s.input_t, grad_out, &mut s.d_mid, &mut s.linear);
         gelu_backward_in_place(&cache.gelu_in, &mut s.d_mid);
-        cache.x.transpose_strided_into(&mut s.input_t);
+        cache.x.transpose_into(&mut s.input_t);
         self.fc1
             .backward_input_into(&s.input_t, &s.d_mid, dx, &mut s.linear);
     }

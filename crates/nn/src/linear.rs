@@ -57,20 +57,6 @@ impl Linear {
         }
     }
 
-    /// Creates a layer from explicit weights and bias.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is not `1 x weight.cols()`.
-    pub fn from_parts(weight: Matrix, bias: Matrix) -> Self {
-        assert_eq!(bias.rows(), 1, "bias must be a row vector");
-        assert_eq!(bias.cols(), weight.cols(), "bias width must match weight");
-        Self {
-            weight: Parameter::new(weight),
-            bias: Parameter::new(bias),
-        }
-    }
-
     /// Input feature count.
     pub fn in_features(&self) -> usize {
         self.weight.value.rows()
@@ -214,10 +200,10 @@ mod tests {
 
     #[test]
     fn forward_shape_and_bias() {
-        let layer = Linear::from_parts(
-            Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]),
-            Matrix::from_rows(&[&[10.0, 20.0]]),
-        );
+        let layer = Linear {
+            weight: Parameter::new(Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]])),
+            bias: Parameter::new(Matrix::from_rows(&[&[10.0, 20.0]])),
+        };
         let x = Matrix::from_rows(&[&[1.0, 2.0]]);
         assert_eq!(layer.infer(&x), Matrix::from_rows(&[&[11.0, 22.0]]));
         assert_eq!(layer.in_features(), 2);

@@ -57,11 +57,6 @@ impl Mlp {
         Self { layers }
     }
 
-    /// Number of affine layers.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Input feature count.
     pub fn in_features(&self) -> usize {
         self.layers[0].in_features()
@@ -148,7 +143,6 @@ mod tests {
     fn shapes_and_depth() {
         let mut rng = Rng::seed_from(1);
         let mlp = Mlp::new(&[3, 8, 8, 2], &mut rng);
-        assert_eq!(mlp.depth(), 3);
         assert_eq!(mlp.in_features(), 3);
         assert_eq!(mlp.out_features(), 2);
         let y = mlp.infer(&Matrix::zeros(5, 3));

@@ -50,12 +50,6 @@ impl AdamOptimizer {
         }
     }
 
-    /// Builder-style weight decay setter.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
     /// Number of steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t
@@ -188,7 +182,8 @@ mod tests {
         adam_ref.adam_v = Some(Matrix::zeros(48, 96));
         let mut sgd = adam.clone();
         let mut sgd_ref = adam.clone();
-        let mut adam_opt = AdamOptimizer::new(1.5e-3).with_weight_decay(0.01);
+        let mut adam_opt = AdamOptimizer::new(1.5e-3);
+        adam_opt.weight_decay = 0.01;
         let mut sgd_opt = SgdOptimizer::new(0.05);
         for t in 1..=20 {
             let mut grad = rng.gaussian_matrix(48, 96, 1.0);
@@ -240,7 +235,8 @@ mod tests {
     #[test]
     fn weight_decay_shrinks_weights() {
         let mut p = Parameter::new(Matrix::filled(1, 1, 1.0));
-        let mut opt = AdamOptimizer::new(0.01).with_weight_decay(0.5);
+        let mut opt = AdamOptimizer::new(0.01);
+        opt.weight_decay = 0.5;
         // Zero task gradient: only decay acts.
         p.zero_grad();
         for _ in 0..50 {

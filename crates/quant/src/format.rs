@@ -56,11 +56,6 @@ impl Fp8Format {
         self.bias
     }
 
-    /// Returns a copy with a different bias (AdaptivFloat per-layer bias).
-    pub fn with_bias(self, bias: i32) -> Self {
-        Self { bias, ..self }
-    }
-
     /// Largest representable magnitude.
     pub fn max_value(&self) -> f32 {
         let e_top = (1 << self.exp_bits) - 1;

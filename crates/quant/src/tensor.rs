@@ -82,21 +82,6 @@ impl QuantizedTensor {
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
     }
-
-    /// Mutable raw bytes — the fault-injection surface.
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
-    }
-
-    /// Root-mean-square quantization error against a reference matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn rmse_against(&self, reference: &Matrix) -> f32 {
-        let deq = self.dequantize();
-        edgebert_tensor::stats::rmse(deq.as_slice(), reference.as_slice())
-    }
 }
 
 /// Quantize-dequantizes a matrix in one step (the evaluation-time
@@ -192,6 +177,11 @@ mod tests {
     use super::*;
     use edgebert_tensor::Rng;
 
+    /// Root-mean-square quantization error against the unquantized matrix.
+    fn rmse_against(q: &QuantizedTensor, reference: &Matrix) -> f32 {
+        edgebert_tensor::stats::rmse(q.dequantize().as_slice(), reference.as_slice())
+    }
+
     #[test]
     fn round_trip_preserves_shape_and_zeros() {
         let m = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, -4.0]]);
@@ -222,7 +212,7 @@ mod tests {
         let m = rng.gaussian_matrix(16, 16, 0.01);
         let adaptive = QuantizedTensor::quantize(&m, 4);
         let fixed = QuantizedTensor::quantize_with_bias(&m, 4, 7);
-        assert!(adaptive.rmse_against(&m) < fixed.rmse_against(&m));
+        assert!(rmse_against(&adaptive, &m) < rmse_against(&fixed, &m));
     }
 
     #[test]
@@ -231,7 +221,7 @@ mod tests {
         let m = rng.gaussian_matrix(32, 32, 1.0);
         let q = QuantizedTensor::quantize(&m, 4);
         // Typical relative RMS error for 3 mantissa bits is a few percent.
-        let rel = q.rmse_against(&m) / (m.frobenius_norm() / (m.len() as f32).sqrt());
+        let rel = rmse_against(&q, &m) / (m.frobenius_norm() / (m.len() as f32).sqrt());
         assert!(rel < 0.05, "relative error {rel}");
     }
 
@@ -272,7 +262,7 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 2.0]]);
         let mut q = QuantizedTensor::quantize(&m, 4);
         let before = q.dequantize();
-        q.bytes_mut()[0] ^= 0x80; // flip the sign bit
+        q.bytes[0] ^= 0x80; // flip the sign bit
         let after = q.dequantize();
         assert_eq!(after.get(0, 0), -before.get(0, 0));
         assert_eq!(after.get(0, 1), before.get(0, 1));

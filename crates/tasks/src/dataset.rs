@@ -82,27 +82,6 @@ impl Dataset {
     pub fn labels(&self) -> Vec<usize> {
         self.examples.iter().map(|e| e.label).collect()
     }
-
-    /// Mean latent difficulty.
-    pub fn mean_difficulty(&self) -> f32 {
-        if self.examples.is_empty() {
-            return 0.0;
-        }
-        self.examples.iter().map(|e| e.difficulty).sum::<f32>() / self.examples.len() as f32
-    }
-
-    /// Fraction of examples per class.
-    pub fn class_balance(&self) -> Vec<f32> {
-        let k = self.task.num_classes();
-        let mut counts = vec![0usize; k];
-        for e in &self.examples {
-            counts[e.label] += 1;
-        }
-        counts
-            .into_iter()
-            .map(|c| c as f32 / self.examples.len().max(1) as f32)
-            .collect()
-    }
 }
 
 impl<'a> IntoIterator for &'a Dataset {
@@ -145,18 +124,9 @@ mod tests {
     #[test]
     fn labels_and_balance() {
         let d = toy();
-        assert_eq!(d.labels().len(), 10);
-        let bal = d.class_balance();
-        assert_eq!(bal.len(), 2);
-        assert!((bal[0] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mean_difficulty() {
-        let d = toy();
-        assert!((d.mean_difficulty() - 0.45).abs() < 1e-6);
-        let empty = Dataset::new(Task::Qqp, vec![]);
-        assert_eq!(empty.mean_difficulty(), 0.0);
+        let labels = d.labels();
+        assert_eq!(labels.len(), 10);
+        assert_eq!(labels.iter().filter(|&&l| l == 0).count(), 5);
     }
 
     #[test]

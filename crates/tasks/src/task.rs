@@ -75,18 +75,6 @@ impl Task {
         }
     }
 
-    /// Average conventional-EE exit layer at a 1%-pt accuracy drop
-    /// (Table 3). Used as the calibration target for the synthetic
-    /// difficulty mix.
-    pub fn paper_avg_exit_layer_1pct(self) -> f32 {
-        match self {
-            Task::Mnli => 8.55,
-            Task::Qqp => 5.84,
-            Task::Sst2 => 4.30,
-            Task::Qnli => 8.46,
-        }
-    }
-
     /// Learned per-head spans from the paper's Table 1 (12 heads).
     pub fn paper_head_spans(self) -> [f32; 12] {
         match self {
@@ -155,13 +143,5 @@ mod tests {
     fn display_and_name() {
         assert_eq!(Task::Sst2.to_string(), "SST-2");
         assert_eq!(Task::Sst2.name(), "sst-2");
-    }
-
-    #[test]
-    fn exit_layer_ordering_matches_paper() {
-        // SST-2 < QQP < QNLI ~ MNLI
-        assert!(Task::Sst2.paper_avg_exit_layer_1pct() < Task::Qqp.paper_avg_exit_layer_1pct());
-        assert!(Task::Qqp.paper_avg_exit_layer_1pct() < Task::Qnli.paper_avg_exit_layer_1pct());
-        assert!(Task::Qqp.paper_avg_exit_layer_1pct() < Task::Mnli.paper_avg_exit_layer_1pct());
     }
 }

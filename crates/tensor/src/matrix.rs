@@ -208,15 +208,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copy of column `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= cols`.
-    pub fn col(&self, c: usize) -> Vec<f32> {
-        (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
     /// Matrix product `self * rhs`, shape `(m, k) x (k, n) -> (m, n)`.
     ///
     /// # Panics
@@ -316,7 +307,7 @@ impl Matrix {
             "matmul_nt inner dims {}x{} * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        rhs.transpose_strided_into(rhs_t);
+        rhs.transpose_into(rhs_t);
         self.matmul_into(rhs_t, out);
     }
 
@@ -348,7 +339,7 @@ impl Matrix {
             "matmul_tn inner dims ({}x{})^T * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        self.transpose_strided_into(self_t);
+        self.transpose_into(self_t);
         self_t.matmul_into(rhs, out);
     }
 
@@ -360,22 +351,11 @@ impl Matrix {
     }
 
     /// The transpose written into `out`, which is reshaped and
-    /// overwritten.
+    /// overwritten. Works through slices, four source rows at a time,
+    /// so that every visit to an output row writes four adjacent values
+    /// and no element pays index arithmetic or a bounds check (2-3x a
+    /// per-element `get`/`set` loop at the model's shapes).
     pub fn transpose_into(&self, out: &mut Matrix) {
-        out.resize_to(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-    }
-
-    /// [`Matrix::transpose_into`] through slices, four source rows at a
-    /// time, so that every visit to an output row writes four adjacent
-    /// values and no element pays index arithmetic or a bounds check
-    /// (2-3x the per-element `get`/`set` loop at the model's shapes).
-    /// What the backward's matrix products transpose their operands with.
-    pub fn transpose_strided_into(&self, out: &mut Matrix) {
         let (rows, cols) = (self.rows, self.cols);
         out.resize_to(cols, rows);
         if self.data.is_empty() {
@@ -476,18 +456,7 @@ impl Matrix {
         }
     }
 
-    /// Adds `bias` (length `cols`) to every row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias.len() != cols`.
-    pub fn add_row_broadcast(&self, bias: &[f32]) -> Matrix {
-        let mut out = self.clone();
-        out.add_row_broadcast_assign(bias);
-        out
-    }
-
-    /// In-place [`Matrix::add_row_broadcast`].
+    /// Adds `bias` (length `cols`) to every row, in place.
     ///
     /// # Panics
     ///
@@ -548,20 +517,6 @@ impl Matrix {
         for r in 0..self.rows {
             let dst = &mut self.data[r * self.cols + start..r * self.cols + start + block.cols];
             dst.copy_from_slice(block.row(r));
-        }
-    }
-
-    /// Extracts rows `[start, start + height)` as a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the matrix height.
-    pub fn slice_rows(&self, start: usize, height: usize) -> Matrix {
-        assert!(start + height <= self.rows, "row slice out of range");
-        Matrix {
-            rows: height,
-            cols: self.cols,
-            data: self.data[start * self.cols..(start + height) * self.cols].to_vec(),
         }
     }
 
@@ -748,7 +703,8 @@ mod tests {
     #[test]
     fn broadcast_and_sum_rows() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let with_bias = a.add_row_broadcast(&[10.0, 20.0]);
+        let mut with_bias = a.clone();
+        with_bias.add_row_broadcast_assign(&[10.0, 20.0]);
         assert_eq!(
             with_bias,
             Matrix::from_rows(&[&[11.0, 22.0], &[13.0, 24.0]])
@@ -764,8 +720,6 @@ mod tests {
         let mut b = a.clone();
         b.set_cols(1, &mid);
         assert_eq!(b, a);
-        let top = a.slice_rows(0, 1);
-        assert_eq!(top, Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]));
     }
 
     #[test]

@@ -120,39 +120,6 @@ impl BitmaskMatrix {
     pub fn values_mut(&mut self) -> &mut [f32] {
         &mut self.values
     }
-
-    /// Mutable access to the packed bitmask bytes.
-    ///
-    /// Flipping mask bits models faults in the SLC bitmask storage. After
-    /// such a perturbation the payload/mask pairing can shift, which is
-    /// exactly the catastrophic failure mode prior work observed — use
-    /// [`BitmaskMatrix::decode_lossy`] afterwards.
-    pub fn mask_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.mask
-    }
-
-    /// Decodes even when the mask population count no longer matches the
-    /// payload count (after mask faults). Missing payloads read as zero and
-    /// extra payloads are dropped, mimicking what the hardware decoder
-    /// would produce.
-    pub fn decode_lossy(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        let data = out.as_mut_slice();
-        let mut vi = 0;
-        for (i, slot) in data.iter_mut().enumerate() {
-            if self.bit(i) {
-                *slot = self.values.get(vi).copied().unwrap_or(0.0);
-                vi += 1;
-            }
-        }
-        out
-    }
-
-    /// Storage footprint in bits: mask bits + 8-bit payloads (the
-    /// accelerator stores FP8 payloads).
-    pub fn storage_bits_fp8(&self) -> usize {
-        self.rows * self.cols + 8 * self.values.len()
-    }
 }
 
 impl From<&Matrix> for BitmaskMatrix {
@@ -190,26 +157,6 @@ mod tests {
         let dense = rng.sparse_gaussian(16, 16, 0.7);
         let sp = BitmaskMatrix::encode(&dense);
         assert!((sp.density() - (1.0 - dense.sparsity())).abs() < 1e-6);
-    }
-
-    #[test]
-    fn storage_accounting() {
-        let dense = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let sp = BitmaskMatrix::encode(&dense);
-        // 4 mask bits + 2 payloads * 8 bits
-        assert_eq!(sp.storage_bits_fp8(), 4 + 16);
-    }
-
-    #[test]
-    fn lossy_decode_handles_mask_faults() {
-        let dense = Matrix::from_rows(&[&[1.0, 2.0, 0.0, 0.0]]);
-        let mut sp = BitmaskMatrix::encode(&dense);
-        // Flip on a mask bit with no payload behind it.
-        sp.mask_bytes_mut()[0] |= 1 << 3;
-        let recovered = sp.decode_lossy();
-        assert_eq!(recovered.get(0, 0), 1.0);
-        assert_eq!(recovered.get(0, 1), 2.0);
-        assert_eq!(recovered.get(0, 3), 0.0); // missing payload reads zero
     }
 
     #[test]

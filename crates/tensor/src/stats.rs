@@ -9,20 +9,6 @@ pub fn mean(xs: &[f32]) -> f32 {
     }
 }
 
-/// Population variance; `0.0` for slices shorter than two elements.
-pub fn variance(xs: &[f32]) -> f32 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / xs.len() as f32
-}
-
-/// Population standard deviation.
-pub fn std_dev(xs: &[f32]) -> f32 {
-    variance(xs).sqrt()
-}
-
 /// Minimum value; `f32::INFINITY` for an empty slice.
 pub fn min(xs: &[f32]) -> f32 {
     xs.iter().cloned().fold(f32::INFINITY, f32::min)
@@ -119,14 +105,11 @@ mod tests {
     fn mean_variance_known() {
         let xs = [1.0f32, 2.0, 3.0, 4.0];
         assert_eq!(mean(&xs), 2.5);
-        assert!((variance(&xs) - 1.25).abs() < 1e-6);
-        assert!((std_dev(&xs) - 1.25f32.sqrt()).abs() < 1e-6);
     }
 
     #[test]
     fn empty_slices_are_safe() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[]), 0.0);
         assert_eq!(min(&[]), f32::INFINITY);
         assert_eq!(max(&[]), f32::NEG_INFINITY);
     }

@@ -180,8 +180,16 @@ fn buffer_forms_overwrite_dirty_misshapen_buffers() {
         } else {
             rng.gaussian_matrix(rows, cols, 1.0)
         };
-        m.transpose_strided_into(&mut out);
-        assert_eq!(out, m.transpose(), "{rows}x{cols}");
+        m.transpose_into(&mut out);
+        let mut naive = Matrix::zeros(cols, rows);
+        for r in 0..rows {
+            for c in 0..cols {
+                naive.set(c, r, m.get(r, c));
+            }
+        }
+        assert_eq!(out.shape(), (cols, rows), "{rows}x{cols}");
+        assert_eq!(bits(&out), bits(&naive), "{rows}x{cols}");
+        assert_eq!(m.transpose(), out);
         m.sum_rows_into(&mut out);
         assert_eq!(out.shape(), (1, cols));
         assert_eq!(out.as_slice(), &m.sum_rows()[..]);

@@ -71,6 +71,25 @@ fn engine(f: &Fixture, target_s: f64, et: f32) -> EdgeBertEngine {
         .build()
 }
 
+/// A latency-aware request at the 1 % drop tier with an explicit target.
+fn lai_request(tokens: &[u32], target_s: f64) -> InferenceRequest {
+    InferenceRequest::new(tokens.to_vec())
+        .with_latency_target(target_s)
+        .with_drop_target(DropTarget::OnePercent)
+}
+
+/// Algorithm 2 for a sentence that already burned `elapsed_queue_s` of
+/// its target waiting in a queue.
+fn run_queued(
+    eng: &EdgeBertEngine,
+    tokens: &[u32],
+    target_s: f64,
+    elapsed_queue_s: f64,
+) -> SentenceResult {
+    let request = lai_request(tokens, target_s).with_elapsed_queue_s(elapsed_queue_s);
+    eng.begin(&request).run_to_completion()
+}
+
 /// The pre-refactor engine's hardware cost path, reproduced by driving
 /// the hardware crates directly — the numerical oracle the
 /// `AcceleratorBackend` plumbing is pinned against.
@@ -243,12 +262,7 @@ fn accelerator_backend_is_bit_identical_across_all_glue_tasks() {
                     );
                     for elapsed in [0.0, target_s * 0.5, target_s * 2.0] {
                         assert_eq!(
-                            eng.run_latency_aware_queued(
-                                &ex.tokens,
-                                target_s,
-                                DropTarget::OnePercent,
-                                elapsed
-                            ),
+                            run_queued(&eng, &ex.tokens, target_s, elapsed),
                             reference
                                 .latency_aware(&f.model, &f.lut, &ex.tokens, et, target_s, elapsed),
                             "{task} lai et={et} target={target_s} elapsed={elapsed}"
@@ -321,7 +335,7 @@ proptest! {
         let eng = engine(f, target_s, et);
         let tokens = &f.data.examples()[sentence].tokens;
         prop_assert_eq!(
-            eng.run_latency_aware_queued(tokens, target_s, DropTarget::OnePercent, elapsed),
+            run_queued(&eng, tokens, target_s, elapsed),
             reference.latency_aware(&f.model, &f.lut, tokens, et, target_s, elapsed)
         );
         prop_assert_eq!(eng.run(tokens, InferenceMode::Base), reference.base(&f.model, tokens));
@@ -420,7 +434,8 @@ fn mgpu_backend_preserves_the_energy_gap() {
     }
     // And the engine's own baseline rows agree with an mGPU-backed
     // engine costing the same workload.
-    let (lat, energy) = accel.mgpu_cost(f.model.num_layers());
+    let gpu_row = accel.mgpu_baseline().full_inference(f.model.num_layers());
+    let (lat, energy) = (gpu_row.seconds, gpu_row.energy_j);
     let gpu_base = gpu.evaluate(&f.data, InferenceMode::Base);
     assert!((gpu_base.avg_latency_s - lat).abs() / lat < 1e-12);
     assert!((gpu_base.avg_energy_j - energy).abs() / energy < 1e-12);
@@ -434,28 +449,18 @@ fn mgpu_backend_degrades_to_nominal_only_scheduling() {
     let tokens = &f.data.examples()[0].tokens;
     // A fixed-V/F backend cannot stretch into a loose deadline: the
     // operating point stays nominal and remains feasible.
-    let loose = gpu.run_at(
-        tokens,
-        InferenceMode::LatencyAware,
-        10.0,
-        DropTarget::OnePercent,
-    );
+    let loose = gpu.begin(&lai_request(tokens, 10.0)).run_to_completion();
     let nominal = gpu.backend().nominal();
     assert_eq!(loose.voltage, nominal.voltage);
     assert_eq!(loose.freq_hz, nominal.freq_hz);
     assert!(loose.deadline_met);
     // An impossible deadline is flagged, still at the fixed point.
-    let hopeless = gpu.run_at(
-        tokens,
-        InferenceMode::LatencyAware,
-        1e-6,
-        DropTarget::OnePercent,
-    );
+    let hopeless = gpu.begin(&lai_request(tokens, 1e-6)).run_to_completion();
     assert_eq!(hopeless.voltage, nominal.voltage);
     assert!(!hopeless.deadline_met);
     // Queueing delay burns the budget on the fixed clock too.
-    let fresh = gpu.run_latency_aware_queued(tokens, 1.0, DropTarget::OnePercent, 0.0);
-    let queued = gpu.run_latency_aware_queued(tokens, 1.0, DropTarget::OnePercent, 2.0);
+    let fresh = run_queued(&gpu, tokens, 1.0, 0.0);
+    let queued = run_queued(&gpu, tokens, 1.0, 2.0);
     assert_eq!(fresh.latency_s, queued.latency_s, "compute cost is fixed");
     assert!(fresh.deadline_met);
     assert!(!queued.deadline_met, "sojourn verdict counts the wait");
@@ -509,7 +514,8 @@ fn mgpu_baseline_reuses_the_engines_wired_anchor() {
         .build();
     assert_eq!(eng.mgpu_baseline().gpu(), &custom);
     // The comparison row agrees with what the engine itself reports.
-    let (lat, energy) = eng.mgpu_cost(f.model.num_layers());
+    let gpu_row = eng.mgpu_baseline().full_inference(f.model.num_layers());
+    let (lat, energy) = (gpu_row.seconds, gpu_row.energy_j);
     let base = eng.evaluate(&f.data, InferenceMode::Base);
     assert!((base.avg_latency_s - lat).abs() / lat < 1e-12);
     assert!((base.avg_energy_j - energy).abs() / energy < 1e-12);

@@ -4,57 +4,16 @@
 //! state, no layer scratch. Measured as the marginal cost of draining
 //! the same sentences a second time over, so the drain's own
 //! per-call vectors and worker spawns cancel.
-//!
-//! One `#[test]` function on purpose: integration-test binaries run
-//! their tests on parallel threads, and a second thread's allocations
-//! would bleed into the global counters and flake the assertion.
 
+// One `#[test]` function in this binary on purpose: see `common`.
+mod common;
+
+use common::allocated_during;
 use edgebert::engine::InferenceRequest;
 use edgebert::pipeline::{Scale, TaskArtifacts};
 use edgebert::scheduler::{DeadlineScheduler, SchedulerConfig};
 use edgebert::serving::{MultiTaskRuntime, TaskRuntime};
 use edgebert_tasks::{Task, TaskGenerator};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters
-// touch no allocator state.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAllocator = CountingAllocator;
-
-/// Allocations and bytes requested while running `f`, on any thread.
-fn allocated_during(f: impl FnOnce()) -> (u64, u64) {
-    let before = (
-        ALLOCATIONS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
-    f();
-    (
-        ALLOCATIONS.load(Ordering::Relaxed) - before.0,
-        BYTES.load(Ordering::Relaxed) - before.1,
-    )
-}
 
 #[test]
 fn a_drain_forwards_each_sentence_once_and_replays_it_without_scratch() {

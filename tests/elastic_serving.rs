@@ -7,10 +7,14 @@ use edgebert::calibrate::SweepCache;
 use edgebert::engine::{EngineBuilder, EntropyThresholds, InferenceRequest};
 use edgebert::predictor::EntropyPredictor;
 use edgebert::serving::{MultiTaskRuntime, TaskRuntime};
-use edgebert::{ElasticConfig, PreemptionPolicy, Server, ServerConfig};
+use edgebert::{
+    ElasticConfig, EnergyConfig, OverloadConfig, PreemptionPolicy, ResponseHandle, Server,
+    ServerConfig, ServerResponse, SubmitError, TelemetryConfig,
+};
 use edgebert_model::{AlbertConfig, AlbertModel};
 use edgebert_tasks::{Task, TaskGenerator, VocabLayout};
 use edgebert_tensor::Rng;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -208,4 +212,115 @@ fn disabled_elasticity_keeps_every_counter_at_zero() {
         sst2.resumed >= 1,
         "the home shard resumed its own parked session"
     );
+}
+
+/// Offers `n` SST-2 sentences `gap` apart, loose and tight deadlines
+/// alternating so that tight arrivals park loose sessions for the idle
+/// QNLI shard to steal. Returns the admitted handles and the refusals.
+fn offer_mixed(
+    server: &Server,
+    n: usize,
+    gap: Duration,
+) -> (Vec<ResponseHandle>, Vec<SubmitError>) {
+    let f = fixture();
+    let (mut handles, mut refused) = (Vec::new(), Vec::new());
+    for i in 0..n {
+        let target_s = if i % 2 == 0 { 120e-3 } else { 45e-3 };
+        let request = InferenceRequest::new(f.tokens.clone())
+            .with_latency_target(target_s)
+            .with_max_degradation(2);
+        match server.submit(Task::Sst2, request) {
+            Ok(handle) => handles.push(handle),
+            Err(err) => refused.push(err),
+        }
+        std::thread::sleep(gap);
+    }
+    (handles, refused)
+}
+
+#[test]
+fn every_stats_snapshot_balances_while_steals_run() {
+    // Replaces a unit test of the old ordered tally double-lock: a steal
+    // is one record under one lane lock now, so a snapshot taken one
+    // lane at a time balances by construction. `stats()` asserts
+    // `stolen == migrated` itself and would panic the poller.
+    let server = Server::start(
+        &fixture().runtime,
+        preemptive_config(Some(ElasticConfig {
+            autoscale: false,
+            ..ElasticConfig::default()
+        })),
+    );
+    let done = AtomicBool::new(false);
+    let snapshots = std::thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let mut snapshots = 0u64;
+            while !done.load(Ordering::Relaxed) {
+                let stats = server.stats();
+                assert_eq!(stats.stolen(), stats.migrated());
+                snapshots += 1;
+            }
+            snapshots
+        });
+        let (handles, refused) = offer_mixed(&server, 32, Duration::from_millis(25));
+        assert!(refused.is_empty(), "{refused:?}");
+        for handle in handles {
+            handle.wait().expect("worker alive");
+        }
+        done.store(true, Ordering::Relaxed);
+        poller.join().expect("no snapshot was unbalanced")
+    });
+    let stats = server.shutdown();
+    assert_eq!(stats.served(), 32);
+    assert!(stats.stolen() >= 1, "no steal ran: {stats:?}");
+    assert!(snapshots > 100, "the poller barely ran: {snapshots}");
+}
+
+#[test]
+fn a_waited_response_is_already_in_the_stats() {
+    // Everything a sentence adds to its lane is folded under the lane
+    // lock before its reply is sent: once every handle has been waited
+    // on, a snapshot of the *running* server is complete, under every
+    // feature at once.
+    let server = Server::start(
+        &fixture().runtime,
+        ServerConfig {
+            queue_capacity: 10,
+            overload: Some(OverloadConfig::default()),
+            energy: Some(EnergyConfig::default()),
+            telemetry: Some(TelemetryConfig::default()),
+            ..preemptive_config(Some(ElasticConfig::default()))
+        },
+    );
+    let (handles, refused) = offer_mixed(&server, 48, Duration::from_millis(3));
+    let responses: Vec<ServerResponse> = handles
+        .into_iter()
+        .map(|handle| handle.wait().expect("worker alive"))
+        .collect();
+    let stats = server.stats();
+
+    let shed = refused
+        .iter()
+        .filter(|e| matches!(e, SubmitError::Shed { .. }));
+    assert_eq!(stats.shed(), shed.count() as u64);
+    assert_eq!(stats.served(), responses.len() as u64);
+    assert_eq!(stats.served() + stats.shed() + stats.rejected(), 48);
+    assert!(
+        !refused.is_empty(),
+        "the load must overrun the lane: {stats:?}"
+    );
+
+    let lane = stats.lane(Task::Sst2).expect("lane");
+    let energy_j: f64 = responses.iter().map(|r| r.energy_j).sum();
+    assert!(
+        (lane.energy_j - energy_j).abs() <= 1e-9 * energy_j,
+        "ledger {} vs responses {energy_j}",
+        lane.energy_j
+    );
+    let histograms = lane.histograms.expect("telemetry on");
+    assert_eq!(histograms.sojourn_s.count(), lane.served);
+    assert_eq!(histograms.queue_delay_s.count(), lane.served);
+    let layers: usize = responses.iter().map(|r| r.response.result.exit_layer).sum();
+    assert_eq!(histograms.step_time_s.count(), layers as u64);
+    server.shutdown();
 }

@@ -125,7 +125,8 @@ fn mgpu_gap_is_orders_of_magnitude() {
     // Comparison rows are costed through the backend trait on the
     // engine's wired workload — the optimized workload transfers its
     // AAS FLOP reduction to the GPU, so the gap is judged fairly.
-    let (gpu_lat, gpu_energy) = engine.mgpu_cost(12);
+    let gpu_row = engine.mgpu_baseline().full_inference(12);
+    let (gpu_lat, gpu_energy) = (gpu_row.seconds, gpu_row.energy_j);
     assert!(gpu_energy / lai.avg_energy_j > 20.0);
     // Full 12-layer inference stays in the anchor's regime even after
     // the workload's AAS reduction transfers (the derived scale is

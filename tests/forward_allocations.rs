@@ -3,44 +3,14 @@
 //! it records; and because those buffers carry no state between steps, a
 //! session cloned or serialized mid-sentence — which starts over with
 //! empty ones — continues bit-identically.
-//!
-//! One `#[test]` function on purpose: integration-test binaries run
-//! their tests on parallel threads, and a second thread's allocations
-//! would bleed into the global counter and flake the assertion.
 
+// One `#[test]` function in this binary on purpose: see `common`.
+mod common;
+
+use common::allocations_during;
 use edgebert_model::{AlbertConfig, AlbertModel, ForwardSession};
 use edgebert_tasks::vocab::CLS;
 use edgebert_tensor::Rng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAllocator = CountingAllocator;
-
-/// Allocations observed while running `f`.
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
 
 /// Steps `session` to the last layer, returning every entropy and logit
 /// seen on the way as bit patterns.

@@ -1,5 +1,6 @@
 //! Pins set-up's memory high-water: what `Trainer::run` has live at its
-//! peak, and what the model it returns keeps.
+//! peak, and what the model it returns — and the entropy predictor
+//! trained on it — keeps.
 //!
 //! The procedure trains two models, a dense teacher and the pruned
 //! student, and a served model is resident for as long as its engine is.
@@ -12,55 +13,17 @@
 //! the teacher through phase 1 and returned the student with its
 //! training state: a peak of 1 830 620 live bytes, and a returned model
 //! holding 764 640 bytes for 335 184 of weights and masks.
-//!
-//! One `#[test]` function on purpose: integration-test binaries run
-//! their tests on parallel threads, and a second thread's allocations
-//! would bleed into the global counters and flake the assertions.
 
+// One `#[test]` function in this binary on purpose: see `common`.
+mod common;
+
+use common::{bytes_held_by, peak_during};
+use edgebert::calibrate::SweepCache;
+use edgebert::predictor::EntropyPredictor;
 use edgebert_model::{AlbertConfig, AlbertModel, TrainOptions, Trainer};
 use edgebert_nn::prune::PruneMethod;
 use edgebert_nn::Parameter;
 use edgebert_tasks::{Task, TaskGenerator, VocabLayout};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct TrackingAllocator;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for TrackingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        grew(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static TRACKER: TrackingAllocator = TrackingAllocator;
-
-/// Runs `f`; returns its result and the most bytes that were live at
-/// once during it, over what was live when it started.
-fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let out = f();
-    (out, PEAK.load(Ordering::Relaxed) - before)
-}
 
 /// The peak recorded at c0b18f4 (see the module comment); the budget is
 /// 0.72 of it. When this was written the peak was 1 064 436: the student
@@ -100,10 +63,22 @@ fn set_up_peaks_at_one_model_and_returns_weights_and_masks() {
         "set-up peaked at {peak} live bytes, budget {PEAK_BUDGET_BYTES}"
     );
 
+    // The other trained network a built `TaskArtifacts` keeps is the
+    // entropy predictor's five affine layers; it too is left with its
+    // weights alone (four times that with gradients and Adam moments).
+    let entropies = SweepCache::build(&model, &dev).entropy_dataset();
+    let predictor = EntropyPredictor::train(&entropies, 5, 7);
+    let widths = [1, 64, 64, 64, 64, cfg.num_layers];
+    let floats: usize = widths.windows(2).map(|w| (w[0] + 1) * w[1]).sum();
+    let resident = floats * std::mem::size_of::<f32>();
+    let held = bytes_held_by(predictor);
+    assert!(
+        held * 100 <= resident * HELD_BUDGET_PERCENT,
+        "the predictor held {held} bytes for {resident} of weights"
+    );
+
     let resident = weight_and_mask_bytes(&mut model);
-    let before = LIVE.load(Ordering::Relaxed);
-    drop(model);
-    let held = before - LIVE.load(Ordering::Relaxed);
+    let held = bytes_held_by(model);
     assert!(
         held * 100 <= resident * HELD_BUDGET_PERCENT,
         "the returned model held {held} bytes for {resident} of weights and masks"

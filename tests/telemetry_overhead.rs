@@ -3,47 +3,17 @@
 //! record, histogram record, span-recorder emit) allocate nothing
 //! either — rings are preallocated, events are `Copy`, histograms are
 //! fixed arrays.
-//!
-//! One `#[test]` function on purpose: integration-test binaries run
-//! their tests on parallel threads, and a second thread's allocations
-//! would bleed into the global counter and flake the assertion.
 
+// One `#[test]` function in this binary on purpose: see `common`.
+mod common;
+
+use common::allocations_during;
 use edgebert::telemetry::{
     SpanRecorder, Telemetry, TelemetryConfig, TraceEventKind, TraceRing, TraceSink,
 };
 use edgebert_tasks::Task;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAllocator = CountingAllocator;
-
-/// Allocations observed while running `f`.
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
 
 #[test]
 fn telemetry_hot_paths_do_not_allocate() {
@@ -86,13 +56,10 @@ fn telemetry_hot_paths_do_not_allocate() {
                 voltage: 0.55,
                 freq_hz: 20e6,
             });
-            recorder.emit_at(
-                i as f64,
-                TraceEventKind::Completed {
-                    verdict: true,
-                    energy_j: 3e-4,
-                },
-            );
+            recorder.emit(TraceEventKind::Completed {
+                verdict: true,
+                energy_j: 3e-4,
+            });
         }
     });
     assert_eq!(n, 0, "enabled ring record/emit must not allocate");
