@@ -97,8 +97,9 @@ pub struct TaskArtifacts {
 
 /// On-disk envelope for cached artifacts. The version gates stale
 /// caches: any change to the artifact layout (or the model internals it
-/// transitively serializes) bumps it, and older files rebuild instead
-/// of deserializing into garbage.
+/// transitively serializes) or to the arithmetic the model was trained
+/// under bumps it, and older files rebuild instead of deserializing into
+/// garbage or serving another arithmetic's weights.
 #[derive(Debug, Serialize, Deserialize)]
 struct CachedArtifacts {
     version: u32,
@@ -106,8 +107,10 @@ struct CachedArtifacts {
     artifacts: TaskArtifacts,
 }
 
-/// Bump on any layout change to `TaskArtifacts` or its pointees.
-const ARTIFACT_CACHE_VERSION: u32 = 2;
+/// Bump on any layout change to `TaskArtifacts` or its pointees, and on
+/// any deliberate re-base of the training arithmetic (3: GELU's `tanh`
+/// left libm for `edgebert_tensor::kernels::tanh`).
+const ARTIFACT_CACHE_VERSION: u32 = 3;
 
 impl TaskArtifacts {
     /// Runs the full pipeline for a task.
@@ -367,18 +370,21 @@ mod tests {
             "second key gets its own file"
         );
 
-        // An envelope of the previous layout version (its parameters
-        // carried their training state) is rebuilt, not loaded, and the
-        // refreshed file is of this version again.
+        // An envelope of an earlier version (1: parameters carried their
+        // training state; 2: same layout as now, trained under libm's
+        // `tanh`) is rebuilt, not loaded, and the refreshed file is of
+        // this version again.
         let current = format!("\"version\":{ARTIFACT_CACHE_VERSION}");
         let text = std::fs::read_to_string(&entries[0]).expect("cache file");
         assert_eq!(text.matches(&current).count(), 1, "one version field");
-        let stale = text.replace(&current, "\"version\":1");
-        std::fs::write(&entries[0], &stale).expect("write the stale envelope");
-        let from_stale = TaskArtifacts::cached_in(&dir, Task::Sst2, Scale::Test, 0xCAC8E);
-        assert_eq!(from_stale.summary, built.summary);
-        let refreshed = std::fs::read_to_string(&entries[0]).expect("cache file");
-        assert_eq!(refreshed, text, "rebuilt and rewritten at this version");
+        for earlier in 1..ARTIFACT_CACHE_VERSION {
+            let stale = text.replace(&current, &format!("\"version\":{earlier}"));
+            std::fs::write(&entries[0], &stale).expect("write the stale envelope");
+            let from_stale = TaskArtifacts::cached_in(&dir, Task::Sst2, Scale::Test, 0xCAC8E);
+            assert_eq!(from_stale.summary, built.summary);
+            let refreshed = std::fs::read_to_string(&entries[0]).expect("cache file");
+            assert_eq!(refreshed, text, "version {earlier} rebuilt and rewritten");
+        }
 
         // Corruption falls back to a rebuild and refreshes the file.
         std::fs::write(&entries[0], "{not json").expect("corrupt the cache");

@@ -1,6 +1,6 @@
 //! Element-wise activations with cached backward passes.
 
-use edgebert_tensor::kernels::{gelu_grad, relu};
+use edgebert_tensor::kernels::{gelu_grad_mul_in_place, relu};
 use edgebert_tensor::Matrix;
 
 /// Backward of an element-wise GELU in place: `dx = dy * gelu'(x)`,
@@ -8,9 +8,7 @@ use edgebert_tensor::Matrix;
 /// on entry and `dx` on return.
 // analyzer: hot-path
 pub fn gelu_backward_in_place(cache: &Matrix, grad: &mut Matrix) {
-    for (d, &x) in grad.as_mut_slice().iter_mut().zip(cache.as_slice()) {
-        *d *= gelu_grad(x);
-    }
+    gelu_grad_mul_in_place(cache.as_slice(), grad.as_mut_slice());
 }
 
 /// ReLU applied element-wise; returns `(output, cache)`.

@@ -4,7 +4,7 @@ use crate::activation::gelu_backward_in_place;
 use crate::encoder::BlockGradScratch;
 use crate::linear::Linear;
 use crate::param::Parameter;
-use edgebert_tensor::kernels::gelu;
+use edgebert_tensor::kernels::{gelu_in_place, gelu_into};
 use edgebert_tensor::{Matrix, Rng};
 use serde::{Deserialize, Serialize};
 
@@ -50,8 +50,9 @@ impl FeedForward {
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix, cache: &mut FeedForwardCache) {
         cache.x.copy_from(x);
         self.fc1.infer_into(x, &mut cache.gelu_in);
-        cache.gelu_out.copy_from(&cache.gelu_in);
-        cache.gelu_out.map_inplace(gelu);
+        let (rows, cols) = cache.gelu_in.shape();
+        cache.gelu_out.resize_to(rows, cols);
+        gelu_into(cache.gelu_in.as_slice(), cache.gelu_out.as_mut_slice());
         self.fc2.infer_into(&cache.gelu_out, out);
     }
 
@@ -67,7 +68,7 @@ impl FeedForward {
     // analyzer: hot-path
     pub fn infer_into(&self, x: &Matrix, out: &mut Matrix, mid: &mut Matrix) {
         self.fc1.infer_into(x, mid);
-        mid.map_inplace(gelu);
+        gelu_in_place(mid.as_mut_slice());
         self.fc2.infer_into(mid, out);
     }
 

@@ -9,6 +9,26 @@
 //!   (Eq. 2): `SM(a_k) = exp(a_k - max - ln Σ exp(a_j - max))`
 //! * entropy via Eq. (3):
 //!   `H(x) = ln Σ e^{x_k - max} + max - Σ x_k e^{x_k - max} / Σ e^{x_k - max}`
+//!
+//! Eq. 2 costs two `exp` a score where a software softmax would take one
+//! and divide. That is the paper's SFU formulation, kept on purpose: the
+//! hardware model prices it, and the entropy exit and every loss stand on
+//! its bits. These functions call the host's `exp` and `ln`.
+//!
+//! GELU does not: [`tanh`] is written here as plain IEEE `f32` arithmetic
+//! with its coefficients in the source, so the activation's bits are the
+//! same on every host and at every optimisation level, and a loop over it
+//! is one the compiler can vectorise. Its contract:
+//!
+//! * within 2 ulp of the host's `f32::tanh` on `[-10, 10]` (within 1 ulp
+//!   of the correctly rounded value on every `f32` there), monotone
+//!   non-decreasing, exactly odd, `|tanh(x)| <= 1`;
+//! * `±0 → ±0`, a subnormal returns itself, `|x| >= 9.02` and `±∞` give
+//!   exactly `±1`, NaN gives NaN;
+//! * the slice kernels ([`gelu_in_place`], [`gelu_into`],
+//!   [`gelu_grad_mul_in_place`]) are loops over the scalar [`gelu`] and
+//!   [`gelu_grad`] and nothing else, so every element equals the scalar
+//!   result bit for bit whatever the lane width.
 
 use crate::matrix::Matrix;
 
@@ -124,22 +144,119 @@ pub fn softmax_rows(m: &mut Matrix) {
     }
 }
 
+/// `exp(x)` for `0 <= x <= 20`, the range [`tanh`]'s tail feeds it
+/// (Cephes `expf`): `x = n ln 2 + r` with `ln 2` split in two so that
+/// `x - n LN2_HI` is exact, a degree-5 polynomial on `|r| <= ln 2 / 2`,
+/// and `2^n` assembled from the bits of the rounding constant's sum.
+/// Within 1 ulp of the correctly rounded value and monotone there.
+#[inline]
+fn exp(x: f32) -> f32 {
+    // 1.5 * 2^23: adding it rounds to the nearest integer and leaves
+    // that integer in the low mantissa bits.
+    const ROUND: f32 = 12_582_912.0;
+    const LN2_HI: f32 = 0.693_359_4;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    let shifted = x * std::f32::consts::LOG2_E + ROUND;
+    let n = shifted - ROUND;
+    let r = x - n * LN2_HI - n * LN2_LO;
+    let p = 1.987_569_1e-4;
+    let p = p * r + 1.398_199_9e-3;
+    let p = p * r + 8.333_452e-3;
+    let p = p * r + 4.166_579_6e-2;
+    let p = p * r + 1.666_666_6e-1;
+    let p = p * r + 0.5;
+    let two_n = f32::from_bits(shifted.to_bits().wrapping_add(127) << 23);
+    (p * (r * r) + r + 1.0) * two_n
+}
+
+/// Where [`tanh`] hands over from its polynomial to its exponential form.
+const TANH_SEAM: f32 = 0.625;
+/// Where [`tanh`] stops reading its argument; the result is exactly 1
+/// from 9.011 on.
+const TANH_CLAMP: f32 = 10.0;
+
+/// Hyperbolic tangent in IEEE `f32` arithmetic alone (the module doc
+/// states the contract).
+///
+/// Both forms are evaluated on `|x|` and one is selected, so there is no
+/// branch: below 0.625 an odd polynomial (Cephes `tanhf`), from there on
+/// `1 - 2 / (exp(2|x|) + 1)`, whose argument is clamped at 10, where the
+/// result has long been exactly 1.
+///
+/// # Example
+///
+/// ```
+/// use edgebert_tensor::kernels::tanh;
+/// assert!((tanh(0.5) - 0.462_117_16).abs() < 1e-7);
+/// assert_eq!(tanh(-20.0), -1.0);
+/// ```
+#[inline]
+pub fn tanh(x: f32) -> f32 {
+    let a = x.abs();
+    let z = a * a;
+    let p = -5.704_988_7e-3;
+    let p = p * z + 2.063_908_8e-2;
+    let p = p * z - 5.373_971_5e-2;
+    let p = p * z + 1.333_144_2e-1;
+    let p = p * z - 3.333_328e-1;
+    let near_zero = p * z * a + a;
+    // A comparison, not `min`: NaN must reach the result.
+    let clamped = if a > TANH_CLAMP { TANH_CLAMP } else { a };
+    let tail = 1.0 - 2.0 / (exp(2.0 * clamped) + 1.0);
+    (if a < TANH_SEAM { near_zero } else { tail }).copysign(x)
+}
+
+/// `sqrt(2 / pi)`.
+const GELU_SCALE: f32 = 0.797_884_6;
+/// The cubic coefficient of the `tanh` approximation of GELU.
+const GELU_CUBIC: f32 = 0.044_715;
+
+/// The argument of GELU's `tanh`, rounded one way for [`gelu`] and
+/// [`gelu_grad`] alike.
+#[inline]
+fn gelu_inner(x: f32) -> f32 {
+    GELU_SCALE * (x + GELU_CUBIC * x * x * x)
+}
+
 /// GELU activation (tanh approximation, as used by BERT/ALBERT).
 #[inline]
 pub fn gelu(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + tanh(gelu_inner(x)))
 }
 
 /// Derivative of [`gelu`] with respect to its input.
 #[inline]
 pub fn gelu_grad(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let x3 = x * x * x;
-    let inner = C * (x + 0.044_715 * x3);
-    let t = inner.tanh();
+    let t = tanh(gelu_inner(x));
     let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044_715 * x * x)
+    0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_SCALE * (1.0 + 3.0 * GELU_CUBIC * x * x)
+}
+
+/// [`gelu`] of every element, in place.
+// analyzer: hot-path
+pub fn gelu_in_place(xs: &mut [f32]) {
+    for x in xs {
+        *x = gelu(*x);
+    }
+}
+
+/// [`gelu`] of every element of `x`, written to the equally long `out`.
+// analyzer: hot-path
+pub fn gelu_into(x: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(x.len(), out.len());
+    for (o, &x) in out.iter_mut().zip(x) {
+        *o = gelu(x);
+    }
+}
+
+/// The backward of an element-wise GELU: `dy[i] *= gelu_grad(x[i])` over
+/// two equally long slices.
+// analyzer: hot-path
+pub fn gelu_grad_mul_in_place(x: &[f32], dy: &mut [f32]) {
+    debug_assert_eq!(x.len(), dy.len());
+    for (d, &x) in dy.iter_mut().zip(x) {
+        *d *= gelu_grad(x);
+    }
 }
 
 /// ReLU activation.
@@ -235,6 +352,123 @@ mod tests {
         softmax_inplace(&mut sm);
         for (l, s) in ls.iter().zip(sm.iter()) {
             assert!((l.exp() - s).abs() < 1e-5);
+        }
+    }
+
+    fn ulps_apart(a: f32, b: f32) -> u32 {
+        assert_eq!(a.is_sign_negative(), b.is_sign_negative(), "{a} vs {b}");
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    /// `x` and the 4 096 floats on either side of it.
+    fn around(x: f32) -> impl Iterator<Item = f32> {
+        (x.to_bits() - 4096..=x.to_bits() + 4096).map(f32::from_bits)
+    }
+
+    /// The non-negative half of the accuracy sweep, ascending: `[0, 10]`
+    /// in steps of 1e-4, and every float near the polynomial/tail seam,
+    /// each range-reduction boundary of the tail's `exp`, the point where
+    /// the result becomes exactly 1, and the clamp.
+    fn tanh_sweep() -> Vec<f32> {
+        let mut xs: Vec<f32> = (0..=100_000).map(|i| i as f32 * 1e-4).collect();
+        xs.extend(around(TANH_SEAM));
+        for k in 2..=28 {
+            xs.extend(around((k as f32 + 0.5) * std::f32::consts::LN_2 / 2.0));
+        }
+        xs.extend(around(9.010_914));
+        xs.extend(around(TANH_CLAMP));
+        xs.sort_by(f32::total_cmp);
+        xs.dedup();
+        xs
+    }
+
+    #[test]
+    fn tanh_is_within_two_ulp_of_libm_odd_monotone_and_bounded() {
+        let xs = tanh_sweep();
+        assert!(xs.len() > 300_000 && xs[0] == 0.0 && xs[xs.len() - 1] > 10.0);
+        let mut previous = 0.0f32;
+        for &x in &xs {
+            let y = tanh(x);
+            assert!(ulps_apart(y, x.tanh()) <= 2, "tanh({x:e}) = {y:e}");
+            assert_eq!(tanh(-x).to_bits(), (-y).to_bits(), "odd at {x:e}");
+            assert!(y >= previous, "tanh({x:e}) = {y:e} after {previous:e}");
+            assert!(y <= 1.0, "tanh({x:e}) = {y:e}");
+            previous = y;
+        }
+    }
+
+    #[test]
+    fn tanh_special_values() {
+        for zero in [0.0f32, -0.0] {
+            assert_eq!(tanh(zero).to_bits(), zero.to_bits());
+        }
+        let subnormals = [1u32, 2, 0x0000_ffff, 0x007f_ffff];
+        for x in subnormals.map(f32::from_bits) {
+            assert_eq!(tanh(x).to_bits(), x.to_bits());
+            assert_eq!(tanh(-x).to_bits(), (-x).to_bits());
+        }
+        assert_eq!(tanh(f32::MIN_POSITIVE), f32::MIN_POSITIVE);
+        for x in [9.02f32, 10.0, 11.0, 88.0, 1e30, f32::MAX, f32::INFINITY] {
+            assert_eq!(tanh(x), 1.0, "{x:e}");
+            assert_eq!(tanh(-x), -1.0, "{x:e}");
+        }
+        assert!(tanh(9.0) < 1.0);
+        assert!(tanh(f32::NAN).is_nan());
+        assert!(tanh(-f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn private_exp_is_within_two_ulp_of_libm_where_tanh_calls_it() {
+        // `tanh` passes 2|x| for |x| in [TANH_SEAM, TANH_CLAMP].
+        for x in tanh_sweep() {
+            if (TANH_SEAM..=TANH_CLAMP).contains(&x) {
+                let (ours, libm) = (exp(2.0 * x), (2.0 * x).exp());
+                assert!(ulps_apart(ours, libm) <= 2, "exp({:e}) = {ours:e}", 2.0 * x);
+            }
+        }
+    }
+
+    #[test]
+    fn slice_kernels_equal_the_scalar_form_bit_for_bit() {
+        // Every length up to four 16-lane vectors and a tail, at every
+        // alignment of the start within a 16-byte vector.
+        let buffer: Vec<f32> = (0..72).map(|i| (i as f32 - 36.0) * 0.173).collect();
+        let grads: Vec<f32> = (0..72).map(|i| 1.0 - i as f32 * 0.031).collect();
+        for offset in 0..4 {
+            for len in 0..=67 {
+                let x = &buffer[offset..offset + len];
+                let want: Vec<u32> = x.iter().map(|&v| gelu(v).to_bits()).collect();
+                let bits = |ys: &[f32]| ys.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+
+                let mut in_place = buffer.clone();
+                gelu_in_place(&mut in_place[offset..offset + len]);
+                assert_eq!(
+                    bits(&in_place[offset..offset + len]),
+                    want,
+                    "{offset}+{len}"
+                );
+                assert_eq!(bits(&in_place[..offset]), bits(&buffer[..offset]));
+                assert_eq!(
+                    bits(&in_place[offset + len..]),
+                    bits(&buffer[offset + len..])
+                );
+
+                let mut out = vec![f32::NAN; 72];
+                gelu_into(x, &mut out[offset..offset + len]);
+                assert_eq!(bits(&out[offset..offset + len]), want, "{offset}+{len}");
+                assert!(out[..offset].iter().all(|v| v.is_nan()));
+                assert!(out[offset + len..].iter().all(|v| v.is_nan()));
+
+                let mut dy = grads.clone();
+                gelu_grad_mul_in_place(x, &mut dy[offset..offset + len]);
+                let want: Vec<u32> = x
+                    .iter()
+                    .zip(&grads[offset..])
+                    .map(|(&v, &g)| (g * gelu_grad(v)).to_bits())
+                    .collect();
+                assert_eq!(bits(&dy[offset..offset + len]), want, "{offset}+{len}");
+                assert_eq!(bits(&dy[offset + len..]), bits(&grads[offset + len..]));
+            }
         }
     }
 

@@ -63,27 +63,45 @@ fn table2_mlc_ordering_and_specs() {
 }
 
 #[test]
-fn table2_elevated_error_rates_degrade_accuracy() {
+fn table2_elevated_error_rates_change_the_models_predictions() {
     // Failure-injection sanity: cranking the error rate far above the
-    // technology defaults must visibly hurt accuracy.
+    // technology defaults must visibly change what the model says. The
+    // score is agreement with the clean model's own predictions, not
+    // label accuracy: a near-chance `Scale::Test` model can gain accuracy
+    // from a corrupted table, but it cannot agree with itself by chance.
     use edgebert_envm::{CampaignResult, CellTech, FaultInjector, StoredEmbedding};
+    use edgebert_tasks::{Dataset, Example};
     use edgebert_tensor::Rng;
     let art = &artifacts()[0];
-    let stored = StoredEmbedding::encode(&art.model.embedding.table.value, 4);
-    let mut rng = Rng::seed_from(3);
-    let mut eval_model = edgebert_model::AlbertModel::clone(&art.model);
-    let clean = art.model.evaluate_accuracy(&art.dev);
-    let hot = FaultInjector::new(CellTech::Mlc3).with_error_rate(0.2);
-    let result = CampaignResult::run(&stored, &hot, 8, &mut rng, |img| {
-        eval_model.embedding.set_table(img.decode());
-        eval_model.evaluate_accuracy(&art.dev)
-    });
-    assert!(
-        result.mean < clean - 0.02 || result.min < clean - 0.05,
-        "mean {} min {} clean {clean}",
-        result.mean,
-        result.min
+    let own = Dataset::new(
+        art.task,
+        art.dev
+            .iter()
+            .map(|ex| Example {
+                label: art
+                    .model
+                    .forward_layers(&ex.tokens)
+                    .prediction_at(art.model.num_layers()),
+                ..ex.clone()
+            })
+            .collect(),
     );
+    let stored = StoredEmbedding::encode(&art.model.embedding.table.value, 4);
+    let mut eval_model = edgebert_model::AlbertModel::clone(&art.model);
+    let mut agreement = |rate: f64| {
+        let injector = FaultInjector::new(CellTech::Mlc3).with_error_rate(rate);
+        CampaignResult::run(&stored, &injector, 8, &mut Rng::seed_from(3), |img| {
+            eval_model.embedding.set_table(img.decode());
+            eval_model.evaluate_accuracy(&own)
+        })
+    };
+    let none = agreement(0.0);
+    assert_eq!((none.mean, none.min), (1.0, 1.0), "no faults, no change");
+    let hot = agreement(0.2);
+    // Measured: mean 0.934, min 0.750 under libm `tanh` (59102c6) and
+    // mean 0.931, min 0.694 under the in-repo one; one changed sentence
+    // of 36 on every trial would read 0.972.
+    assert!(hot.mean < 0.97, "mean {} min {}", hot.mean, hot.min);
 }
 
 #[test]
