@@ -4,17 +4,14 @@
 //!
 //! ```text
 //! // analyzer: hot-path
-//! // analyzer: worker-loop
-//! // analyzer: wall-clock-module reason="..."
 //! // analyzer: allow(<lint-id>) reason="..."
 //! ```
 //!
-//! `hot-path` and `worker-loop` attach to the next `fn` item below
-//! them. `wall-clock-module` is file-scoped. `allow` suppresses the
-//! named lint on its own line and on the next line that carries code.
-//! The `reason` is mandatory wherever it appears — a directive without
-//! one is itself a finding (`invalid-directive`), and that finding can
-//! be neither suppressed nor baselined.
+//! `hot-path` attaches to the next `fn` item below it. `allow`
+//! suppresses the named lint on its own line and on the next line that
+//! carries code. Its `reason` is mandatory — an `allow` without one is
+//! itself a finding (`invalid-directive`), and that finding cannot be
+//! suppressed.
 
 use crate::lexer::LineComment;
 use crate::lints::{Finding, Lint};
@@ -24,10 +21,6 @@ use crate::lints::{Finding, Lint};
 pub enum Directive {
     /// Marks the next `fn`: no alloc / block / panic inside.
     HotPath,
-    /// Marks the next `fn` as a shard/worker drain loop.
-    WorkerLoop,
-    /// Marks the whole file as legitimately wall-clock-reading.
-    WallClockModule { reason: String },
     /// Suppresses `lint` on this line and the next code line.
     Allow { lint: Lint, reason: String },
 }
@@ -67,13 +60,6 @@ fn parse_one(body: &str) -> Result<Directive, String> {
     if body == "hot-path" {
         return Ok(Directive::HotPath);
     }
-    if body == "worker-loop" {
-        return Ok(Directive::WorkerLoop);
-    }
-    if let Some(rest) = body.strip_prefix("wall-clock-module") {
-        let reason = parse_reason(rest)?;
-        return Ok(Directive::WallClockModule { reason });
-    }
     if let Some(rest) = body.strip_prefix("allow") {
         let rest = rest.trim_start();
         let Some(rest) = rest.strip_prefix('(') else {
@@ -93,7 +79,7 @@ fn parse_one(body: &str) -> Result<Directive, String> {
         return Ok(Directive::Allow { lint, reason });
     }
     Err(format!(
-        "unknown analyzer directive `{}`; expected hot-path, worker-loop, wall-clock-module, or allow(<lint>)",
+        "unknown analyzer directive `{}`; expected hot-path or allow(<lint>)",
         body.split_whitespace().next().unwrap_or("")
     ))
 }
@@ -139,36 +125,28 @@ mod tests {
                 },
                 LineComment {
                     line: 2,
-                    text: " analyzer: worker-loop".into(),
+                    text: " analyzer: allow(hot-path-alloc) reason=\"preallocated\"".into(),
                 },
                 LineComment {
                     line: 3,
-                    text: " analyzer: wall-clock-module reason=\"bench timing\"".into(),
-                },
-                LineComment {
-                    line: 4,
-                    text: " analyzer: allow(float-eq) reason=\"exact sentinel\"".into(),
-                },
-                LineComment {
-                    line: 5,
                     text: " ordinary comment".into(),
                 },
             ],
         );
-        assert_eq!(p.directives.len(), 4);
+        assert_eq!(p.directives.len(), 2);
         assert!(p.errors.is_empty());
         assert_eq!(
-            p.directives[3].1,
+            p.directives[1].1,
             Directive::Allow {
-                lint: Lint::FloatEq,
-                reason: "exact sentinel".into()
+                lint: Lint::HotPathAlloc,
+                reason: "preallocated".into()
             }
         );
     }
 
     #[test]
     fn allow_without_reason_is_rejected() {
-        let p = parse("f.rs", &comment(" analyzer: allow(float-eq)"));
+        let p = parse("f.rs", &comment(" analyzer: allow(nested-lock)"));
         assert_eq!(p.directives.len(), 0);
         assert_eq!(p.errors.len(), 1);
         assert_eq!(p.errors[0].lint, Lint::InvalidDirective);
@@ -196,7 +174,7 @@ mod tests {
     fn empty_reason_is_rejected() {
         let p = parse(
             "f.rs",
-            &comment(" analyzer: wall-clock-module reason=\"  \""),
+            &comment(" analyzer: allow(nested-lock) reason=\"  \""),
         );
         assert_eq!(p.errors.len(), 1);
     }

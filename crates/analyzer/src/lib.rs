@@ -1,13 +1,22 @@
 //! `edgebert-analyzer` — an in-repo static analysis pass enforcing
-//! the serving stack's concurrency, hot-path, and determinism
-//! contracts. Hand-rolled lexer + item scanner; zero dependencies
-//! (the build environment is offline by design).
+//! the serving stack's concurrency and hot-path contracts: the two
+//! things no compiler, stock lint or runtime budget can see. Hand-rolled
+//! lexer + item scanner; zero dependencies (the build environment is
+//! offline by design).
 //!
-//! Run it over the workspace:
+//! It is a library with one entry point, [`analyze`], and it runs as a
+//! test: `tests/workspace.rs` analyzes the whole workspace inside
+//! `cargo test` and prints every finding as
+//! `file:line: [lint] message (in fn)`.
 //!
 //! ```text
-//! cargo run -p edgebert-analyzer -- --workspace
+//! cargo test -p edgebert-analyzer
 //! ```
+//!
+//! The determinism contract (no clock, hash-order or exact-float reads
+//! in modeled-timeline code) is not checked here: it is three stock
+//! clippy lints, configured in the root `clippy.toml` and CI's `check`
+//! job.
 //!
 //! # Lint catalog
 //!
@@ -20,15 +29,11 @@
 //!   are never held together, so `crates/core` carries no `allow` for
 //!   this lint (`tests/workspace.rs` pins that).
 //! - `lock-across-step` — a guard held across a call into
-//!   `InferenceSession::step` or the engine forward paths (`begin`,
-//!   `run_layers`, `serve`, ...). Forward work under a lane lock
-//!   serializes sibling shards for milliseconds at a time.
-//! - `lock-unwrap-in-loop` — `lock().unwrap()/expect()` inside a
-//!   function annotated `// analyzer: worker-loop`. A panicking
-//!   worker poisons the mutex and the unwrap cascades the panic
-//!   across every sibling shard; a site that wants exactly that (the
-//!   lane lock: a torn queue must not be drained) says so in an
-//!   `allow`.
+//!   `InferenceSession::step`, the calls that drive a session to
+//!   completion (`finish`, `run_to_completion`) or the engine forward
+//!   paths (`begin`, `run_layers`, `serve`, `evaluate`, ...). Forward
+//!   work under a lane lock serializes sibling shards for milliseconds
+//!   at a time.
 //!
 //! **Hot-path discipline** — functions annotated
 //! `// analyzer: hot-path` may not:
@@ -42,62 +47,32 @@
 //! - panic (`hot-path-panic`): `panic!`/`assert!`-family macros,
 //!   `.unwrap()`, `.expect()`.
 //!
-//! This statically complements the PR 8 counting-allocator runtime
-//! pin on the telemetry push path.
-//!
-//! **Determinism** — the bit-identity oracles rule out hidden
-//! nondeterminism in modeled-timeline code:
-//!
-//! - `wall-clock` — `Instant::now()`, `SystemTime`, or `.elapsed()`
-//!   outside a file annotated
-//!   `// analyzer: wall-clock-module reason="..."`.
-//! - `hash-iter` — iteration over a `HashMap`/`HashSet` (`for`,
-//!   `.iter()`, `.keys()`, `.values()`, `.drain()`, `.retain()`,
-//!   ...): hash order is seeded per process.
-//! - `float-eq` — float `==`/`!=` against a nonzero literal, or
-//!   `partial_cmp().unwrap()/expect()`; use `f64::total_cmp`.
-//!   Comparisons against a literal `0.0` are exempt (the unset-field
-//!   sentinel idiom: written verbatim, never computed).
-//! - `unseeded-rng` — `thread_rng`/`from_entropy`/`from_os_rng`; all
-//!   randomness must flow from explicit seeds.
+//! This statically complements the counting-allocator budgets in
+//! `tests/{forward,backward,drain}_allocations.rs` and
+//! `tests/telemetry_overhead.rs`, which only see the paths a test
+//! happens to run.
 //!
 //! **Directive hygiene**:
 //!
 //! - `invalid-directive` — a malformed `analyzer:` comment: unknown
 //!   directive or lint id, missing/empty `reason`, or a dangling
-//!   `hot-path`/`worker-loop` with no function below it. Never
-//!   suppressible, never baselinable.
+//!   `hot-path` with no function below it. Never suppressible.
 //!
 //! # Annotations and suppression
 //!
 //! ```text
 //! // analyzer: hot-path                          (next fn: no alloc/block/panic)
-//! // analyzer: worker-loop                       (next fn: lock-unwrap-in-loop applies)
-//! // analyzer: wall-clock-module reason="..."    (file: wall-clock reads sanctioned)
 //! // analyzer: allow(<lint>) reason="..."        (this line + next code line)
 //! ```
 //!
-//! The `reason` is mandatory wherever it appears. `#[cfg(test)]` and
-//! `#[test]` items are skipped wholesale — the oracles compare floats
-//! exactly and take locks freely on purpose.
-//!
-//! # Baseline workflow
-//!
-//! Pre-existing findings are grandfathered in `analyzer-baseline.toml`
-//! at the workspace root (matched on `(lint, file, function)`, not
-//! line numbers). `--workspace` loads it automatically; new findings
-//! outside the baseline fail with exit code 1. To triage after a
-//! refactor: `--emit-baseline` prints a candidate file for the
-//! current findings.
+//! The `reason` is mandatory. `#[cfg(test)]` and `#[test]` items are
+//! skipped wholesale — tests take locks freely on purpose.
 
-pub mod baseline;
 pub mod directives;
 pub mod lexer;
 pub mod lints;
-pub mod report;
 pub mod scan;
 
-pub use baseline::BaselineEntry;
 pub use lints::{Finding, Lint};
 pub use scan::{analyze, Report};
 

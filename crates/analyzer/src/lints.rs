@@ -11,70 +11,46 @@ pub enum Lint {
     /// A lock held across a call into `InferenceSession::step` or the
     /// engine forward paths.
     LockAcrossStep,
-    /// `lock().unwrap()/expect()` inside a shard/worker drain loop,
-    /// where poisoning cascades across sibling shards.
-    LockUnwrapInLoop,
     /// Heap allocation inside a `// analyzer: hot-path` function.
     HotPathAlloc,
     /// Blocking primitive inside a `// analyzer: hot-path` function.
     HotPathBlock,
     /// Panic path inside a `// analyzer: hot-path` function.
     HotPathPanic,
-    /// `Instant::now`/`SystemTime` outside a wall-clock module.
-    WallClock,
-    /// Iteration over a `HashMap`/`HashSet` (nondeterministic order).
-    HashIter,
-    /// Float `==`/`!=` against a nonzero literal, or
-    /// `partial_cmp().unwrap()/expect()`.
-    FloatEq,
-    /// RNG constructed from ambient entropy (`thread_rng`, ...).
-    UnseededRng,
-    /// Malformed `// analyzer:` directive (unknown lint, missing
-    /// reason, dangling annotation). Not suppressible, not baselinable.
+    /// Malformed `// analyzer:` directive (unknown directive or lint,
+    /// missing reason, dangling annotation). Not suppressible.
     InvalidDirective,
 }
 
 impl Lint {
     /// Every lint, in catalog order.
-    pub const ALL: [Lint; 11] = [
+    pub const ALL: [Lint; 6] = [
         Lint::NestedLock,
         Lint::LockAcrossStep,
-        Lint::LockUnwrapInLoop,
         Lint::HotPathAlloc,
         Lint::HotPathBlock,
         Lint::HotPathPanic,
-        Lint::WallClock,
-        Lint::HashIter,
-        Lint::FloatEq,
-        Lint::UnseededRng,
         Lint::InvalidDirective,
     ];
 
-    /// The stable kebab-case id used in `allow(...)`, the baseline
-    /// file, and reports.
+    /// The stable kebab-case id used in `allow(...)` and in findings.
     pub fn id(self) -> &'static str {
         match self {
             Lint::NestedLock => "nested-lock",
             Lint::LockAcrossStep => "lock-across-step",
-            Lint::LockUnwrapInLoop => "lock-unwrap-in-loop",
             Lint::HotPathAlloc => "hot-path-alloc",
             Lint::HotPathBlock => "hot-path-block",
             Lint::HotPathPanic => "hot-path-panic",
-            Lint::WallClock => "wall-clock",
-            Lint::HashIter => "hash-iter",
-            Lint::FloatEq => "float-eq",
-            Lint::UnseededRng => "unseeded-rng",
             Lint::InvalidDirective => "invalid-directive",
         }
     }
 
-    /// Parse a lint id as written in an `allow(...)` directive or the
-    /// baseline file.
+    /// Parse a lint id as written in an `allow(...)` directive.
     pub fn from_id(id: &str) -> Option<Lint> {
         Lint::ALL.into_iter().find(|l| l.id() == id)
     }
 
-    /// True for lints that may never be suppressed or baselined.
+    /// True for lints that may never be suppressed.
     pub fn unsuppressible(self) -> bool {
         self == Lint::InvalidDirective
     }

@@ -1,8 +1,8 @@
-//! Fixture corpus: every lint family has a minimal source file under
+//! Fixture corpus: every lint has a minimal source file under
 //! `tests/fixtures/` that must produce *exactly* its expected finding —
 //! same lint, same line, same function — plus a clean fixture that must
-//! stay silent and a broken-suppression fixture whose directive is
-//! itself the finding.
+//! stay silent, a broken-suppression fixture whose directive is itself
+//! the finding, and one holding every retired directive.
 
 use edgebert_analyzer::{analyze, Finding, Lint};
 use std::path::Path;
@@ -57,8 +57,20 @@ fn lock_held_across_session_step() {
 }
 
 #[test]
-fn lock_unwrap_inside_worker_loop() {
-    assert_single("lock_unwrap_in_loop.rs", Lint::LockUnwrapInLoop, 9, "drain");
+fn lock_held_across_session_completion() {
+    let findings = run_fixture("lock_across_completion.rs");
+    let got: Vec<(Lint, u32, &str)> = findings
+        .iter()
+        .map(|f| (f.lint, f.line, f.function.as_str()))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            (Lint::LockAcrossStep, 15, "finish_locked"),
+            (Lint::LockAcrossStep, 21, "complete_locked"),
+        ],
+        "{findings:?}"
+    );
 }
 
 #[test]
@@ -74,26 +86,6 @@ fn hot_path_blocking_lock() {
 #[test]
 fn hot_path_panicking_unwrap() {
     assert_single("hot_path_panic.rs", Lint::HotPathPanic, 5, "latest");
-}
-
-#[test]
-fn wall_clock_read_outside_module() {
-    assert_single("wall_clock.rs", Lint::WallClock, 5, "stamp");
-}
-
-#[test]
-fn hash_map_iteration() {
-    assert_single("hash_iter.rs", Lint::HashIter, 8, "total");
-}
-
-#[test]
-fn float_exact_equality() {
-    assert_single("float_eq.rs", Lint::FloatEq, 5, "at_quarter");
-}
-
-#[test]
-fn unseeded_rng() {
-    assert_single("unseeded_rng.rs", Lint::UnseededRng, 4, "jitter");
 }
 
 #[test]
@@ -114,13 +106,27 @@ fn allow_without_reason_is_invalid_and_suppresses_nothing() {
         1,
         "expected one invalid-directive: {findings:?}"
     );
-    assert_eq!(invalid[0].line, 4);
+    assert_eq!(invalid[0].line, 6);
     // The malformed allow must not silence the underlying finding.
     assert!(
         findings
             .iter()
-            .any(|f| f.lint == Lint::WallClock && f.line == 6),
-        "broken allow silenced the wall-clock read: {findings:?}"
+            .any(|f| f.lint == Lint::HotPathPanic && f.line == 7),
+        "broken allow silenced the unwrap: {findings:?}"
     );
     assert_eq!(findings.len(), 2, "unexpected extras: {findings:?}");
+}
+
+/// A directive or lint id the analyzer retired is not quietly ignored:
+/// every stale comment is an unsuppressible finding, so the workspace
+/// test fails until it is deleted.
+#[test]
+fn retired_directives_are_invalid() {
+    let findings = run_fixture("retired_directives.rs");
+    let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![5, 7, 9, 11, 12, 13, 14], "{findings:?}");
+    assert!(
+        findings.iter().all(|f| f.lint == Lint::InvalidDirective),
+        "{findings:?}"
+    );
 }

@@ -1,7 +1,8 @@
 //! Fixture: a suppression without its mandatory reason string — the
 //! directive itself is the finding, and it cannot be suppressed.
 
-// analyzer: allow(wall-clock)
-pub fn stamp() -> std::time::Instant {
-    std::time::Instant::now()
+// analyzer: hot-path
+pub fn latest(samples: &[f64]) -> f64 {
+    // analyzer: allow(hot-path-panic)
+    *samples.last().unwrap()
 }

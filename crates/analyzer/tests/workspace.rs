@@ -1,9 +1,9 @@
-//! The analyzer run on its own workspace: the repo must be clean under
-//! the checked-in baseline, and the contracts the serving stack claims
-//! in its comments — hot-path telemetry push, hot-path lane pop — must
-//! actually carry the annotations the analyzer verifies.
+//! The analyzer run on its own workspace: the repo must be clean, and
+//! the contracts the serving stack claims in its comments — hot-path
+//! telemetry push, hot-path lane pop — must actually carry the
+//! annotations the analyzer verifies.
 
-use edgebert_analyzer::{analyze, baseline, collect_workspace_files, workspace_root};
+use edgebert_analyzer::{analyze, collect_workspace_files, workspace_root};
 use std::path::Path;
 
 fn workspace_report() -> edgebert_analyzer::Report {
@@ -19,25 +19,17 @@ fn workspace_report() -> edgebert_analyzer::Report {
 }
 
 #[test]
-fn workspace_is_clean_under_checked_in_baseline() {
-    let root = workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-    let text =
-        std::fs::read_to_string(root.join("analyzer-baseline.toml")).expect("baseline present");
-    let entries = baseline::parse(&text).expect("baseline parses");
+fn workspace_is_clean() {
     let report = workspace_report();
-    let (remaining, _baselined, unused) = baseline::apply(report.findings, &entries);
     assert!(
-        remaining.is_empty(),
-        "unbaselined findings:\n{}",
-        remaining
+        report.findings.is_empty(),
+        "analyzer findings:\n{}",
+        report
+            .findings
             .iter()
             .map(|f| f.to_string())
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    assert!(
-        unused.is_empty(),
-        "stale baseline entries: {unused:?} — remove them from analyzer-baseline.toml"
     );
 }
 
@@ -61,26 +53,11 @@ fn telemetry_push_and_lane_pop_paths_are_declared_hot() {
         "Lane::pop_work",
         "Lane::best",
         "Lane::finish_pop",
+        "Lane::resume_parked",
     ] {
         assert!(
             hot.contains(&expected),
             "{expected} lost its hot-path annotation (have: {hot:?})"
-        );
-    }
-}
-
-#[test]
-fn shard_drain_loops_are_declared_worker_loops() {
-    let report = workspace_report();
-    let loops: Vec<&str> = report
-        .worker_loop_fns
-        .iter()
-        .map(|(_, q)| q.as_str())
-        .collect();
-    for expected in ["shard_loop", "sampler_loop"] {
-        assert!(
-            loops.contains(&expected),
-            "{expected} lost its worker-loop annotation (have: {loops:?})"
         );
     }
 }

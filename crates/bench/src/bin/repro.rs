@@ -18,6 +18,10 @@ const ALL: [&str; 9] = [
     "table1", "table2", "table3", "table4", "fig7", "fig8", "fig9", "fig10", "fig11",
 ];
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the bench crate's wall-clock reads are inherent: repro reports how long each experiment took to regenerate"
+)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Paper;

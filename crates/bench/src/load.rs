@@ -441,7 +441,10 @@ pub fn generate_trace(runtime: &MultiTaskRuntime, spec: &TraceSpec) -> Vec<LoadR
             };
             // Negated so a NaN offset (degenerate coefficients) also
             // ends the segment instead of emitting garbage.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            #[allow(
+                clippy::neg_cmp_op_on_partial_ord,
+                reason = "negated so a NaN offset ends the segment too"
+            )]
             if !(x <= d) {
                 break; // next arrival lands past the segment boundary
             }
@@ -532,6 +535,10 @@ impl LoadOutcome {
 /// under test. Any *other* submit error (full queue, unserved task)
 /// panics: the lane capacity must cover the spec's backlog, and the
 /// ladder is the only sanctioned loss mechanism here.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the bench crate's wall-clock reads are inherent: its job is to time the serving stack against real time"
+)]
 pub fn drain_load_wall_clock(
     runtime: &MultiTaskRuntime,
     load: &[LoadRequest],

@@ -29,9 +29,8 @@
 //!   [`WorkloadParams`] the engine is wired with — so comparison rows
 //!   can no longer disagree with the engine about what is being priced.
 //!
-//! A cycle-accurate simulator or real-hardware harness slots in through
-//! [`BackendSpec::Custom`] without touching the engine, serving, or
-//! server layers.
+//! [`BackendSpec`] names the two; the trait is the seam
+//! `tests/backend_equivalence.rs` pins, not an open extension point.
 
 use edgebert_envm::{CellTech, ReramArray};
 use edgebert_hw::memory::sentence_embedding_bits;
@@ -40,7 +39,6 @@ use edgebert_hw::{
     AcceleratorConfig, AcceleratorSim, Adpll, DvfsController, Ldo, MobileGpu, WorkloadParams,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A `(voltage, frequency)` operating point chosen for an inference
 /// segment, plus whether the deadline that produced it is achievable.
@@ -217,9 +215,6 @@ pub enum BackendSpec {
     /// The mobile-GPU comparison baseline, costing the builder's wired
     /// workload.
     MobileGpu(MobileGpu),
-    /// A custom backend (cycle-accurate sim, real hardware), used
-    /// as-is.
-    Custom(Arc<dyn InferenceBackend>),
 }
 
 /// The paper's accelerator platform: op-level simulator, DVFS
@@ -369,6 +364,7 @@ impl InferenceBackend for AcceleratorBackend {
         (self.sim.config().freq_max_hz / f_cap).max(1.0)
     }
 
+    #[allow(clippy::float_cmp, reason = "relock is free when the clock holds fmax")]
     fn transition_s(&self, to: &OperatingPoint) -> f64 {
         // The LDO slews from nominal toward the decision voltage while
         // the ADPLL relocks (relock is free when the clock holds fmax).
@@ -575,6 +571,7 @@ impl InferenceBackend for MobileGpuBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn accel() -> AcceleratorBackend {
         AcceleratorBackend::new(

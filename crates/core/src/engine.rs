@@ -524,8 +524,7 @@ impl EngineBuilder {
     /// default, [`BackendSpec::Accelerator`], assembles the paper's
     /// accelerator from the builder's wired accelerator config,
     /// workload, and eNVM cell; [`BackendSpec::MobileGpu`] costs the
-    /// same wired workload on the mobile-GPU comparison baseline;
-    /// [`BackendSpec::Custom`] slots in any [`InferenceBackend`].
+    /// same wired workload on the mobile-GPU comparison baseline.
     pub fn backend(mut self, backend: BackendSpec) -> Self {
         self.backend = backend;
         self
@@ -585,7 +584,6 @@ impl EngineBuilder {
             BackendSpec::MobileGpu(gpu) => {
                 Arc::new(MobileGpuBackend::from_workload(gpu, &self.workload))
             }
-            BackendSpec::Custom(backend) => backend,
         };
         let layer_cycles = backend.layer_cycles();
         EdgeBertEngine {
@@ -663,8 +661,7 @@ impl EdgeBertEngine {
     }
 
     /// The op-level accelerator simulator, when the engine runs on the
-    /// accelerator backend (`None` on the mGPU baseline or a custom
-    /// backend).
+    /// accelerator backend (`None` on the mGPU baseline).
     pub fn accelerator_sim(&self) -> Option<&AcceleratorSim> {
         self.backend.as_accelerator()
     }

@@ -41,8 +41,9 @@
 //!   fixed per-sentence costs. [`backend::AcceleratorBackend`] (the
 //!   paper's accelerator, the default) and
 //!   [`backend::MobileGpuBackend`] (the fixed-V/F TX2 comparison
-//!   baseline, priced on the *same* wired workload) ship; a cycle-accurate sim or real hardware slots in via
-//!   [`EngineBuilder::backend`] without touching the serving layers;
+//!   baseline, priced on the *same* wired workload) are the two that
+//!   ship, selected with [`EngineBuilder::backend`]; the trait is the
+//!   seam `tests/backend_equivalence.rs` pins;
 //! * [`energy`] — fleet-level energy budgeting, default-off: a
 //!   [`FleetCoordinator`] tracks per-lane measured power (EWMA of the
 //!   per-step [`SegmentCost`](backend::SegmentCost) energy accounting)

@@ -96,7 +96,7 @@ pub struct SchedulerConfig {
     ///
     /// Off (the default), the stamp is a no-op and a drain's
     /// per-request responses are bit-identical to unscheduled `serve`
-    /// calls — the PR 2 contract. On, a sentence's operating point and
+    /// calls (slack-blind). On, a sentence's operating point and
     /// price depend on when it was dispatched. Either way each sentence
     /// is forwarded once up front and priced at its dispatch point on
     /// the virtual timeline, fully deterministically.
@@ -117,7 +117,8 @@ pub struct SchedulerConfig {
 
 impl Default for SchedulerConfig {
     /// One accelerator lane, EDF ordering, packs of up to 8, free task
-    /// switches, slack-blind compute (the PR 2 bit-identity contract).
+    /// switches, slack-blind compute (per-request responses equal
+    /// unscheduled `serve` bit for bit).
     fn default() -> Self {
         Self {
             workers: 1,
@@ -211,9 +212,12 @@ impl DeadlineScheduler {
                 (task, rt.engine().clone())
             })
             .collect();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the telemetry hub epoch is the one wall-clock read the virtual-timeline scheduler makes; trace timestamps are virtual and never consult it again"
+        )]
         let telemetry = cfg
             .telemetry
-            // analyzer: allow(wall-clock) reason="the telemetry hub epoch is the one wall-clock read the virtual-timeline scheduler makes; trace timestamps are virtual and never consult it again"
             .map(|tcfg| Arc::new(Telemetry::new(tcfg, Instant::now())));
         let lane_histograms = match telemetry {
             Some(_) => vec![LaneHistograms::default(); engines.len()],

@@ -25,7 +25,10 @@
 //! parked sessions — in deadline order, so parked sessions resume
 //! EDF-ordered relative to everything else waiting on the lane.
 
-// analyzer: wall-clock-module reason="lane timestamps (enqueued_at, parked_at) measure real queueing and parked wall time on the wall-clock serving path"
+#![allow(
+    clippy::disallowed_methods,
+    reason = "lane timestamps (enqueued_at, parked_at) measure real queueing and parked wall time on the wall-clock serving path"
+)]
 
 use crate::engine::InferenceRequest;
 use crate::overload::{pressure, LadderStep, OverloadController};
@@ -292,7 +295,7 @@ impl Lane {
     /// degraded serves when the ladder has degraded anything, clamped
     /// from above by the nominal estimate (degradation only ever buys
     /// throughput — a noisy early sample must not make the ladder shed
-    /// *more* than the class-agnostic PR 6 rule did). Falls back to
+    /// *more* than the nominal estimate alone would). Falls back to
     /// the pessimistic nominal estimate before the first degraded
     /// serve completes.
     pub(super) fn shed_service_estimate_s(&self, queue: &LaneQueue) -> f64 {
@@ -540,7 +543,10 @@ impl Lane {
     /// entry. Non-finite deadlines sort last (wire garbage must not
     /// poison the comparator).
     // analyzer: hot-path
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the (index, (deadline, seq)) key is used at this one seam; a type alias would outlive it"
+    )]
     fn best(keys: impl Iterator<Item = (f64, u64)>) -> Option<(usize, (f64, u64))> {
         keys.enumerate()
             .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))

@@ -1,8 +1,6 @@
 //! Async multi-lane serving over real worker threads: the wall-clock
 //! front-end of the serving stack.
 //!
-// analyzer: wall-clock-module reason="the server IS the wall-clock serving path: deadlines, queueing delays, and DVFS slack are measured against real time by design"
-//!
 //! The [`DeadlineScheduler`](crate::scheduler::DeadlineScheduler)
 //! replays traffic on a *virtual* timeline: deterministic, perfect for
 //! experiments, but synchronous — a caller hands over a finished batch
@@ -32,12 +30,12 @@
 //!
 //! **Queue-aware DVFS slack** is the reason this module lives in the
 //! energy stack and not a generic thread pool. The paper's Algorithm 2
-//! computes `Freq_opt = N_cycles / (T − T_elapsed)` — but under the
-//! PR 2 scheduler `T_elapsed` never included time spent *queued*, so a
-//! sentence that sat 30 ms of its 50 ms budget in a lane was still
-//! handed the full 50 ms as compute budget: DVFS stretched its compute
-//! into a deadline that had already half expired, the sojourn blew the
-//! target, and the lane stayed busy longer, compounding the backlog.
+//! computes `Freq_opt = N_cycles / (T − T_elapsed)` — but when
+//! `T_elapsed` leaves out time spent *queued* (a slack-blind server), a
+//! sentence that sat 30 ms of its 50 ms budget in a lane is still
+//! handed the full 50 ms as compute budget: DVFS stretches its compute
+//! into a deadline that has already half expired, the sojourn blows the
+//! target, and the lane stays busy longer, compounding the backlog.
 //! Workers here measure each job's real queueing delay at pop time and
 //! stamp it into the request
 //! ([`InferenceRequest::with_elapsed_queue_s`]), so the engine budgets
@@ -97,6 +95,11 @@
 //! every admitted request — parked sessions included — before workers
 //! exit, and per-lane [`ServerStats`] (admissions, rejections,
 //! violations, preemptions, queue/parked depths and delays).
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the server IS the wall-clock serving path: deadlines, queueing delays, and DVFS slack are measured against real time by design"
+)]
 
 mod lane;
 mod stats;
@@ -204,7 +207,7 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Deduct each job's measured queueing delay from the DVFS compute
     /// budget (see the module docs). Off, the server is "slack-blind":
-    /// it adds none of its own measured wait, like PR 2's scheduler.
+    /// it adds none of its own measured wait.
     /// (The engine always honors any stamp the *submitter* put on the
     /// request — blindness is a server property, not an erasure.)
     pub queue_aware_slack: bool,
@@ -452,7 +455,7 @@ pub type ServeOutcome = Result<ServerResponse, WorkerLost>;
 /// The server guarantees every *admitted* request is served — graceful
 /// shutdown drains the lanes before workers exit — so
 /// [`wait`](Self::wait) always completes with `Ok` unless a worker
-/// thread died (a panic inside a custom backend, an abort mid-drain),
+/// thread died (a panic inside a forward pass, an abort mid-drain),
 /// which surfaces as the typed [`WorkerLost`] error rather than a
 /// panic in the *caller's* thread.
 #[derive(Debug)]
@@ -732,7 +735,10 @@ impl Server {
             // Negated so an infinite budget always admits and a NaN
             // budget (sanitized upstream, but cheap to be safe) sheds
             // rather than queues-and-dies.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            #[allow(
+                clippy::neg_cmp_op_on_partial_ord,
+                reason = "negated so an infinite budget admits and a NaN budget sheds"
+            )]
             let infeasible = !(key_s >= backlog_s);
             if infeasible {
                 queue.shed += 1;
@@ -886,7 +892,6 @@ impl Server {
 
 /// Runs `tick` immediately and then once per `period` until `stop` is
 /// set. Shutdown latency is bounded by sleeping in small slices.
-// analyzer: worker-loop
 fn run_periodic(stop: &AtomicBool, period: Duration, mut tick: impl FnMut()) {
     let slice = period.min(Duration::from_millis(20));
     loop {
@@ -908,12 +913,10 @@ fn run_periodic(stop: &AtomicBool, period: Duration, mut tick: impl FnMut()) {
 /// extra_shards)` — plus its energy envelope and measured power draw
 /// when the fleet coordinator is running — into the hub's series ring.
 /// One short queue-lock hold per lane per tick.
-// analyzer: worker-loop
 fn sampler_loop(registry: &[PoolEntry], hub: &Telemetry, stop: &AtomicBool) {
     let period = Duration::from_secs_f64(hub.config().sample_period_s);
     run_periodic(stop, period, || {
         for PoolEntry { lane, .. } in registry {
-            // analyzer: allow(lock-unwrap-in-loop) reason="queue mutex keeps panic-on-poison by policy: a torn LaneQueue can break one-response-per-submission, so crashing the observer beats sampling garbage"
             let queue = lane.queue.lock().expect("lane mutex");
             let sample = LaneSample {
                 t_s: hub.now_s(),
@@ -942,7 +945,6 @@ fn sampler_loop(registry: &[PoolEntry], hub: &Telemetry, stop: &AtomicBool) {
 /// lane's cumulative served energy into its measured-power EWMA and
 /// re-waterfill the cap toward queue pressure. Each tick holds one
 /// short lane-lock read and one short lane-lock write per lane.
-// analyzer: worker-loop
 fn coordinator_loop(registry: &[PoolEntry], ecfg: EnergyConfig, stop: &AtomicBool) {
     let lanes: Vec<&Lane> = registry.iter().map(|e| &*e.lane).collect();
     let tasks: Vec<Task> = lanes.iter().map(|lane| lane.task).collect();
@@ -954,7 +956,6 @@ fn coordinator_loop(registry: &[PoolEntry], ecfg: EnergyConfig, stop: &AtomicBoo
         let observed: Vec<LaneObservation> = lanes
             .iter()
             .map(|lane| {
-                // analyzer: allow(lock-unwrap-in-loop) reason="queue mutex keeps panic-on-poison by policy: a torn LaneQueue can break one-response-per-submission, so the coordinator must not publish envelopes derived from it"
                 let queue = lane.queue.lock().expect("lane mutex");
                 LaneObservation {
                     task: lane.task,
@@ -968,7 +969,6 @@ fn coordinator_loop(registry: &[PoolEntry], ecfg: EnergyConfig, stop: &AtomicBoo
             let Some(lane) = lanes.iter().find(|lane| lane.task == alloc.task) else {
                 continue;
             };
-            // analyzer: allow(lock-unwrap-in-loop) reason="queue mutex keeps panic-on-poison by policy: a torn LaneQueue can break one-response-per-submission, so the coordinator must not write envelopes into it"
             let mut queue = lane.queue.lock().expect("lane mutex");
             queue.envelope_w = Some(alloc.envelope_w);
             queue.measured_power_w = Some(alloc.measured_w);
@@ -994,7 +994,6 @@ impl Drop for Server {
 /// foreign lane's own engine and accounted on the foreign lane's
 /// counters (a stolen session in its steal record too), and the shard
 /// detaches once the foreign work is done.
-// analyzer: worker-loop
 fn shard_loop(
     registry: &[PoolEntry],
     home: usize,
@@ -1030,7 +1029,6 @@ fn shard_loop(
 /// are consulted only when the home lane is idle, and any foreign pop
 /// attaches the shard to that lane first so the pressure signal and
 /// admission estimates see the grown pool.
-// analyzer: worker-loop
 fn next_elastic_work(
     registry: &[PoolEntry],
     home: usize,
@@ -1054,7 +1052,6 @@ fn next_elastic_work(
         // home admissions wake the shard immediately, and the timed
         // poll bounds how long freshly pressured *foreign* lanes (which
         // signal their own condvars, not this one) can go unnoticed.
-        // analyzer: allow(lock-unwrap-in-loop) reason="queue mutex keeps panic-on-poison by policy: a torn LaneQueue can break one-response-per-submission, so the worker must not drain past it"
         let queue = registry[home].lane.queue.lock().expect("lane mutex");
         if queue.shutting_down && queue.jobs.is_empty() && queue.parked.is_empty() {
             // Foreign lanes still draining are their own shards'
@@ -1075,7 +1072,6 @@ fn next_elastic_work(
 /// held together), then re-locks the winner to steal — tolerating the
 /// race where another shard got there first (`None`; the caller's loop
 /// rescans).
-// analyzer: worker-loop
 fn steal_tightest_parked(registry: &[PoolEntry], home: usize) -> Option<(usize, Popped)> {
     let mut best: Option<(usize, (f64, u64))> = None;
     for (idx, entry) in registry.iter().enumerate() {
@@ -1107,7 +1103,6 @@ fn steal_tightest_parked(registry: &[PoolEntry], home: usize) -> Option<(usize, 
 /// width. Lanes without an envelope, and backends that don't model
 /// power (an infinite floor means "unmodeled", not "unaffordable"),
 /// attach exactly as before.
-// analyzer: worker-loop
 fn attach_to_pressured_lane(
     registry: &[PoolEntry],
     home: usize,
@@ -1125,7 +1120,6 @@ fn attach_to_pressured_lane(
         if idx == home {
             continue;
         }
-        // analyzer: allow(lock-unwrap-in-loop) reason="queue mutex keeps panic-on-poison by policy: a torn LaneQueue can break one-response-per-submission, so the worker must not drain past it"
         let mut queue = entry.lane.queue.lock().expect("lane mutex");
         if queue.jobs.is_empty() && queue.parked.is_empty() {
             continue;
@@ -1144,7 +1138,6 @@ fn attach_to_pressured_lane(
     }
     let (idx, _) = best?;
     let entry = &registry[idx];
-    // analyzer: allow(lock-unwrap-in-loop) reason="queue mutex keeps panic-on-poison by policy: a torn LaneQueue can break one-response-per-submission, so the worker must not drain past it"
     let mut queue = entry.lane.queue.lock().expect("lane mutex");
     // The envelope may have shrunk between the scan and the claim:
     // re-judge under the lock that commits the attach.
@@ -1164,7 +1157,6 @@ fn attach_to_pressured_lane(
 /// `Popped` (and `Degraded` when the ladder bit) and attaches the
 /// request's span recorder to the session; a resume emits `Resumed`,
 /// attributing the thief's home lane when the session crossed lanes.
-// analyzer: worker-loop
 fn materialize(
     entry: &PoolEntry,
     popped: Popped,
@@ -1268,7 +1260,6 @@ fn materialize(
 /// (with its serving context) onto the lane and returns the claimed
 /// tight job for the shard to serve next. Either yield takes the lane
 /// lock once, and carries this dispatch's step times with it.
-// analyzer: worker-loop
 fn drive(
     lane: &Arc<Lane>,
     mut session: InferenceSession,

@@ -24,7 +24,10 @@
 //! - [`export`] — JSONL trace dump, Prometheus text render, and the
 //!   span-chain well-formedness validator.
 
-// analyzer: wall-clock-module reason="telemetry hub owns the server epoch; timestamps here only stamp observability records and never feed admission, scheduling, or inference decisions"
+#![allow(
+    clippy::disallowed_methods,
+    reason = "telemetry hub owns the server epoch; timestamps here only stamp observability records and never feed admission, scheduling, or inference decisions"
+)]
 
 pub mod export;
 pub mod hist;

@@ -8,7 +8,10 @@
 //! the overwrite, so the drop counter is the single honesty signal for
 //! both contention and capacity loss.
 
-// analyzer: wall-clock-module reason="span recorders stamp trace events with wall-clock time; timestamps are observability-only and never feed scheduling decisions"
+#![allow(
+    clippy::disallowed_methods,
+    reason = "span recorders stamp trace events with wall-clock time; timestamps are observability-only and never feed scheduling decisions"
+)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -83,6 +83,10 @@ pub fn softmax_inplace(x: &mut [f32]) {
         let max = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let mut assigned = false;
         for v in x.iter_mut() {
+            #[allow(
+                clippy::float_cmp,
+                reason = "`max` is an element of `x`: `==` finds it exactly"
+            )]
             if !assigned && *v == max {
                 *v = 1.0;
                 assigned = true;

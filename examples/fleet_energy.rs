@@ -95,6 +95,10 @@ fn flash_crowd(
 
 /// Drains the load and measures the wall time the drain took — the
 /// denominator of the fleet's observed power draw.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a wall-clock gate: the drain's real duration is the denominator of the observed power draw"
+)]
 fn drain_timed(
     runtime: &MultiTaskRuntime,
     load: &[LoadRequest],
