@@ -8,8 +8,10 @@
 //! stays within one sentence, the latency-aware exit layer is unchanged
 //! on at least 99 % of sentences under every `DropTarget`, and mean
 //! modeled energy a sentence stays within 0.5 %. The values each test
-//! holds were taken on 59102c6, the last commit whose GELU called the
-//! host's `tanhf`.
+//! holds were re-recorded on efdc870, the last commit whose softmax,
+//! entropy and losses called the host's `expf` and `logf` (they equal
+//! those of 59102c6, the last commit whose GELU called the host's
+//! `tanhf`: that re-base moved none of them).
 
 use edgebert::calibrate::{calibrate_conventional, calibrate_latency_aware, SweepCache};
 use edgebert::engine::{task_hardware_workload, InferenceMode};
@@ -133,8 +135,9 @@ fn holds(task: Task, now: Observed, dev_correct: usize, exits: [&str; 3], energy
     );
 }
 
-// The recorded values are those of 59102c6 (glibc 2.36 `tanhf`), debug
-// and release alike; one test a deployment so they train in parallel.
+// The recorded values are those of efdc870 (glibc 2.36 `expf`/`logf`),
+// debug and release alike; one test a deployment so they train in
+// parallel.
 
 #[test]
 fn sst2_at_scale_test_stays_within_tolerance_of_the_libm_model() {
