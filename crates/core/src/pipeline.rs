@@ -109,8 +109,9 @@ struct CachedArtifacts {
 
 /// Bump on any layout change to `TaskArtifacts` or its pointees, and on
 /// any deliberate re-base of the training arithmetic (3: GELU's `tanh`
-/// left libm for `edgebert_tensor::kernels::tanh`).
-const ARTIFACT_CACHE_VERSION: u32 = 3;
+/// left libm for `edgebert_tensor::kernels::tanh`; 4: softmax, entropy
+/// and the losses left libm's `exp`/`ln` for `kernels::{exp, ln}`).
+const ARTIFACT_CACHE_VERSION: u32 = 4;
 
 impl TaskArtifacts {
     /// Runs the full pipeline for a task.
@@ -372,8 +373,9 @@ mod tests {
 
         // An envelope of an earlier version (1: parameters carried their
         // training state; 2: same layout as now, trained under libm's
-        // `tanh`) is rebuilt, not loaded, and the refreshed file is of
-        // this version again.
+        // `tanh`; 3: same layout, trained under libm's `exp`/`ln`) is
+        // rebuilt, not loaded, and the refreshed file is of this version
+        // again.
         let current = format!("\"version\":{ARTIFACT_CACHE_VERSION}");
         let text = std::fs::read_to_string(&entries[0]).expect("cache file");
         assert_eq!(text.matches(&current).count(), 1, "one version field");

@@ -4,7 +4,7 @@
 //! gradient straight into a backward pass. Losses are averaged over the
 //! batch (matrix rows).
 
-use edgebert_tensor::kernels::{log_softmax, softmax_inplace};
+use edgebert_tensor::kernels::{exp, log_softmax, softmax_inplace};
 use edgebert_tensor::Matrix;
 
 /// Softmax cross-entropy against integer class targets.
@@ -38,7 +38,7 @@ pub fn cross_entropy(logits: &Matrix, targets: &[usize]) -> (f32, Matrix) {
         loss += -ls[t];
         let g = grad.row_mut(r);
         for c in 0..classes {
-            g[c] = (ls[c].exp() - if c == t { 1.0 } else { 0.0 }) / batch;
+            g[c] = (exp(ls[c]) - if c == t { 1.0 } else { 0.0 }) / batch;
         }
     }
     (loss / batch, grad)
@@ -72,7 +72,7 @@ pub fn distillation(student: &Matrix, teacher: &Matrix, temperature: f32) -> (f3
             if p_t[c] > 0.0 {
                 loss += t2 * p_t[c] * (ls_t[c] - ls_s[c]);
             }
-            let p_s = ls_s[c].exp();
+            let p_s = exp(ls_s[c]);
             grad.set(r, c, temperature * (p_s - p_t[c]) / batch);
         }
     }

@@ -13,22 +13,34 @@
 //! Eq. 2 costs two `exp` a score where a software softmax would take one
 //! and divide. That is the paper's SFU formulation, kept on purpose: the
 //! hardware model prices it, and the entropy exit and every loss stand on
-//! its bits. These functions call the host's `exp` and `ln`.
+//! its bits.
 //!
-//! GELU does not: [`tanh`] is written here as plain IEEE `f32` arithmetic
-//! with its coefficients in the source, so the activation's bits are the
-//! same on every host and at every optimisation level, and a loop over it
-//! is one the compiler can vectorise. Its contract:
+//! No function here calls the host's libm. [`exp`], [`ln`] and [`tanh`]
+//! are plain IEEE `f32` arithmetic with their coefficients in the source,
+//! so softmax, the entropy exit, the losses and GELU have the same bits on
+//! every host and at every optimisation level, and a loop over any of
+//! them is one the compiler can vectorise. Their contracts:
 //!
-//! * within 2 ulp of the host's `f32::tanh` on `[-10, 10]` (within 1 ulp
-//!   of the correctly rounded value on every `f32` there), monotone
-//!   non-decreasing, exactly odd, `|tanh(x)| <= 1`;
-//! * `±0 → ±0`, a subnormal returns itself, `|x| >= 9.02` and `±∞` give
-//!   exactly `±1`, NaN gives NaN;
-//! * the slice kernels ([`gelu_in_place`], [`gelu_into`],
-//!   [`gelu_grad_mul_in_place`]) are loops over the scalar [`gelu`] and
-//!   [`gelu_grad`] and nothing else, so every element equals the scalar
-//!   result bit for bit whatever the lane width.
+//! * [`exp`]: within 2 ulp of the host's `f32::exp` on `[-104, 0]`,
+//!   subnormal results included (within 1 ulp of the correctly rounded
+//!   value there), monotone non-decreasing; `exp(±0) == 1` exactly,
+//!   `exp(x) == 0` below `-103.98` and at `-∞`, `+∞` from `88.723` up,
+//!   NaN gives NaN; on `[1.25, 20]`, where [`tanh`] calls it, the same
+//!   bits as the positive-only form GELU was first re-based on;
+//! * [`ln`]: within 2 ulp of the host's `f32::ln` on `(0, 64]`, subnormals
+//!   included, monotone; `ln(1) == 0` exactly, `ln(±0) == -∞`,
+//!   `ln(+∞) == +∞`, a negative argument or NaN gives NaN;
+//! * [`tanh`]: within 2 ulp of the host's `f32::tanh` on `[-10, 10]`
+//!   (within 1 ulp of the correctly rounded value on every `f32` there),
+//!   monotone non-decreasing, exactly odd, `|tanh(x)| <= 1`; `±0 → ±0`, a
+//!   subnormal returns itself, `|x| >= 9.02` and `±∞` give exactly `±1`,
+//!   NaN gives NaN;
+//! * the slice kernels ([`softmax_inplace`], [`gelu_in_place`],
+//!   [`gelu_into`], [`gelu_grad_mul_in_place`]) equal a plain scalar loop
+//!   over the same functions bit for bit whatever the lane width: the GELU
+//!   kernels are such loops, and softmax takes its row max over 8 lanes
+//!   (`max` is exact, so only the sign of a zero maximum can depend on the
+//!   order, and no output does) and adds its `exp` terms in index order.
 
 use crate::matrix::Matrix;
 
@@ -43,20 +55,56 @@ use crate::matrix::Matrix;
 /// let lse = logsumexp(&[1000.0, 1000.0]);
 /// assert!((lse - (1000.0 + (2.0f32).ln())).abs() < 1e-3);
 /// ```
+// analyzer: hot-path
 pub fn logsumexp(x: &[f32]) -> f32 {
-    let max = match x
-        .iter()
-        .cloned()
-        .fold(None, |m: Option<f32>, v| Some(m.map_or(v, |m| m.max(v))))
-    {
-        Some(m) => m,
-        None => return f32::NEG_INFINITY,
-    };
+    if x.is_empty() {
+        return f32::NEG_INFINITY;
+    }
+    logsumexp_given_max(x, row_max(x))
+}
+
+/// How many lanes the softmax row kernels work in.
+const LANES: usize = 8;
+
+/// The largest element of a non-empty `x` as `f32::max` folds it: NaN is
+/// skipped unless every element is NaN. Taken over [`LANES`] lanes; `max`
+/// is exact, so the order only decides the sign of a zero maximum.
+#[inline]
+fn row_max(x: &[f32]) -> f32 {
+    let mut lanes = [x[0]; LANES];
+    let mut chunks = x.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = m.max(v);
+        }
+    }
+    let max = lanes.iter().fold(x[0], |m, &v| m.max(v));
+    chunks.remainder().iter().fold(max, |m, &v| m.max(v))
+}
+
+/// `max + ln Σ exp(x_k - max)` for the `max` of a non-empty `x`. The
+/// terms are computed [`LANES`] at a time and added in index order, so the
+/// sum has the bits of a plain loop.
+#[inline]
+fn logsumexp_given_max(x: &[f32], max: f32) -> f32 {
     if max.is_infinite() {
         return max;
     }
-    let sum: f32 = x.iter().map(|&v| (v - max).exp()).sum();
-    max + sum.ln()
+    let mut sum = 0.0f32;
+    let mut chunks = x.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        let mut terms = [0.0f32; LANES];
+        for (t, &v) in terms.iter_mut().zip(chunk) {
+            *t = exp(v - max);
+        }
+        for t in terms {
+            sum += t;
+        }
+    }
+    for &v in chunks.remainder() {
+        sum += exp(v - max);
+    }
+    max + ln(sum)
 }
 
 /// Stable softmax of a logit slice, writing the result in place.
@@ -73,14 +121,15 @@ pub fn logsumexp(x: &[f32]) -> f32 {
 /// let s: f32 = x.iter().sum();
 /// assert!((s - 1.0).abs() < 1e-5);
 /// ```
+// analyzer: hot-path
 pub fn softmax_inplace(x: &mut [f32]) {
     if x.is_empty() {
         return;
     }
-    let lse = logsumexp(x);
+    let max = row_max(x);
+    let lse = logsumexp_given_max(x, max);
     if lse.is_infinite() {
         // All mass on the (first) max element; mirrors saturation behaviour.
-        let max = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let mut assigned = false;
         for v in x.iter_mut() {
             #[allow(
@@ -97,7 +146,7 @@ pub fn softmax_inplace(x: &mut [f32]) {
         return;
     }
     for v in x.iter_mut() {
-        *v = (*v - lse).exp();
+        *v = exp(*v - lse);
     }
 }
 
@@ -123,43 +172,73 @@ pub fn log_softmax(x: &[f32]) -> Vec<f32> {
 /// // A confident distribution has near-zero entropy.
 /// assert!(entropy(&[20.0, 0.0, 0.0, 0.0]) < 1e-3);
 /// ```
+// analyzer: hot-path
 pub fn entropy(x: &[f32]) -> f32 {
     if x.len() <= 1 {
         return 0.0;
     }
-    let max = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let max = row_max(x);
     let mut sum_exp = 0.0f32;
     let mut sum_xexp = 0.0f32;
     for &v in x {
-        let e = (v - max).exp();
+        let e = exp(v - max);
         sum_exp += e;
         sum_xexp += v * e;
     }
     // Eq. (3): ln(Σ e^{x-max}) + max - Σ x e^{x-max} / Σ e^{x-max}
-    let h = sum_exp.ln() + max - sum_xexp / sum_exp;
+    let h = ln(sum_exp) + max - sum_xexp / sum_exp;
     // Clamp tiny negative values produced by rounding.
     h.max(0.0)
 }
 
 /// Applies stable softmax to every row of `m` in place.
+// analyzer: hot-path
 pub fn softmax_rows(m: &mut Matrix) {
     for r in 0..m.rows() {
         softmax_inplace(m.row_mut(r));
     }
 }
 
-/// `exp(x)` for `0 <= x <= 20`, the range [`tanh`]'s tail feeds it
-/// (Cephes `expf`): `x = n ln 2 + r` with `ln 2` split in two so that
-/// `x - n LN2_HI` is exact, a degree-5 polynomial on `|r| <= ln 2 / 2`,
-/// and `2^n` assembled from the bits of the rounding constant's sum.
-/// Within 1 ulp of the correctly rounded value and monotone there.
+/// `ln 2` split in two: `LN2_HI` has 9 significant bits, so `n * LN2_HI`
+/// is exact for every `|n| < 2^15` [`exp`] and [`ln`] multiply it by.
+const LN2_HI: f32 = 0.693_359_4;
+/// `ln 2 - LN2_HI`.
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// [`exp`] reads its argument no further down: the result is exactly 0
+/// from −103.98 on.
+const EXP_FLOOR: f32 = -110.0;
+/// [`exp`] reads its argument no further up: the result is `+∞` from
+/// 88.723 on.
+const EXP_CEILING: f32 = 89.0;
+
+/// `e^x` in IEEE `f32` arithmetic alone (the module doc states the
+/// contract), after Cephes `expf`.
+///
+/// `x = n ln 2 + r` with `n` rounded to the nearest integer, `x - n ln 2`
+/// taken in two steps so that the first is exact, and a degree-5
+/// polynomial on `|r| <= ln 2 / 2`. `2^n` is assembled from the bits of
+/// the rounding sum as two factors, `2^⌊n/2⌋ · 2^(n-⌊n/2⌋)`, each a
+/// normal float over the whole clamped range, so the one rounding of a
+/// result below the smallest normal (from −87.3 down) is the last
+/// product's. There is no branch and no float-to-int cast, so a loop
+/// over it vectorises.
+///
+/// # Example
+///
+/// ```
+/// use edgebert_tensor::kernels::exp;
+/// assert_eq!(exp(0.0), 1.0);
+/// assert!((exp(-1.0) - 0.367_879_44).abs() < 1e-7);
+/// assert_eq!(exp(f32::NEG_INFINITY), 0.0);
+/// ```
 #[inline]
-fn exp(x: f32) -> f32 {
+pub fn exp(x: f32) -> f32 {
     // 1.5 * 2^23: adding it rounds to the nearest integer and leaves
     // that integer in the low mantissa bits.
     const ROUND: f32 = 12_582_912.0;
-    const LN2_HI: f32 = 0.693_359_4;
-    const LN2_LO: f32 = -2.121_944_4e-4;
+    // Comparisons, not `max`/`min`: NaN must reach the result.
+    let x = if x < EXP_FLOOR { EXP_FLOOR } else { x };
+    let x = if x > EXP_CEILING { EXP_CEILING } else { x };
     let shifted = x * std::f32::consts::LOG2_E + ROUND;
     let n = shifted - ROUND;
     let r = x - n * LN2_HI - n * LN2_LO;
@@ -169,8 +248,70 @@ fn exp(x: f32) -> f32 {
     let p = p * r + 4.166_579_6e-2;
     let p = p * r + 1.666_666_6e-1;
     let p = p * r + 0.5;
-    let two_n = f32::from_bits(shifted.to_bits().wrapping_add(127) << 23);
-    (p * (r * r) + r + 1.0) * two_n
+    // `shifted`'s bits are `0x4b40_0000 + n` and `0x4b40_0000` is even,
+    // so halving them halves `n` rounding down; the low 9 bits of either
+    // half plus 127 are that power of two's biased exponent.
+    let bits = shifted.to_bits();
+    let half = bits >> 1;
+    let two_low = f32::from_bits(half.wrapping_add(127) << 23);
+    let two_high = f32::from_bits((bits - half).wrapping_add(127) << 23);
+    (p * (r * r) + r + 1.0) * two_low * two_high
+}
+
+/// The bits of `sqrt(1/2)`: [`ln`] splits its argument into `2^k · m`
+/// with `m` in `[sqrt(1/2), sqrt(2))`.
+const SQRT_HALF_BITS: u32 = 0x3f35_04f3;
+/// `2^23`, which lifts a subnormal into the normal range.
+const SUBNORMAL_LIFT: f32 = 8_388_608.0;
+
+/// `ln x` in IEEE `f32` arithmetic alone (the module doc states the
+/// contract), after Cephes `logf`.
+///
+/// `x = 2^k · m` with `m` in `[sqrt(1/2), sqrt(2))` read from the bits
+/// (a subnormal is first lifted by `2^23`), then `ln m` as
+/// `f - f²/2 + f³ P(f)` on `f = m - 1`, a degree-8 `P`, and `k ln 2`
+/// added in the same two steps as [`exp`]'s reduction. `ln(1)` is
+/// exactly 0: `m = 1` and `k = 0` there.
+///
+/// # Example
+///
+/// ```
+/// use edgebert_tensor::kernels::ln;
+/// assert_eq!(ln(1.0), 0.0);
+/// assert!((ln(2.0) - std::f32::consts::LN_2).abs() < 1e-7);
+/// assert_eq!(ln(0.0), f32::NEG_INFINITY);
+/// ```
+#[inline]
+pub fn ln(x: f32) -> f32 {
+    let subnormal = x < f32::MIN_POSITIVE;
+    let lifted = if subnormal { x * SUBNORMAL_LIFT } else { x };
+    let bits = lifted.to_bits().wrapping_sub(SQRT_HALF_BITS);
+    let k = ((bits as i32 >> 23) - if subnormal { 23 } else { 0 }) as f32;
+    let f = f32::from_bits((bits & 0x007f_ffff) + SQRT_HALF_BITS) - 1.0;
+    let z = f * f;
+    let p = 7.037_683_6e-2;
+    let p = p * f - 1.151_461e-1;
+    let p = p * f + 1.167_699_9e-1;
+    let p = p * f - 1.242_014_1e-1;
+    let p = p * f + 1.424_932_3e-1;
+    let p = p * f - 1.666_805_8e-1;
+    let p = p * f + 2.000_071_5e-1;
+    let p = p * f - 2.499_999_4e-1;
+    let p = p * f + 3.333_333e-1;
+    let y = p * f * z + k * LN2_LO - 0.5 * z;
+    let y = f + y + k * LN2_HI;
+    if x > 0.0 {
+        // `+∞` would read as 2^128.
+        if x < f32::INFINITY {
+            y
+        } else {
+            x
+        }
+    } else if x == 0.0 {
+        f32::NEG_INFINITY
+    } else {
+        f32::NAN
+    }
 }
 
 /// Where [`tanh`] hands over from its polynomial to its exponential form.
@@ -421,15 +562,241 @@ mod tests {
         assert!(tanh(-f32::NAN).is_nan());
     }
 
+    /// The `exp` GELU's `tanh` was first re-based on: the same reduction
+    /// and polynomial, `2^n` in one factor, no clamp, right on `[0, 20]`.
+    fn positive_only_exp(x: f32) -> f32 {
+        const ROUND: f32 = 12_582_912.0;
+        let shifted = x * std::f32::consts::LOG2_E + ROUND;
+        let n = shifted - ROUND;
+        let r = x - n * LN2_HI - n * LN2_LO;
+        let p = 1.987_569_1e-4;
+        let p = p * r + 1.398_199_9e-3;
+        let p = p * r + 8.333_452e-3;
+        let p = p * r + 4.166_579_6e-2;
+        let p = p * r + 1.666_666_6e-1;
+        let p = p * r + 0.5;
+        let two_n = f32::from_bits(shifted.to_bits().wrapping_add(127) << 23);
+        (p * (r * r) + r + 1.0) * two_n
+    }
+
     #[test]
-    fn private_exp_is_within_two_ulp_of_libm_where_tanh_calls_it() {
-        // `tanh` passes 2|x| for |x| in [TANH_SEAM, TANH_CLAMP].
-        for x in tanh_sweep() {
-            if (TANH_SEAM..=TANH_CLAMP).contains(&x) {
-                let (ours, libm) = (exp(2.0 * x), (2.0 * x).exp());
-                assert!(ulps_apart(ours, libm) <= 2, "exp({:e}) = {ours:e}", 2.0 * x);
+    fn exp_keeps_the_bits_gelu_was_rebased_on_where_tanh_calls_it() {
+        // `tanh` passes 2|x| for |x| in [TANH_SEAM, TANH_CLAMP]: every
+        // 13th float of [1.25, 20] and the tanh sweep's points there.
+        let strided = (2.0 * TANH_SEAM).to_bits()..=(2.0 * TANH_CLAMP).to_bits();
+        let swept = tanh_sweep()
+            .into_iter()
+            .filter(|x| (TANH_SEAM..=TANH_CLAMP).contains(x))
+            .map(|x| 2.0 * x);
+        for x in strided.step_by(13).map(f32::from_bits).chain(swept) {
+            let ours = exp(x);
+            assert_eq!(ours.to_bits(), positive_only_exp(x).to_bits(), "exp({x:e})");
+            assert!(ulps_apart(ours, x.exp()) <= 2, "exp({x:e}) = {ours:e}");
+        }
+    }
+
+    /// `[-104, 0]` ascending: steps of 1e-4, and every float near each
+    /// range-reduction boundary `(k + 1/2) ln 2`, the smallest normal
+    /// result, the smallest subnormal one and the point below which the
+    /// result is 0.
+    fn exp_sweep() -> Vec<f32> {
+        let mut xs: Vec<f32> = (0..=1_040_000).map(|i| i as f32 * -1e-4).collect();
+        for k in 1..=150 {
+            xs.extend(around((0.5 - k as f32) * std::f32::consts::LN_2));
+        }
+        for onset in [-126.0f32, -149.0, -150.0] {
+            xs.extend(around(onset * std::f32::consts::LN_2));
+        }
+        xs.sort_by(f32::total_cmp);
+        xs.dedup();
+        xs
+    }
+
+    #[test]
+    fn exp_is_within_two_ulp_of_libm_and_monotone_on_the_nonpositive_half() {
+        let xs = exp_sweep();
+        assert!(xs.len() > 2_000_000 && xs[0] <= -104.0 && xs[xs.len() - 1] == 0.0);
+        let mut previous = 0.0f32;
+        for &x in &xs {
+            let y = exp(x);
+            assert!(ulps_apart(y, x.exp()) <= 2, "exp({x:e}) = {y:e}");
+            assert!(y >= previous, "exp({x:e}) = {y:e} after {previous:e}");
+            previous = y;
+        }
+        assert!(exp(-103.97) > 0.0 && exp(-103.98) == 0.0);
+    }
+
+    #[test]
+    fn exp_special_values() {
+        // Softmax's `sum >= 1` stands on the first of these.
+        assert_eq!(exp(0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp(-0.0).to_bits(), 1.0f32.to_bits());
+        for x in [-110.0f32, -1e30, f32::MIN, f32::NEG_INFINITY] {
+            assert_eq!(exp(x).to_bits(), 0, "{x:e}");
+        }
+        for x in [88.723f32, 89.0, 1e30, f32::INFINITY] {
+            assert_eq!(exp(x), f32::INFINITY, "{x:e}");
+        }
+        assert!(exp(88.72).is_finite());
+        assert!(exp(f32::NAN).is_nan());
+        assert!(exp(-f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn ln_is_within_two_ulp_of_libm_and_monotone_up_to_64() {
+        // Every 997th float of (0, 64], subnormals included, and every
+        // float near 1 and near each `sqrt(2) 2^k` seam of the reduction.
+        let mut xs: Vec<f32> = (1..=64.0f32.to_bits())
+            .step_by(997)
+            .map(f32::from_bits)
+            .collect();
+        xs.extend(around(1.0));
+        for k in -126..=5 {
+            xs.extend(around(std::f32::consts::SQRT_2 * 2.0f32.powi(k)));
+        }
+        xs.push(64.0);
+        xs.sort_by(f32::total_cmp);
+        xs.dedup();
+        assert!(xs.len() > 2_000_000 && xs[0] > 0.0 && xs[xs.len() - 1] == 64.0);
+        let mut previous = f32::NEG_INFINITY;
+        for &x in &xs {
+            let y = ln(x);
+            assert!(ulps_apart(y, x.ln()) <= 2, "ln({x:e}) = {y:e}");
+            assert!(y >= previous, "ln({x:e}) = {y:e} after {previous:e}");
+            previous = y;
+        }
+    }
+
+    #[test]
+    fn ln_special_values() {
+        assert_eq!(ln(1.0).to_bits(), 0);
+        for zero in [0.0f32, -0.0] {
+            assert_eq!(ln(zero), f32::NEG_INFINITY);
+        }
+        assert_eq!(ln(f32::INFINITY), f32::INFINITY);
+        assert!(ln(f32::MAX).is_finite());
+        for x in [-1.0f32, -f32::MIN_POSITIVE, f32::NEG_INFINITY, f32::NAN] {
+            assert!(ln(x).is_nan(), "{x:e}");
+        }
+    }
+
+    /// `softmax_inplace` as a plain scalar loop over the same `exp`/`ln`:
+    /// a sequential max, the terms added one by one, the same saturation.
+    fn scalar_softmax(x: &mut [f32]) {
+        let Some(max) = x.iter().copied().reduce(f32::max) else {
+            return;
+        };
+        let lse = if max.is_infinite() {
+            max
+        } else {
+            max + ln(x.iter().fold(0.0, |sum, &v| sum + exp(v - max)))
+        };
+        if lse.is_infinite() {
+            let first = x.iter().position(|&v| v == max);
+            for (i, v) in x.iter_mut().enumerate() {
+                *v = if Some(i) == first { 1.0 } else { 0.0 };
+            }
+        } else {
+            for v in x.iter_mut() {
+                *v = exp(*v - lse);
             }
         }
+    }
+
+    #[test]
+    fn softmax_equals_the_scalar_form_bit_for_bit() {
+        let bits = |ys: &[f32]| ys.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+        // A ramp, a scramble wide enough that terms underflow, and a
+        // saturated row with NaN in it.
+        let ramp: Vec<f32> = (0..72).map(|i| (i as f32 - 36.0) * 0.173).collect();
+        let wide: Vec<f32> = (0..72)
+            .map(|i| ((i * 37) % 71) as f32 * 1.7 - 60.0)
+            .collect();
+        let mut saturated = ramp.clone();
+        saturated[5] = f32::INFINITY;
+        saturated[9] = f32::NAN;
+        saturated[40] = f32::INFINITY;
+        for buffer in [&ramp, &wide, &saturated] {
+            for offset in 0..4 {
+                for len in 0..=67 {
+                    let x = &buffer[offset..offset + len];
+                    let mut want = x.to_vec();
+                    scalar_softmax(&mut want);
+                    let mut got = buffer.clone();
+                    softmax_inplace(&mut got[offset..offset + len]);
+                    assert_eq!(
+                        bits(&got[offset..offset + len]),
+                        bits(&want),
+                        "{offset}+{len}"
+                    );
+                    assert_eq!(bits(&got[..offset]), bits(&buffer[..offset]));
+                    assert_eq!(bits(&got[offset + len..]), bits(&buffer[offset + len..]));
+                    if let Some(max) = x.iter().copied().reduce(f32::max) {
+                        let sum = x.iter().fold(0.0, |sum, &v| sum + exp(v - max));
+                        let lse = if max.is_infinite() {
+                            max
+                        } else {
+                            max + ln(sum)
+                        };
+                        assert_eq!(logsumexp(x).to_bits(), lse.to_bits(), "{offset}+{len}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_lane_max_equals_the_sequential_fold() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -3.5,
+            2.25,
+            -0.0,
+            0.0,
+            7.0,
+        ];
+        for len in 1..=67 {
+            for start in 0..specials.len() {
+                for stride in [1, 2, 5] {
+                    let x: Vec<f32> = (0..len)
+                        .map(|i| specials[(start + i * stride) % specials.len()])
+                        .collect();
+                    let want = x.iter().copied().reduce(f32::max).expect("non-empty");
+                    let got = row_max(&x);
+                    // `max` may return either zero when both compare
+                    // equal, so a zero maximum's sign is not pinned.
+                    assert!(got == want || (got.is_nan() && want.is_nan()), "{x:?}");
+                }
+            }
+        }
+        for only in [0.0f32, -0.0, f32::NEG_INFINITY, f32::NAN] {
+            let x = [only; 19];
+            assert_eq!(row_max(&x).to_bits(), only.to_bits(), "{only}");
+        }
+    }
+
+    #[test]
+    fn saturated_softmax_puts_all_mass_on_the_first_max() {
+        let mut x = [
+            1.0f32,
+            f32::INFINITY,
+            f32::NAN,
+            3.0,
+            f32::INFINITY,
+            -2.0,
+            0.0,
+            4.0,
+            5.0,
+        ];
+        softmax_inplace(&mut x);
+        assert_eq!(x, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        let mut x = [f32::NEG_INFINITY; 11];
+        softmax_inplace(&mut x);
+        assert_eq!(x[0], 1.0);
+        assert!(x[1..].iter().all(|&v| v == 0.0));
     }
 
     #[test]

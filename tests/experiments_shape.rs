@@ -69,25 +69,28 @@ fn table2_elevated_error_rates_change_the_models_predictions() {
     // score is agreement with the clean model's own predictions, not
     // label accuracy: a near-chance `Scale::Test` model can gain accuracy
     // from a corrupted table, but it cannot agree with itself by chance.
+    // "Itself" is the model reading the fault-free stored table: storing
+    // rounds the embedding to FP8, which alone may flip a sentence near
+    // its decision boundary.
     use edgebert_envm::{CampaignResult, CellTech, FaultInjector, StoredEmbedding};
     use edgebert_tasks::{Dataset, Example};
     use edgebert_tensor::Rng;
     let art = &artifacts()[0];
+    let stored = StoredEmbedding::encode(&art.model.embedding.table.value, 4);
+    let mut eval_model = edgebert_model::AlbertModel::clone(&art.model);
+    eval_model.embedding.set_table(stored.decode());
     let own = Dataset::new(
         art.task,
         art.dev
             .iter()
             .map(|ex| Example {
-                label: art
-                    .model
+                label: eval_model
                     .forward_layers(&ex.tokens)
-                    .prediction_at(art.model.num_layers()),
+                    .prediction_at(eval_model.num_layers()),
                 ..ex.clone()
             })
             .collect(),
     );
-    let stored = StoredEmbedding::encode(&art.model.embedding.table.value, 4);
-    let mut eval_model = edgebert_model::AlbertModel::clone(&art.model);
     let mut agreement = |rate: f64| {
         let injector = FaultInjector::new(CellTech::Mlc3).with_error_rate(rate);
         CampaignResult::run(&stored, &injector, 8, &mut Rng::seed_from(3), |img| {
@@ -98,9 +101,10 @@ fn table2_elevated_error_rates_change_the_models_predictions() {
     let none = agreement(0.0);
     assert_eq!((none.mean, none.min), (1.0, 1.0), "no faults, no change");
     let hot = agreement(0.2);
-    // Measured: mean 0.934, min 0.750 under libm `tanh` (59102c6) and
-    // mean 0.931, min 0.694 under the in-repo one; one changed sentence
-    // of 36 on every trial would read 0.972.
+    // Measured against the stored table: mean 0.931, min 0.694 under
+    // libm's `exp`/`ln` (efdc870) and mean 0.920, min 0.639 under the
+    // in-repo ones; one changed sentence of 36 on every trial would read
+    // 0.972.
     assert!(hot.mean < 0.97, "mean {} min {}", hot.mean, hot.min);
 }
 
