@@ -40,7 +40,8 @@
 //!   over the same functions bit for bit whatever the lane width: the GELU
 //!   kernels are such loops, and softmax takes its row max over 8 lanes
 //!   (`max` is exact, so only the sign of a zero maximum can depend on the
-//!   order, and no output does) and adds its `exp` terms in index order.
+//!   order, and no output does) and adds its `exp` terms in index order;
+//!   [`softmax_rows`] gives every row the bits [`softmax_inplace`] does.
 
 use crate::matrix::Matrix;
 
@@ -67,8 +68,9 @@ pub fn logsumexp(x: &[f32]) -> f32 {
 const LANES: usize = 8;
 
 /// The largest element of a non-empty `x` as `f32::max` folds it: NaN is
-/// skipped unless every element is NaN. Taken over [`LANES`] lanes; `max`
-/// is exact, so the order only decides the sign of a zero maximum.
+/// skipped unless every element is NaN. Taken over [`LANES`] lanes folded
+/// pairwise; `max` is exact, so the order only decides the sign of a zero
+/// maximum.
 #[inline]
 fn row_max(x: &[f32]) -> f32 {
     let mut lanes = [x[0]; LANES];
@@ -78,8 +80,12 @@ fn row_max(x: &[f32]) -> f32 {
             *m = m.max(v);
         }
     }
-    let max = lanes.iter().fold(x[0], |m, &v| m.max(v));
-    chunks.remainder().iter().fold(max, |m, &v| m.max(v))
+    for width in [LANES / 2, LANES / 4, LANES / 8] {
+        for i in 0..width {
+            lanes[i] = lanes[i].max(lanes[i + width]);
+        }
+    }
+    chunks.remainder().iter().fold(lanes[0], |m, &v| m.max(v))
 }
 
 /// `max + ln Σ exp(x_k - max)` for the `max` of a non-empty `x`. The
@@ -107,27 +113,17 @@ fn logsumexp_given_max(x: &[f32], max: f32) -> f32 {
     max + ln(sum)
 }
 
-/// Stable softmax of a logit slice, writing the result in place.
-///
-/// Uses the SFU's max + log-sum-exp formulation (paper Eq. 2), which never
-/// divides: `p_k = exp(x_k - max - logsumexp)`.
-///
-/// # Example
-///
-/// ```
-/// use edgebert_tensor::softmax_inplace;
-/// let mut x = [1.0f32, 2.0, 3.0];
-/// softmax_inplace(&mut x);
-/// let s: f32 = x.iter().sum();
-/// assert!((s - 1.0).abs() < 1e-5);
-/// ```
-// analyzer: hot-path
-pub fn softmax_inplace(x: &mut [f32]) {
-    if x.is_empty() {
-        return;
-    }
+/// Softmax's first pass over a non-empty row: its max and log-sum-exp.
+#[inline]
+fn max_and_logsumexp(x: &[f32]) -> (f32, f32) {
     let max = row_max(x);
-    let lse = logsumexp_given_max(x, max);
+    (max, logsumexp_given_max(x, max))
+}
+
+/// Softmax's second pass, given the first's result: `exp(x_k - lse)`, or
+/// all mass on the first `max` when `lse` is infinite.
+#[inline]
+fn softmax_given(x: &mut [f32], (max, lse): (f32, f32)) {
     if lse.is_infinite() {
         // All mass on the (first) max element; mirrors saturation behaviour.
         let mut assigned = false;
@@ -148,6 +144,29 @@ pub fn softmax_inplace(x: &mut [f32]) {
     for v in x.iter_mut() {
         *v = exp(*v - lse);
     }
+}
+
+/// Stable softmax of a logit slice, writing the result in place.
+///
+/// Uses the SFU's max + log-sum-exp formulation (paper Eq. 2), which never
+/// divides: `p_k = exp(x_k - max - logsumexp)`.
+///
+/// # Example
+///
+/// ```
+/// use edgebert_tensor::softmax_inplace;
+/// let mut x = [1.0f32, 2.0, 3.0];
+/// softmax_inplace(&mut x);
+/// let s: f32 = x.iter().sum();
+/// assert!((s - 1.0).abs() < 1e-5);
+/// ```
+// analyzer: hot-path
+pub fn softmax_inplace(x: &mut [f32]) {
+    if x.is_empty() {
+        return;
+    }
+    let first = max_and_logsumexp(x);
+    softmax_given(x, first);
 }
 
 /// Stable log-softmax of a logit slice.
@@ -191,12 +210,29 @@ pub fn entropy(x: &[f32]) -> f32 {
     h.max(0.0)
 }
 
-/// Applies stable softmax to every row of `m` in place.
+/// Applies stable softmax to every row of `m` in place, each row getting
+/// the bits [`softmax_inplace`] gives it.
+///
+/// A row's first pass ends in an `ln` its second pass waits for, so the
+/// next row's first pass is issued in between, where that wait overlaps
+/// work that does not depend on it.
 // analyzer: hot-path
 pub fn softmax_rows(m: &mut Matrix) {
-    for r in 0..m.rows() {
-        softmax_inplace(m.row_mut(r));
+    let cols = m.cols();
+    if cols == 0 {
+        return;
     }
+    let mut rows = m.as_mut_slice().chunks_exact_mut(cols);
+    let Some(mut row) = rows.next() else {
+        return;
+    };
+    let mut first = max_and_logsumexp(row);
+    for next in rows {
+        let next_first = max_and_logsumexp(next);
+        softmax_given(row, first);
+        (row, first) = (next, next_first);
+    }
+    softmax_given(row, first);
 }
 
 /// `ln 2` split in two: `LN2_HI` has 9 significant bits, so `n * LN2_HI`
@@ -873,6 +909,28 @@ mod tests {
         for r in 0..m.rows() {
             let s: f32 = m.row(r).iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn softmax_rows_equals_softmax_inplace_on_every_row() {
+        let values: Vec<f32> = (0..90)
+            .map(|i| ((i * 37) % 71) as f32 * 0.9 - 30.0)
+            .collect();
+        for rows in 0..=5 {
+            for cols in 0..=17 {
+                let mut data = values[..rows * cols].to_vec();
+                if let Some(v) = data.get_mut(cols + 1) {
+                    *v = f32::INFINITY; // the second row saturates
+                }
+                let mut m = Matrix::from_vec(rows, cols, data.clone());
+                softmax_rows(&mut m);
+                for (r, row) in data.chunks_mut(cols.max(1)).enumerate() {
+                    softmax_inplace(row);
+                    let got = m.row(r).iter().map(|v| v.to_bits());
+                    assert!(got.eq(row.iter().map(|v| v.to_bits())), "{rows}x{cols}");
+                }
+            }
         }
     }
 }
