@@ -61,7 +61,7 @@ pub fn logsumexp(x: &[f32]) -> f32 {
     if x.is_empty() {
         return f32::NEG_INFINITY;
     }
-    logsumexp_given_max(x, row_max(x))
+    max_and_logsumexp(x).1
 }
 
 /// How many lanes the softmax row kernels work in.
@@ -88,13 +88,14 @@ fn row_max(x: &[f32]) -> f32 {
     chunks.remainder().iter().fold(lanes[0], |m, &v| m.max(v))
 }
 
-/// `max + ln Σ exp(x_k - max)` for the `max` of a non-empty `x`. The
-/// terms are computed [`LANES`] at a time and added in index order, so the
-/// sum has the bits of a plain loop.
+/// Softmax's first pass over a non-empty row: its `max` and
+/// `max + ln Σ exp(x_k - max)`. The terms are computed [`LANES`] at a time
+/// and added in index order, so the sum has the bits of a plain loop.
 #[inline]
-fn logsumexp_given_max(x: &[f32], max: f32) -> f32 {
+fn max_and_logsumexp(x: &[f32]) -> (f32, f32) {
+    let max = row_max(x);
     if max.is_infinite() {
-        return max;
+        return (max, max);
     }
     let mut sum = 0.0f32;
     let mut chunks = x.chunks_exact(LANES);
@@ -110,14 +111,7 @@ fn logsumexp_given_max(x: &[f32], max: f32) -> f32 {
     for &v in chunks.remainder() {
         sum += exp(v - max);
     }
-    max + ln(sum)
-}
-
-/// Softmax's first pass over a non-empty row: its max and log-sum-exp.
-#[inline]
-fn max_and_logsumexp(x: &[f32]) -> (f32, f32) {
-    let max = row_max(x);
-    (max, logsumexp_given_max(x, max))
+    (max, max + ln(sum))
 }
 
 /// Softmax's second pass, given the first's result: `exp(x_k - lse)`, or
@@ -716,16 +710,22 @@ mod tests {
         }
     }
 
-    /// `softmax_inplace` as a plain scalar loop over the same `exp`/`ln`:
-    /// a sequential max, the terms added one by one, the same saturation.
-    fn scalar_softmax(x: &mut [f32]) {
-        let Some(max) = x.iter().copied().reduce(f32::max) else {
-            return;
-        };
+    /// Softmax's first pass as a plain scalar loop over the same
+    /// `exp`/`ln`: a sequential max and the terms added one by one.
+    fn scalar_max_and_logsumexp(x: &[f32]) -> Option<(f32, f32)> {
+        let max = x.iter().copied().reduce(f32::max)?;
         let lse = if max.is_infinite() {
             max
         } else {
             max + ln(x.iter().fold(0.0, |sum, &v| sum + exp(v - max)))
+        };
+        Some((max, lse))
+    }
+
+    /// `softmax_inplace` in the scalar form, with the same saturation.
+    fn scalar_softmax(x: &mut [f32]) {
+        let Some((max, lse)) = scalar_max_and_logsumexp(x) else {
+            return;
         };
         if lse.is_infinite() {
             let first = x.iter().position(|&v| v == max);
@@ -767,14 +767,15 @@ mod tests {
                     );
                     assert_eq!(bits(&got[..offset]), bits(&buffer[..offset]));
                     assert_eq!(bits(&got[offset + len..]), bits(&buffer[offset + len..]));
-                    if let Some(max) = x.iter().copied().reduce(f32::max) {
-                        let sum = x.iter().fold(0.0, |sum, &v| sum + exp(v - max));
-                        let lse = if max.is_infinite() {
-                            max
-                        } else {
-                            max + ln(sum)
-                        };
+                    if let Some((_, lse)) = scalar_max_and_logsumexp(x) {
                         assert_eq!(logsumexp(x).to_bits(), lse.to_bits(), "{offset}+{len}");
+                        if lse.is_finite() {
+                            // Eq. 2 rounds `lse` once, which shifts every
+                            // probability by up to half an ulp of `|lse|`.
+                            let sum: f32 = want.iter().sum();
+                            let bound = (len as f32 + lse.abs()) * f32::EPSILON;
+                            assert!((sum - 1.0).abs() <= bound, "{offset}+{len}: {sum}");
+                        }
                     }
                 }
             }
