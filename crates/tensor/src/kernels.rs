@@ -209,7 +209,9 @@ pub fn entropy(x: &[f32]) -> f32 {
 ///
 /// A row's first pass ends in an `ln` its second pass waits for, so the
 /// next row's first pass is issued in between, where that wait overlaps
-/// work that does not depend on it.
+/// work that does not depend on it. Against a plain loop over
+/// [`softmax_inplace`] this read +8.8 % `serve_deep` throughput, ten of
+/// ten alternating pairs (PR 25).
 // analyzer: hot-path
 pub fn softmax_rows(m: &mut Matrix) {
     let cols = m.cols();

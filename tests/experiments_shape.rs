@@ -69,28 +69,25 @@ fn table2_elevated_error_rates_change_the_models_predictions() {
     // score is agreement with the clean model's own predictions, not
     // label accuracy: a near-chance `Scale::Test` model can gain accuracy
     // from a corrupted table, but it cannot agree with itself by chance.
-    // "Itself" is the model reading the fault-free stored table: storing
-    // rounds the embedding to FP8, which alone may flip a sentence near
-    // its decision boundary.
     use edgebert_envm::{CampaignResult, CellTech, FaultInjector, StoredEmbedding};
     use edgebert_tasks::{Dataset, Example};
     use edgebert_tensor::Rng;
     let art = &artifacts()[0];
-    let stored = StoredEmbedding::encode(&art.model.embedding.table.value, 4);
-    let mut eval_model = edgebert_model::AlbertModel::clone(&art.model);
-    eval_model.embedding.set_table(stored.decode());
     let own = Dataset::new(
         art.task,
         art.dev
             .iter()
             .map(|ex| Example {
-                label: eval_model
+                label: art
+                    .model
                     .forward_layers(&ex.tokens)
-                    .prediction_at(eval_model.num_layers()),
+                    .prediction_at(art.model.num_layers()),
                 ..ex.clone()
             })
             .collect(),
     );
+    let stored = StoredEmbedding::encode(&art.model.embedding.table.value, 4);
+    let mut eval_model = edgebert_model::AlbertModel::clone(&art.model);
     let mut agreement = |rate: f64| {
         let injector = FaultInjector::new(CellTech::Mlc3).with_error_rate(rate);
         CampaignResult::run(&stored, &injector, 8, &mut Rng::seed_from(3), |img| {
@@ -99,12 +96,22 @@ fn table2_elevated_error_rates_change_the_models_predictions() {
         })
     };
     let none = agreement(0.0);
-    assert_eq!((none.mean, none.min), (1.0, 1.0), "no faults, no change");
+    // Storing alone rounds the embedding to FP8, which moves a final logit
+    // gap on this dev set by up to ≈ 0.07. Under the in-repo `exp`/`ln`
+    // one sentence's gap is 0.040 (the next smallest is 0.078) and the
+    // round trip flips it, reading 35/36; under libm's (efdc870) none
+    // flipped. No more than that one sentence may change.
+    let n = own.len() as f32;
+    assert!(
+        none.min >= (n - 1.0) / n,
+        "no faults, at most one borderline sentence changes: {}",
+        none.min
+    );
     let hot = agreement(0.2);
-    // Measured against the stored table: mean 0.931, min 0.694 under
-    // libm's `exp`/`ln` (efdc870) and mean 0.920, min 0.639 under the
-    // in-repo ones; one changed sentence of 36 on every trial would read
-    // 0.972.
+    // Measured: mean 0.934, min 0.750 under libm `tanh` (59102c6), mean
+    // 0.931, min 0.694 under the in-repo one (efdc870) and mean 0.927,
+    // min 0.611 under the in-repo `exp`/`ln`; one changed sentence of 36
+    // on every trial would read 0.972.
     assert!(hot.mean < 0.97, "mean {} min {}", hot.mean, hot.min);
 }
 

@@ -15,8 +15,10 @@
 //! `tanh` at 129121b, then the `exp` and `ln` under softmax, the entropy
 //! exit and the losses. Each comment names the value it had held since
 //! the commit it was recorded on and the value it held under libm's
-//! `exp`/`ln`. No libm call remains under training, so the constants no
-//! longer depend on the host's libm.
+//! `exp`/`ln`. Softmax, the entropy exit, the losses and GELU no longer
+//! call libm, but Box–Muller initialisation (`Rng::gaussian`, under
+//! `xavier` and `gaussian_matrix`) still calls its `ln`, `sin` and `cos`,
+//! so the constants still depend on the host's libm there.
 
 use edgebert_model::{AlbertConfig, AlbertModel, TrainOptions, Trainer};
 use edgebert_nn::prune::PruneMethod;
