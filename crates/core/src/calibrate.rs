@@ -9,8 +9,16 @@
 //! latency-aware inference (LAI) additionally *stops* at the predictor's
 //! forecast layer, so its accuracy at a given threshold differs and it
 //! ends up needing a lower threshold for the same accuracy target.
+//!
+//! The sweep runs the engine steppers' exit rule, not a copy of it: one
+//! [`entropy_exit`] scan, cut at [`PredictorLut::forecast`] under LAI
+//! ([`SweepCache::simulate`]). `calibration_sweep_is_the_engine_exit_rule`
+//! in `tests/end_to_end.rs` pins it: on a threshold grid the simulated
+//! accuracy, mean exit and mean forecast equal
+//! [`EdgeBertEngine::evaluate`](crate::engine::EdgeBertEngine::evaluate)'s
+//! bit for bit, for both algorithms.
 
-use crate::predictor::{EntropyDataset, PredictorLut};
+use crate::predictor::{entropy_exit, EntropyDataset, PredictorLut};
 use edgebert_model::AlbertModel;
 use edgebert_tasks::Dataset;
 use edgebert_tensor::stats::argmax;
@@ -56,7 +64,7 @@ impl SweepCache {
         for ex in data {
             let out = model.forward_layers(&ex.tokens);
             predictions.push(out.logits.iter().map(|lg| argmax(lg)).collect());
-            entropies.push(out.entropies);
+            entropies.push(out.entropies.clone());
         }
         Self {
             entropies,
@@ -89,102 +97,60 @@ impl SweepCache {
         hits as f32 / self.labels.len() as f32
     }
 
-    /// Simulates conventional EE at threshold `et`:
-    /// `(accuracy, avg_exit_layer)`.
-    pub fn conventional_ee(&self, et: f32) -> (f32, f32) {
+    /// Simulates the exit rule at threshold `et` over every sentence:
+    /// latency-aware inference (Algorithm 2) with a predictor `lut`,
+    /// conventional EE (Algorithm 1) without one. Returns `(accuracy,
+    /// avg_exit_layer, avg_predicted_layer)`; a sentence that made no
+    /// forecast counts its exit, as in
+    /// [`AggregateResult`](crate::engine::AggregateResult).
+    pub fn simulate(&self, et: f32, lut: Option<&PredictorLut>) -> (f32, f32, f32) {
         let mut hits = 0usize;
         let mut exit_sum = 0usize;
-        for (i, traj) in self.entropies.iter().enumerate() {
-            let mut exit = self.num_layers;
-            for (l, &h) in traj.iter().enumerate() {
-                if h < et {
-                    exit = l + 1;
-                    break;
-                }
-            }
-            exit_sum += exit;
-            if self.predictions[i][exit - 1] == self.labels[i] {
-                hits += 1;
-            }
-        }
-        let n = self.labels.len().max(1) as f32;
-        (hits as f32 / n, exit_sum as f32 / n)
-    }
-
-    /// Simulates latency-aware inference at threshold `et` with a
-    /// predictor LUT: exit early when the true entropy crosses `et`, but
-    /// stop unconditionally at the forecast layer (Algorithm 2).
-    /// Returns `(accuracy, avg_actual_exit, avg_predicted_exit)`.
-    pub fn latency_aware(&self, et: f32, lut: &PredictorLut) -> (f32, f32, f32) {
-        let mut hits = 0usize;
-        let mut actual_sum = 0usize;
         let mut predicted_sum = 0usize;
-        for (i, traj) in self.entropies.iter().enumerate() {
-            // Layer 1 check first (Algorithm 2).
-            let exit = if traj[0] < et {
-                predicted_sum += 1;
-                1
-            } else {
-                let predicted = lut.predict_exit_layer(traj[0], et).max(2);
-                predicted_sum += predicted;
-                let mut exit = predicted.min(self.num_layers);
-                for l in 2..=predicted.min(self.num_layers) {
-                    if traj[l - 1] < et {
-                        exit = l;
-                        break;
-                    }
-                }
-                exit
-            };
-            actual_sum += exit;
-            if self.predictions[i][exit - 1] == self.labels[i] {
+        let sentences = self
+            .entropies
+            .iter()
+            .zip(&self.predictions)
+            .zip(&self.labels);
+        for ((traj, preds), &label) in sentences {
+            let first = entropy_exit(traj, et);
+            // Algorithm 2 forecasts once layer 1 has not exited and stops
+            // at the forecast; Algorithm 1 stops at the last layer.
+            let forecast = lut
+                .filter(|_| first != Some(1))
+                .map(|lut| lut.forecast(traj[0], et, self.num_layers));
+            let stop = forecast.unwrap_or(self.num_layers);
+            let exit = first.map_or(stop, |l| l.min(stop));
+            exit_sum += exit;
+            predicted_sum += forecast.unwrap_or(exit);
+            if preds[exit - 1] == label {
                 hits += 1;
             }
         }
         let n = self.labels.len().max(1) as f32;
         (
             hits as f32 / n,
-            actual_sum as f32 / n,
+            exit_sum as f32 / n,
             predicted_sum as f32 / n,
         )
     }
 }
 
-/// The threshold grid swept during calibration.
-fn threshold_grid(max_entropy: f32) -> Vec<f32> {
-    (1..=120).map(|i| i as f32 * max_entropy / 120.0).collect()
-}
-
 /// Calibrates conventional EE: the largest threshold whose accuracy stays
 /// within `drop` of the full model.
 pub fn calibrate_conventional(cache: &SweepCache, drop: f32) -> Calibration {
-    let baseline = cache.full_accuracy();
-    let floor = baseline - drop;
-    let max_h = (cache.num_classes as f32).ln() * 1.02;
-    let mut best = Calibration {
-        accuracy_drop_target: drop,
-        entropy_threshold: 0.0,
-        accuracy: baseline,
-        avg_exit_layer: cache.num_layers as f32,
-        avg_predicted_layer: cache.num_layers as f32,
-    };
-    for et in threshold_grid(max_h) {
-        let (acc, avg_exit) = cache.conventional_ee(et);
-        if acc + 1e-6 >= floor {
-            best = Calibration {
-                accuracy_drop_target: drop,
-                entropy_threshold: et,
-                accuracy: acc,
-                avg_exit_layer: avg_exit,
-                avg_predicted_layer: avg_exit,
-            };
-        }
-    }
-    best
+    calibrate(cache, None, drop)
 }
 
 /// Calibrates latency-aware inference with a given predictor LUT.
 pub fn calibrate_latency_aware(cache: &SweepCache, lut: &PredictorLut, drop: f32) -> Calibration {
+    calibrate(cache, Some(lut), drop)
+}
+
+/// The threshold search: sweeps a 120-point grid up to just past the
+/// maximum entropy and keeps the largest threshold whose simulated
+/// accuracy stays within `drop` of the full model.
+fn calibrate(cache: &SweepCache, lut: Option<&PredictorLut>, drop: f32) -> Calibration {
     let baseline = cache.full_accuracy();
     let floor = baseline - drop;
     let max_h = (cache.num_classes as f32).ln() * 1.02;
@@ -195,15 +161,16 @@ pub fn calibrate_latency_aware(cache: &SweepCache, lut: &PredictorLut, drop: f32
         avg_exit_layer: cache.num_layers as f32,
         avg_predicted_layer: cache.num_layers as f32,
     };
-    for et in threshold_grid(max_h) {
-        let (acc, avg_actual, avg_pred) = cache.latency_aware(et, lut);
-        if acc + 1e-6 >= floor {
+    for i in 1..=120 {
+        let et = i as f32 * max_h / 120.0;
+        let (accuracy, avg_exit_layer, avg_predicted_layer) = cache.simulate(et, lut);
+        if accuracy + 1e-6 >= floor {
             best = Calibration {
                 accuracy_drop_target: drop,
                 entropy_threshold: et,
-                accuracy: acc,
-                avg_exit_layer: avg_actual,
-                avg_predicted_layer: avg_pred,
+                accuracy,
+                avg_exit_layer,
+                avg_predicted_layer,
             };
         }
     }
@@ -313,7 +280,7 @@ mod tests {
             };
             EntropyPredictor::train(&data, 200, 7).to_lut(32, 1.1)
         };
-        let (_, avg_actual, avg_pred) = cache.latency_aware(0.3, &constant_lut);
+        let (_, avg_actual, avg_pred) = cache.simulate(0.3, Some(&constant_lut));
         assert!(avg_pred <= 2.6, "avg predicted {avg_pred}");
         assert!(avg_actual <= avg_pred + 1e-6);
     }

@@ -14,12 +14,18 @@
 //! layer-1 entropy and stores the precomputed forecast per bin, exactly
 //! what the accelerator's auxiliary buffer holds.
 
-use edgebert_model::AlbertModel;
 use edgebert_nn::losses::mse;
 use edgebert_nn::{AdamOptimizer, Mlp};
-use edgebert_tasks::Dataset;
 use edgebert_tensor::{Matrix, Rng};
 use serde::{Deserialize, Serialize};
+
+/// The entropy exit rule (paper Algorithms 1 and 2): the first 1-based
+/// layer whose entropy is below `et`, or `None` when none is. Every
+/// simulation of an exit runs this scan; the engine's steppers apply the
+/// same `h < et` test one layer at a time.
+pub fn entropy_exit(entropies: &[f32], et: f32) -> Option<usize> {
+    entropies.iter().position(|&h| h < et).map(|l| l + 1)
+}
 
 /// Per-sentence entropy trajectories collected from a model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -30,15 +36,6 @@ pub struct EntropyDataset {
 }
 
 impl EntropyDataset {
-    /// Runs the model over a dataset and records every off-ramp entropy.
-    pub fn collect(model: &AlbertModel, data: &Dataset) -> Self {
-        let trajectories = data
-            .iter()
-            .map(|ex| model.forward_layers(&ex.tokens).entropies)
-            .collect();
-        Self { trajectories }
-    }
-
     /// Number of sentences.
     pub fn len(&self) -> usize {
         self.trajectories.len()
@@ -47,18 +44,6 @@ impl EntropyDataset {
     /// Whether the dataset is empty.
     pub fn is_empty(&self) -> bool {
         self.trajectories.is_empty()
-    }
-
-    /// The entropy-based exit layer (1-based) of trajectory `i` under
-    /// threshold `et` (last layer when never below threshold).
-    pub fn exit_layer(&self, i: usize, et: f32) -> usize {
-        let traj = &self.trajectories[i];
-        for (l, &h) in traj.iter().enumerate() {
-            if h < et {
-                return l + 1;
-            }
-        }
-        traj.len()
     }
 }
 
@@ -114,18 +99,6 @@ impl EntropyPredictor {
         self.mlp.infer(&x).row(0).to_vec()
     }
 
-    /// Forecast exit layer for threshold `et` (1-based; the final layer
-    /// when the predicted trajectory never crosses the threshold).
-    pub fn predict_exit_layer(&self, entropy1: f32, et: f32) -> usize {
-        let traj = self.predict_trajectory(entropy1);
-        for (l, &h) in traj.iter().enumerate() {
-            if h < et {
-                return l + 1;
-            }
-        }
-        self.num_layers
-    }
-
     /// Distills the predictor into the accelerator's LUT form.
     pub fn to_lut(&self, bins: usize, max_entropy: f32) -> PredictorLut {
         let trajectories = (0..bins)
@@ -152,8 +125,9 @@ impl EntropyPredictor {
 /// # let data: EntropyDataset = unimplemented!();
 /// let predictor = EntropyPredictor::train(&data, 300, 7);
 /// let lut = predictor.to_lut(64, 1.1);
-/// let layer = lut.predict_exit_layer(0.42, 0.3);
-/// assert!(layer >= 1);
+/// // A sentence of a 12-layer model that did not exit at layer 1.
+/// let layer = lut.forecast(0.42, 0.3, 12);
+/// assert!((2..=12).contains(&layer));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PredictorLut {
@@ -184,15 +158,19 @@ impl PredictorLut {
         &self.trajectories[self.bin_for(entropy1)]
     }
 
-    /// Forecast exit layer for threshold `et` (1-based).
+    /// Forecast exit layer for threshold `et` (1-based; the final layer
+    /// when the forecast trajectory never crosses the threshold).
     pub fn predict_exit_layer(&self, entropy1: f32, et: f32) -> usize {
-        let traj = self.predict_trajectory(entropy1);
-        for (l, &h) in traj.iter().enumerate() {
-            if h < et {
-                return l + 1;
-            }
-        }
-        self.num_layers
+        entropy_exit(self.predict_trajectory(entropy1), et).unwrap_or(self.num_layers)
+    }
+
+    /// Algorithm 2's forecast for a sentence that did not exit at layer 1
+    /// of a `num_layers`-layer model: [`predict_exit_layer`](Self::predict_exit_layer)
+    /// clamped to at least one more layer, when the model has one, and to
+    /// its last layer.
+    pub fn forecast(&self, entropy1: f32, et: f32, num_layers: usize) -> usize {
+        self.predict_exit_layer(entropy1, et)
+            .clamp(num_layers.min(2), num_layers)
     }
 }
 
@@ -217,14 +195,33 @@ mod tests {
         EntropyDataset { trajectories }
     }
 
+    /// The exit forecast the MLP itself would make (the LUT bins it).
+    fn mlp_exit(pred: &EntropyPredictor, entropy1: f32, et: f32) -> usize {
+        entropy_exit(&pred.predict_trajectory(entropy1), et).unwrap_or(pred.num_layers())
+    }
+
     #[test]
     fn exit_layer_from_trajectory() {
-        let data = EntropyDataset {
-            trajectories: vec![vec![0.9, 0.5, 0.2, 0.05]],
-        };
-        assert_eq!(data.exit_layer(0, 1.0), 1);
-        assert_eq!(data.exit_layer(0, 0.3), 3);
-        assert_eq!(data.exit_layer(0, 0.01), 4); // never crosses: last layer
+        let traj = [0.9, 0.5, 0.2, 0.05];
+        assert_eq!(entropy_exit(&traj, 1.0), Some(1));
+        assert_eq!(entropy_exit(&traj, 0.3), Some(3));
+        assert_eq!(entropy_exit(&traj, 0.01), None); // never crosses
+        assert_eq!(entropy_exit(&[f32::NAN, 0.2], 0.3), Some(2)); // NaN never exits
+    }
+
+    #[test]
+    fn forecast_clamps_into_the_remaining_layers() {
+        let data = synthetic_dataset(64, 4, 19);
+        let lut = EntropyPredictor::train(&data, 50, 21).to_lut(16, 1.1);
+        for h in [0.0f32, 0.3, 0.7, 1.05] {
+            for et in [0.0f32, 0.2, 10.0] {
+                let raw = lut.predict_exit_layer(h, et);
+                assert_eq!(lut.forecast(h, et, 4), raw.max(2), "h {h} et {et}");
+                assert_eq!(lut.forecast(h, et, 3), raw.clamp(2, 3));
+                // A 1-layer model has no layer after the first.
+                assert_eq!(lut.forecast(h, et, 1), 1);
+            }
+        }
     }
 
     #[test]
@@ -232,16 +229,20 @@ mod tests {
         let data = synthetic_dataset(256, 12, 3);
         let pred = EntropyPredictor::train(&data, 400, 5);
         // Confident layer-1 entropy ⇒ early exit; uncertain ⇒ late.
-        let early = pred.predict_exit_layer(0.08, 0.25);
-        let late = pred.predict_exit_layer(1.0, 0.25);
+        let early = mlp_exit(&pred, 0.08, 0.25);
+        let late = mlp_exit(&pred, 1.0, 0.25);
         assert!(early < late, "early {early} late {late}");
         // MAE (in layers, against the true entropy-based exits) is
         // materially better than always predicting the last layer.
         let mae_against = |forecast: &dyn Fn(usize) -> usize| {
-            let errors = (0..data.len()).map(|i| data.exit_layer(i, 0.25).abs_diff(forecast(i)));
+            let errors = data.trajectories.iter().enumerate().map(|(i, traj)| {
+                entropy_exit(traj, 0.25)
+                    .unwrap_or(traj.len())
+                    .abs_diff(forecast(i))
+            });
             errors.sum::<usize>() as f32 / data.len() as f32
         };
-        let mae = mae_against(&|i| pred.predict_exit_layer(data.trajectories[i][0], 0.25));
+        let mae = mae_against(&|i| mlp_exit(&pred, data.trajectories[i][0], 0.25));
         let naive = mae_against(&|_| 12);
         assert!(mae < naive * 0.6, "mae {mae} vs naive {naive}");
     }
@@ -254,7 +255,7 @@ mod tests {
         let mut diffs = 0usize;
         for i in 0..40 {
             let h = i as f32 * 1.1 / 40.0;
-            let a = pred.predict_exit_layer(h, 0.3);
+            let a = mlp_exit(&pred, h, 0.3);
             let b = lut.predict_exit_layer(h, 0.3);
             if (a as isize - b as isize).abs() > 1 {
                 diffs += 1;

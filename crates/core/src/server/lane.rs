@@ -455,7 +455,6 @@ impl Lane {
             return Err(Box::new((session, ctx)));
         };
         let pressured = policy.should_preempt(ctx.deadline_s, deadline_s);
-        // analyzer: allow(lock-across-step) reason="park commits the open DVFS segment under the queue lock on purpose: the park decision and the claimed job swap must be atomic or two shards react to the same tight arrival"
         if !pressured || !session.park() {
             return Err(Box::new((session, ctx)));
         }
@@ -610,6 +609,58 @@ mod tests {
         // more than the class-agnostic rule would.
         queue.tally.degraded_modeled_total_s = 200e-3; // 50 ms mean
         assert_eq!(lane.shed_service_estimate_s(&queue), 10e-3);
+    }
+
+    #[test]
+    fn one_tight_arrival_preempts_one_of_two_running_sessions() {
+        // `park` commits the open segment under the lane lock on purpose:
+        // the park decision and the job swap are one step, so two shards
+        // reacting to the same tight arrival cannot both yield to it.
+        use crate::engine::EngineBuilder;
+        use crate::predictor::{EntropyDataset, EntropyPredictor};
+        use crate::session::SessionState;
+        use edgebert_model::{AlbertConfig, AlbertModel};
+        use edgebert_tensor::Rng;
+        use std::sync::Arc;
+
+        let model = AlbertModel::new(AlbertConfig::tiny(64, 2), &mut Rng::seed_from(1));
+        let trajectories = vec![vec![0.5; model.num_layers()]];
+        let lut = EntropyPredictor::train(&EntropyDataset { trajectories }, 1, 2).to_lut(2, 1.0);
+        let engine = EngineBuilder::new(Arc::new(model), Arc::new(lut)).build();
+        let (lane, _rx) = lane_with(&[0.01]);
+        let policy = crate::server::PreemptionPolicy::DeadlineGap(0.0);
+        let exchange = |seq: u64| {
+            let (reply, _) = sync_channel(1);
+            let ctx = JobContext {
+                seq,
+                deadline_s: 1.0,
+                reply,
+                queue_delay_s: 0.0,
+                slack_deducted_s: 0.0,
+                elapsed_s: 0.0,
+                charged_elapsed_s: 0.0,
+            };
+            let session = engine.begin(&InferenceRequest::new(vec![1, 2, 3]));
+            lane.preempt_exchange(session, ctx, policy, None)
+        };
+
+        let Ok(first) = exchange(10) else {
+            panic!("the first session yields to the tight arrival")
+        };
+        assert!(matches!(first.work, Work::Fresh(Job { seq: 0, .. })));
+        let Err(second) = exchange(11) else {
+            panic!("the arrival is claimed: the second session keeps running")
+        };
+        let (session, ctx) = *second;
+        assert_eq!(session.state(), SessionState::Running);
+        assert_eq!(ctx.seq, 11);
+
+        let queue = lane.queue.lock().expect("lane mutex");
+        assert_eq!(queue.tally.preempted, 1);
+        assert_eq!(queue.parked.len(), 1);
+        assert_eq!(queue.parked[0].ctx.seq, 10);
+        assert_eq!(queue.parked[0].session.state(), SessionState::Parked);
+        assert!(queue.jobs.is_empty());
     }
 
     #[test]

@@ -577,13 +577,12 @@ impl InferenceSession {
         self.ck.layers_done = layer;
         let exited = h < self.ck.et;
         if layer == 1 {
-            // An unexited sentence is forecast at least one more layer
-            // — when the model has one: a 1-layer model stops here.
             self.ck.predicted = Some(if exited {
                 1
             } else {
-                let forecast = self.engine.lut().predict_exit_layer(h, self.ck.et);
-                forecast.clamp(self.ck.num_layers.min(2), self.ck.num_layers)
+                self.engine
+                    .lut()
+                    .forecast(h, self.ck.et, self.ck.num_layers)
             });
         }
         if exited || Some(layer) == self.ck.predicted {

@@ -83,12 +83,6 @@ impl CellTech {
             CellTech::Mlc3 => 1.5e-3,
         }
     }
-
-    /// Number of cells needed to store `bits` bits, packing
-    /// [`CellTech::bits_per_cell`] bits per cell.
-    pub fn cells_for_bits(self, bits: usize) -> usize {
-        bits.div_ceil(self.bits_per_cell() as usize)
-    }
 }
 
 impl fmt::Display for CellTech {
@@ -126,16 +120,6 @@ mod tests {
             last_area = tech.area_mm2_per_mb();
             last_err = tech.level_error_rate();
         }
-    }
-
-    #[test]
-    fn cell_packing() {
-        assert_eq!(CellTech::Slc.cells_for_bits(8), 8);
-        assert_eq!(CellTech::Mlc2.cells_for_bits(8), 4);
-        assert_eq!(CellTech::Mlc3.cells_for_bits(8), 3);
-        assert_eq!(CellTech::Mlc3.cells_for_bits(9), 3);
-        assert_eq!(CellTech::Mlc3.cells_for_bits(10), 4);
-        assert_eq!(CellTech::Mlc2.cells_for_bits(0), 0);
     }
 
     #[test]

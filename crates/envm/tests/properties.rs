@@ -57,14 +57,4 @@ proptest! {
         }
         prop_assert_eq!(bytes, orig);
     }
-
-    #[test]
-    fn cell_packing_is_exact(bits in 0usize..10_000) {
-        for tech in CellTech::all() {
-            let cells = tech.cells_for_bits(bits);
-            let k = tech.bits_per_cell() as usize;
-            prop_assert!(cells * k >= bits);
-            prop_assert!(cells == 0 || (cells - 1) * k < bits);
-        }
-    }
 }

@@ -12,46 +12,26 @@ use edgebert_tasks::{Dataset, VocabLayout};
 use edgebert_tensor::{entropy, Matrix, Rng};
 use serde::{Deserialize, Serialize};
 
-/// Output of a full (no-early-exit) forward pass.
-#[derive(Debug, Clone)]
-pub struct LayerwiseOutput {
-    /// Hidden state after each logical layer (`num_layers` entries).
-    pub hidden_states: Vec<Matrix>,
-    /// Off-ramp logits after each layer.
-    pub logits: Vec<Vec<f32>>,
-    /// Off-ramp output entropy after each layer.
-    pub entropies: Vec<f32>,
-}
-
-impl LayerwiseOutput {
-    /// Predicted class if exiting at `layer` (1-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    pub fn prediction_at(&self, layer: usize) -> usize {
-        edgebert_tensor::stats::argmax(&self.logits[layer - 1])
-    }
-}
-
 /// Layer-at-a-time forward execution: the software half of a resumable
 /// inference session.
 ///
-/// Where [`AlbertModel::forward_layers`] computes every layer eagerly,
-/// a `ForwardSession` carries the live hidden state between layer
+/// A `ForwardSession` carries the live hidden state between layer
 /// applications, so execution can stop at any layer boundary, be
 /// checkpointed (the struct *is* the checkpoint: hidden state plus the
 /// off-ramp outputs seen so far), and resume later — on the same thread
 /// or another. The model has one per-layer body and every inference
-/// path runs it on a `ForwardSession` (`forward_layers` and
-/// `infer_early_exit` are folds over
+/// path runs it on a `ForwardSession` ([`AlbertModel::forward_layers`]
+/// and `infer_early_exit` are folds over
 /// [`AlbertModel::forward_next_layer`]), so the logits and entropies
 /// observed after layer *k* are bit-identical on every path, no matter
 /// where the session was parked in between.
 ///
-/// Sessions serialize (serde): the hidden state and off-ramp outputs
-/// round-trip exactly (f32 values pass through f64 losslessly), so a
-/// checkpoint can cross a process boundary and resume bit-identically.
+/// A session reads as the [`ForwardState`] it carries (it derefs to
+/// it): `logits` and `entropies`, one per completed layer, which only
+/// the model's layer step writes. Sessions serialize (serde) as that
+/// state: the hidden state and off-ramp outputs round-trip exactly (f32
+/// values pass through f64 losslessly), so a checkpoint can cross a
+/// process boundary and resume bit-identically.
 ///
 /// A session also owns the working buffers its layers run in, sized by
 /// [`AlbertModel::begin_forward`] so that a layer step allocates nothing
@@ -66,15 +46,17 @@ pub struct ForwardSession {
     scratch: SessionScratch,
 }
 
-/// What a [`ForwardSession`] is on the wire and across a clone.
+/// What a [`ForwardSession`] is on the wire and across a clone: the
+/// hidden state entering the next layer and the off-ramp outputs of the
+/// layers done.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct ForwardState {
+pub struct ForwardState {
     /// The live (unnormalized) hidden state entering the next layer.
     hidden: Matrix,
     /// Off-ramp logits after each completed layer.
-    logits: Vec<Vec<f32>>,
+    pub logits: Vec<Vec<f32>>,
     /// Off-ramp entropies after each completed layer.
-    entropies: Vec<f32>,
+    pub entropies: Vec<f32>,
 }
 
 /// The per-sentence working buffers of [`AlbertModel::run_layer`].
@@ -89,18 +71,32 @@ struct SessionScratch {
     logits: Matrix,
 }
 
-impl From<ForwardState> for ForwardSession {
-    fn from(state: ForwardState) -> Self {
+impl ForwardSession {
+    fn with_empty_buffers(state: ForwardState) -> Self {
         Self {
             state,
             scratch: SessionScratch::default(),
         }
     }
+
+    /// The `[CLS]` row the last layer's off-ramp read: the feature that
+    /// phase 2 of training fits that off-ramp on.
+    pub(crate) fn cls(&self) -> &[f32] {
+        self.scratch.cls.as_slice()
+    }
+}
+
+impl std::ops::Deref for ForwardSession {
+    type Target = ForwardState;
+
+    fn deref(&self) -> &ForwardState {
+        &self.state
+    }
 }
 
 impl Clone for ForwardSession {
     fn clone(&self) -> Self {
-        self.state.clone().into()
+        Self::with_empty_buffers(self.state.clone())
     }
 }
 
@@ -112,14 +108,14 @@ impl Serialize for ForwardSession {
 
 impl Deserialize for ForwardSession {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        ForwardState::from_value(value).map(Self::from)
+        ForwardState::from_value(value).map(Self::with_empty_buffers)
     }
 }
 
-impl ForwardSession {
+impl ForwardState {
     /// Layers completed so far.
     pub fn layers_done(&self) -> usize {
-        self.state.logits.len()
+        self.logits.len()
     }
 
     /// Off-ramp logits after `layer` (1-based).
@@ -128,7 +124,7 @@ impl ForwardSession {
     ///
     /// Panics if `layer` has not been computed yet.
     pub fn logits_at(&self, layer: usize) -> &[f32] {
-        &self.state.logits[layer - 1]
+        &self.logits[layer - 1]
     }
 
     /// Off-ramp entropy after `layer` (1-based).
@@ -137,7 +133,16 @@ impl ForwardSession {
     ///
     /// Panics if `layer` has not been computed yet.
     pub fn entropy_at(&self, layer: usize) -> f32 {
-        self.state.entropies[layer - 1]
+        self.entropies[layer - 1]
+    }
+
+    /// Predicted class if exiting at `layer` (1-based).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` has not been computed yet.
+    pub fn prediction_at(&self, layer: usize) -> usize {
+        edgebert_tensor::stats::argmax(self.logits_at(layer))
     }
 }
 
@@ -238,20 +243,15 @@ impl AlbertModel {
         entropy(s.logits.as_slice())
     }
 
-    /// Full forward pass computing every layer and every off-ramp.
-    pub fn forward_layers(&self, tokens: &[u32]) -> LayerwiseOutput {
+    /// Full forward pass computing every layer and every off-ramp: the
+    /// finished session, whose `logits` and `entropies` hold one entry a
+    /// layer.
+    pub fn forward_layers(&self, tokens: &[u32]) -> ForwardSession {
         let mut session = self.begin_forward(tokens);
-        let hidden_states = (0..self.num_layers())
-            .map(|_| {
-                self.forward_next_layer(&mut session);
-                session.scratch.normed.clone()
-            })
-            .collect();
-        LayerwiseOutput {
-            hidden_states,
-            logits: session.state.logits,
-            entropies: session.state.entropies,
+        for _ in 0..self.num_layers() {
+            self.forward_next_layer(&mut session);
         }
+        session
     }
 
     /// Starts a layer-at-a-time forward session: the embedding is
@@ -501,7 +501,7 @@ mod tests {
     fn forward_layers_shapes() {
         let model = tiny_model(0);
         let out = model.forward_layers(&[CLS, 5, 6, 7]);
-        assert_eq!(out.hidden_states.len(), 4);
+        assert_eq!(out.layers_done(), 4);
         assert_eq!(out.logits.len(), 4);
         assert_eq!(out.entropies.len(), 4);
         assert_eq!(out.logits[0].len(), 2);
@@ -553,7 +553,8 @@ mod tests {
             let eager = model.forward_layers(&tokens);
             let cache = model.forward_train(&tokens);
             let last = model.num_layers() - 1;
-            assert_eq!(cache.final_normed, eager.hidden_states[last], "seed {seed}");
+            assert_eq!(cache.final_normed, eager.scratch.normed, "seed {seed}");
+            assert_eq!(eager.cls(), cache.final_normed.row(0), "seed {seed}");
             assert_eq!(
                 model.final_logits(&cache),
                 eager.logits[last],

@@ -131,8 +131,8 @@ impl Trainer {
         train
             .iter()
             .map(|ex| {
-                // No entropy is below -inf, so the exit is the last layer.
-                let (_, last, _) = teacher.infer_early_exit(&ex.tokens, f32::NEG_INFINITY);
+                let out = teacher.forward_layers(&ex.tokens);
+                let last = out.logits_at(self.cfg.num_layers).to_vec();
                 Matrix::from_vec(1, self.cfg.num_classes, last)
             })
             .collect()
@@ -239,15 +239,17 @@ impl Trainer {
     pub fn train_offramps_phase2(&self, model: &mut AlbertModel, train: &Dataset) {
         model.set_backbone_frozen(true);
         let layers = self.cfg.num_layers;
-        // Collect per-layer CLS features with one forward pass per example.
+        // Collect per-layer CLS features with one forward pass per example:
+        // each layer's off-ramp has just read its `[CLS]` row.
         let mut features: Vec<Matrix> = (0..layers)
             .map(|_| Matrix::zeros(train.len(), self.cfg.hidden_size))
             .collect();
         let labels = train.labels();
         for (i, ex) in train.iter().enumerate() {
-            let out = model.forward_layers(&ex.tokens);
-            for (l, hs) in out.hidden_states.iter().enumerate() {
-                features[l].row_mut(i).copy_from_slice(hs.row(0));
+            let mut session = model.begin_forward(&ex.tokens);
+            for feats in &mut features {
+                model.forward_next_layer(&mut session);
+                feats.row_mut(i).copy_from_slice(session.cls());
             }
         }
         // Train each intermediate off-ramp (the final classifier was
@@ -393,8 +395,8 @@ mod tests {
         // A clone copies none, and a serde round trip serves the same bits.
         assert!(no_training_state(&mut student.clone()));
         let logit_bits = |m: &AlbertModel| -> Vec<u32> {
-            let logits = m.forward_layers(tokens).logits;
-            logits.iter().flatten().map(|v| v.to_bits()).collect()
+            let out = m.forward_layers(tokens);
+            out.logits.iter().flatten().map(|v| v.to_bits()).collect()
         };
         let wire = serde::json::to_string(&student);
         let mut back: AlbertModel = serde::json::from_str(&wire).expect("model round trip");

@@ -2,14 +2,89 @@
 //! corpus to latency-aware inference, asserting the paper's qualitative
 //! claims (shape, not absolute numbers).
 
-use edgebert::engine::{DropTarget, InferenceMode};
+use edgebert::calibrate::SweepCache;
+use edgebert::engine::{DropTarget, EngineBuilder, EntropyThresholds, InferenceMode};
 use edgebert::pipeline::{Scale, TaskArtifacts};
-use edgebert_tasks::Task;
-use std::sync::OnceLock;
+use edgebert::PredictorLut;
+use edgebert_tasks::{Dataset, Task};
+use std::sync::{Arc, OnceLock};
 
 fn artifacts() -> &'static TaskArtifacts {
     static CELL: OnceLock<TaskArtifacts> = OnceLock::new();
     CELL.get_or_init(|| TaskArtifacts::build(Task::Sst2, Scale::Test, 0xE2E))
+}
+
+/// The three-class task.
+fn mnli_artifacts() -> &'static TaskArtifacts {
+    static CELL: OnceLock<TaskArtifacts> = OnceLock::new();
+    CELL.get_or_init(|| TaskArtifacts::build(Task::Mnli, Scale::Test, 0xE2E))
+}
+
+/// Checks the calibration sweep against serving on a 101-point threshold
+/// grid that runs from "never exits" to past the maximum entropy: for
+/// conventional EE and for latency-aware inference, the sweep's simulated
+/// `(accuracy, mean exit, mean forecast)` equals
+/// `EdgeBertEngine::evaluate` over the same sentences bit for bit.
+/// Returns the distinct latency-aware operating points the grid visited.
+fn assert_sweep_serves(
+    cache: &SweepCache,
+    lut: &PredictorLut,
+    engine: impl Fn() -> EngineBuilder,
+    dev: &Dataset,
+) -> Vec<(f32, f32, f32)> {
+    let max_h = (cache.num_classes as f32).ln() * 1.1;
+    let mut lai_points = Vec::new();
+    for i in 0..=100 {
+        let et = i as f32 * max_h / 100.0;
+        let served = engine()
+            .uniform_thresholds(EntropyThresholds::uniform(et))
+            .build();
+        for (mode, lut) in [
+            (InferenceMode::ConventionalEe, None),
+            (InferenceMode::LatencyAware, Some(lut)),
+        ] {
+            let agg = served.evaluate(dev, mode);
+            let engine = (agg.accuracy, agg.avg_exit_layer, agg.avg_predicted_layer);
+            let sweep = cache.simulate(et, lut);
+            assert_eq!(sweep, engine, "{mode:?} at threshold {et}");
+            if lut.is_some() && !lai_points.contains(&sweep) {
+                lai_points.push(sweep);
+            }
+        }
+    }
+    lai_points
+}
+
+#[test]
+fn calibration_sweep_is_the_engine_exit_rule() {
+    for art in [artifacts(), mnli_artifacts()] {
+        let points = assert_sweep_serves(&art.cache, &art.lut, || art.engine_builder(), &art.dev);
+        // Not only the two ends of the grid: many operating points whose
+        // sentences exit at different layers, cut short by forecasts.
+        let layers = art.model.num_layers() as f32;
+        let mixed = points
+            .iter()
+            .filter(|p| p.1 > 1.0 && p.1 < layers && p.2 > p.1);
+        assert!(mixed.count() >= 5, "{:?}: {points:?}", art.task);
+    }
+}
+
+#[test]
+fn calibration_sweep_forecasts_a_one_layer_model_like_the_engine() {
+    // A 1-layer model has no layer after the first, so a sentence that
+    // does not exit there is forecast (and served) at layer 1.
+    let art = artifacts();
+    let mut model = edgebert_model::AlbertModel::clone(&art.model);
+    model.config.num_layers = 1;
+    model.off_ramps.truncate(1);
+    let cache = SweepCache::build(&model, &art.dev);
+    let model = Arc::new(model);
+    let engine = || EngineBuilder::new(Arc::clone(&model), Arc::clone(&art.lut));
+    assert_sweep_serves(&cache, &art.lut, engine, &art.dev);
+    assert_eq!(
+        cache.simulate(0.0, Some(&art.lut)),
+        (cache.full_accuracy(), 1.0, 1.0)
+    );
 }
 
 #[test]
