@@ -44,8 +44,6 @@ fn telemetry_push_and_lane_pop_paths_are_declared_hot() {
     for expected in [
         // Telemetry push path.
         "Ring::push",
-        "TraceRing::record",
-        "SeriesRing::record",
         "SpanRecorder::emit",
         "Telemetry::record_at",
         "Telemetry::sample",
@@ -78,5 +76,34 @@ fn core_carries_no_nested_lock_suppression() {
     assert!(
         offenders.is_empty(),
         "allow(nested-lock) directives in crates/core: {offenders:?}"
+    );
+}
+
+/// Modeled-timeline code never reads the clock: the scheduler reports
+/// its virtual timeline in its responses and carries no sanctioned
+/// wall-clock read, and span recording reaches the clock only through
+/// the hub's one `now_s`.
+#[test]
+fn scheduler_and_span_recording_read_no_clock() {
+    let root = workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
+    let files = collect_workspace_files(&root).expect("walk workspace sources");
+    let source = |path: &str| {
+        files
+            .iter()
+            .find(|(p, _)| p == path)
+            .map(|(_, source)| source.as_str())
+            .unwrap_or_else(|| panic!("{path} not in the workspace walk"))
+    };
+    let scheduler = source("crates/core/src/scheduler.rs");
+    for needle in ["Instant", "disallowed_methods"] {
+        assert!(
+            !scheduler.contains(needle),
+            "crates/core/src/scheduler.rs mentions `{needle}`"
+        );
+    }
+    assert!(
+        !source("crates/core/src/telemetry/span.rs")
+            .contains("#![allow(clippy::disallowed_methods"),
+        "telemetry/span.rs carries a module-wide wall-clock allow"
     );
 }

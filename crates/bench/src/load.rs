@@ -631,7 +631,8 @@ pub fn class_reports_outcomes(
 /// Renders the serving-side lane counters of a stats snapshot — the
 /// general bench-report row covering the preemption counters, the
 /// overload ladder's shed/degrade/transition counters, and the elastic
-/// stolen/migrated/pool-resize counters.
+/// stolen/migrated/pool-resize counters. Distributions are not
+/// counters: they leave through the server's telemetry snapshot.
 pub fn render_server_stats(stats: &ServerStats) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -663,35 +664,6 @@ pub fn render_server_stats(stats: &ServerStats) -> String {
             lane.migrated,
             lane.pool_resizes,
         ));
-    }
-    // Telemetry-on snapshots carry full distributions; render their
-    // quantiles below the counter table.
-    if stats.lanes.iter().any(|l| l.histograms.is_some()) {
-        out.push_str(&format!(
-            "\n{:<8} {:<12} {:>7} {:>10} {:>10} {:>10} {:>10}\n",
-            "lane", "metric", "n", "p50", "p95", "p99", "max"
-        ));
-        for lane in &stats.lanes {
-            let Some(h) = &lane.histograms else { continue };
-            let rows: [(&str, &LogHistogram, f64); 4] = [
-                ("queue_ms", &h.queue_delay_s, 1e3),
-                ("sojourn_ms", &h.sojourn_s, 1e3),
-                ("step_ms", &h.step_time_s, 1e3),
-                ("energy_uJ", &h.energy_per_request_j, 1e6),
-            ];
-            for (metric, hist, scale) in rows {
-                out.push_str(&format!(
-                    "{:<8} {:<12} {:>7} {:>10.3} {:>10.3} {:>10.3} {:>10.3}\n",
-                    lane.task.to_string(),
-                    metric,
-                    hist.count(),
-                    hist.p50() * scale,
-                    hist.p95() * scale,
-                    hist.p99() * scale,
-                    hist.max_edge() * scale,
-                ));
-            }
-        }
     }
     out
 }

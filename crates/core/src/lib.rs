@@ -46,13 +46,12 @@
 //!   seam `tests/backend_equivalence.rs` pins;
 //! * [`energy`] — fleet-level energy budgeting, default-off: a
 //!   [`FleetCoordinator`] tracks per-lane measured power (EWMA of the
-//!   per-step [`SegmentCost`](backend::SegmentCost) energy accounting)
-//!   and periodically waterfills the configured fleet cap
-//!   ([`EnergyConfig`]) into per-lane power envelopes — floors
-//!   guaranteed, headroom following queue pressure. Envelopes bind at
-//!   the DVFS seam (the `cap_w` of
-//!   [`InferenceBackend::decide`](backend::InferenceBackend::decide)):
-//!   a segment's operating point may not outdraw its lane's envelope,
+//!   per-step [`SegmentCost`] energy accounting) and periodically
+//!   waterfills the configured fleet cap ([`EnergyConfig`]) into
+//!   per-lane power envelopes — floors guaranteed, headroom following
+//!   queue pressure. Envelopes bind at the DVFS seam (the `cap_w` of
+//!   [`InferenceBackend::decide`]): a segment's operating point may
+//!   not outdraw its lane's envelope,
 //!   with feasibility judged honestly at the clamped clock — deadline
 //!   risk surfaces in stats, never a silent re-price. The elastic
 //!   autoscaler declines attaches the envelope cannot power and the
@@ -69,7 +68,7 @@
 //!   [`InferenceRequest::max_degradation`](engine::InferenceRequest::max_degradation)
 //!   floor (default: none) — and when that can't restore feasibility,
 //!   infeasible arrivals are *shed* at admission with a typed retry
-//!   hint ([`SubmitError::Shed`](server::SubmitError::Shed)).
+//!   hint ([`SubmitError::Shed`]).
 //!   Off by default ([`ServerConfig::overload`](server::ServerConfig::overload)
 //!   is `None`); every default path stays bit-identical.
 //!   Like energy envelopes, the ladder lives on the server's lanes
@@ -107,16 +106,17 @@
 //!   stolen/migrated/pool-resize counters in [`ServerStats`]. One
 //!   worker loop serves both modes: the roaming step is simply not
 //!   taken with elasticity off;
-//! * [`telemetry`] — observability for the serving stack, default-off
-//!   and bit-identity-neutral: per-request trace spans
-//!   ([`TraceEvent`] chains Admitted→Popped→…→Completed into a
-//!   bounded overwrite-oldest ring with an honest drop counter),
-//!   log-bucketed latency/energy histograms with exact merge/serde
-//!   and exact p50/p95/p99 ([`LogHistogram`], surfaced per lane in
-//!   [`LaneStats::histograms`](server::LaneStats)), periodic lane
-//!   time-series samples of `(pressure, rung, queued, parked,
-//!   extra_shards)`, and JSONL/Prometheus exporters
-//!   ([`Server::telemetry_snapshot`](server::Server::telemetry_snapshot));
+//! * [`telemetry`] — observability for the wall-clock server,
+//!   default-off and bit-identity-neutral: per-request trace spans
+//!   ([`TraceEvent`] chains Admitted→Popped→…→Completed, stamped by a
+//!   [`SpanRecorder`] into the hub's bounded overwrite-oldest ring with
+//!   an honest drop counter), log-bucketed latency/energy histograms
+//!   with exact merge/serde and exact p50/p95/p99 ([`LogHistogram`]),
+//!   periodic lane time-series samples of `(pressure, rung, queued,
+//!   parked, extra_shards)`, all copied out at once by
+//!   [`Server::telemetry_snapshot`](server::Server::telemetry_snapshot),
+//!   and JSONL/Prometheus exporters. [`LaneStats`] keeps the counters;
+//!   the virtual-timeline scheduler's observation is its responses;
 //! * [`pipeline`] — end-to-end task artifacts: train → calibrate →
 //!   predictor, at test or paper scale;
 //! * [`experiments`] — one driver per table/figure of the paper's
@@ -190,5 +190,5 @@ pub use session::{
 };
 pub use telemetry::{
     LaneHistograms, LaneSample, LogHistogram, SpanRecorder, Telemetry, TelemetryConfig,
-    TelemetrySnapshot, TraceEvent, TraceEventKind, TraceSink,
+    TelemetrySnapshot, TraceEvent, TraceEventKind,
 };

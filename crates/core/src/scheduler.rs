@@ -40,7 +40,7 @@
 //! earliest-free lane. Every response reports queueing delay, sojourn
 //! time, and a deadline verdict judged on the *sojourn* (wait +
 //! compute) against the request's target with the one
-//! [`deadline_met`](crate::engine::deadline_met) rule.
+//! [`deadline_met`] rule.
 //!
 //! Slack-blind (the default), per-request *results* are bit-identical
 //! to an unscheduled [`serve`](crate::serving::TaskRuntime::serve)
@@ -51,19 +51,18 @@
 //! The overload ladder and fleet energy envelopes are *not*
 //! re-implemented here: they reach the virtual timeline when the
 //! server's own lanes run on a virtual clock, not as a second copy.
+//! Neither is telemetry: a drain's observation is its
+//! [`ScheduledResponse`]s, which carry each sentence's arrival,
+//! dispatch and completion stamps, its verdict and its energy. The
+//! scheduler reads no clock.
 
 use crate::engine::{
     deadline_met, default_threads, run_chunked, EdgeBertEngine, InferenceRequest, InferenceResponse,
 };
 use crate::serving::MultiTaskRuntime;
 use crate::session::ForwardTrace;
-use crate::telemetry::{
-    LaneHistograms, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
-};
 use edgebert_tasks::Task;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Queue-ordering policy for a [`DeadlineScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -101,18 +100,6 @@ pub struct SchedulerConfig {
     /// is forwarded once up front and priced at its dispatch point on
     /// the virtual timeline, fully deterministically.
     pub queue_aware_slack: bool,
-    /// Telemetry parity with the wall-clock server (see
-    /// [`crate::telemetry`] and
-    /// [`ServerConfig::telemetry`](crate::server::ServerConfig::telemetry)):
-    /// when set, each drain emits per-request trace spans with
-    /// **virtual** timestamps (`Admitted` at arrival, `Popped` at
-    /// dispatch, `Completed` at completion) and folds queue-delay /
-    /// sojourn / energy distributions into per-engine histograms —
-    /// fully deterministic, so two identically-built schedulers fed
-    /// the same submissions produce identical traces. Observation
-    /// only: responses are unchanged. `None` (default) records
-    /// nothing.
-    pub telemetry: Option<TelemetryConfig>,
 }
 
 impl Default for SchedulerConfig {
@@ -126,7 +113,6 @@ impl Default for SchedulerConfig {
             policy: SchedulePolicy::EarliestDeadline,
             task_switch_s: 0.0,
             queue_aware_slack: false,
-            telemetry: None,
         }
     }
 }
@@ -179,16 +165,6 @@ pub struct DeadlineScheduler {
     engines: Vec<(Task, EdgeBertEngine)>,
     cfg: SchedulerConfig,
     pending: Vec<Submission>,
-    /// Telemetry hub (virtual timestamps only — the wall-clock epoch
-    /// is never consulted) plus one histogram set per engine, both
-    /// `None`/empty with telemetry off. A `clone()`d scheduler shares
-    /// the hub and starts from a copy of the histograms.
-    telemetry: Option<Arc<Telemetry>>,
-    lane_histograms: Vec<LaneHistograms>,
-    /// Trace ids are globally unique across drains of one scheduler
-    /// (submission indices restart at 0 every drain; reusing them
-    /// would merge two requests' spans into one malformed chain).
-    next_trace_id: u64,
 }
 
 // Schedulers move into serving threads whole.
@@ -212,24 +188,10 @@ impl DeadlineScheduler {
                 (task, rt.engine().clone())
             })
             .collect();
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "the telemetry hub epoch is the one wall-clock read the virtual-timeline scheduler makes; trace timestamps are virtual and never consult it again"
-        )]
-        let telemetry = cfg
-            .telemetry
-            .map(|tcfg| Arc::new(Telemetry::new(tcfg, Instant::now())));
-        let lane_histograms = match telemetry {
-            Some(_) => vec![LaneHistograms::default(); engines.len()],
-            None => Vec::new(),
-        };
         Self {
             engines,
             cfg,
             pending: Vec::new(),
-            telemetry,
-            lane_histograms,
-            next_trace_id: 0,
         }
     }
 
@@ -347,10 +309,6 @@ impl DeadlineScheduler {
         let mut resident: Vec<Option<Task>> = vec![None; workers];
         let mut dispatched = vec![false; pending.len()];
         let mut timeline: Vec<Option<(usize, f64, f64)>> = vec![None; pending.len()];
-        // Trace ids for this drain: `trace_id_base + submission index`,
-        // unique across the scheduler's lifetime.
-        let trace_id_base = self.next_trace_id;
-        self.next_trace_id += pending.len() as u64;
         let mut remaining = served.len();
         while remaining > 0 {
             // Earliest-free worker, ties to the lowest lane.
@@ -405,8 +363,7 @@ impl DeadlineScheduler {
                 } else {
                     0.0
                 };
-                let engine_idx = engine_of[i].expect("served member");
-                let engine = &self.engines[engine_idx].1;
+                let engine = &self.engines[engine_of[i].expect("served member")].1;
                 let trace = traces[i].take().expect("served member was recorded");
                 let response = engine
                     .begin_replay(&sub.request, charged_wait_s, trace)
@@ -415,25 +372,6 @@ impl DeadlineScheduler {
                 responses[i] = Some(response);
                 cursor += latency_s;
                 timeline[i] = Some((w, start, cursor));
-                if let Some(hub) = &self.telemetry {
-                    // Virtual-timestamp span prefix. Admission happened
-                    // at arrival on the virtual clock; emitting it here
-                    // (at dispatch) still yields a well-formed chain —
-                    // the ring orders events per request, and arrival ≤
-                    // start keeps timestamps monotone.
-                    let id = trace_id_base + i as u64;
-                    let queue_delay_s = start - sub.arrival_s;
-                    hub.record_at(sub.arrival_s, sub.task, id, TraceEventKind::Admitted);
-                    hub.record_at(
-                        start,
-                        sub.task,
-                        id,
-                        TraceEventKind::Popped { queue_delay_s },
-                    );
-                    self.lane_histograms[engine_idx]
-                        .queue_delay_s
-                        .record(queue_delay_s);
-                }
                 dispatched[i] = true;
                 remaining -= 1;
             }
@@ -456,20 +394,6 @@ impl DeadlineScheduler {
                 let sojourn_s =
                     s.request.effective_elapsed_queue_s() + (completion_s - s.arrival_s);
                 let met = deadline_met(sojourn_s, response.latency_target_s);
-                if let Some(hub) = &self.telemetry {
-                    hub.record_at(
-                        completion_s,
-                        s.task,
-                        trace_id_base + s.index as u64,
-                        TraceEventKind::Completed {
-                            verdict: met,
-                            energy_j: response.result.energy_j,
-                        },
-                    );
-                    let h = &mut self.lane_histograms[engine_of[s.index].expect("served member")];
-                    h.sojourn_s.record(sojourn_s);
-                    h.energy_per_request_j.record(response.result.energy_j);
-                }
                 Some(ScheduledResponse {
                     response,
                     worker,
@@ -482,18 +406,6 @@ impl DeadlineScheduler {
                 })
             })
             .collect()
-    }
-
-    /// Copies out everything telemetry recorded across this
-    /// scheduler's drains: virtual-timestamp trace events plus
-    /// per-engine histograms. The time-series section is always empty
-    /// — lane sampling is a wall-clock concern the virtual timeline
-    /// has no analogue for. `None` when
-    /// [`SchedulerConfig::telemetry`] is unset.
-    pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        let hub = self.telemetry.as_ref()?;
-        let lanes = self.engines.iter().zip(&self.lane_histograms);
-        Some(hub.snapshot(lanes.map(|((task, _), h)| (*task, *h))))
     }
 }
 
@@ -707,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn record_fan_out_never_reaches_responses_or_telemetry() {
+    fn record_fan_out_never_reaches_responses() {
         let rt = runtime();
         let toks = [
             tokens_for(&rt, Task::Sst2, 6, 18),
@@ -721,7 +633,6 @@ mod tests {
                 policy: [SchedulePolicy::Fifo, SchedulePolicy::EarliestDeadline][case / 4 % 2],
                 task_switch_s: 1e-3,
                 queue_aware_slack: case / 8 == 1,
-                telemetry: Some(TelemetryConfig::default()),
             };
             let drain = |threads: usize| {
                 let mut sched = DeadlineScheduler::new(&rt, cfg);
@@ -735,12 +646,10 @@ mod tests {
                     sched.submit(task, req, 0.2e-3 * (i / 3) as f64);
                 }
                 sched.submit(Task::Mnli, InferenceRequest::new(vec![1, 2, 3]), 0.0);
-                let out = sched.drain_with_threads(threads);
-                let snapshot = sched.telemetry_snapshot().expect("telemetry on");
-                (out, serde::json::to_string(&snapshot))
+                sched.drain_with_threads(threads)
             };
             let sequential = drain(1);
-            assert!(sequential.0[toks.len()].is_none(), "unserved task");
+            assert!(sequential[toks.len()].is_none(), "unserved task");
             for threads in [2, 5] {
                 assert_eq!(drain(threads), sequential, "{cfg:?}, {threads} threads");
             }

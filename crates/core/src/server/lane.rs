@@ -39,7 +39,7 @@ use std::sync::mpsc::SyncSender;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use super::{ServerConfig, ServerResponse};
+use super::{LaneStats, ServerConfig, ServerResponse};
 
 /// One admitted request waiting for a shard.
 pub(super) struct Job {
@@ -128,28 +128,23 @@ pub(super) struct LaneQueue {
     pub shutting_down: bool,
     /// Next admission sequence number.
     pub next_seq: u64,
-    /// Deepest the queue has been since start.
-    pub high_water: usize,
-    /// Deepest the parked pool has been since start.
-    pub parked_high_water: usize,
-    /// Requests admitted (excludes rejections).
-    pub submitted: u64,
-    /// Requests refused because the lane was at capacity.
-    pub rejected: u64,
-    /// Requests shed by the overload ladder at admission.
-    pub shed: u64,
+    /// The counters [`Server::stats`](super::Server::stats) reports,
+    /// each moved in place under the lock hold that already exists for
+    /// its event. The live fields (`queued`, `parked`,
+    /// `ladder_step_changes`, `stolen`, `migrated`) stay zero here and
+    /// are filled at snapshot time.
+    pub stats: LaneStats,
+    /// Sum of the modeled compute latencies of degraded serves,
+    /// seconds — the shed feasibility test divides it by
+    /// `stats.degraded` for the *observed* degraded service estimate,
+    /// so the ladder sheds less once degradation has bought real
+    /// throughput.
+    pub degraded_modeled_total_s: f64,
     /// Foreign shards currently attached to this lane's pool (elastic
     /// autoscaling): they drain the lane alongside its own shards, so
     /// the pressure signal and admission drain estimates count them.
     /// Always 0 with elasticity disabled.
     pub extra_shards: usize,
-    /// Times the lane's effective pool was resized (one per attach and
-    /// one per detach). Always 0 with elasticity disabled.
-    pub pool_resizes: u64,
-    /// Elastic attaches the energy coordinator declined because the
-    /// lane's envelope cannot power another shard at the backend's
-    /// floor draw. Always 0 with energy budgeting disabled.
-    pub attach_declined: u64,
     /// The lane's current power envelope from the fleet energy
     /// coordinator, watts (total across the lane's effective pool).
     /// `None` — and every pop unstamped — with energy budgeting off.
@@ -160,8 +155,6 @@ pub(super) struct LaneQueue {
     /// The lane's overload ladder (`None` when the server runs without
     /// one), advanced under this lock at admission and pop time.
     pub controller: Option<OverloadController>,
-    /// Worker-side counters.
-    pub tally: ServedTally,
     /// Parked sessions of this lane resumed by a foreign shard, counted
     /// per thief *home lane index* — the one record of a steal.
     /// [`LaneStats::migrated`](super::LaneStats::migrated) is this
@@ -173,34 +166,6 @@ pub(super) struct LaneQueue {
     /// runs with telemetry enabled. Every shard (home or elastic)
     /// driving this lane folds into them at its yield.
     pub histograms: Option<LaneHistograms>,
-}
-
-/// Worker-side tallies, folded into [`LaneStats`](super::LaneStats).
-/// Each moves under the lock hold that already exists for its event:
-/// `resumed` at the pop that hands out a parked session, `preempted`
-/// inside [`Lane::preempt_exchange`], the rest in [`Lane::complete`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(super) struct ServedTally {
-    /// Requests served to completion.
-    pub served: u64,
-    /// Served requests whose sojourn missed the deadline.
-    pub violations: u64,
-    /// Times a running session was parked for a tighter arrival.
-    pub preempted: u64,
-    /// Times a parked session was resumed.
-    pub resumed: u64,
-    /// Requests served with an overload-ladder degradation applied
-    /// (tier drop and/or scaled exit threshold).
-    pub degraded: u64,
-    /// Sum of the modeled compute latencies of degraded serves,
-    /// seconds — the shed feasibility test divides it by `degraded`
-    /// for the *observed* degraded service estimate, so the ladder
-    /// sheds less once degradation has bought real throughput.
-    pub degraded_modeled_total_s: f64,
-    /// Sum of served requests' modeled energy, joules — the fleet
-    /// energy coordinator differences this against wall time for the
-    /// lane's measured power, and stats report it per lane.
-    pub energy_j_total: f64,
 }
 
 /// One task's bounded admission lane.
@@ -247,18 +212,12 @@ impl Lane {
                 parked: Vec::new(),
                 shutting_down: false,
                 next_seq: 0,
-                high_water: 0,
-                parked_high_water: 0,
-                submitted: 0,
-                rejected: 0,
-                shed: 0,
+                stats: LaneStats::empty(task, cfg.shards_per_task),
+                degraded_modeled_total_s: 0.0,
                 extra_shards: 0,
-                pool_resizes: 0,
-                attach_declined: 0,
                 envelope_w: None,
                 measured_power_w: None,
                 controller: cfg.overload.map(OverloadController::new),
-                tally: ServedTally::default(),
                 stolen_by: vec![0; n_lanes],
                 histograms: cfg.telemetry.map(|_| LaneHistograms::default()),
             }),
@@ -299,11 +258,11 @@ impl Lane {
     /// the pessimistic nominal estimate before the first degraded
     /// serve completes.
     pub(super) fn shed_service_estimate_s(&self, queue: &LaneQueue) -> f64 {
-        let tally = &queue.tally;
-        if tally.degraded == 0 {
+        let degraded = queue.stats.degraded;
+        if degraded == 0 {
             return self.nominal_service_s;
         }
-        let mean = tally.degraded_modeled_total_s / tally.degraded as f64;
+        let mean = queue.degraded_modeled_total_s / degraded as f64;
         if mean.is_finite() && mean > 0.0 {
             mean.min(self.nominal_service_s)
         } else {
@@ -365,7 +324,7 @@ impl Lane {
     /// atomic.
     pub(super) fn attach(&self, queue: &mut LaneQueue) {
         queue.extra_shards += 1;
-        queue.pool_resizes += 1;
+        queue.stats.pool_resizes += 1;
     }
 
     /// Hands `work` just popped off this lane to a foreign shard whose
@@ -410,7 +369,7 @@ impl Lane {
     pub(super) fn detach(&self) {
         let mut queue = self.queue.lock().expect("lane mutex");
         queue.extra_shards = queue.extra_shards.saturating_sub(1);
-        queue.pool_resizes += 1;
+        queue.stats.pool_resizes += 1;
     }
 
     /// The tightest absolute deadline currently queued (fresh jobs
@@ -464,8 +423,10 @@ impl Lane {
             session,
             parked_at: Instant::now(),
         });
-        queue.parked_high_water = queue.parked_high_water.max(queue.parked.len());
-        queue.tally.preempted += 1;
+        let depth = queue.parked.len();
+        let stats = &mut queue.stats;
+        stats.max_parked_depth = stats.max_parked_depth.max(depth);
+        stats.preempted += 1;
         Self::fold_step_times(&mut queue, step_times);
         Ok(self.finish_pop(&mut queue, Work::Fresh(job)))
     }
@@ -478,18 +439,16 @@ impl Lane {
     /// [`Server::stats`](super::Server::stats).
     pub fn complete(&self, served: &ServerResponse, step_times: Option<&LogHistogram>) {
         let mut queue = self.queue.lock().expect("lane mutex");
-        let tally = &mut queue.tally;
-        tally.served += 1;
-        if !served.deadline_met {
-            tally.violations += 1;
-        }
-        tally.energy_j_total += served.energy_j;
+        let stats = &mut queue.stats;
+        stats.served += 1;
+        stats.violations += u64::from(!served.deadline_met);
+        stats.energy_j += served.energy_j;
         if served.degraded_notches > 0 {
-            tally.degraded += 1;
+            stats.degraded += 1;
             // Feeds the lane's observed degraded service estimate,
             // which the shed feasibility test prefers over the
             // pessimistic nominal one.
-            tally.degraded_modeled_total_s += served.response.result.latency_s;
+            queue.degraded_modeled_total_s += served.response.result.latency_s;
         }
         if let Some(h) = &mut queue.histograms {
             h.queue_delay_s.record(served.queue_delay_s);
@@ -533,7 +492,7 @@ impl Lane {
     /// counting the resume under the lock that removes it.
     // analyzer: hot-path
     fn resume_parked(queue: &mut LaneQueue, at: usize) -> Work {
-        queue.tally.resumed += 1;
+        queue.stats.resumed += 1;
         // analyzer: allow(hot-path-alloc) reason="boxing a resumed ParkedJob is one pointer-sized allocation per park/resume cycle, amortized over a whole preempted sentence; keeping Work small keeps every fresh pop allocation-free"
         Work::Resume(Box::new(queue.parked.remove(at)))
     }
@@ -602,12 +561,12 @@ mod tests {
         let mut queue = lane.queue.lock().expect("lane mutex");
         // No degraded serves yet: the pessimistic nominal estimate.
         assert_eq!(lane.shed_service_estimate_s(&queue), 10e-3);
-        queue.tally.degraded = 4;
-        queue.tally.degraded_modeled_total_s = 8e-3; // 2 ms mean
+        queue.stats.degraded = 4;
+        queue.degraded_modeled_total_s = 8e-3; // 2 ms mean
         assert_eq!(lane.shed_service_estimate_s(&queue), 2e-3);
         // A noisy mean above nominal must not make the ladder shed
         // more than the class-agnostic rule would.
-        queue.tally.degraded_modeled_total_s = 200e-3; // 50 ms mean
+        queue.degraded_modeled_total_s = 200e-3; // 50 ms mean
         assert_eq!(lane.shed_service_estimate_s(&queue), 10e-3);
     }
 
@@ -656,7 +615,7 @@ mod tests {
         assert_eq!(ctx.seq, 11);
 
         let queue = lane.queue.lock().expect("lane mutex");
-        assert_eq!(queue.tally.preempted, 1);
+        assert_eq!(queue.stats.preempted, 1);
         assert_eq!(queue.parked.len(), 1);
         assert_eq!(queue.parked[0].ctx.seq, 10);
         assert_eq!(queue.parked[0].session.state(), SessionState::Parked);
@@ -670,11 +629,11 @@ mod tests {
             let mut queue = lane.queue.lock().expect("lane mutex");
             lane.attach(&mut queue);
             assert_eq!(queue.extra_shards, 1);
-            assert_eq!(queue.pool_resizes, 1);
+            assert_eq!(queue.stats.pool_resizes, 1);
         }
         lane.detach();
         let queue = lane.queue.lock().expect("lane mutex");
         assert_eq!(queue.extra_shards, 0);
-        assert_eq!(queue.pool_resizes, 2);
+        assert_eq!(queue.stats.pool_resizes, 2);
     }
 }

@@ -9,8 +9,8 @@
 //! front-end: clients [`submit`](Server::submit) requests from any
 //! thread and get a [`ResponseHandle`] back immediately; per-task
 //! **engine shard pools** — `shards_per_task` owned
-//! [`EdgeBertEngine`](crate::engine::EdgeBertEngine) clones per served
-//! task, each pinned to its own worker thread with task affinity —
+//! [`EdgeBertEngine`] clones per served task, each pinned to its own
+//! worker thread with task affinity —
 //! drain bounded admission lanes in EDF order. No external runtime:
 //! the whole subsystem is `std` threads, one mutex per lane, and
 //! rendezvous channels. The locking rule is one sentence: a shard takes
@@ -47,8 +47,8 @@
 //!
 //! **Preemptive lanes** are what the resumable-session redesign buys.
 //! Workers serve each sentence through a layer-granular
-//! [`InferenceSession`](crate::session::InferenceSession)
-//! ([`EdgeBertEngine::begin`]) instead of a monolithic `serve` call,
+//! [`InferenceSession`] ([`EdgeBertEngine::begin`]) instead of a
+//! monolithic `serve` call,
 //! and poll their lane between layer steps: when a strictly
 //! tighter-deadline job is queued (per
 //! [`ServerConfig::preemption`]), the running session is *parked* at
@@ -93,8 +93,10 @@
 //! ([`ResponseHandle::wait`] returns [`WorkerLost`] instead of
 //! panicking), graceful [`shutdown`](Server::shutdown) that drains
 //! every admitted request — parked sessions included — before workers
-//! exit, and per-lane [`ServerStats`] (admissions, rejections,
-//! violations, preemptions, queue/parked depths and delays).
+//! exit, and per-lane [`ServerStats`] counters (admissions,
+//! rejections, violations, preemptions, queue/parked depths) — with
+//! telemetry on, the distributions leave through
+//! [`Server::telemetry_snapshot`].
 
 #![allow(
     clippy::disallowed_methods,
@@ -691,7 +693,7 @@ impl Server {
         let effective_shards = (lane.shards + queue.extra_shards).max(1) as f64;
         let drain_slot_s = lane.nominal_service_s / effective_shards;
         if queue.jobs.len() >= lane.capacity {
-            queue.rejected += 1;
+            queue.stats.rejected += 1;
             return Err(SubmitError::QueueFull {
                 task,
                 capacity: lane.capacity,
@@ -741,7 +743,7 @@ impl Server {
             )]
             let infeasible = !(key_s >= backlog_s);
             if infeasible {
-                queue.shed += 1;
+                queue.stats.shed += 1;
                 let p = lane.pressure_of(&queue);
                 if let Some(hub) = &self.telemetry {
                     // Shed requests never consume a submission
@@ -751,7 +753,7 @@ impl Server {
                     hub.record_at(
                         (now - self.epoch).as_secs_f64(),
                         task,
-                        u64::MAX - (queue.shed - 1),
+                        u64::MAX - (queue.stats.shed - 1),
                         TraceEventKind::Shed { pressure: p },
                     );
                 }
@@ -764,7 +766,7 @@ impl Server {
         }
         let submission = queue.next_seq;
         queue.next_seq += 1;
-        queue.submitted += 1;
+        queue.stats.submitted += 1;
         queue.jobs.push(Job {
             seq: submission,
             deadline_s,
@@ -772,7 +774,7 @@ impl Server {
             request,
             reply: tx,
         });
-        queue.high_water = queue.high_water.max(queue.jobs.len());
+        queue.stats.queue_high_water = queue.stats.queue_high_water.max(queue.jobs.len());
         if let Some(hub) = &self.telemetry {
             // Emitted while the queue lock pins the pop: the worker
             // cannot record `Popped` before `Admitted` lands.
@@ -793,9 +795,10 @@ impl Server {
     }
 
     /// A snapshot of the per-lane counters, taken one lane lock at a
-    /// time. A steal is one record on its origin lane (a count per
-    /// thief lane): `migrated` is that record's row sum and `stolen`
-    /// its column sum, so the two balance in every snapshot.
+    /// time: each lane's own [`LaneStats`] plus its live fields. A
+    /// steal is one record on its origin lane (a count per thief
+    /// lane): `migrated` is that record's row sum and `stolen` its
+    /// column sum, so the two balance in every snapshot.
     pub fn stats(&self) -> ServerStats {
         let mut stolen = vec![0u64; self.lanes.len()];
         let mut lanes: Vec<LaneStats> = self
@@ -803,35 +806,18 @@ impl Server {
             .iter()
             .map(|entry| {
                 let queue = entry.lane.queue.lock().expect("lane mutex");
-                let tally = queue.tally;
                 for (thief, n) in queue.stolen_by.iter().enumerate() {
                     stolen[thief] += n;
                 }
                 LaneStats {
-                    task: entry.lane.task,
-                    shards: self.cfg.shards_per_task,
-                    submitted: queue.submitted,
-                    rejected: queue.rejected,
-                    shed: queue.shed,
-                    degraded: tally.degraded,
                     ladder_step_changes: queue
                         .controller
                         .as_ref()
                         .map_or(0, |ladder| ladder.step_changes()),
-                    served: tally.served,
-                    violations: tally.violations,
-                    preempted: tally.preempted,
-                    resumed: tally.resumed,
-                    stolen: 0,
                     migrated: queue.stolen_by.iter().sum(),
-                    pool_resizes: queue.pool_resizes,
-                    attach_declined: queue.attach_declined,
-                    energy_j: tally.energy_j_total,
                     queued: queue.jobs.len(),
                     parked: queue.parked.len(),
-                    queue_high_water: queue.high_water,
-                    max_parked_depth: queue.parked_high_water,
-                    histograms: queue.histograms,
+                    ..queue.stats
                 }
             })
             .collect();
@@ -959,7 +945,7 @@ fn coordinator_loop(registry: &[PoolEntry], ecfg: EnergyConfig, stop: &AtomicBoo
                 let queue = lane.queue.lock().expect("lane mutex");
                 LaneObservation {
                     task: lane.task,
-                    energy_j_total: queue.tally.energy_j_total,
+                    energy_j_total: queue.stats.energy_j,
                     pressure: lane.pressure_of(&queue),
                 }
             })
@@ -1129,7 +1115,7 @@ fn attach_to_pressured_lane(
             continue;
         }
         if !envelope_funds_another_shard(entry, &queue) {
-            queue.attach_declined += 1;
+            queue.stats.attach_declined += 1;
             continue;
         }
         if best.is_none_or(|(_, bp)| p > bp) {
@@ -1142,7 +1128,7 @@ fn attach_to_pressured_lane(
     // The envelope may have shrunk between the scan and the claim:
     // re-judge under the lock that commits the attach.
     if !envelope_funds_another_shard(entry, &queue) {
-        queue.attach_declined += 1;
+        queue.stats.attach_declined += 1;
         return None;
     }
     let work = Lane::pop_work(&mut queue)?;

@@ -1,10 +1,12 @@
 //! Serving statistics: per-lane and whole-server snapshots.
 
-use crate::telemetry::LaneHistograms;
 use edgebert_tasks::Task;
 use serde::{Deserialize, Serialize};
 
-/// A snapshot of one task lane's counters.
+/// A snapshot of one task lane's counters. The lane's distributions
+/// (queue delay, sojourn, step time, energy per request) are not
+/// counters: with telemetry on they leave through
+/// [`Server::telemetry_snapshot`](super::Server::telemetry_snapshot).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LaneStats {
     /// The task the lane serves.
@@ -68,10 +70,34 @@ pub struct LaneStats {
     pub queue_high_water: usize,
     /// Deepest the parked-session pool has been since start.
     pub max_parked_depth: usize,
-    /// Full queue-delay / sojourn / step-time / energy distributions,
-    /// recorded when [`ServerConfig::telemetry`](super::ServerConfig)
-    /// is enabled (`None` otherwise). Exact log-bucketed quantiles.
-    pub histograms: Option<LaneHistograms>,
+}
+
+impl LaneStats {
+    /// A lane of `shards` shards for `task` that has counted nothing.
+    pub(super) fn empty(task: Task, shards: usize) -> Self {
+        Self {
+            task,
+            shards,
+            submitted: 0,
+            rejected: 0,
+            shed: 0,
+            degraded: 0,
+            ladder_step_changes: 0,
+            served: 0,
+            violations: 0,
+            preempted: 0,
+            resumed: 0,
+            stolen: 0,
+            migrated: 0,
+            pool_resizes: 0,
+            attach_declined: 0,
+            energy_j: 0.0,
+            queued: 0,
+            parked: 0,
+            queue_high_water: 0,
+            max_parked_depth: 0,
+        }
+    }
 }
 
 /// A snapshot of the whole server's counters.
@@ -210,27 +236,9 @@ mod tests {
 
     fn lane(task: Task, stolen: u64, migrated: u64) -> LaneStats {
         LaneStats {
-            task,
-            shards: 1,
-            submitted: 0,
-            rejected: 0,
-            shed: 0,
-            degraded: 0,
-            ladder_step_changes: 0,
-            served: 0,
-            violations: 0,
-            preempted: 0,
-            resumed: 0,
             stolen,
             migrated,
-            pool_resizes: 0,
-            attach_declined: 0,
-            energy_j: 0.0,
-            queued: 0,
-            parked: 0,
-            queue_high_water: 0,
-            max_parked_depth: 0,
-            histograms: None,
+            ..LaneStats::empty(task, 1)
         }
     }
 

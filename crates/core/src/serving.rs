@@ -5,8 +5,8 @@
 //! optimized student model and predictor LUT behind
 //! [`Arc`](std::sync::Arc)s, plus the per-tier threshold
 //! calibrations — decoupled from the training-side
-//! [`TaskArtifacts`](crate::pipeline::TaskArtifacts) (datasets, sweep
-//! caches, training summaries) that produced them. Engines minted from a
+//! [`TaskArtifacts`] (datasets, sweep caches, training summaries) that
+//! produced them. Engines minted from a
 //! runtime are `Send + 'static`: build once, move into worker threads,
 //! or pool them.
 //!

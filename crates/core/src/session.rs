@@ -10,8 +10,7 @@
 //! redesign: [`EdgeBertEngine::begin`](crate::engine::EdgeBertEngine::begin)
 //! opens a session over one request, and each [`step`](InferenceSession::step)
 //! executes exactly one encoder layer — software forward (the hidden
-//! state lives in the session via
-//! [`ForwardSession`](edgebert_model::ForwardSession)), entropy-exit
+//! state lives in the session via [`ForwardSession`]), entropy-exit
 //! check, hardware cost accounting — returning a [`StepOutcome`].
 //!
 //! Sessions are **checkpointable**: [`park`](InferenceSession::park)

@@ -191,8 +191,10 @@ impl LogHistogram {
 }
 
 /// The full per-lane distribution set the server records when
-/// telemetry is enabled. `Copy` (fixed-size arrays) so it can ride
-/// inside [`crate::server::LaneStats`] without breaking its `Copy`.
+/// telemetry is enabled, beside the lane's counters under its lock.
+/// It leaves one way, as a lane of a
+/// [`TelemetrySnapshot`](super::TelemetrySnapshot); `Copy` (fixed-size
+/// arrays), so the copy-out is one hold of that lock.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct LaneHistograms {
     /// Admission-to-pop queueing delay, seconds.

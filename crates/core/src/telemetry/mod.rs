@@ -13,21 +13,21 @@
 //! overhead test pins the disabled path to zero allocations per
 //! request.
 //!
-//! - [`span`] — typed [`TraceEvent`]s, the [`TraceSink`] trait, the
-//!   bounded overwrite-oldest [`TraceRing`], and the per-request
+//! - [`span`] — typed [`TraceEvent`]s, the per-request
 //!   [`SpanRecorder`] handle threaded through submit → pop → step →
-//!   park/resume → response.
+//!   park/resume → response, and the bounded overwrite-oldest ring
+//!   both of the hub's streams land in.
 //! - [`hist`] — [`LogHistogram`]: fixed geometric bucket grid, exact
 //!   merge and serde, exact p50/p95/p99 extraction.
 //! - [`series`] — periodic [`LaneSample`]s of `(pressure, rung,
 //!   queued, parked, extra_shards)` per lane.
 //! - [`export`] — JSONL trace dump, Prometheus text render, and the
 //!   span-chain well-formedness validator.
-
-#![allow(
-    clippy::disallowed_methods,
-    reason = "telemetry hub owns the server epoch; timestamps here only stamp observability records and never feed admission, scheduling, or inference decisions"
-)]
+//!
+//! The wall-clock server is the one producer: the virtual-timeline
+//! [`DeadlineScheduler`](crate::scheduler::DeadlineScheduler) reports
+//! its timeline in its responses and records nothing here.
+//! [`Telemetry::now_s`] is the subsystem's one clock read.
 
 pub mod export;
 pub mod hist;
@@ -42,19 +42,20 @@ use serde::{Deserialize, Serialize};
 
 pub use export::{render_prometheus, render_trace_jsonl, span_chains, validate_span_chain};
 pub use hist::{LaneHistograms, LogHistogram};
-pub use series::{LaneSample, SeriesRing};
-pub use span::{SpanRecorder, TraceEvent, TraceEventKind, TraceRing, TraceSink};
+pub use series::LaneSample;
+pub use span::{SpanRecorder, TraceEvent, TraceEventKind};
+
+use span::Ring;
 
 /// Capacities and cadence for the telemetry subsystem. `Copy` so it
-/// can live inside the `Copy` server/scheduler configs.
+/// can live inside the `Copy` server config.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
     /// Trace-ring capacity in events (overwrite-oldest beyond this).
     pub trace_capacity: usize,
     /// Time-series ring capacity in samples.
     pub series_capacity: usize,
-    /// Lane sampling period, seconds (wall-clock server only; the
-    /// virtual-timeline scheduler records no series).
+    /// Lane sampling period, seconds.
     pub sample_period_s: f64,
 }
 
@@ -90,8 +91,8 @@ impl TelemetryConfig {
 pub struct Telemetry {
     cfg: TelemetryConfig,
     epoch: Instant,
-    trace: TraceRing,
-    series: SeriesRing,
+    trace: Ring<TraceEvent>,
+    series: Ring<LaneSample>,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -111,8 +112,8 @@ impl Telemetry {
         Self {
             cfg,
             epoch,
-            trace: TraceRing::new(cfg.trace_capacity),
-            series: SeriesRing::new(cfg.series_capacity),
+            trace: Ring::new(cfg.trace_capacity),
+            series: Ring::new(cfg.series_capacity),
         }
     }
 
@@ -122,25 +123,29 @@ impl Telemetry {
     }
 
     /// Seconds elapsed since the hub epoch.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the hub owns the server epoch; its timestamps only stamp observability records and never feed admission, scheduling, or inference decisions"
+    )]
     pub fn now_s(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
     }
 
     /// A per-request recorder emitting into this hub's trace ring.
     pub fn recorder(self: &Arc<Self>, task: Task, request: u64) -> SpanRecorder {
-        SpanRecorder::new(
-            Arc::clone(self) as Arc<dyn TraceSink>,
+        SpanRecorder {
+            hub: Arc::clone(self),
             task,
             request,
-            self.epoch,
-        )
+        }
     }
 
     /// Record one event at an explicit timestamp (hot paths that
-    /// already hold an `Instant`, and virtual timelines).
+    /// already hold an `Instant`).
     // analyzer: hot-path
     pub fn record_at(&self, t_s: f64, task: Task, request: u64, kind: TraceEventKind) {
-        self.trace.record(TraceEvent {
+        // analyzer: allow(hot-path-alloc) reason="Ring::push is the non-allocating try_lock ring push, not Vec::push"
+        self.trace.push(TraceEvent {
             t_s,
             task,
             request,
@@ -151,22 +156,18 @@ impl Telemetry {
     /// Push one lane time-series sample.
     // analyzer: hot-path
     pub fn sample(&self, sample: LaneSample) {
-        self.series.record(sample);
-    }
-
-    /// Retained trace events oldest→newest plus the drop counter.
-    pub fn trace_snapshot(&self) -> (Vec<TraceEvent>, u64) {
-        self.trace.snapshot()
+        // analyzer: allow(hot-path-alloc) reason="Ring::push is the non-allocating try_lock ring push, not Vec::push"
+        self.series.push(sample);
     }
 
     /// Copies out both rings plus the given lanes' histograms — the
-    /// one [`TelemetrySnapshot`] builder behind the server's and the
-    /// scheduler's `telemetry_snapshot`.
+    /// one [`TelemetrySnapshot`] builder behind
+    /// [`Server::telemetry_snapshot`](crate::server::Server::telemetry_snapshot).
     pub(crate) fn snapshot(
         &self,
         lanes: impl Iterator<Item = (Task, LaneHistograms)>,
     ) -> TelemetrySnapshot {
-        let (events, dropped_events) = self.trace_snapshot();
+        let (events, dropped_events) = self.trace.snapshot();
         let (samples, dropped_samples) = self.series.snapshot();
         TelemetrySnapshot {
             events,
@@ -177,13 +178,6 @@ impl Telemetry {
             samples,
             dropped_samples,
         }
-    }
-}
-
-impl TraceSink for Telemetry {
-    // analyzer: hot-path
-    fn record(&self, event: TraceEvent) {
-        self.trace.record(event);
     }
 }
 
@@ -214,6 +208,10 @@ pub struct TelemetrySnapshot {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test hubs stamp against a fresh epoch; nothing asserted reads it"
+)]
 mod tests {
     use super::*;
 
@@ -254,9 +252,10 @@ mod tests {
                 energy_j: 0.0,
             },
         );
-        let (events, dropped) = hub.trace_snapshot();
+        let snapshot = hub.snapshot(std::iter::empty());
+        let events = snapshot.events;
         assert_eq!(events.len(), 2);
-        assert_eq!(dropped, 0);
+        assert_eq!(snapshot.dropped_events, 0);
         assert_eq!(events[1].t_s, 2.0);
         assert_eq!(events[1].request, 12);
     }

@@ -3,14 +3,14 @@
 //! curves instead of terminal counters.
 //!
 //! The sampler itself is a thread the server owns (spawned only when
-//! telemetry is enabled); this module defines the sample shape and its
-//! bounded ring. Samples share the trace ring's drop-counting
-//! semantics: a full ring overwrites oldest, contention drops.
+//! telemetry is enabled); this module defines the sample shape. Samples
+//! land in the hub's second bounded ring, with the trace ring's
+//! drop-counting semantics: a full ring overwrites oldest, contention
+//! drops.
 
 use edgebert_tasks::Task;
 use serde::{Deserialize, Serialize};
 
-use super::span::Ring;
 use crate::overload::LadderStep;
 
 /// One periodic observation of a lane's control state.
@@ -38,40 +38,10 @@ pub struct LaneSample {
     pub power_w: Option<f64>,
 }
 
-/// Bounded overwrite-oldest ring of [`LaneSample`]s.
-pub struct SeriesRing {
-    ring: Ring<LaneSample>,
-}
-
-impl SeriesRing {
-    /// A ring retaining at most `capacity` samples.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            ring: Ring::new(capacity),
-        }
-    }
-
-    /// Push one sample without blocking (contention counts a drop).
-    // analyzer: hot-path
-    pub fn record(&self, sample: LaneSample) {
-        // analyzer: allow(hot-path-alloc) reason="Ring::push is the non-allocating try_lock ring push, not Vec::push"
-        self.ring.push(sample);
-    }
-
-    /// Samples lost to contention or overwriting.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
-    /// Retained samples oldest→newest plus the drop counter.
-    pub fn snapshot(&self) -> (Vec<LaneSample>, u64) {
-        self.ring.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::span::Ring;
 
     #[test]
     fn sample_round_trips_through_serde() {
@@ -93,9 +63,9 @@ mod tests {
 
     #[test]
     fn series_ring_bounds_and_counts() {
-        let ring = SeriesRing::new(2);
+        let ring = Ring::new(2);
         for i in 0..4 {
-            ring.record(LaneSample {
+            ring.push(LaneSample {
                 t_s: i as f64,
                 task: Task::Sst2,
                 pressure: 0.0,

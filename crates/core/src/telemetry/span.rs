@@ -1,24 +1,20 @@
-//! Per-request trace spans: typed events, the lock-cheap sink, and the
-//! bounded overwrite-oldest ring they land in.
+//! Per-request trace spans: typed events, the per-request recorder,
+//! and the bounded overwrite-oldest ring they land in.
 //!
 //! The hot-path contract is **never block, never allocate**: the ring
-//! is preallocated at construction, `record` uses `try_lock` (a
+//! is preallocated at construction, `push` uses `try_lock` (a
 //! contended push is counted as a drop instead of waiting), and every
 //! event is `Copy`. A full ring overwrites its oldest event and counts
 //! the overwrite, so the drop counter is the single honesty signal for
 //! both contention and capacity loss.
 
-#![allow(
-    clippy::disallowed_methods,
-    reason = "span recorders stamp trace events with wall-clock time; timestamps are observability-only and never feed scheduling decisions"
-)]
-
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use edgebert_tasks::Task;
 use serde::{Serialize, Value};
+
+use super::Telemetry;
 
 /// One step in a request's span chain.
 ///
@@ -171,15 +167,8 @@ impl Serialize for TraceEvent {
     }
 }
 
-/// Anything that can accept trace events from the hot path. `record`
-/// must be cheap and must never block.
-pub trait TraceSink: Send + Sync {
-    /// Accept one event (or drop it — the sink decides, never blocks).
-    fn record(&self, event: TraceEvent);
-}
-
-/// Bounded overwrite-oldest ring. Generic so the lane time-series
-/// sampler reuses the same drop-counting semantics.
+/// Bounded overwrite-oldest ring: the hub's trace events and lane
+/// time-series samples share its drop-counting semantics.
 pub(crate) struct Ring<T> {
     capacity: usize,
     inner: Mutex<RingInner<T>>,
@@ -253,49 +242,16 @@ impl<T: Copy> Ring<T> {
     }
 }
 
-/// The bounded trace-event ring every [`TraceSink`] implementation in
-/// this crate ultimately writes to.
-pub struct TraceRing {
-    ring: Ring<TraceEvent>,
-}
-
-impl TraceRing {
-    /// A ring retaining at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            ring: Ring::new(capacity),
-        }
-    }
-
-    /// Events lost to contention or overwriting since construction.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
-    /// Retained events oldest→newest plus the drop counter.
-    pub fn snapshot(&self) -> (Vec<TraceEvent>, u64) {
-        self.ring.snapshot()
-    }
-}
-
-impl TraceSink for TraceRing {
-    // analyzer: hot-path
-    fn record(&self, event: TraceEvent) {
-        // analyzer: allow(hot-path-alloc) reason="Ring::push is the non-allocating try_lock ring push above, not Vec::push"
-        self.ring.push(event);
-    }
-}
-
-/// A cheap, cloneable handle stamping events for one request. Cloned
-/// into the session so park/steal/resume keep emitting into the same
-/// sink with the same attribution; excluded from checkpoints (a
-/// restored session starts untraced).
+/// A cheap, cloneable handle stamping events for one request, minted
+/// by [`Telemetry::recorder`]. Cloned into the session so
+/// park/steal/resume keep emitting into the same hub with the same
+/// attribution; excluded from checkpoints (a restored session starts
+/// untraced).
 #[derive(Clone)]
 pub struct SpanRecorder {
-    sink: Arc<dyn TraceSink>,
-    task: Task,
-    request: u64,
-    epoch: Instant,
+    pub(super) hub: Arc<Telemetry>,
+    pub(super) task: Task,
+    pub(super) request: u64,
 }
 
 impl std::fmt::Debug for SpanRecorder {
@@ -308,26 +264,12 @@ impl std::fmt::Debug for SpanRecorder {
 }
 
 impl SpanRecorder {
-    /// A recorder stamping `task`/`request` with seconds since `epoch`.
-    pub fn new(sink: Arc<dyn TraceSink>, task: Task, request: u64, epoch: Instant) -> Self {
-        Self {
-            sink,
-            task,
-            request,
-            epoch,
-        }
-    }
-
-    /// Emit `kind` stamped with the current time. Never blocks or
+    /// Emit `kind` stamped with the hub's current time. Never blocks or
     /// allocates.
     // analyzer: hot-path
     pub fn emit(&self, kind: TraceEventKind) {
-        self.sink.record(TraceEvent {
-            t_s: self.epoch.elapsed().as_secs_f64(),
-            task: self.task,
-            request: self.request,
-            kind,
-        });
+        let hub = &self.hub;
+        hub.record_at(hub.now_s(), self.task, self.request, kind);
     }
 }
 
@@ -346,9 +288,9 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
-        let ring = TraceRing::new(3);
+        let ring = Ring::new(3);
         for i in 0..5 {
-            ring.record(event(i, i as f64));
+            ring.push(event(i, i as f64));
         }
         let (events, dropped) = ring.snapshot();
         assert_eq!(
@@ -360,23 +302,30 @@ mod tests {
 
     #[test]
     fn zero_capacity_ring_drops_everything() {
-        let ring = TraceRing::new(0);
-        ring.record(event(0, 0.0));
+        let ring = Ring::new(0);
+        ring.push(event(0, 0.0));
         let (events, dropped) = ring.snapshot();
         assert!(events.is_empty());
         assert_eq!(dropped, 1);
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the hub epoch only stamps the events under test"
+    )]
     fn recorder_timestamps_are_monotone() {
-        let ring = Arc::new(TraceRing::new(8));
-        let rec = SpanRecorder::new(ring.clone(), Task::Qnli, 7, Instant::now());
+        let hub = Arc::new(Telemetry::new(
+            crate::telemetry::TelemetryConfig::default(),
+            std::time::Instant::now(),
+        ));
+        let rec = hub.recorder(Task::Qnli, 7);
         rec.emit(TraceEventKind::Admitted);
         rec.emit(TraceEventKind::Completed {
             verdict: true,
             energy_j: 1e-3,
         });
-        let (events, _) = ring.snapshot();
+        let events = hub.snapshot(std::iter::empty()).events;
         assert_eq!(events.len(), 2);
         assert!(events[0].t_s <= events[1].t_s);
         assert!(events

@@ -1,4 +1,4 @@
-//! JSON rendering and parsing for the [`Value`](crate::Value) tree.
+//! JSON rendering and parsing for the [`Value`] tree.
 //!
 //! The emitted text is ordinary JSON (struct fields in declaration
 //! order, unit enum variants as strings), so serialized requests and

@@ -105,7 +105,6 @@ fn main() {
         policy: SchedulePolicy::EarliestDeadline,
         task_switch_s: 0.0,
         queue_aware_slack: false,
-        telemetry: None,
     };
     let accel_out = drain_load(&accel, &load, cfg);
     let gpu_out = drain_load(&gpu, &load, cfg);

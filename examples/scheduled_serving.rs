@@ -71,7 +71,6 @@ fn main() {
         policy,
         task_switch_s: 0.0,
         queue_aware_slack: false,
-        telemetry: None,
     };
     let fifo = drain_load(&runtime, &load, cfg(SchedulePolicy::Fifo));
     let edf = drain_load(&runtime, &load, cfg(SchedulePolicy::EarliestDeadline));

@@ -26,9 +26,10 @@
 //! the same tight-class bound, and what it recorded is checked too:
 //! every served request leaves a **well-formed span chain** in the
 //! trace ring (`Admitted → Popped → SegmentStart … → Completed`,
-//! monotone timestamps, dumped as JSONL), and the per-lane
+//! monotone timestamps, dumped as JSONL), and the snapshot's per-lane
 //! **log-bucketed histograms** (queue delay, sojourn, step time,
-//! energy) are non-empty and render to Prometheus text.
+//! energy) are non-empty, print as a quantile table and render to
+//! Prometheus text.
 //!
 //! ```text
 //! cargo run --release --example server_serving
@@ -44,7 +45,8 @@ use edgebert::pipeline::{Scale, TaskArtifacts};
 use edgebert::server::ServerConfig;
 use edgebert::serving::{MultiTaskRuntime, TaskRuntime};
 use edgebert::telemetry::{
-    render_prometheus, render_trace_jsonl, span_chains, validate_span_chain, TelemetryConfig,
+    render_prometheus, render_trace_jsonl, span_chains, validate_span_chain, LogHistogram,
+    TelemetryConfig,
 };
 use edgebert_bench::load::{
     all_served, class_reports, drain_load_wall_clock, estimate_service_s, generate_paced_streams,
@@ -239,16 +241,44 @@ fn main() {
         snapshot.dropped_samples
     );
 
-    // --- Stats snapshot with the histogram quantile section.
+    // --- Lane counters, then the snapshot's histogram quantiles.
     println!("\n{}", render_server_stats(&stats));
+    println!(
+        "{:<8} {:<12} {:>7} {:>10} {:>10} {:>10} {:>10}",
+        "lane", "metric", "n", "p50", "p95", "p99", "max"
+    );
+    for lane in &snapshot.lanes {
+        let h = &lane.histograms;
+        let rows: [(&str, &LogHistogram, f64); 4] = [
+            ("queue_ms", &h.queue_delay_s, 1e3),
+            ("sojourn_ms", &h.sojourn_s, 1e3),
+            ("step_ms", &h.step_time_s, 1e3),
+            ("energy_uJ", &h.energy_per_request_j, 1e6),
+        ];
+        for (metric, hist, scale) in rows {
+            println!(
+                "{:<8} {:<12} {:>7} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
+                lane.task.to_string(),
+                metric,
+                hist.count(),
+                hist.p50() * scale,
+                hist.p95() * scale,
+                hist.p99() * scale,
+                hist.max_edge() * scale,
+            );
+        }
+    }
 
     // The histogram quantile is an upper bound within one bucket width
     // (~15.5%) of the sampled percentile over the same lane.
     let tight_lane = stats.lane(Task::Sst2).expect("SST-2 lane served");
-    let hist_report = TailReport::from_sojourn_histogram(
-        &tight_lane.histograms.expect("telemetry on").sojourn_s,
-        tight_lane.violations,
-    );
+    let tight_hist = snapshot
+        .lanes
+        .iter()
+        .find(|lane| lane.task == Task::Sst2)
+        .expect("SST-2 lane recorded");
+    let hist_report =
+        TailReport::from_sojourn_histogram(&tight_hist.histograms.sojourn_s, tight_lane.violations);
     println!(
         "tight-class p99 sojourn: {:.2} ms (sampled) / {:.2} ms (histogram edge)",
         tight_aware.p99_ms, hist_report.p99_ms,

@@ -298,6 +298,7 @@ fn a_waited_response_is_already_in_the_stats() {
         .map(|handle| handle.wait().expect("worker alive"))
         .collect();
     let stats = server.stats();
+    let snapshot = server.telemetry_snapshot().expect("telemetry on");
 
     let shed = refused
         .iter()
@@ -317,7 +318,12 @@ fn a_waited_response_is_already_in_the_stats() {
         "ledger {} vs responses {energy_j}",
         lane.energy_j
     );
-    let histograms = lane.histograms.expect("telemetry on");
+    let histograms = snapshot
+        .lanes
+        .iter()
+        .find(|l| l.task == Task::Sst2)
+        .expect("lane recorded")
+        .histograms;
     assert_eq!(histograms.sojourn_s.count(), lane.served);
     assert_eq!(histograms.queue_delay_s.count(), lane.served);
     let layers: usize = responses.iter().map(|r| r.response.result.exit_layer).sum();

@@ -42,7 +42,6 @@ fn cfg(policy: SchedulePolicy) -> SchedulerConfig {
         policy,
         task_switch_s: 0.0,
         queue_aware_slack: false,
-        telemetry: None,
     }
 }
 

@@ -1,13 +1,12 @@
 //! Integration tests for the `edgebert::telemetry` subsystem: span
 //! chains recorded under real server load, bit-identity neutrality of
-//! the enabled path, deterministic virtual-timeline traces from the
-//! scheduler, exporter content, and log-histogram edge cases (zero
-//! samples, single sample, disjoint merges, serde exactness, and
-//! proptest quantile monotonicity).
+//! the enabled path, lane counters and histograms balancing against
+//! the responses of a concurrent preemptive burst, exporter content,
+//! and log-histogram edge cases (zero samples, single sample, disjoint
+//! merges, serde exactness, and proptest quantile monotonicity).
 
 use edgebert::pipeline::{Scale, TaskArtifacts};
-use edgebert::scheduler::{DeadlineScheduler, SchedulerConfig};
-use edgebert::server::{Server, ServerConfig};
+use edgebert::server::{PreemptionPolicy, Server, ServerConfig, ServerResponse};
 use edgebert::serving::{MultiTaskRuntime, TaskRuntime};
 use edgebert::telemetry::{
     render_prometheus, render_trace_jsonl, span_chains, validate_span_chain, LogHistogram,
@@ -75,7 +74,7 @@ fn server_load_produces_wellformed_span_chains_and_exports() {
     }
     // Let the lane sampler take some ticks before shutdown.
     std::thread::sleep(Duration::from_millis(10));
-    let (stats, snapshot) = server.shutdown_with_telemetry();
+    let (_, snapshot) = server.shutdown_with_telemetry();
     let snapshot = snapshot.expect("telemetry was enabled");
 
     assert_eq!(
@@ -119,13 +118,89 @@ fn server_load_produces_wellformed_span_chains_and_exports() {
         !snapshot.samples.is_empty(),
         "sampler should have ticked during the run"
     );
+}
 
-    // The stats snapshot carries the same distributions.
-    for lane in &stats.lanes {
-        let h = lane
-            .histograms
-            .expect("telemetry-on stats carry histograms");
-        assert_eq!(h.sojourn_s.count(), lane.served);
+/// Every observation has one home, and the homes agree: after a
+/// concurrent burst of mixed-deadline traffic through preemptive
+/// one-shard lanes (service time emulated, so a tight arrival can find
+/// a loose sentence mid-run), each lane's counters equal what its
+/// responses report, and each histogram in the telemetry snapshot holds
+/// one entry per served request (per executed layer for step times).
+/// Equalities only, so they hold whether or not a park happens.
+#[test]
+fn lane_counters_and_histograms_balance_against_a_concurrent_burst() {
+    let rt = runtime();
+    let server = Server::start(
+        rt,
+        ServerConfig {
+            shards_per_task: 1,
+            emulate_service_time: true,
+            preemption: PreemptionPolicy::DeadlineGap(0.0),
+            ..telemetry_config()
+        },
+    );
+    let tasks = [Task::Sst2, Task::Qnli];
+    let responses: Vec<Vec<ServerResponse>> = std::thread::scope(|scope| {
+        let clients: Vec<_> = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, &task)| {
+                let server = &server;
+                scope.spawn(move || {
+                    let handles: Vec<_> = tokens_for(task, 12, 101 + i as u64)
+                        .into_iter()
+                        .enumerate()
+                        .map(|(j, tokens)| {
+                            let target_s = [120e-3, 10e-3, 40e-3][j % 3];
+                            let req = InferenceRequest::new(tokens).with_latency_target(target_s);
+                            let handle = server.submit(task, req).expect("admitted");
+                            std::thread::sleep(Duration::from_millis(2));
+                            handle
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.wait().expect("served"))
+                        .collect()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client"))
+            .collect()
+    });
+    let (stats, snapshot) = server.shutdown_with_telemetry();
+    let snapshot = snapshot.expect("telemetry was enabled");
+
+    for (task, responses) in tasks.iter().zip(&responses) {
+        let lane = stats.lane(*task).expect("lane served");
+        let n = responses.len() as u64;
+        assert_eq!(lane.submitted, n, "{task}");
+        assert_eq!(lane.served, n, "{task}");
+        let missed = responses.iter().filter(|r| !r.deadline_met).count();
+        assert_eq!(lane.violations, missed as u64, "{task}");
+        let parks: u64 = responses.iter().map(|r| u64::from(r.preemptions)).sum();
+        assert_eq!(lane.preempted, parks, "{task}");
+        assert_eq!(lane.resumed, parks, "{task}");
+        let energy_j: f64 = responses.iter().map(|r| r.energy_j).sum();
+        assert!(
+            (lane.energy_j - energy_j).abs() <= 1e-9 * energy_j,
+            "{task}: ledger {} vs responses {energy_j}",
+            lane.energy_j
+        );
+
+        let h = &snapshot
+            .lanes
+            .iter()
+            .find(|l| l.task == *task)
+            .expect("lane recorded")
+            .histograms;
+        assert_eq!(h.queue_delay_s.count(), lane.served, "{task}");
+        assert_eq!(h.sojourn_s.count(), lane.served, "{task}");
+        assert_eq!(h.energy_per_request_j.count(), lane.served, "{task}");
+        let layers: usize = responses.iter().map(|r| r.response.result.exit_layer).sum();
+        assert_eq!(h.step_time_s.count(), layers as u64, "{task}");
     }
 }
 
@@ -175,128 +250,6 @@ fn telemetry_is_bit_identity_neutral() {
         responses
     };
     assert_eq!(serve_all(off), serve_all(on));
-}
-
-/// The scheduler's virtual-timestamp traces are fully deterministic:
-/// two identically-built schedulers fed the same submissions emit
-/// identical event lists, every chain validates, and responses stay
-/// bit-identical to a telemetry-off drain.
-#[test]
-fn scheduler_traces_are_deterministic_and_wellformed() {
-    let rt = runtime();
-    let cfg_on = SchedulerConfig {
-        telemetry: Some(TelemetryConfig::default()),
-        ..SchedulerConfig::default()
-    };
-    let load: Vec<(Task, InferenceRequest, f64)> = tokens_for(Task::Sst2, 3, 81)
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| {
-            (
-                Task::Sst2,
-                InferenceRequest::new(t).with_latency_target(30e-3),
-                2e-3 * i as f64,
-            )
-        })
-        .chain(
-            tokens_for(Task::Qnli, 3, 82)
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    (
-                        Task::Qnli,
-                        InferenceRequest::new(t).with_latency_target(90e-3),
-                        1e-3 + 3e-3 * i as f64,
-                    )
-                }),
-        )
-        .collect();
-    let drain_with = |cfg: SchedulerConfig| {
-        let mut sched = DeadlineScheduler::new(rt, cfg);
-        for (task, req, arrival) in &load {
-            sched.submit(*task, req.clone(), *arrival);
-        }
-        let out = sched.drain();
-        (out, sched.telemetry_snapshot())
-    };
-
-    let (out_a, snap_a) = drain_with(cfg_on);
-    let (out_b, snap_b) = drain_with(cfg_on);
-    let (out_off, snap_off) = drain_with(SchedulerConfig::default());
-    assert!(snap_off.is_none(), "telemetry off records nothing");
-
-    let snap_a = snap_a.expect("telemetry on");
-    let snap_b = snap_b.expect("telemetry on");
-    assert_eq!(
-        snap_a.events, snap_b.events,
-        "virtual traces must be reproducible"
-    );
-    assert_eq!(snap_a.dropped_events, 0);
-
-    // Observation only: responses identical across telemetry on/off.
-    for ((a, b), off) in out_a.iter().zip(&out_b).zip(&out_off) {
-        assert_eq!(a, b);
-        assert_eq!(
-            a.as_ref().map(|r| &r.response),
-            off.as_ref().map(|r| &r.response)
-        );
-    }
-
-    // One well-formed chain per submission, with virtual timestamps.
-    let chains = span_chains(&snap_a.events);
-    assert_eq!(chains.len(), load.len());
-    for ((task, id), chain) in &chains {
-        validate_span_chain(chain)
-            .unwrap_or_else(|e| panic!("malformed chain for {task} #{id}: {e}"));
-        assert!(matches!(chain[0].kind, TraceEventKind::Admitted));
-        assert!(matches!(chain[1].kind, TraceEventKind::Popped { .. }));
-        assert!(matches!(
-            chain.last().expect("non-empty").kind,
-            TraceEventKind::Completed { .. }
-        ));
-    }
-
-    // Per-engine histograms folded one entry per served sentence.
-    for lane in &snap_a.lanes {
-        assert_eq!(lane.histograms.queue_delay_s.count(), 3);
-        assert_eq!(lane.histograms.sojourn_s.count(), 3);
-        assert_eq!(lane.histograms.energy_per_request_j.count(), 3);
-    }
-}
-
-/// A second drain on the same scheduler must not collide trace ids
-/// with the first — chains stay one-per-request across drains.
-#[test]
-fn scheduler_trace_ids_are_unique_across_drains() {
-    let rt = runtime();
-    let mut sched = DeadlineScheduler::new(
-        rt,
-        SchedulerConfig {
-            telemetry: Some(TelemetryConfig::default()),
-            ..SchedulerConfig::default()
-        },
-    );
-    let toks = tokens_for(Task::Sst2, 2, 91);
-    for round in 0..2 {
-        for t in &toks {
-            sched.submit(
-                Task::Sst2,
-                InferenceRequest::new(t.clone()).with_latency_target(50e-3),
-                round as f64,
-            );
-        }
-        sched.drain();
-    }
-    let snap = sched.telemetry_snapshot().expect("telemetry on");
-    let chains = span_chains(&snap.events);
-    assert_eq!(
-        chains.len(),
-        4,
-        "2 drains × 2 submissions → 4 distinct chains"
-    );
-    for (_, chain) in &chains {
-        validate_span_chain(chain).expect("well-formed chain");
-    }
 }
 
 #[test]
