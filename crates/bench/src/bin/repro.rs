@@ -9,19 +9,15 @@
 //! `AlbertConfig::small` scale; `--scale test` uses the tiny test setup
 //! for a fast smoke run.
 
+use edgebert::clock::Clock;
 use edgebert::experiments::{fig10, fig11, fig7, fig8, fig9, table1, table2, table3, table4};
 use edgebert::pipeline::{Scale, TaskArtifacts};
 use edgebert_tasks::Task;
-use std::time::Instant;
 
 const ALL: [&str; 9] = [
     "table1", "table2", "table3", "table4", "fig7", "fig8", "fig9", "fig10", "fig11",
 ];
 
-#[allow(
-    clippy::disallowed_methods,
-    reason = "the bench crate's wall-clock reads are inherent: repro reports how long each experiment took to regenerate"
-)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Paper;
@@ -77,7 +73,7 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, &task)| {
-                let t0 = Instant::now();
+                let t0 = Clock::start();
                 // Disk-cached by (task, scale, seed): repeat runs load in
                 // milliseconds instead of retraining. Point
                 // EDGEBERT_ARTIFACT_DIR elsewhere (or wipe the dir) to
@@ -90,7 +86,7 @@ fn main() {
                     art.summary.encoder_sparsity * 100.0,
                     art.summary.embedding_sparsity * 100.0,
                     art.summary.heads_off,
-                    t0.elapsed().as_secs_f64(),
+                    t0.now_s(),
                 );
                 art
             })
@@ -105,7 +101,7 @@ fn main() {
     };
 
     for w in &wanted {
-        let t0 = Instant::now();
+        let t0 = Clock::start();
         println!("\n==================== {w} ====================");
         match w.as_str() {
             "table1" => println!("{}", table1::render(&table1::run(&artifacts))),
@@ -135,6 +131,6 @@ fn main() {
             "fig11" => println!("{}", fig11::render(&fig11::run())),
             _ => unreachable!("validated above"),
         }
-        println!("[{w} took {:.1}s]", t0.elapsed().as_secs_f64());
+        println!("[{w} took {:.1}s]", t0.now_s());
     }
 }

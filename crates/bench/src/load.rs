@@ -25,6 +25,7 @@
 //! ties by name/weight/task), so permuting [`LoadSpec::classes`] only
 //! permutes the reported class *indices*, never the traffic.
 
+use edgebert::clock::Clock;
 use edgebert::scheduler::{DeadlineScheduler, ScheduledResponse, SchedulerConfig};
 use edgebert::server::{Server, ServerConfig, ServerResponse, ServerStats, SubmitError};
 use edgebert::telemetry::{LogHistogram, TelemetrySnapshot};
@@ -32,7 +33,6 @@ use edgebert::{InferenceRequest, MultiTaskRuntime};
 use edgebert_tasks::{Task, TaskGenerator};
 use edgebert_tensor::stats::percentile;
 use edgebert_tensor::Rng;
-use std::time::{Duration, Instant};
 
 /// One deadline tier of the generated traffic mix.
 #[derive(Debug, Clone)]
@@ -535,23 +535,16 @@ impl LoadOutcome {
 /// under test. Any *other* submit error (full queue, unserved task)
 /// panics: the lane capacity must cover the spec's backlog, and the
 /// ladder is the only sanctioned loss mechanism here.
-#[allow(
-    clippy::disallowed_methods,
-    reason = "the bench crate's wall-clock reads are inherent: its job is to time the serving stack against real time"
-)]
 pub fn drain_load_wall_clock(
     runtime: &MultiTaskRuntime,
     load: &[LoadRequest],
     cfg: ServerConfig,
 ) -> (Vec<LoadOutcome>, ServerStats, Option<TelemetrySnapshot>) {
     let server = Server::start(runtime, cfg);
-    let epoch = Instant::now();
+    let clock = Clock::start();
     let mut pending = Vec::with_capacity(load.len());
     for r in load {
-        let due = epoch + Duration::from_secs_f64(r.arrival_s);
-        if let Some(gap) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(gap);
-        }
+        clock.sleep_until(r.arrival_s);
         pending.push(match server.submit(r.task, r.request.clone()) {
             Ok(handle) => Ok(handle),
             Err(SubmitError::Shed {

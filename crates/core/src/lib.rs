@@ -117,6 +117,7 @@
 //!   [`Server::telemetry_snapshot`](server::Server::telemetry_snapshot),
 //!   and JSONL/Prometheus exporters. [`LaneStats`] keeps the counters;
 //!   the virtual-timeline scheduler's observation is its responses;
+//! * [`clock`] — [`clock::Clock`], the one wall-clock reader;
 //! * [`pipeline`] — end-to-end task artifacts: train → calibrate →
 //!   predictor, at test or paper scale;
 //! * [`experiments`] — one driver per table/figure of the paper's
@@ -153,6 +154,7 @@
 
 pub mod backend;
 pub mod calibrate;
+pub mod clock;
 pub mod energy;
 pub mod engine;
 pub mod experiments;

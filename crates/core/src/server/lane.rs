@@ -25,11 +25,6 @@
 //! parked sessions — in deadline order, so parked sessions resume
 //! EDF-ordered relative to everything else waiting on the lane.
 
-#![allow(
-    clippy::disallowed_methods,
-    reason = "lane timestamps (enqueued_at, parked_at) measure real queueing and parked wall time on the wall-clock serving path"
-)]
-
 use crate::engine::InferenceRequest;
 use crate::overload::{pressure, LadderStep, OverloadController};
 use crate::session::InferenceSession;
@@ -37,7 +32,6 @@ use crate::telemetry::{LaneHistograms, LogHistogram};
 use edgebert_tasks::Task;
 use std::sync::mpsc::SyncSender;
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 use super::{LaneStats, ServerConfig, ServerResponse};
 
@@ -45,12 +39,12 @@ use super::{LaneStats, ServerConfig, ServerResponse};
 pub(super) struct Job {
     /// Admission order within the lane (the EDF tie-break).
     pub seq: u64,
-    /// Absolute deadline on the server clock, seconds since the server
-    /// epoch: admission time + resolved latency target (the EDF key).
+    /// Absolute deadline on the server clock: admission time plus the
+    /// resolved latency target, seconds (the EDF key).
     pub deadline_s: f64,
-    /// When the job entered the lane (queueing delay is measured from
-    /// here at pop time).
-    pub enqueued_at: Instant,
+    /// When the job entered the lane on the server clock, seconds
+    /// (queueing delay is measured from here at pop time).
+    pub enqueued_s: f64,
     /// The request as submitted.
     pub request: InferenceRequest,
     /// Where the serving shard delivers the response.
@@ -87,9 +81,9 @@ pub(super) struct ParkedJob {
     pub ctx: JobContext,
     /// The checkpointed session (hidden state + accounting).
     pub session: InferenceSession,
-    /// When the session was parked (parked wall time is measured from
-    /// here at resume).
-    pub parked_at: Instant,
+    /// When the session was parked on the server clock, seconds
+    /// (parked wall time is measured from here at resume).
+    pub parked_s: f64,
 }
 
 /// The next unit of work a shard picked up. The parked payload is
@@ -397,7 +391,8 @@ impl Lane {
     /// the lock.
     ///
     /// A successful exchange is a yield: the preemption is counted and
-    /// this dispatch's `step_times` folded under the same lock.
+    /// this dispatch's `step_times` folded under the same lock. The
+    /// session is stamped parked at `now_s` on the server clock.
     ///
     /// No wakeup is signalled: the lane's visible work count is
     /// unchanged (one job out, one parked session in).
@@ -407,6 +402,7 @@ impl Lane {
         ctx: JobContext,
         policy: super::PreemptionPolicy,
         step_times: Option<&LogHistogram>,
+        now_s: f64,
     ) -> Result<Popped, Box<(InferenceSession, JobContext)>> {
         let mut queue = self.queue.lock().expect("lane mutex");
         let best = Self::best(queue.jobs.iter().map(|j| (j.deadline_s, j.seq)));
@@ -421,7 +417,7 @@ impl Lane {
         queue.parked.push(ParkedJob {
             ctx,
             session,
-            parked_at: Instant::now(),
+            parked_s: now_s,
         });
         let depth = queue.parked.len();
         let stats = &mut queue.stats;
@@ -531,7 +527,7 @@ mod tests {
                 queue.jobs.push(Job {
                     seq: seq as u64,
                     deadline_s,
-                    enqueued_at: Instant::now(),
+                    enqueued_s: 0.0,
                     request: InferenceRequest::new(vec![seq as u32]),
                     reply: tx,
                 });
@@ -600,7 +596,7 @@ mod tests {
                 charged_elapsed_s: 0.0,
             };
             let session = engine.begin(&InferenceRequest::new(vec![1, 2, 3]));
-            lane.preempt_exchange(session, ctx, policy, None)
+            lane.preempt_exchange(session, ctx, policy, None, 0.0)
         };
 
         let Ok(first) = exchange(10) else {

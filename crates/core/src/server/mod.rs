@@ -36,7 +36,8 @@
 //! handed the full 50 ms as compute budget: DVFS stretches its compute
 //! into a deadline that has already half expired, the sojourn blows the
 //! target, and the lane stays busy longer, compounding the backlog.
-//! Workers here measure each job's real queueing delay at pop time and
+//! Workers here measure each job's real queueing delay at pop time on
+//! the server's one [`Clock`] (which stamps every server event) and
 //! stamp it into the request
 //! ([`InferenceRequest::with_elapsed_queue_s`]), so the engine budgets
 //! V/F against the *true remaining slack*. Waits below
@@ -98,16 +99,12 @@
 //! telemetry on, the distributions leave through
 //! [`Server::telemetry_snapshot`].
 
-#![allow(
-    clippy::disallowed_methods,
-    reason = "the server IS the wall-clock serving path: deadlines, queueing delays, and DVFS slack are measured against real time by design"
-)]
-
 mod lane;
 mod stats;
 
 pub use stats::{LaneStats, ServerStats};
 
+use crate::clock::Clock;
 use crate::energy::{EnergyConfig, FleetCoordinator, LaneObservation, UPDATE_PERIOD};
 use crate::engine::{deadline_met, EdgeBertEngine, InferenceRequest, InferenceResponse};
 use crate::overload::{Degradation, LadderStep, OverloadConfig};
@@ -122,7 +119,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// When a shard parks its running session for a queued arrival.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -515,7 +512,7 @@ struct PoolEntry {
 /// The channel-based async serving front-end (see the module docs).
 pub struct Server {
     cfg: ServerConfig,
-    epoch: Instant,
+    clock: Clock,
     lanes: Vec<PoolEntry>,
     workers: Vec<JoinHandle<()>>,
     /// Telemetry hub, present iff [`ServerConfig::telemetry`] is set.
@@ -568,10 +565,10 @@ impl Server {
                 ecfg.fleet_cap_w
             );
         }
-        let epoch = Instant::now();
+        let clock = Clock::start();
         let telemetry = cfg
             .telemetry
-            .map(|tcfg| Arc::new(Telemetry::new(tcfg, epoch)));
+            .map(|tcfg| Arc::new(Telemetry::new(tcfg, clock)));
         let tasks = runtime.tasks();
         let mut lanes = Vec::new();
         for &task in &tasks {
@@ -595,7 +592,7 @@ impl Server {
                 let hub = telemetry.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("edgebert-{task}-{shard}"))
-                    .spawn(move || shard_loop(&registry, home, shard, cfg, hub.as_ref()))
+                    .spawn(move || shard_loop(&registry, home, shard, cfg, clock, hub.as_ref()))
                     .expect("spawn shard worker");
                 workers.push(handle);
             }
@@ -611,7 +608,7 @@ impl Server {
             observers.push(
                 std::thread::Builder::new()
                     .name("edgebert-telemetry-sampler".into())
-                    .spawn(move || sampler_loop(&registry, &hub, &stop))
+                    .spawn(move || sampler_loop(&registry, &hub, clock, &stop))
                     .expect("spawn telemetry sampler"),
             );
         }
@@ -620,13 +617,13 @@ impl Server {
             observers.push(
                 std::thread::Builder::new()
                     .name("edgebert-energy-coordinator".into())
-                    .spawn(move || coordinator_loop(&registry, ecfg, &stop))
+                    .spawn(move || coordinator_loop(&registry, ecfg, clock, &stop))
                     .expect("spawn energy coordinator"),
             );
         }
         Self {
             cfg,
-            epoch,
+            clock,
             lanes,
             workers,
             telemetry,
@@ -701,8 +698,8 @@ impl Server {
                 retry_after_hint_s: drain_slot_s,
             });
         }
-        let now = Instant::now();
-        let deadline_s = (now - self.epoch).as_secs_f64() + key_s;
+        let now_s = self.clock.now_s();
+        let deadline_s = now_s + key_s;
         // Advance the ladder (a lane without one stays Nominal) on the
         // pre-admission backlog; on the shed rung, refuse work whose
         // remaining budget the backlog ahead of it would already
@@ -751,7 +748,7 @@ impl Server {
                     // with telemetry off), so their trace ids
                     // count down from the top instead.
                     hub.record_at(
-                        (now - self.epoch).as_secs_f64(),
+                        now_s,
                         task,
                         u64::MAX - (queue.stats.shed - 1),
                         TraceEventKind::Shed { pressure: p },
@@ -770,7 +767,7 @@ impl Server {
         queue.jobs.push(Job {
             seq: submission,
             deadline_s,
-            enqueued_at: now,
+            enqueued_s: now_s,
             request,
             reply: tx,
         });
@@ -778,12 +775,7 @@ impl Server {
         if let Some(hub) = &self.telemetry {
             // Emitted while the queue lock pins the pop: the worker
             // cannot record `Popped` before `Admitted` lands.
-            hub.record_at(
-                (now - self.epoch).as_secs_f64(),
-                task,
-                submission,
-                TraceEventKind::Admitted,
-            );
+            hub.record_at(now_s, task, submission, TraceEventKind::Admitted);
         }
         drop(queue);
         entry.lane.available.notify_one();
@@ -899,13 +891,13 @@ fn run_periodic(stop: &AtomicBool, period: Duration, mut tick: impl FnMut()) {
 /// extra_shards)` — plus its energy envelope and measured power draw
 /// when the fleet coordinator is running — into the hub's series ring.
 /// One short queue-lock hold per lane per tick.
-fn sampler_loop(registry: &[PoolEntry], hub: &Telemetry, stop: &AtomicBool) {
+fn sampler_loop(registry: &[PoolEntry], hub: &Telemetry, clock: Clock, stop: &AtomicBool) {
     let period = Duration::from_secs_f64(hub.config().sample_period_s);
     run_periodic(stop, period, || {
         for PoolEntry { lane, .. } in registry {
             let queue = lane.queue.lock().expect("lane mutex");
             let sample = LaneSample {
-                t_s: hub.now_s(),
+                t_s: clock.now_s(),
                 task: lane.task,
                 pressure: lane.pressure_of(&queue),
                 rung: queue
@@ -929,16 +921,17 @@ fn sampler_loop(registry: &[PoolEntry], hub: &Telemetry, stop: &AtomicBool) {
 /// pop-time stamping and attach feasibility never see a budgeted lane
 /// without an envelope), then every update period difference each
 /// lane's cumulative served energy into its measured-power EWMA and
-/// re-waterfill the cap toward queue pressure. Each tick holds one
-/// short lane-lock read and one short lane-lock write per lane.
-fn coordinator_loop(registry: &[PoolEntry], ecfg: EnergyConfig, stop: &AtomicBool) {
+/// re-waterfill the cap toward queue pressure. Each tick reads the
+/// clock once and holds one short lane-lock read and one short
+/// lane-lock write per lane.
+fn coordinator_loop(registry: &[PoolEntry], ecfg: EnergyConfig, clock: Clock, stop: &AtomicBool) {
     let lanes: Vec<&Lane> = registry.iter().map(|e| &*e.lane).collect();
     let tasks: Vec<Task> = lanes.iter().map(|lane| lane.task).collect();
     let mut coordinator = FleetCoordinator::new(ecfg, &tasks);
-    let mut last_tick = Instant::now();
+    let mut last_tick_s = clock.now_s();
     run_periodic(stop, UPDATE_PERIOD, || {
-        let dt_s = last_tick.elapsed().as_secs_f64();
-        last_tick = Instant::now();
+        let now_s = clock.now_s();
+        let dt_s = now_s - std::mem::replace(&mut last_tick_s, now_s);
         let observed: Vec<LaneObservation> = lanes
             .iter()
             .map(|lane| {
@@ -985,6 +978,7 @@ fn shard_loop(
     home: usize,
     shard: usize,
     cfg: ServerConfig,
+    clock: Clock,
     telemetry: Option<&Arc<Telemetry>>,
 ) {
     // A preemption exchange hands this shard the claimed tight job of
@@ -1001,8 +995,8 @@ fn shard_loop(
         // where it was claimed, see `Lane::hand_to_foreign`).
         let thief_lane = (idx != home && matches!(popped.work, Work::Resume(_)))
             .then(|| registry[home].lane.task);
-        let (session, ctx) = materialize(entry, popped, &cfg, telemetry, thief_lane);
-        claimed = drive(&entry.lane, session, ctx, shard, cfg).map(|next| (idx, next));
+        let (session, ctx) = materialize(entry, popped, &cfg, telemetry, thief_lane, clock.now_s());
+        claimed = drive(&entry.lane, session, ctx, shard, cfg, clock).map(|next| (idx, next));
         if claimed.is_none() && idx != home {
             entry.lane.detach();
         }
@@ -1135,10 +1129,10 @@ fn attach_to_pressured_lane(
     Some((idx, entry.lane.hand_to_foreign(&mut queue, work, home)))
 }
 
-/// Turns a popped unit of work into a running session plus its serving
-/// context: a fresh admission measures its wait and stamps slack
-/// before the engine opens the session; a parked session resumes,
-/// charging its parked wall time.
+/// Turns a popped unit of work, popped at `now_s` on the server clock,
+/// into a running session plus its serving context: a fresh admission
+/// measures its wait and stamps slack before the engine opens the
+/// session; a parked session resumes, charging its parked wall time.
 /// `telemetry`/`thief_lane` are observation-only: a fresh pop emits
 /// `Popped` (and `Degraded` when the ladder bit) and attaches the
 /// request's span recorder to the session; a resume emits `Resumed`,
@@ -1149,10 +1143,11 @@ fn materialize(
     cfg: &ServerConfig,
     telemetry: Option<&Arc<Telemetry>>,
     thief_lane: Option<Task>,
+    now_s: f64,
 ) -> (InferenceSession, JobContext) {
     match popped.work {
         Work::Fresh(job) => {
-            let queue_delay_s = job.enqueued_at.elapsed().as_secs_f64();
+            let queue_delay_s = now_s - job.enqueued_s;
             // Any pre-stamp from the submitter (an upstream hop's
             // measured wait) counts toward the total elapsed queue
             // time.
@@ -1231,7 +1226,7 @@ fn materialize(
             let mut session = parked.session;
             // The parked wall time burned real slack: the next
             // DVFS decision sees it, and so does the verdict.
-            session.resume(parked.parked_at.elapsed().as_secs_f64());
+            session.resume(now_s - parked.parked_s);
             if let Some(recorder) = session.trace() {
                 recorder.emit(TraceEventKind::Resumed { thief_lane });
             }
@@ -1252,8 +1247,9 @@ fn drive(
     mut ctx: JobContext,
     shard: usize,
     cfg: ServerConfig,
+    clock: Clock,
 ) -> Option<Popped> {
-    let segment_started = Instant::now();
+    let dispatch_start_s = clock.now_s();
     let resume_base_s = session.modeled_latency_s();
     // Emulation granularity follows the preemption policy: preemptive
     // lanes must be really busy for each layer's modeled time so a
@@ -1270,15 +1266,15 @@ fn drive(
         // far in this dispatch. The software forward pass already
         // consumed real time, so only the remainder is slept — lane
         // busy time is the modeled service time, not the sum of both.
-        let due_s = session.modeled_latency_s() - resume_base_s;
-        let spent_s = segment_started.elapsed().as_secs_f64();
-        std::thread::sleep(Duration::from_secs_f64((due_s - spent_s).clamp(0.0, 10.0)));
+        // Capped at 10 s; a NaN accrual sleeps not at all.
+        let accrued_s = session.modeled_latency_s() - resume_base_s;
+        clock.sleep_until(dispatch_start_s + accrued_s.clamp(0.0, 10.0));
     };
     loop {
         if let Some(step_times) = &mut step_times {
-            let step_started = Instant::now();
+            let step_start_s = clock.now_s();
             session.step();
-            step_times.record(step_started.elapsed().as_secs_f64());
+            step_times.record(clock.now_s() - step_start_s);
         } else {
             session.step();
         }
@@ -1303,7 +1299,14 @@ fn drive(
                 .tightest_queued_deadline()
                 .is_some_and(|queued| cfg.preemption.should_preempt(ctx.deadline_s, queued));
             if pressured {
-                match lane.preempt_exchange(session, ctx, cfg.preemption, step_times.as_ref()) {
+                let now_s = clock.now_s();
+                match lane.preempt_exchange(
+                    session,
+                    ctx,
+                    cfg.preemption,
+                    step_times.as_ref(),
+                    now_s,
+                ) {
                     Ok(claimed) => return Some(claimed),
                     // Pressure vanished between the poll and the lock
                     // (another shard claimed the arrival): nothing was
@@ -1581,6 +1584,64 @@ mod tests {
         );
         assert_eq!(got.slack_deducted_s, 40e-3);
         server.shutdown();
+    }
+
+    #[test]
+    fn slack_floor_admits_a_wait_at_the_floor_not_one_ulp_below() {
+        // `materialize` reads no clock: a job enqueued at 0 and popped
+        // at `now_s` waited exactly `now_s`, so the floor rule can be
+        // driven at the exact boundary.
+        let (rt, data) = fixture_runtime();
+        let engine = rt.runtime(Task::Sst2).expect("served").engine().clone();
+        let floor_s = ServerConfig::default().slack_floor_s;
+        let below_s = f64::from_bits(floor_s.to_bits() - 1);
+        // (queue-aware, measured wait, wait charged to the DVFS budget)
+        let cases = [
+            (true, below_s, 0.0),
+            (true, floor_s, floor_s),
+            (false, below_s, 0.0),
+            (false, floor_s, 0.0),
+        ];
+        for (queue_aware_slack, wait_s, charged_wait_s) in cases {
+            let cfg = ServerConfig {
+                queue_aware_slack,
+                ..ServerConfig::default()
+            };
+            let entry = PoolEntry {
+                lane: Arc::new(Lane::new(Task::Sst2, &cfg, 10e-3, 60e-3, 1)),
+                engine: engine.clone(),
+            };
+            for pre_stamp_s in [0.0, 5e-3] {
+                let (reply, _rx) = sync_channel(1);
+                let request = InferenceRequest::new(data.examples()[0].tokens.clone())
+                    .with_elapsed_queue_s(pre_stamp_s);
+                let popped = Popped {
+                    work: Work::Fresh(Job {
+                        seq: 0,
+                        deadline_s: 1.0,
+                        enqueued_s: 0.0,
+                        request,
+                        reply,
+                    }),
+                    ladder_step: LadderStep::Nominal,
+                    envelope_w: None,
+                };
+                let (session, ctx) = materialize(&entry, popped, &cfg, None, None, wait_s);
+                let case = (queue_aware_slack, wait_s, pre_stamp_s);
+                assert_eq!(ctx.queue_delay_s, wait_s, "{case:?}");
+                assert_eq!(ctx.elapsed_s, pre_stamp_s + wait_s, "{case:?}");
+                let budgeted_s = pre_stamp_s + charged_wait_s;
+                assert_eq!(ctx.slack_deducted_s, budgeted_s, "{case:?}");
+                assert_eq!(session.elapsed_charged_s(), budgeted_s, "{case:?}");
+                // The slack-blind verdict charges the whole measured wait.
+                let verdict_s = if queue_aware_slack {
+                    budgeted_s
+                } else {
+                    pre_stamp_s + wait_s
+                };
+                assert_eq!(ctx.charged_elapsed_s, verdict_s, "{case:?}");
+            }
+        }
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!
 //! The wall-clock server is the one producer: the virtual-timeline
 //! [`DeadlineScheduler`](crate::scheduler::DeadlineScheduler) reports
-//! its timeline in its responses and records nothing here.
-//! [`Telemetry::now_s`] is the subsystem's one clock read.
+//! its timeline in its responses and records nothing here. Spans and
+//! samples are stamped on the server's own [`Clock`].
 
 pub mod export;
 pub mod hist;
@@ -35,7 +35,7 @@ pub mod series;
 pub mod span;
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 use edgebert_tasks::Task;
 use serde::{Deserialize, Serialize};
@@ -45,6 +45,7 @@ pub use hist::{LaneHistograms, LogHistogram};
 pub use series::LaneSample;
 pub use span::{SpanRecorder, TraceEvent, TraceEventKind};
 
+use crate::clock::Clock;
 use span::Ring;
 
 /// Capacities and cadence for the telemetry subsystem. `Copy` so it
@@ -70,27 +71,27 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Panics on a nonsensical configuration (zero trace capacity or a
-    /// non-positive sampling period).
+    /// Panics on a nonsensical configuration (zero trace capacity, or a
+    /// sampling period that is not a positive `Duration`).
     pub fn validate(&self) {
         assert!(
             self.trace_capacity >= 1,
             "telemetry trace_capacity must be at least 1"
         );
         assert!(
-            self.sample_period_s.is_finite() && self.sample_period_s > 0.0,
-            "telemetry sample_period_s must be finite and positive, got {}",
+            Duration::try_from_secs_f64(self.sample_period_s).is_ok_and(|d| !d.is_zero()),
+            "telemetry sample_period_s must be a positive Duration, got {}",
             self.sample_period_s
         );
     }
 }
 
 /// The shared telemetry hub: one trace ring and one time-series ring,
-/// stamped against a single epoch (the server's own, so event
-/// timestamps compare directly with lane deadlines).
+/// stamped on one clock (the server's own, so event timestamps compare
+/// directly with lane deadlines).
 pub struct Telemetry {
     cfg: TelemetryConfig,
-    epoch: Instant,
+    clock: Clock,
     trace: Ring<TraceEvent>,
     series: Ring<LaneSample>,
 }
@@ -106,12 +107,12 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// A hub with rings sized by `cfg`, stamping seconds since `epoch`.
-    pub fn new(cfg: TelemetryConfig, epoch: Instant) -> Self {
+    /// A hub with rings sized by `cfg`, stamping seconds on `clock`.
+    pub fn new(cfg: TelemetryConfig, clock: Clock) -> Self {
         cfg.validate();
         Self {
             cfg,
-            epoch,
+            clock,
             trace: Ring::new(cfg.trace_capacity),
             series: Ring::new(cfg.series_capacity),
         }
@@ -120,15 +121,6 @@ impl Telemetry {
     /// The configuration this hub was built with.
     pub fn config(&self) -> TelemetryConfig {
         self.cfg
-    }
-
-    /// Seconds elapsed since the hub epoch.
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "the hub owns the server epoch; its timestamps only stamp observability records and never feed admission, scheduling, or inference decisions"
-    )]
-    pub fn now_s(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
     }
 
     /// A per-request recorder emitting into this hub's trace ring.
@@ -141,7 +133,7 @@ impl Telemetry {
     }
 
     /// Record one event at an explicit timestamp (hot paths that
-    /// already hold an `Instant`).
+    /// already read the clock).
     // analyzer: hot-path
     pub fn record_at(&self, t_s: f64, task: Task, request: u64, kind: TraceEventKind) {
         // analyzer: allow(hot-path-alloc) reason="Ring::push is the non-allocating try_lock ring push, not Vec::push"
@@ -208,10 +200,6 @@ pub struct TelemetrySnapshot {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "test hubs stamp against a fresh epoch; nothing asserted reads it"
-)]
 mod tests {
     use super::*;
 
@@ -235,13 +223,23 @@ mod tests {
                 trace_capacity: 0,
                 ..TelemetryConfig::default()
             },
-            Instant::now(),
+            Clock::start(),
         );
     }
 
     #[test]
+    #[should_panic(expected = "sample_period_s")]
+    fn sample_period_beyond_a_duration_is_rejected() {
+        TelemetryConfig {
+            sample_period_s: 1e20,
+            ..TelemetryConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
     fn hub_recorder_attributes_events() {
-        let hub = Arc::new(Telemetry::new(TelemetryConfig::default(), Instant::now()));
+        let hub = Arc::new(Telemetry::new(TelemetryConfig::default(), Clock::start()));
         hub.recorder(Task::Sst2, 11).emit(TraceEventKind::Admitted);
         hub.record_at(
             2.0,

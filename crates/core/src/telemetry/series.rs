@@ -16,7 +16,7 @@ use crate::overload::LadderStep;
 /// One periodic observation of a lane's control state.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LaneSample {
-    /// Seconds since the telemetry epoch.
+    /// Seconds on the server's clock.
     pub t_s: f64,
     /// Lane task.
     pub task: Task,

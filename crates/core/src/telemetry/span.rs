@@ -133,12 +133,12 @@ impl Serialize for TraceEventKind {
 }
 
 /// A timestamped, request-attributed trace event. Timestamps are
-/// seconds since the owning hub's epoch (the server's own epoch, so
-/// they compare directly with lane deadlines) and are monotone within
+/// seconds on the owning hub's clock (the server's own, so they
+/// compare directly with lane deadlines) and are monotone within
 /// a request's chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
-    /// Seconds since the telemetry epoch.
+    /// Seconds on the server's clock.
     pub t_s: f64,
     /// Lane/task the request belongs to.
     pub task: Task,
@@ -269,7 +269,7 @@ impl SpanRecorder {
     // analyzer: hot-path
     pub fn emit(&self, kind: TraceEventKind) {
         let hub = &self.hub;
-        hub.record_at(hub.now_s(), self.task, self.request, kind);
+        hub.record_at(hub.clock.now_s(), self.task, self.request, kind);
     }
 }
 
@@ -310,14 +310,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "the hub epoch only stamps the events under test"
-    )]
     fn recorder_timestamps_are_monotone() {
         let hub = Arc::new(Telemetry::new(
             crate::telemetry::TelemetryConfig::default(),
-            std::time::Instant::now(),
+            crate::clock::Clock::start(),
         ));
         let rec = hub.recorder(Task::Qnli, 7);
         rec.emit(TraceEventKind::Admitted);

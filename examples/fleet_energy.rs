@@ -28,6 +28,7 @@
 //!
 //! [`LaneStats::attach_declined`]: edgebert::server::LaneStats
 
+use edgebert::clock::Clock;
 use edgebert::energy::EnergyConfig;
 use edgebert::engine::{DropTarget, EntropyThresholds};
 use edgebert::pipeline::{Scale, TaskArtifacts};
@@ -38,7 +39,6 @@ use edgebert_bench::load::{
     render_server_stats, LoadOutcome, LoadRequest, TraceSpec, TrafficClass,
 };
 use edgebert_tasks::Task;
-use std::time::Instant;
 
 /// Floor on the energy-per-request saving a 70% cap must buy, percent.
 const MIN_SAVINGS_PCT: f64 = 20.0;
@@ -95,19 +95,14 @@ fn flash_crowd(
 
 /// Drains the load and measures the wall time the drain took — the
 /// denominator of the fleet's observed power draw.
-#[allow(
-    clippy::disallowed_methods,
-    reason = "a wall-clock gate: the drain's real duration is the denominator of the observed power draw"
-)]
 fn drain_timed(
     runtime: &MultiTaskRuntime,
     load: &[LoadRequest],
     cfg: ServerConfig,
 ) -> (Vec<LoadOutcome>, ServerStats, f64) {
-    let started = Instant::now();
+    let clock = Clock::start();
     let (outcomes, stats, _) = drain_load_wall_clock(runtime, load, cfg);
-    let wall_s = started.elapsed().as_secs_f64();
-    (outcomes, stats, wall_s)
+    (outcomes, stats, clock.now_s())
 }
 
 fn energy_per_request_j(stats: &ServerStats) -> f64 {

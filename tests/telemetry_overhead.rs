@@ -8,10 +8,10 @@
 mod common;
 
 use common::allocations_during;
+use edgebert::clock::Clock;
 use edgebert::telemetry::{SpanRecorder, Telemetry, TelemetryConfig, TraceEventKind};
 use edgebert_tasks::Task;
 use std::sync::Arc;
-use std::time::Instant;
 
 #[test]
 fn telemetry_hot_paths_do_not_allocate() {
@@ -30,17 +30,13 @@ fn telemetry_hot_paths_do_not_allocate() {
     // --- Enabled steady state: every per-event primitive works on
     // preallocated storage. Warm the ring past capacity first so the
     // overwrite path (the steady state under load) is what's measured.
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "the hub's epoch only stamps observability records; nothing asserted here reads it"
-    )]
     let hub = Arc::new(Telemetry::new(
         TelemetryConfig {
             trace_capacity: 64,
             series_capacity: 8,
             ..TelemetryConfig::default()
         },
-        Instant::now(),
+        Clock::start(),
     ));
     let recorder: SpanRecorder = hub.recorder(Task::Sst2, 1);
     recorder.emit(TraceEventKind::Admitted);
