@@ -134,79 +134,82 @@ fn canonical_class_order(classes: &[TrafficClass]) -> Vec<usize> {
     order
 }
 
-/// Weighted class draw over the canonical order: one uniform sample,
-/// cumulative scan. Bit-identical to [`Rng::weighted_index`] whenever
-/// the declaration order is already canonical (same summation order,
-/// same scan, same single RNG draw).
-fn draw_class(rng: &mut Rng, order: &[usize], weights: &[f32]) -> usize {
-    let total: f32 = order.iter().map(|&i| weights[i]).sum();
-    assert!(total > 0.0, "class draw needs positive total weight");
-    let mut target = rng.uniform() * total;
-    for &i in order {
-        if target < weights[i] {
-            return i;
-        }
-        target -= weights[i];
+/// Exponential(1) draw, `−ln(1 − U)` with `U ∈ [0, 1)` capped so the
+/// log stays finite.
+fn exp1(rng: &mut Rng) -> f64 {
+    let u = rng.uniform().min(0.999_999) as f64;
+    -(1.0 - u).ln()
+}
+
+/// `count` sentences (at least one) of `task`'s standard generator at
+/// the served model's sequence length, seeded by `seed ^ task`.
+fn task_tokens(runtime: &MultiTaskRuntime, task: Task, count: usize, seed: u64) -> Vec<Vec<u32>> {
+    let rt = runtime.runtime(task).expect("served task");
+    TaskGenerator::standard(task, rt.model().config.max_seq_len)
+        .generate(count.max(1), seed ^ task as u64)
+        .examples()
+        .iter()
+        .map(|ex| ex.tokens.clone())
+        .collect()
+}
+
+/// The `i`-th request of a mixed load, in class `class`: class-bound
+/// traffic routes to its task's pool, unbound traffic draws tasks
+/// round-robin, and each pool hands out its sentences in turn.
+fn mixed_request(
+    pools: &[(Task, Vec<Vec<u32>>)],
+    classes: &[TrafficClass],
+    class: usize,
+    i: usize,
+    arrival_s: f64,
+) -> LoadRequest {
+    let pool_at = match classes[class].task {
+        Some(task) => pools
+            .iter()
+            .position(|&(t, _)| t == task)
+            .expect("class-bound task must be served by the runtime"),
+        None => i % pools.len(),
+    };
+    let (task, pool) = &pools[pool_at];
+    LoadRequest {
+        task: *task,
+        request: InferenceRequest::new(pool[i / pools.len() % pool.len()].clone())
+            .with_latency_target(classes[class].latency_target_s),
+        arrival_s,
+        class,
     }
-    *order.last().expect("at least one class")
 }
 
 /// Generates a mixed-task, mixed-deadline arrival process: tasks drawn
 /// round-robin across the runtime's served set, classes drawn by
 /// weight, inter-arrival gaps exponential with the spec's mean.
 pub fn generate(runtime: &MultiTaskRuntime, spec: &LoadSpec) -> Vec<LoadRequest> {
+    assert!(
+        spec.mean_interarrival_s.is_finite() && spec.mean_interarrival_s >= 0.0,
+        "mean inter-arrival gap must be finite and non-negative"
+    );
     let tasks = runtime.tasks();
     assert!(!tasks.is_empty(), "runtime serves no tasks");
     assert!(!spec.classes.is_empty(), "load needs at least one class");
     let mut rng = Rng::seed_from(spec.seed);
     let order = canonical_class_order(&spec.classes);
-    let weights: Vec<f32> = spec.classes.iter().map(|c| c.weight).collect();
-    let mut pools: Vec<(Task, Vec<Vec<u32>>)> = tasks
+    let canonical: Vec<f32> = order.iter().map(|&c| spec.classes[c].weight).collect();
+    let per_task = spec.requests.div_ceil(tasks.len());
+    let pools: Vec<(Task, Vec<Vec<u32>>)> = tasks
         .iter()
-        .map(|&task| {
-            let rt = runtime.runtime(task).expect("served task");
-            let gen = TaskGenerator::standard(task, rt.model().config.max_seq_len);
-            let toks = gen
-                .generate(
-                    spec.requests.div_ceil(tasks.len()).max(1),
-                    spec.seed ^ task as u64,
-                )
-                .examples()
-                .iter()
-                .map(|ex| ex.tokens.clone())
-                .collect();
-            (task, toks)
-        })
+        .map(|&task| (task, task_tokens(runtime, task, per_task, spec.seed)))
         .collect();
     let mut load = Vec::with_capacity(spec.requests);
     let mut clock = 0.0f64;
     for i in 0..spec.requests {
-        // Paced: fixed gaps. Poisson: -mean * ln(1 - U), U ∈ [0, 1).
+        // Paced: fixed gaps. Poisson: exponential gaps with the mean.
         clock += if spec.paced {
             spec.mean_interarrival_s
         } else {
-            let u = rng.uniform().min(0.999_999) as f64;
-            -spec.mean_interarrival_s * (1.0 - u).ln()
+            spec.mean_interarrival_s * exp1(&mut rng)
         };
-        let class = draw_class(&mut rng, &order, &weights);
-        let pool_at = match spec.classes[class].task {
-            // Class-bound traffic routes to its task's pool.
-            Some(task) => tasks
-                .iter()
-                .position(|&t| t == task)
-                .expect("class-bound task must be served by the runtime"),
-            // Unbound traffic draws tasks round-robin.
-            None => i % tasks.len(),
-        };
-        let (task, pool) = &mut pools[pool_at];
-        let tokens = pool[i / tasks.len() % pool.len()].clone();
-        load.push(LoadRequest {
-            task: *task,
-            request: InferenceRequest::new(tokens)
-                .with_latency_target(spec.classes[class].latency_target_s),
-            arrival_s: clock,
-            class,
-        });
+        let class = order[rng.weighted_index(&canonical)];
+        load.push(mixed_request(&pools, &spec.classes, class, i, clock));
     }
     load
 }
@@ -238,16 +241,9 @@ pub fn generate_paced_streams(
         let task = class
             .task
             .expect("paced streams require task-bound classes");
-        let rt = runtime.runtime(task).expect("served task");
-        let gen = TaskGenerator::standard(task, rt.model().config.max_seq_len);
-        let toks: Vec<Vec<u32>> = gen
-            .generate(requests_per_class.max(1), seed ^ task as u64)
-            .examples()
-            .iter()
-            .map(|ex| ex.tokens.clone())
-            .collect();
+        let toks = task_tokens(runtime, task, requests_per_class, seed);
         let phase = rank as f64 / classes.len() as f64;
-        for (i, tokens) in toks.iter().take(requests_per_class).cloned().enumerate() {
+        for (i, tokens) in toks.into_iter().take(requests_per_class).enumerate() {
             load.push(LoadRequest {
                 task,
                 request: InferenceRequest::new(tokens).with_latency_target(class.latency_target_s),
@@ -294,24 +290,31 @@ impl TraceSegment {
 
     /// A linear rate ramp from `start_rate_hz` to `end_rate_hz`.
     pub fn ramp(name: &'static str, duration_s: f64, start_rate_hz: f64, end_rate_hz: f64) -> Self {
-        assert!(
-            duration_s > 0.0 && duration_s.is_finite(),
-            "segment duration must be positive and finite"
-        );
-        assert!(
-            start_rate_hz >= 0.0 && start_rate_hz.is_finite(),
-            "segment start rate must be non-negative and finite"
-        );
-        assert!(
-            end_rate_hz >= 0.0 && end_rate_hz.is_finite(),
-            "segment end rate must be non-negative and finite"
-        );
-        Self {
+        let seg = Self {
             name,
             duration_s,
             start_rate_hz,
             end_rate_hz,
             class_weights: None,
+        };
+        seg.validate();
+        seg
+    }
+
+    /// Panics unless the duration is positive and finite and both rates
+    /// are finite and non-negative.
+    fn validate(&self) {
+        assert!(
+            self.duration_s > 0.0 && self.duration_s.is_finite(),
+            "segment '{}' duration must be positive and finite",
+            self.name
+        );
+        for rate in [self.start_rate_hz, self.end_rate_hz] {
+            assert!(
+                rate >= 0.0 && rate.is_finite(),
+                "segment '{}' rates must be non-negative and finite",
+                self.name
+            );
         }
     }
 
@@ -373,14 +376,13 @@ impl TraceSpec {
 /// and — like [`generate`] — class draws run over the canonical class
 /// order, so the physical stream is independent of declaration order.
 pub fn generate_trace(runtime: &MultiTaskRuntime, spec: &TraceSpec) -> Vec<LoadRequest> {
-    let tasks = runtime.tasks();
-    assert!(!tasks.is_empty(), "runtime serves no tasks");
     assert!(!spec.classes.is_empty(), "trace needs at least one class");
     assert!(
         !spec.segments.is_empty(),
         "trace needs at least one segment"
     );
     for seg in &spec.segments {
+        seg.validate();
         if let Some(w) = &seg.class_weights {
             assert_eq!(
                 w.len(),
@@ -390,31 +392,22 @@ pub fn generate_trace(runtime: &MultiTaskRuntime, spec: &TraceSpec) -> Vec<LoadR
             );
         }
     }
+    let tasks = runtime.tasks();
+    assert!(!tasks.is_empty(), "runtime serves no tasks");
     let order = canonical_class_order(&spec.classes);
-    let declared_weights: Vec<f32> = spec.classes.iter().map(|c| c.weight).collect();
+    let declared: Vec<f32> = spec.classes.iter().map(|c| c.weight).collect();
     let expected = spec.expected_requests().ceil() as usize;
     let mut rng = Rng::seed_from(spec.seed);
-    let mut pools: Vec<(Task, Vec<Vec<u32>>)> = tasks
+    let per_task = expected.div_ceil(tasks.len());
+    let pools: Vec<(Task, Vec<Vec<u32>>)> = tasks
         .iter()
-        .map(|&task| {
-            let rt = runtime.runtime(task).expect("served task");
-            let gen = TaskGenerator::standard(task, rt.model().config.max_seq_len);
-            let toks = gen
-                .generate(
-                    expected.div_ceil(tasks.len()).max(1),
-                    spec.seed ^ task as u64,
-                )
-                .examples()
-                .iter()
-                .map(|ex| ex.tokens.clone())
-                .collect();
-            (task, toks)
-        })
+        .map(|&task| (task, task_tokens(runtime, task, per_task, spec.seed)))
         .collect();
     let mut load: Vec<LoadRequest> = Vec::with_capacity(expected);
     let mut base_s = 0.0f64;
     for seg in &spec.segments {
-        let weights = seg.class_weights.as_ref().unwrap_or(&declared_weights);
+        let weights = seg.class_weights.as_ref().unwrap_or(&declared);
+        let canonical: Vec<f32> = order.iter().map(|&c| weights[c]).collect();
         let s = seg.start_rate_hz;
         let d = seg.duration_s;
         // Quadratic coefficient of the integrated rate Λ(t).
@@ -422,8 +415,7 @@ pub fn generate_trace(runtime: &MultiTaskRuntime, spec: &TraceSpec) -> Vec<LoadR
         let mut lambda_t = 0.0f64; // Λ(t), the integrated rate so far
         loop {
             // Exponential(1) increment on the rescaled clock.
-            let u = rng.uniform().min(0.999_999) as f64;
-            let target = lambda_t - (1.0 - u).ln();
+            let target = lambda_t + exp1(&mut rng);
             // Solve a·x² + s·x = target for the next arrival offset x.
             let x = if a.abs() < 1e-12 {
                 if s <= 0.0 {
@@ -449,24 +441,14 @@ pub fn generate_trace(runtime: &MultiTaskRuntime, spec: &TraceSpec) -> Vec<LoadR
                 break; // next arrival lands past the segment boundary
             }
             lambda_t = s * x + a * x * x;
-            let i = load.len();
-            let class = draw_class(&mut rng, &order, weights);
-            let pool_at = match spec.classes[class].task {
-                Some(task) => tasks
-                    .iter()
-                    .position(|&t| t == task)
-                    .expect("class-bound task must be served by the runtime"),
-                None => i % tasks.len(),
-            };
-            let (task, pool) = &mut pools[pool_at];
-            let tokens = pool[i / tasks.len() % pool.len()].clone();
-            load.push(LoadRequest {
-                task: *task,
-                request: InferenceRequest::new(tokens)
-                    .with_latency_target(spec.classes[class].latency_target_s),
-                arrival_s: base_s + x,
+            let class = order[rng.weighted_index(&canonical)];
+            load.push(mixed_request(
+                &pools,
+                &spec.classes,
                 class,
-            });
+                load.len(),
+                base_s + x,
+            ));
         }
         base_s += d;
     }
@@ -855,4 +837,61 @@ pub fn render_comparison_labeled(
 /// Renders an EDF-vs-FIFO comparison table over per-class reports.
 pub fn render_comparison(fifo: &[(String, TailReport)], edf: &[(String, TailReport)]) -> String {
     render_comparison_labeled("FIFO", fifo, "EDF", edf)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn one_class() -> Vec<TrafficClass> {
+        vec![TrafficClass {
+            name: "only",
+            latency_target_s: 50e-3,
+            weight: 1.0,
+            task: None,
+        }]
+    }
+
+    /// A one-class trace over `segment`. Struct-update syntax builds a
+    /// segment past `ramp`'s checks, so the generator checks again.
+    fn one_segment(segment: TraceSegment) -> TraceSpec {
+        TraceSpec {
+            classes: one_class(),
+            segments: vec![segment],
+            seed: 1,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "segment 'rewind' duration must be positive and finite")]
+    fn trace_refuses_a_negative_duration() {
+        let segment = TraceSegment {
+            duration_s: -0.1,
+            ..TraceSegment::steady("rewind", 0.1, 50.0)
+        };
+        generate_trace(&MultiTaskRuntime::from_runtimes([]), &one_segment(segment));
+    }
+
+    #[test]
+    #[should_panic(expected = "segment 'garbled' rates must be non-negative and finite")]
+    fn trace_refuses_a_nan_rate() {
+        let segment = TraceSegment {
+            end_rate_hz: f64::NAN,
+            ..TraceSegment::steady("garbled", 0.1, 50.0)
+        };
+        generate_trace(&MultiTaskRuntime::from_runtimes([]), &one_segment(segment));
+    }
+
+    #[test]
+    #[should_panic(expected = "mean inter-arrival gap must be finite and non-negative")]
+    fn poisson_mix_refuses_a_nan_mean_gap() {
+        let spec = LoadSpec {
+            requests: 4,
+            mean_interarrival_s: f64::NAN,
+            paced: false,
+            classes: one_class(),
+            seed: 1,
+        };
+        generate(&MultiTaskRuntime::from_runtimes([]), &spec);
+    }
 }

@@ -178,8 +178,13 @@ impl DeadlineScheduler {
     /// owned `Send` engine per task. Each is a clone of the engine the
     /// task's runtime minted from its builder — an `Arc` refcount bump
     /// on the shared weights, and the guarantee that scheduled results
-    /// cannot diverge from the runtime's own `serve`.
+    /// cannot diverge from the runtime's own `serve`. Panics if the
+    /// task-switch charge is negative or not finite.
     pub fn new(runtime: &MultiTaskRuntime, cfg: SchedulerConfig) -> Self {
+        assert!(
+            cfg.task_switch_s.is_finite() && cfg.task_switch_s >= 0.0,
+            "task switch charge must be finite and non-negative"
+        );
         let engines: Vec<(Task, EdgeBertEngine)> = runtime
             .tasks()
             .into_iter()
@@ -275,7 +280,8 @@ impl DeadlineScheduler {
         // round scans that order for the first arrived sentence. The
         // absolute deadline is `arrival + target` after default
         // resolution against the task's engine — identical to what the
-        // engine echoes in its response.
+        // engine echoes in its response. As on the server, a non-finite
+        // deadline (wire garbage) sorts last.
         let deadline_abs: Vec<f64> = pending
             .iter()
             .map(|s| {
@@ -289,6 +295,7 @@ impl DeadlineScheduler {
                             .unwrap_or_else(|| self.engines[e].1.default_latency_target_s())
                     })
             })
+            .map(|d| if d.is_finite() { d } else { f64::INFINITY })
             .collect();
         let key = |s: &Submission| match self.cfg.policy {
             SchedulePolicy::Fifo => (s.arrival_s, s.index),
@@ -470,6 +477,43 @@ mod tests {
                 "tighter deadline must start earlier: {starts:?}"
             );
         }
+    }
+
+    #[test]
+    fn edf_dispatches_non_finite_deadlines_last() {
+        let rt = runtime();
+        let toks = tokens_for(&rt, Task::Sst2, 3, 9);
+        let mut sched = edf(&rt);
+        // `-∞` and a NaN with its sign bit set both order before every
+        // finite key under `total_cmp`.
+        for (t, tok) in [f64::NEG_INFINITY, -f64::NAN, 10e-3].iter().zip(&toks) {
+            sched.submit(
+                Task::Sst2,
+                InferenceRequest::new(tok.clone()).with_latency_target(*t),
+                0.0,
+            );
+        }
+        let out = sched.drain();
+        let starts: Vec<f64> = out
+            .iter()
+            .map(|r| r.as_ref().expect("served").start_s)
+            .collect();
+        assert!(
+            starts[2] < starts[0] && starts[2] < starts[1],
+            "the finite deadline must start first: {starts:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "task switch charge must be finite and non-negative")]
+    fn negative_task_switch_charge_is_refused() {
+        DeadlineScheduler::new(
+            &MultiTaskRuntime::from_runtimes([]),
+            SchedulerConfig {
+                task_switch_s: -1e-3,
+                ..SchedulerConfig::default()
+            },
+        );
     }
 
     #[test]
