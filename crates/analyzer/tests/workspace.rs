@@ -46,7 +46,6 @@ fn telemetry_push_and_lane_pop_paths_are_declared_hot() {
         "Ring::push",
         "SpanRecorder::emit",
         "Telemetry::record_at",
-        "Telemetry::sample",
         // Lane pop path.
         "Lane::pop_work",
         "Lane::best",

@@ -56,12 +56,10 @@ pub struct TrafficClass {
 pub struct LoadSpec {
     /// Number of requests to generate.
     pub requests: usize,
-    /// Mean inter-arrival gap, seconds.
+    /// Mean of the exponential inter-arrival gaps (Poisson arrivals,
+    /// the bursty open-loop case), seconds. For a fixed cadence, see
+    /// [`generate_paced_streams`].
     pub mean_interarrival_s: f64,
-    /// Deterministic gaps exactly at the mean (a frame-paced edge
-    /// pipeline: fixed sensor or audio cadence). `false` draws
-    /// exponential gaps (Poisson arrivals, the bursty open-loop case).
-    pub paced: bool,
     /// The deadline mix.
     pub classes: Vec<TrafficClass>,
     /// RNG seed (arrivals, class draws, and sentences are all
@@ -202,12 +200,7 @@ pub fn generate(runtime: &MultiTaskRuntime, spec: &LoadSpec) -> Vec<LoadRequest>
     let mut load = Vec::with_capacity(spec.requests);
     let mut clock = 0.0f64;
     for i in 0..spec.requests {
-        // Paced: fixed gaps. Poisson: exponential gaps with the mean.
-        clock += if spec.paced {
-            spec.mean_interarrival_s
-        } else {
-            spec.mean_interarrival_s * exp1(&mut rng)
-        };
+        clock += spec.mean_interarrival_s * exp1(&mut rng);
         let class = order[rng.weighted_index(&canonical)];
         load.push(mixed_request(&pools, &spec.classes, class, i, clock));
     }
@@ -233,6 +226,10 @@ pub fn generate_paced_streams(
     requests_per_class: usize,
     seed: u64,
 ) -> Vec<LoadRequest> {
+    assert!(
+        lane_interarrival_s.is_finite() && lane_interarrival_s >= 0.0,
+        "lane inter-arrival gap must be finite and non-negative"
+    );
     assert!(!classes.is_empty(), "load needs at least one class");
     let order = canonical_class_order(classes);
     let mut load: Vec<LoadRequest> = Vec::with_capacity(classes.len() * requests_per_class);
@@ -888,10 +885,33 @@ mod tests {
         let spec = LoadSpec {
             requests: 4,
             mean_interarrival_s: f64::NAN,
-            paced: false,
             classes: one_class(),
             seed: 1,
         };
         generate(&MultiTaskRuntime::from_runtimes([]), &spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane inter-arrival gap must be finite and non-negative")]
+    fn paced_streams_refuse_a_nan_gap() {
+        generate_paced_streams(
+            &MultiTaskRuntime::from_runtimes([]),
+            &one_class(),
+            f64::NAN,
+            4,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lane inter-arrival gap must be finite and non-negative")]
+    fn paced_streams_refuse_a_negative_gap() {
+        generate_paced_streams(
+            &MultiTaskRuntime::from_runtimes([]),
+            &one_class(),
+            -1e-3,
+            4,
+            1,
+        );
     }
 }

@@ -103,13 +103,11 @@ proptest! {
         w1 in 0.1f32..4.0,
         w2 in 0.1f32..4.0,
         perm in 0usize..6,
-        paced_pick in 0usize..2,
     ) {
         let base = classes(w0, w1, w2);
         let spec = LoadSpec {
             requests,
             mean_interarrival_s: mean_ms * 1e-3,
-            paced: paced_pick == 1,
             classes: base.clone(),
             seed,
         };
@@ -269,7 +267,6 @@ fn generated_streams_are_pinned() {
         &LoadSpec {
             requests: 64,
             mean_interarrival_s: 7e-3,
-            paced: false,
             classes: base.clone(),
             seed: 0xD16E,
         },

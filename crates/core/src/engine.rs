@@ -797,8 +797,9 @@ impl EdgeBertEngine {
     ///
     /// # Panics
     ///
-    /// Panics when the checkpoint's model depth does not match this
-    /// engine's (see [`InferenceSession::checkpoint`]).
+    /// Panics when the checkpoint's model depth or hidden-state width
+    /// does not match this engine's (see
+    /// [`InferenceSession::checkpoint`]).
     pub fn restore_session(
         &self,
         checkpoint: crate::session::SessionCheckpoint,

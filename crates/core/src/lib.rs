@@ -112,8 +112,8 @@
 //!   [`SpanRecorder`] into the hub's bounded overwrite-oldest ring with
 //!   an honest drop counter), log-bucketed latency/energy histograms
 //!   with exact merge/serde and exact p50/p95/p99 ([`LogHistogram`]),
-//!   periodic lane time-series samples of `(pressure, rung, queued,
-//!   parked, extra_shards)`, all copied out at once by
+//!   and each lane's gauges `(pressure, rung, queued, parked,
+//!   extra_shards)`, all copied out at once by
 //!   [`Server::telemetry_snapshot`](server::Server::telemetry_snapshot),
 //!   and JSONL/Prometheus exporters. [`LaneStats`] keeps the counters;
 //!   the virtual-timeline scheduler's observation is its responses;
@@ -191,6 +191,6 @@ pub use session::{
     InferenceSession, SessionCheckpoint, SessionState, StepOutcome, SESSION_CHECKPOINT_VERSION,
 };
 pub use telemetry::{
-    LaneHistograms, LaneSample, LogHistogram, SpanRecorder, Telemetry, TelemetryConfig,
-    TelemetrySnapshot, TraceEvent, TraceEventKind,
+    LaneHistograms, LogHistogram, SpanRecorder, Telemetry, TelemetryConfig, TelemetrySnapshot,
+    TraceEvent, TraceEventKind,
 };

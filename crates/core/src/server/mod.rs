@@ -96,7 +96,7 @@
 //! every admitted request — parked sessions included — before workers
 //! exit, and per-lane [`ServerStats`] counters (admissions,
 //! rejections, violations, preemptions, queue/parked depths) — with
-//! telemetry on, the distributions leave through
+//! telemetry on, the distributions and lane gauges leave through
 //! [`Server::telemetry_snapshot`].
 
 mod lane;
@@ -111,7 +111,8 @@ use crate::overload::{Degradation, LadderStep, OverloadConfig};
 use crate::serving::MultiTaskRuntime;
 use crate::session::InferenceSession;
 use crate::telemetry::{
-    LaneSample, LogHistogram, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
+    LaneTelemetrySnapshot, LogHistogram, Telemetry, TelemetryConfig, TelemetrySnapshot,
+    TraceEventKind,
 };
 use edgebert_tasks::Task;
 use lane::{Job, JobContext, Lane, Popped, Work};
@@ -241,7 +242,7 @@ pub struct ServerConfig {
     /// stolen/migrated/resize counters, byte-identical responses.
     pub elastic: Option<ElasticConfig>,
     /// Telemetry: per-request trace spans, per-lane latency/energy
-    /// histograms, and periodic lane time-series sampling (see
+    /// histograms, and lane gauges read at snapshot time (see
     /// [`crate::telemetry`]). `None` (the default) records nothing and
     /// adds zero allocations to the request path; `Some` observes only
     /// — admission decisions, request numbering, and inference
@@ -517,10 +518,10 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
     /// Telemetry hub, present iff [`ServerConfig::telemetry`] is set.
     telemetry: Option<Arc<Telemetry>>,
-    /// The lane time-series sampler (telemetry only) and the fleet
-    /// energy coordinator (energy budgeting only), and their stop flag.
-    observers: Vec<JoinHandle<()>>,
-    observers_stop: Arc<AtomicBool>,
+    /// The fleet energy coordinator (energy budgeting only) and its
+    /// stop flag.
+    coordinator: Option<JoinHandle<()>>,
+    coordinator_stop: Arc<AtomicBool>,
 }
 
 impl Server {
@@ -597,38 +598,22 @@ impl Server {
                 workers.push(handle);
             }
         }
-        let observers_stop = Arc::new(AtomicBool::new(false));
-        let mut observers = Vec::new();
-        if let Some(hub) = &telemetry {
-            let (hub, stop, registry) = (
-                Arc::clone(hub),
-                Arc::clone(&observers_stop),
-                Arc::clone(&registry),
-            );
-            observers.push(
-                std::thread::Builder::new()
-                    .name("edgebert-telemetry-sampler".into())
-                    .spawn(move || sampler_loop(&registry, &hub, clock, &stop))
-                    .expect("spawn telemetry sampler"),
-            );
-        }
-        if let Some(ecfg) = cfg.energy {
-            let (stop, registry) = (Arc::clone(&observers_stop), Arc::clone(&registry));
-            observers.push(
-                std::thread::Builder::new()
-                    .name("edgebert-energy-coordinator".into())
-                    .spawn(move || coordinator_loop(&registry, ecfg, clock, &stop))
-                    .expect("spawn energy coordinator"),
-            );
-        }
+        let coordinator_stop = Arc::new(AtomicBool::new(false));
+        let coordinator = cfg.energy.map(|ecfg| {
+            let stop = Arc::clone(&coordinator_stop);
+            std::thread::Builder::new()
+                .name("edgebert-energy-coordinator".into())
+                .spawn(move || coordinator_loop(&registry, ecfg, clock, &stop))
+                .expect("spawn energy coordinator")
+        });
         Self {
             cfg,
             clock,
             lanes,
             workers,
             telemetry,
-            observers,
-            observers_stop,
+            coordinator,
+            coordinator_stop,
         }
     }
 
@@ -820,17 +805,31 @@ impl Server {
     }
 
     /// Everything the telemetry subsystem recorded so far: trace
-    /// events, per-lane histograms, lane time-series, and drop
-    /// counters. `None` when [`ServerConfig::telemetry`] is off. Can be
-    /// taken at any time; for a complete trace of a finished load, use
+    /// events and their drop counter, plus each lane's histograms and
+    /// gauges, read under one hold of its lock. `None` when
+    /// [`ServerConfig::telemetry`] is off. Can be taken at any time;
+    /// for a complete trace of a finished load, use
     /// [`shutdown_with_telemetry`](Self::shutdown_with_telemetry).
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         let hub = self.telemetry.as_ref()?;
-        let lanes = self.lanes.iter().map(|entry| &entry.lane);
-        Some(hub.snapshot(lanes.filter_map(|lane| {
-            let histograms = lane.queue.lock().expect("lane mutex").histograms?;
-            Some((lane.task, histograms))
-        })))
+        let lanes = self.lanes.iter().filter_map(|PoolEntry { lane, .. }| {
+            let queue = lane.queue.lock().expect("lane mutex");
+            Some(LaneTelemetrySnapshot {
+                task: lane.task,
+                histograms: queue.histograms?,
+                pressure: lane.pressure_of(&queue),
+                rung: queue
+                    .controller
+                    .as_ref()
+                    .map_or(LadderStep::Nominal, |ladder| ladder.step()),
+                queued: queue.jobs.len(),
+                parked: queue.parked.len(),
+                extra_shards: queue.extra_shards,
+                envelope_w: queue.envelope_w,
+                power_w: queue.measured_power_w,
+            })
+        });
+        Some(hub.snapshot(lanes))
     }
 
     /// Gracefully shuts down: admission closes, every already-admitted
@@ -859,11 +858,11 @@ impl Server {
         for worker in self.workers.drain(..) {
             worker.join().expect("shard worker exits cleanly");
         }
-        self.observers_stop.store(true, Ordering::Relaxed);
-        for observer in self.observers.drain(..) {
-            observer
+        self.coordinator_stop.store(true, Ordering::Relaxed);
+        if let Some(coordinator) = self.coordinator.take() {
+            coordinator
                 .join()
-                .expect("sampler and coordinator exit cleanly");
+                .expect("energy coordinator exits cleanly");
         }
     }
 }
@@ -884,36 +883,6 @@ fn run_periodic(stop: &AtomicBool, period: Duration, mut tick: impl FnMut()) {
             return;
         }
     }
-}
-
-/// The lane time-series sampler: every sample period, snapshot each
-/// lane's control state `(pressure, rung, queued, parked,
-/// extra_shards)` — plus its energy envelope and measured power draw
-/// when the fleet coordinator is running — into the hub's series ring.
-/// One short queue-lock hold per lane per tick.
-fn sampler_loop(registry: &[PoolEntry], hub: &Telemetry, clock: Clock, stop: &AtomicBool) {
-    let period = Duration::from_secs_f64(hub.config().sample_period_s);
-    run_periodic(stop, period, || {
-        for PoolEntry { lane, .. } in registry {
-            let queue = lane.queue.lock().expect("lane mutex");
-            let sample = LaneSample {
-                t_s: clock.now_s(),
-                task: lane.task,
-                pressure: lane.pressure_of(&queue),
-                rung: queue
-                    .controller
-                    .as_ref()
-                    .map_or(LadderStep::Nominal, |ladder| ladder.step()),
-                queued: queue.jobs.len(),
-                parked: queue.parked.len(),
-                extra_shards: queue.extra_shards,
-                envelope_w: queue.envelope_w,
-                power_w: queue.measured_power_w,
-            };
-            drop(queue);
-            hub.sample(sample);
-        }
-    });
 }
 
 /// The fleet energy coordinator: allocate envelopes immediately at

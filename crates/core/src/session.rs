@@ -433,15 +433,22 @@ impl InferenceSession {
     ///
     /// Panics when `engine`'s model depth differs from the
     /// checkpointing engine's — the layer accounting would be
-    /// meaningless. (Equality of depth is a necessary sanity check, not
-    /// a full compatibility proof: bit-identical resumption requires
-    /// restoring onto an engine built from the same model, LUT, and
-    /// backend configuration.)
+    /// meaningless — or when the hidden state's width is not the
+    /// model's `hidden_size`, which the first layer step would trip
+    /// over inside a worker. (Equal depth and width are necessary
+    /// sanity checks, not a full compatibility proof: bit-identical
+    /// resumption requires restoring onto an engine built from the
+    /// same model, LUT, and backend configuration.)
     pub(crate) fn restore(engine: EdgeBertEngine, checkpoint: SessionCheckpoint) -> Self {
         assert_eq!(
             checkpoint.num_layers,
             engine.model().num_layers(),
             "checkpoint depth does not match the restoring engine's model"
+        );
+        assert_eq!(
+            checkpoint.fwd.width(),
+            engine.model().config.hidden_size,
+            "checkpoint hidden-state width does not match the restoring engine's model"
         );
         Self {
             engine,

@@ -51,8 +51,8 @@ fn render_histogram(
 }
 
 /// Render the snapshot in Prometheus text exposition format: one
-/// histogram family per recorded distribution, drop counters, and the
-/// latest time-series sample per lane as gauges.
+/// histogram family per recorded distribution, the trace drop counter,
+/// and each lane's snapshot-time gauges.
 pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     render_histogram(
@@ -91,43 +91,24 @@ pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
         "edgebert_trace_events_dropped_total {}",
         snapshot.dropped_events
     );
-    let _ = writeln!(out, "# HELP edgebert_series_samples_dropped_total Lane samples lost to ring contention or overwriting.");
-    let _ = writeln!(out, "# TYPE edgebert_series_samples_dropped_total counter");
-    let _ = writeln!(
-        out,
-        "edgebert_series_samples_dropped_total {}",
-        snapshot.dropped_samples
-    );
 
-    // Latest sample per lane → gauges.
     for lane in &snapshot.lanes {
-        if let Some(s) = snapshot.samples.iter().rev().find(|s| s.task == lane.task) {
-            let task = task_label(s.task);
-            let _ = writeln!(
-                out,
-                "edgebert_lane_pressure{{task=\"{task}\"}} {}",
-                s.pressure
-            );
-            let _ = writeln!(
-                out,
-                "edgebert_lane_rung{{task=\"{task}\"}} {}",
-                s.rung as u8
-            );
-            let _ = writeln!(out, "edgebert_lane_queued{{task=\"{task}\"}} {}", s.queued);
-            let _ = writeln!(out, "edgebert_lane_parked{{task=\"{task}\"}} {}", s.parked);
-            let _ = writeln!(
-                out,
-                "edgebert_lane_extra_shards{{task=\"{task}\"}} {}",
-                s.extra_shards
-            );
-            // Energy gauges exist only when the fleet coordinator is
-            // running — absent rows, not zero rows, so dashboards can
-            // tell "unbudgeted" from "budgeted at zero".
-            if let Some(w) = s.envelope_w {
-                let _ = writeln!(out, "edgebert_lane_envelope_watts{{task=\"{task}\"}} {w}");
-            }
-            if let Some(w) = s.power_w {
-                let _ = writeln!(out, "edgebert_lane_power_watts{{task=\"{task}\"}} {w}");
+        let task = task_label(lane.task);
+        // The energy gauges exist only when the fleet coordinator is
+        // running — absent rows, not zero rows, so dashboards can tell
+        // "unbudgeted" from "budgeted at zero".
+        let gauges = [
+            ("pressure", Some(lane.pressure)),
+            ("rung", Some(f64::from(lane.rung as u8))),
+            ("queued", Some(lane.queued as f64)),
+            ("parked", Some(lane.parked as f64)),
+            ("extra_shards", Some(lane.extra_shards as f64)),
+            ("envelope_watts", lane.envelope_w),
+            ("power_watts", lane.power_w),
+        ];
+        for (name, value) in gauges {
+            if let Some(v) = value {
+                let _ = writeln!(out, "edgebert_lane_{name}{{task=\"{task}\"}} {v}");
             }
         }
     }
@@ -349,10 +330,6 @@ mod tests {
             lanes: vec![LaneTelemetrySnapshot {
                 task: Task::Sst2,
                 histograms,
-            }],
-            samples: vec![super::super::LaneSample {
-                t_s: 1.0,
-                task: Task::Sst2,
                 pressure: 0.5,
                 rung: crate::overload::LadderStep::Nominal,
                 queued: 2,
@@ -361,7 +338,6 @@ mod tests {
                 envelope_w: Some(0.125),
                 power_w: Some(0.08),
             }],
-            dropped_samples: 0,
         };
         let text = render_prometheus(&snapshot);
         assert!(text.contains("edgebert_queue_delay_seconds_bucket{task=\"sst-2\",le=\""));
@@ -384,10 +360,6 @@ mod tests {
             lanes: vec![LaneTelemetrySnapshot {
                 task: Task::Sst2,
                 histograms: LaneHistograms::default(),
-            }],
-            samples: vec![super::super::LaneSample {
-                t_s: 1.0,
-                task: Task::Sst2,
                 pressure: 0.0,
                 rung: crate::overload::LadderStep::Nominal,
                 queued: 0,
@@ -396,7 +368,6 @@ mod tests {
                 envelope_w: None,
                 power_w: None,
             }],
-            dropped_samples: 0,
         };
         let text = render_prometheus(&snapshot);
         assert!(text.contains("edgebert_lane_pressure{task=\"sst-2\"}"));

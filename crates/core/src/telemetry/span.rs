@@ -167,8 +167,8 @@ impl Serialize for TraceEvent {
     }
 }
 
-/// Bounded overwrite-oldest ring: the hub's trace events and lane
-/// time-series samples share its drop-counting semantics.
+/// Bounded overwrite-oldest ring holding the hub's trace events, with
+/// drop counting.
 pub(crate) struct Ring<T> {
     capacity: usize,
     inner: Mutex<RingInner<T>>,

@@ -118,6 +118,12 @@ impl ForwardState {
         self.logits.len()
     }
 
+    /// Width of the hidden state entering the next layer: the model's
+    /// `hidden_size` for every session that model began.
+    pub fn width(&self) -> usize {
+        self.hidden.cols()
+    }
+
     /// Off-ramp logits after `layer` (1-based).
     ///
     /// # Panics

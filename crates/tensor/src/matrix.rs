@@ -51,11 +51,29 @@ impl std::error::Error for ShapeError {}
 /// let c = a.matmul(&b);
 /// assert_eq!(c, a);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+// Hand-written (not derived): a matrix read off the wire or out of a
+// cache must hold exactly `rows × cols` values, or every kernel that
+// trusts the shape indexes out of bounds later.
+impl Deserialize for Matrix {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let rows: usize = Deserialize::from_value(value.field("rows")?)?;
+        let cols: usize = Deserialize::from_value(value.field("cols")?)?;
+        let data: Vec<f32> = Deserialize::from_value(value.field("data")?)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::Error::new(format!(
+                "matrix shape {rows}x{cols} does not match its {} values",
+                data.len()
+            )));
+        }
+        Ok(Self { rows, cols, data })
+    }
 }
 
 impl Matrix {
@@ -601,6 +619,18 @@ impl fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deserialize_refuses_a_shape_that_miscounts_the_data() {
+        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let json = serde::json::to_string(&m);
+        assert_eq!(serde::json::from_str::<Matrix>(&json), Ok(m));
+        for forged in ["\"cols\":3", "\"cols\":1", "\"cols\":18446744073709551615"] {
+            let tampered = json.replacen("\"cols\":2", forged, 1);
+            let err = serde::json::from_str::<Matrix>(&tampered).expect_err(forged);
+            assert!(err.message.contains("shape"), "{err}");
+        }
+    }
 
     #[test]
     fn zeros_and_shape() {

@@ -81,7 +81,6 @@ fn main() {
     let spec = LoadSpec {
         requests: 80,
         mean_interarrival_s: service_s * 1.3,
-        paced: false,
         classes: vec![
             TrafficClass {
                 name: "tight",

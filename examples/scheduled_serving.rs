@@ -39,7 +39,6 @@ fn main() {
         // Near-capacity lane (~87 % utilization): bursts form queues,
         // and the policy decides who absorbs the delay.
         mean_interarrival_s: service_s * 1.15,
-        paced: false,
         classes: vec![
             TrafficClass {
                 name: "tight",

@@ -235,11 +235,10 @@ fn main() {
     {
         println!("  {line}");
     }
-    println!(
-        "\nlane time-series: {} samples ({} dropped)",
-        snapshot.samples.len(),
-        snapshot.dropped_samples
-    );
+    println!("\nlane gauges after the drain:");
+    for line in prom.lines().filter(|l| l.starts_with("edgebert_lane_")) {
+        println!("  {line}");
+    }
 
     // --- Lane counters, then the snapshot's histogram quantiles.
     println!("\n{}", render_server_stats(&stats));

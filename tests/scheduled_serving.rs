@@ -216,7 +216,6 @@ fn load_generator_is_deterministic_and_well_formed() {
     let spec = LoadSpec {
         requests: 40,
         mean_interarrival_s: 2e-3,
-        paced: false,
         classes: vec![
             TrafficClass {
                 name: "tight",
@@ -265,7 +264,6 @@ fn tail_report_percentiles_are_ordered_and_edf_protects_tight_traffic() {
     let spec = LoadSpec {
         requests: 80,
         mean_interarrival_s: service_s * 1.15,
-        paced: false,
         classes: vec![
             TrafficClass {
                 name: "tight",

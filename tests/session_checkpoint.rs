@@ -224,6 +224,65 @@ fn non_finite_accounting_is_refused() {
     assert!(serde::json::from_str::<edgebert::SessionCheckpoint>(&tampered).is_err());
 }
 
+/// The parked hidden state's wire prefix, `"hidden":{"rows":R,"cols":C`,
+/// and its shape.
+fn hidden_shape(wire: &str) -> (String, usize, usize) {
+    let at = wire.find("\"hidden\":{").expect("hidden state on the wire");
+    let field = |name: &str| -> usize {
+        let key = format!("\"{name}\":");
+        let from = at + wire[at..].find(&key).expect("shape field") + key.len();
+        let digits: String = wire[from..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().expect("integer shape")
+    };
+    let (rows, cols) = (field("rows"), field("cols"));
+    let prefix = format!("\"hidden\":{{\"rows\":{rows},\"cols\":{cols}");
+    assert!(wire.contains(&prefix), "{wire}");
+    (prefix, rows, cols)
+}
+
+#[test]
+fn hidden_state_shape_disagreeing_with_its_data_is_refused() {
+    // rows × cols must count the values carried, or the first layer
+    // step panics a worker on a width mismatch.
+    let f = fixture();
+    let request = InferenceRequest::new(f.tokens.clone());
+    let session = parked_session(&f.engine, &request, 1);
+    let wire = serde::json::to_string(&session.checkpoint().expect("parked"));
+    let (honest, rows, cols) = hidden_shape(&wire);
+    let tampered = wire.replacen(
+        &honest,
+        &format!("\"hidden\":{{\"rows\":{rows},\"cols\":{}", cols + 1),
+        1,
+    );
+    let err = serde::json::from_str::<edgebert::SessionCheckpoint>(&tampered)
+        .expect_err("a hidden state whose shape miscounts its data must be refused");
+    assert!(err.to_string().contains("shape"), "{err}");
+}
+
+#[test]
+#[should_panic(expected = "width")]
+fn restoring_a_reshaped_hidden_state_panics() {
+    // A consistent reshape passes the wire check (rows × cols still
+    // counts the data) but not the model's hidden width.
+    let f = fixture();
+    let request = InferenceRequest::new(f.tokens.clone());
+    let session = parked_session(&f.engine, &request, 1);
+    let wire = serde::json::to_string(&session.checkpoint().expect("parked"));
+    let (honest, rows, cols) = hidden_shape(&wire);
+    assert_eq!(cols % 2, 0, "the fixture's hidden width is even");
+    let tampered = wire.replacen(
+        &honest,
+        &format!("\"hidden\":{{\"rows\":{},\"cols\":{}", rows * 2, cols / 2),
+        1,
+    );
+    let cp: edgebert::SessionCheckpoint =
+        serde::json::from_str(&tampered).expect("a consistent reshape is well-formed on the wire");
+    let _ = f.engine.restore_session(cp);
+}
+
 #[test]
 #[should_panic(expected = "depth")]
 fn restoring_onto_a_wrong_depth_engine_panics() {

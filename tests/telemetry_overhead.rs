@@ -31,11 +31,7 @@ fn telemetry_hot_paths_do_not_allocate() {
     // preallocated storage. Warm the ring past capacity first so the
     // overwrite path (the steady state under load) is what's measured.
     let hub = Arc::new(Telemetry::new(
-        TelemetryConfig {
-            trace_capacity: 64,
-            series_capacity: 8,
-            ..TelemetryConfig::default()
-        },
+        TelemetryConfig { trace_capacity: 64 },
         Clock::start(),
     ));
     let recorder: SpanRecorder = hub.recorder(Task::Sst2, 1);
