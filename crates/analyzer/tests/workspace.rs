@@ -51,6 +51,10 @@ fn telemetry_push_and_lane_pop_paths_are_declared_hot() {
         "Lane::best",
         "Lane::finish_pop",
         "Lane::resume_parked",
+        // The pop's energy envelope.
+        "Lane::envelope_w",
+        "FleetBudget::envelope_w",
+        "split",
     ] {
         assert!(
             hot.contains(&expected),

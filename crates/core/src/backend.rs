@@ -150,7 +150,7 @@ pub trait InferenceBackend: std::fmt::Debug + Send + Sync {
     /// watts — the anchor a fleet energy budget divides per-lane
     /// envelopes against. The default, `f64::INFINITY`, means the
     /// backend does not model power: every envelope then reads as
-    /// unconstrained, and the energy coordinator leaves the backend's
+    /// unconstrained, and fleet energy budgeting leaves the backend's
     /// decisions untouched.
     fn nominal_power_w(&self) -> f64 {
         f64::INFINITY
@@ -246,8 +246,8 @@ impl AcceleratorBackend {
         let embed_bits = sentence_embedding_bits(workload.seq_len, 128, 0.4);
         // Sustained compute power at nominal V/F: average power of a
         // nominal-point layer run. Layers are homogeneous, so one layer
-        // prices the same watts as full depth; the fleet coordinator
-        // scales envelopes relative to this anchor.
+        // prices the same watts as full depth; fleet energy budgets
+        // are sized relative to this anchor.
         let nominal_cost = sim.run_layers(&layer, 1, accel.vdd_nominal, accel.freq_max_hz);
         let nominal_power_w = nominal_cost.energy_j / nominal_cost.seconds;
         Self {

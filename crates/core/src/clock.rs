@@ -1,5 +1,5 @@
 //! The workspace's one wall-clock reader. The server's stamps, its
-//! emulation sleep, the energy coordinator's tick, telemetry, and the
+//! emulation sleep, telemetry, and the
 //! timers of the bench crate and the wall-clock gates all read real
 //! time as `f64` seconds through a [`Clock`]. This file is the one
 //! place the root `clippy.toml`'s `Instant` ban is lifted;

@@ -6,8 +6,7 @@
 //! module is the control plane between the server's lanes and each
 //! engine's DVFS policy:
 //!
-//! * [`EnergyConfig`] — the fleet power cap, the guaranteed per-lane
-//!   floor, and the coordinator's EWMA/update cadence;
+//! * [`EnergyConfig`] — the fleet power cap and per-lane floor;
 //! * [`allocate`] — the pure allocation rule: every lane gets the
 //!   floor, and the headroom above `n · floor_w` is waterfilled toward
 //!   pressured lanes in proportion to their queue pressure (the same
@@ -15,32 +14,25 @@
 //!   observes, which already blends backlog depth against the lane's
 //!   deadline horizon). Inputs are taken in *canonical* (task-name)
 //!   order, so the allocation is invariant under lane declaration
-//!   order;
-//! * [`PowerEwma`] — exponentially-weighted measured lane power from
-//!   the per-step [`SegmentCost`](crate::backend::SegmentCost) energy
-//!   accounting, with a time-constant-correct `1 − exp(−Δt/τ)` gain so
-//!   irregular sampling periods do not bias the estimate;
-//! * [`FleetCoordinator`] — the deterministic tick: feed it each
-//!   lane's cumulative served energy and current pressure plus the
-//!   elapsed interval, get back per-lane [`LaneAllocation`]s (envelope
-//!   watts to enforce, measured watts to report).
+//!   order.
 //!
-//! The coordinator itself is timer-free — the server drives it from a
-//! wall-clock thread — so the same tick can be driven from a virtual
-//! clock once the server's lanes run on one (the virtual-timeline
-//! scheduler carries no copy of it). How an envelope
+//! The server applies the rule where an envelope is read, from the
+//! pressures its lanes publish at admission and pop (`FleetBudget`):
+//! no thread, no timer. How an envelope
 //! *binds* lives elsewhere: the session clamps its operating point via
 //! the `cap_w` of [`InferenceBackend::decide`](crate::backend::InferenceBackend::decide)
 //! (feasibility judged honestly — an envelope that forbids the
 //! deadline-meeting point surfaces as deadline risk, never a silent
 //! re-price), the autoscaler declines attaches the envelope cannot
 //! power, and the shed rung prices the envelope's slowdown into its
-//! feasibility estimate. Everything ships default-off
+//! feasibility estimate. The virtual-timeline scheduler carries no
+//! envelope mode. Everything ships default-off
 //! (`ServerConfig::energy: Option<EnergyConfig>`); the disabled path is
 //! bit-identical to the pre-energy stack.
 
 use edgebert_tasks::Task;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fleet energy budgeting knobs. Disabled unless installed in
 /// [`ServerConfig::energy`](crate::server::ServerConfig).
@@ -54,12 +46,6 @@ pub struct EnergyConfig {
     /// `floor_w · lanes ≤ fleet_cap_w` at construction.
     pub floor_w: f64,
 }
-
-/// Time constant of the measured-power EWMA, seconds.
-const EWMA_TAU_S: f64 = 0.25;
-
-/// How often the wall-clock coordinator re-allocates envelopes.
-pub(crate) const UPDATE_PERIOD: std::time::Duration = std::time::Duration::from_millis(25);
 
 impl Default for EnergyConfig {
     /// A cap around twice one accelerator shard's nominal draw with a
@@ -135,210 +121,115 @@ pub struct EnergyEnvelope {
 /// away at construction) falls back to an even split of the cap so the
 /// sum invariant still holds.
 pub fn allocate(fleet_cap_w: f64, floor_w: f64, demands: &[LaneDemand]) -> Vec<EnergyEnvelope> {
-    let n = demands.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let mut lanes: Vec<LaneDemand> = demands.to_vec();
     lanes.sort_by_key(|d| d.task.name());
     debug_assert!(
         lanes.windows(2).all(|w| w[0].task != w[1].task),
         "duplicate lane task in energy demands"
     );
+    lanes
+        .iter()
+        .enumerate()
+        .map(|(slot, d)| EnergyEnvelope {
+            task: d.task,
+            watts: split(fleet_cap_w, floor_w, lanes.iter().map(|d| d.pressure), slot),
+        })
+        .collect()
+}
+
+/// Lane `slot`'s envelope under [`allocate`]'s rule from every lane's
+/// pressure in canonical order — the one home of that arithmetic, so
+/// [`allocate`] and [`FleetBudget`] agree bit for bit.
+// analyzer: hot-path
+fn split(
+    fleet_cap_w: f64,
+    floor_w: f64,
+    pressures: impl ExactSizeIterator<Item = f64>,
+    slot: usize,
+) -> f64 {
+    let n = pressures.len() as f64;
     let floor = if floor_w.is_finite() && floor_w > 0.0 {
         floor_w
     } else {
         0.0
     };
-    let headroom = fleet_cap_w - floor * n as f64;
+    let headroom = fleet_cap_w - floor * n;
     if headroom.is_nan() || headroom < 0.0 {
         // Floors alone overflow the cap: even split keeps Σ = cap.
-        let even = fleet_cap_w / n as f64;
-        return lanes
-            .iter()
-            .map(|d| EnergyEnvelope {
-                task: d.task,
-                watts: even,
-            })
-            .collect();
+        return fleet_cap_w / n;
     }
     let sane = |p: f64| if p.is_finite() && p > 0.0 { p } else { 0.0 };
-    let total: f64 = lanes.iter().map(|d| sane(d.pressure)).sum();
-    lanes
-        .iter()
-        .map(|d| {
-            let share = if total > 0.0 {
-                sane(d.pressure) / total
-            } else {
-                1.0 / n as f64
-            };
-            EnergyEnvelope {
-                task: d.task,
-                watts: floor + headroom * share,
-            }
-        })
-        .collect()
-}
-
-/// Exponentially-weighted average power from irregular energy samples.
-///
-/// Each observation is an energy delta over an elapsed interval; the
-/// gain `1 − exp(−Δt/τ)` makes the estimate independent of how the
-/// interval happens to be sliced, so a coordinator tick that ran late
-/// does not over-weight its sample.
-#[derive(Debug, Clone, Copy)]
-pub struct PowerEwma {
-    tau_s: f64,
-    watts: f64,
-    primed: bool,
-}
-
-impl PowerEwma {
-    /// A zeroed average with time constant `tau_s` (sanitized to a
-    /// minimum of 1 ms so a degenerate τ cannot divide by zero).
-    pub fn new(tau_s: f64) -> Self {
-        let tau_s = if tau_s.is_finite() && tau_s > 1e-3 {
-            tau_s
-        } else {
-            1e-3
-        };
-        Self {
-            tau_s,
-            watts: 0.0,
-            primed: false,
+    let (mut total, mut own) = (0.0, 0.0);
+    for (i, p) in pressures.enumerate() {
+        let p = sane(p);
+        total += p;
+        if i == slot {
+            own = p;
         }
     }
-
-    /// Folds in `energy_j` joules served over the last `dt_s` seconds
-    /// and returns the updated average. Non-positive or non-finite
-    /// intervals and negative/non-finite energy deltas are ignored
-    /// (the average holds).
-    pub fn observe(&mut self, energy_j: f64, dt_s: f64) -> f64 {
-        if !(dt_s.is_finite() && dt_s > 0.0 && energy_j.is_finite() && energy_j >= 0.0) {
-            return self.watts;
-        }
-        let instant = energy_j / dt_s;
-        if !self.primed {
-            self.watts = instant;
-            self.primed = true;
-        } else {
-            let alpha = 1.0 - (-dt_s / self.tau_s).exp();
-            self.watts += alpha * (instant - self.watts);
-        }
-        self.watts
-    }
-
-    /// The current average, watts (zero until the first observation).
-    pub fn watts(&self) -> f64 {
-        self.watts
-    }
+    let share = if total > 0.0 { own / total } else { 1.0 / n };
+    floor + headroom * share
 }
 
-/// What the coordinator reads from one lane at each tick.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaneObservation {
-    /// The lane's task.
-    pub task: Task,
-    /// The lane's cumulative served energy, joules (monotone; the
-    /// coordinator differences consecutive ticks).
-    pub energy_j_total: f64,
-    /// The lane's current queue pressure.
-    pub pressure: f64,
-}
-
-/// What the coordinator writes back to one lane after a tick.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaneAllocation {
-    /// The lane this allocation is for.
-    pub task: Task,
-    /// The lane's new power envelope, watts.
-    pub envelope_w: f64,
-    /// The lane's EWMA measured power, watts.
-    pub measured_w: f64,
-}
-
-/// The deterministic core of the fleet power coordinator: tracks each
-/// lane's measured power (EWMA of served-energy deltas) and
-/// re-allocates envelopes from the current pressure mix. Timer-free —
-/// the caller supplies elapsed time, so the same logic runs under the
-/// server's wall-clock thread and in tests on a synthetic timeline.
-#[derive(Debug, Clone)]
-pub struct FleetCoordinator {
+/// The server's fleet budget: one slot per lane, in canonical order,
+/// holding the pressure that lane last published (at admission, pop
+/// and detach). Envelopes are derived from the slots when read; before
+/// any lane publishes, the cap splits evenly.
+#[derive(Debug)]
+pub(crate) struct FleetBudget {
     cfg: EnergyConfig,
-    lanes: Vec<LaneTrack>,
+    /// Each lane's last published pressure, as `f64` bits.
+    pressures: Box<[AtomicU64]>,
 }
 
-#[derive(Debug, Clone)]
-struct LaneTrack {
-    task: Task,
-    last_energy_j: f64,
-    ewma: PowerEwma,
-}
-
-impl FleetCoordinator {
-    /// A coordinator over `tasks` (stored in canonical order; the
-    /// declaration order does not matter). `cfg` must already be
-    /// validated.
-    pub fn new(cfg: EnergyConfig, tasks: &[Task]) -> Self {
-        let mut lanes: Vec<LaneTrack> = tasks
-            .iter()
-            .map(|&task| LaneTrack {
-                task,
-                last_energy_j: 0.0,
-                ewma: PowerEwma::new(EWMA_TAU_S),
-            })
-            .collect();
-        lanes.sort_by_key(|l| l.task.name());
-        Self { cfg, lanes }
-    }
-
-    /// The budget this coordinator allocates under.
-    pub fn config(&self) -> &EnergyConfig {
-        &self.cfg
-    }
-
-    /// One coordinator tick: fold `dt_s` seconds of served energy into
-    /// each lane's measured-power EWMA, then re-allocate envelopes from
-    /// the observed pressures. Lanes missing from `observed` keep their
-    /// last energy reading (zero pressure); unknown tasks in `observed`
-    /// are ignored. Cumulative-energy regressions (a restarted lane)
-    /// clamp to a zero delta rather than going negative.
-    pub fn tick(&mut self, dt_s: f64, observed: &[LaneObservation]) -> Vec<LaneAllocation> {
-        let mut demands = Vec::with_capacity(self.lanes.len());
-        for lane in &mut self.lanes {
-            let obs = observed.iter().find(|o| o.task == lane.task);
-            let pressure = obs.map_or(0.0, |o| o.pressure);
-            if let Some(o) = obs {
-                if o.energy_j_total.is_finite() {
-                    let delta = (o.energy_j_total - lane.last_energy_j).max(0.0);
-                    lane.ewma.observe(delta, dt_s);
-                    lane.last_energy_j = o.energy_j_total;
-                }
-            }
-            demands.push(LaneDemand {
-                task: lane.task,
-                pressure,
-            });
+impl FleetBudget {
+    /// An idle board of `lanes` slots under `cfg` (already validated).
+    pub(crate) fn new(cfg: EnergyConfig, lanes: usize) -> Self {
+        Self {
+            cfg,
+            pressures: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
         }
-        let envelopes = allocate(self.cfg.fleet_cap_w, self.cfg.floor_w, &demands);
-        envelopes
-            .iter()
-            .map(|e| LaneAllocation {
-                task: e.task,
-                envelope_w: e.watts,
-                measured_w: self
-                    .lanes
-                    .iter()
-                    .find(|l| l.task == e.task)
-                    .map_or(0.0, |l| l.ewma.watts()),
+    }
+
+    /// The canonical slot of `task` among the served `tasks`: its rank
+    /// by task name, whatever order the lanes were declared in.
+    pub(crate) fn slot_of(tasks: &[Task], task: Task) -> usize {
+        tasks.iter().filter(|t| t.name() < task.name()).count()
+    }
+
+    /// Records lane `slot`'s current pressure (`Relaxed`: a pressure
+    /// publishes no other data).
+    pub(crate) fn publish(&self, slot: usize, pressure: f64) {
+        self.pressures[slot].store(pressure.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Lane `slot`'s envelope from the pressures published now, watts.
+    // analyzer: hot-path
+    pub(crate) fn envelope_w(&self, slot: usize) -> f64 {
+        let pressures = self.pressures.iter().map(Self::load);
+        split(self.cfg.fleet_cap_w, self.cfg.floor_w, pressures, slot)
+    }
+
+    /// Every lane's envelope by slot, from one read of the pressures.
+    pub(crate) fn envelopes_w(&self) -> Vec<f64> {
+        let pressures: Vec<f64> = self.pressures.iter().map(Self::load).collect();
+        (0..pressures.len())
+            .map(|slot| {
+                let read = pressures.iter().copied();
+                split(self.cfg.fleet_cap_w, self.cfg.floor_w, read, slot)
             })
             .collect()
+    }
+
+    fn load(slot: &AtomicU64) -> f64 {
+        f64::from_bits(slot.load(Ordering::Relaxed))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgebert_tensor::Rng;
     use proptest::prelude::*;
 
     fn demand(task: Task, pressure: f64) -> LaneDemand {
@@ -421,72 +312,100 @@ mod tests {
         assert!(allocate(1.0, 0.1, &[]).is_empty());
     }
 
-    #[test]
-    fn ewma_tracks_power_and_shrugs_off_garbage() {
-        let mut e = PowerEwma::new(0.1);
-        assert_eq!(e.watts(), 0.0);
-        // First sample primes directly: 0.05 J / 0.5 s = 0.1 W.
-        assert!((e.observe(0.05, 0.5) - 0.1).abs() < 1e-12);
-        // A long steady stretch converges to the new rate.
-        for _ in 0..50 {
-            e.observe(0.2 * 0.05, 0.05);
+    /// A pressure from a pool that includes every garbage class the
+    /// split must sanitize: zero, NaN, ±∞ and negative values.
+    fn pressure_or_garbage(rng: &mut Rng) -> f64 {
+        let magnitude = 10.0 * f64::from(rng.uniform());
+        match rng.below(8) {
+            0 => 0.0,
+            1 => f64::NAN,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            4 => -magnitude,
+            _ => magnitude,
         }
-        assert!((e.watts() - 0.2).abs() < 1e-3, "got {}", e.watts());
-        // Garbage observations hold the average.
-        let before = e.watts();
-        e.observe(f64::NAN, 0.05);
-        e.observe(0.01, 0.0);
-        e.observe(-1.0, 0.05);
-        e.observe(0.01, f64::NEG_INFINITY);
-        assert_eq!(e.watts(), before);
-        // Degenerate τ sanitizes instead of dividing by zero.
-        let mut tiny = PowerEwma::new(f64::NAN);
-        assert!(tiny.observe(0.01, 0.01).is_finite());
+    }
+
+    /// A random fleet: 1–4 distinct tasks in a random declaration
+    /// order, a cap, a floor (sometimes too large for the cap to fund),
+    /// and one pressure per lane.
+    fn fleet(seed: u64) -> (EnergyConfig, Vec<LaneDemand>) {
+        let mut rng = Rng::seed_from(seed);
+        let mut tasks = Task::all();
+        rng.shuffle(&mut tasks);
+        let n = 1 + rng.below(tasks.len());
+        let fleet_cap_w = 0.01 + f64::from(rng.uniform());
+        let floor_w = fleet_cap_w * f64::from(rng.uniform()) / 3.0;
+        let demands = tasks[..n]
+            .iter()
+            .map(|&task| demand(task, pressure_or_garbage(&mut rng)))
+            .collect();
+        let cfg = EnergyConfig {
+            fleet_cap_w,
+            floor_w,
+        };
+        (cfg, demands)
+    }
+
+    /// A budget board with each demand's pressure published in its
+    /// task's canonical slot.
+    fn board(cfg: EnergyConfig, demands: &[LaneDemand]) -> (FleetBudget, Vec<Task>) {
+        let tasks: Vec<Task> = demands.iter().map(|d| d.task).collect();
+        let budget = FleetBudget::new(cfg, tasks.len());
+        for d in demands {
+            budget.publish(FleetBudget::slot_of(&tasks, d.task), d.pressure);
+        }
+        (budget, tasks)
     }
 
     #[test]
-    fn coordinator_differences_cumulative_energy() {
-        let cfg = EnergyConfig {
-            fleet_cap_w: 0.2,
-            floor_w: 0.02,
-        };
-        let mut c = FleetCoordinator::new(cfg, &[Task::Sst2, Task::Mnli]);
-        let obs = |e_sst: f64, p_sst: f64| {
-            vec![
-                LaneObservation {
-                    task: Task::Sst2,
-                    energy_j_total: e_sst,
-                    pressure: p_sst,
-                },
-                LaneObservation {
-                    task: Task::Mnli,
-                    energy_j_total: 0.0,
-                    pressure: 0.0,
-                },
-            ]
-        };
-        // 5 mJ per 50 ms tick = 0.1 W sustained on the sst-2 lane.
-        let mut total = 0.0;
-        let mut last = Vec::new();
-        for _ in 0..40 {
-            total += 5e-3;
-            last = c.tick(0.05, &obs(total, 4.0));
+    fn budget_envelopes_equal_allocate_bit_for_bit() {
+        for seed in 0..512 {
+            let (cfg, demands) = fleet(seed);
+            let (budget, tasks) = board(cfg, &demands);
+            let one_read = budget.envelopes_w();
+            for e in allocate(cfg.fleet_cap_w, cfg.floor_w, &demands) {
+                let slot = FleetBudget::slot_of(&tasks, e.task);
+                let watts = e.watts.to_bits();
+                assert_eq!(budget.envelope_w(slot).to_bits(), watts, "seed {seed}");
+                assert_eq!(one_read[slot].to_bits(), watts, "seed {seed}");
+            }
         }
-        let sst = last.iter().find(|a| a.task == Task::Sst2).unwrap();
-        let mnli = last.iter().find(|a| a.task == Task::Mnli).unwrap();
-        assert!(
-            (sst.measured_w - 0.1).abs() < 5e-3,
-            "got {}",
-            sst.measured_w
-        );
-        assert_eq!(mnli.measured_w, 0.0);
-        // All the headroom flows to the one pressured lane.
-        assert!((sst.envelope_w - 0.18).abs() < 1e-12);
-        assert!((mnli.envelope_w - 0.02).abs() < 1e-12);
-        // An energy regression (restarted lane) clamps to zero delta.
-        let fleet_w = |allocs: &[LaneAllocation]| allocs.iter().map(|a| a.measured_w).sum::<f64>();
-        let before = fleet_w(&last);
-        assert!(fleet_w(&c.tick(0.05, &obs(0.0, 0.0))) <= before);
+    }
+
+    #[test]
+    fn declaration_order_leaves_every_envelope_unchanged() {
+        for seed in 0..256 {
+            let (cfg, demands) = fleet(seed);
+            let (budget, tasks) = board(cfg, &demands);
+            let mut shuffled = demands.clone();
+            Rng::seed_from(!seed).shuffle(&mut shuffled);
+            let (budget_shuffled, tasks_shuffled) = board(cfg, &shuffled);
+            for d in &demands {
+                let here = budget.envelope_w(FleetBudget::slot_of(&tasks, d.task));
+                let slot = FleetBudget::slot_of(&tasks_shuffled, d.task);
+                let there = budget_shuffled.envelope_w(slot);
+                assert_eq!(here.to_bits(), there.to_bits(), "seed {seed} {}", d.task);
+            }
+        }
+    }
+
+    #[test]
+    fn one_read_spends_the_cap_and_honours_the_floor() {
+        for seed in 0..512 {
+            let (cfg, demands) = fleet(seed);
+            let (budget, _) = board(cfg, &demands);
+            let envelopes = budget.envelopes_w();
+            let sum: f64 = envelopes.iter().sum();
+            let cap = cfg.fleet_cap_w;
+            assert!(
+                (sum - cap).abs() <= 1e-12 * cap,
+                "seed {seed}: {sum} vs {cap}"
+            );
+            if cfg.floor_w * envelopes.len() as f64 <= cap {
+                assert!(envelopes.iter().all(|&w| w >= cfg.floor_w), "seed {seed}");
+            }
+        }
     }
 
     proptest! {

@@ -44,12 +44,12 @@
 //!   baseline, priced on the *same* wired workload) are the two that
 //!   ship, selected with [`EngineBuilder::backend`]; the trait is the
 //!   seam `tests/backend_equivalence.rs` pins;
-//! * [`energy`] — fleet-level energy budgeting, default-off: a
-//!   [`FleetCoordinator`] tracks per-lane measured power (EWMA of the
-//!   per-step [`SegmentCost`] energy accounting) and periodically
-//!   waterfills the configured fleet cap ([`EnergyConfig`]) into
-//!   per-lane power envelopes — floors guaranteed, headroom following
-//!   queue pressure. Envelopes bind at the DVFS seam (the `cap_w` of
+//! * [`energy`] — fleet-level energy budgeting, default-off:
+//!   [`allocate`](energy::allocate) waterfills the configured fleet
+//!   cap ([`EnergyConfig`]) into per-lane power envelopes — floors
+//!   guaranteed, headroom following the queue pressure each lane
+//!   publishes at admission and pop, read where the envelope is used.
+//!   Envelopes bind at the DVFS seam (the `cap_w` of
 //!   [`InferenceBackend::decide`]): a segment's operating point may
 //!   not outdraw its lane's envelope,
 //!   with feasibility judged honestly at the clamped clock — deadline
@@ -173,7 +173,7 @@ pub use backend::{
     SegmentCost,
 };
 pub use calibrate::{calibrate_conventional, calibrate_latency_aware, Calibration};
-pub use energy::{EnergyConfig, EnergyEnvelope, FleetCoordinator, LaneAllocation, LaneDemand};
+pub use energy::{EnergyConfig, EnergyEnvelope, LaneDemand};
 pub use engine::{
     deadline_met, AggregateResult, DropTarget, EdgeBertEngine, EngineBuilder, EntropyThresholds,
     InferenceMode, InferenceRequest, InferenceResponse, SentenceResult,

@@ -25,13 +25,14 @@
 //! parked sessions — in deadline order, so parked sessions resume
 //! EDF-ordered relative to everything else waiting on the lane.
 
+use crate::energy::FleetBudget;
 use crate::engine::InferenceRequest;
 use crate::overload::{pressure, LadderStep, OverloadController};
 use crate::session::InferenceSession;
 use crate::telemetry::{LaneHistograms, LogHistogram};
 use edgebert_tasks::Task;
 use std::sync::mpsc::SyncSender;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use super::{LaneStats, ServerConfig, ServerResponse};
 
@@ -139,13 +140,6 @@ pub(super) struct LaneQueue {
     /// the pressure signal and admission drain estimates count them.
     /// Always 0 with elasticity disabled.
     pub extra_shards: usize,
-    /// The lane's current power envelope from the fleet energy
-    /// coordinator, watts (total across the lane's effective pool).
-    /// `None` — and every pop unstamped — with energy budgeting off.
-    pub envelope_w: Option<f64>,
-    /// The lane's EWMA measured power as of the coordinator's last
-    /// tick, watts. `None` with energy budgeting off.
-    pub measured_power_w: Option<f64>,
     /// The lane's overload ladder (`None` when the server runs without
     /// one), advanced under this lock at admission and pop time.
     pub controller: Option<OverloadController>,
@@ -179,6 +173,9 @@ pub(super) struct Lane {
     /// The lane's deadline horizon — its engine's default latency
     /// target, seconds (the pressure signal's denominator).
     pub horizon_s: f64,
+    /// The fleet energy budget and this lane's canonical slot in it;
+    /// `None` — and every pop unstamped — with energy budgeting off.
+    pub budget: Option<(Arc<FleetBudget>, usize)>,
     /// Queue state, counters and histograms: the lane's one lock.
     pub queue: Mutex<LaneQueue>,
     /// Signaled on every admission, park, and shutdown.
@@ -194,6 +191,7 @@ impl Lane {
         nominal_service_s: f64,
         horizon_s: f64,
         n_lanes: usize,
+        budget: Option<(Arc<FleetBudget>, usize)>,
     ) -> Self {
         Self {
             task,
@@ -201,6 +199,7 @@ impl Lane {
             shards: cfg.shards_per_task,
             nominal_service_s,
             horizon_s,
+            budget,
             queue: Mutex::new(LaneQueue {
                 jobs: Vec::new(),
                 parked: Vec::new(),
@@ -209,8 +208,6 @@ impl Lane {
                 stats: LaneStats::empty(task, cfg.shards_per_task),
                 degraded_modeled_total_s: 0.0,
                 extra_shards: 0,
-                envelope_w: None,
-                measured_power_w: None,
                 controller: cfg.overload.map(OverloadController::new),
                 stolen_by: vec![0; n_lanes],
                 histograms: cfg.telemetry.map(|_| LaneHistograms::default()),
@@ -231,12 +228,28 @@ impl Lane {
         )
     }
 
-    /// Feeds the lane's current backlog (queued + parked work) through
-    /// the overload controller and returns the resulting ladder rung.
-    /// Called under the queue lock at admission and pop time; a lane
-    /// without a ladder stays at [`LadderStep::Nominal`].
-    pub(super) fn observe(&self, queue: &mut LaneQueue) -> LadderStep {
+    /// Publishes the lane's pressure to its energy budget, if any, and returns it.
+    fn publish(&self, queue: &LaneQueue) -> f64 {
         let p = self.pressure_of(queue);
+        if let Some((budget, slot)) = &self.budget {
+            budget.publish(*slot, p);
+        }
+        p
+    }
+
+    /// The lane-total energy envelope, watts (`None` with budgeting off).
+    // analyzer: hot-path
+    pub(super) fn envelope_w(&self) -> Option<f64> {
+        let (budget, slot) = self.budget.as_ref()?;
+        Some(budget.envelope_w(*slot))
+    }
+
+    /// Publishes the lane's pressure and feeds its backlog (queued +
+    /// parked work) through the overload controller, returning the
+    /// ladder rung. Called under the queue lock at admission and pop
+    /// time; a lane without a ladder stays at [`LadderStep::Nominal`].
+    pub(super) fn observe(&self, queue: &mut LaneQueue) -> LadderStep {
+        let p = self.publish(queue);
         queue
             .controller
             .as_mut()
@@ -274,8 +287,8 @@ impl Lane {
         // The lane-total envelope splits evenly across the effective
         // pool: every concurrently-running shard gets an equal share,
         // so the lane's aggregate draw stays under its allocation.
-        let envelope_w = queue
-            .envelope_w
+        let envelope_w = self
+            .envelope_w()
             .map(|w| w / (self.shards + queue.extra_shards).max(1) as f64);
         Popped {
             work,
@@ -359,11 +372,12 @@ impl Lane {
     }
 
     /// Reverses [`attach`](Self::attach) once the foreign shard stops
-    /// draining this lane (elastic shrink).
+    /// draining this lane (elastic shrink), and publishes the new pressure.
     pub(super) fn detach(&self) {
         let mut queue = self.queue.lock().expect("lane mutex");
         queue.extra_shards = queue.extra_shards.saturating_sub(1);
         queue.stats.pool_resizes += 1;
+        self.publish(&queue);
     }
 
     /// The tightest absolute deadline currently queued (fresh jobs
@@ -517,7 +531,7 @@ mod tests {
             queue_capacity: deadlines.len(),
             ..ServerConfig::default()
         };
-        let lane = Lane::new(Task::Sst2, &cfg, 10e-3, 50e-3, 1);
+        let lane = Lane::new(Task::Sst2, &cfg, 10e-3, 50e-3, 1, None);
         let mut receivers = Vec::new();
         {
             let mut queue = lane.queue.lock().expect("lane mutex");
@@ -576,7 +590,6 @@ mod tests {
         use crate::session::SessionState;
         use edgebert_model::{AlbertConfig, AlbertModel};
         use edgebert_tensor::Rng;
-        use std::sync::Arc;
 
         let model = AlbertModel::new(AlbertConfig::tiny(64, 2), &mut Rng::seed_from(1));
         let trajectories = vec![vec![0.5; model.num_layers()]];

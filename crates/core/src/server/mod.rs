@@ -105,7 +105,7 @@ mod stats;
 pub use stats::{LaneStats, ServerStats};
 
 use crate::clock::Clock;
-use crate::energy::{EnergyConfig, FleetCoordinator, LaneObservation, UPDATE_PERIOD};
+use crate::energy::{EnergyConfig, FleetBudget};
 use crate::engine::{deadline_met, EdgeBertEngine, InferenceRequest, InferenceResponse};
 use crate::overload::{Degradation, LadderStep, OverloadConfig};
 use crate::serving::MultiTaskRuntime;
@@ -116,7 +116,6 @@ use crate::telemetry::{
 };
 use edgebert_tasks::Task;
 use lane::{Job, JobContext, Lane, Popped, Work};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -248,17 +247,17 @@ pub struct ServerConfig {
     /// — admission decisions, request numbering, and inference
     /// arithmetic are bit-identical either way.
     pub telemetry: Option<TelemetryConfig>,
-    /// Fleet energy budgeting (see [`crate::energy`]): a coordinator
-    /// thread tracks each lane's measured power draw and periodically
-    /// allocates per-lane energy envelopes (watts) from a configured
-    /// fleet cap, waterfilling headroom toward queue pressure.
+    /// Fleet energy budgeting (see [`crate::energy`]): per-lane energy
+    /// envelopes (watts) split from a configured fleet cap,
+    /// waterfilling headroom toward the queue pressure each lane last
+    /// published at admission or pop, derived where an envelope is
+    /// read.
     /// Envelopes bound the DVFS *operating point* of popped work — a
     /// sentence whose deadline needs a forbidden point runs at the
     /// fastest allowed one and its verdict is judged honestly against
     /// the real target (the miss surfaces in stats, never silently
-    /// re-priced). `None` (the default) spawns no coordinator and
-    /// stamps no envelopes: the server is bit-identical to a
-    /// pre-energy one.
+    /// re-priced). `None` (the default) stamps no envelopes: the
+    /// server is bit-identical to a pre-energy one.
     pub energy: Option<EnergyConfig>,
 }
 
@@ -518,10 +517,6 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
     /// Telemetry hub, present iff [`ServerConfig::telemetry`] is set.
     telemetry: Option<Arc<Telemetry>>,
-    /// The fleet energy coordinator (energy budgeting only) and its
-    /// stop flag.
-    coordinator: Option<JoinHandle<()>>,
-    coordinator_stop: Arc<AtomicBool>,
 }
 
 impl Server {
@@ -571,6 +566,9 @@ impl Server {
             .telemetry
             .map(|tcfg| Arc::new(Telemetry::new(tcfg, clock)));
         let tasks = runtime.tasks();
+        let budget = cfg
+            .energy
+            .map(|ecfg| Arc::new(FleetBudget::new(ecfg, tasks.len())));
         let mut lanes = Vec::new();
         for &task in &tasks {
             let rt = runtime.runtime(task).expect("task listed as served");
@@ -581,6 +579,9 @@ impl Server {
                 engine.nominal_service_estimate_s(),
                 engine.default_latency_target_s(),
                 tasks.len(),
+                budget
+                    .as_ref()
+                    .map(|b| (Arc::clone(b), FleetBudget::slot_of(&tasks, task))),
             ));
             lanes.push(PoolEntry { lane, engine });
         }
@@ -598,22 +599,12 @@ impl Server {
                 workers.push(handle);
             }
         }
-        let coordinator_stop = Arc::new(AtomicBool::new(false));
-        let coordinator = cfg.energy.map(|ecfg| {
-            let stop = Arc::clone(&coordinator_stop);
-            std::thread::Builder::new()
-                .name("edgebert-energy-coordinator".into())
-                .spawn(move || coordinator_loop(&registry, ecfg, clock, &stop))
-                .expect("spawn energy coordinator")
-        });
         Self {
             cfg,
             clock,
             lanes,
             workers,
             telemetry,
-            coordinator,
-            coordinator_stop,
         }
     }
 
@@ -711,7 +702,7 @@ impl Server {
             // work dies at the capped clock. A no-op (scale 1.0)
             // when the envelope admits the nominal point or the
             // backend doesn't model power.
-            if let Some(w) = queue.envelope_w {
+            if let Some(w) = lane.envelope_w() {
                 let per_shard_w = w / effective_shards;
                 shed_slot_s *= entry.engine.backend().envelope_service_scale(per_shard_w);
             }
@@ -812,7 +803,12 @@ impl Server {
     /// [`shutdown_with_telemetry`](Self::shutdown_with_telemetry).
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         let hub = self.telemetry.as_ref()?;
+        // Every lane's envelope from one read of the budget, so a
+        // snapshot's envelopes spend exactly the cap.
+        let budget = self.lanes.iter().find_map(|e| e.lane.budget.as_ref());
+        let envelopes = budget.map_or_else(Vec::new, |(budget, _)| budget.envelopes_w());
         let lanes = self.lanes.iter().filter_map(|PoolEntry { lane, .. }| {
+            let envelope_w = lane.budget.as_ref().map(|(_, slot)| envelopes[*slot]);
             let queue = lane.queue.lock().expect("lane mutex");
             Some(LaneTelemetrySnapshot {
                 task: lane.task,
@@ -825,8 +821,7 @@ impl Server {
                 queued: queue.jobs.len(),
                 parked: queue.parked.len(),
                 extra_shards: queue.extra_shards,
-                envelope_w: queue.envelope_w,
-                power_w: queue.measured_power_w,
+                envelope_w,
             })
         });
         Some(hub.snapshot(lanes))
@@ -858,70 +853,7 @@ impl Server {
         for worker in self.workers.drain(..) {
             worker.join().expect("shard worker exits cleanly");
         }
-        self.coordinator_stop.store(true, Ordering::Relaxed);
-        if let Some(coordinator) = self.coordinator.take() {
-            coordinator
-                .join()
-                .expect("energy coordinator exits cleanly");
-        }
     }
-}
-
-/// Runs `tick` immediately and then once per `period` until `stop` is
-/// set. Shutdown latency is bounded by sleeping in small slices.
-fn run_periodic(stop: &AtomicBool, period: Duration, mut tick: impl FnMut()) {
-    let slice = period.min(Duration::from_millis(20));
-    loop {
-        tick();
-        let mut slept = Duration::ZERO;
-        while slept < period && !stop.load(Ordering::Relaxed) {
-            let nap = slice.min(period - slept);
-            std::thread::sleep(nap);
-            slept += nap;
-        }
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-    }
-}
-
-/// The fleet energy coordinator: allocate envelopes immediately at
-/// startup (no power measured yet → an even pressure-free split, so
-/// pop-time stamping and attach feasibility never see a budgeted lane
-/// without an envelope), then every update period difference each
-/// lane's cumulative served energy into its measured-power EWMA and
-/// re-waterfill the cap toward queue pressure. Each tick reads the
-/// clock once and holds one short lane-lock read and one short
-/// lane-lock write per lane.
-fn coordinator_loop(registry: &[PoolEntry], ecfg: EnergyConfig, clock: Clock, stop: &AtomicBool) {
-    let lanes: Vec<&Lane> = registry.iter().map(|e| &*e.lane).collect();
-    let tasks: Vec<Task> = lanes.iter().map(|lane| lane.task).collect();
-    let mut coordinator = FleetCoordinator::new(ecfg, &tasks);
-    let mut last_tick_s = clock.now_s();
-    run_periodic(stop, UPDATE_PERIOD, || {
-        let now_s = clock.now_s();
-        let dt_s = now_s - std::mem::replace(&mut last_tick_s, now_s);
-        let observed: Vec<LaneObservation> = lanes
-            .iter()
-            .map(|lane| {
-                let queue = lane.queue.lock().expect("lane mutex");
-                LaneObservation {
-                    task: lane.task,
-                    energy_j_total: queue.stats.energy_j,
-                    pressure: lane.pressure_of(&queue),
-                }
-            })
-            .collect();
-        let allocations = coordinator.tick(dt_s, &observed);
-        for alloc in &allocations {
-            let Some(lane) = lanes.iter().find(|lane| lane.task == alloc.task) else {
-                continue;
-            };
-            let mut queue = lane.queue.lock().expect("lane mutex");
-            queue.envelope_w = Some(alloc.envelope_w);
-            queue.measured_power_w = Some(alloc.measured_w);
-        }
-    });
 }
 
 impl Drop for Server {
@@ -1058,7 +990,7 @@ fn attach_to_pressured_lane(
     grow_pressure: f64,
 ) -> Option<(usize, Popped)> {
     let envelope_funds_another_shard = |entry: &PoolEntry, queue: &lane::LaneQueue| {
-        let Some(w) = queue.envelope_w else {
+        let Some(w) = entry.lane.envelope_w() else {
             return true;
         };
         let floor_w = entry.engine.backend().floor_power_w();
@@ -1139,8 +1071,8 @@ fn materialize(
             // The lane's per-shard energy allowance at pop time rides
             // the request into the engine: every DVFS decision this
             // sentence makes is clamped under it, while the deadline
-            // verdict keeps judging the real target (`None` without a
-            // coordinator — the exact pre-energy path).
+            // verdict keeps judging the real target (`None` without
+            // energy budgeting — the exact pre-energy path).
             if let Some(w) = popped.envelope_w {
                 request = request.with_envelope_w(w);
             }
@@ -1577,7 +1509,7 @@ mod tests {
                 ..ServerConfig::default()
             };
             let entry = PoolEntry {
-                lane: Arc::new(Lane::new(Task::Sst2, &cfg, 10e-3, 60e-3, 1)),
+                lane: Arc::new(Lane::new(Task::Sst2, &cfg, 10e-3, 60e-3, 1, None)),
                 engine: engine.clone(),
             };
             for pre_stamp_s in [0.0, 5e-3] {

@@ -57,10 +57,9 @@ pub struct LaneStats {
     /// constraint.
     pub attach_declined: u64,
     /// Cumulative modeled energy served requests drew on this lane,
-    /// joules — the ledger the fleet coordinator differences into the
-    /// lane's measured power. Grows whether or not energy budgeting is
-    /// enabled (measurement is free; only *enforcement* needs the
-    /// coordinator).
+    /// joules — the lane's one energy ledger (telemetry's per-request
+    /// energy histogram is its distribution). Grows whether or not
+    /// energy budgeting is enabled.
     pub energy_j: f64,
     /// Requests admitted but not yet served.
     pub queued: usize,

@@ -94,8 +94,8 @@ pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
 
     for lane in &snapshot.lanes {
         let task = task_label(lane.task);
-        // The energy gauges exist only when the fleet coordinator is
-        // running — absent rows, not zero rows, so dashboards can tell
+        // The envelope gauge exists only under energy budgeting —
+        // an absent row, not a zero row, so dashboards can tell
         // "unbudgeted" from "budgeted at zero".
         let gauges = [
             ("pressure", Some(lane.pressure)),
@@ -104,7 +104,6 @@ pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
             ("parked", Some(lane.parked as f64)),
             ("extra_shards", Some(lane.extra_shards as f64)),
             ("envelope_watts", lane.envelope_w),
-            ("power_watts", lane.power_w),
         ];
         for (name, value) in gauges {
             if let Some(v) = value {
@@ -336,7 +335,6 @@ mod tests {
                 parked: 0,
                 extra_shards: 1,
                 envelope_w: Some(0.125),
-                power_w: Some(0.08),
             }],
         };
         let text = render_prometheus(&snapshot);
@@ -346,11 +344,10 @@ mod tests {
         assert!(text.contains("edgebert_lane_pressure{task=\"sst-2\"} 0.5"));
         assert!(text.contains("edgebert_lane_extra_shards{task=\"sst-2\"} 1"));
         assert!(text.contains("edgebert_lane_envelope_watts{task=\"sst-2\"} 0.125"));
-        assert!(text.contains("edgebert_lane_power_watts{task=\"sst-2\"} 0.08"));
     }
 
-    /// Without a fleet coordinator the energy gauges are absent rows,
-    /// not zero rows — "unbudgeted" must stay distinguishable from
+    /// Without energy budgeting the envelope gauge is an absent row,
+    /// not a zero row — "unbudgeted" must stay distinguishable from
     /// "budgeted at zero".
     #[test]
     fn prometheus_energy_gauges_absent_without_budgeting() {
@@ -366,13 +363,11 @@ mod tests {
                 parked: 0,
                 extra_shards: 0,
                 envelope_w: None,
-                power_w: None,
             }],
         };
         let text = render_prometheus(&snapshot);
         assert!(text.contains("edgebert_lane_pressure{task=\"sst-2\"}"));
         assert!(!text.contains("edgebert_lane_envelope_watts"));
-        assert!(!text.contains("edgebert_lane_power_watts"));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! arithmetic are unchanged (shed trace ids count down from
 //! `u64::MAX` precisely so admission sequence numbers stay untouched).
 //! The hot-path contract is *never block, never allocate*: rings are
-//! preallocated and pushed with `try_lock` (contention counts a drop),
+//! preallocated and pushed with a bounded `try_lock` retry (contention
+//! that outlasts it counts a drop),
 //! events are `Copy`, and histograms are fixed arrays. A dedicated
 //! overhead test pins the disabled path to zero allocations per
 //! request.
@@ -26,8 +27,8 @@
 //! [`DeadlineScheduler`](crate::scheduler::DeadlineScheduler) reports
 //! its timeline in its responses and records nothing here. Spans are
 //! stamped on the server's own [`Clock`]. A lane's gauges (pressure,
-//! rung, depths, extra shards, energy envelope and power) have no
-//! stream of their own: [`Server::telemetry_snapshot`](crate::server::Server::telemetry_snapshot)
+//! rung, depths, extra shards, energy envelope) have no stream of their
+//! own: [`Server::telemetry_snapshot`](crate::server::Server::telemetry_snapshot)
 //! reads them under the same lane lock that copies the lane's
 //! histograms, so every gauge is exact at snapshot time.
 
@@ -140,8 +141,9 @@ impl Telemetry {
 }
 
 /// One lane inside a [`TelemetrySnapshot`]: its distributions and its
-/// gauges, all read under one hold of the lane lock. The two energy
-/// gauges are `None` without energy budgeting.
+/// gauges, read under one hold of the lane lock; the energy envelope
+/// (`None` without budgeting) comes from the snapshot's one read of
+/// the fleet budget, so a snapshot's envelopes sum to the cap.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LaneTelemetrySnapshot {
     /// Lane task.
@@ -158,10 +160,8 @@ pub struct LaneTelemetrySnapshot {
     pub parked: usize,
     /// Autoscaled shards attached beyond the nominal pool.
     pub extra_shards: usize,
-    /// Lane-total energy envelope from the fleet coordinator, watts.
+    /// Lane-total energy envelope under the fleet budget, watts.
     pub envelope_w: Option<f64>,
-    /// Lane power draw measured by the coordinator's EWMA, watts.
-    pub power_w: Option<f64>,
 }
 
 /// Everything the telemetry subsystem knows, copied out at once:

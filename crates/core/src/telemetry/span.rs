@@ -2,9 +2,9 @@
 //! and the bounded overwrite-oldest ring they land in.
 //!
 //! The hot-path contract is **never block, never allocate**: the ring
-//! is preallocated at construction, `push` uses `try_lock` (a
-//! contended push is counted as a drop instead of waiting), and every
-//! event is `Copy`. A full ring overwrites its oldest event and counts
+//! is preallocated at construction, `push` uses `try_lock` (a push
+//! that finds the lock held retries a bounded number of times, then is
+//! counted as a drop instead of waiting), and every event is `Copy`. A full ring overwrites its oldest event and counts
 //! the overwrite, so the drop counter is the single honesty signal for
 //! both contention and capacity loss.
 
@@ -167,12 +167,19 @@ impl Serialize for TraceEvent {
     }
 }
 
+/// How many times a push tries the ring lock before it counts its event
+/// as dropped. It spins between the first half of the tries (a running
+/// holder releases a one-slot copy within a few spins) and yields the
+/// CPU between the rest, so a holder the scheduler preempted can run.
+const PUSH_ATTEMPTS: u32 = 64;
+
 /// Bounded overwrite-oldest ring holding the hub's trace events, with
 /// drop counting.
 pub(crate) struct Ring<T> {
     capacity: usize,
     inner: Mutex<RingInner<T>>,
-    /// Pushes abandoned because the ring mutex was contended.
+    /// Pushes abandoned because the ring mutex stayed contended for
+    /// [`PUSH_ATTEMPTS`] tries.
     contended: AtomicU64,
 }
 
@@ -198,12 +205,21 @@ impl<T: Copy> Ring<T> {
         }
     }
 
-    /// Push without blocking: a contended mutex or zero capacity
-    /// counts the value as dropped. Never allocates (the slot vector
-    /// was preallocated).
+    /// Push without blocking: a mutex still contended after
+    /// [`PUSH_ATTEMPTS`] tries, or zero capacity, counts the value as
+    /// dropped. Never allocates (the slot vector was preallocated).
     // analyzer: hot-path
     pub(crate) fn push(&self, value: T) {
-        let Ok(mut inner) = self.inner.try_lock() else {
+        let back_off = |attempt| {
+            if attempt < PUSH_ATTEMPTS / 2 {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        };
+        let locked = (0..PUSH_ATTEMPTS)
+            .find_map(|attempt| self.inner.try_lock().map_err(|_| back_off(attempt)).ok());
+        let Some(mut inner) = locked else {
             self.contended.fetch_add(1, Ordering::Relaxed);
             return;
         };

@@ -516,8 +516,8 @@ mod tests {
 
     #[test]
     fn degenerate_power_caps_fall_back_to_the_floor_not_a_stalled_clock() {
-        // The envelope arrives from a coordinator thread and, on custom
-        // backends, from arbitrary arithmetic: zero, negative, NaN, and
+        // The envelope arrives from the server's fleet budget split
+        // and, on custom backends, from arbitrary arithmetic: zero, negative, NaN, and
         // below-floor caps must land on the floor point — a running
         // clock — never 0 Hz (the accelerator simulator panics on a
         // stopped clock) and never a voltage below the grid.

@@ -6,8 +6,9 @@
 //! SST-2 lane. The unbudgeted pass measures the fleet's natural draw
 //! (served energy over the measured drain wall time); the sweep then
 //! re-runs the trace under caps at fractions of that draw. A capped
-//! coordinator waterfills per-lane envelopes toward the pressured hot
-//! lane, and every sentence's DVFS is clamped under its lane's
+//! server waterfills per-lane envelopes toward the pressured hot lane
+//! (each envelope read from the lanes' current queue pressures when a
+//! shard pops work), and every sentence's DVFS is clamped under its lane's
 //! per-shard share — sentences whose deadlines need forbidden
 //! operating points run at the fastest allowed one and their misses
 //! surface honestly in the violation columns, never silently
