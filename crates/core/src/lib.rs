@@ -89,9 +89,10 @@
 //!   deducts each sentence's queueing delay from its DVFS budget —
 //!   through the one dispatch-time stamping rule the server's lanes
 //!   use, so the two timelines cannot drift;
-//! * [`server`] — [`Server`]: the channel-based async front-end over
-//!   real worker threads. Clients `submit()` from any thread and get
-//!   [`ResponseHandle`]s (typed [`WorkerLost`] errors, never panics);
+//! * [`server`] — [`Server`]: the async front-end over real worker
+//!   threads. Clients `submit()` from any thread and get
+//!   [`ResponseHandle`]s on one-shot reply slots (typed [`WorkerLost`]
+//!   errors, never panics);
 //!   per-task engine shard pools drain bounded admission lanes in EDF
 //!   order, measure each job's wall-clock queueing delay, and hand the
 //!   engine the *remaining* slack

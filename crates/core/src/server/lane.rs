@@ -31,9 +31,9 @@ use crate::overload::{pressure, LadderStep, OverloadController};
 use crate::session::InferenceSession;
 use crate::telemetry::{LaneHistograms, LogHistogram};
 use edgebert_tasks::Task;
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
 
+use super::reply::Reply;
 use super::{LaneStats, ServerConfig, ServerResponse};
 
 /// One admitted request waiting for a shard.
@@ -49,7 +49,7 @@ pub(super) struct Job {
     /// The request as submitted.
     pub request: InferenceRequest,
     /// Where the serving shard delivers the response.
-    pub reply: SyncSender<ServerResponse>,
+    pub reply: Reply,
 }
 
 /// The serving context that travels with a dispatched sentence across
@@ -62,7 +62,7 @@ pub(super) struct JobContext {
     /// and the resume ordering key).
     pub deadline_s: f64,
     /// Where to deliver the response on completion.
-    pub reply: SyncSender<ServerResponse>,
+    pub reply: Reply,
     /// Queueing delay measured at the first pop, seconds.
     pub queue_delay_s: f64,
     /// Elapsed queue time charged to the DVFS budget at first dispatch.
@@ -524,30 +524,30 @@ impl Lane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::sync_channel;
+    use crate::server::reply::{slot, ReplySlot};
 
-    fn lane_with(deadlines: &[f64]) -> (Lane, Vec<std::sync::mpsc::Receiver<ServerResponse>>) {
+    fn lane_with(deadlines: &[f64]) -> (Lane, Vec<ReplySlot>) {
         let cfg = ServerConfig {
             queue_capacity: deadlines.len(),
             ..ServerConfig::default()
         };
         let lane = Lane::new(Task::Sst2, &cfg, 10e-3, 50e-3, 1, None);
-        let mut receivers = Vec::new();
+        let mut slots = Vec::new();
         {
             let mut queue = lane.queue.lock().expect("lane mutex");
             for (seq, &deadline_s) in deadlines.iter().enumerate() {
-                let (tx, rx) = sync_channel(1);
-                receivers.push(rx);
+                let (reply, waiting) = slot();
+                slots.push(waiting);
                 queue.jobs.push(Job {
                     seq: seq as u64,
                     deadline_s,
                     enqueued_s: 0.0,
                     request: InferenceRequest::new(vec![seq as u32]),
-                    reply: tx,
+                    reply,
                 });
             }
         }
-        (lane, receivers)
+        (lane, slots)
     }
 
     fn pop_order(lane: &Lane) -> Vec<u64> {
@@ -598,7 +598,7 @@ mod tests {
         let (lane, _rx) = lane_with(&[0.01]);
         let policy = crate::server::PreemptionPolicy::DeadlineGap(0.0);
         let exchange = |seq: u64| {
-            let (reply, _) = sync_channel(1);
+            let (reply, _) = slot();
             let ctx = JobContext {
                 seq,
                 deadline_s: 1.0,

@@ -12,12 +12,12 @@
 //! [`EdgeBertEngine`] clones per served task, each pinned to its own
 //! worker thread with task affinity —
 //! drain bounded admission lanes in EDF order. No external runtime:
-//! the whole subsystem is `std` threads, one mutex per lane, and
-//! rendezvous channels. The locking rule is one sentence: a shard takes
-//! its lane's lock to pop and to yield (park or completion), and two
-//! lane locks are never held together — queue, counters and histograms
-//! all sit behind that lock, so [`Server::stats`] reads each lane in
-//! one hold.
+//! the whole subsystem is `std` threads, one mutex per lane, and one
+//! reply slot per admitted request. The locking rule is one sentence: a
+//! shard takes its lane's lock to pop and to yield (park or completion),
+//! and two lane locks are never held together — queue, counters and
+//! histograms all sit behind that lock, so [`Server::stats`] reads each
+//! lane in one hold.
 //!
 //! ```text
 //!  client threads          per-task lanes             shard pools
@@ -98,8 +98,15 @@
 //! rejections, violations, preemptions, queue/parked depths) — with
 //! telemetry on, the distributions and lane gauges leave through
 //! [`Server::telemetry_snapshot`].
+//!
+//! A response travels in a one-shot reply slot: a single ~200 B
+//! allocation per admitted request, a mutex-guarded cell plus a
+//! condvar, which the serving shard fills once. A slot its shard drops
+//! unfilled (a panic mid-step) reads as lost, and the handle's wait
+//! returns [`WorkerLost`].
 
 mod lane;
+mod reply;
 mod stats;
 
 pub use stats::{LaneStats, ServerStats};
@@ -116,7 +123,7 @@ use crate::telemetry::{
 };
 use edgebert_tasks::Task;
 use lane::{Job, JobContext, Lane, Popped, Work};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
+use reply::ReplySlot;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -445,8 +452,8 @@ impl std::fmt::Display for WorkerLost {
 impl std::error::Error for WorkerLost {}
 
 /// The outcome of waiting on a submission: the response, or a typed
-/// [`WorkerLost`] when the serving worker died with the reply channel
-/// dropped.
+/// [`WorkerLost`] when the serving worker died without filling the
+/// reply slot.
 pub type ServeOutcome = Result<ServerResponse, WorkerLost>;
 
 /// A claim on one submission's future [`ServerResponse`].
@@ -461,7 +468,7 @@ pub type ServeOutcome = Result<ServerResponse, WorkerLost>;
 pub struct ResponseHandle {
     task: Task,
     submission: u64,
-    rx: Receiver<ServerResponse>,
+    slot: ReplySlot,
 }
 
 impl ResponseHandle {
@@ -476,24 +483,30 @@ impl ResponseHandle {
     }
 
     /// Blocks until the response arrives, or reports [`WorkerLost`] if
-    /// the serving worker died with the reply channel dropped.
+    /// the serving worker died without filling the reply slot.
     pub fn wait(self) -> ServeOutcome {
-        self.rx.recv().map_err(|_| WorkerLost {
+        let lost = WorkerLost {
             task: self.task,
             submission: self.submission,
-        })
+        };
+        self.slot.wait().ok_or(lost)
     }
 
     /// Blocks up to `timeout` for the outcome; returns the handle back
     /// on timeout so the caller can keep waiting.
     pub fn wait_timeout(self, timeout: Duration) -> Result<ServeOutcome, ResponseHandle> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(response) => Ok(Ok(response)),
-            Err(RecvTimeoutError::Timeout) => Err(self),
-            Err(RecvTimeoutError::Disconnected) => Ok(Err(WorkerLost {
-                task: self.task,
-                submission: self.submission,
-            })),
+        let Self {
+            task,
+            submission,
+            slot,
+        } = self;
+        match slot.wait_timeout(timeout) {
+            Ok(outcome) => Ok(outcome.ok_or(WorkerLost { task, submission })),
+            Err(slot) => Err(Self {
+                task,
+                submission,
+                slot,
+            }),
         }
     }
 }
@@ -509,7 +522,8 @@ struct PoolEntry {
     engine: EdgeBertEngine,
 }
 
-/// The channel-based async serving front-end (see the module docs).
+/// The async serving front-end: lanes drained by shard threads, one
+/// reply slot per admitted request (see the module docs).
 pub struct Server {
     cfg: ServerConfig,
     clock: Clock,
@@ -654,7 +668,7 @@ impl Server {
         } else {
             f64::INFINITY
         };
-        let (tx, rx) = sync_channel(1);
+        let (reply, slot) = reply::slot();
         let mut queue = entry.lane.queue.lock().expect("lane mutex");
         if queue.shutting_down {
             return Err(SubmitError::ShuttingDown);
@@ -745,7 +759,7 @@ impl Server {
             deadline_s,
             enqueued_s: now_s,
             request,
-            reply: tx,
+            reply,
         });
         queue.stats.queue_high_water = queue.stats.queue_high_water.max(queue.jobs.len());
         if let Some(hub) = &self.telemetry {
@@ -758,7 +772,7 @@ impl Server {
         Ok(ResponseHandle {
             task,
             submission,
-            rx,
+            slot,
         })
     }
 
@@ -1257,7 +1271,7 @@ fn drive(
     lane.complete(&served, step_times.as_ref());
     // The client may have stopped waiting; a dead handle is not a
     // server error.
-    let _ = ctx.reply.send(served);
+    ctx.reply.send(served);
     None
 }
 
@@ -1265,7 +1279,9 @@ fn drive(
 mod tests {
     use super::*;
     use crate::calibrate::SweepCache;
-    use crate::engine::{EngineBuilder, EntropyThresholds};
+    use crate::engine::{
+        DropTarget, EngineBuilder, EntropyThresholds, InferenceMode, SentenceResult,
+    };
     use crate::predictor::EntropyPredictor;
     use crate::serving::TaskRuntime;
     use edgebert_model::{AlbertConfig, AlbertModel};
@@ -1513,7 +1529,7 @@ mod tests {
                 engine: engine.clone(),
             };
             for pre_stamp_s in [0.0, 5e-3] {
-                let (reply, _rx) = sync_channel(1);
+                let (reply, _slot) = reply::slot();
                 let request = InferenceRequest::new(data.examples()[0].tokens.clone())
                     .with_elapsed_queue_s(pre_stamp_s);
                 let popped = Popped {
@@ -1545,35 +1561,139 @@ mod tests {
         }
     }
 
+    fn served(submission: u64) -> ServerResponse {
+        let energy_j = 1e-6;
+        let result = SentenceResult {
+            mode: InferenceMode::LatencyAware,
+            exit_layer: 1,
+            predicted_layer: Some(1),
+            prediction: 0,
+            latency_s: 1e-3,
+            energy_j,
+            voltage: 0.8,
+            freq_hz: 1e8,
+            deadline_met: true,
+        };
+        ServerResponse {
+            task: Task::Sst2,
+            shard: 0,
+            submission,
+            response: InferenceResponse {
+                result,
+                latency_target_s: 50e-3,
+                drop_target: DropTarget::OnePercent,
+            },
+            queue_delay_s: 0.0,
+            slack_deducted_s: 0.0,
+            preemptions: 0,
+            parked_s: 0.0,
+            degraded_notches: 0,
+            sojourn_s: 1e-3,
+            deadline_met: true,
+            energy_j,
+        }
+    }
+
+    fn handle_on(slot: ReplySlot, submission: u64) -> ResponseHandle {
+        ResponseHandle {
+            task: Task::Sst2,
+            submission,
+            slot,
+        }
+    }
+
+    /// The outcome of a timed wait that must not time out.
+    fn outcome_within(handle: ResponseHandle, timeout: Duration) -> ServeOutcome {
+        handle
+            .wait_timeout(timeout)
+            .unwrap_or_else(|_| panic!("a filled slot does not time out"))
+    }
+
     #[test]
     fn a_dead_worker_is_a_typed_error_not_a_panic() {
-        // A worker that dies with the reply sender dropped used to
+        // A worker that dies without filling the reply slot used to
         // panic the *caller* inside `wait()`. It is now the typed
         // `WorkerLost` error, on both the blocking and timed paths.
-        let (tx, rx) = sync_channel::<ServerResponse>(1);
-        drop(tx);
-        let handle = ResponseHandle {
-            task: Task::Sst2,
-            submission: 7,
-            rx,
-        };
         let lost = WorkerLost {
             task: Task::Sst2,
             submission: 7,
         };
-        assert_eq!(handle.wait(), Err(lost));
-        let (tx, rx) = sync_channel::<ServerResponse>(1);
-        drop(tx);
-        let handle = ResponseHandle {
-            task: Task::Sst2,
-            submission: 7,
-            rx,
-        };
-        match handle.wait_timeout(Duration::from_millis(1)) {
-            Ok(outcome) => assert_eq!(outcome, Err(lost)),
-            Err(_) => panic!("a dropped sender is a loss, not a timeout"),
-        }
+        let (reply, slot) = reply::slot();
+        drop(reply);
+        assert_eq!(handle_on(slot, 7).wait(), Err(lost));
+        let (reply, slot) = reply::slot();
+        drop(reply);
+        assert_eq!(
+            outcome_within(handle_on(slot, 7), Duration::from_millis(1)),
+            Err(lost),
+            "a dropped reply is a loss, not a timeout"
+        );
         assert!(lost.to_string().contains("submission #7"));
+    }
+
+    #[test]
+    fn a_reply_sent_before_or_after_wait_is_delivered() {
+        let (reply, slot) = reply::slot();
+        reply.send(served(1));
+        assert_eq!(handle_on(slot, 1).wait(), Ok(served(1)));
+
+        // Released together, the send lands before or after the waiter
+        // blocks.
+        let start = Arc::new(std::sync::Barrier::new(2));
+        for i in 0..1_000 {
+            let (reply, slot) = reply::slot();
+            let shard_start = Arc::clone(&start);
+            let shard = std::thread::spawn(move || {
+                shard_start.wait();
+                reply.send(served(i));
+            });
+            start.wait();
+            assert_eq!(handle_on(slot, i).wait(), Ok(served(i)));
+            shard.join().expect("shard");
+        }
+    }
+
+    #[test]
+    fn a_timed_out_handle_comes_back_and_still_receives() {
+        let (reply, slot) = reply::slot();
+        let Err(handle) = handle_on(slot, 3).wait_timeout(Duration::from_millis(1)) else {
+            panic!("an unfilled slot times out")
+        };
+        assert_eq!((handle.task(), handle.submission()), (Task::Sst2, 3));
+        let shard = std::thread::spawn(move || reply.send(served(3)));
+        assert_eq!(handle.wait(), Ok(served(3)));
+        shard.join().expect("shard");
+
+        // A filled slot returns at once, even for an unbounded timeout.
+        let (reply, slot) = reply::slot();
+        reply.send(served(4));
+        assert_eq!(
+            outcome_within(handle_on(slot, 4), Duration::MAX),
+            Ok(served(4))
+        );
+    }
+
+    #[test]
+    fn a_reply_dropped_by_a_panicking_shard_is_worker_lost() {
+        let lost = WorkerLost {
+            task: Task::Sst2,
+            submission: 9,
+        };
+        for timed in [false, true] {
+            let (reply, slot) = reply::slot();
+            let handle = handle_on(slot, 9);
+            let shard = std::thread::spawn(move || {
+                let _reply = reply;
+                panic!("shard panics mid-step");
+            });
+            let outcome = if timed {
+                outcome_within(handle, Duration::MAX)
+            } else {
+                handle.wait()
+            };
+            assert_eq!(outcome, Err(lost), "timed: {timed}");
+            assert!(shard.join().is_err());
+        }
     }
 
     #[test]

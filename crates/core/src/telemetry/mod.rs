@@ -54,6 +54,9 @@ use span::Ring;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
     /// Trace-ring capacity in events (overwrite-oldest beyond this).
+    /// The ring reserves its whole capacity at start-up, 48 B per
+    /// [`TraceEvent`], and the pages become resident as it fills: about
+    /// 3 MiB at the default 65 536.
     pub trace_capacity: usize,
 }
 

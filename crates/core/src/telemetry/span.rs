@@ -303,6 +303,13 @@ mod tests {
     }
 
     #[test]
+    fn a_trace_event_is_48_bytes() {
+        // Every ring slot is one event: growing the event grows every
+        // ring by that much per slot (3 MiB at the default capacity).
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 48);
+    }
+
+    #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
         let ring = Ring::new(3);
         for i in 0..5 {

@@ -1,11 +1,12 @@
 //! The tracking global allocator behind the allocation and memory
 //! budgets (`{forward,backward,drain}_allocations`, `setup_memory`,
-//! `telemetry_overhead`): calls, bytes requested, live bytes and their
-//! peak, process-wide. The call and byte counts leave out libtest's own
-//! main thread while a test measures from another one: that thread
-//! grows its running-test map just after it spawns the test's thread,
-//! and when the scheduler delays it the insertion lands inside the first
-//! measured window (one extra call, seen on up to two runs in three).
+//! `telemetry_overhead`, `response_footprint`): calls, bytes requested,
+//! live bytes and their peak, process-wide. The call and byte counts
+//! leave out libtest's own main thread while a test measures from
+//! another one: that thread grows its running-test map just after it
+//! spawns the test's thread, and when the scheduler delays it the
+//! insertion lands inside the first measured window (one extra call,
+//! seen on up to two runs in three).
 //!
 //! Each of those binaries holds one `#[test]` function on purpose:
 //! integration-test binaries run their tests on parallel threads, and a
