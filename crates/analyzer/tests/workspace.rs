@@ -44,6 +44,7 @@ fn telemetry_push_and_lane_pop_paths_are_declared_hot() {
     for expected in [
         // Telemetry push path.
         "Ring::push",
+        "PackedEvent::pack",
         "SpanRecorder::emit",
         "Telemetry::record_at",
         // Lane pop path.

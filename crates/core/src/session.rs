@@ -541,7 +541,7 @@ impl InferenceSession {
     fn complete(&mut self, result: SentenceResult, exited: bool) -> StepOutcome {
         let outcome = if exited {
             self.emit(TraceEventKind::EntropyExit {
-                layer: result.exit_layer as u32,
+                layer: u16::try_from(result.exit_layer).unwrap_or(u16::MAX),
             });
             StepOutcome::Exited
         } else {
@@ -565,7 +565,7 @@ impl InferenceSession {
             let nominal = backend.nominal();
             self.emit(TraceEventKind::SegmentStart {
                 layer: 1,
-                voltage: nominal.voltage as f64,
+                voltage: nominal.voltage,
                 freq_hz: nominal.freq_hz,
             });
             let overhead = backend.sentence_overhead();
@@ -665,8 +665,8 @@ impl InferenceSession {
         let decision = backend.decide(remaining_cycles, remaining_budget, elapsed, cap_w);
         let transition_s = backend.transition_s(&decision);
         self.emit(TraceEventKind::SegmentStart {
-            layer: (self.ck.layers_done + 1) as u32,
-            voltage: decision.voltage as f64,
+            layer: u16::try_from(self.ck.layers_done + 1).unwrap_or(u16::MAX),
+            voltage: decision.voltage,
             freq_hz: decision.freq_hz,
         });
         self.ck.point = decision;
@@ -688,7 +688,7 @@ impl InferenceSession {
             let nominal = self.engine.backend().nominal();
             self.emit(TraceEventKind::SegmentStart {
                 layer: 1,
-                voltage: nominal.voltage as f64,
+                voltage: nominal.voltage,
                 freq_hz: nominal.freq_hz,
             });
         }

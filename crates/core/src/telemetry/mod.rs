@@ -54,9 +54,9 @@ use span::Ring;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
     /// Trace-ring capacity in events (overwrite-oldest beyond this).
-    /// The ring reserves its whole capacity at start-up, 48 B per
-    /// [`TraceEvent`], and the pages become resident as it fills: about
-    /// 3 MiB at the default 65 536.
+    /// The ring reserves its whole capacity at start-up, 32 B per
+    /// packed [`TraceEvent`], and the pages become resident as it fills:
+    /// 2 MiB at the default 65 536.
     pub trace_capacity: usize,
 }
 
@@ -83,7 +83,7 @@ impl TelemetryConfig {
 /// deadlines).
 pub struct Telemetry {
     clock: Clock,
-    trace: Ring<TraceEvent>,
+    trace: Ring,
 }
 
 impl std::fmt::Debug for Telemetry {

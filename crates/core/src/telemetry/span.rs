@@ -6,7 +6,9 @@
 //! that finds the lock held retries a bounded number of times, then is
 //! counted as a drop instead of waiting), and every event is `Copy`. A full ring overwrites its oldest event and counts
 //! the overwrite, so the drop counter is the single honesty signal for
-//! both contention and capacity loss.
+//! both contention and capacity loss. A slot holds a 32-byte
+//! `PackedEvent`, not the 40-byte public [`TraceEvent`]: `push` packs,
+//! `snapshot` unpacks, and the two are exact inverses.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -32,17 +34,20 @@ pub enum TraceEventKind {
     },
     /// A DVFS segment opened: layers from `layer` run at this point.
     SegmentStart {
-        /// First layer of the segment (1-based).
-        layer: u32,
-        /// Supply voltage of the chosen operating point, volts.
-        voltage: f64,
+        /// First layer of the segment (1-based; saturates at
+        /// `u16::MAX`).
+        layer: u16,
+        /// Supply voltage of the chosen operating point, volts: the
+        /// operating point's own `f32`.
+        voltage: f32,
         /// Clock frequency of the chosen operating point, Hz.
         freq_hz: f64,
     },
     /// The entropy predictor exited early after `layer`.
     EntropyExit {
-        /// Layer after which the exit fired (1-based).
-        layer: u32,
+        /// Layer after which the exit fired (1-based; saturates at
+        /// `u16::MAX`).
+        layer: u16,
     },
     /// Session parked (preempted) with layers still to run.
     Parked,
@@ -107,12 +112,12 @@ impl Serialize for TraceEventKind {
                 voltage,
                 freq_hz,
             } => {
-                fields.push(("layer".into(), Value::U64(layer as u64)));
-                fields.push(("voltage".into(), voltage.to_value()));
+                fields.push(("layer".into(), Value::U64(layer.into())));
+                fields.push(("voltage".into(), f64::from(voltage).to_value()));
                 fields.push(("freq_hz".into(), freq_hz.to_value()));
             }
             TraceEventKind::EntropyExit { layer } => {
-                fields.push(("layer".into(), Value::U64(layer as u64)));
+                fields.push(("layer".into(), Value::U64(layer.into())));
             }
             TraceEventKind::Resumed { thief_lane } => {
                 fields.push(("thief_lane".into(), thief_lane.to_value()));
@@ -121,7 +126,7 @@ impl Serialize for TraceEventKind {
                 fields.push(("pressure".into(), pressure.to_value()));
             }
             TraceEventKind::Degraded { notches } => {
-                fields.push(("notches".into(), Value::U64(notches as u64)));
+                fields.push(("notches".into(), Value::U64(notches.into())));
             }
             TraceEventKind::Completed { verdict, energy_j } => {
                 fields.push(("verdict".into(), Value::Bool(verdict)));
@@ -167,33 +172,155 @@ impl Serialize for TraceEvent {
     }
 }
 
+/// Which [`TraceEventKind`] a [`PackedEvent`] holds.
+#[derive(Clone, Copy)]
+#[repr(u8)]
+enum Tag {
+    Admitted,
+    Popped,
+    SegmentStart,
+    EntropyExit,
+    Parked,
+    Resumed,
+    Shed,
+    Degraded,
+    Completed,
+}
+
+/// A [`TraceEvent`] as a ring slot stores it: 32 bytes against the
+/// public event's 40, because the task and the kind's tag share the
+/// payload's padding instead of each rounding its own field up.
+/// [`PackedEvent::unpack`] inverts [`PackedEvent::pack`] bit for bit.
+#[derive(Clone, Copy)]
+struct PackedEvent {
+    t_s: f64,
+    request: u64,
+    /// `queue_delay_s`, `freq_hz`, `pressure` or `energy_j`.
+    wide: f64,
+    /// The `SegmentStart` voltage's bits, or the `EntropyExit` layer.
+    word: u32,
+    /// The `SegmentStart` layer, `notches`, `verdict`, or the thief
+    /// lane (0 for `None`, 1 + the task's index for `Some`).
+    half: u16,
+    /// The task's discriminant, which is its index in `Task::all()`
+    /// (the round-trip test holds the two orders together).
+    task: u8,
+    tag: Tag,
+}
+
+impl PackedEvent {
+    /// Packs `event` into one slot. Never allocates or panics.
+    // analyzer: hot-path
+    fn pack(event: TraceEvent) -> Self {
+        let (tag, wide, word, half) = match event.kind {
+            TraceEventKind::Admitted => (Tag::Admitted, 0.0, 0, 0),
+            TraceEventKind::Popped { queue_delay_s } => (Tag::Popped, queue_delay_s, 0, 0),
+            TraceEventKind::SegmentStart {
+                layer,
+                voltage,
+                freq_hz,
+            } => (Tag::SegmentStart, freq_hz, voltage.to_bits(), layer),
+            TraceEventKind::EntropyExit { layer } => (Tag::EntropyExit, 0.0, layer.into(), 0),
+            TraceEventKind::Parked => (Tag::Parked, 0.0, 0, 0),
+            TraceEventKind::Resumed { thief_lane } => (
+                Tag::Resumed,
+                0.0,
+                0,
+                thief_lane.map_or(0, |task| 1 + u16::from(task as u8)),
+            ),
+            TraceEventKind::Shed { pressure } => (Tag::Shed, pressure, 0, 0),
+            TraceEventKind::Degraded { notches } => (Tag::Degraded, 0.0, 0, notches.into()),
+            TraceEventKind::Completed { verdict, energy_j } => {
+                (Tag::Completed, energy_j, 0, verdict.into())
+            }
+        };
+        Self {
+            t_s: event.t_s,
+            request: event.request,
+            wide,
+            word,
+            half,
+            task: event.task as u8,
+            tag,
+        }
+    }
+
+    /// The event [`PackedEvent::pack`] was given.
+    fn unpack(self) -> TraceEvent {
+        // Every index below was written by `pack` from a `Task`, so it
+        // is in bounds.
+        let task = |index: usize| Task::all()[index];
+        let kind = match self.tag {
+            Tag::Admitted => TraceEventKind::Admitted,
+            Tag::Popped => TraceEventKind::Popped {
+                queue_delay_s: self.wide,
+            },
+            Tag::SegmentStart => TraceEventKind::SegmentStart {
+                layer: self.half,
+                voltage: f32::from_bits(self.word),
+                freq_hz: self.wide,
+            },
+            Tag::EntropyExit => TraceEventKind::EntropyExit {
+                // `pack` widened a `u16` into `word`.
+                layer: self.word as u16,
+            },
+            Tag::Parked => TraceEventKind::Parked,
+            Tag::Resumed => TraceEventKind::Resumed {
+                thief_lane: usize::from(self.half).checked_sub(1).map(task),
+            },
+            Tag::Shed => TraceEventKind::Shed {
+                pressure: self.wide,
+            },
+            Tag::Degraded => TraceEventKind::Degraded {
+                // `pack` widened a `u8` into `half`.
+                notches: self.half as u8,
+            },
+            Tag::Completed => TraceEventKind::Completed {
+                verdict: self.half != 0,
+                energy_j: self.wide,
+            },
+        };
+        TraceEvent {
+            t_s: self.t_s,
+            task: task(self.task.into()),
+            request: self.request,
+            kind,
+        }
+    }
+}
+
 /// How many times a push tries the ring lock before it counts its event
 /// as dropped. It spins between the first half of the tries (a running
 /// holder releases a one-slot copy within a few spins) and yields the
 /// CPU between the rest, so a holder the scheduler preempted can run.
 const PUSH_ATTEMPTS: u32 = 64;
 
-/// Bounded overwrite-oldest ring holding the hub's trace events, with
-/// drop counting.
-pub(crate) struct Ring<T> {
+/// Bounded overwrite-oldest ring holding the hub's trace events,
+/// packed, with drop counting.
+pub(crate) struct Ring {
     capacity: usize,
-    inner: Mutex<RingInner<T>>,
+    inner: Mutex<RingInner>,
     /// Pushes abandoned because the ring mutex stayed contended for
     /// [`PUSH_ATTEMPTS`] tries.
     contended: AtomicU64,
 }
 
-struct RingInner<T> {
+struct RingInner {
     /// Preallocated storage; grows by push only until `capacity`.
-    slots: Vec<T>,
+    slots: Vec<PackedEvent>,
     /// Index of the oldest slot once the ring is full.
     head: usize,
     /// Events overwritten after the ring filled.
     overwritten: u64,
 }
 
-impl<T: Copy> Ring<T> {
+impl Ring {
+    /// A ring reserving `capacity` slots up front. Panics on zero
+    /// capacity, which [`TelemetryConfig::validate`] already rejects.
+    ///
+    /// [`TelemetryConfig::validate`]: super::TelemetryConfig::validate
     pub(crate) fn new(capacity: usize) -> Self {
+        assert!(capacity >= 1, "telemetry trace_capacity must be at least 1");
         Self {
             capacity,
             inner: Mutex::new(RingInner {
@@ -206,10 +333,11 @@ impl<T: Copy> Ring<T> {
     }
 
     /// Push without blocking: a mutex still contended after
-    /// [`PUSH_ATTEMPTS`] tries, or zero capacity, counts the value as
-    /// dropped. Never allocates (the slot vector was preallocated).
+    /// [`PUSH_ATTEMPTS`] tries counts the event as dropped. Never
+    /// allocates (the slot vector was preallocated).
     // analyzer: hot-path
-    pub(crate) fn push(&self, value: T) {
+    pub(crate) fn push(&self, event: TraceEvent) {
+        let packed = PackedEvent::pack(event);
         let back_off = |attempt| {
             if attempt < PUSH_ATTEMPTS / 2 {
                 std::hint::spin_loop();
@@ -223,20 +351,18 @@ impl<T: Copy> Ring<T> {
             self.contended.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        if self.capacity == 0 {
-            inner.overwritten += 1;
-        } else if inner.slots.len() < self.capacity {
+        if inner.slots.len() < self.capacity {
             // analyzer: allow(hot-path-alloc) reason="slots was Vec::with_capacity(capacity) at construction and len < capacity is checked above, so this push never reallocates"
-            inner.slots.push(value);
+            inner.slots.push(packed);
         } else {
             let head = inner.head;
-            inner.slots[head] = value;
+            inner.slots[head] = packed;
             inner.head = (head + 1) % self.capacity;
             inner.overwritten += 1;
         }
     }
 
-    /// Total values lost to contention or overwriting.
+    /// Total events lost to contention or overwriting.
     pub(crate) fn dropped(&self) -> u64 {
         let overwritten = self
             .inner
@@ -246,15 +372,14 @@ impl<T: Copy> Ring<T> {
         self.contended.load(Ordering::Relaxed) + overwritten
     }
 
-    /// Copy out the retained values oldest→newest plus the drop count.
+    /// Unpacks the retained events oldest→newest, plus the drop count.
     /// Takes the full lock — snapshots are off the hot path.
-    pub(crate) fn snapshot(&self) -> (Vec<T>, u64) {
+    pub(crate) fn snapshot(&self) -> (Vec<TraceEvent>, u64) {
         let inner = self.inner.lock().expect("telemetry ring poisoned");
-        let mut out = Vec::with_capacity(inner.slots.len());
-        out.extend_from_slice(&inner.slots[inner.head..]);
-        out.extend_from_slice(&inner.slots[..inner.head]);
+        let (newer, older) = inner.slots.split_at(inner.head);
+        let events = older.iter().chain(newer).map(|p| p.unpack()).collect();
         let dropped = self.contended.load(Ordering::Relaxed) + inner.overwritten;
-        (out, dropped)
+        (events, dropped)
     }
 }
 
@@ -303,10 +428,152 @@ mod tests {
     }
 
     #[test]
-    fn a_trace_event_is_48_bytes() {
-        // Every ring slot is one event: growing the event grows every
-        // ring by that much per slot (3 MiB at the default capacity).
-        assert_eq!(std::mem::size_of::<TraceEvent>(), 48);
+    fn a_packed_event_is_32_bytes() {
+        // Every ring slot is one packed event: growing it grows every
+        // ring by that much per slot (2 MiB at the default capacity).
+        assert_eq!(std::mem::size_of::<PackedEvent>(), 32);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 40);
+    }
+
+    /// Bitwise equality: `f64`/`f32` payloads compare by `to_bits`, so
+    /// `-0.0 != 0.0` and a NaN equals only the same NaN.
+    fn same_bits(a: &TraceEvent, b: &TraceEvent) -> bool {
+        use TraceEventKind as K;
+        let kinds = match (a.kind, b.kind) {
+            (K::Popped { queue_delay_s: x }, K::Popped { queue_delay_s: y })
+            | (K::Shed { pressure: x }, K::Shed { pressure: y }) => x.to_bits() == y.to_bits(),
+            (
+                K::SegmentStart {
+                    layer: la,
+                    voltage: va,
+                    freq_hz: fa,
+                },
+                K::SegmentStart {
+                    layer: lb,
+                    voltage: vb,
+                    freq_hz: fb,
+                },
+            ) => la == lb && va.to_bits() == vb.to_bits() && fa.to_bits() == fb.to_bits(),
+            (
+                K::Completed {
+                    verdict: va,
+                    energy_j: ea,
+                },
+                K::Completed {
+                    verdict: vb,
+                    energy_j: eb,
+                },
+            ) => va == vb && ea.to_bits() == eb.to_bits(),
+            (ka, kb) => ka == kb,
+        };
+        kinds && a.t_s.to_bits() == b.t_s.to_bits() && a.task == b.task && a.request == b.request
+    }
+
+    #[test]
+    fn pack_round_trips_every_variant_and_edge_value() {
+        let nan_payload = f64::from_bits(0x7FF0_0000_0000_0001);
+        let neg_nan = f64::from_bits(0xFFF8_DEAD_BEEF_0001);
+        let wides = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            nan_payload,
+            neg_nan,
+            1.25e-3,
+        ];
+        let voltages = [
+            0.0f32,
+            -0.0,
+            f32::from_bits(1),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7FC0_0001),
+            f32::from_bits(0xFF80_0001),
+            0.8,
+        ];
+        let layers = [0, 1, u16::MAX];
+        let mut kinds = vec![TraceEventKind::Admitted, TraceEventKind::Parked];
+        for &w in &wides {
+            kinds.push(TraceEventKind::Popped { queue_delay_s: w });
+            kinds.push(TraceEventKind::Shed { pressure: w });
+            for verdict in [false, true] {
+                kinds.push(TraceEventKind::Completed {
+                    verdict,
+                    energy_j: w,
+                });
+            }
+            for &voltage in &voltages {
+                for &layer in &layers {
+                    kinds.push(TraceEventKind::SegmentStart {
+                        layer,
+                        voltage,
+                        freq_hz: w,
+                    });
+                }
+            }
+        }
+        for &layer in &layers {
+            kinds.push(TraceEventKind::EntropyExit { layer });
+        }
+        for notches in [0, 1, u8::MAX] {
+            kinds.push(TraceEventKind::Degraded { notches });
+        }
+        kinds.push(TraceEventKind::Resumed { thief_lane: None });
+        for thief in Task::all() {
+            kinds.push(TraceEventKind::Resumed {
+                thief_lane: Some(thief),
+            });
+        }
+        for task in Task::all() {
+            for (i, &kind) in kinds.iter().enumerate() {
+                for request in [0, 7, u64::MAX] {
+                    let event = TraceEvent {
+                        t_s: wides[i % wides.len()],
+                        task,
+                        request,
+                        kind,
+                    };
+                    let back = PackedEvent::pack(event).unpack();
+                    assert!(same_bits(&event, &back), "{event:?} came back {back:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_snapshot_returns_what_was_pushed() {
+        let events = [
+            event(u64::MAX, -0.0),
+            TraceEvent {
+                t_s: f64::NAN,
+                task: Task::Qqp,
+                request: 1,
+                kind: TraceEventKind::Resumed {
+                    thief_lane: Some(Task::Mnli),
+                },
+            },
+            TraceEvent {
+                t_s: 2.0,
+                task: Task::Mnli,
+                request: 2,
+                kind: TraceEventKind::SegmentStart {
+                    layer: u16::MAX,
+                    voltage: 0.55,
+                    freq_hz: 2e7,
+                },
+            },
+        ];
+        let ring = Ring::new(events.len());
+        for e in events {
+            ring.push(e);
+        }
+        let (back, dropped) = ring.snapshot();
+        assert_eq!(dropped, 0);
+        assert_eq!(back.len(), events.len());
+        assert!(events.iter().zip(&back).all(|(a, b)| same_bits(a, b)));
     }
 
     #[test]
@@ -324,12 +591,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_ring_drops_everything() {
-        let ring = Ring::new(0);
-        ring.push(event(0, 0.0));
-        let (events, dropped) = ring.snapshot();
-        assert!(events.is_empty());
-        assert_eq!(dropped, 1);
+    #[should_panic(expected = "trace_capacity")]
+    fn zero_capacity_ring_is_rejected() {
+        Ring::new(0);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! chains recorded under real server load, bit-identity neutrality of
 //! the enabled path, lane counters and histograms balancing against
 //! the responses of a concurrent preemptive burst, lane gauges read at
-//! snapshot time, exporter content, and log-histogram edge cases (zero
+//! snapshot time, exporter content, the JSONL text of a fixed event
+//! list pinned byte for byte, and log-histogram edge cases (zero
 //! samples, single sample, disjoint merges, serde exactness, and
 //! proptest quantile monotonicity).
 
@@ -11,7 +12,7 @@ use edgebert::server::{PreemptionPolicy, Server, ServerConfig, ServerResponse};
 use edgebert::serving::{MultiTaskRuntime, TaskRuntime};
 use edgebert::telemetry::{
     render_prometheus, render_trace_jsonl, span_chains, validate_span_chain, LaneHistograms,
-    LaneTelemetrySnapshot, LogHistogram, TelemetryConfig, TraceEventKind,
+    LaneTelemetrySnapshot, LogHistogram, TelemetryConfig, TraceEvent, TraceEventKind,
 };
 use edgebert::{EnergyConfig, InferenceRequest, LadderStep};
 use edgebert_tasks::{Task, TaskGenerator};
@@ -394,6 +395,134 @@ fn telemetry_is_bit_identity_neutral() {
     };
     assert_eq!(serve_all(off), serve_all(on));
 }
+
+/// A fixed list covering all nine event kinds, with edge values in
+/// the payloads: voltages are operating-point `f32`s (0.8 renders as
+/// its widened `f64`, as every emitted voltage always has), layers
+/// reach `u16::MAX`, the request id `u64::MAX`.
+fn golden_events() -> Vec<TraceEvent> {
+    let ev = |t_s: f64, task: Task, request: u64, kind: TraceEventKind| TraceEvent {
+        t_s,
+        task,
+        request,
+        kind,
+    };
+    vec![
+        ev(0.0, Task::Mnli, 0, TraceEventKind::Admitted),
+        ev(
+            5e-324,
+            Task::Qqp,
+            1,
+            TraceEventKind::Popped {
+                queue_delay_s: 1.25e-3,
+            },
+        ),
+        ev(
+            0.001,
+            Task::Sst2,
+            2,
+            TraceEventKind::SegmentStart {
+                layer: 1,
+                voltage: 0.8,
+                freq_hz: 80e6,
+            },
+        ),
+        ev(
+            0.002,
+            Task::Qnli,
+            3,
+            TraceEventKind::SegmentStart {
+                layer: u16::MAX,
+                voltage: 0.5,
+                freq_hz: 2.5e7,
+            },
+        ),
+        ev(
+            0.003,
+            Task::Sst2,
+            2,
+            TraceEventKind::EntropyExit { layer: 12 },
+        ),
+        ev(0.004, Task::Qnli, 3, TraceEventKind::Parked),
+        ev(
+            0.005,
+            Task::Qnli,
+            3,
+            TraceEventKind::Resumed { thief_lane: None },
+        ),
+        ev(
+            0.006,
+            Task::Qnli,
+            3,
+            TraceEventKind::Resumed {
+                thief_lane: Some(Task::Mnli),
+            },
+        ),
+        ev(
+            0.007,
+            Task::Mnli,
+            u64::MAX,
+            TraceEventKind::Shed { pressure: 2.5 },
+        ),
+        ev(
+            0.008,
+            Task::Qqp,
+            4,
+            TraceEventKind::Degraded { notches: u8::MAX },
+        ),
+        ev(
+            0.009,
+            Task::Qqp,
+            4,
+            TraceEventKind::Popped {
+                queue_delay_s: f64::INFINITY,
+            },
+        ),
+        ev(
+            1e300,
+            Task::Sst2,
+            2,
+            TraceEventKind::Completed {
+                verdict: true,
+                energy_j: 3.1e-4,
+            },
+        ),
+        ev(
+            -0.0,
+            Task::Qqp,
+            4,
+            TraceEventKind::Completed {
+                verdict: false,
+                energy_j: -0.0,
+            },
+        ),
+    ]
+}
+
+/// The JSONL text of [`golden_events`] is pinned byte for byte, so a
+/// change to how events are stored or serialized cannot move it.
+#[test]
+fn trace_jsonl_export_is_pinned() {
+    let jsonl = render_trace_jsonl(&golden_events());
+    assert_eq!(jsonl, GOLDEN_JSONL);
+}
+
+/// Recorded when `voltage` was an `f64` and layers were `u32`:
+/// narrowing the two fields to what the ring packs moved no byte.
+const GOLDEN_JSONL: &str = r#"{"t_s":0.0,"task":"Mnli","request":0,"kind":"admitted"}
+{"t_s":5e-324,"task":"Qqp","request":1,"kind":"popped","queue_delay_s":0.00125}
+{"t_s":0.001,"task":"Sst2","request":2,"kind":"segment_start","layer":1,"voltage":0.800000011920929,"freq_hz":80000000.0}
+{"t_s":0.002,"task":"Qnli","request":3,"kind":"segment_start","layer":65535,"voltage":0.5,"freq_hz":25000000.0}
+{"t_s":0.003,"task":"Sst2","request":2,"kind":"entropy_exit","layer":12}
+{"t_s":0.004,"task":"Qnli","request":3,"kind":"parked"}
+{"t_s":0.005,"task":"Qnli","request":3,"kind":"resumed","thief_lane":null}
+{"t_s":0.006,"task":"Qnli","request":3,"kind":"resumed","thief_lane":"Mnli"}
+{"t_s":0.007,"task":"Mnli","request":18446744073709551615,"kind":"shed","pressure":2.5}
+{"t_s":0.008,"task":"Qqp","request":4,"kind":"degraded","notches":255}
+{"t_s":0.009,"task":"Qqp","request":4,"kind":"popped","queue_delay_s":{"$f64":"inf"}}
+{"t_s":1e300,"task":"Sst2","request":2,"kind":"completed","verdict":true,"energy_j":0.00031}
+{"t_s":-0.0,"task":"Qqp","request":4,"kind":"completed","verdict":false,"energy_j":-0.0}
+"#;
 
 #[test]
 fn empty_histogram_reports_zeros() {

@@ -2,12 +2,13 @@
 //! nothing per request, and the enabled steady-state primitives (hub
 //! record, span-recorder emit, histogram record) allocate nothing
 //! either — rings are preallocated, events are `Copy`, histograms are
-//! fixed arrays.
+//! fixed arrays. Also pins the hub's footprint: a default hub requests
+//! at most 32 B per trace-ring slot, plus a page.
 
 // One `#[test]` function in this binary on purpose: see `common`.
 mod common;
 
-use common::allocations_during;
+use common::{allocated_during, allocations_during};
 use edgebert::clock::Clock;
 use edgebert::telemetry::{SpanRecorder, Telemetry, TelemetryConfig, TraceEventKind};
 use edgebert_tasks::Task;
@@ -26,6 +27,19 @@ fn telemetry_hot_paths_do_not_allocate() {
         }
     });
     assert_eq!(n, 0, "disabled telemetry path must not allocate");
+
+    // --- Footprint: the ring reserves its whole capacity at start-up
+    // and every slot becomes resident once it wraps, so the bytes a
+    // default hub requests are what `burst_backlog` keeps resident.
+    let capacity = TelemetryConfig::default().trace_capacity;
+    let (_, bytes) = allocated_during(|| {
+        drop(Telemetry::new(TelemetryConfig::default(), Clock::start()));
+    });
+    let budget = capacity as u64 * 32 + 4096;
+    assert!(
+        bytes <= budget,
+        "a default hub requested {bytes} B, over {budget} B ({capacity} slots x 32 B + 4 KiB)"
+    );
 
     // --- Enabled steady state: every per-event primitive works on
     // preallocated storage. Warm the ring past capacity first so the
