@@ -544,39 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_snapshot_returns_what_was_pushed() {
-        let events = [
-            event(u64::MAX, -0.0),
-            TraceEvent {
-                t_s: f64::NAN,
-                task: Task::Qqp,
-                request: 1,
-                kind: TraceEventKind::Resumed {
-                    thief_lane: Some(Task::Mnli),
-                },
-            },
-            TraceEvent {
-                t_s: 2.0,
-                task: Task::Mnli,
-                request: 2,
-                kind: TraceEventKind::SegmentStart {
-                    layer: u16::MAX,
-                    voltage: 0.55,
-                    freq_hz: 2e7,
-                },
-            },
-        ];
-        let ring = Ring::new(events.len());
-        for e in events {
-            ring.push(e);
-        }
-        let (back, dropped) = ring.snapshot();
-        assert_eq!(dropped, 0);
-        assert_eq!(back.len(), events.len());
-        assert!(events.iter().zip(&back).all(|(a, b)| same_bits(a, b)));
-    }
-
-    #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
         let ring = Ring::new(3);
         for i in 0..5 {
