@@ -14,23 +14,26 @@
 //! power envelope rides in as a plain `cap_w`, and an infinite cap is
 //! the uncapped decision bit for bit.
 //!
-//! Two implementations ship:
+//! Two platforms ship, one constructor each:
 //!
-//! * [`AcceleratorBackend`] — the paper's 12 nm accelerator:
+//! * [`InferenceBackend::accelerator`] — the paper's 12 nm accelerator:
 //!   [`AcceleratorSim`] op-level costing, per-sentence DVFS through
 //!   [`DvfsController`], LDO/ADPLL transition accounting, and the eNVM
 //!   ReRAM embedding buffer. This is the default, and its outputs are
-//!   bit-identical to the pre-trait engine (pinned by
+//!   bit-identical to the pre-backend engine (pinned by
 //!   `tests/backend_equivalence.rs`).
-//! * [`MobileGpuBackend`] — the TX2-class comparison baseline: fixed
-//!   V/F (no DVFS capability, [`InferenceBackend::can_scale`] is
-//!   `false`), costs derived from the measured [`MobileGpu`] anchor,
-//!   with the AAS FLOP-scale factor derived from the *same*
-//!   [`WorkloadParams`] the engine is wired with — so comparison rows
-//!   can no longer disagree with the engine about what is being priced.
+//! * [`InferenceBackend::mobile_gpu`] over a [`MobileGpuBackend`] — the
+//!   TX2-class comparison baseline: fixed V/F (no DVFS capability,
+//!   [`InferenceBackend::can_scale`] is `false`), costs derived from
+//!   the measured [`MobileGpu`] anchor, with the AAS FLOP-scale factor
+//!   derived from the *same* [`WorkloadParams`] the engine is wired
+//!   with — so comparison rows can no longer disagree with the engine
+//!   about what is being priced.
 //!
-//! [`BackendSpec`] names the two; the trait is the seam
-//! `tests/backend_equivalence.rs` pins, not an open extension point.
+//! [`BackendSpec`] names the two. Every per-sentence constant is
+//! computed once, when the backend is built; only segment costing,
+//! the decision, the transition to a decided point and the envelope
+//! slowdown ask which platform it is.
 
 use edgebert_envm::{CellTech, ReramArray};
 use edgebert_hw::memory::sentence_embedding_bits;
@@ -84,48 +87,173 @@ impl SegmentCost {
 /// [`decide`](Self::decide) pins the nominal point and reports
 /// feasibility against the fixed clock, so the engine degrades
 /// gracefully to nominal-only scheduling.
-pub trait InferenceBackend: std::fmt::Debug + Send + Sync {
+#[derive(Debug)]
+pub struct InferenceBackend {
+    platform: Platform,
+    layer_cycles: u64,
+    nominal: OperatingPoint,
+    floor: OperatingPoint,
+    floor_transition_s: f64,
+    wake_transition_s: f64,
+    sentence_overhead: SegmentCost,
+    embedding_read_cost: SegmentCost,
+    nominal_power_w: f64,
+    floor_power_w: f64,
+}
+
+/// What the platform rules consult at call time.
+#[derive(Debug)]
+enum Platform {
+    Accelerator {
+        sim: AcceleratorSim,
+        dvfs: DvfsController,
+        layer: EncoderWorkload,
+    },
+    MobileGpu(MobileGpuBackend),
+}
+
+impl InferenceBackend {
+    /// The paper's accelerator platform for an accelerator design
+    /// point, a workload, and the eNVM cell technology backing the
+    /// ReRAM embedding buffer.
+    pub fn accelerator(
+        accel: AcceleratorConfig,
+        workload: &WorkloadParams,
+        cell_tech: CellTech,
+        envm_capacity_mb: f64,
+    ) -> Self {
+        let sim = AcceleratorSim::new(accel);
+        let layer = sim.layer_workload(workload);
+        let dvfs = DvfsController::new(accel);
+        let cfg = *sim.config();
+        // Sustained compute power at nominal V/F: average power of a
+        // nominal-point layer run. Layers are homogeneous, so one layer
+        // prices the same watts as full depth; fleet energy budgets
+        // are sized relative to this anchor.
+        let nominal_cost = sim.run_layers(&layer, 1, accel.vdd_nominal, accel.freq_max_hz);
+        let nominal_power_w = nominal_cost.energy_j / nominal_cost.seconds;
+        let floor = OperatingPoint {
+            voltage: cfg.vdd_min,
+            freq_hz: dvfs.vf_table().freq_at_voltage(cfg.vdd_min),
+            feasible: true,
+        };
+        let ldo = Ldo::new(cfg.vdd_standby);
+        let pll = Adpll::new(cfg.freq_max_hz);
+        let rram = ReramArray::new(cell_tech, envm_capacity_mb);
+        let embed_bits = sentence_embedding_bits(workload.seq_len, 128, 0.4);
+        Self {
+            layer_cycles: layer.cycles(),
+            nominal: OperatingPoint {
+                voltage: cfg.vdd_nominal,
+                freq_hz: cfg.freq_max_hz,
+                feasible: true,
+            },
+            floor,
+            floor_transition_s: dvfs.floor_transition_s(),
+            wake_transition_s: ldo.transition_time_ns(cfg.vdd_standby, cfg.vdd_nominal) * 1e-9
+                + pll.relock_ns() * 1e-9,
+            sentence_overhead: SegmentCost::ZERO,
+            embedding_read_cost: SegmentCost {
+                seconds: rram.read_latency_ns(embed_bits) * 1e-9,
+                energy_j: rram.read_energy_pj(embed_bits) * 1e-12,
+            },
+            nominal_power_w,
+            floor_power_w: nominal_power_w * dvfs.relative_power(floor.voltage, floor.freq_hz),
+            platform: Platform::Accelerator { sim, dvfs, layer },
+        }
+    }
+
+    /// The mobile-GPU comparison baseline (see [`MobileGpuBackend`]).
+    /// Fixed rail: the board draws its measured effective power
+    /// whenever it computes, so the floor point and draw are the
+    /// nominal ones.
+    pub fn mobile_gpu(gpu: MobileGpuBackend) -> Self {
+        let nominal = OperatingPoint {
+            voltage: MGPU_RAIL_V,
+            freq_hz: MGPU_VIRTUAL_HZ,
+            feasible: true,
+        };
+        let overhead_s = gpu.gpu.effective_overhead_s();
+        let power_w = gpu.gpu.effective_power_w();
+        Self {
+            layer_cycles: gpu.layer_cycles,
+            nominal,
+            floor: nominal,
+            floor_transition_s: 0.0,
+            wake_transition_s: 0.0,
+            sentence_overhead: SegmentCost {
+                seconds: overhead_s,
+                energy_j: overhead_s * power_w,
+            },
+            embedding_read_cost: SegmentCost::ZERO,
+            nominal_power_w: power_w,
+            floor_power_w: power_w,
+            platform: Platform::MobileGpu(gpu),
+        }
+    }
+
     /// Short human-readable backend name for reports and benches.
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        match self.platform {
+            Platform::Accelerator { .. } => "accelerator",
+            Platform::MobileGpu(_) => "mobile-gpu",
+        }
+    }
 
     /// Work units (clock cycles on the backend's clock) of one encoder
     /// layer of the wired workload. The engine multiplies this by the
     /// forecast remaining depth when asking for a DVFS decision.
-    fn layer_cycles(&self) -> u64;
+    pub fn layer_cycles(&self) -> u64 {
+        self.layer_cycles
+    }
 
     /// Whether the backend can move its V/F operating point per
     /// sentence. Fixed-point backends never transition, and their
     /// [`decide`](Self::decide) holds the nominal point.
-    fn can_scale(&self) -> bool;
+    pub fn can_scale(&self) -> bool {
+        matches!(self.platform, Platform::Accelerator { .. })
+    }
 
     /// The nominal (maximum-performance) operating point. No budget
     /// produced it, so it is `feasible`: a sentence that ends before
     /// any DVFS decision is judged on its sojourn alone.
-    fn nominal(&self) -> OperatingPoint;
+    pub fn nominal(&self) -> OperatingPoint {
+        self.nominal
+    }
 
     /// The floor (minimum-energy) operating point. Equals
     /// [`nominal`](Self::nominal) on fixed-V/F backends.
-    fn floor(&self) -> OperatingPoint;
+    pub fn floor(&self) -> OperatingPoint {
+        self.floor
+    }
 
     /// Worst-case time to transition from nominal to the floor point,
     /// seconds — the reserve the engine subtracts from a latency budget
     /// before asking for a decision. Zero on fixed-V/F backends.
-    fn floor_transition_s(&self) -> f64;
+    pub fn floor_transition_s(&self) -> f64 {
+        self.floor_transition_s
+    }
 
     /// Time to bring the platform from standby to the nominal point
     /// (rail slew + clock relock), charged at the start of a
     /// latency-aware sentence. Zero when the platform has no modeled
     /// standby state.
-    fn wake_transition_s(&self) -> f64;
+    pub fn wake_transition_s(&self) -> f64 {
+        self.wake_transition_s
+    }
 
     /// Fixed per-sentence cost charged on every inference regardless of
     /// mode (e.g. kernel-launch and host-sync overhead on a GPU).
-    fn sentence_overhead(&self) -> SegmentCost;
+    pub fn sentence_overhead(&self) -> SegmentCost {
+        self.sentence_overhead
+    }
 
     /// Cost of reading the sentence's embedding rows from the
     /// platform's embedding store. Zero when that cost is already
     /// folded into the measured per-layer anchor.
-    fn embedding_read_cost(&self) -> SegmentCost;
+    pub fn embedding_read_cost(&self) -> SegmentCost {
+        self.embedding_read_cost
+    }
 
     /// The operating point for `remaining_cycles` of work within
     /// `remaining_seconds` of budget, of which `elapsed_queue_s` was
@@ -135,25 +263,50 @@ pub trait InferenceBackend: std::fmt::Debug + Send + Sync {
     /// unconstrained). Feasibility is judged *honestly* against the
     /// capped point — an envelope that forbids the deadline-meeting
     /// point yields an infeasible decision rather than a silently
-    /// re-priced one. A backend that cannot scale V/F (or does not
-    /// model power) has no point below its fixed draw to clamp to and
-    /// ignores the cap.
-    fn decide(
+    /// re-priced one. A backend that cannot scale V/F has no point
+    /// below its fixed draw to clamp to and ignores the cap.
+    pub fn decide(
         &self,
         remaining_cycles: u64,
         remaining_seconds: f64,
         elapsed_queue_s: f64,
         cap_w: f64,
-    ) -> OperatingPoint;
+    ) -> OperatingPoint {
+        match &self.platform {
+            Platform::Accelerator { dvfs, .. } => {
+                debug_assert!(
+                    elapsed_queue_s >= 0.0 && elapsed_queue_s.is_finite(),
+                    "queueing delay must be finite and non-negative, got {elapsed_queue_s}"
+                );
+                let rel_cap = cap_w / self.nominal_power_w;
+                let d = dvfs.decide_power_capped(
+                    remaining_cycles,
+                    remaining_seconds - elapsed_queue_s,
+                    rel_cap,
+                );
+                OperatingPoint {
+                    voltage: d.voltage,
+                    freq_hz: d.freq_hz,
+                    feasible: d.feasible,
+                }
+            }
+            Platform::MobileGpu(_) => {
+                // No DVFS capability: hold the fixed point and report
+                // whether the remaining work fits the remaining budget
+                // at it. A NaN budget compares false, i.e. infeasible.
+                let mut point = self.nominal;
+                let need_s = remaining_cycles as f64 / point.freq_hz;
+                point.feasible = need_s <= remaining_seconds - elapsed_queue_s;
+                point
+            }
+        }
+    }
 
     /// Sustained compute power drawn at the nominal operating point,
     /// watts — the anchor a fleet energy budget divides per-lane
-    /// envelopes against. The default, `f64::INFINITY`, means the
-    /// backend does not model power: every envelope then reads as
-    /// unconstrained, and fleet energy budgeting leaves the backend's
-    /// decisions untouched.
-    fn nominal_power_w(&self) -> f64 {
-        f64::INFINITY
+    /// envelopes against.
+    pub fn nominal_power_w(&self) -> f64 {
+        self.nominal_power_w
     }
 
     /// Sustained compute power at the floor (minimum-energy) operating
@@ -162,8 +315,8 @@ pub trait InferenceBackend: std::fmt::Debug + Send + Sync {
     /// inside a lane's envelope before attaching another shard. Equals
     /// [`nominal_power_w`](Self::nominal_power_w) on fixed-V/F
     /// backends.
-    fn floor_power_w(&self) -> f64 {
-        self.nominal_power_w()
+    pub fn floor_power_w(&self) -> f64 {
+        self.floor_power_w
     }
 
     /// How much longer a nominal-speed sentence takes when this
@@ -171,36 +324,86 @@ pub trait InferenceBackend: std::fmt::Debug + Send + Sync {
     /// `f_nominal / f_capped ≥ 1`. Admission-side feasibility
     /// estimates (the overload shed rung) multiply their per-job
     /// service estimate by this, so an envelope-constrained lane sheds
-    /// against the throughput it can actually deliver. The default,
-    /// 1.0, matches backends the envelope cannot constrain.
-    fn envelope_service_scale(&self, _cap_w: f64) -> f64 {
-        1.0
+    /// against the throughput it can actually deliver. Always 1.0 on a
+    /// fixed-V/F backend, which no envelope can slow.
+    pub fn envelope_service_scale(&self, cap_w: f64) -> f64 {
+        let Platform::Accelerator { dvfs, .. } = &self.platform else {
+            return 1.0;
+        };
+        let rel_cap = cap_w / self.nominal_power_w;
+        if rel_cap >= 1.0 {
+            return 1.0;
+        }
+        let (_, f_cap) = dvfs.power_capped_point(rel_cap);
+        // power_capped_point never stalls the clock, so f_cap > 0 and
+        // the scale is a finite slowdown factor ≥ 1.
+        (self.nominal.freq_hz / f_cap).max(1.0)
     }
 
     /// Time to transition from the nominal point to `to`, seconds.
-    fn transition_s(&self, to: &OperatingPoint) -> f64;
+    #[allow(clippy::float_cmp, reason = "relock is free when the clock holds fmax")]
+    pub fn transition_s(&self, to: &OperatingPoint) -> f64 {
+        let Platform::Accelerator { sim, .. } = &self.platform else {
+            return 0.0;
+        };
+        // The LDO slews from nominal toward the decision voltage while
+        // the ADPLL relocks (relock is free when the clock holds fmax).
+        let cfg = sim.config();
+        let ldo = Ldo::new(cfg.vdd_standby);
+        let pll = Adpll::new(cfg.freq_max_hz);
+        ldo.transition_time_ns(cfg.vdd_nominal, to.voltage) * 1e-9
+            + if to.freq_hz == cfg.freq_max_hz {
+                0.0
+            } else {
+                pll.relock_ns() * 1e-9
+            }
+    }
 
     /// Runs `layers` encoder layers of the wired workload at an
     /// operating point.
-    fn run_layers(&self, layers: usize, at: &OperatingPoint) -> SegmentCost;
+    pub fn run_layers(&self, layers: usize, at: &OperatingPoint) -> SegmentCost {
+        match &self.platform {
+            Platform::Accelerator { sim, layer, .. } => {
+                let cost = sim.run_layers(layer, layers, at.voltage, at.freq_hz);
+                SegmentCost {
+                    seconds: cost.seconds,
+                    energy_j: cost.energy_j,
+                }
+            }
+            Platform::MobileGpu(mgpu) => {
+                // Fixed V/F: the operating point cannot change the cost.
+                let seconds = mgpu.gpu.per_layer_latency_s(mgpu.flop_scale) * layers as f64;
+                SegmentCost {
+                    seconds,
+                    energy_j: seconds * mgpu.gpu.effective_power_w(),
+                }
+            }
+        }
+    }
 
     /// Runs `layers` encoder layers at the nominal point.
-    fn run_layers_nominal(&self, layers: usize) -> SegmentCost {
-        self.run_layers(layers, &self.nominal())
+    pub fn run_layers_nominal(&self, layers: usize) -> SegmentCost {
+        self.run_layers(layers, &self.nominal)
     }
 
     /// The op-level accelerator simulator, when this backend is built on
     /// one (experiment drivers that trace accelerator internals — e.g.
     /// the Fig. 7 LDO waveform — require it).
-    fn as_accelerator(&self) -> Option<&AcceleratorSim> {
-        None
+    pub fn accelerator_sim(&self) -> Option<&AcceleratorSim> {
+        match &self.platform {
+            Platform::Accelerator { sim, .. } => Some(sim),
+            Platform::MobileGpu(_) => None,
+        }
     }
 
     /// The mobile-GPU baseline model, when this backend *is* one — so
     /// comparison-row helpers reuse the engine's wired anchor instead
     /// of silently re-deriving the default.
-    fn as_mobile_gpu(&self) -> Option<&MobileGpuBackend> {
-        None
+    pub fn mobile_gpu_baseline(&self) -> Option<&MobileGpuBackend> {
+        match &self.platform {
+            Platform::Accelerator { .. } => None,
+            Platform::MobileGpu(mgpu) => Some(mgpu),
+        }
     }
 }
 
@@ -217,183 +420,6 @@ pub enum BackendSpec {
     MobileGpu(MobileGpu),
 }
 
-/// The paper's accelerator platform: op-level simulator, DVFS
-/// controller, LDO/ADPLL transition costs, and the ReRAM embedding
-/// buffer.
-#[derive(Debug, Clone)]
-pub struct AcceleratorBackend {
-    sim: AcceleratorSim,
-    dvfs: DvfsController,
-    layer: EncoderWorkload,
-    layer_cycles: u64,
-    rram: ReramArray,
-    embed_bits: usize,
-    nominal_power_w: f64,
-}
-
-impl AcceleratorBackend {
-    /// Builds the backend for an accelerator design point, a workload,
-    /// and the eNVM cell technology backing the embedding buffer.
-    pub fn new(
-        accel: AcceleratorConfig,
-        workload: &WorkloadParams,
-        cell_tech: CellTech,
-        envm_capacity_mb: f64,
-    ) -> Self {
-        let sim = AcceleratorSim::new(accel);
-        let layer = sim.layer_workload(workload);
-        let layer_cycles = layer.cycles();
-        let embed_bits = sentence_embedding_bits(workload.seq_len, 128, 0.4);
-        // Sustained compute power at nominal V/F: average power of a
-        // nominal-point layer run. Layers are homogeneous, so one layer
-        // prices the same watts as full depth; fleet energy budgets
-        // are sized relative to this anchor.
-        let nominal_cost = sim.run_layers(&layer, 1, accel.vdd_nominal, accel.freq_max_hz);
-        let nominal_power_w = nominal_cost.energy_j / nominal_cost.seconds;
-        Self {
-            dvfs: DvfsController::new(accel),
-            sim,
-            layer,
-            layer_cycles,
-            rram: ReramArray::new(cell_tech, envm_capacity_mb),
-            embed_bits,
-            nominal_power_w,
-        }
-    }
-
-    /// The DVFS controller.
-    pub fn dvfs(&self) -> &DvfsController {
-        &self.dvfs
-    }
-}
-
-impl InferenceBackend for AcceleratorBackend {
-    fn name(&self) -> &'static str {
-        "accelerator"
-    }
-
-    fn layer_cycles(&self) -> u64 {
-        self.layer_cycles
-    }
-
-    fn can_scale(&self) -> bool {
-        true
-    }
-
-    fn nominal(&self) -> OperatingPoint {
-        let cfg = self.sim.config();
-        OperatingPoint {
-            voltage: cfg.vdd_nominal,
-            freq_hz: cfg.freq_max_hz,
-            feasible: true,
-        }
-    }
-
-    fn floor(&self) -> OperatingPoint {
-        let cfg = self.sim.config();
-        OperatingPoint {
-            voltage: cfg.vdd_min,
-            freq_hz: self.dvfs.vf_table().freq_at_voltage(cfg.vdd_min),
-            feasible: true,
-        }
-    }
-
-    fn floor_transition_s(&self) -> f64 {
-        self.dvfs.floor_transition_s()
-    }
-
-    fn wake_transition_s(&self) -> f64 {
-        let cfg = self.sim.config();
-        let ldo = Ldo::new(cfg.vdd_standby);
-        let pll = Adpll::new(cfg.freq_max_hz);
-        ldo.transition_time_ns(cfg.vdd_standby, cfg.vdd_nominal) * 1e-9 + pll.relock_ns() * 1e-9
-    }
-
-    fn sentence_overhead(&self) -> SegmentCost {
-        SegmentCost::ZERO
-    }
-
-    fn embedding_read_cost(&self) -> SegmentCost {
-        SegmentCost {
-            seconds: self.rram.read_latency_ns(self.embed_bits) * 1e-9,
-            energy_j: self.rram.read_energy_pj(self.embed_bits) * 1e-12,
-        }
-    }
-
-    fn decide(
-        &self,
-        remaining_cycles: u64,
-        remaining_seconds: f64,
-        elapsed_queue_s: f64,
-        cap_w: f64,
-    ) -> OperatingPoint {
-        debug_assert!(
-            elapsed_queue_s >= 0.0 && elapsed_queue_s.is_finite(),
-            "queueing delay must be finite and non-negative, got {elapsed_queue_s}"
-        );
-        let rel_cap = cap_w / self.nominal_power_w;
-        let d = self.dvfs.decide_power_capped(
-            remaining_cycles,
-            remaining_seconds - elapsed_queue_s,
-            rel_cap,
-        );
-        OperatingPoint {
-            voltage: d.voltage,
-            freq_hz: d.freq_hz,
-            feasible: d.feasible,
-        }
-    }
-
-    fn nominal_power_w(&self) -> f64 {
-        self.nominal_power_w
-    }
-
-    fn floor_power_w(&self) -> f64 {
-        let floor = self.floor();
-        self.nominal_power_w * self.dvfs.relative_power(floor.voltage, floor.freq_hz)
-    }
-
-    fn envelope_service_scale(&self, cap_w: f64) -> f64 {
-        let rel_cap = cap_w / self.nominal_power_w;
-        if rel_cap >= 1.0 {
-            return 1.0;
-        }
-        let (_, f_cap) = self.dvfs.power_capped_point(rel_cap);
-        // power_capped_point never stalls the clock, so f_cap > 0 and
-        // the scale is a finite slowdown factor ≥ 1.
-        (self.sim.config().freq_max_hz / f_cap).max(1.0)
-    }
-
-    #[allow(clippy::float_cmp, reason = "relock is free when the clock holds fmax")]
-    fn transition_s(&self, to: &OperatingPoint) -> f64 {
-        // The LDO slews from nominal toward the decision voltage while
-        // the ADPLL relocks (relock is free when the clock holds fmax).
-        let cfg = self.sim.config();
-        let ldo = Ldo::new(cfg.vdd_standby);
-        let pll = Adpll::new(cfg.freq_max_hz);
-        ldo.transition_time_ns(cfg.vdd_nominal, to.voltage) * 1e-9
-            + if to.freq_hz == cfg.freq_max_hz {
-                0.0
-            } else {
-                pll.relock_ns() * 1e-9
-            }
-    }
-
-    fn run_layers(&self, layers: usize, at: &OperatingPoint) -> SegmentCost {
-        let cost = self
-            .sim
-            .run_layers(&self.layer, layers, at.voltage, at.freq_hz);
-        SegmentCost {
-            seconds: cost.seconds,
-            energy_j: cost.energy_j,
-        }
-    }
-
-    fn as_accelerator(&self) -> Option<&AcceleratorSim> {
-        Some(&self.sim)
-    }
-}
-
 /// The supply voltage [`MobileGpuBackend`] reports in results: the
 /// board runs a fixed rail the model does not scale, so a single
 /// representative value stands in for it.
@@ -403,7 +429,8 @@ pub const MGPU_RAIL_V: f32 = 1.0;
 /// 1 GHz, so one "cycle" is one nanosecond of anchored per-layer time.
 pub const MGPU_VIRTUAL_HZ: f64 = 1.0e9;
 
-/// The TX2-class mobile-GPU comparison baseline as an engine backend.
+/// The TX2-class mobile-GPU comparison baseline, an engine backend
+/// through [`InferenceBackend::mobile_gpu`].
 ///
 /// Fixed V/F: [`can_scale`](InferenceBackend::can_scale) is `false`,
 /// [`decide`](InferenceBackend::decide) always pins the nominal point
@@ -482,104 +509,26 @@ impl MobileGpuBackend {
     }
 }
 
-impl InferenceBackend for MobileGpuBackend {
-    fn name(&self) -> &'static str {
-        "mobile-gpu"
-    }
-
-    fn layer_cycles(&self) -> u64 {
-        self.layer_cycles
-    }
-
-    fn can_scale(&self) -> bool {
-        false
-    }
-
-    fn nominal(&self) -> OperatingPoint {
-        OperatingPoint {
-            voltage: MGPU_RAIL_V,
-            freq_hz: MGPU_VIRTUAL_HZ,
-            feasible: true,
-        }
-    }
-
-    fn floor(&self) -> OperatingPoint {
-        self.nominal()
-    }
-
-    fn floor_transition_s(&self) -> f64 {
-        0.0
-    }
-
-    fn wake_transition_s(&self) -> f64 {
-        0.0
-    }
-
-    fn sentence_overhead(&self) -> SegmentCost {
-        let overhead_s = self.gpu.effective_overhead_s();
-        SegmentCost {
-            seconds: overhead_s,
-            energy_j: overhead_s * self.gpu.effective_power_w(),
-        }
-    }
-
-    fn embedding_read_cost(&self) -> SegmentCost {
-        SegmentCost::ZERO
-    }
-
-    fn decide(
-        &self,
-        remaining_cycles: u64,
-        remaining_seconds: f64,
-        elapsed_queue_s: f64,
-        _cap_w: f64,
-    ) -> OperatingPoint {
-        // No DVFS capability: hold the fixed point and report whether
-        // the remaining work fits the remaining budget at it. A NaN
-        // budget compares false, i.e. infeasible.
-        let mut point = self.nominal();
-        let need_s = remaining_cycles as f64 / point.freq_hz;
-        point.feasible = need_s <= remaining_seconds - elapsed_queue_s;
-        point
-    }
-
-    fn nominal_power_w(&self) -> f64 {
-        // Fixed rail: the board draws its measured effective power
-        // whenever it computes, so nominal == floor == that draw (the
-        // trait's floor default picks it up).
-        self.gpu.effective_power_w()
-    }
-
-    fn transition_s(&self, _to: &OperatingPoint) -> f64 {
-        0.0
-    }
-
-    fn run_layers(&self, layers: usize, _at: &OperatingPoint) -> SegmentCost {
-        // Fixed V/F: the operating point cannot change the cost.
-        let seconds = self.gpu.per_layer_latency_s(self.flop_scale) * layers as f64;
-        SegmentCost {
-            seconds,
-            energy_j: seconds * self.gpu.effective_power_w(),
-        }
-    }
-
-    fn as_mobile_gpu(&self) -> Option<&MobileGpuBackend> {
-        Some(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn accel() -> AcceleratorBackend {
-        AcceleratorBackend::new(
+    fn accel() -> InferenceBackend {
+        InferenceBackend::accelerator(
             AcceleratorConfig::energy_optimal(),
             &WorkloadParams::albert_base(),
             CellTech::Mlc2,
             2.0,
         )
+    }
+
+    fn dvfs() -> DvfsController {
+        DvfsController::new(AcceleratorConfig::energy_optimal())
+    }
+
+    fn mgpu() -> InferenceBackend {
+        InferenceBackend::mobile_gpu(MobileGpuBackend::with_flop_scale(MobileGpu::default(), 1.0))
     }
 
     #[test]
@@ -609,15 +558,16 @@ mod tests {
             assert_eq!(via.energy_j, scaled.energy_j);
         }
         // Decisions delegate to the DVFS controller verbatim.
-        let d = b.dvfs().decide(40_000_000, 50e-3);
+        let d = dvfs().decide(40_000_000, 50e-3);
         let p = b.decide(40_000_000, 50e-3, 0.0, f64::INFINITY);
         assert_eq!(
             (p.voltage, p.freq_hz, p.feasible),
             (d.voltage, d.freq_hz, d.feasible)
         );
         assert!(b.can_scale());
-        assert!(b.as_accelerator().is_some());
-        assert_eq!(b.floor_transition_s(), b.dvfs().floor_transition_s());
+        assert!(b.accelerator_sim().is_some());
+        assert!(b.mobile_gpu_baseline().is_none());
+        assert_eq!(b.floor_transition_s(), dvfs().floor_transition_s());
     }
 
     #[test]
@@ -643,8 +593,8 @@ mod tests {
     #[test]
     fn mgpu_backend_prices_the_anchor() {
         let gpu = MobileGpu::default();
-        let b = MobileGpuBackend::with_flop_scale(gpu, 1.0);
-        let full = b.full_inference(12);
+        let b = mgpu();
+        let full = b.mobile_gpu_baseline().expect("mGPU").full_inference(12);
         assert_eq!(full.seconds, gpu.inference_latency_s(12, 1.0));
         assert_eq!(full.energy_j, gpu.inference_energy_j(12, 1.0));
         assert!(!b.can_scale());
@@ -652,7 +602,7 @@ mod tests {
         assert_eq!(b.wake_transition_s(), 0.0);
         assert_eq!(b.floor_transition_s(), 0.0);
         assert_eq!(b.embedding_read_cost(), SegmentCost::ZERO);
-        assert!(b.as_accelerator().is_none());
+        assert!(b.accelerator_sim().is_none());
         // The operating point cannot change the cost.
         let slow = OperatingPoint {
             voltage: 0.5,
@@ -664,7 +614,7 @@ mod tests {
 
     #[test]
     fn mgpu_decide_degrades_to_nominal_only() {
-        let b = MobileGpuBackend::with_flop_scale(MobileGpu::default(), 1.0);
+        let b = mgpu();
         // Plenty of budget: feasible, still at the fixed point.
         let loose = b.decide(b.layer_cycles() * 2, 1.0, 0.0, f64::INFINITY);
         assert!(loose.feasible);
@@ -731,7 +681,7 @@ mod tests {
         );
         let floor = b.floor();
         let expected_floor =
-            b.nominal_power_w() * b.dvfs().relative_power(floor.voltage, floor.freq_hz);
+            b.nominal_power_w() * dvfs().relative_power(floor.voltage, floor.freq_hz);
         assert!((b.floor_power_w() - expected_floor).abs() < 1e-12);
         assert!(b.floor_power_w() < 0.25 * b.nominal_power_w());
         assert!(b.floor_power_w() > 0.0);
@@ -750,7 +700,7 @@ mod tests {
         let capped = b.decide(cycles, 1.0, 0.0, cap_w);
         assert!(capped.freq_hz < uncapped.freq_hz);
         assert!(
-            b.dvfs().relative_power(capped.voltage, capped.freq_hz) <= 0.5 + 1e-12,
+            dvfs().relative_power(capped.voltage, capped.freq_hz) <= 0.5 + 1e-12,
             "capped point must fit the envelope"
         );
         assert_eq!(
@@ -764,7 +714,7 @@ mod tests {
             f64::INFINITY,
         ] {
             let c = b.decide(cycles, 1.0, 12e-3, cap);
-            let d = b.dvfs().decide_with_elapsed(cycles, 1.0, 12e-3);
+            let d = dvfs().decide_with_elapsed(cycles, 1.0, 12e-3);
             assert_eq!(
                 (c.voltage, c.freq_hz, c.feasible),
                 (d.voltage, d.freq_hz, d.feasible)
@@ -773,9 +723,7 @@ mod tests {
         // Queueing delay burns the window before the cap applies, same
         // as the uncapped elapsed-aware path.
         let queued = b.decide(cycles, 1.0, 0.4, cap_w);
-        let direct = b
-            .dvfs()
-            .decide_power_capped(cycles, 1.0 - 0.4, cap_w / b.nominal_power_w());
+        let direct = dvfs().decide_power_capped(cycles, 1.0 - 0.4, cap_w / b.nominal_power_w());
         assert_eq!(
             (queued.voltage, queued.freq_hz),
             (direct.voltage, direct.freq_hz)
@@ -801,9 +749,10 @@ mod tests {
 
     #[test]
     fn mgpu_power_is_fixed_and_envelopes_are_inert() {
-        let b = MobileGpuBackend::with_flop_scale(MobileGpu::default(), 1.0);
-        assert_eq!(b.nominal_power_w(), b.gpu().effective_power_w());
-        // Fixed rail: floor draw equals nominal draw (trait default).
+        let b = mgpu();
+        let gpu = b.mobile_gpu_baseline().expect("mGPU").gpu();
+        assert_eq!(b.nominal_power_w(), gpu.effective_power_w());
+        // Fixed rail: floor draw equals nominal draw.
         assert_eq!(b.floor_power_w(), b.nominal_power_w());
         assert_eq!(b.envelope_service_scale(0.1), 1.0);
         // No point below the fixed draw exists: the decision ignores the
@@ -818,14 +767,10 @@ mod tests {
     }
 
     #[test]
-    fn backends_are_object_safe_and_shared() {
-        // The engine holds `Arc<dyn InferenceBackend>` and is cloned
-        // into server pools: the trait must stay object-safe, Send, and
-        // Sync.
-        let backends: Vec<Arc<dyn InferenceBackend>> = vec![
-            Arc::new(accel()),
-            Arc::new(MobileGpuBackend::with_flop_scale(MobileGpu::default(), 1.0)),
-        ];
+    fn backends_are_send_sync_and_shared() {
+        // The engine holds `Arc<InferenceBackend>` and is cloned into
+        // server pools: the backend must stay Send and Sync.
+        let backends: Vec<Arc<InferenceBackend>> = vec![Arc::new(accel()), Arc::new(mgpu())];
         fn assert_send_sync<T: Send + Sync>(_: &T) {}
         for b in &backends {
             assert_send_sync(b);

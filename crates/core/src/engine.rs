@@ -28,7 +28,7 @@
 //! sentence it already forwarded through the crate-private
 //! `begin_replay`); the per-layer loop lives in [`crate::session`].
 
-use crate::backend::{AcceleratorBackend, BackendSpec, InferenceBackend, MobileGpuBackend};
+use crate::backend::{BackendSpec, InferenceBackend, MobileGpuBackend};
 use crate::overload::Degradation;
 use crate::predictor::PredictorLut;
 use crate::session::{ForwardTrace, InferenceSession};
@@ -574,23 +574,21 @@ impl EngineBuilder {
 
     /// Builds the engine.
     pub fn build(self) -> EdgeBertEngine {
-        let backend: Arc<dyn InferenceBackend> = match self.backend {
-            BackendSpec::Accelerator => Arc::new(AcceleratorBackend::new(
+        let backend = match self.backend {
+            BackendSpec::Accelerator => InferenceBackend::accelerator(
                 self.accel,
                 &self.workload,
                 self.cell_tech,
                 self.envm_capacity_mb,
-            )),
+            ),
             BackendSpec::MobileGpu(gpu) => {
-                Arc::new(MobileGpuBackend::from_workload(gpu, &self.workload))
+                InferenceBackend::mobile_gpu(MobileGpuBackend::from_workload(gpu, &self.workload))
             }
         };
-        let layer_cycles = backend.layer_cycles();
         EdgeBertEngine {
             model: self.model,
             lut: self.lut,
-            backend,
-            layer_cycles,
+            backend: Arc::new(backend),
             workload: Arc::new(self.workload),
             thresholds: self.thresholds,
             default_latency_target_s: self.default_latency_target_s,
@@ -608,8 +606,7 @@ impl EngineBuilder {
 pub struct EdgeBertEngine {
     model: Arc<AlbertModel>,
     lut: Arc<PredictorLut>,
-    backend: Arc<dyn InferenceBackend>,
-    layer_cycles: u64,
+    backend: Arc<InferenceBackend>,
     /// Shared like the weights: every session clones its engine, and
     /// the span table must not be copied per sentence.
     workload: Arc<WorkloadParams>,
@@ -633,12 +630,12 @@ impl EdgeBertEngine {
 
     /// Cycles of one encoder layer on this hardware configuration.
     pub fn layer_cycles(&self) -> u64 {
-        self.layer_cycles
+        self.backend.layer_cycles()
     }
 
     /// The hardware backend this engine costs inferences against.
-    pub fn backend(&self) -> &dyn InferenceBackend {
-        self.backend.as_ref()
+    pub fn backend(&self) -> &InferenceBackend {
+        &self.backend
     }
 
     /// The predictor LUT the LAI forecast indexes.
@@ -652,7 +649,7 @@ impl EdgeBertEngine {
     /// transition reserve. The overload ladder's feasibility test
     /// sizes its service slots with it.
     pub fn nominal_service_estimate_s(&self) -> f64 {
-        let b = self.backend.as_ref();
+        let b = &self.backend;
         b.sentence_overhead().seconds
             + b.wake_transition_s()
             + b.embedding_read_cost().seconds
@@ -663,7 +660,7 @@ impl EdgeBertEngine {
     /// The op-level accelerator simulator, when the engine runs on the
     /// accelerator backend (`None` on the mGPU baseline).
     pub fn accelerator_sim(&self) -> Option<&AcceleratorSim> {
-        self.backend.as_accelerator()
+        self.backend.accelerator_sim()
     }
 
     /// The hardware workload shapes the engine's backend was built on.
@@ -859,7 +856,7 @@ impl EdgeBertEngine {
     /// TX2-anchored baseline is derived via
     /// [`MobileGpuBackend::from_workload`].
     pub fn mgpu_baseline(&self) -> MobileGpuBackend {
-        match self.backend.as_mobile_gpu() {
+        match self.backend.mobile_gpu_baseline() {
             Some(gpu) => gpu.clone(),
             None => MobileGpuBackend::from_workload(MobileGpu::default(), &self.workload),
         }

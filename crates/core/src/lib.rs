@@ -38,12 +38,12 @@
 //!   [`backend::InferenceBackend`] covers per-layer workload costing,
 //!   segment execution at an operating point, the one DVFS decision
 //!   (power envelope as a plain cap, infinite when unconstrained), and
-//!   fixed per-sentence costs. [`backend::AcceleratorBackend`] (the
-//!   paper's accelerator, the default) and
-//!   [`backend::MobileGpuBackend`] (the fixed-V/F TX2 comparison
-//!   baseline, priced on the *same* wired workload) are the two that
-//!   ship, selected with [`EngineBuilder::backend`]; the trait is the
-//!   seam `tests/backend_equivalence.rs` pins;
+//!   fixed per-sentence costs, each computed once at build. Its two
+//!   platforms — the paper's accelerator (the default) and the
+//!   fixed-V/F TX2 comparison baseline
+//!   ([`backend::MobileGpuBackend`], priced on the *same* wired
+//!   workload) — are selected with [`EngineBuilder::backend`];
+//!   `tests/backend_equivalence.rs` pins both;
 //! * [`energy`] — fleet-level energy budgeting, default-off:
 //!   [`allocate`](energy::allocate) waterfills the configured fleet
 //!   cap ([`EnergyConfig`]) into per-lane power envelopes — floors
@@ -169,10 +169,7 @@ pub mod serving;
 pub mod session;
 pub mod telemetry;
 
-pub use backend::{
-    AcceleratorBackend, BackendSpec, InferenceBackend, MobileGpuBackend, OperatingPoint,
-    SegmentCost,
-};
+pub use backend::{BackendSpec, InferenceBackend, MobileGpuBackend, OperatingPoint, SegmentCost};
 pub use calibrate::{calibrate_conventional, calibrate_latency_aware, Calibration};
 pub use energy::{EnergyConfig, EnergyEnvelope, LaneDemand};
 pub use engine::{

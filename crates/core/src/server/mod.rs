@@ -995,9 +995,11 @@ fn steal_tightest_parked(registry: &[PoolEntry], home: usize) -> Option<(usize, 
 /// draws *declines* the attach (counted in
 /// [`LaneStats::attach_declined`]) rather than blowing through the
 /// fleet cap — the lane stays pressured and drains at its funded
-/// width. Lanes without an envelope, and backends that don't model
-/// power (an infinite floor means "unmodeled", not "unaffordable"),
-/// attach exactly as before.
+/// width. Lanes without an envelope attach exactly as before, and so
+/// does a backend whose floor draw is infinite: only a mobile-GPU
+/// anchor measured at `power_w = +∞` has one, and no finite envelope
+/// could price its shards, so the gate passes it rather than freezing
+/// the lane at its home width.
 fn attach_to_pressured_lane(
     registry: &[PoolEntry],
     home: usize,

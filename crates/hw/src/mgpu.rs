@@ -66,15 +66,17 @@ impl MobileGpu {
         }
     }
 
-    /// The fixed per-sentence overhead as charged: a non-finite or
-    /// negative overhead sanitizes to zero (`f64::max` discards NaN).
+    /// The fixed per-sentence overhead as charged: a NaN or negative
+    /// overhead (`-∞` included) sanitizes to zero (`f64::max` discards
+    /// NaN); `+∞` is not sanitized and passes through.
     pub fn effective_overhead_s(&self) -> f64 {
         self.overhead_s.max(0.0)
     }
 
-    /// The board power as charged: a non-finite or negative power
-    /// sanitizes to zero rather than propagating NaN (or negative
-    /// energy) into report tables.
+    /// The board power as charged: a NaN or negative power (`-∞`
+    /// included) sanitizes to zero rather than propagating NaN (or
+    /// negative energy) into report tables; `+∞` is not sanitized and
+    /// passes through, pricing infinite energy.
     pub fn effective_power_w(&self) -> f64 {
         self.power_w.max(0.0)
     }
@@ -195,6 +197,19 @@ mod tests {
         };
         let lat = inverted.inference_latency_s(12, 1.0);
         assert!(lat.is_finite() && lat >= 0.0, "latency {lat}");
+    }
+
+    #[test]
+    fn positive_infinity_is_charged_as_is() {
+        // `f64::max(+∞, 0.0)` is +∞: only NaN and negative values
+        // sanitize to zero.
+        let infinite = MobileGpu {
+            power_w: f64::INFINITY,
+            overhead_s: f64::INFINITY,
+            ..MobileGpu::tegra_x2()
+        };
+        assert_eq!(infinite.effective_power_w(), f64::INFINITY);
+        assert_eq!(infinite.effective_overhead_s(), f64::INFINITY);
     }
 
     #[test]

@@ -58,7 +58,9 @@ impl AlbertConfig {
     }
 
     /// A trainable scale model keeping the paper's *structure* (12 shared
-    /// layers, 12 heads, 4x FFN expansion, E < H factorization).
+    /// layers, 12 heads, E < H factorization), with a 2x FFN expansion
+    /// (`intermediate_size` 96 over a hidden width of 48) where the
+    /// paper's ALBERT-base uses 4x.
     pub fn small(vocab_size: usize, num_classes: usize) -> Self {
         Self {
             vocab_size,

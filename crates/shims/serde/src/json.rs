@@ -13,18 +13,31 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
     out
 }
 
+/// The deepest array/object nesting the parser accepts. The deepest
+/// document this workspace writes, a cached task artifact, nests 10
+/// levels (a session checkpoint 4, a telemetry config 1); a hostile
+/// document nested past the bound is refused with an [`Error`] instead
+/// of recursing until the thread's stack overflows.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON string into any [`Deserialize`] type.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
+    T::from_value(&parse(text)?)
+}
+
+/// Parses one whole JSON document into its [`Value`] tree.
+fn parse(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.parse_value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(Error::new(format!("trailing input at byte {}", parser.pos)));
     }
-    T::from_value(&value)
+    Ok(value)
 }
 
 fn write_value(value: &Value, out: &mut String) {
@@ -98,6 +111,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -137,8 +152,22 @@ impl<'a> Parser<'a> {
             b't' => self.parse_keyword("true", Value::Bool(true)),
             b'f' => self.parse_keyword("false", Value::Bool(false)),
             b'"' => self.parse_string().map(Value::Str),
-            b'[' => self.parse_seq(),
-            b'{' => self.parse_map(),
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::new(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_seq()
+                } else {
+                    self.parse_map()
+                };
+                self.depth -= 1;
+                value
+            }
             _ => self.parse_number(),
         }
     }
@@ -332,9 +361,13 @@ impl<'a> Parser<'a> {
                 return Ok(Value::U64(v));
             }
         }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error::new(format!("invalid number '{text}'")))
+        // JSON has no infinities (the writer escapes them), so a finite
+        // literal too large for an f64 is refused, not rounded to one.
+        match text.parse::<f64>() {
+            Ok(v) if v.is_infinite() => Err(Error::new(format!("number '{text}' overflows f64"))),
+            Ok(v) => Ok(Value::F64(v)),
+            Err(_) => Err(Error::new(format!("invalid number '{text}'"))),
+        }
     }
 }
 
@@ -389,6 +422,38 @@ mod tests {
             let text = to_string(&s.to_string());
             assert_eq!(from_str::<String>(&text).unwrap(), s, "wire {text}");
         }
+    }
+
+    #[test]
+    fn finite_literals_never_decode_to_infinities() {
+        assert!(from_str::<f64>("1e400").is_err());
+        assert!(from_str::<f64>("-1e400").is_err());
+        assert!(from_str::<f32>("1e39").is_err());
+        assert!(from_str::<f32>("-1e39").is_err());
+        assert!(from_str::<Vec<f64>>("[1.0, 1e400]").is_err());
+        // The largest finite values still round-trip ...
+        assert_eq!(from_str::<f64>(&to_string(&f64::MAX)).unwrap(), f64::MAX);
+        assert_eq!(from_str::<f32>(&to_string(&f32::MAX)).unwrap(), f32::MAX);
+        // ... and the writer's escape object still spells the
+        // non-finite values, for either width.
+        assert_eq!(
+            from_str::<f32>(&to_string(&f32::NEG_INFINITY)).unwrap(),
+            f32::NEG_INFINITY
+        );
+        assert_eq!(from_str::<f32>(r#"{"$f64":"inf"}"#).unwrap(), f32::INFINITY);
+        assert!(from_str::<f32>(r#"{"$f64":"NaN"}"#).unwrap().is_nan());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // Far deeper than a test thread's stack could recurse: refused
+        // at the bound, never overflowing.
+        let err = from_str::<Vec<u32>>(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

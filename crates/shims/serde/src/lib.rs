@@ -162,10 +162,19 @@ macro_rules! impl_float {
         }
         impl Deserialize for $t {
             fn from_value(value: &Value) -> Result<Self, Error> {
-                value
+                let v = value
                     .as_f64()
-                    .map(|v| v as $t)
-                    .ok_or_else(|| Error::new(format!("expected number, found {value:?}")))
+                    .ok_or_else(|| Error::new(format!("expected number, found {value:?}")))?;
+                // Only the writer's escape object spells an infinity; a
+                // finite number too large for the type is refused.
+                let narrowed = v as $t;
+                if v.is_finite() && narrowed.is_infinite() {
+                    return Err(Error::new(format!(
+                        "number {v} out of range for {}",
+                        stringify!($t)
+                    )));
+                }
+                Ok(narrowed)
             }
         }
     )*};

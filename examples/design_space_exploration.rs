@@ -49,18 +49,22 @@ fn main() {
     let (best_n, _) = best.expect("sweep is non-empty");
     println!("\nenergy-optimal MAC vector size: n = {best_n} (paper: n = 16)");
 
-    // The baseline rows go through the backend trait on the *same*
-    // workload the accelerator costs, so the AAS FLOP reduction
-    // transfers to the GPU (sparsity does not — dense kernels can't
-    // exploit it) and the comparison is apples to apples.
-    let gpu = MobileGpuBackend::from_workload(MobileGpu::tegra_x2(), &optimized);
+    // The baseline rows go through the backend on the *same* workload
+    // the accelerator costs, so the AAS FLOP reduction transfers to
+    // the GPU (sparsity does not — dense kernels can't exploit it) and
+    // the comparison is apples to apples.
+    let backend = InferenceBackend::mobile_gpu(MobileGpuBackend::from_workload(
+        MobileGpu::tegra_x2(),
+        &optimized,
+    ));
+    let gpu = backend.mobile_gpu_baseline().expect("built on the mGPU");
     let gpu_full = gpu.full_inference(12);
     let sim16 = AcceleratorSim::new(AcceleratorConfig::energy_optimal());
     let acc = sim16.run_layers_nominal(&sim16.layer_workload(&optimized), 12);
     println!(
         "vs Jetson TX2 ({} backend, AAS FLOP scale {:.2}): {:.0} ms / {:.0} mJ per sentence \
          -> accelerator is {:.0}x more energy-efficient",
-        gpu.name(),
+        backend.name(),
         gpu.flop_scale(),
         gpu_full.seconds * 1e3,
         gpu_full.energy_j * 1e3,

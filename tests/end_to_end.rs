@@ -197,7 +197,7 @@ fn mgpu_gap_is_orders_of_magnitude() {
     let art = artifacts();
     let engine = art.engine_at(100e-3, DropTarget::OnePercent, true);
     let lai = engine.evaluate(&art.dev, InferenceMode::LatencyAware);
-    // Comparison rows are costed through the backend trait on the
+    // Comparison rows are costed through the mGPU baseline on the
     // engine's wired workload — the optimized workload transfers its
     // AAS FLOP reduction to the GPU, so the gap is judged fairly.
     let gpu_row = engine.mgpu_baseline().full_inference(12);
