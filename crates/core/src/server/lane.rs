@@ -88,8 +88,9 @@ pub(super) struct ParkedJob {
 }
 
 /// The next unit of work a shard picked up. The parked payload is
-/// boxed: a checkpointed session (hidden state + engine handles) is an
-/// order of magnitude larger than a fresh job.
+/// boxed: on x86-64 a `ParkedJob` is 496 B inline (its session's heap
+/// is the hidden state, 6 KiB at 32 tokens of the served shape, and the
+/// off-ramp outputs) against a fresh `Job`'s 104 B.
 pub(super) enum Work {
     /// A fresh admission: open a session and serve it.
     Fresh(Job),

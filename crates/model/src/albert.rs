@@ -1,5 +1,10 @@
 //! The ALBERT-style model: factorized embedding + one shared encoder
 //! layer applied `num_layers` times + per-layer highway off-ramps.
+//!
+//! A sentence's work splits at layer boundaries, where the entropy exit
+//! and the DVFS re-budget happen, so a [`ForwardSession`] is only what
+//! crosses one: the hidden state and the off-ramp outputs. The working
+//! buffers a layer runs in belong to the thread that steps it.
 
 use crate::config::AlbertConfig;
 use crate::embedding::FactorizedEmbedding;
@@ -11,6 +16,7 @@ use edgebert_quant::tensor::fake_quantize_in_place;
 use edgebert_tasks::{Dataset, VocabLayout};
 use edgebert_tensor::{entropy, Matrix, Rng};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Layer-at-a-time forward execution: the software half of a resumable
 /// inference session.
@@ -26,31 +32,20 @@ use serde::{Deserialize, Serialize};
 /// observed after layer *k* are bit-identical on every path, no matter
 /// where the session was parked in between.
 ///
-/// A session reads as the [`ForwardState`] it carries (it derefs to
-/// it): `logits` and `entropies`, one per completed layer, which only
-/// the model's layer step writes. Sessions serialize (serde) as that
-/// state: the hidden state and off-ramp outputs round-trip exactly (f32
-/// values pass through f64 losslessly), so a checkpoint can cross a
-/// process boundary and resume bit-identically.
+/// `logits` and `entropies` hold one entry per completed layer, which
+/// only the model's layer step writes. Sessions serialize (serde) as
+/// these three fields: the hidden state and off-ramp outputs round-trip
+/// exactly (f32 values pass through f64 losslessly), so a checkpoint can
+/// cross a process boundary and resume bit-identically.
 ///
-/// A session also owns the working buffers its layers run in, sized by
-/// [`AlbertModel::begin_forward`] so that a layer step allocates nothing
-/// but the logits it records. They hold no state between steps and are
-/// not part of the checkpoint: a clone or a deserialized session starts
-/// with empty buffers, which its next layer step sizes again. The
-/// default session is that shell alone (no sentence, no heap): what a
+/// A session holds no working buffers: a layer step runs in the buffers
+/// of the thread that calls it, which its first step on a thread sizes
+/// and which every later step reshapes to its sentence. They hold
+/// nothing between steps, so any thread can step any session. The
+/// default session is an empty shell (no sentence, no heap): what a
 /// holder that never steps it carries.
-#[derive(Debug, Default)]
-pub struct ForwardSession {
-    state: ForwardState,
-    scratch: SessionScratch,
-}
-
-/// What a [`ForwardSession`] is on the wire and across a clone: the
-/// hidden state entering the next layer and the off-ramp outputs of the
-/// layers done.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ForwardState {
+pub struct ForwardSession {
     /// The live (unnormalized) hidden state entering the next layer.
     hidden: Matrix,
     /// Off-ramp logits after each completed layer.
@@ -59,9 +54,9 @@ pub struct ForwardState {
     pub entropies: Vec<f32>,
 }
 
-/// The per-sentence working buffers of [`AlbertModel::run_layer`].
+/// The working buffers of [`AlbertModel::run_layer`].
 #[derive(Debug, Default)]
-struct SessionScratch {
+struct LayerBuffers {
     layer: LayerScratch,
     /// The output-normed hidden state the off-ramp reads.
     normed: Matrix,
@@ -71,48 +66,21 @@ struct SessionScratch {
     logits: Matrix,
 }
 
+thread_local! {
+    /// The layer buffers of the thread that steps a session: one set per
+    /// shard worker, record thread or evaluation chunk, reshaped by
+    /// every layer it runs.
+    static BUFFERS: RefCell<LayerBuffers> = RefCell::default();
+}
+
+/// Copies into `out` the `[CLS]` row that the last layer step on this
+/// thread fed its off-ramp: the feature that phase 2 of training fits
+/// that off-ramp on.
+pub(crate) fn copy_last_cls(out: &mut [f32]) {
+    BUFFERS.with_borrow(|b| out.copy_from_slice(b.cls.as_slice()));
+}
+
 impl ForwardSession {
-    fn with_empty_buffers(state: ForwardState) -> Self {
-        Self {
-            state,
-            scratch: SessionScratch::default(),
-        }
-    }
-
-    /// The `[CLS]` row the last layer's off-ramp read: the feature that
-    /// phase 2 of training fits that off-ramp on.
-    pub(crate) fn cls(&self) -> &[f32] {
-        self.scratch.cls.as_slice()
-    }
-}
-
-impl std::ops::Deref for ForwardSession {
-    type Target = ForwardState;
-
-    fn deref(&self) -> &ForwardState {
-        &self.state
-    }
-}
-
-impl Clone for ForwardSession {
-    fn clone(&self) -> Self {
-        Self::with_empty_buffers(self.state.clone())
-    }
-}
-
-impl Serialize for ForwardSession {
-    fn to_value(&self) -> serde::Value {
-        self.state.to_value()
-    }
-}
-
-impl Deserialize for ForwardSession {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        ForwardState::from_value(value).map(Self::with_empty_buffers)
-    }
-}
-
-impl ForwardState {
     /// Layers completed so far.
     pub fn layers_done(&self) -> usize {
         self.logits.len()
@@ -236,17 +204,16 @@ impl AlbertModel {
     }
 
     /// The one per-layer body every inference path runs: encoder layer,
-    /// activation quantization, output norm and off-ramp, all in the
-    /// session's own buffers. Leaves the normed state and the logits of
-    /// ramp `l` in `session.scratch` and returns the logits' entropy.
+    /// activation quantization, output norm and off-ramp, in the buffers
+    /// `b`. Leaves the normed state and the logits of ramp `l` in `b` and
+    /// returns the logits' entropy.
     // analyzer: hot-path
-    fn run_layer(&self, session: &mut ForwardSession, l: usize) -> f32 {
-        let (hidden, s) = (&mut session.state.hidden, &mut session.scratch);
-        self.encoder.infer_in_place(hidden, &mut s.layer);
+    fn run_layer(&self, hidden: &mut Matrix, b: &mut LayerBuffers, l: usize) -> f32 {
+        self.encoder.infer_in_place(hidden, &mut b.layer);
         self.maybe_quantize(hidden);
-        self.final_norm.infer_into(hidden, &mut s.normed);
-        self.off_ramps[l].classify_into(&s.normed, &mut s.cls, &mut s.logits);
-        entropy(s.logits.as_slice())
+        self.final_norm.infer_into(hidden, &mut b.normed);
+        self.off_ramps[l].classify_into(&b.normed, &mut b.cls, &mut b.logits);
+        entropy(b.logits.as_slice())
     }
 
     /// Full forward pass computing every layer and every off-ramp: the
@@ -267,25 +234,17 @@ impl AlbertModel {
     pub fn begin_forward(&self, tokens: &[u32]) -> ForwardSession {
         let mut hidden = self.embedding.embed(tokens);
         self.maybe_quantize(&mut hidden);
-        let (seq_len, width) = hidden.shape();
         ForwardSession {
-            state: ForwardState {
-                hidden,
-                logits: Vec::with_capacity(self.num_layers()),
-                entropies: Vec::with_capacity(self.num_layers()),
-            },
-            scratch: SessionScratch {
-                layer: self.encoder.scratch(seq_len),
-                normed: Matrix::zeros(seq_len, width),
-                cls: Matrix::zeros(1, width),
-                logits: Matrix::zeros(1, self.config.num_classes),
-            },
+            hidden,
+            logits: Vec::with_capacity(self.num_layers()),
+            entropies: Vec::with_capacity(self.num_layers()),
         }
     }
 
     /// Runs the next encoder layer of `session` (the per-layer body
-    /// [`forward_layers`](Self::forward_layers) folds over) and returns
-    /// the 1-based layer just completed with its off-ramp entropy.
+    /// [`forward_layers`](Self::forward_layers) folds over) in this
+    /// thread's layer buffers and returns the 1-based layer just
+    /// completed with its off-ramp entropy.
     ///
     /// # Panics
     ///
@@ -297,10 +256,12 @@ impl AlbertModel {
             "forward session already ran all {} layers",
             self.num_layers()
         );
-        let h = self.run_layer(session, l);
-        let logits = session.scratch.logits.row(0).to_vec();
-        session.state.logits.push(logits);
-        session.state.entropies.push(h);
+        let (h, logits) = BUFFERS.with_borrow_mut(|b| {
+            let h = self.run_layer(&mut session.hidden, b, l);
+            (h, b.logits.row(0).to_vec())
+        });
+        session.logits.push(logits);
+        session.entropies.push(h);
         (l + 1, h)
     }
 
@@ -316,22 +277,24 @@ impl AlbertModel {
         loop {
             let (l, h) = self.forward_next_layer(&mut session);
             if h < entropy_threshold || l == self.num_layers() {
-                let logits = session.state.logits.pop().expect("a layer just ran");
-                return (l, logits, session.state.entropies);
+                let logits = session.logits.pop().expect("a layer just ran");
+                return (l, logits, session.entropies);
             }
         }
     }
 
     /// Training forward pass: runs the inference layer body (no
     /// activation quantization) and keeps each layer application's input
-    /// for the backward pass.
+    /// for the backward pass. It takes this thread's layer buffers and
+    /// frees them on return, so the backward that follows sizes its own
+    /// in their memory instead of beside them.
     pub fn forward_train(&self, tokens: &[u32]) -> TrainCache {
         let (mut hidden, low) = self.embedding.embed_with_cache(tokens);
-        let mut scratch = self.encoder.scratch(hidden.rows());
+        let mut buffers = BUFFERS.take();
         let mut layer_inputs = Vec::with_capacity(self.num_layers());
         for _ in 0..self.num_layers() {
             layer_inputs.push(hidden.clone());
-            self.encoder.infer_in_place(&mut hidden, &mut scratch);
+            self.encoder.infer_in_place(&mut hidden, &mut buffers.layer);
         }
         let final_hidden = hidden;
         let (final_normed, final_norm_cache) = self.final_norm.forward(&final_hidden);
@@ -556,16 +519,81 @@ mod tests {
         for seed in [0u64, 3, 9] {
             let model = tiny_model(seed);
             let tokens = [CLS, 9, 10, 11, 12, 13];
-            let eager = model.forward_layers(&tokens);
             let cache = model.forward_train(&tokens);
+            let eager = model.forward_layers(&tokens);
             let last = model.num_layers() - 1;
-            assert_eq!(cache.final_normed, eager.scratch.normed, "seed {seed}");
-            assert_eq!(eager.cls(), cache.final_normed.row(0), "seed {seed}");
+            BUFFERS.with_borrow(|b| {
+                assert_eq!(cache.final_normed, b.normed, "seed {seed}");
+                assert_eq!(b.cls.as_slice(), cache.final_normed.row(0), "seed {seed}");
+            });
             assert_eq!(
                 model.final_logits(&cache),
                 eager.logits[last],
                 "seed {seed}"
             );
+        }
+    }
+
+    /// Every entropy and logit of a finished session, as bit patterns.
+    fn bits(session: &ForwardSession) -> Vec<u32> {
+        let logits = session.logits.iter().flatten();
+        session
+            .entropies
+            .iter()
+            .chain(logits)
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn sessions_sharing_a_threads_buffers_match_their_straight_runs() {
+        // A thread's layer buffers hold whatever the last layer it ran
+        // left there: another sentence of another length, or nothing yet
+        // on a fresh thread. Neither may reach a session's outputs.
+        for seed in [0u64, 6] {
+            let mut model = tiny_model(seed);
+            if seed == 6 {
+                model.enable_activation_quant(4);
+            }
+            let (short, long) = ([CLS, 9, 10], [CLS, 3, 4, 5, 6, 7, 8, 11]);
+            let (eager_short, eager_long) =
+                (model.forward_layers(&short), model.forward_layers(&long));
+
+            // Two sentences with their layers interleaved on one thread.
+            let (mut a, mut b) = (model.begin_forward(&short), model.begin_forward(&long));
+            for _ in 0..model.num_layers() {
+                model.forward_next_layer(&mut b);
+                model.forward_next_layer(&mut a);
+            }
+            assert_eq!(bits(&a), bits(&eager_short), "seed {seed}");
+            assert_eq!(bits(&b), bits(&eager_long), "seed {seed}");
+
+            // One session stepped alternately here and on a second
+            // thread, each thread running the short sentence in between.
+            let model = &model;
+            let session = std::thread::scope(|scope| {
+                let (to_worker, work) = std::sync::mpsc::channel::<ForwardSession>();
+                let (to_caller, back) = std::sync::mpsc::channel();
+                scope.spawn(move || {
+                    for mut session in work {
+                        model.forward_next_layer(&mut session);
+                        model.forward_layers(&short);
+                        to_caller.send(session).expect("caller waits");
+                    }
+                });
+                let mut session = model.begin_forward(&long);
+                while session.layers_done() < model.num_layers() {
+                    if session.layers_done().is_multiple_of(2) {
+                        model.forward_next_layer(&mut session);
+                        model.forward_layers(&short);
+                    } else {
+                        to_worker.send(session).expect("worker waits");
+                        session = back.recv().expect("worker steps");
+                    }
+                }
+                session
+            });
+            assert_eq!(bits(&session), bits(&eager_long), "seed {seed}");
         }
     }
 

@@ -25,7 +25,7 @@ pub mod offramp;
 pub mod tokenizer;
 pub mod trainer;
 
-pub use albert::{AlbertModel, ForwardSession, ForwardState};
+pub use albert::{AlbertModel, ForwardSession};
 pub use config::AlbertConfig;
 pub use embedding::FactorizedEmbedding;
 pub use offramp::OffRamp;

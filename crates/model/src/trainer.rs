@@ -249,7 +249,7 @@ impl Trainer {
             let mut session = model.begin_forward(&ex.tokens);
             for feats in &mut features {
                 model.forward_next_layer(&mut session);
-                feats.row_mut(i).copy_from_slice(session.cls());
+                crate::albert::copy_last_cls(feats.row_mut(i));
             }
         }
         // Train each intermediate off-ramp (the final classifier was

@@ -200,20 +200,6 @@ impl MultiHeadAttention {
         self.wo.infer_into(&cache.forward.concat, out);
     }
 
-    /// Working buffers already at the shapes a `seq_len`-row input needs.
-    pub fn scratch(&self, seq_len: usize) -> AttentionScratch {
-        let stream = || Matrix::zeros(seq_len, self.hidden());
-        AttentionScratch {
-            q: stream(),
-            k: stream(),
-            v: stream(),
-            k_t: Matrix::zeros(self.hidden(), seq_len),
-            scores: Matrix::zeros(seq_len, seq_len),
-            profile: vec![0.0; seq_len],
-            concat: stream(),
-        }
-    }
-
     /// Inference-only forward (drops the cache).
     pub fn infer(&self, x: &Matrix) -> Matrix {
         let mut out = Matrix::default();

@@ -136,16 +136,6 @@ impl EncoderLayer {
         y.add_assign(&cache.branch);
     }
 
-    /// Working buffers already at the shapes a `seq_len`-row input needs.
-    pub fn scratch(&self, seq_len: usize) -> LayerScratch {
-        LayerScratch {
-            normed: Matrix::zeros(seq_len, self.hidden()),
-            branch: Matrix::zeros(seq_len, self.hidden()),
-            attention: self.attention.scratch(seq_len),
-            ffn_mid: Matrix::zeros(seq_len, self.ffn.fc1.out_features()),
-        }
-    }
-
     /// Inference-only forward.
     pub fn infer(&self, x: &Matrix) -> Matrix {
         let mut y = x.clone();

@@ -362,9 +362,18 @@ impl<'a> Parser<'a> {
             }
         }
         // JSON has no infinities (the writer escapes them), so a finite
-        // literal too large for an f64 is refused, not rounded to one.
+        // literal too large for an f64 is refused, not rounded to one;
+        // likewise a nonzero literal too small for one is refused, not
+        // rounded to zero (which an integer field would then accept).
+        let nonzero = || {
+            let mantissa = text.split(['e', 'E']).next().unwrap_or_default();
+            mantissa.bytes().any(|b| matches!(b, b'1'..=b'9'))
+        };
         match text.parse::<f64>() {
             Ok(v) if v.is_infinite() => Err(Error::new(format!("number '{text}' overflows f64"))),
+            Ok(v) if v == 0.0 && nonzero() => {
+                Err(Error::new(format!("number '{text}' underflows f64")))
+            }
             Ok(v) => Ok(Value::F64(v)),
             Err(_) => Err(Error::new(format!("invalid number '{text}'"))),
         }
@@ -442,6 +451,29 @@ mod tests {
         );
         assert_eq!(from_str::<f32>(r#"{"$f64":"inf"}"#).unwrap(), f32::INFINITY);
         assert!(from_str::<f32>(r#"{"$f64":"NaN"}"#).unwrap().is_nan());
+    }
+
+    #[test]
+    fn nonzero_literals_never_decode_to_zero() {
+        assert!(from_str::<u64>("1e-400").is_err());
+        assert!(from_str::<f64>("1e-400").is_err());
+        assert!(from_str::<f64>("-2e-324").is_err());
+        assert!(from_str::<f32>("1e-50").is_err());
+        assert!(from_str::<Vec<f32>>("[0.5, 1e-46]").is_err());
+        // Zero in any spelling is still zero ...
+        for zero in ["0", "-0", "0.0", "0e5", "0.000E-999"] {
+            assert_eq!(from_str::<f64>(zero).unwrap(), 0.0, "{zero}");
+        }
+        assert_eq!(from_str::<u64>("0e5").unwrap(), 0);
+        // ... and the smallest subnormals still round-trip.
+        let tiny = f64::from_bits(1);
+        assert_eq!(from_str::<f64>(&to_string(&tiny)).unwrap(), tiny);
+        let tiny = f32::from_bits(1);
+        assert_eq!(to_string(&tiny), "1.401298464324817e-45");
+        assert_eq!(from_str::<f32>(&to_string(&tiny)).unwrap(), tiny);
+        // An integer field reads the f64 the literal rounds to, so a
+        // fraction below f64's resolution is not seen.
+        assert_eq!(from_str::<u64>("1.0000000000000001").unwrap(), 1);
     }
 
     #[test]

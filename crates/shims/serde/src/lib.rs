@@ -166,9 +166,10 @@ macro_rules! impl_float {
                     .as_f64()
                     .ok_or_else(|| Error::new(format!("expected number, found {value:?}")))?;
                 // Only the writer's escape object spells an infinity; a
-                // finite number too large for the type is refused.
+                // finite number too large for the type, or a nonzero one
+                // too small for it, is refused.
                 let narrowed = v as $t;
-                if v.is_finite() && narrowed.is_infinite() {
+                if (v.is_finite() && narrowed.is_infinite()) || (v != 0.0 && narrowed == 0.0) {
                     return Err(Error::new(format!(
                         "number {v} out of range for {}",
                         stringify!($t)

@@ -1,8 +1,9 @@
-//! Pins the layer step's allocation contract: `begin_forward` sizes the
-//! session's working buffers, so a layer step allocates only the logits
-//! it records; and because those buffers carry no state between steps, a
-//! session cloned or serialized mid-sentence — which starts over with
-//! empty ones — continues bit-identically.
+//! Pins the layer step's allocation contract: a layer step runs in the
+//! working buffers of the thread that calls it, so once a sentence of
+//! the same length has run on that thread a step allocates only the
+//! logits it records (a session's first step on a fresh thread sizes
+//! that thread's buffers); and because a session holds no buffers, a
+//! session cloned or serialized mid-sentence continues bit-identically.
 
 // One `#[test]` function in this binary on purpose: see `common`.
 mod common;
@@ -32,6 +33,8 @@ fn layer_steps_allocate_only_their_logits_and_survive_a_checkpoint() {
     model.encoder.attention.spans[1].set_z(-1000.0);
     let tokens: Vec<u32> = std::iter::once(CLS).chain(5..30).collect();
 
+    // The buffers are the thread's, not the session's: size them once.
+    model.forward_layers(&tokens);
     for quantized in [false, true] {
         if quantized {
             model.quantize_weights(4);
@@ -67,7 +70,7 @@ fn layer_steps_allocate_only_their_logits_and_survive_a_checkpoint() {
         assert_eq!(finish(&model, &mut cloned), expect, "clone");
         assert_eq!(finish(&model, &mut restored), expect, "serde round trip");
 
-        // A resumed session pays for its buffers once, on its first step.
+        // A resumed session steps in the same buffers.
         let mut resumed = model.begin_forward(&tokens).clone();
         model.forward_next_layer(&mut resumed);
         let n = allocations_during(|| {
