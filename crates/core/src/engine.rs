@@ -1401,6 +1401,75 @@ mod tests {
         }
     }
 
+    /// An engine whose every tier's thresholds are `tiers`' scaled by
+    /// `scale`.
+    fn scaled_engine(f: &Fixture, tiers: [EntropyThresholds; 3], scale: f32) -> EdgeBertEngine {
+        let mut b = EngineBuilder::new(Arc::clone(&f.model), Arc::clone(&f.lut));
+        for (tier, t) in DropTarget::all().into_iter().zip(tiers) {
+            let scaled = EntropyThresholds {
+                conventional: t.conventional * scale,
+                latency_aware: t.latency_aware * scale,
+            };
+            b = b.thresholds_for(tier, scaled);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn degraded_serving_equals_plain_serving_at_the_looser_tier_and_scaled_threshold() {
+        // A degradation of `n` notches serves the tier `n` steps looser
+        // with its threshold doubled per notch: bit for bit what a
+        // plain session serves on an engine whose thresholds for that
+        // tier are scaled by 2^n. Debug prints every float in its
+        // shortest round-trip form, so equal text is equal bits.
+        let f = fixture();
+        let tiers = [
+            EntropyThresholds {
+                conventional: 0.06,
+                latency_aware: 0.04,
+            },
+            EntropyThresholds {
+                conventional: 0.09,
+                latency_aware: 0.07,
+            },
+            EntropyThresholds {
+                conventional: 0.13,
+                latency_aware: 0.1,
+            },
+        ];
+        let plain = scaled_engine(&f, tiers, 1.0);
+        let mut exits = std::collections::BTreeSet::new();
+        for n in 0..=3u8 {
+            let scaled = scaled_engine(&f, tiers, 2f32.powi(i32::from(n)));
+            for tier in DropTarget::all() {
+                for mode in [InferenceMode::LatencyAware, InferenceMode::ConventionalEe] {
+                    for ex in &f.data.examples()[..6] {
+                        let request = InferenceRequest::new(ex.tokens.clone())
+                            .with_mode(mode)
+                            .with_drop_target(tier)
+                            .with_max_degradation(3);
+                        let degradation = Degradation {
+                            tier_notches: n,
+                            entropy_scale: 2f32.powi(i32::from(n)),
+                        };
+                        let session = plain.begin_degraded(&request, degradation);
+                        assert_eq!(session.degraded_notches(), n);
+                        let got = session.finish();
+                        let looser = request.clone().with_drop_target(tier.degraded(n));
+                        let want = scaled.begin(&looser).finish();
+                        assert_eq!(
+                            format!("{got:?}"),
+                            format!("{want:?}"),
+                            "n {n} tier {tier:?} mode {mode:?}"
+                        );
+                        exits.insert(got.result.exit_layer);
+                    }
+                }
+            }
+        }
+        assert!(exits.len() > 1, "the sweep exits at one layer only");
+    }
+
     #[test]
     fn engines_move_across_threads() {
         let f = fixture();
