@@ -7,20 +7,19 @@
 //! engine's DVFS policy:
 //!
 //! * [`EnergyConfig`] — the fleet power cap and per-lane floor;
-//! * [`allocate`] — the pure allocation rule: every lane gets the
-//!   floor, and the headroom above `n · floor_w` is waterfilled toward
-//!   pressured lanes in proportion to their queue pressure (the same
-//!   [`pressure`](crate::overload::pressure) signal the overload ladder
-//!   observes, which already blends backlog depth against the lane's
-//!   deadline horizon). Inputs are taken in *canonical* (task-name)
-//!   order, so the allocation is invariant under lane declaration
-//!   order.
+//! * `FleetBudget` — the allocation rule, applied where an envelope is
+//!   read: every lane gets the floor, and the headroom above
+//!   `n · floor_w` is waterfilled toward pressured lanes in proportion
+//!   to the queue pressure each lane last published at admission, pop
+//!   and detach (the same [`pressure`](crate::overload::pressure)
+//!   signal the overload ladder observes, which already blends backlog
+//!   depth against the lane's deadline horizon). Lanes hold slots in
+//!   *canonical* (task-name) order, so the allocation is invariant
+//!   under lane declaration order. No thread, no timer.
 //!
-//! The server applies the rule where an envelope is read, from the
-//! pressures its lanes publish at admission and pop (`FleetBudget`):
-//! no thread, no timer. How an envelope
-//! *binds* lives elsewhere: the session clamps its operating point via
-//! the `cap_w` of [`InferenceBackend::decide`](crate::backend::InferenceBackend::decide)
+//! How an envelope *binds* lives elsewhere: the session clamps its
+//! operating point via the `cap_w` of
+//! [`InferenceBackend::decide`](crate::backend::InferenceBackend::decide)
 //! (feasibility judged honestly — an envelope that forbids the
 //! deadline-meeting point surfaces as deadline risk, never a silent
 //! re-price), the autoscaler declines attaches the envelope cannot
@@ -87,59 +86,15 @@ impl EnergyConfig {
     }
 }
 
-/// One lane's claim on the headroom above the floors: its task identity
-/// and current queue pressure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaneDemand {
-    /// The lane's task (the allocation key).
-    pub task: Task,
-    /// The lane's pressure signal
-    /// ([`pressure`](crate::overload::pressure)); non-finite or
-    /// negative values are treated as zero demand.
-    pub pressure: f64,
-}
-
-/// One lane's power envelope, watts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyEnvelope {
-    /// The lane this envelope binds.
-    pub task: Task,
-    /// Sustained compute power the lane may draw, watts.
-    pub watts: f64,
-}
-
-/// Waterfills `fleet_cap_w` across lanes: every lane gets `floor_w`,
-/// and the remaining headroom is split in proportion to each lane's
-/// (sanitized) pressure. With no pressure anywhere the headroom splits
-/// evenly — an idle fleet keeps symmetric envelopes rather than
-/// remembering its last skew.
-///
-/// The result is sorted by canonical task name and is invariant under
-/// the order lanes appear in `demands`. Degenerate inputs sanitize
-/// instead of panicking: non-finite/negative pressures count as zero,
-/// and a floor too large for the cap (the serving layers assert this
-/// away at construction) falls back to an even split of the cap so the
-/// sum invariant still holds.
-pub fn allocate(fleet_cap_w: f64, floor_w: f64, demands: &[LaneDemand]) -> Vec<EnergyEnvelope> {
-    let mut lanes: Vec<LaneDemand> = demands.to_vec();
-    lanes.sort_by_key(|d| d.task.name());
-    debug_assert!(
-        lanes.windows(2).all(|w| w[0].task != w[1].task),
-        "duplicate lane task in energy demands"
-    );
-    lanes
-        .iter()
-        .enumerate()
-        .map(|(slot, d)| EnergyEnvelope {
-            task: d.task,
-            watts: split(fleet_cap_w, floor_w, lanes.iter().map(|d| d.pressure), slot),
-        })
-        .collect()
-}
-
-/// Lane `slot`'s envelope under [`allocate`]'s rule from every lane's
-/// pressure in canonical order — the one home of that arithmetic, so
-/// [`allocate`] and [`FleetBudget`] agree bit for bit.
+/// Lane `slot`'s envelope from every lane's pressure in canonical
+/// order: the floor plus the lane's pressure share of the headroom
+/// above the floors. With no pressure anywhere the headroom splits
+/// evenly, so an idle fleet keeps symmetric envelopes rather than
+/// remembering its last skew. Degenerate inputs sanitize instead of
+/// panicking: non-finite or negative pressures count as zero, and a
+/// floor too large for the cap (the serving layers assert this away at
+/// construction) falls back to an even split of the cap, so the
+/// envelopes still sum to it.
 // analyzer: hot-path
 fn split(
     fleet_cap_w: f64,
@@ -232,10 +187,6 @@ mod tests {
     use edgebert_tensor::Rng;
     use proptest::prelude::*;
 
-    fn demand(task: Task, pressure: f64) -> LaneDemand {
-        LaneDemand { task, pressure }
-    }
-
     #[test]
     fn default_config_validates() {
         EnergyConfig::default().validate();
@@ -261,24 +212,53 @@ mod tests {
         .validate();
     }
 
+    /// A budget board with each lane's pressure published in its task's
+    /// canonical slot, and the lanes' tasks in declaration order.
+    fn board(cfg: EnergyConfig, lanes: &[(Task, f64)]) -> (FleetBudget, Vec<Task>) {
+        let tasks: Vec<Task> = lanes.iter().map(|&(task, _)| task).collect();
+        let budget = FleetBudget::new(cfg, tasks.len());
+        for &(task, pressure) in lanes {
+            budget.publish(FleetBudget::slot_of(&tasks, task), pressure);
+        }
+        (budget, tasks)
+    }
+
+    /// Every lane's envelope from one read of a board under
+    /// `fleet_cap_w` and `floor_w`, in canonical task order. Each lane's
+    /// own read must return the same bits as the one read.
+    fn envelopes(fleet_cap_w: f64, floor_w: f64, lanes: &[(Task, f64)]) -> Vec<(Task, f64)> {
+        let cfg = EnergyConfig {
+            fleet_cap_w,
+            floor_w,
+        };
+        let (budget, tasks) = board(cfg, lanes);
+        let one_read = budget.envelopes_w();
+        let mut out: Vec<(Task, f64)> = tasks
+            .iter()
+            .map(|&task| {
+                let slot = FleetBudget::slot_of(&tasks, task);
+                assert_eq!(budget.envelope_w(slot).to_bits(), one_read[slot].to_bits());
+                (task, one_read[slot])
+            })
+            .collect();
+        out.sort_by_key(|&(task, _)| task.name());
+        out
+    }
+
     #[test]
     fn allocation_waterfills_toward_pressure() {
-        let out = allocate(
+        let out = envelopes(
             1.0,
             0.1,
-            &[
-                demand(Task::Sst2, 3.0),
-                demand(Task::Mnli, 1.0),
-                demand(Task::Qqp, 0.0),
-            ],
+            &[(Task::Sst2, 3.0), (Task::Mnli, 1.0), (Task::Qqp, 0.0)],
         );
         // Canonical order: mnli, qqp, sst-2.
         assert_eq!(
-            out.iter().map(|e| e.task).collect::<Vec<_>>(),
+            out.iter().map(|&(task, _)| task).collect::<Vec<_>>(),
             [Task::Mnli, Task::Qqp, Task::Sst2]
         );
         // Headroom 0.7 splits 1:0:3 over the 0.1 floors.
-        let w: Vec<f64> = out.iter().map(|e| e.watts).collect();
+        let w: Vec<f64> = out.iter().map(|&(_, watts)| watts).collect();
         assert!((w[0] - (0.1 + 0.7 * 0.25)).abs() < 1e-12);
         assert!((w[1] - 0.1).abs() < 1e-12, "idle lane holds the floor");
         assert!((w[2] - (0.1 + 0.7 * 0.75)).abs() < 1e-12);
@@ -288,28 +268,16 @@ mod tests {
 
     #[test]
     fn idle_fleet_splits_evenly_and_garbage_pressure_is_zero() {
-        let even = allocate(
-            0.4,
-            0.05,
-            &[demand(Task::Mnli, 0.0), demand(Task::Qnli, 0.0)],
-        );
-        assert!(even.iter().all(|e| (e.watts - 0.2).abs() < 1e-12));
+        let even = envelopes(0.4, 0.05, &[(Task::Mnli, 0.0), (Task::Qnli, 0.0)]);
+        assert!(even.iter().all(|&(_, w)| (w - 0.2).abs() < 1e-12));
         // NaN / negative pressures read as idle, not as poison.
-        let sane = allocate(
-            0.4,
-            0.05,
-            &[demand(Task::Mnli, f64::NAN), demand(Task::Qnli, 2.0)],
-        );
-        assert!((sane[0].watts - 0.05).abs() < 1e-12);
-        assert!((sane[1].watts - 0.35).abs() < 1e-12);
+        let sane = envelopes(0.4, 0.05, &[(Task::Mnli, f64::NAN), (Task::Qnli, 2.0)]);
+        assert!((sane[0].1 - 0.05).abs() < 1e-12);
+        assert!((sane[1].1 - 0.35).abs() < 1e-12);
         // Oversized floor: even split of the cap, never negative headroom.
-        let squeezed = allocate(
-            0.1,
-            0.2,
-            &[demand(Task::Mnli, 1.0), demand(Task::Qnli, 0.0)],
-        );
-        assert!(squeezed.iter().all(|e| (e.watts - 0.05).abs() < 1e-12));
-        assert!(allocate(1.0, 0.1, &[]).is_empty());
+        let squeezed = envelopes(0.1, 0.2, &[(Task::Mnli, 1.0), (Task::Qnli, 0.0)]);
+        assert!(squeezed.iter().all(|&(_, w)| (w - 0.05).abs() < 1e-12));
+        assert!(envelopes(1.0, 0.1, &[]).is_empty());
     }
 
     /// A pressure from a pool that includes every garbage class the
@@ -329,63 +297,37 @@ mod tests {
     /// A random fleet: 1–4 distinct tasks in a random declaration
     /// order, a cap, a floor (sometimes too large for the cap to fund),
     /// and one pressure per lane.
-    fn fleet(seed: u64) -> (EnergyConfig, Vec<LaneDemand>) {
+    fn fleet(seed: u64) -> (EnergyConfig, Vec<(Task, f64)>) {
         let mut rng = Rng::seed_from(seed);
         let mut tasks = Task::all();
         rng.shuffle(&mut tasks);
         let n = 1 + rng.below(tasks.len());
         let fleet_cap_w = 0.01 + f64::from(rng.uniform());
         let floor_w = fleet_cap_w * f64::from(rng.uniform()) / 3.0;
-        let demands = tasks[..n]
+        let lanes = tasks[..n]
             .iter()
-            .map(|&task| demand(task, pressure_or_garbage(&mut rng)))
+            .map(|&task| (task, pressure_or_garbage(&mut rng)))
             .collect();
         let cfg = EnergyConfig {
             fleet_cap_w,
             floor_w,
         };
-        (cfg, demands)
-    }
-
-    /// A budget board with each demand's pressure published in its
-    /// task's canonical slot.
-    fn board(cfg: EnergyConfig, demands: &[LaneDemand]) -> (FleetBudget, Vec<Task>) {
-        let tasks: Vec<Task> = demands.iter().map(|d| d.task).collect();
-        let budget = FleetBudget::new(cfg, tasks.len());
-        for d in demands {
-            budget.publish(FleetBudget::slot_of(&tasks, d.task), d.pressure);
-        }
-        (budget, tasks)
-    }
-
-    #[test]
-    fn budget_envelopes_equal_allocate_bit_for_bit() {
-        for seed in 0..512 {
-            let (cfg, demands) = fleet(seed);
-            let (budget, tasks) = board(cfg, &demands);
-            let one_read = budget.envelopes_w();
-            for e in allocate(cfg.fleet_cap_w, cfg.floor_w, &demands) {
-                let slot = FleetBudget::slot_of(&tasks, e.task);
-                let watts = e.watts.to_bits();
-                assert_eq!(budget.envelope_w(slot).to_bits(), watts, "seed {seed}");
-                assert_eq!(one_read[slot].to_bits(), watts, "seed {seed}");
-            }
-        }
+        (cfg, lanes)
     }
 
     #[test]
     fn declaration_order_leaves_every_envelope_unchanged() {
         for seed in 0..256 {
-            let (cfg, demands) = fleet(seed);
-            let (budget, tasks) = board(cfg, &demands);
-            let mut shuffled = demands.clone();
+            let (cfg, lanes) = fleet(seed);
+            let (budget, tasks) = board(cfg, &lanes);
+            let mut shuffled = lanes.clone();
             Rng::seed_from(!seed).shuffle(&mut shuffled);
             let (budget_shuffled, tasks_shuffled) = board(cfg, &shuffled);
-            for d in &demands {
-                let here = budget.envelope_w(FleetBudget::slot_of(&tasks, d.task));
-                let slot = FleetBudget::slot_of(&tasks_shuffled, d.task);
+            for &(task, _) in &lanes {
+                let here = budget.envelope_w(FleetBudget::slot_of(&tasks, task));
+                let slot = FleetBudget::slot_of(&tasks_shuffled, task);
                 let there = budget_shuffled.envelope_w(slot);
-                assert_eq!(here.to_bits(), there.to_bits(), "seed {seed} {}", d.task);
+                assert_eq!(here.to_bits(), there.to_bits(), "seed {seed} {task}");
             }
         }
     }
@@ -393,9 +335,13 @@ mod tests {
     #[test]
     fn one_read_spends_the_cap_and_honours_the_floor() {
         for seed in 0..512 {
-            let (cfg, demands) = fleet(seed);
-            let (budget, _) = board(cfg, &demands);
+            let (cfg, lanes) = fleet(seed);
+            let (budget, _) = board(cfg, &lanes);
             let envelopes = budget.envelopes_w();
+            for (slot, &watts) in envelopes.iter().enumerate() {
+                let own = budget.envelope_w(slot);
+                assert_eq!(own.to_bits(), watts.to_bits(), "seed {seed}");
+            }
             let sum: f64 = envelopes.iter().sum();
             let cap = cfg.fleet_cap_w;
             assert!(
@@ -419,30 +365,30 @@ mod tests {
         ) {
             let tasks = Task::all();
             let floor = cap * floor_frac;
-            let demands: Vec<LaneDemand> = p
+            let lanes: Vec<(Task, f64)> = p
                 .iter()
                 .enumerate()
-                .map(|(i, &pr)| demand(tasks[i], pr))
+                .map(|(i, &pressure)| (tasks[i], pressure))
                 .collect();
-            let out = allocate(cap, floor, &demands);
-            prop_assert_eq!(out.len(), demands.len());
-            let sum: f64 = out.iter().map(|e| e.watts).sum();
+            let out = envelopes(cap, floor, &lanes);
+            prop_assert_eq!(out.len(), lanes.len());
+            let sum: f64 = out.iter().map(|&(_, w)| w).sum();
             prop_assert!(sum <= cap * (1.0 + 1e-9), "sum {} cap {}", sum, cap);
-            for e in &out {
-                prop_assert!(e.watts >= 0.0);
+            for &(task, w) in &out {
+                prop_assert!(w >= 0.0);
                 prop_assert!(
-                    e.watts >= floor * (1.0 - 1e-9),
+                    w >= floor * (1.0 - 1e-9),
                     "lane {} got {} under floor {}",
-                    e.task.name(),
-                    e.watts,
+                    task.name(),
+                    w,
                     floor
                 );
             }
-            // Declaration order must not matter: reversed demands give
+            // Declaration order must not matter: reversed lanes give
             // the identical allocation.
-            let mut rev = demands.clone();
+            let mut rev = lanes.clone();
             rev.reverse();
-            let out_rev = allocate(cap, floor, &rev);
+            let out_rev = envelopes(cap, floor, &rev);
             prop_assert_eq!(out, out_rev);
         }
     }

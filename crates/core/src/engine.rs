@@ -29,7 +29,6 @@
 //! `begin_replay`); the per-layer loop lives in [`crate::session`].
 
 use crate::backend::{BackendSpec, InferenceBackend, MobileGpuBackend};
-use crate::overload::Degradation;
 use crate::predictor::PredictorLut;
 use crate::session::{ForwardTrace, InferenceSession};
 use edgebert_envm::CellTech;
@@ -719,23 +718,17 @@ impl EdgeBertEngine {
     /// the session can be parked at any layer boundary and resumed
     /// later — with a fresh DVFS decision against the remaining slack.
     pub fn begin(&self, request: &InferenceRequest) -> InferenceSession {
-        self.begin_degraded(request, Degradation::NONE)
+        self.begin_degraded(request, 0)
     }
 
-    /// The one session opener: [`begin`](Self::begin) with an
-    /// overload-ladder degradation — the resolved tier drops by
-    /// `degradation.tier_notches` (saturating) and the entropy-exit
-    /// threshold scales by `degradation.entropy_scale` before the
-    /// session opens ([`Degradation::NONE`] is the identity on both,
-    /// bit for bit). The caller (the serving layer) is responsible for
-    /// bounding the degradation by the request's
-    /// [`max_degradation`](InferenceRequest::max_degradation) via
-    /// [`OverloadConfig::degradation_for`](crate::overload::OverloadConfig::degradation_for).
-    pub fn begin_degraded(
-        &self,
-        request: &InferenceRequest,
-        degradation: Degradation,
-    ) -> InferenceSession {
+    /// The one session opener: [`begin`](Self::begin) degraded by
+    /// `notches` of the overload ladder (a rung's
+    /// [`severity`](crate::overload::LadderStep::severity)), bounded by
+    /// the request's [`max_degradation`](InferenceRequest::max_degradation)
+    /// floor. Each notch drops the resolved tier one step (saturating)
+    /// and doubles the entropy-exit threshold before the session opens;
+    /// zero notches is the identity on both, bit for bit.
+    pub fn begin_degraded(&self, request: &InferenceRequest, notches: u8) -> InferenceSession {
         let pad = [edgebert_tasks::vocab::PAD];
         let tokens: &[u32] = if request.tokens.is_empty() {
             &pad
@@ -762,7 +755,7 @@ impl EdgeBertEngine {
             tokens
         };
         let fwd = self.model.begin_forward(tokens);
-        InferenceSession::new(self.clone(), request, fwd, degradation)
+        InferenceSession::new(self.clone(), request, fwd, notches)
     }
 
     /// The replay opener: a session over `request`'s service levels,
@@ -778,7 +771,7 @@ impl EdgeBertEngine {
         trace: ForwardTrace,
     ) -> InferenceSession {
         let (stamp_s, _) = request.stamp_at_dispatch(charged_wait_s);
-        InferenceSession::new(self.clone(), request, Default::default(), Degradation::NONE)
+        InferenceSession::new(self.clone(), request, Default::default(), 0)
             .replaying(trace, stamp_s)
     }
 
@@ -1448,11 +1441,7 @@ mod tests {
                             .with_mode(mode)
                             .with_drop_target(tier)
                             .with_max_degradation(3);
-                        let degradation = Degradation {
-                            tier_notches: n,
-                            entropy_scale: 2f32.powi(i32::from(n)),
-                        };
-                        let session = plain.begin_degraded(&request, degradation);
+                        let session = plain.begin_degraded(&request, n);
                         assert_eq!(session.degraded_notches(), n);
                         let got = session.finish();
                         let looser = request.clone().with_drop_target(tier.degraded(n));
@@ -1468,6 +1457,43 @@ mod tests {
             }
         }
         assert!(exits.len() > 1, "the sweep exits at one layer only");
+    }
+
+    #[test]
+    fn degradation_is_bounded_by_the_request_floor() {
+        // The opener serves min(rung, floor) notches: the tier drops that
+        // many steps, saturating at the loosest calibration, and the
+        // threshold scales by 2 or 4.
+        use crate::overload::LadderStep;
+        let f = fixture();
+        let tiers = [0.05, 0.08, 0.12].map(EntropyThresholds::uniform);
+        let plain = scaled_engine(&f, tiers, 1.0);
+        for step in [LadderStep::Nominal, LadderStep::Degrade, LadderStep::Shed] {
+            for floor in 0..=2u8 {
+                let n = step.severity().min(floor);
+                let scaled = scaled_engine(&f, tiers, [1.0, 2.0, 4.0][usize::from(n)]);
+                for tier in DropTarget::all() {
+                    for ex in &f.data.examples()[..4] {
+                        let request = InferenceRequest::new(ex.tokens.clone())
+                            .with_drop_target(tier)
+                            .with_max_degradation(floor);
+                        let session = plain.begin_degraded(&request, step.severity());
+                        assert_eq!(session.degraded_notches(), n, "{step:?} floor {floor}");
+                        assert_eq!(session.drop_target(), tier.degraded(n));
+                        let looser = request.clone().with_drop_target(tier.degraded(n));
+                        assert_eq!(
+                            format!("{:?}", session.finish()),
+                            format!("{:?}", scaled.begin(&looser).finish()),
+                            "{step:?} floor {floor} tier {tier:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // Two notches from the tightest tier reach the loosest; the
+        // loosest stays put.
+        assert_eq!(DropTarget::OnePercent.degraded(2), DropTarget::FivePercent);
+        assert_eq!(DropTarget::FivePercent.degraded(2), DropTarget::FivePercent);
     }
 
     #[test]

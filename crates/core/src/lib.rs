@@ -45,8 +45,8 @@
 //!   workload) — are selected with [`EngineBuilder::backend`];
 //!   `tests/backend_equivalence.rs` pins both;
 //! * [`energy`] — fleet-level energy budgeting, default-off:
-//!   [`allocate`](energy::allocate) waterfills the configured fleet
-//!   cap ([`EnergyConfig`]) into per-lane power envelopes — floors
+//!   the server waterfills the configured fleet cap
+//!   ([`EnergyConfig`]) into per-lane power envelopes — floors
 //!   guaranteed, headroom following the queue pressure each lane
 //!   publishes at admission and pop, read where the envelope is used.
 //!   Envelopes bind at the DVFS seam (the `cap_w` of
@@ -171,12 +171,12 @@ pub mod telemetry;
 
 pub use backend::{BackendSpec, InferenceBackend, MobileGpuBackend, OperatingPoint, SegmentCost};
 pub use calibrate::{calibrate_conventional, calibrate_latency_aware, Calibration};
-pub use energy::{EnergyConfig, EnergyEnvelope, LaneDemand};
+pub use energy::EnergyConfig;
 pub use engine::{
     deadline_met, AggregateResult, DropTarget, EdgeBertEngine, EngineBuilder, EntropyThresholds,
     InferenceMode, InferenceRequest, InferenceResponse, SentenceResult,
 };
-pub use overload::{Degradation, LadderStep, OverloadConfig, OverloadController};
+pub use overload::{LadderStep, OverloadConfig, OverloadController};
 pub use pipeline::{Scale, TaskArtifacts};
 pub use predictor::{EntropyPredictor, PredictorLut};
 pub use scheduler::{DeadlineScheduler, SchedulePolicy, ScheduledResponse, SchedulerConfig};

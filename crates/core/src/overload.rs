@@ -28,8 +28,11 @@
 //!   ([`DropTarget::degraded`](crate::engine::DropTarget::degraded))
 //!   and the entropy-exit threshold doubles (a fixed factor per
 //!   notch, so degradation can only *raise* the exit threshold —
-//!   earlier exits — never lower it), bounded by the
-//!   request's own [`max_degradation`](crate::engine::InferenceRequest::max_degradation)
+//!   earlier exits — never lower it). A degradation is its notch
+//!   count, the rung's [`severity`](LadderStep::severity); the session
+//!   opener ([`EdgeBertEngine::begin_degraded`](crate::engine::EdgeBertEngine::begin_degraded))
+//!   bounds it by the request's own
+//!   [`max_degradation`](crate::engine::InferenceRequest::max_degradation)
 //!   floor (default 0: no degradation, ever — existing behavior is
 //!   bit-identical).
 //! * **[`LadderStep::Shed`]** — degradation is already at two notches
@@ -68,7 +71,6 @@
 //! what-if sweeps over these thresholds arrive when the server's own
 //! lanes run on a virtual clock.
 
-use crate::engine::DropTarget;
 use serde::{Deserialize, Serialize};
 
 /// The admission ladder's current rung.
@@ -99,6 +101,13 @@ impl LadderStep {
 /// Factor the entropy-exit threshold is multiplied by per degradation
 /// notch (≥ 1: degradation only makes exits easier).
 const ENTROPY_SCALE_PER_NOTCH: f32 = 2.0;
+
+/// The factor a degradation of `notches` scales the entropy-exit
+/// threshold by: exactly 1.0 at zero notches, so an undegraded session
+/// keeps its calibrated threshold bit for bit.
+pub(crate) fn entropy_scale(notches: u8) -> f32 {
+    ENTROPY_SCALE_PER_NOTCH.powi(i32::from(notches))
+}
 
 /// Configuration of the overload ladder. A server runs one only when
 /// [`ServerConfig::overload`](crate::server::ServerConfig::overload)
@@ -185,21 +194,6 @@ impl OverloadConfig {
             self.degrade_exit,
             self.shed_exit
         );
-    }
-
-    /// The degradation a rung applies to one request: the rung's
-    /// severity clamped to the request's `max_degradation` floor.
-    /// Returns [`Degradation::NONE`] (and the serving path stays
-    /// bit-identical) when either side is zero.
-    pub fn degradation_for(&self, step: LadderStep, max_degradation: u8) -> Degradation {
-        let notches = step.severity().min(max_degradation);
-        if notches == 0 {
-            return Degradation::NONE;
-        }
-        Degradation {
-            tier_notches: notches,
-            entropy_scale: ENTROPY_SCALE_PER_NOTCH.powi(notches as i32),
-        }
     }
 }
 
@@ -298,32 +292,6 @@ impl OverloadController {
     }
 }
 
-/// One request's resolved degradation: how many accuracy-tier notches
-/// to drop ([`DropTarget::degraded`]) and the factor to scale the
-/// entropy-exit threshold by. [`Degradation::NONE`] (the default
-/// everywhere) leaves the serving path bit-identical to the
-/// pre-overload engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Degradation {
-    /// Accuracy-tier notches to drop (saturating at the loosest tier).
-    pub tier_notches: u8,
-    /// Factor the entropy-exit threshold is multiplied by (≥ 1).
-    pub entropy_scale: f32,
-}
-
-impl Degradation {
-    /// No degradation: the identity the default serving paths use.
-    pub const NONE: Degradation = Degradation {
-        tier_notches: 0,
-        entropy_scale: 1.0,
-    };
-
-    /// The tier actually served when degrading `requested`.
-    pub fn applied_to(&self, requested: DropTarget) -> DropTarget {
-        requested.degraded(self.tier_notches)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,25 +336,10 @@ mod tests {
     }
 
     #[test]
-    fn degradation_is_bounded_by_the_request_floor() {
-        let cfg = OverloadConfig::default();
-        assert_eq!(
-            cfg.degradation_for(LadderStep::Nominal, 2),
-            Degradation::NONE
-        );
-        assert_eq!(cfg.degradation_for(LadderStep::Shed, 0), Degradation::NONE);
-        let one = cfg.degradation_for(LadderStep::Shed, 1);
-        assert_eq!(one.tier_notches, 1);
-        assert_eq!(one.entropy_scale, 2.0);
-        let two = cfg.degradation_for(LadderStep::Shed, 2);
-        assert_eq!(two.tier_notches, 2);
-        assert_eq!(two.entropy_scale, 4.0);
-        // The rung, not the floor, caps severity from above.
-        assert_eq!(cfg.degradation_for(LadderStep::Degrade, 2).tier_notches, 1);
-        assert_eq!(
-            two.applied_to(DropTarget::OnePercent),
-            DropTarget::FivePercent
-        );
+    fn entropy_scale_doubles_per_notch_from_exactly_one() {
+        assert_eq!(entropy_scale(0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(entropy_scale(1), 2.0);
+        assert_eq!(entropy_scale(2), 4.0);
     }
 
     #[test]

@@ -79,15 +79,13 @@ pub struct TaskArtifacts {
     pub model: Arc<AlbertModel>,
     /// Training summary (sparsities, spans, accuracies).
     pub summary: TrainingSummary,
-    /// Training split.
-    pub train: Dataset,
     /// Dev split (used for calibration and evaluation).
     pub dev: Dataset,
     /// Layerwise sweep cache over `dev`.
     pub cache: SweepCache,
-    /// The trained entropy predictor.
-    pub predictor: EntropyPredictor,
-    /// Its distilled LUT, shared like the model.
+    /// The entropy predictor's distilled LUT, shared like the model
+    /// (the predictor itself, trained on the training split, is not
+    /// kept).
     pub lut: Arc<PredictorLut>,
     /// Conventional-EE calibrations at 1/2/5 % drops.
     pub calib_conv: [Calibration; 3],
@@ -110,8 +108,10 @@ struct CachedArtifacts {
 /// Bump on any layout change to `TaskArtifacts` or its pointees, and on
 /// any deliberate re-base of the training arithmetic (3: GELU's `tanh`
 /// left libm for `edgebert_tensor::kernels::tanh`; 4: softmax, entropy
-/// and the losses left libm's `exp`/`ln` for `kernels::{exp, ln}`).
-const ARTIFACT_CACHE_VERSION: u32 = 4;
+/// and the losses left libm's `exp`/`ln` for `kernels::{exp, ln}`; 5:
+/// the training split and the trained predictor are no longer kept,
+/// since only the predictor's LUT is served).
+const ARTIFACT_CACHE_VERSION: u32 = 5;
 
 impl TaskArtifacts {
     /// Runs the full pipeline for a task.
@@ -162,10 +162,8 @@ impl TaskArtifacts {
             scale,
             model: Arc::new(model),
             summary,
-            train,
             dev,
             cache,
-            predictor,
             lut: Arc::new(lut),
             calib_conv,
             calib_lai,
@@ -372,10 +370,10 @@ mod tests {
         );
 
         // An envelope of an earlier version (1: parameters carried their
-        // training state; 2: same layout as now, trained under libm's
-        // `tanh`; 3: same layout, trained under libm's `exp`/`ln`) is
-        // rebuilt, not loaded, and the refreshed file is of this version
-        // again.
+        // training state; 2: trained under libm's `tanh`; 3: trained
+        // under libm's `exp`/`ln`; 4: also kept the training split and
+        // the predictor) is rebuilt, not loaded, and the refreshed file
+        // is of this version again.
         let current = format!("\"version\":{ARTIFACT_CACHE_VERSION}");
         let text = std::fs::read_to_string(&entries[0]).expect("cache file");
         assert_eq!(text.matches(&current).count(), 1, "one version field");

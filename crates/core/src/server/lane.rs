@@ -245,6 +245,17 @@ impl Lane {
         Some(budget.envelope_w(*slot))
     }
 
+    /// One shard's share of the lane's envelope, watts (`None` with
+    /// budgeting off): the lane-total envelope splits evenly across the
+    /// effective pool, so every concurrently-running shard gets an
+    /// equal share and the lane's aggregate draw stays under its
+    /// allocation.
+    // analyzer: hot-path
+    pub(super) fn shard_envelope_w(&self, queue: &LaneQueue) -> Option<f64> {
+        let shards = (self.shards + queue.extra_shards).max(1) as f64;
+        self.envelope_w().map(|w| w / shards)
+    }
+
     /// Publishes the lane's pressure and feeds its backlog (queued +
     /// parked work) through the overload controller, returning the
     /// ladder rung. Called under the queue lock at admission and pop
@@ -285,16 +296,10 @@ impl Lane {
     // analyzer: hot-path
     pub(super) fn finish_pop(&self, queue: &mut LaneQueue, work: Work) -> Popped {
         let ladder_step = self.observe(queue);
-        // The lane-total envelope splits evenly across the effective
-        // pool: every concurrently-running shard gets an equal share,
-        // so the lane's aggregate draw stays under its allocation.
-        let envelope_w = self
-            .envelope_w()
-            .map(|w| w / (self.shards + queue.extra_shards).max(1) as f64);
         Popped {
             work,
             ladder_step,
-            envelope_w,
+            envelope_w: self.shard_envelope_w(queue),
         }
     }
 

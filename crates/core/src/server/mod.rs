@@ -114,7 +114,7 @@ pub use stats::{LaneStats, ServerStats};
 use crate::clock::Clock;
 use crate::energy::{EnergyConfig, FleetBudget};
 use crate::engine::{deadline_met, EdgeBertEngine, InferenceRequest, InferenceResponse};
-use crate::overload::{Degradation, LadderStep, OverloadConfig};
+use crate::overload::{LadderStep, OverloadConfig};
 use crate::serving::MultiTaskRuntime;
 use crate::session::InferenceSession;
 use crate::telemetry::{
@@ -716,8 +716,7 @@ impl Server {
             // work dies at the capped clock. A no-op (scale 1.0)
             // when the envelope admits the nominal point or the
             // backend doesn't model power.
-            if let Some(w) = lane.envelope_w() {
-                let per_shard_w = w / effective_shards;
+            if let Some(per_shard_w) = lane.shard_envelope_w(&queue) {
                 shed_slot_s *= entry.engine.backend().envelope_service_scale(per_shard_w);
             }
             let backlog_s = (ahead + 1) as f64 * shed_slot_s;
@@ -1108,20 +1107,19 @@ fn materialize(
                 elapsed_s
             };
             // The overload ladder's rung at pop time sizes this
-            // sentence's degradation, clamped to the request's own
-            // floor. NONE (no ladder, nominal rung, or a zero floor)
-            // takes the exact `begin` path.
-            let degradation = cfg.overload.map_or(Degradation::NONE, |ladder| {
-                ladder.degradation_for(popped.ladder_step, request.max_degradation)
-            });
-            let mut session = entry.engine.begin_degraded(&request, degradation);
+            // sentence's degradation; the opener clamps it to the
+            // request's own floor. Zero notches (no ladder, which pops
+            // at the nominal rung, or a zero floor) takes the exact
+            // `begin` path.
+            let mut session = entry
+                .engine
+                .begin_degraded(&request, popped.ladder_step.severity());
             if let Some(hub) = telemetry {
                 let recorder = hub.recorder(entry.lane.task, job.seq);
                 recorder.emit(TraceEventKind::Popped { queue_delay_s });
-                if degradation.tier_notches > 0 {
-                    recorder.emit(TraceEventKind::Degraded {
-                        notches: degradation.tier_notches,
-                    });
+                let notches = session.degraded_notches();
+                if notches > 0 {
+                    recorder.emit(TraceEventKind::Degraded { notches });
                 }
                 session.attach_trace(recorder);
             }

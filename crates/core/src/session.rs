@@ -55,7 +55,7 @@ use crate::engine::{
     deadline_met, sanitized_queue_s, DropTarget, EdgeBertEngine, InferenceMode, InferenceRequest,
     InferenceResponse, SentenceResult,
 };
-use crate::overload::Degradation;
+use crate::overload;
 use crate::telemetry::{SpanRecorder, TraceEventKind};
 use edgebert_model::ForwardSession;
 use edgebert_tensor::stats::argmax;
@@ -164,26 +164,31 @@ impl InferenceSession {
     /// Opens a session over `request`, resolving unset service levels
     /// against the engine defaults and sanitizing its queue stamp and
     /// envelope; `fwd` is the forward pass the engine's opener began
-    /// over the request's sanitized tokens.
+    /// over the request's sanitized tokens. `notches` is the overload
+    /// degradation asked for, bounded here by the request's own
+    /// [`max_degradation`](InferenceRequest::max_degradation) floor.
     pub(crate) fn new(
         engine: EdgeBertEngine,
         request: &InferenceRequest,
         fwd: ForwardSession,
-        degradation: Degradation,
+        notches: u8,
     ) -> Self {
         let mode = request.mode;
         // Overload degradation: drop the tier (saturating) and scale
         // the exit threshold up, so sentences exit earlier and the lane
-        // drains. `Degradation::NONE` is the identity on both — zero
-        // notches keep the tier and `x * 1.0` is exact in IEEE-754 —
-        // so every default caller keeps its bit-identity contract.
-        let requested = request.drop_target;
-        let drop = degradation.applied_to(requested.unwrap_or(engine.default_drop_target()));
+        // drains. Zero notches is the identity on both — the tier stays
+        // and `x * 1.0` is exact in IEEE-754 — so every default caller
+        // keeps its bit-identity contract.
+        let notches = notches.min(request.max_degradation);
+        let drop = request
+            .drop_target
+            .unwrap_or(engine.default_drop_target())
+            .degraded(notches);
         let base_et = match mode {
             InferenceMode::ConventionalEe => engine.thresholds(drop).conventional,
             _ => engine.thresholds(drop).latency_aware,
         };
-        let et = base_et * degradation.entropy_scale;
+        let et = base_et * overload::entropy_scale(notches);
         let num_layers = engine.model().num_layers();
         let point = engine.backend().nominal();
         let ck = SessionCheckpoint {
@@ -205,7 +210,7 @@ impl InferenceSession {
             point,
             parked_s: 0.0,
             preemptions: 0,
-            degraded_notches: degradation.tier_notches,
+            degraded_notches: notches,
         };
         Self {
             engine,
@@ -302,10 +307,9 @@ impl InferenceSession {
     }
 
     /// Accuracy-tier notches the overload ladder degraded this session
-    /// by at open time (0 on every default path). The notch count is
-    /// the *requested* degradation — the entropy-threshold scaling
-    /// applies even when the tier itself saturates at the loosest
-    /// calibration.
+    /// by at open time, after the request's floor bounded them (0 on
+    /// every default path). The entropy-threshold scaling applies even
+    /// when the tier itself saturates at the loosest calibration.
     pub fn degraded_notches(&self) -> u8 {
         self.ck.degraded_notches
     }

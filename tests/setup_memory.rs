@@ -25,12 +25,15 @@ use edgebert_nn::prune::PruneMethod;
 use edgebert_nn::Parameter;
 use edgebert_tasks::{Task, TaskGenerator, VocabLayout};
 
-/// The peak recorded at c0b18f4 (see the module comment); the budget is
-/// 0.72 of it. When this was written the peak was 1 064 436: the student
-/// in training (weights, masks, gradients, scores, moments ≈ 675 KB) plus
-/// one sentence's forward cache and backward buffers (≈ 390 KB).
-const PARENT_PEAK_BYTES: usize = 1_830_620;
-const PEAK_BUDGET_BYTES: usize = PARENT_PEAK_BYTES / 100 * 72;
+/// The peak `Trainer::run` reaches on this set-up: 1 064 436 live bytes
+/// in a debug build and 1 065 336 in release when this budget was set.
+/// That is the student in training (weights, masks, gradients, scores,
+/// moments ≈ 675 KB) plus one sentence's forward cache and backward
+/// buffers (≈ 390 KB). The budget is 3 % over the larger reading, so a
+/// regression of one sentence's layer buffers (64 KiB held through the
+/// backward peaked at 1 130 308) fails it.
+const PEAK_BYTES: usize = 1_065_336;
+const PEAK_BUDGET_BYTES: usize = PEAK_BYTES / 100 * 103;
 
 /// What the returned model may hold, as a percentage of its weight and
 /// mask bytes: 103 when this was written (344 304 for 335 184; the
@@ -62,10 +65,12 @@ fn set_up_peaks_at_one_model_and_returns_weights_and_masks() {
         peak <= PEAK_BUDGET_BYTES,
         "set-up peaked at {peak} live bytes, budget {PEAK_BUDGET_BYTES}"
     );
+    println!("set-up peaked at {peak} live bytes, budget {PEAK_BUDGET_BYTES}");
 
-    // The other trained network a built `TaskArtifacts` keeps is the
-    // entropy predictor's five affine layers; it too is left with its
-    // weights alone (four times that with gradients and Adam moments).
+    // The other network set-up trains is the entropy predictor's five
+    // affine layers, from which the served LUT is distilled; it too is
+    // left with its weights alone (four times that with gradients and
+    // Adam moments).
     let entropies = SweepCache::build(&model, &dev).entropy_dataset();
     let predictor = EntropyPredictor::train(&entropies, 5, 7);
     let widths = [1, 64, 64, 64, 64, cfg.num_layers];
