@@ -48,12 +48,12 @@ fn telemetry_push_and_lane_pop_paths_are_declared_hot() {
         "SpanRecorder::emit",
         "Telemetry::record_at",
         // Lane pop path.
-        "Lane::pop_work",
-        "Lane::best",
-        "Lane::finish_pop",
-        "Lane::resume_parked",
+        "LaneQueue::pop_work",
+        "LaneQueue::best",
+        "LaneQueue::finish_pop",
+        "LaneQueue::resume_parked",
         // The pop's energy envelope.
-        "Lane::envelope_w",
+        "LaneConfig::envelope_w",
         "FleetBudget::envelope_w",
         "split",
     ] {

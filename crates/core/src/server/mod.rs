@@ -9,15 +9,17 @@
 //! front-end: clients [`submit`](Server::submit) requests from any
 //! thread and get a [`ResponseHandle`] back immediately; per-task
 //! **engine shard pools** — `shards_per_task` owned
-//! [`EdgeBertEngine`] clones per served task, each pinned to its own
-//! worker thread with task affinity —
+//! [`EdgeBertEngine`](crate::engine::EdgeBertEngine) clones per served
+//! task, each pinned to its own worker thread with task affinity —
 //! drain bounded admission lanes in EDF order. No external runtime:
 //! the whole subsystem is `std` threads, one mutex per lane, and one
-//! reply slot per admitted request. The locking rule is one sentence: a
-//! shard takes its lane's lock to pop and to yield (park or completion),
-//! and two lane locks are never held together — queue, counters and
-//! histograms all sit behind that lock, so [`Server::stats`] reads each
-//! lane in one hold.
+//! reply slot per admitted request (`reply.rs`: ~200 B, filled once; a
+//! slot its shard drops unfilled reads as [`WorkerLost`]).
+//!
+//! **`lane.rs` alone knows the queue.** Every change to a lane is one
+//! transition there, under the lane's one lock; this module only locks
+//! a lane, runs one transition and notifies, through `Lane`'s methods,
+//! and never holds two lane locks together.
 //!
 //! ```text
 //!  client threads          per-task lanes             shard pools
@@ -48,10 +50,10 @@
 //!
 //! **Preemptive lanes** are what the resumable-session redesign buys.
 //! Workers serve each sentence through a layer-granular
-//! [`InferenceSession`] ([`EdgeBertEngine::begin`]) instead of a
-//! monolithic `serve` call,
-//! and poll their lane between layer steps: when a strictly
-//! tighter-deadline job is queued (per
+//! [`InferenceSession`]
+//! ([`EdgeBertEngine::begin`](crate::engine::EdgeBertEngine::begin))
+//! instead of a monolithic `serve` call, and poll their lane between
+//! layer steps: when a strictly tighter-deadline job is queued (per
 //! [`ServerConfig::preemption`]), the running session is *parked* at
 //! the layer boundary — hidden state and cost accounting checkpointed
 //! back onto the lane — the tight job runs, and parked sessions resume
@@ -98,12 +100,6 @@
 //! rejections, violations, preemptions, queue/parked depths) — with
 //! telemetry on, the distributions and lane gauges leave through
 //! [`Server::telemetry_snapshot`].
-//!
-//! A response travels in a one-shot reply slot: a single ~200 B
-//! allocation per admitted request, a mutex-guarded cell plus a
-//! condvar, which the serving shard fills once. A slot its shard drops
-//! unfilled (a panic mid-step) reads as lost, and the handle's wait
-//! returns [`WorkerLost`].
 
 mod lane;
 mod reply;
@@ -113,16 +109,15 @@ pub use stats::{LaneStats, ServerStats};
 
 use crate::clock::Clock;
 use crate::energy::{EnergyConfig, FleetBudget};
-use crate::engine::{deadline_met, EdgeBertEngine, InferenceRequest, InferenceResponse};
-use crate::overload::{LadderStep, OverloadConfig};
+use crate::engine::{deadline_met, InferenceRequest, InferenceResponse};
+use crate::overload::OverloadConfig;
 use crate::serving::MultiTaskRuntime;
 use crate::session::InferenceSession;
 use crate::telemetry::{
-    LaneTelemetrySnapshot, LogHistogram, Telemetry, TelemetryConfig, TelemetrySnapshot,
-    TraceEventKind,
+    LogHistogram, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
 };
 use edgebert_tasks::Task;
-use lane::{Job, JobContext, Lane, Popped, Work};
+use lane::{JobContext, Lane, Popped, Work};
 use reply::ReplySlot;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -511,23 +506,13 @@ impl ResponseHandle {
     }
 }
 
-/// One lane plus the engine that serves it (an `Arc` clone on the
-/// shared weights) — the unit an elastic shard roams over. The registry
-/// (one entry per served task, shared by every worker) is what lets a
-/// shard materialize *any* lane's work, not just its home task's; the
-/// front end reads the same entries for admission-time envelope pricing.
-#[derive(Clone)]
-struct PoolEntry {
-    lane: Arc<Lane>,
-    engine: EdgeBertEngine,
-}
-
 /// The async serving front-end: lanes drained by shard threads, one
 /// reply slot per admitted request (see the module docs).
 pub struct Server {
     cfg: ServerConfig,
     clock: Clock,
-    lanes: Vec<PoolEntry>,
+    /// One lane per served task, shared with every shard worker.
+    lanes: Arc<[Lane]>,
     workers: Vec<JoinHandle<()>>,
     /// Telemetry hub, present iff [`ServerConfig::telemetry`] is set.
     telemetry: Option<Arc<Telemetry>>,
@@ -583,32 +568,23 @@ impl Server {
         let budget = cfg
             .energy
             .map(|ecfg| Arc::new(FleetBudget::new(ecfg, tasks.len())));
-        let mut lanes = Vec::new();
-        for &task in &tasks {
-            let rt = runtime.runtime(task).expect("task listed as served");
-            let engine = rt.engine().clone();
-            let lane = Arc::new(Lane::new(
-                task,
-                &cfg,
-                engine.nominal_service_estimate_s(),
-                engine.default_latency_target_s(),
-                tasks.len(),
-                budget
-                    .as_ref()
-                    .map(|b| (Arc::clone(b), FleetBudget::slot_of(&tasks, task))),
-            ));
-            lanes.push(PoolEntry { lane, engine });
-        }
-        let registry = Arc::new(lanes.clone());
+        let lanes: Arc<[Lane]> = (tasks.iter())
+            .map(|&task| {
+                let rt = runtime.runtime(task).expect("task listed as served");
+                let slot =
+                    (budget.as_ref()).map(|b| (Arc::clone(b), FleetBudget::slot_of(&tasks, task)));
+                Lane::new(task, &cfg, rt.engine().clone(), tasks.len(), slot)
+            })
+            .collect();
         let mut workers = Vec::new();
-        for (home, entry) in registry.iter().enumerate() {
-            let task = entry.lane.task;
+        for (home, lane) in lanes.iter().enumerate() {
+            let task = lane.task();
             for shard in 0..cfg.shards_per_task {
-                let registry = Arc::clone(&registry);
+                let pool = Arc::clone(&lanes);
                 let hub = telemetry.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("edgebert-{task}-{shard}"))
-                    .spawn(move || shard_loop(&registry, home, shard, cfg, clock, hub.as_ref()))
+                    .spawn(move || shard_loop(&pool, home, shard, cfg, clock, hub.as_ref()))
                     .expect("spawn shard worker");
                 workers.push(handle);
             }
@@ -629,15 +605,12 @@ impl Server {
 
     /// The tasks this server admits.
     pub fn tasks(&self) -> Vec<Task> {
-        self.lanes.iter().map(|entry| entry.lane.task).collect()
+        self.lanes.iter().map(Lane::task).collect()
     }
 
     /// Requests admitted but not yet popped by a shard, across lanes.
     pub fn queued(&self) -> usize {
-        self.lanes
-            .iter()
-            .map(|entry| entry.lane.queue.lock().expect("lane mutex").jobs.len())
-            .sum()
+        self.lanes.iter().map(Lane::queued).sum()
     }
 
     /// Submits one request, returning a handle to its future response.
@@ -651,123 +624,11 @@ impl Server {
         task: Task,
         request: InferenceRequest,
     ) -> Result<ResponseHandle, SubmitError> {
-        let entry = self
-            .lanes
-            .iter()
-            .find(|entry| entry.lane.task == task)
+        let lane = (self.lanes.iter())
+            .find(|lane| lane.task() == task)
             .ok_or(SubmitError::TaskNotServed(task))?;
-        let target_s = request.latency_target_s.unwrap_or(entry.lane.horizon_s);
-        // The EDF key is the *remaining* budget: a request pre-stamped
-        // with upstream queueing is closer to its deadline than a
-        // fresh one with the same target. Requests come off the wire,
-        // so a non-finite target must not poison the pop comparator —
-        // it sorts last (and the engine flags it at serve time).
-        let remaining_s = target_s - request.effective_elapsed_queue_s();
-        let key_s = if remaining_s.is_finite() {
-            remaining_s
-        } else {
-            f64::INFINITY
-        };
         let (reply, slot) = reply::slot();
-        let mut queue = entry.lane.queue.lock().expect("lane mutex");
-        if queue.shutting_down {
-            return Err(SubmitError::ShuttingDown);
-        }
-        let lane = &entry.lane;
-        // Foreign shards attached by elastic autoscaling drain the
-        // lane too, so they count in the per-slot drain estimates
-        // (always `lane.shards` with elasticity disabled).
-        let effective_shards = (lane.shards + queue.extra_shards).max(1) as f64;
-        let drain_slot_s = lane.nominal_service_s / effective_shards;
-        if queue.jobs.len() >= lane.capacity {
-            queue.stats.rejected += 1;
-            return Err(SubmitError::QueueFull {
-                task,
-                capacity: lane.capacity,
-                depth: queue.jobs.len(),
-                retry_after_hint_s: drain_slot_s,
-            });
-        }
-        let now_s = self.clock.now_s();
-        let deadline_s = now_s + key_s;
-        // Advance the ladder (a lane without one stays Nominal) on the
-        // pre-admission backlog; on the shed rung, refuse work whose
-        // remaining budget the backlog ahead of it would already
-        // consume — it would queue and die, and its queueing would
-        // push feasible work past its own deadline too.
-        if lane.observe(&mut queue) == LadderStep::Shed {
-            // Only work with an equal-or-tighter deadline runs before
-            // this request.
-            let ahead = queue
-                .jobs
-                .iter()
-                .map(|j| j.deadline_s)
-                .chain(queue.parked.iter().map(|p| p.ctx.deadline_s))
-                .filter(|&d| d <= deadline_s)
-                .count();
-            // The feasibility test divides the backlog over the
-            // *observed* degraded service time once the ladder's
-            // Degrade rung has bought real throughput (clamped by
-            // the nominal estimate, so it only ever sheds less).
-            let mut shed_slot_s = lane.shed_service_estimate_s(&queue) / effective_shards;
-            // An energy envelope slows every slot: the feasibility
-            // test must price the lane's *allowed* speed, not the
-            // nominal one, or the shed rung under-sheds and queued
-            // work dies at the capped clock. A no-op (scale 1.0)
-            // when the envelope admits the nominal point or the
-            // backend doesn't model power.
-            if let Some(per_shard_w) = lane.shard_envelope_w(&queue) {
-                shed_slot_s *= entry.engine.backend().envelope_service_scale(per_shard_w);
-            }
-            let backlog_s = (ahead + 1) as f64 * shed_slot_s;
-            // Negated so an infinite budget always admits and a NaN
-            // budget (sanitized upstream, but cheap to be safe) sheds
-            // rather than queues-and-dies.
-            #[allow(
-                clippy::neg_cmp_op_on_partial_ord,
-                reason = "negated so an infinite budget admits and a NaN budget sheds"
-            )]
-            let infeasible = !(key_s >= backlog_s);
-            if infeasible {
-                queue.stats.shed += 1;
-                let p = lane.pressure_of(&queue);
-                if let Some(hub) = &self.telemetry {
-                    // Shed requests never consume a submission
-                    // sequence number (numbering stays identical
-                    // with telemetry off), so their trace ids
-                    // count down from the top instead.
-                    hub.record_at(
-                        now_s,
-                        task,
-                        u64::MAX - (queue.stats.shed - 1),
-                        TraceEventKind::Shed { pressure: p },
-                    );
-                }
-                return Err(SubmitError::Shed {
-                    task,
-                    pressure: p,
-                    retry_after_hint_s: (backlog_s - key_s).max(shed_slot_s),
-                });
-            }
-        }
-        let submission = queue.next_seq;
-        queue.next_seq += 1;
-        queue.stats.submitted += 1;
-        queue.jobs.push(Job {
-            seq: submission,
-            deadline_s,
-            enqueued_s: now_s,
-            request,
-            reply,
-        });
-        queue.stats.queue_high_water = queue.stats.queue_high_water.max(queue.jobs.len());
-        if let Some(hub) = &self.telemetry {
-            // Emitted while the queue lock pins the pop: the worker
-            // cannot record `Popped` before `Admitted` lands.
-            hub.record_at(now_s, task, submission, TraceEventKind::Admitted);
-        }
-        drop(queue);
-        entry.lane.available.notify_one();
+        let submission = lane.submit(request, reply, &self.clock, self.telemetry.as_ref())?;
         Ok(ResponseHandle {
             task,
             submission,
@@ -775,37 +636,11 @@ impl Server {
         })
     }
 
-    /// A snapshot of the per-lane counters, taken one lane lock at a
-    /// time: each lane's own [`LaneStats`] plus its live fields. A
-    /// steal is one record on its origin lane (a count per thief
-    /// lane): `migrated` is that record's row sum and `stolen` its
-    /// column sum, so the two balance in every snapshot.
+    /// A snapshot of the per-lane counters, one lane lock at a time. A
+    /// steal is one record on its origin lane, read as both `migrated`
+    /// and `stolen`, so the two balance in every snapshot.
     pub fn stats(&self) -> ServerStats {
-        let mut stolen = vec![0u64; self.lanes.len()];
-        let mut lanes: Vec<LaneStats> = self
-            .lanes
-            .iter()
-            .map(|entry| {
-                let queue = entry.lane.queue.lock().expect("lane mutex");
-                for (thief, n) in queue.stolen_by.iter().enumerate() {
-                    stolen[thief] += n;
-                }
-                LaneStats {
-                    ladder_step_changes: queue
-                        .controller
-                        .as_ref()
-                        .map_or(0, |ladder| ladder.step_changes()),
-                    migrated: queue.stolen_by.iter().sum(),
-                    queued: queue.jobs.len(),
-                    parked: queue.parked.len(),
-                    ..queue.stats
-                }
-            })
-            .collect();
-        for (lane, stolen) in lanes.iter_mut().zip(stolen) {
-            lane.stolen = stolen;
-        }
-        ServerStats::from_lanes(lanes)
+        Lane::snapshot(&self.lanes)
     }
 
     /// Everything the telemetry subsystem recorded so far: trace
@@ -816,28 +651,7 @@ impl Server {
     /// [`shutdown_with_telemetry`](Self::shutdown_with_telemetry).
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         let hub = self.telemetry.as_ref()?;
-        // Every lane's envelope from one read of the budget, so a
-        // snapshot's envelopes spend exactly the cap.
-        let budget = self.lanes.iter().find_map(|e| e.lane.budget.as_ref());
-        let envelopes = budget.map_or_else(Vec::new, |(budget, _)| budget.envelopes_w());
-        let lanes = self.lanes.iter().filter_map(|PoolEntry { lane, .. }| {
-            let envelope_w = lane.budget.as_ref().map(|(_, slot)| envelopes[*slot]);
-            let queue = lane.queue.lock().expect("lane mutex");
-            Some(LaneTelemetrySnapshot {
-                task: lane.task,
-                histograms: queue.histograms?,
-                pressure: lane.pressure_of(&queue),
-                rung: queue
-                    .controller
-                    .as_ref()
-                    .map_or(LadderStep::Nominal, |ladder| ladder.step()),
-                queued: queue.jobs.len(),
-                parked: queue.parked.len(),
-                extra_shards: queue.extra_shards,
-                envelope_w,
-            })
-        });
-        Some(hub.snapshot(lanes))
+        Some(hub.snapshot(Lane::telemetry_rows(&self.lanes)))
     }
 
     /// Gracefully shuts down: admission closes, every already-admitted
@@ -859,9 +673,8 @@ impl Server {
     }
 
     fn close_and_join(&mut self) {
-        for entry in &self.lanes {
-            entry.lane.queue.lock().expect("lane mutex").shutting_down = true;
-            entry.lane.available.notify_all();
+        for lane in self.lanes.iter() {
+            lane.shut_down();
         }
         for worker in self.workers.drain(..) {
             worker.join().expect("shard worker exits cleanly");
@@ -877,18 +690,14 @@ impl Drop for Server {
     }
 }
 
-/// One shard worker: pick the next unit of work (fresh admission or
-/// parked session) in deadline order, materialize it into a running
-/// session, and drive it until it completes or yields the lane.
-///
-/// With elasticity disabled (the default) the shard blocks on its home
-/// lane and nothing else. Enabled, an idle home lane sends it roaming
-/// (see [`next_elastic_work`]); foreign work is served through the
-/// foreign lane's own engine and accounted on the foreign lane's
-/// counters (a stolen session in its steal record too), and the shard
-/// detaches once the foreign work is done.
+/// One shard worker: pick the next unit of work in deadline order,
+/// materialize it into a running session, and drive it until it
+/// completes or yields the lane. With elasticity on, an idle home lane
+/// sends the shard roaming ([`next_elastic_work`]); foreign work runs
+/// on the foreign lane's engine and counters, and the shard detaches
+/// once it is done.
 fn shard_loop(
-    registry: &[PoolEntry],
+    lanes: &[Lane],
     home: usize,
     shard: usize,
     cfg: ServerConfig,
@@ -900,149 +709,50 @@ fn shard_loop(
     let mut claimed: Option<(usize, Popped)> = None;
     loop {
         let next = claimed.take().or_else(|| match &cfg.elastic {
-            Some(el) => next_elastic_work(registry, home, el),
-            None => registry[home].lane.next_work().map(|popped| (home, popped)),
+            Some(el) => next_elastic_work(lanes, home, el),
+            None => lanes[home].next_work().map(|popped| (home, popped)),
         });
         let Some((idx, popped)) = next else { return };
-        let entry = &registry[idx];
+        let lane = &lanes[idx];
         // A parked session resumed off its own lane is a steal (counted
-        // where it was claimed, see `Lane::hand_to_foreign`).
-        let thief_lane = (idx != home && matches!(popped.work, Work::Resume(_)))
-            .then(|| registry[home].lane.task);
-        let (session, ctx) = materialize(entry, popped, &cfg, telemetry, thief_lane, clock.now_s());
-        claimed = drive(&entry.lane, session, ctx, shard, cfg, clock).map(|next| (idx, next));
+        // where it was claimed, see `LaneQueue::hand_to_foreign`).
+        let thief_lane =
+            (idx != home && matches!(popped.work, Work::Resume(_))).then(|| lanes[home].task());
+        let (session, ctx) = materialize(lane, popped, &cfg, telemetry, thief_lane, clock.now_s());
+        claimed = drive(lane, session, ctx, shard, cfg, clock).map(|next| (idx, next));
         if claimed.is_none() && idx != home {
-            entry.lane.detach();
+            lane.release();
         }
     }
 }
 
 /// Picks the next unit of work for an elastic shard, blocking until
 /// one exists or the home lane shuts down empty (`None`). Home work
-/// wins outright (a shard never starves its own task); foreign lanes
-/// are consulted only when the home lane is idle, and any foreign pop
-/// attaches the shard to that lane first so the pressure signal and
-/// admission estimates see the grown pool.
-fn next_elastic_work(
-    registry: &[PoolEntry],
-    home: usize,
-    el: &ElasticConfig,
-) -> Option<(usize, Popped)> {
+/// wins outright; foreign lanes are consulted only when the home lane
+/// is idle, and a foreign pop attaches the shard to that lane's pool.
+fn next_elastic_work(lanes: &[Lane], home: usize, el: &ElasticConfig) -> Option<(usize, Popped)> {
     loop {
-        if let Some(popped) = registry[home].lane.try_next_work() {
+        if let Some(popped) = lanes[home].try_next_work() {
             return Some((home, popped));
         }
         if el.work_stealing {
-            if let Some(found) = steal_tightest_parked(registry, home) {
+            if let Some(found) = Lane::steal_tightest(lanes, home) {
                 return Some(found);
             }
         }
         if el.autoscale {
-            if let Some(found) = attach_to_pressured_lane(registry, home, el.grow_pressure) {
+            if let Some(found) = Lane::attach_most_pressured(lanes, home, el.grow_pressure) {
                 return Some(found);
             }
         }
-        // Nothing anywhere: wait on the home condvar with a timeout —
-        // home admissions wake the shard immediately, and the timed
-        // poll bounds how long freshly pressured *foreign* lanes (which
-        // signal their own condvars, not this one) can go unnoticed.
-        let queue = registry[home].lane.queue.lock().expect("lane mutex");
-        if queue.shutting_down && queue.jobs.is_empty() && queue.parked.is_empty() {
-            // Foreign lanes still draining are their own shards'
-            // responsibility; exiting here is what lets shutdown join
-            // every worker.
+        // Nothing anywhere: home admissions wake the shard at once, the
+        // timeout bounds how long a pressured foreign lane goes
+        // unnoticed, and a home lane shut down empty ends the shard
+        // (foreign lanes are their own shards' to drain).
+        if !lanes[home].idle_wait(ELASTIC_IDLE_POLL) {
             return None;
         }
-        let _ = registry[home]
-            .lane
-            .available
-            .wait_timeout(queue, ELASTIC_IDLE_POLL)
-            .expect("lane mutex");
     }
-}
-
-/// Finds and claims the EDF-tightest parked session across all foreign
-/// lanes. Scans one lane lock at a time (two lane locks are never
-/// held together), then re-locks the winner to steal — tolerating the
-/// race where another shard got there first (`None`; the caller's loop
-/// rescans).
-fn steal_tightest_parked(registry: &[PoolEntry], home: usize) -> Option<(usize, Popped)> {
-    let mut best: Option<(usize, (f64, u64))> = None;
-    for (idx, entry) in registry.iter().enumerate() {
-        if idx == home {
-            continue;
-        }
-        if let Some(key) = entry.lane.tightest_parked() {
-            if best.is_none_or(|(_, bk)| key < bk) {
-                best = Some((idx, key));
-            }
-        }
-    }
-    let (idx, (_, seq)) = best?;
-    let popped = registry[idx].lane.steal_parked(seq, home)?;
-    Some((idx, popped))
-}
-
-/// Finds the most pressured foreign lane with work waiting whose
-/// pressure clears the grow threshold, attaches to it, and pops its
-/// next unit of work (fresh or parked, in the lane's deadline
-/// order). Same two-pass, one-lock-at-a-time discipline as stealing.
-///
-/// Energy envelopes gate the growth: an extra shard is one more
-/// accelerator that must draw at least the backend's floor power, so a
-/// lane whose envelope cannot fund `shards + extras + 1` floor-power
-/// draws *declines* the attach (counted in
-/// [`LaneStats::attach_declined`]) rather than blowing through the
-/// fleet cap — the lane stays pressured and drains at its funded
-/// width. Lanes without an envelope attach exactly as before, and so
-/// does a backend whose floor draw is infinite: only a mobile-GPU
-/// anchor measured at `power_w = +∞` has one, and no finite envelope
-/// could price its shards, so the gate passes it rather than freezing
-/// the lane at its home width.
-fn attach_to_pressured_lane(
-    registry: &[PoolEntry],
-    home: usize,
-    grow_pressure: f64,
-) -> Option<(usize, Popped)> {
-    let envelope_funds_another_shard = |entry: &PoolEntry, queue: &lane::LaneQueue| {
-        let Some(w) = entry.lane.envelope_w() else {
-            return true;
-        };
-        let floor_w = entry.engine.backend().floor_power_w();
-        !floor_w.is_finite() || w >= (entry.lane.shards + queue.extra_shards + 1) as f64 * floor_w
-    };
-    let mut best: Option<(usize, f64)> = None;
-    for (idx, entry) in registry.iter().enumerate() {
-        if idx == home {
-            continue;
-        }
-        let mut queue = entry.lane.queue.lock().expect("lane mutex");
-        if queue.jobs.is_empty() && queue.parked.is_empty() {
-            continue;
-        }
-        let p = entry.lane.pressure_of(&queue);
-        if p < grow_pressure {
-            continue;
-        }
-        if !envelope_funds_another_shard(entry, &queue) {
-            queue.stats.attach_declined += 1;
-            continue;
-        }
-        if best.is_none_or(|(_, bp)| p > bp) {
-            best = Some((idx, p));
-        }
-    }
-    let (idx, _) = best?;
-    let entry = &registry[idx];
-    let mut queue = entry.lane.queue.lock().expect("lane mutex");
-    // The envelope may have shrunk between the scan and the claim:
-    // re-judge under the lock that commits the attach.
-    if !envelope_funds_another_shard(entry, &queue) {
-        queue.stats.attach_declined += 1;
-        return None;
-    }
-    let work = Lane::pop_work(&mut queue)?;
-    Some((idx, entry.lane.hand_to_foreign(&mut queue, work, home)))
 }
 
 /// Turns a popped unit of work, popped at `now_s` on the server clock,
@@ -1054,7 +764,7 @@ fn attach_to_pressured_lane(
 /// request's span recorder to the session; a resume emits `Resumed`,
 /// attributing the thief's home lane when the session crossed lanes.
 fn materialize(
-    entry: &PoolEntry,
+    lane: &Lane,
     popped: Popped,
     cfg: &ServerConfig,
     telemetry: Option<&Arc<Telemetry>>,
@@ -1111,11 +821,10 @@ fn materialize(
             // request's own floor. Zero notches (no ladder, which pops
             // at the nominal rung, or a zero floor) takes the exact
             // `begin` path.
-            let mut session = entry
-                .engine
-                .begin_degraded(&request, popped.ladder_step.severity());
+            let mut session =
+                (lane.engine()).begin_degraded(&request, popped.ladder_step.severity());
             if let Some(hub) = telemetry {
-                let recorder = hub.recorder(entry.lane.task, job.seq);
+                let recorder = hub.recorder(lane.task(), job.seq);
                 recorder.emit(TraceEventKind::Popped { queue_delay_s });
                 let notches = session.degraded_notches();
                 if notches > 0 {
@@ -1150,14 +859,12 @@ fn materialize(
     }
 }
 
-/// Steps one session until it completes or yields the lane. Completion
-/// folds the sentence into the lane's counters and then delivers the
-/// response, returning `None`; a preemption exchange parks the session
-/// (with its serving context) onto the lane and returns the claimed
-/// tight job for the shard to serve next. Either yield takes the lane
-/// lock once, and carries this dispatch's step times with it.
+/// Steps one session until it completes (folded into the lane, then
+/// the response delivered: `None`) or a preemption exchange parks it
+/// and returns the claimed tight job. Either yield takes the lane lock
+/// once, and carries this dispatch's step times with it.
 fn drive(
-    lane: &Arc<Lane>,
+    lane: &Lane,
     mut session: InferenceSession,
     mut ctx: JobContext,
     shard: usize,
@@ -1203,25 +910,15 @@ fn drive(
             break;
         }
         // Between layer steps: yield the lane if a strictly tighter
-        // arrival is queued. The cheap poll runs lock-light; the
-        // authoritative decision is the atomic exchange, which parks
-        // this session at the layer boundary — hidden state and
-        // committed cost checkpointed — and claims the tight job for
-        // this shard in the same lock, so a pool of shards can never
-        // stampede-park for one arrival.
+        // arrival is queued — a cheap poll, then the exchange that parks
+        // this session and claims the arrival in one transition.
         if cfg.preemption != PreemptionPolicy::Off {
             let pressured = lane
                 .tightest_queued_deadline()
                 .is_some_and(|queued| cfg.preemption.should_preempt(ctx.deadline_s, queued));
             if pressured {
                 let now_s = clock.now_s();
-                match lane.preempt_exchange(
-                    session,
-                    ctx,
-                    cfg.preemption,
-                    step_times.as_ref(),
-                    now_s,
-                ) {
+                match lane.preempt(session, ctx, cfg.preemption, step_times.as_ref(), now_s) {
                     Ok(claimed) => return Some(claimed),
                     // Pressure vanished between the poll and the lock
                     // (another shard claimed the arrival): nothing was
@@ -1255,7 +952,7 @@ fn drive(
         });
     }
     let served = ServerResponse {
-        task: lane.task,
+        task: lane.task(),
         shard,
         submission: ctx.seq,
         response,
@@ -1268,7 +965,7 @@ fn drive(
         deadline_met: met,
         energy_j,
     };
-    lane.complete(&served, step_times.as_ref());
+    lane.retire(&served, step_times.as_ref());
     // The client may have stopped waiting; a dead handle is not a
     // server error.
     ctx.reply.send(served);
@@ -1282,11 +979,13 @@ mod tests {
     use crate::engine::{
         DropTarget, EngineBuilder, EntropyThresholds, InferenceMode, SentenceResult,
     };
+    use crate::overload::LadderStep;
     use crate::predictor::EntropyPredictor;
     use crate::serving::TaskRuntime;
     use edgebert_model::{AlbertConfig, AlbertModel};
     use edgebert_tasks::{Dataset, TaskGenerator, VocabLayout};
     use edgebert_tensor::Rng;
+    use lane::Job;
 
     fn fixture_runtime() -> (MultiTaskRuntime, Dataset) {
         let layout = VocabLayout::standard();
@@ -1524,10 +1223,7 @@ mod tests {
                 queue_aware_slack,
                 ..ServerConfig::default()
             };
-            let entry = PoolEntry {
-                lane: Arc::new(Lane::new(Task::Sst2, &cfg, 10e-3, 60e-3, 1, None)),
-                engine: engine.clone(),
-            };
+            let lane = Lane::new(Task::Sst2, &cfg, engine.clone(), 1, None);
             for pre_stamp_s in [0.0, 5e-3] {
                 let (reply, _slot) = reply::slot();
                 let request = InferenceRequest::new(data.examples()[0].tokens.clone())
@@ -1543,7 +1239,7 @@ mod tests {
                     ladder_step: LadderStep::Nominal,
                     envelope_w: None,
                 };
-                let (session, ctx) = materialize(&entry, popped, &cfg, None, None, wait_s);
+                let (session, ctx) = materialize(&lane, popped, &cfg, None, None, wait_s);
                 let case = (queue_aware_slack, wait_s, pre_stamp_s);
                 assert_eq!(ctx.queue_delay_s, wait_s, "{case:?}");
                 assert_eq!(ctx.elapsed_s, pre_stamp_s + wait_s, "{case:?}");
@@ -1728,9 +1424,8 @@ mod tests {
         let server = Server::start(&rt, blind_config());
         // Close admission by hand (shutdown consumes the server, so
         // poke the lane the way close_and_join does).
-        for entry in &server.lanes {
-            entry.lane.queue.lock().expect("lane mutex").shutting_down = true;
-            entry.lane.available.notify_all();
+        for lane in server.lanes.iter() {
+            lane.shut_down();
         }
         let req = InferenceRequest::new(data.examples()[0].tokens.clone());
         assert!(matches!(

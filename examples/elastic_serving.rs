@@ -12,7 +12,7 @@
 //! tight-class violations strictly.
 //!
 //! Both configs run preemptive EDF lanes with service-time emulation;
-//! the only difference is [`ElasticConfig::enabled`]. The static
+//! the only difference is [`ServerConfig::elastic`], `Some` vs `None`. The static
 //! baseline must report zero stolen/migrated/pool-resize counters —
 //! elasticity off is bit-identical to the pre-elastic server. The CI
 //! `smoke` matrix runs this binary; the elastic tight-class violation

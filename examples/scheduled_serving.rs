@@ -4,7 +4,8 @@
 //! Builds two task runtimes, generates a mixed-deadline arrival
 //! process (a tight voice-assistant class interleaved with relaxed
 //! translation traffic, arriving near one accelerator lane's
-//! capacity), and drains it twice through the [`DeadlineScheduler`]: once
+//! capacity), and drains it twice through the
+//! [`DeadlineScheduler`](edgebert::scheduler::DeadlineScheduler): once
 //! FIFO (the old `serve_batch` order) and once earliest-deadline-first.
 //! The per-class tail report shows the point of the scheduler — under
 //! FIFO the tight class eats head-of-line blocking delay behind

@@ -2,8 +2,9 @@
 //! subsystem under real concurrent load.
 //!
 //! Everything before this example ran on a virtual timeline. Here two
-//! task runtimes are served by a real [`Server`] — per-task engine
-//! shards on worker threads, bounded EDF lanes, service-time emulation
+//! task runtimes are served by a real
+//! [`Server`](edgebert::server::Server) — per-task engine shards on
+//! worker threads, bounded EDF lanes, service-time emulation
 //! holding each lane for the modeled hardware latency — and two
 //! frame-paced request streams (a tight voice-assistant cadence on
 //! SST-2, a relaxed translation cadence on QNLI) arrive in real time
